@@ -73,10 +73,11 @@ def check_head_closed(
 ) -> bool:
     """True iff every hyperedge with a head in ``nodes`` has all heads inside
     ``nodes`` (nodes in ``ignoring`` are treated as acceptable outside heads)."""
-    s = set(nodes)
-    ok = s | set(ignoring)
-    for e in h.edges:
-        if s & set(e.heads) and not set(e.heads) <= ok:
+    nodes = list(nodes)
+    ok = set(nodes) | set(ignoring)
+    for k in h.incoming_closure(nodes):
+        members, _, is_head = h.members_of(k)
+        if not ok.issuperset(members[is_head].tolist()):
             return False
     return True
 
@@ -146,22 +147,23 @@ class ErrorSystem:
                 A[:, sub.position(gi), :, sub.position(gj), :] -= np.einsum(
                     "ab,kbc->kac", L, Dh
                 )
+        h = sys.hypergraph
         if self._incoming:
-            args = sys.edge_arguments(X)[:, list(self._incoming)]
-            Dg = sys.coupling.jac(args)
-            for ek, eidx in enumerate(self._incoming):
-                e = sys.hypergraph.edges[eidx]
-                D = e.sigma * Dg[:, ek]
-                for head in e.heads:
-                    if head not in sub:
-                        continue
-                    i = sub.position(head)
-                    for w, t in zip(e.alpha, e.tails):
-                        if t in sub:
-                            A[:, i, :, sub.position(t), :] += w * D
-                    for w, q in zip(e.beta, e.heads):
-                        if q in sub:
-                            A[:, i, :, sub.position(q), :] -= w * D
+            Dg = sys.coupling.jac(sys.edge_arguments(X, self._incoming))
+            for ek, k in enumerate(self._incoming):
+                D = h.edge_sigma[k] * Dg[:, ek]
+                members, weights, is_head = h.members_of(k)
+                inside = [
+                    (sub.position(v), w, head)
+                    for v, w, head in zip(members.tolist(), weights.tolist(), is_head.tolist())
+                    if v in sub
+                ]
+                # row i of a head collects w_j * D from every member j:
+                # +alpha_j for a tail, -beta_j for a head (itself included)
+                for i, _, head in inside:
+                    if head:
+                        for j, w, _ in inside:
+                            A[:, i, :, j, :] += w * D
         return A.reshape(K, M * n, M * n)
 
     def a_matrix(self, state) -> np.ndarray:
@@ -179,19 +181,19 @@ class ErrorSystem:
         if missing:
             raise MissingOutsideError(f"no error value for outside tails {missing}")
         b = np.zeros((M, n))
+        h = sys.hypergraph
         if self._incoming:
-            args = sys.edge_arguments(X[None])[0, list(self._incoming)]
-            Dg = sys.coupling.jac(args)
-            for ek, eidx in enumerate(self._incoming):
-                e = sys.hypergraph.edges[eidx]
+            Dg = sys.coupling.jac(sys.edge_arguments(X, self._incoming))
+            for ek, k in enumerate(self._incoming):
+                members, weights, is_head = h.members_of(k)
                 acc = np.zeros(n)
-                for w, t in zip(e.alpha, e.tails):
+                for t, w in zip(members[~is_head].tolist(), weights[~is_head].tolist()):
                     if t not in sub:
                         acc = acc + w * np.asarray(outside_errors[t], dtype=float)
                 if not acc.any():
                     continue
-                contribution = e.sigma * (Dg[ek] @ acc)
-                for head in e.heads:
+                contribution = h.edge_sigma[k] * (Dg[ek] @ acc)
+                for head in members[is_head].tolist():
                     if head in sub:
                         b[sub.position(head)] += contribution
         return b.reshape(-1)
@@ -202,8 +204,7 @@ class ErrorSystem:
         if not self._incoming:
             return 0.0
         X = self._states(states)
-        args = self.sys.edge_arguments(X)[:, list(self._incoming)]
-        Dg = self.sys.coupling.jac(args)
+        Dg = self.sys.coupling.jac(self.sys.edge_arguments(X, self._incoming))
         return float(np.linalg.svd(Dg, compute_uv=False)[..., 0].max())
 
 
@@ -260,6 +261,12 @@ class CertificationReport:
             "g_bound": self.g_bound,
             "trajectory_ids": list(self.trajectory_ids),
         }
+
+    @staticmethod
+    def from_json_dict(doc: Mapping) -> "CertificationReport":
+        return CertificationReport(
+            **{**doc, "trajectory_ids": tuple(doc.get("trajectory_ids", ()))}
+        )
 
 
 def symmetric_top_eig(mats: np.ndarray) -> np.ndarray:
@@ -415,14 +422,14 @@ def thm3_bound(
     outside_term = 0.0
     for s in sorted(S):
         for k in hypergraph.incoming(s):
-            e = hypergraph.edges[k]
+            members, _, is_head = hypergraph.members_of(k)
             tot = 0.0
-            for t in e.tails:
+            for t in members[~is_head].tolist():
                 if t not in S:
                     if t not in upstream_bounds:
                         raise MissingOutsideError(f"no upstream bound for tail {t}")
                     tot += float(upstream_bounds[t])
-            outside_term += g_bound * e.sigma * tot
+            outside_term += g_bound * float(hypergraph.edge_sigma[k]) * tot
     value = (
         np.sqrt(2.0) * outside_term
         + np.sqrt(2.0 * M) * mu_bar * f_bound

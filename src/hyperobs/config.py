@@ -261,46 +261,36 @@ def build_system(doc: dict, hypergraph: DirectedHypergraph) -> NetworkSystem:
     return NetworkSystem(hypergraph, field, coupling, output)
 
 
+# config key -> SimConfig field; SimConfig supplies the default of every
+# field the config leaves out
+_SIM_FIELDS = {
+    "dt": "dt", "horizon": "horizon", "seed": "seed", "x0_box": "x0_box",
+    "observer_init_width": "observer_init_width", "noise": "noise_amplitude",
+    "param_spread": "param_rel_spread",
+}
+
+
 def build_design_options(doc: dict, seed_override: int | None = None) -> DesignOptions:
-    d = doc["design"]
-    return DesignOptions(
-        margin=d["margin"],
-        rho=d.get("rho", 10.0),
-        eps_req=d.get("eps_req", 0.5),
-        kron_cap=d.get("kron_cap", 40),
-        use_inverse_shortcut=d.get("use_inverse_shortcut"),
-        thm1_fallback=d.get("thm1_fallback", True),
-        thm1_placement=d.get("thm1_placement", False),
-        max_iters=d.get("max_iters", 5000),
-        restarts=d.get("restarts", 3),
-        seed=seed_override if seed_override is not None else d.get("seed", 0),
-    )
+    # the schema's design keys are DesignOptions fields, trajectories aside
+    kwargs = {k: v for k, v in doc["design"].items() if k != "trajectories"}
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
+    return DesignOptions(**kwargs)
 
 
 def build_ensemble_spec(doc: dict) -> TrajectoryEnsembleSpec:
-    t = doc["design"]["trajectories"]
-    return TrajectoryEnsembleSpec(
-        count=t["count"],
-        horizon=t["horizon"],
-        dt=t["dt"],
-        subsample=t.get("subsample", 5),
-        box=tuple(t.get("box", (-3.0, 3.0))),
-        seed=t.get("seed", 0),
-        burn_in=t.get("burn_in", 0.0),
-    )
+    kwargs = dict(doc["design"]["trajectories"])
+    if "box" in kwargs:
+        kwargs["box"] = tuple(kwargs["box"])
+    return TrajectoryEnsembleSpec(**kwargs)
 
 
 def build_sim_config(doc: dict, seed: int | None = None, **overrides) -> SimConfig:
-    s = doc["sim"]
-    kwargs = dict(
-        dt=s["dt"],
-        horizon=s["horizon"],
-        seed=s.get("seed", 0) if seed is None else seed,
-        noise_amplitude=s.get("noise", 0.0),
-        param_rel_spread=s.get("param_spread", 0.0),
-        x0_box=tuple(s.get("x0_box", (-3.0, 3.0))),
-        observer_init_width=s.get("observer_init_width", 0.2),
-    )
+    kwargs = {field: doc["sim"][key] for key, field in _SIM_FIELDS.items() if key in doc["sim"]}
+    if "x0_box" in kwargs:
+        kwargs["x0_box"] = tuple(kwargs["x0_box"])
+    if seed is not None:
+        kwargs["seed"] = seed
     kwargs.update(overrides)
     return SimConfig(**kwargs)
 

@@ -123,15 +123,7 @@ class DesignOutcome:
         processed = [
             ProcessedSubset(
                 tuple(p["nodes"]),
-                CertificationReport(
-                    p["report"]["theorem_used"],
-                    p["report"]["hurwitz_margin"],
-                    p["report"]["worst_value"],
-                    p["report"]["sample_count"],
-                    p["report"].get("h2_margin"),
-                    p["report"].get("g_bound"),
-                    tuple(p["report"].get("trajectory_ids", ())),
-                ),
+                CertificationReport.from_json_dict(p["report"]),
                 tuple(p["added_measured"]),
                 p["iteration"],
             )

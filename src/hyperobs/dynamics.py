@@ -3,6 +3,8 @@
 All built-ins evaluate batched: state arguments broadcast over leading axes,
 Jacobians gain two trailing axes.  Parameter vectors broadcast the same way,
 which is how heterogeneous per-node parameters enter the network dynamics.
+The hyperdiffusive coupling gathers node states through the hypergraph's
+sparse incidence, for all edges or for a chosen few.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def vector_field_from_callable(
 ) -> VectorField:
     """Wrap a plain callable; missing Jacobians fall back to finite differences.
 
-    The finite-difference path only supports single-point (non-batched) calls.
+    The finite-difference fallback evaluates batched states point by point.
     """
     nominal = np.atleast_1d(np.asarray(nominal_params, dtype=float))
 
@@ -286,18 +288,13 @@ class NetworkSystem:
             params = np.tile(self.field.nominal_params, (N, 1))
         params = np.asarray(params, dtype=float).reshape(N, self.field.param_dim)
         object.__setattr__(self, "per_node_params", params)
-        # incidence operators for vectorized coupling evaluation
-        E = len(self.hypergraph.edges)
-        mix = np.zeros((E, N))
-        scatter = np.zeros((N, E))
-        for k, e in enumerate(self.hypergraph.edges):
-            for w, t in zip(e.alpha, e.tails):
-                mix[k, t] += w
-            for w, hnode in zip(e.beta, e.heads):
-                mix[k, hnode] -= w
-                scatter[hnode, k] = e.sigma
-        object.__setattr__(self, "_mix", mix)
-        object.__setattr__(self, "_scatter", scatter)
+        # gather plans of the coupling kernels over all edges and all nodes
+        h = self.hypergraph
+        all_edges = np.arange(len(h.edges))
+        edge_plan = _gather_plan(h.member_ptr, all_edges, h.members, h.member_weight)
+        head_plan = _gather_plan(h.head_ptr, np.arange(N), h.head_edges, h.edge_sigma[h.head_edges])
+        object.__setattr__(self, "_edge_plan", edge_plan)
+        object.__setattr__(self, "_head_plan", head_plan)
 
     @property
     def num_nodes(self) -> int:
@@ -312,16 +309,54 @@ class NetworkSystem:
             self.hypergraph, self.field, self.coupling, self.output, per_node_params
         )
 
-    def edge_arguments(self, states: np.ndarray) -> np.ndarray:
-        """Hyperdiffusive arguments of every edge; ``states`` is (..., N, n)."""
-        return np.einsum("en,...nd->...ed", self._mix, states)
+    def edge_arguments(self, states: np.ndarray, edges=None) -> np.ndarray:
+        """Hyperdiffusive arguments of the given edges (all by default), in
+        that order; ``states`` is (..., N, n).
+
+        Members ascend within an edge, so each argument is summed in the node
+        order of a dense incidence product."""
+        h = self.hypergraph
+        if edges is None:
+            return _gather_sum(self._edge_plan, states, len(h.edges))
+        edges = np.asarray(edges, dtype=np.intp)
+        plan = _gather_plan(h.member_ptr, edges, h.members, h.member_weight)
+        return _gather_sum(plan, states, len(edges))
 
     def coupling_term(self, states: np.ndarray) -> np.ndarray:
         """Per-node sum of sigma * g(argument) over incoming edges."""
         if not self.hypergraph.edges:
             return np.zeros_like(states)
         g = self.coupling.eval(self.edge_arguments(states))
-        return np.einsum("ne,...ed->...nd", self._scatter, g)
+        return _gather_sum(self._head_plan, g, self.num_nodes)
+
+
+def _gather_plan(ptr: np.ndarray, rows: np.ndarray, source: np.ndarray, weight: np.ndarray):
+    """Plan for summing ``weight * x[source]`` over the entries of each CSR
+    row in ``rows``, one entry at a time in entry order.
+
+    Rows are visited longest first, so the r-th entries of all rows that have
+    one form a prefix; ``inverse`` (None when the order is unchanged) puts the
+    sums back in the order of ``rows``.
+    """
+    start = ptr[rows]
+    size = ptr[rows + 1] - start
+    order = np.argsort(-size, kind="stable")
+    start, size = start[order], size[order]
+    ranks = []
+    for r in range(size.max(initial=0)):
+        entry = start[size > r] + r
+        ranks.append((len(entry), source[entry], weight[entry, None]))
+    inverse = None if (order == np.arange(len(order))).all() else np.argsort(order)
+    return ranks, inverse
+
+
+def _gather_sum(plan, x: np.ndarray, count: int) -> np.ndarray:
+    """Apply a ``_gather_plan`` to ``x`` of shape (..., M, d): (..., count, d)."""
+    ranks, inverse = plan
+    out = np.zeros(x.shape[:-2] + (count, x.shape[-1]))
+    for m, index, weight in ranks:
+        out[..., :m, :] += weight * np.take(x, index, axis=-2)
+    return out if inverse is None else np.take(out, inverse, axis=-2)
 
 
 def _reshape_state(sys: NetworkSystem, x: np.ndarray) -> np.ndarray:

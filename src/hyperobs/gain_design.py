@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .assembly import (
     EmptySampleSet,
@@ -369,6 +368,9 @@ def design_gain_thm1(
 ) -> GainSet:
     """Place the spectrum of A_S near ``lambda_star`` with a derivative-free
     search; enforce the dominant-abscissa ceiling at every sample."""
+    # imported here: this route is off by default, and the import is slow
+    from scipy import optimize
+
     prob = GainProblem(sys, subset, measured_in_subset, samples, zero_error_nodes)
     lam_star = np.sort_complex(np.asarray(lambda_star, dtype=complex))
     if lam_star.size != prob.sub.size * prob.n:

@@ -2,18 +2,22 @@
 
 A directed hyperedge carries ordered, disjoint tail and head node lists with
 per-tail weights ``alpha`` and per-head weights ``beta`` (each summing to one)
-and a positive coupling strength ``sigma``.  The signed-graph association puts
-positive edges from every tail to every head and negative edges between the
-heads of each hyperedge.
+and a positive coupling strength ``sigma``.  A hypergraph keeps its edges in
+one sparse incidence, built once on construction; every edge query, the
+pairwise graphs and the coupling kernels of ``dynamics`` read it.  The
+signed-graph association puts positive edges from every tail to every head
+and negative edges between the heads of each hyperedge.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -44,18 +48,13 @@ class LayerTooSmall(HypergraphError):
 
 @dataclass(frozen=True)
 class Hyperedge:
-    """One directed hyperedge: weighted tails -> weighted heads.
-
-    ``allow_affine`` relaxes the nonnegativity requirement on the weights
-    (the sum-to-one constraints always hold); off by default.
-    """
+    """One directed hyperedge: weighted tails -> weighted heads."""
 
     tails: tuple[int, ...]
     heads: tuple[int, ...]
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
     sigma: float = 1.0
-    allow_affine: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tails", tuple(int(v) for v in self.tails))
@@ -76,7 +75,7 @@ class Hyperedge:
         for name, w in (("alpha", self.alpha), ("beta", self.beta)):
             if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
                 raise WeightSumViolation(f"{name} sums to {sum(w)!r}, expected 1")
-            if not self.allow_affine and any(v < 0.0 for v in w):
+            if any(v < 0.0 for v in w):
                 raise NegativeWeight(f"{name} has negative entries: {w}")
         if self.sigma <= 0.0:
             raise HypergraphError(f"sigma must be positive, got {self.sigma}")
@@ -92,8 +91,25 @@ class Hyperedge:
         return Hyperedge(tuple(tails), tuple(heads), (1.0 / nt,) * nt, (1.0 / nh,) * nh, sigma)
 
 
+def _csr(rows: np.ndarray, cols: np.ndarray, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointer and the permutation that sorts entries by (row, col)."""
+    ptr = np.zeros(num_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=ptr[1:])
+    return ptr, np.lexsort((cols, rows))
+
+
 @dataclass(frozen=True)
 class DirectedHypergraph:
+    """Hyperedges over nodes ``0 .. num_nodes-1`` with their CSR incidence.
+
+    Edge k's members are ``members[member_ptr[k]:member_ptr[k + 1]]``, node
+    ids ascending; ``member_weight`` holds +alpha for a tail and -beta for a
+    head, ``member_is_head`` marks the heads and ``edge_sigma[k]`` is the
+    strength.  Node i is a head of the edges
+    ``head_edges[head_ptr[i]:head_ptr[i + 1]]`` and a tail of
+    ``tail_edges[tail_ptr[i]:tail_ptr[i + 1]]``, edge ids ascending.
+    """
+
     num_nodes: int
     edges: tuple[Hyperedge, ...] = ()
 
@@ -102,42 +118,65 @@ class DirectedHypergraph:
         if self.num_nodes < 0:
             raise HypergraphError("num_nodes must be nonnegative")
         for e in self.edges:
-            self._check_in_range(e)
-
-    def _check_in_range(self, e: Hyperedge) -> None:
-        for v in (*e.tails, *e.heads):
-            if not 0 <= v < self.num_nodes:
-                raise NodeOutOfRange(f"node {v} outside [0, {self.num_nodes})")
+            for v in (*e.tails, *e.heads):
+                self._check_node(v)
+        sizes = [e.cardinality for e in self.edges]
+        edge = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+        node = np.array([v for e in self.edges for v in (*e.tails, *e.heads)], dtype=np.intp)
+        weight = np.array([w for e in self.edges for w in (*e.alpha, *(-b for b in e.beta))])
+        is_head = np.array(
+            [q for e in self.edges for q in (False,) * len(e.tails) + (True,) * len(e.heads)],
+            dtype=bool,
+        )
+        member_ptr, order = _csr(edge, node, len(sizes))
+        head_ptr, head_order = _csr(node[is_head], edge[is_head], self.num_nodes)
+        tail_ptr, tail_order = _csr(node[~is_head], edge[~is_head], self.num_nodes)
+        for name, value in (
+            ("member_ptr", member_ptr),
+            ("members", node[order]),
+            ("member_weight", weight[order]),
+            ("member_is_head", is_head[order]),
+            ("edge_sigma", np.array([e.sigma for e in self.edges])),
+            ("head_ptr", head_ptr),
+            ("head_edges", edge[is_head][head_order]),
+            ("tail_ptr", tail_ptr),
+            ("tail_edges", edge[~is_head][tail_order]),
+        ):
+            object.__setattr__(self, name, value)
 
     def _check_node(self, i: int) -> None:
         if not 0 <= i < self.num_nodes:
             raise NodeOutOfRange(f"node {i} outside [0, {self.num_nodes})")
+
+    def members_of(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Member node ids of edge k (ascending), their weights (+alpha for a
+        tail, -beta for a head) and head flags."""
+        s = slice(self.member_ptr[k], self.member_ptr[k + 1])
+        return self.members[s], self.member_weight[s], self.member_is_head[s]
 
     # -- edge queries (all return edge indices, ascending) --------------------
 
     def incoming(self, i: int) -> list[int]:
         """Edges having node i as a head."""
         self._check_node(i)
-        return [k for k, e in enumerate(self.edges) if i in e.heads]
+        return self.head_edges[self.head_ptr[i] : self.head_ptr[i + 1]].tolist()
 
     def outgoing(self, i: int) -> list[int]:
         """Edges having node i as a tail."""
         self._check_node(i)
-        return [k for k, e in enumerate(self.edges) if i in e.tails]
+        return self.tail_edges[self.tail_ptr[i] : self.tail_ptr[i + 1]].tolist()
 
     def restrict(self, nodes: Iterable[int]) -> list[int]:
         """Edges whose tails and heads all lie inside ``nodes``."""
+        # every edge has a head, so these are incoming-closure edges
         s = self._as_node_set(nodes)
-        return [
-            k
-            for k, e in enumerate(self.edges)
-            if set(e.tails) <= s and set(e.heads) <= s
-        ]
+        return [k for k in self.incoming_closure(s) if s.issuperset(self.members_of(k)[0].tolist())]
 
     def incoming_closure(self, nodes: Iterable[int]) -> list[int]:
         """Edges with at least one head inside ``nodes``."""
         s = self._as_node_set(nodes)
-        return [k for k, e in enumerate(self.edges) if s & set(e.heads)]
+        parts = [self.head_edges[self.head_ptr[v] : self.head_ptr[v + 1]] for v in s]
+        return np.unique(np.concatenate(parts)).tolist() if parts else []
 
     def boundary(self, nodes: Iterable[int]) -> list[int]:
         """Edges entering ``nodes`` that are not fully contained in it."""
@@ -146,30 +185,23 @@ class DirectedHypergraph:
 
     def pair(self, j: int, i: int) -> list[int]:
         """Edges with j among the tails and i among the heads."""
-        self._check_node(j)
-        self._check_node(i)
-        return [k for k, e in enumerate(self.edges) if j in e.tails and i in e.heads]
-
-    def cohead(self, i: int, j: int) -> list[int]:
-        """Edges with both i and j among the heads."""
-        self._check_node(i)
-        self._check_node(j)
-        return [k for k, e in enumerate(self.edges) if i in e.heads and j in e.heads]
+        return np.intersect1d(self.outgoing(j), self.incoming(i)).tolist()
 
     def tails_of(self, edge_indices: Iterable[int]) -> list[int]:
         """Union of the tail sets of the given edges, ascending."""
         out: set[int] = set()
         for k in edge_indices:
-            out.update(self.edges[k].tails)
+            nodes, _, is_head = self.members_of(k)
+            out.update(nodes[~is_head].tolist())
         return sorted(out)
 
     def degrees(self, i: int, within: Iterable[int] | None = None) -> tuple[int, int]:
         """(in-degree, out-degree) of node i, optionally restricted to an edge set."""
-        self._check_node(i)
-        idx = range(len(self.edges)) if within is None else sorted(set(within))
-        d_in = sum(1 for k in idx if i in self.edges[k].heads)
-        d_out = sum(1 for k in idx if i in self.edges[k].tails)
-        return d_in, d_out
+        d_in, d_out = self.incoming(i), self.outgoing(i)
+        if within is None:
+            return len(d_in), len(d_out)
+        keep = set(within)
+        return sum(k in keep for k in d_in), sum(k in keep for k in d_out)
 
     def _as_node_set(self, nodes: Iterable[int]) -> set[int]:
         s = set(int(v) for v in nodes)
@@ -241,12 +273,25 @@ class SignedGraph:
             if not (0 <= i < self.num_nodes and 0 <= j < self.num_nodes):
                 raise NodeOutOfRange(f"edge ({i},{j}) outside node range")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_arcs", np.array(list(w), dtype=np.intp).reshape(-1, 2))
 
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        return sorted((i, j, v) for (i, j), v in self.weights.items())
+    def _adjacency(self, arcs: np.ndarray) -> csr_matrix:
+        return csr_matrix((np.ones(len(arcs)), arcs.T), shape=(self.num_nodes,) * 2)
 
-    def successors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.weights if a == i)
+
+def _pairwise(h: DirectedHypergraph, magnitude: bool) -> SignedGraph:
+    """For each hyperedge and each head i: sigma*w_j on every other member
+    j -> i (+alpha_j for tails, -beta_j for heads, or the magnitudes),
+    summed per ordered pair in edge order; exact-zero sums are dropped."""
+    acc: dict[tuple[int, int], float] = {}
+    for k in range(len(h.edges)):
+        nodes, weights, is_head = h.members_of(k)
+        terms = list(zip(nodes.tolist(), (h.edge_sigma[k] * weights).tolist()))
+        for i in nodes[is_head].tolist():
+            for j, w in terms:
+                if j != i:
+                    acc[(j, i)] = acc.get((j, i), 0.0) + (abs(w) if magnitude else w)
+    return SignedGraph(h.num_nodes, {key: v for key, v in acc.items() if v != 0.0})
 
 
 def to_signed_graph(h: DirectedHypergraph) -> SignedGraph:
@@ -256,16 +301,7 @@ def to_signed_graph(h: DirectedHypergraph) -> SignedGraph:
     and -sigma*beta_j on every other head j -> i.  Contributions on the same
     ordered pair are summed; exact-zero sums are dropped.
     """
-    acc: dict[tuple[int, int], float] = {}
-    for e in h.edges:
-        for qi, i in enumerate(e.heads):
-            for tj, j in enumerate(e.tails):
-                acc[(j, i)] = acc.get((j, i), 0.0) + e.sigma * e.alpha[tj]
-            for qj, j in enumerate(e.heads):
-                if j != i:
-                    acc[(j, i)] = acc.get((j, i), 0.0) - e.sigma * e.beta[qj]
-    weights = {k: v for k, v in acc.items() if v != 0.0}
-    return SignedGraph(h.num_nodes, weights)
+    return _pairwise(h, magnitude=False)
 
 
 def to_dependency_graph(h: DirectedHypergraph) -> SignedGraph:
@@ -276,15 +312,7 @@ def to_dependency_graph(h: DirectedHypergraph) -> SignedGraph:
     one ordered pair can never cancel away a real dependency.  Condensation
     for observer design explores this graph.
     """
-    acc: dict[tuple[int, int], float] = {}
-    for e in h.edges:
-        for i in e.heads:
-            for tj, j in enumerate(e.tails):
-                acc[(j, i)] = acc.get((j, i), 0.0) + abs(e.sigma * e.alpha[tj])
-            for qj, j in enumerate(e.heads):
-                if j != i:
-                    acc[(j, i)] = acc.get((j, i), 0.0) + abs(e.sigma * e.beta[qj])
-    return SignedGraph(h.num_nodes, {k: v for k, v in acc.items() if v != 0.0})
+    return _pairwise(h, magnitude=True)
 
 
 def largest_connected_component(h: DirectedHypergraph) -> tuple[list[int], list[int]]:
@@ -294,27 +322,11 @@ def largest_connected_component(h: DirectedHypergraph) -> tuple[list[int], list[
     Ties are broken in favor of the component with the smallest node id.
     """
     g = to_signed_graph(h)
-    parent = list(range(h.num_nodes))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for (i, j) in g.weights:
-        union(i, j)
-    comps: dict[int, list[int]] = {}
-    for v in range(h.num_nodes):
-        comps.setdefault(find(v), []).append(v)
-    best = max(comps.values(), key=lambda c: (len(c), -min(c)))
-    best = sorted(best)
-    return best, h.restrict(best)
+    _, labels = connected_components(g._adjacency(g._arcs), connection="weak")
+    # argmax picks the smallest node among those in a largest component
+    best = labels[np.argmax(np.bincount(labels)[labels])]
+    nodes = np.flatnonzero(labels == best).tolist()
+    return nodes, h.restrict(nodes)
 
 
 # -- condensation ---------------------------------------------------------------
@@ -341,74 +353,27 @@ class Condensation:
 def condense(g: SignedGraph, on: Iterable[int] | None = None) -> Condensation:
     """Strongly connected components of the subgraph induced by ``on``.
 
-    Reachability ignores the sign of the weights.  Uses an iterative Tarjan
-    walk over nodes in ascending order; component ids are relabeled so that
-    members/ids are deterministic.
+    Reachability ignores the sign of the weights.  Components come from
+    ``scipy.sparse.csgraph.connected_components`` and are relabelled in order
+    of their smallest member, so members and ids are deterministic.
     """
-    nodes = sorted(range(g.num_nodes)) if on is None else sorted(set(int(v) for v in on))
-    node_set = set(nodes)
+    nodes = list(range(g.num_nodes)) if on is None else sorted(set(int(v) for v in on))
     for v in nodes:
         if not 0 <= v < g.num_nodes:
             raise NodeOutOfRange(f"node {v} outside [0, {g.num_nodes})")
-    succ: dict[int, list[int]] = {v: [] for v in nodes}
-    for (i, j) in sorted(g.weights):
-        if i in node_set and j in node_set:
-            succ[i].append(j)
-
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            children = succ[v]
-            for k in range(pi, len(children)):
-                w = children[k]
-                if w not in index:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                lowlink[u] = min(lowlink[u], lowlink[v])
-
-    sccs.sort(key=lambda c: c[0])
-    scc_of = {v: s for s, comp in enumerate(sccs) for v in comp}
-    dag = set()
-    for (i, j) in g.weights:
-        if i in node_set and j in node_set:
-            a, b = scc_of[i], scc_of[j]
-            if a != b:
-                dag.add((a, b))
-    return Condensation(scc_of, tuple(tuple(c) for c in sccs), frozenset(dag))
+    inside = np.zeros(g.num_nodes, dtype=bool)
+    inside[nodes] = True
+    arcs = g._arcs[inside[g._arcs].all(axis=1)]
+    _, found = connected_components(g._adjacency(arcs), connection="strong")
+    # nodes ascend, so numbering components by first appearance orders them
+    # by smallest member
+    ids: dict[int, int] = {}
+    scc_of = {v: ids.setdefault(c, len(ids)) for v, c in zip(nodes, found[nodes].tolist())}
+    members: list[list[int]] = [[] for _ in ids]
+    for v, c in scc_of.items():
+        members[c].append(v)
+    dag = {(scc_of[i], scc_of[j]) for i, j in arcs.tolist() if scc_of[i] != scc_of[j]}
+    return Condensation(scc_of, tuple(tuple(c) for c in members), frozenset(dag))
 
 
 # -- hierarchical generator -------------------------------------------------------

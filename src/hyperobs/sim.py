@@ -273,7 +273,11 @@ def monte_carlo(
         flags[sl] = flag_c
 
     settle = [settling_time(times, norms[r]) for r in range(n_runs)]
-    med, p25, p75 = np.nanpercentile(norms, [50, 25, 75], axis=0)
+    # steps at which every run has diverged have no percentiles: NaN
+    stats = np.full((3, G + 1), np.nan)
+    seen = ~np.isnan(norms).all(axis=0)
+    stats[:, seen] = np.nanpercentile(norms[:, seen], [50, 25, 75], axis=0)
+    med, p25, p75 = stats
     return EnsembleStats(times, med, p25, p75, settle, norms, int(flags.sum()))
 
 

@@ -1,6 +1,7 @@
 import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hyperobs import (
     DirectedHypergraph,
@@ -80,6 +81,12 @@ def random_hypergraph(rng, max_nodes=8, max_edges=6, min_nodes=2, sigma_range=(0
                 Hyperedge(tuple(tails), tuple(heads), tuple(a / a.sum()), tuple(b / b.sum()), sigma)
             )
     return DirectedHypergraph(N, tuple(edges))
+
+
+@st.composite
+def hypergraphs(draw, max_nodes=8, max_edges=6):
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_hypergraph(np.random.default_rng(seed), max_nodes, max_edges)
 
 
 def reachability_closure(num_nodes, arcs):

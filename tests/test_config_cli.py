@@ -4,10 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyperobs import DesignOptions, SimConfig, TrajectoryEnsembleSpec
 from hyperobs.cli import main
 from hyperobs.config import (
     CONFIG_SCHEMA,
     ConfigError,
+    build_design_options,
+    build_ensemble_spec,
     build_sim_config,
     build_system,
     load_config,
@@ -89,6 +92,18 @@ class TestConfigValidation:
     def test_sim_overrides(self):
         cfg = build_sim_config(cohead_config(), seed=99, noise_amplitude=0.5)
         assert cfg.seed == 99 and cfg.noise_amplitude == 0.5
+
+    def test_unset_keys_take_dataclass_defaults(self):
+        doc = cohead_config()
+        doc["design"] = {
+            "margin": 2.0,
+            "trajectories": {"count": 6, "horizon": 0.4, "dt": 1e-3},
+        }
+        doc["sim"] = {"dt": 1e-3, "horizon": 0.5, "runs": 4}
+        validate_config(doc)
+        assert build_design_options(doc) == DesignOptions(margin=2.0)
+        assert build_ensemble_spec(doc) == TrajectoryEnsembleSpec(6, 0.4, 1e-3)
+        assert build_sim_config(doc) == SimConfig(dt=1e-3, horizon=0.5)
 
     def test_bad_param_counts(self):
         doc = cohead_config()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hyperobs import (
     AllMeasured,
     DesignOptions,
+    DesignOutcome,
     DirectedHypergraph,
     EmptyTrajectorySet,
     Hyperedge,
@@ -177,6 +179,19 @@ class TestDesignObserver:
         o1 = design_observer(sys, ens, DesignOptions(margin=2.0, use_inverse_shortcut=False))
         o2 = design_observer(sys, ens, DesignOptions(margin=2.0, use_inverse_shortcut=False))
         assert o1.to_json_dict() == o2.to_json_dict()
+
+    def test_json_round_trip(self):
+        sys = cohead_pair_system()
+        ens = small_ensemble(sys, count=6, horizon=0.4, seed=5)
+        for shortcut in (False, True):
+            o = design_observer(
+                sys, ens, DesignOptions(margin=2.0, use_inverse_shortcut=shortcut)
+            )
+            back = DesignOutcome.from_json_dict(json.loads(json.dumps(o.to_json_dict())))
+            assert back.processed == o.processed
+            assert (back.status, back.failed_subset) == (o.status, o.failed_subset)
+            assert (back.measured, back.exact_nodes) == (o.measured, o.exact_nodes)
+            assert back.to_json_dict() == o.to_json_dict()
 
     def test_empty_ensemble_rejected(self):
         sys = cohead_pair_system()

@@ -22,6 +22,7 @@ from hyperobs import (
     tanh_coupling,
     vector_field_from_callable,
 )
+from conftest import hypergraphs, random_system
 
 
 def rel_err(a, b):
@@ -188,6 +189,28 @@ class TestNetworkRhs:
         xbar = np.array([1.0, 2.0, 3.0])
         rhs = network_rhs(sys2, np.tile(xbar, 3)).reshape(3, 3)
         np.testing.assert_allclose(rhs[1], sys.field.eval(xbar, params[1]), atol=1e-14)
+
+
+class TestCouplingKernels:
+    @given(hypergraphs(), st.sampled_from(["bistable", "planar", "lorenz"]), st.integers(0, 2**32 - 1))
+    def test_match_per_edge_loop(self, h, kind, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_system(rng, h, field_kind=kind)
+        X = rng.uniform(-3, 3, (4, h.num_nodes, sys_.state_dim))
+        args = np.zeros((4, len(h.edges), sys_.state_dim))
+        expect = np.zeros_like(X)
+        for k, e in enumerate(h.edges):
+            for w, t in zip(e.alpha, e.tails):
+                args[:, k] += w * X[:, t]
+            for w, q in zip(e.beta, e.heads):
+                args[:, k] -= w * X[:, q]
+            g = sys_.coupling.eval(args[:, k])
+            for q in e.heads:
+                expect[:, q] += e.sigma * g
+        assert rel_err(sys_.edge_arguments(X), args) < 1e-12
+        assert rel_err(sys_.coupling_term(X), expect) < 1e-12
+        pick = rng.permutation(len(h.edges))[: int(rng.integers(0, len(h.edges) + 1))]
+        assert rel_err(sys_.edge_arguments(X, pick), args[:, pick]) < 1e-12
 
 
 class TestObserverRhs:

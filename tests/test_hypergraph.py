@@ -16,23 +16,19 @@ from hyperobs import (
     SignedGraph,
     WeightSumViolation,
     add_hyperedge,
+    check_head_closed,
     condense,
     generate_hierarchical,
     largest_connected_component,
     to_signed_graph,
 )
-from conftest import brute_force_sccs, random_hypergraph
+from hyperobs.hypergraph import to_dependency_graph
+from conftest import brute_force_sccs, hypergraphs, random_hypergraph
 
 
 def fig1_edge():
     # two tails {0,1}, two heads {2,3}, uniform weights, unit strength
     return Hyperedge((0, 1), (2, 3), (0.5, 0.5), (0.5, 0.5), 1.0)
-
-
-@st.composite
-def hypergraphs(draw, max_nodes=8, max_edges=6):
-    seed = draw(st.integers(0, 2**32 - 1))
-    return random_hypergraph(np.random.default_rng(seed), max_nodes, max_edges)
 
 
 class TestHyperedgeValidation:
@@ -50,11 +46,11 @@ class TestHyperedgeValidation:
         with pytest.raises(WeightSumViolation):
             Hyperedge((0, 1), (2,), (0.7, 0.4), (1.0,))
 
-    def test_negative_weight_rejected_unless_affine(self):
+    def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeight):
             Hyperedge((0, 1), (2,), (1.5, -0.5), (1.0,))
-        e = Hyperedge((0, 1), (2,), (1.5, -0.5), (1.0,), allow_affine=True)
-        assert e.alpha == (1.5, -0.5)
+        with pytest.raises(NegativeWeight):
+            Hyperedge((0,), (1, 2), (1.0,), (-0.5, 1.5))
 
     def test_node_out_of_range(self):
         with pytest.raises(NodeOutOfRange):
@@ -73,12 +69,10 @@ class TestEdgeQueries:
         h = add_hyperedge(DirectedHypergraph(5), fig1_edge())
         assert h.restrict([]) == []
 
-    def test_pair_and_cohead(self):
+    def test_pair(self):
         h = add_hyperedge(DirectedHypergraph(5), fig1_edge())
         assert h.pair(0, 2) == [0]
         assert h.pair(2, 0) == []
-        assert h.cohead(2, 3) == [0]
-        assert h.cohead(2, 4) == []
 
     @given(hypergraphs())
     def test_boundary_union_restrict_is_incoming_closure(self, h):
@@ -93,6 +87,44 @@ class TestEdgeQueries:
             expect = [k for k, e in enumerate(h.edges) if set(S) & set(e.heads)]
             assert got == expect
             assert set(h.boundary(S)).isdisjoint(h.restrict(S))
+
+
+class TestQueriesMatchScan:
+    """The incidence-backed queries against brute-force scans of ``h.edges``."""
+
+    @given(hypergraphs(), st.data())
+    def test_node_queries(self, h, data):
+        edges = list(enumerate(h.edges))
+        mask = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        within = [k for k, keep in enumerate(mask) if keep]
+        for i in range(h.num_nodes):
+            assert h.incoming(i) == [k for k, e in edges if i in e.heads]
+            assert h.outgoing(i) == [k for k, e in edges if i in e.tails]
+            for j in range(h.num_nodes):
+                assert h.pair(j, i) == [k for k, e in edges if j in e.tails and i in e.heads]
+            assert h.degrees(i) == (
+                sum(1 for _, e in edges if i in e.heads),
+                sum(1 for _, e in edges if i in e.tails),
+            )
+            assert h.degrees(i, within) == (
+                sum(1 for k in within if i in h.edges[k].heads),
+                sum(1 for k in within if i in h.edges[k].tails),
+            )
+
+    @given(hypergraphs(), st.data())
+    def test_subset_queries(self, h, data):
+        nodes = st.sets(st.integers(0, h.num_nodes - 1))
+        S, ignoring = data.draw(nodes), data.draw(nodes)
+        edges = list(enumerate(h.edges))
+        inside = [k for k, e in edges if set(e.tails) <= S and set(e.heads) <= S]
+        closure = [k for k, e in edges if S & set(e.heads)]
+        assert h.restrict(S) == inside
+        assert h.incoming_closure(S) == closure
+        assert h.boundary(S) == [k for k in closure if k not in inside]
+        assert h.tails_of(closure) == sorted({t for k in closure for t in h.edges[k].tails})
+        assert check_head_closed(h, S, ignoring) == all(
+            set(e.heads) <= S | ignoring for _, e in edges if S & set(e.heads)
+        )
 
 
 class TestDegrees:
@@ -163,6 +195,17 @@ class TestSignedGraph:
                     if i in e.heads and i != j:
                         net -= e.sigma * e.beta[e.heads.index(i)]
             assert net == pytest.approx(w, abs=1e-12)
+
+    @given(hypergraphs())
+    def test_dependency_graph_sums_magnitudes(self, h):
+        expect = {}
+        for e in h.edges:
+            for i in e.heads:
+                for j, w in (*zip(e.tails, e.alpha), *zip(e.heads, e.beta)):
+                    if j != i:
+                        expect[(j, i)] = expect.get((j, i), 0.0) + e.sigma * w
+        expect = {key: w for key, w in expect.items() if w != 0.0}
+        assert dict(to_dependency_graph(h).weights) == pytest.approx(expect, abs=1e-12)
 
     @given(hypergraphs())
     def test_heads_share_an_scc(self, h):
