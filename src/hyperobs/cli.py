@@ -147,13 +147,9 @@ def _run_batches(args, simulate_only_first: bool) -> int:
     summary_batches = []
     any_flags = False
     for index, variable, value in batches:
-        overrides = {} if variable is None else {
-            {"observer_init_width": "observer_init_width",
-             "noise": "noise_amplitude",
-             "param_spread": "param_rel_spread"}[variable]: value
-        }
+        overrides = {} if variable is None else {variable: value}
         cfg = cfgmod.build_sim_config(doc, seed=base_seed + index, **overrides)
-        stats = monte_carlo(sys_, outcome.design, cfg, n_runs, jobs=args.jobs)
+        stats = monte_carlo(sys_, outcome.design, cfg, n_runs)
         csv_name = f"batch_{index}.csv"
         _write_batch_csv(out_dir / csv_name, stats.times, stats.median,
                          stats.p25, stats.p75, max_rows)
@@ -173,6 +169,7 @@ def _run_batches(args, simulate_only_first: bool) -> int:
                 "csv": csv_name,
                 "n_runs": n_runs,
                 "n_flagged": stats.n_flagged,
+                "flagged_runs": [list(run) for run in stats.flagged_runs],
                 "max_error": stats.max_error,
                 "settling_times": stats.settling_times,
                 "robustness_bound": bound,
@@ -229,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--design", required=True, help="design report JSON")
         p.add_argument("--out-dir", default=".")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--batch-index", type=int, default=None)
         p.set_defaults(func=fn)
     return parser

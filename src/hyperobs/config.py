@@ -199,11 +199,14 @@ CONFIG_SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would check the schema itself on every call
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def validate_config(doc: dict) -> dict:
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message}")
     return doc
 
 
@@ -285,13 +288,13 @@ def build_ensemble_spec(doc: dict) -> TrajectoryEnsembleSpec:
     return TrajectoryEnsembleSpec(**kwargs)
 
 
-def build_sim_config(doc: dict, seed: int | None = None, **overrides) -> SimConfig:
-    kwargs = {field: doc["sim"][key] for key, field in _SIM_FIELDS.items() if key in doc["sim"]}
+def build_sim_config(doc: dict, **overrides) -> SimConfig:
+    """SimConfig from the ``sim`` section; ``overrides`` replace its keys
+    (config-key names, e.g. ``noise``, not ``noise_amplitude``)."""
+    sim = {**doc["sim"], **overrides}
+    kwargs = {field: sim[key] for key, field in _SIM_FIELDS.items() if key in sim}
     if "x0_box" in kwargs:
         kwargs["x0_box"] = tuple(kwargs["x0_box"])
-    if seed is not None:
-        kwargs["seed"] = seed
-    kwargs.update(overrides)
     return SimConfig(**kwargs)
 
 

@@ -46,6 +46,12 @@ from .sim import TrajectoryEnsemble
 log = logging.getLogger("hyperobs.designer")
 
 
+# trajectories of the ensemble the Theorem-1 check runs over, and the largest
+# gain-parameter count that Theorem-1 spectrum placement tries
+THM1_TRAJECTORIES = 10
+THM1_THETA_CAP = 16
+
+
 class EmptyTrajectorySet(ValueError):
     pass
 
@@ -63,8 +69,6 @@ class DesignOptions:
     use_inverse_shortcut: bool | None = None  # None: shortcut iff h invertible
     thm1_fallback: bool = True
     thm1_placement: bool = False
-    thm1_trajectories: int = 10
-    thm1_theta_cap: int = 16
     max_iters: int = 5000
     restarts: int = 3
     seed: int = 0
@@ -167,7 +171,7 @@ def _check_thm1_over(
     err = ErrorSystem(sys, design, subset, zero_error_nodes)
     if err.dim > options.kron_cap:
         return None
-    n_traj = min(options.thm1_trajectories, ensemble.count)
+    n_traj = min(THM1_TRAJECTORIES, ensemble.count)
     merged = None
     for t in range(n_traj):
         rep = check_thm1(
@@ -249,7 +253,7 @@ def certify_or_fail(
         if (
             options.thm1_placement
             and measured_in
-            and 0 < theta_dim <= options.thm1_theta_cap
+            and 0 < theta_dim <= THM1_THETA_CAP
         ):
             rate = estimate_network_rate(
                 sys.field.jac_x(samples[:, list(sub.nodes)], sys.field.nominal_params)

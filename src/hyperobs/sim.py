@@ -1,18 +1,22 @@
 """Fixed-step co-simulation of the network and its observer.
 
-Classical RK4 on the stacked (x, xhat) system.  Measurement noise is drawn
-once per step, per output channel of every measured node, and held constant
-through the four stages.  The plant runs on per-node parameters, the observer
-on nominal ones.  Measured nodes listed in ``design.exact_nodes`` are
-reconstructed directly through the inverse output map at every grid point.
+One classical RK4 step, ``_rk4_step``, integrates the plant alone
+(``simulate_network``) and the plant and its observer together.  The
+co-simulation stacks them as one state of shape (R, 2, N, n), so one field
+and one coupling evaluation per stage serve both systems: the plant runs on
+per-run parameters, the observer on nominal ones.  Measurement noise is drawn
+once per grid point from each run's own generator, per output channel of
+every measured node, and held constant through the four stages of the next
+step.  Measured nodes listed in ``design.exact_nodes`` are reconstructed
+directly through the inverse output map at every grid point.
 
-Runs in a Monte-Carlo ensemble are seeded independently from a master seed
-and evaluated in vectorized batches.
+The co-simulation yields the per-node error norms grid point by grid point;
+``monte_carlo`` keeps only the stacked error norm of each run, (R, G+1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +64,11 @@ class EnsembleStats:
     p75: np.ndarray
     settling_times: list
     error_norms: np.ndarray  # (R, G+1)
-    n_flagged: int
+    flagged_runs: list[tuple[int, int]]  # (run, grid step at which it diverged)
+
+    @property
+    def n_flagged(self) -> int:
+        return len(self.flagged_runs)
 
     @property
     def max_error(self) -> float:
@@ -102,93 +110,78 @@ def _correction_operator(sys: NetworkSystem, design: ObserverDesign):
     return measured, op
 
 
-def _draw_noise(rng, cfg: SimConfig, n_draws: int, m: int, p: int) -> np.ndarray:
-    if cfg.noise_amplitude > 0 and m > 0:
-        return rng.uniform(-cfg.noise_amplitude, cfg.noise_amplitude, (n_draws, m, p))
-    return np.zeros((n_draws, m, p))
+def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of y' = f(y); returns the new state."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _simulate_batch(
+def _cosimulate(
     sys: NetworkSystem,
     design: ObserverDesign,
     cfg: SimConfig,
     x0: np.ndarray,  # (R, N, n)
     xhat0: np.ndarray,  # (R, N, n)
     per_params: np.ndarray,  # (R, N, param_dim)
-    noise: np.ndarray,  # (R, G+1, m, p)
+    rngs: Sequence[np.random.Generator],  # one per run, for its noise
 ):
+    """Co-simulate R runs of plant and observer.
+
+    Yields, at each of the G+1 grid points, the per-node error norms (R, N),
+    NaN for diverged runs, and the diverged flags (R,).
+    """
     N, n = sys.num_nodes, sys.state_dim
     R = x0.shape[0]
-    G = cfg.num_steps
-    dt = cfg.dt
     measured, op = _correction_operator(sys, design)
     exact = sorted(design.exact_nodes)
     if exact and not sys.output.invertible:
         raise ValueError("exact reconstruction requires an invertible output map")
     exact_cols = [measured.index(j) for j in exact]
-    nominal = sys.field.nominal_params
 
-    x = np.array(x0, dtype=float)
-    xh = np.array(xhat0, dtype=float)
+    # index 0 along axis 1 is the plant, 1 the observer
+    y = np.stack([x0, xhat0], axis=1)
+    params = np.stack(
+        [per_params, np.broadcast_to(sys.field.nominal_params, per_params.shape)], axis=1
+    )
     active = np.ones(R, dtype=bool)
-    per_node = np.full((R, G + 1, N), np.nan)
-    times = np.arange(G + 1) * dt
+    a = cfg.noise_amplitude
+    noise_shape = (len(measured), sys.output.output_dim)
+    silent = np.zeros((R,) + noise_shape)
 
-    def rhs(xs, xhs, nu):
-        dx = sys.field.eval(xs, per_params) + sys.coupling_term(xs)
-        dxh = sys.field.eval(xhs, nominal) + sys.coupling_term(xhs)
+    def draw_noise():
+        if a > 0 and measured:
+            return np.stack([rng.uniform(-a, a, noise_shape) for rng in rngs])
+        return silent
+
+    def rhs(ys, nu):
+        d = sys.field.eval(ys, params) + sys.coupling_term(ys)
         if measured:
-            innov = (
-                sys.output.eval(xs[:, measured])
-                + nu
-                - sys.output.eval(xhs[:, measured])
+            h = sys.output.eval(ys[:, :, measured])
+            innov = h[:, 0] + nu - h[:, 1]
+            d[:, 1] += (innov.reshape(R, -1) @ op.T).reshape(R, N, n)
+        return d
+
+    nu = draw_noise()
+    for k in range(cfg.num_steps + 1):
+        if k:
+            stepped = _rk4_step(lambda ys: rhs(ys, nu), y, cfg.dt)
+            y[active] = stepped[active]
+            bad = ~(
+                np.isfinite(y).all(axis=(1, 2, 3))
+                & (np.abs(y).max(axis=(1, 2, 3)) < cfg.divergence_threshold)
             )
-            corr = innov.reshape(R, -1) @ op.T
-            dxh = dxh + corr.reshape(R, N, n)
-        return dx, dxh
-
-    def substitute(nu):
+            y[bad & active] = 0.0
+            active &= ~bad
+            nu = draw_noise()
         if exact:
-            y = sys.output.eval(x[:, exact]) + nu[:, exact_cols]
-            xh[:, exact] = sys.output.inverse(y)
-
-    def record(k):
-        e = x - xh
-        per_node[active, k] = np.linalg.norm(e[active], axis=-1)
-
-    def check_divergence():
-        nonlocal active
-        bad = ~(
-            np.isfinite(x).all(axis=(1, 2))
-            & np.isfinite(xh).all(axis=(1, 2))
-            & (np.abs(x).max(axis=(1, 2)) < cfg.divergence_threshold)
-            & (np.abs(xh).max(axis=(1, 2)) < cfg.divergence_threshold)
-        )
-        newly = bad & active
-        if newly.any():
-            x[newly] = 0.0
-            xh[newly] = 0.0
-            active = active & ~bad
-
-    substitute(noise[:, 0])
-    record(0)
-    for k in range(G):
-        nu = noise[:, k]
-        k1x, k1h = rhs(x, xh, nu)
-        k2x, k2h = rhs(x + 0.5 * dt * k1x, xh + 0.5 * dt * k1h, nu)
-        k3x, k3h = rhs(x + 0.5 * dt * k2x, xh + 0.5 * dt * k2h, nu)
-        k4x, k4h = rhs(x + dt * k3x, xh + dt * k3h, nu)
-        step_x = (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        step_h = (dt / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
-        x[active] += step_x[active]
-        xh[active] += step_h[active]
-        check_divergence()
-        substitute(noise[:, k + 1])
-        record(k + 1)
-
-    error_norm = np.sqrt(np.sum(per_node**2, axis=-1))
-    flags = ~active
-    return times, per_node, error_norm, flags
+            meas = sys.output.eval(y[:, 0, exact]) + nu[:, exact_cols]
+            y[:, 1, exact] = sys.output.inverse(meas)
+        err = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1)
+        err[~active] = np.nan
+        yield err, ~active
 
 
 def integrate(
@@ -199,25 +192,21 @@ def integrate(
     xhat0,
     rng: np.random.Generator | None = None,
 ) -> RunResult:
-    """Simulate one run from explicit initial conditions."""
+    """Simulate one run from explicit initial conditions.
+
+    The measurement noise is drawn from ``rng`` (default: seeded with
+    ``cfg.seed``) once per grid point, as in ``monte_carlo``.
+    """
     N, n = sys.num_nodes, sys.state_dim
     x0 = np.asarray(x0, dtype=float).reshape(1, N, n)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(1, N, n)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    m = len(design.measured)
-    noise = _draw_noise(rng, cfg, cfg.num_steps + 1, m, sys.output.output_dim)[None]
-    params = sys.per_node_params[None]
-    times, per_node, norm, flags = _simulate_batch(
-        sys, design, cfg, x0, xhat0, params, noise
-    )
-    return RunResult(
-        times,
-        per_node[0],
-        norm[0],
-        settling_time(times, norm[0]),
-        bool(flags[0]),
-    )
+    errs, flags = zip(*_cosimulate(sys, design, cfg, x0, xhat0, sys.per_node_params[None], [rng]))
+    per_node = np.stack(errs)[:, 0]
+    norm = np.linalg.norm(per_node, axis=-1)
+    times = np.arange(cfg.num_steps + 1) * cfg.dt
+    return RunResult(times, per_node, norm, settling_time(times, norm), bool(flags[-1][0]))
 
 
 def monte_carlo(
@@ -225,28 +214,26 @@ def monte_carlo(
     design: ObserverDesign,
     cfg: SimConfig,
     n_runs: int,
-    jobs: int = 1,
 ) -> EnsembleStats:
     """Independent runs with per-run derived seeds, reduced pointwise.
 
-    Per run, in order: x(0) uniform in the initial box, xhat(0) from the
-    relative-width perturbation of x(0), per-node parameter draws (when a
-    spread is configured), then the per-step measurement noise.
+    Each run owns a generator spawned from the master seed.  It draws, in
+    order: x(0) uniform in the initial box, xhat(0) from the relative-width
+    perturbation of x(0), per-node parameter draws (when a spread is
+    configured), then the measurement noise, once per grid point while the
+    runs are co-simulated.  All runs step together, and only the (R, G+1)
+    error norms are kept, so memory does not grow with N times G.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     N, n = sys.num_nodes, sys.state_dim
-    m = len(design.measured)
-    p = sys.output.output_dim
     G = cfg.num_steps
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_runs)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(n_runs)]
 
     x0 = np.empty((n_runs, N, n))
     xh0 = np.empty((n_runs, N, n))
     params = np.empty((n_runs,) + sys.per_node_params.shape)
-    noise = np.empty((n_runs, G + 1, m, p))
-    for r, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
+    for r, rng in enumerate(rngs):
         lo, hi = cfg.x0_box
         x0[r] = rng.uniform(lo, hi, (N, n))
         w = cfg.observer_init_width
@@ -258,27 +245,23 @@ def monte_carlo(
             params[r] = sys.per_node_params * (1.0 + spread)
         else:
             params[r] = sys.per_node_params
-        noise[r] = _draw_noise(rng, cfg, G + 1, m, p)
 
-    chunk = max(1, int(np.ceil(n_runs / max(1, jobs))))
     norms = np.empty((n_runs, G + 1))
-    flags = np.zeros(n_runs, dtype=bool)
-    times = None
-    for start in range(0, n_runs, chunk):
-        sl = slice(start, min(start + chunk, n_runs))
-        times, _, norm_c, flag_c = _simulate_batch(
-            sys, design, cfg, x0[sl], xh0[sl], params[sl], noise[sl]
-        )
-        norms[sl] = norm_c
-        flags[sl] = flag_c
+    # no run is flagged at grid point 0, so 0 means "never diverged"
+    diverged_at = np.zeros(n_runs, dtype=int)
+    for k, (err, flags) in enumerate(_cosimulate(sys, design, cfg, x0, xh0, params, rngs)):
+        norms[:, k] = np.linalg.norm(err, axis=-1)
+        diverged_at[flags & (diverged_at == 0)] = k
+    flagged = [(int(r), int(diverged_at[r])) for r in np.flatnonzero(diverged_at)]
 
+    times = np.arange(G + 1) * cfg.dt
     settle = [settling_time(times, norms[r]) for r in range(n_runs)]
     # steps at which every run has diverged have no percentiles: NaN
     stats = np.full((3, G + 1), np.nan)
     seen = ~np.isnan(norms).all(axis=0)
     stats[:, seen] = np.nanpercentile(norms[:, seen], [50, 25, 75], axis=0)
     med, p25, p75 = stats
-    return EnsembleStats(times, med, p25, p75, settle, norms, int(flags.sum()))
+    return EnsembleStats(times, med, p25, p75, settle, norms, flagged)
 
 
 # -- trajectory ensembles for observer design ---------------------------------------
@@ -326,15 +309,9 @@ def simulate_network(sys: NetworkSystem, x0: np.ndarray, dt: float, steps: int) 
         return sys.field.eval(xs, params) + sys.coupling_term(xs)
 
     out = np.empty((x0.shape[0], steps + 1) + x0.shape[1:])
-    x = x0.copy()
-    out[:, 0] = x
+    out[:, 0] = x0
     for k in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[:, k + 1] = x
+        out[:, k + 1] = _rk4_step(f, out[:, k], dt)
     return out
 
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -76,6 +77,9 @@ class TestConfigValidation:
     def test_schema_is_published(self):
         assert CONFIG_SCHEMA["properties"]["batch"]["properties"]["variable"]["enum"]
 
+    def test_schema_is_well_formed(self):
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
     def test_build_system_round_trip(self):
         doc = cohead_config()
         h = resolve_hypergraph(doc, Path("."))
@@ -90,7 +94,7 @@ class TestConfigValidation:
         assert sys_.output.output_dim == 2 and not sys_.output.invertible
 
     def test_sim_overrides(self):
-        cfg = build_sim_config(cohead_config(), seed=99, noise_amplitude=0.5)
+        cfg = build_sim_config(cohead_config(), seed=99, noise=0.5)
         assert cfg.seed == 99 and cfg.noise_amplitude == 0.5
 
     def test_unset_keys_take_dataclass_defaults(self):
@@ -271,7 +275,11 @@ class TestSimulateAndBatch:
         assert main(["simulate", "--config", str(cfg2), "--design", str(design),
                      "--out-dir", str(out)]) == 3
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["batches"][0]["n_flagged"] > 0
+        batch = summary["batches"][0]
+        assert batch["n_flagged"] > 0
+        assert len(batch["flagged_runs"]) == batch["n_flagged"]
+        steps = round(doc["sim"]["horizon"] / doc["sim"]["dt"])
+        assert all(1 <= step <= steps for _, step in batch["flagged_runs"])
 
     def test_downsample_row_cap(self, designed, tmp_path):
         cfg_path, design = designed

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hyperobs import (
     ObserverDesign,
     SimConfig,
     TrajectoryEnsembleSpec,
+    bistable_field,
     identity_output,
     integrate,
     linear_coupling,
@@ -183,13 +186,52 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(s1.error_norms, s2.error_norms)
         assert s1.settling_times == s2.settling_times
 
-    def test_jobs_chunking_matches_single_batch(self):
+    def test_each_run_equals_integrate_with_its_own_generator(self):
         sys = lorenz_pair_system()
         design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
         cfg = SimConfig(dt=1e-3, horizon=0.1, seed=14, noise_amplitude=0.05)
-        s1 = monte_carlo(sys, design, cfg, n_runs=6, jobs=1)
-        s2 = monte_carlo(sys, design, cfg, n_runs=6, jobs=3)
-        np.testing.assert_array_equal(s1.error_norms, s2.error_norms)
+        stats = monte_carlo(sys, design, cfg, n_runs=6)
+        for r, seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(6)):
+            rng = np.random.default_rng(seed)
+            x0 = rng.uniform(*cfg.x0_box, (2, 3))
+            w = cfg.observer_init_width
+            xh0 = x0 * (1.0 + rng.uniform(-w, w, (2, 3)))
+            res = integrate(sys, design, cfg, x0, xh0, rng)
+            np.testing.assert_array_equal(stats.error_norms[r], res.error_norm)
+
+    def test_noisy_error_norms_pinned(self):
+        # computed with each run's noise drawn as one (G+1, m, p) block; drawing
+        # it step by step from the same PCG64 generator gives the same numbers
+        sys = lorenz_pair_system()
+        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
+        cfg = SimConfig(dt=1e-3, horizon=0.2, seed=16, noise_amplitude=0.05,
+                        param_rel_spread=0.02)
+        stats = monte_carlo(sys, design, cfg, n_runs=3)
+        pinned = {
+            1: [0.36340809292928666, 0.6903789932096775, 0.8113855874545702],
+            100: [0.910414204498342, 1.7488999564844716, 0.8264383181558861],
+            200: [2.1551648446982865, 4.585170106278436, 1.8041735889029056],
+        }
+        for k, values in pinned.items():
+            np.testing.assert_allclose(stats.error_norms[:, k], values, rtol=1e-12)
+
+    def test_memory_stays_below_one_per_node_history(self):
+        N, R, G = 200, 4, 2000
+        edges = tuple(Hyperedge.uniform((i,), ((i + 1) % N,), 0.5) for i in range(N))
+        sys = NetworkSystem(DirectedHypergraph(N, edges), bistable_field(),
+                            linear_coupling(1.0, 1), identity_output(1))
+        design = ObserverDesign(frozenset(range(N)),
+                                GainSet({(i, i): [[2.0]] for i in range(N)}))
+        cfg = SimConfig(dt=1e-3, horizon=G * 1e-3, seed=17, noise_amplitude=0.01)
+        tracemalloc.start()
+        try:
+            stats = monte_carlo(sys, design, cfg, n_runs=R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.error_norms.shape == (R, G + 1)
+        # the size of one (R, G+1, N) float array
+        assert peak < R * (G + 1) * N * 8
 
     def test_parameter_spread_reaches_plant_only(self):
         sys = lorenz_pair_system()
