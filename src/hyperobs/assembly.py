@@ -30,10 +30,6 @@ class EmptySampleSet(ValueError):
     pass
 
 
-class QNotSPD(ValueError):
-    pass
-
-
 class SubsetTooLarge(ValueError):
     pass
 
@@ -42,7 +38,9 @@ class NonpositiveMargin(ValueError):
     pass
 
 
-KRON_CAP_DEFAULT = 40
+# largest error dimension nM the Theorem-1 check accepts: its H2 test takes
+# the SVD of the (nM)^2 x (nM)^2 Kronecker sum at every sample
+KRON_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -317,13 +315,14 @@ def check_thm1(
     dt: float,
     h_req: float,
     eps_req: float = 0.5,
-    Q: np.ndarray | None = None,
-    kron_cap: int = KRON_CAP_DEFAULT,
     trajectory_ids: Iterable[int] = (),
 ) -> CertificationReport:
     """Slowly-varying-systems check: spectral abscissa below -h_req at every
     sample, and the finite-difference estimate of dA/dt below the
-    Kronecker-sum slow-variation bound with slack fraction ``eps_req``."""
+    Kronecker-sum slow-variation bound with slack fraction ``eps_req``.
+
+    With Q = I in Theorem 1 the bound at sample k reads
+    sigma_min(A_k (+) A_k)^2 / (2 sqrt(nM)) * (1 - eps_req)."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
     if not 0.0 < eps_req < 1.0:
@@ -332,20 +331,12 @@ def check_thm1(
     if X.shape[0] < 2:
         raise EmptySampleSet("need at least two time-ordered samples")
     dim = err.dim
-    if dim > kron_cap:
+    if dim > KRON_CAP:
         raise SubsetTooLarge(
-            f"Kronecker-sum check needs nM <= {kron_cap}, got {dim}"
+            f"Kronecker-sum check needs nM <= {KRON_CAP}, got {dim}"
         )
-    if Q is None:
-        Q = np.eye(dim)
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (dim, dim) or not np.allclose(Q, Q.T, atol=1e-12):
-        raise QNotSPD("Q must be symmetric with matching dimension")
-    q_eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    if q_eigs[0] <= 0:
-        raise QNotSPD("Q must be positive definite")
-    sigma_min_q = float(np.linalg.svd(Q, compute_uv=False)[-1])
-    q_fro = float(np.linalg.norm(Q, "fro"))
+    # Q = I: sigma_min(Q) = 1 and ||Q||_F = sqrt(nM)
+    q_fro = float(np.sqrt(dim))
 
     A = err.a_matrix_batch(X)
     absc = spectral_abscissa(A)
@@ -357,7 +348,7 @@ def check_thm1(
         a_dot = (A[k + 1] - A[k]) / dt
         lhs = float(np.linalg.norm(a_dot, 2))
         sig = float(np.linalg.svd(kron_sum(A[k]), compute_uv=False)[-1])
-        rhs = sigma_min_q * sig**2 / (2.0 * q_fro) * (1.0 - eps_req)
+        rhs = sig**2 / (2.0 * q_fro) * (1.0 - eps_req)
         h2_slack = min(h2_slack, rhs - lhs)
     h2_ok = h2_slack > 0
 

@@ -80,11 +80,12 @@ def _load_experiment(args):
 def cmd_design(args) -> int:
     try:
         doc, hypergraph, sys_ = _load_experiment(args)
+        spec = cfgmod.build_ensemble_spec(doc)
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
     options = cfgmod.build_design_options(doc, args.seed)
-    ensemble = make_ensemble(sys_, cfgmod.build_ensemble_spec(doc))
+    ensemble = make_ensemble(sys_, spec)
     outcome = design_observer(sys_, ensemble, options)
     report = {
         "config_hash": cfgmod.design_relevant_hash(doc, hypergraph),

@@ -141,12 +141,7 @@ CONFIG_SCHEMA = {
             "required": ["margin", "trajectories"],
             "properties": {
                 "margin": {"type": "number", "exclusiveMinimum": 0},
-                "rho": {"type": "number", "exclusiveMinimum": 0},
-                "eps_req": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "kron_cap": {"type": "integer", "minimum": 1},
                 "use_inverse_shortcut": {"type": ["boolean", "null"]},
-                "thm1_fallback": {"type": "boolean"},
-                "thm1_placement": {"type": "boolean"},
                 "max_iters": {"type": "integer", "minimum": 1},
                 "restarts": {"type": "integer", "minimum": 0},
                 "seed": {"type": "integer"},
@@ -285,7 +280,10 @@ def build_ensemble_spec(doc: dict) -> TrajectoryEnsembleSpec:
     kwargs = dict(doc["design"]["trajectories"])
     if "box" in kwargs:
         kwargs["box"] = tuple(kwargs["box"])
-    return TrajectoryEnsembleSpec(**kwargs)
+    try:
+        return TrajectoryEnsembleSpec(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: design.trajectories: {exc}") from exc
 
 
 def build_sim_config(doc: dict, **overrides) -> SimConfig:

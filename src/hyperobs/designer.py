@@ -25,20 +25,15 @@ from .assembly import (
     check_thm1,
     check_thm2,
     thm3_bound,
-    KRON_CAP_DEFAULT,
+    KRON_CAP,
     RobustnessBound,
-    SubsetTooLarge,
 )
 from .dynamics import NetworkSystem
 from .gain_design import (
     GainSet,
     Infeasible,
-    NoMeasuredNodes,
     ObserverDesign,
-    default_spectrum_template,
-    design_gain_thm1,
     design_gain_thm2,
-    estimate_network_rate,
 )
 from .hypergraph import DirectedHypergraph, condense, to_dependency_graph
 from .sim import TrajectoryEnsemble
@@ -46,10 +41,8 @@ from .sim import TrajectoryEnsemble
 log = logging.getLogger("hyperobs.designer")
 
 
-# trajectories of the ensemble the Theorem-1 check runs over, and the largest
-# gain-parameter count that Theorem-1 spectrum placement tries
+# trajectories of the ensemble the Theorem-1 check runs over
 THM1_TRAJECTORIES = 10
-THM1_THETA_CAP = 16
 
 
 class EmptyTrajectorySet(ValueError):
@@ -63,12 +56,7 @@ class AllMeasured(ValueError):
 @dataclass(frozen=True)
 class DesignOptions:
     margin: float = 1.0
-    rho: float = 10.0
-    eps_req: float = 0.5
-    kron_cap: int = KRON_CAP_DEFAULT
     use_inverse_shortcut: bool | None = None  # None: shortcut iff h invertible
-    thm1_fallback: bool = True
-    thm1_placement: bool = False
     max_iters: int = 5000
     restarts: int = 3
     seed: int = 0
@@ -160,17 +148,9 @@ def select_node(
 
 
 def _check_thm1_over(
-    sys: NetworkSystem,
-    design: ObserverDesign,
-    subset: SubsetIndex,
-    ensemble: TrajectoryEnsemble,
-    options: DesignOptions,
-    zero_error_nodes: frozenset[int],
-) -> CertificationReport | None:
+    err: ErrorSystem, ensemble: TrajectoryEnsemble, margin: float
+) -> CertificationReport:
     """Worst-case merge of the slow-variation check over a trajectory sample."""
-    err = ErrorSystem(sys, design, subset, zero_error_nodes)
-    if err.dim > options.kron_cap:
-        return None
     n_traj = min(THM1_TRAJECTORIES, ensemble.count)
     merged = None
     for t in range(n_traj):
@@ -178,9 +158,7 @@ def _check_thm1_over(
             err,
             ensemble.states[t],
             ensemble.dt_sample,
-            h_req=options.margin,
-            eps_req=options.eps_req,
-            kron_cap=options.kron_cap,
+            h_req=margin,
             trajectory_ids=(t,),
         )
         if merged is None:
@@ -210,7 +188,9 @@ def certify_or_fail(
     solver_seed: int = 0,
 ) -> tuple[CertificationReport, GainSet] | None:
     """Certify one subset: zero-gain Theorem-2 check, then gain synthesis for
-    Theorem 2, then the Theorem-1 route.  Returns None when nothing passes."""
+    Theorem 2, then the zero-gain Theorem-1 check over the ensemble when the
+    subset's error dimension nM is at most ``KRON_CAP``.  Returns None when
+    nothing passes."""
     sub = SubsetIndex(tuple(sorted(set(int(v) for v in subset_nodes))))
     zero = frozenset(int(v) for v in zero_error_nodes)
     measured = frozenset(int(v) for v in measured)
@@ -245,33 +225,10 @@ def certify_or_fail(
         except Infeasible:
             log.debug("thm2 synthesis infeasible on %s", sub.nodes)
 
-    if options.thm1_fallback and sub.size * sys.state_dim <= options.kron_cap:
-        rep1 = _check_thm1_over(sys, no_gain, sub, ensemble, options, zero)
-        if rep1 is not None and rep1.passed:
+    if sub.size * sys.state_dim <= KRON_CAP:
+        rep1 = _check_thm1_over(err0, ensemble, options.margin)
+        if rep1.passed:
             return rep1, GainSet({})
-        theta_dim = sub.size * len(measured_in) * sys.state_dim * sys.output.output_dim
-        if (
-            options.thm1_placement
-            and measured_in
-            and 0 < theta_dim <= THM1_THETA_CAP
-        ):
-            rate = estimate_network_rate(
-                sys.field.jac_x(samples[:, list(sub.nodes)], sys.field.nominal_params)
-            )
-            template = default_spectrum_template(
-                rate, sub.size * sys.state_dim, options.rho
-            )
-            try:
-                gains = design_gain_thm1(
-                    sys, sub, measured_in, samples, template,
-                    zero_error_nodes=zero, seed=solver_seed,
-                )
-                design = ObserverDesign(measured=measured, gains=gains)
-                rep = _check_thm1_over(sys, design, sub, ensemble, options, zero)
-                if rep is not None and rep.passed:
-                    return rep, gains
-            except (Infeasible, NoMeasuredNodes, SubsetTooLarge):
-                log.debug("thm1 placement failed on %s", sub.nodes)
     return None
 
 

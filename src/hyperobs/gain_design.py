@@ -3,8 +3,7 @@
 The preferred route drives the largest eigenvalue of the symmetric part of
 A_S below a required margin by Polyak-stepped subgradient descent (the
 objective is a pointwise max of top eigenvalues of matrices affine in the
-gains).  The fallback route places the spectrum of A_S at a target template
-with a derivative-free search.
+gains).
 """
 
 from __future__ import annotations
@@ -143,12 +142,6 @@ def estimate_network_rate(jacobians) -> float:
     return max(RATE_FLOOR, float(spectral_abscissa(J).max()))
 
 
-def default_spectrum_template(rate: float, dim: int, rho: float = 10.0) -> np.ndarray:
-    """Real spectrum template with dominant eigenvalue -rho*rate."""
-    base = rho * max(rate, RATE_FLOOR)
-    return -base * (1.0 + np.arange(dim) / (2.0 * dim))
-
-
 class GainProblem:
     """Affine-in-gains evaluation of A_S over a frozen sample set.
 
@@ -245,12 +238,6 @@ class GainProblem:
             block = self.a_base[:, pv : pv + n, pv : pv + n]
             floor = max(floor, float(symmetric_top_eig(block).max()))
         return floor
-
-    def abscissa_objective(self, gains) -> np.ndarray:
-        return spectral_abscissa(self.a_with_gains(gains))
-
-    def mean_matrix(self, gains) -> np.ndarray:
-        return self.a_with_gains(gains).mean(axis=0)
 
 
 def _prune(gains: Mapping[tuple[int, int], np.ndarray]) -> GainSet:
@@ -351,81 +338,4 @@ def design_gain_thm2(
             gains = found
     raise Infeasible(
         f"no feasible gain found for subset {prob.sub.nodes} at margin {h_req}"
-    )
-
-
-def design_gain_thm1(
-    sys: NetworkSystem,
-    subset: SubsetIndex | Sequence[int],
-    measured_in_subset: Iterable[int],
-    samples,
-    lambda_star,
-    zero_error_nodes: Iterable[int] = (),
-    match_weight: float = 1.0,
-    restarts: int = 3,
-    max_fev_per_dim: int = 400,
-    seed: int = 0,
-) -> GainSet:
-    """Place the spectrum of A_S near ``lambda_star`` with a derivative-free
-    search; enforce the dominant-abscissa ceiling at every sample."""
-    # imported here: this route is off by default, and the import is slow
-    from scipy import optimize
-
-    prob = GainProblem(sys, subset, measured_in_subset, samples, zero_error_nodes)
-    lam_star = np.sort_complex(np.asarray(lambda_star, dtype=complex))
-    if lam_star.size != prob.sub.size * prob.n:
-        raise ValueError("spectrum template size must equal n*M")
-    a_star = float(lam_star.real.max())
-    if a_star >= 0:
-        raise ValueError("spectrum template must be Hurwitz")
-
-    absc0 = prob.abscissa_objective({})
-    if float(absc0.max()) <= a_star:
-        return GainSet({})
-    if not prob.measured:
-        raise NoMeasuredNodes(
-            f"subset {prob.sub.nodes} has no measured nodes and does not certify"
-        )
-
-    keys = prob.keys
-    blk = prob.n * prob.p
-    dim = len(keys) * blk
-
-    def unpack(theta):
-        return {
-            k: theta[a * blk : (a + 1) * blk].reshape(prob.n, prob.p)
-            for a, k in enumerate(keys)
-        }
-
-    def cost(theta):
-        gains = unpack(theta)
-        absc = prob.abscissa_objective(gains)
-        hard = float(np.maximum(absc - a_star, 0.0).max())
-        eigs = np.sort_complex(np.linalg.eigvals(prob.mean_matrix(gains)))
-        match = float(np.sum(np.abs(eigs - lam_star) ** 2))
-        return hard + match_weight * match
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rate = max(prob.network_rate, -a_star)
-    best = None
-    for attempt in range(restarts + 1):
-        theta0 = np.zeros(dim) if attempt == 0 else rate * rng.standard_normal(dim)
-        res = optimize.minimize(
-            cost,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": max_fev_per_dim * dim,
-                "xatol": 1e-12,
-                "fatol": 1e-14,
-            },
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        gains = unpack(best.x)
-        if float(prob.abscissa_objective(gains).max()) <= a_star + 1e-9:
-            return _prune(gains)
-    raise Infeasible(
-        f"spectrum placement failed for subset {prob.sub.nodes} "
-        f"(residual {best.fun:.4g})"
     )

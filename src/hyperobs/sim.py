@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import bsr_array
 
 from .dynamics import DimensionMismatch, NetworkSystem
 from .gain_design import ObserverDesign
@@ -100,14 +101,24 @@ def settling_time(times, norms, fraction: float = 0.05) -> float | None:
 
 
 def _correction_operator(sys: NetworkSystem, design: ObserverDesign):
-    """Dense map from stacked innovations of measured nodes to state space."""
+    """Sparse (N n) x (m p) map from the stacked innovations of the m measured
+    nodes to state space, one n-by-p block per gain; None without gains."""
     measured = sorted(design.measured)
+    if not design.gains:
+        return measured, None
     n, p, N = sys.state_dim, sys.output.output_dim, sys.num_nodes
-    op = np.zeros((N * n, len(measured) * p))
     pos = {j: k for k, j in enumerate(measured)}
-    for (i, j), L in design.gains.items():
-        op[i * n : (i + 1) * n, pos[j] * p : (pos[j] + 1) * p] += np.asarray(L)
-    return measured, op
+    keys = sorted(design.gains.entries)
+    blocks_per_row = np.bincount([i for i, _ in keys], minlength=N)
+    op = bsr_array(
+        (
+            np.stack([design.gains[k] for k in keys]),
+            [pos[j] for _, j in keys],
+            np.concatenate([[0], np.cumsum(blocks_per_row)]),
+        ),
+        shape=(N * n, len(measured) * p),
+    )
+    return measured, op.tocsr()
 
 
 def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
@@ -158,10 +169,10 @@ def _cosimulate(
 
     def rhs(ys, nu):
         d = sys.field.eval(ys, params) + sys.coupling_term(ys)
-        if measured:
+        if op is not None:
             h = sys.output.eval(ys[:, :, measured])
             innov = h[:, 0] + nu - h[:, 1]
-            d[:, 1] += (innov.reshape(R, -1) @ op.T).reshape(R, N, n)
+            d[:, 1] += (op @ innov.reshape(R, -1).T).T.reshape(R, N, n)
         return d
 
     nu = draw_noise()
@@ -280,6 +291,18 @@ class TrajectoryEnsembleSpec:
     def __post_init__(self):
         if self.count < 1 or self.dt <= 0 or self.subsample < 1:
             raise ValueError("invalid ensemble spec")
+        # the Theorem-1 check differentiates A_S along each trajectory, so
+        # every trajectory needs at least two samples
+        if self.num_steps < self.subsample:
+            raise ValueError(
+                f"trajectory horizon {self.horizon} at dt {self.dt} has "
+                f"{self.num_steps} steps, fewer than subsample={self.subsample}: "
+                "each trajectory would hold a single sample"
+            )
+
+    @property
+    def num_steps(self) -> int:
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass
@@ -323,6 +346,5 @@ def make_ensemble(sys: NetworkSystem, spec: TrajectoryEnsembleSpec) -> Trajector
     if spec.burn_in > 0:
         burn_steps = int(round(spec.burn_in / spec.dt))
         x0 = simulate_network(sys, x0, spec.dt, burn_steps)[:, -1]
-    steps = int(round(spec.horizon / spec.dt))
-    states = simulate_network(sys, x0, spec.dt, steps)
+    states = simulate_network(sys, x0, spec.dt, spec.num_steps)
     return TrajectoryEnsemble(states[:, :: spec.subsample], spec.dt * spec.subsample)

@@ -11,7 +11,6 @@ from hyperobs import (
     NetworkSystem,
     NonpositiveMargin,
     ObserverDesign,
-    QNotSPD,
     SubsetIndex,
     SubsetNotHeadClosed,
     SubsetTooLarge,
@@ -32,7 +31,7 @@ from hyperobs import (
     to_signed_graph,
     vector_field_from_callable,
 )
-from hyperobs.assembly import ErrorSystem, kron_sum
+from hyperobs.assembly import KRON_CAP, ErrorSystem, kron_sum
 from conftest import random_hypergraph, random_system
 
 
@@ -337,25 +336,10 @@ class TestCheckThm1:
             assert report.passed == analytic_pass(omega)
         assert results[0.05] and not results[20.0]
 
-    def test_q_validation(self):
-        err = error_system_for(-np.eye(2))
-        with pytest.raises(QNotSPD):
-            check_thm1(err, np.zeros((3, 1, 2)), 0.01, 1.0, Q=-np.eye(2))
-        with pytest.raises(QNotSPD):
-            check_thm1(err, np.zeros((3, 1, 2)), 0.01, 1.0, Q=np.array([[1.0, 2.0], [0.0, 1.0]]))
-
     def test_subset_too_large(self):
-        err = error_system_for(-np.eye(4))
+        err = error_system_for(-np.eye(KRON_CAP + 1))
         with pytest.raises(SubsetTooLarge):
-            check_thm1(err, np.zeros((3, 1, 4)), 0.01, 1.0, kron_cap=3)
-
-    def test_scaled_q_changes_nothing_when_proportional(self):
-        # bound is invariant under Q -> c*Q for scalar systems
-        a = 2.0
-        err = error_system_for(np.array([[-a]]))
-        r1 = check_thm1(err, np.zeros((4, 1, 1)), 0.1, 1.0, Q=np.eye(1))
-        r2 = check_thm1(err, np.zeros((4, 1, 1)), 0.1, 1.0, Q=5.0 * np.eye(1))
-        assert r1.h2_margin == pytest.approx(r2.h2_margin)
+            check_thm1(err, np.zeros((3, 1, KRON_CAP + 1)), 0.01, 1.0)
 
 
 class TestKroneckerSum:

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hyperobs import DesignOptions, SimConfig, TrajectoryEnsembleSpec
 from hyperobs.cli import main
 from hyperobs.config import (
+    _SIM_FIELDS,
     CONFIG_SCHEMA,
     ConfigError,
     build_design_options,
@@ -116,6 +119,63 @@ class TestConfigValidation:
             build_system(doc, resolve_hypergraph(doc, Path(".")))
 
 
+# the values are the defaults these keys had, so only the key can be at fault
+REMOVED_DESIGN_KEYS = {
+    "rho": 10.0, "eps_req": 0.5, "kron_cap": 40,
+    "thm1_fallback": True, "thm1_placement": False,
+}
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+class TestSchemaMatchesDataclasses:
+    def test_design_keys_are_design_options_fields(self):
+        keys = set(CONFIG_SCHEMA["properties"]["design"]["properties"])
+        assert keys - {"trajectories"} == _field_names(DesignOptions)
+
+    def test_trajectory_keys_are_ensemble_spec_fields(self):
+        design = CONFIG_SCHEMA["properties"]["design"]["properties"]
+        assert set(design["trajectories"]["properties"]) == _field_names(TrajectoryEnsembleSpec)
+
+    def test_sim_keys_are_mapped_or_read_by_the_cli(self):
+        keys = set(CONFIG_SCHEMA["properties"]["sim"]["properties"])
+        assert keys == set(_SIM_FIELDS) | {"runs", "downsample_rows"}
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_DESIGN_KEYS))
+    def test_removed_design_key_rejected(self, key, tmp_path):
+        doc = cohead_config()
+        doc["design"][key] = REMOVED_DESIGN_KEYS[key]
+        with pytest.raises(ConfigError):
+            validate_config(doc)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+        assert not (tmp_path / "design.json").exists()
+
+
+def _load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCH_WORKLOADS = _load_bench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_bench_workload_config_builds(name):
+    # a schema cut must not break the benchmark's configs unnoticed
+    _, doc = BENCH_WORKLOADS[name](1)
+    validate_config(doc)
+    assert isinstance(build_design_options(doc), DesignOptions)
+    assert isinstance(build_ensemble_spec(doc), TrajectoryEnsembleSpec)
+    assert isinstance(build_sim_config(doc), SimConfig)
+
+
 class TestGenerateCommand:
     def spec_doc(self):
         return {
@@ -188,6 +248,16 @@ class TestDesignCommand:
         cfg = tmp_path / "c.json"
         cfg.write_text("{\"nope\": 1}")
         assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+
+    def test_one_sample_trajectories_exit_4(self, tmp_path):
+        doc = cohead_config()
+        # round(0.0004 / 1e-3) = 0 steps, fewer than subsample: one sample each
+        doc["design"]["trajectories"].update(horizon=0.0004, dt=1e-3)
+        validate_config(doc)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+        assert not (tmp_path / "design.json").exists()
 
 
 class TestSimulateAndBatch:

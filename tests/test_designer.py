@@ -166,8 +166,7 @@ class TestDesignObserver:
                             linear_output([[0.0, 0.0, 1.0]]))
         states = np.zeros((4, 20, 1, 3))
         ens = TrajectoryEnsemble(states, 1e-2)
-        options = DesignOptions(margin=1.0, thm1_placement=True, max_iters=400,
-                                restarts=1)
+        options = DesignOptions(margin=1.0, max_iters=400, restarts=1)
         outcome = design_observer(sys, ens, options)
         assert outcome.status == "failed"
         assert outcome.failed_subset == (0,)

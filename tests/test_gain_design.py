@@ -12,7 +12,6 @@ from hyperobs import (
     ObserverDesign,
     SubsetIndex,
     check_thm2,
-    design_gain_thm1,
     design_gain_thm2,
     estimate_network_rate,
     identity_output,
@@ -153,33 +152,3 @@ class TestSubgradient:
                     assert abs(grads[key][a, b] - fd) / scale < 1e-4
                     checked += 1
         assert checked == 24
-
-
-class TestDesignThm1:
-    def test_scalar_exact_placement(self):
-        sys = scalar_node_system(a=2.0)
-        samples = np.zeros((3, 1, 1))
-        gains = design_gain_thm1(sys, SubsetIndex((0,)), [0], samples, [-10.0])
-        L = gains[(0, 0)][0, 0]
-        assert L == pytest.approx(12.0, abs=1e-6)
-
-    def test_zero_gain_accepted_when_already_below(self):
-        sys = scalar_node_system(a=-20.0)
-        gains = design_gain_thm1(sys, SubsetIndex((0,)), [0], np.zeros((2, 1, 1)), [-10.0])
-        assert len(gains) == 0
-
-    def test_two_node_chain_spectrum_matches_template(self):
-        sys = scalar_chain_system(a=1.0, sigma=0.5)
-        samples = np.zeros((2, 2, 1))
-        sub = SubsetIndex((0, 1))
-        template = np.array([-8.0, -12.0])
-        gains = design_gain_thm1(sys, sub, [0, 1], samples, template, seed=3)
-        design = ObserverDesign(frozenset({0, 1}), gains)
-        A = ErrorSystem(sys, design, sub).a_matrix(np.zeros(2))
-        got = np.sort(np.linalg.eigvals(A).real)
-        np.testing.assert_allclose(got, sorted(template), atol=1e-6)
-
-    def test_template_must_be_hurwitz(self):
-        sys = scalar_node_system()
-        with pytest.raises(ValueError):
-            design_gain_thm1(sys, SubsetIndex((0,)), [0], np.zeros((2, 1, 1)), [1.0])

@@ -233,6 +233,43 @@ class TestMonteCarlo:
         # the size of one (R, G+1, N) float array
         assert peak < R * (G + 1) * N * 8
 
+    def test_error_norms_pinned_with_two_gain_columns_on_one_node(self):
+        # node 1 takes gains from measured nodes 0 and 1; computed with the
+        # dense (N n) x (m p) correction matrix
+        sys = lorenz_pair_system()
+        design = ObserverDesign(frozenset({0, 1}), GainSet({
+            (0, 0): 3.0 * np.eye(3),
+            (1, 0): [[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.3, 0.0, 0.2]],
+            (1, 1): [[2.0, 0.1, 0.0], [0.1, 2.5, 0.0], [0.0, 0.2, 3.0]],
+        }))
+        cfg = SimConfig(dt=1e-3, horizon=0.2, seed=18, noise_amplitude=0.05)
+        stats = monte_carlo(sys, design, cfg, n_runs=3)
+        pinned = {
+            1: [0.4320308987069774, 0.46644224687197494, 0.6872503637599742],
+            100: [0.772537662645332, 0.3222838935870272, 0.9639417045879809],
+            200: [1.9030563649287053, 0.47860884558276773, 2.1596998226290562],
+        }
+        for k, values in pinned.items():
+            np.testing.assert_allclose(stats.error_norms[:, k], values, rtol=1e-12)
+
+    def test_correction_memory_does_not_grow_with_measured_squared(self):
+        N, R, G = 2000, 2, 5
+        edges = tuple(Hyperedge.uniform((i,), ((i + 1) % N,), 0.5) for i in range(N))
+        sys = NetworkSystem(DirectedHypergraph(N, edges), bistable_field(),
+                            linear_coupling(1.0, 1), identity_output(1))
+        design = ObserverDesign(frozenset(range(N)),
+                                GainSet({(i, i): [[2.0]] for i in range(N)}))
+        cfg = SimConfig(dt=1e-3, horizon=G * 1e-3, seed=19, noise_amplitude=0.01)
+        tracemalloc.start()
+        try:
+            stats = monte_carlo(sys, design, cfg, n_runs=R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.error_norms.shape == (R, G + 1)
+        # a dense N x N correction matrix alone would be 32 MB
+        assert peak < 4e6
+
     def test_parameter_spread_reaches_plant_only(self):
         sys = lorenz_pair_system()
         design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
@@ -256,6 +293,14 @@ class TestEnsembles:
         np.testing.assert_array_equal(ens1.states, ens2.states)
         assert ens1.dt_sample == pytest.approx(5e-3)
         assert ens1.stacked().shape == (84, 2, 3)
+
+    def test_every_trajectory_holds_two_samples(self):
+        with pytest.raises(ValueError):
+            TrajectoryEnsembleSpec(horizon=0.0004, dt=1e-3)
+        with pytest.raises(ValueError):
+            TrajectoryEnsembleSpec(horizon=0.004, dt=1e-3, subsample=5)
+        spec = TrajectoryEnsembleSpec(count=2, horizon=0.005, dt=1e-3, subsample=5)
+        assert make_ensemble(lorenz_pair_system(), spec).states.shape[1] == 2
 
     def test_burn_in_moves_starts_off_the_box(self):
         sys = lorenz_pair_system()
