@@ -45,8 +45,6 @@ from .assembly import (
     SubsetIndex,
     SubsetNotHeadClosed,
     SubsetTooLarge,
-    assemble_A,
-    assemble_b,
     check_head_closed,
     check_thm1,
     check_thm2,

@@ -139,17 +139,26 @@ def _run_batches(args, simulate_only_first: bool) -> int:
         if not batches:
             log.error("batch index %d not in config", args.batch_index)
             return EXIT_CONFIG
+    base_seed = doc["sim"].get("seed", 0) if args.seed is None else args.seed
+    # every batch's settings are checked before any batch runs
+    try:
+        configs = [
+            cfgmod.build_sim_config(
+                doc, seed=base_seed + index, **({} if variable is None else {variable: value})
+            )
+            for index, variable, value in batches
+        ]
+    except ConfigError as exc:
+        log.error("%s", exc)
+        return EXIT_CONFIG
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = doc["sim"].get("seed", 0) if args.seed is None else args.seed
     max_rows = doc["sim"].get("downsample_rows", 2000)
     n_runs = doc["sim"]["runs"]
 
     summary_batches = []
     any_flags = False
-    for index, variable, value in batches:
-        overrides = {} if variable is None else {variable: value}
-        cfg = cfgmod.build_sim_config(doc, seed=base_seed + index, **overrides)
+    for (index, variable, value), cfg in zip(batches, configs):
         stats = monte_carlo(sys_, outcome.design, cfg, n_runs)
         csv_name = f"batch_{index}.csv"
         _write_batch_csv(out_dir / csv_name, stats.times, stats.median,

@@ -247,11 +247,11 @@ def build_system(doc: dict, hypergraph: DirectedHypergraph) -> NetworkSystem:
     if cname == "tanh":
         if len(cparams) != 3:
             raise ConfigError("tanh coupling takes 3 parameters")
-        coupling = tanh_coupling(*cparams, n)
+        coupling = tanh_coupling(*cparams)
     else:
         if len(cparams) != 1:
             raise ConfigError("linear coupling takes 1 parameter")
-        coupling = linear_coupling(cparams[0], n)
+        coupling = linear_coupling(cparams[0])
     out = dyn["output"]
     output = identity_output(n) if "identity" in out else linear_output(out["matrix"])
     if output.state_dim != n:
@@ -293,7 +293,10 @@ def build_sim_config(doc: dict, **overrides) -> SimConfig:
     kwargs = {field: sim[key] for key, field in _SIM_FIELDS.items() if key in sim}
     if "x0_box" in kwargs:
         kwargs["x0_box"] = tuple(kwargs["x0_box"])
-    return SimConfig(**kwargs)
+    try:
+        return SimConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: sim: {exc}") from exc
 
 
 def design_relevant_hash(doc: dict, hypergraph: DirectedHypergraph) -> str:

@@ -282,7 +282,11 @@ def design_observer(
             if not check_head_closed(H, S, ignoring=exact):
                 raise AssertionError(f"subset {S} is not head-closed modulo exact nodes")
 
-            if shortcut:
+            # certify S, or else measure select_node(S): with the shortcut the
+            # node is reconstructed exactly and the pass moves on, otherwise
+            # S is tried again with the larger measured set
+            added: list[int] = []
+            while True:
                 solver_calls += 1
                 res = certify_or_fail(
                     sys, S, measured, ensemble, options,
@@ -293,51 +297,34 @@ def design_observer(
                     report, new_gains = res
                     gains = gains.merged(new_gains)
                     observed.update(S)
-                    processed.append(ProcessedSubset(S, report, (), iteration))
-                    log.info("iteration %d: certified %s via %s", iteration, S, report.theorem_used)
-                else:
-                    # exact reconstruction removes the node immediately; the
-                    # rest of its SCC re-enters the residual graph next pass
-                    j = select_node(S, H, measured)
-                    measured.add(j)
+                    processed.append(ProcessedSubset(S, report, tuple(added), iteration))
+                    log.info(
+                        "iteration %d: certified %s via %s (measured %s)",
+                        iteration, S, report.theorem_used, added,
+                    )
+                    break
+                if set(S) <= measured:
+                    log.warning("subset %s exhausted without certification", S)
+                    processed.append(
+                        ProcessedSubset(
+                            S,
+                            CertificationReport("none", -math.inf, math.inf, 0),
+                            tuple(added),
+                            iteration,
+                        )
+                    )
+                    return outcome("failed", S)
+                j = select_node(S, H, measured)
+                measured.add(j)
+                if shortcut:
+                    # the rest of the SCC re-enters the residual graph next pass
                     exact.add(j)
                     observed.add(j)
                     processed.append(ProcessedSubset((j,), _exact_report(), (j,), iteration))
                     log.info("iteration %d: measuring node %d of %s (exact)", iteration, j, S)
-            else:
-                added: list[int] = []
-                while True:
-                    solver_calls += 1
-                    res = certify_or_fail(
-                        sys, S, measured, ensemble, options,
-                        zero_error_nodes=exact,
-                        solver_seed=options.seed * 10007 + solver_calls,
-                    )
-                    if res is not None:
-                        report, new_gains = res
-                        gains = gains.merged(new_gains)
-                        observed.update(S)
-                        processed.append(ProcessedSubset(S, report, tuple(added), iteration))
-                        log.info(
-                            "iteration %d: certified %s via %s (measured %s)",
-                            iteration, S, report.theorem_used, added,
-                        )
-                        break
-                    if set(S) <= measured:
-                        log.warning("subset %s exhausted without certification", S)
-                        processed.append(
-                            ProcessedSubset(
-                                S,
-                                CertificationReport("none", -math.inf, math.inf, 0),
-                                tuple(added),
-                                iteration,
-                            )
-                        )
-                        return outcome("failed", S)
-                    j = select_node(S, H, measured)
-                    measured.add(j)
-                    added.append(j)
-                    log.info("iteration %d: measuring node %d of %s", iteration, j, S)
+                    break
+                added.append(j)
+                log.info("iteration %d: measuring node %d of %s", iteration, j, S)
         if len(observed) == progress:
             raise AssertionError("design loop made no progress")
     return outcome("complete")
@@ -372,8 +359,8 @@ def propagate_robustness_bounds(
     if f_bound is None:
         f_bound = field_param_jacobian_bound(sys, samples)
     inv_gain = 0.0
-    if sys.output.matrix is not None and sys.output.invertible:
-        inv_gain = float(np.linalg.norm(np.linalg.inv(sys.output.matrix), 2))
+    if sys.output.invertible:
+        inv_gain = float(np.linalg.norm(sys.output.inverse, 2))
     node_bound: dict[int, float] = {}
     per_subset: list[RobustnessBound] = []
     total_sq = 0.0

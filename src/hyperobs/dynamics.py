@@ -1,10 +1,13 @@
 """Node vector fields, coupling protocols, output maps, and network right-hand sides.
 
 All built-ins evaluate batched: state arguments broadcast over leading axes,
-Jacobians gain two trailing axes.  Parameter vectors broadcast the same way,
-which is how heterogeneous per-node parameters enter the network dynamics.
-The hyperdiffusive coupling gathers node states through the hypergraph's
-sparse incidence, for all edges or for a chosen few.
+and field Jacobians gain two trailing axes.  Parameter vectors broadcast the
+same way, which is how heterogeneous per-node parameters enter the network
+dynamics.  The coupling acts per coordinate, so its Jacobian is diagonal and
+is stored as its diagonal g', shaped like the argument.  The output map is
+linear and is its matrix Gamma, which is also its Jacobian.  The
+hyperdiffusive coupling gathers node states through the hypergraph's sparse
+incidence, for all edges or for a chosen few.
 """
 
 from __future__ import annotations
@@ -160,79 +163,62 @@ def bistable_field(mu1: float = 1.0, mu2: float = 2.0) -> VectorField:
 
 @dataclass(frozen=True)
 class CouplingFunction:
-    """Coupling g with g(0)=0 and Jacobian; acts on hyperdiffusive arguments."""
+    """Coupling g with g(0)=0, applied per coordinate of the hyperdiffusive
+    arguments; ``deriv`` is g', with its argument's shape."""
 
-    dim: int
     func: Callable[[np.ndarray], np.ndarray]
-    jac_func: Callable[[np.ndarray], np.ndarray]
+    deriv_func: Callable[[np.ndarray], np.ndarray]
 
     def eval(self, z) -> np.ndarray:
         return self.func(np.asarray(z, dtype=float))
 
-    def jac(self, z) -> np.ndarray:
-        return self.jac_func(np.asarray(z, dtype=float))
+    def deriv(self, z) -> np.ndarray:
+        return self.deriv_func(np.asarray(z, dtype=float))
 
 
-def tanh_coupling(a: float, b: float, c: float, dim: int) -> CouplingFunction:
+def tanh_coupling(a: float, b: float, c: float) -> CouplingFunction:
     """Componentwise a*z + b*((z+c)tanh(z+c) - (z-c)tanh(z-c))."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
 
-    def scalar(z):
+    def g(z):
         return a * z + b * ((z + c) * np.tanh(z + c) - (z - c) * np.tanh(z - c))
 
-    def dscalar(z):
+    def dg(z):
         def t(u):
             th = np.tanh(u)
             return th + u * (1.0 - th**2)
 
         return a + b * (t(z + c) - t(z - c))
 
-    def g(z):
-        return scalar(z)
-
-    def jac(z):
-        d = dscalar(z)
-        J = np.zeros(z.shape + (dim,))
-        idx = np.arange(dim)
-        J[..., idx, idx] = d
-        return J
-
-    return CouplingFunction(dim, g, jac)
+    return CouplingFunction(g, dg)
 
 
-def linear_coupling(gain: float, dim: int) -> CouplingFunction:
+def linear_coupling(gain: float) -> CouplingFunction:
     """Plain diffusive coupling gain * z."""
-
-    def jac(z):
-        J = np.zeros(z.shape + (dim,))
-        idx = np.arange(dim)
-        J[..., idx, idx] = gain
-        return J
-
-    return CouplingFunction(dim, lambda z: gain * np.asarray(z, float), jac)
+    return CouplingFunction(lambda z: gain * z, lambda z: np.full(z.shape, float(gain)))
 
 
 @dataclass(frozen=True)
 class OutputMap:
-    """Measurement map h with Jacobian; ``inverse`` present when numerically safe."""
+    """Linear measurement y = Gamma x; ``inverse`` is Gamma^-1 when Gamma is
+    square with condition number < 1e8, else None."""
 
-    state_dim: int
-    output_dim: int
-    func: Callable[[np.ndarray], np.ndarray]
-    jac_func: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray] | None = None
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
+    inverse: np.ndarray | None = None
 
-    def eval(self, x) -> np.ndarray:
-        return self.func(np.asarray(x, dtype=float))
+    @property
+    def state_dim(self) -> int:
+        return self.matrix.shape[1]
 
-    def jac(self, x) -> np.ndarray:
-        return self.jac_func(np.asarray(x, dtype=float))
+    @property
+    def output_dim(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def invertible(self) -> bool:
         return self.inverse is not None
+
+    def eval(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=float) @ self.matrix.T
 
 
 def linear_output(matrix) -> OutputMap:
@@ -243,21 +229,10 @@ def linear_output(matrix) -> OutputMap:
     p, n = gamma.shape
     if p > n:
         raise DimensionMismatch("output dimension cannot exceed state dimension")
-
-    def h(x):
-        return x @ gamma.T
-
-    def jac(x):
-        return np.broadcast_to(gamma, x.shape[:-1] + (p, n)).copy()
-
     inverse = None
     if p == n and np.linalg.cond(gamma) < 1e8:
-        gamma_inv = np.linalg.inv(gamma)
-
-        def inverse(y):
-            return np.asarray(y, dtype=float) @ gamma_inv.T
-
-    return OutputMap(n, p, h, jac, inverse, gamma)
+        inverse = np.linalg.inv(gamma)
+    return OutputMap(gamma, inverse)
 
 
 def identity_output(n: int) -> OutputMap:
@@ -279,8 +254,6 @@ class NetworkSystem:
 
     def __post_init__(self):
         N, n = self.hypergraph.num_nodes, self.field.state_dim
-        if self.coupling.dim != n:
-            raise DimensionMismatch("coupling dimension must match the node state")
         if self.output.state_dim != n:
             raise DimensionMismatch("output map dimension must match the node state")
         params = self.per_node_params

@@ -26,6 +26,10 @@ from .dynamics import NetworkSystem
 log = logging.getLogger("hyperobs.gain_design")
 
 RATE_FLOOR = 0.1
+# Polyak target overshoot: each step aims at -POLYAK_OVERSHOOT * h_req
+POLYAK_OVERSHOOT = 1.2
+# samples the subgradient loop starts from; larger sets run an active-set loop
+ACTIVE_CAP = 1024
 
 
 class Infeasible(RuntimeError):
@@ -161,6 +165,7 @@ class GainProblem:
         self.sys = sys
         self.n = sys.state_dim
         self.p = sys.output.output_dim
+        self.gamma = sys.output.matrix
         self.measured = sorted(set(int(v) for v in measured_in_subset) & set(self.sub.nodes))
         base_err = ErrorSystem(sys, None, self.sub, frozenset(zero_error_nodes))
         X = base_err._states(samples)
@@ -171,21 +176,10 @@ class GainProblem:
         self.network_rate = estimate_network_rate(
             sys.field.jac_x(X[:, list(self.sub.nodes)], sys.field.nominal_params)
         )
-        # output Jacobian stacks per measured node (constant for linear maps)
-        self.dh: dict[int, np.ndarray] = {}
-        for j in self.measured:
-            Dh = sys.output.jac(X[:, j])
-            if sys.output.matrix is not None:
-                Dh = Dh[:1]
-            self.dh[j] = Dh
         self.keys = [(i, j) for i in self.sub.nodes for j in self.measured]
 
     def zero_gains(self) -> dict[tuple[int, int], np.ndarray]:
         return {k: np.zeros((self.n, self.p)) for k in self.keys}
-
-    def _dh_at(self, j: int, sample: int) -> np.ndarray:
-        stack = self.dh[j]
-        return stack[min(sample, stack.shape[0] - 1)]
 
     def a_with_gains(self, gains: Mapping[tuple[int, int], np.ndarray], idx=None) -> np.ndarray:
         A = self.a_base if idx is None else self.a_base[idx]
@@ -195,11 +189,7 @@ class GainProblem:
             if not np.any(L):
                 continue
             pi, pj = self.sub.position(i) * n, self.sub.position(j) * n
-            dh = self.dh[j]
-            if idx is not None and dh.shape[0] > 1:
-                dh = dh[idx]
-            term = np.einsum("ab,kbc->kac", np.asarray(L, float), dh)
-            A[:, pi : pi + n, pj : pj + n] -= term
+            A[:, pi : pi + n, pj : pj + n] -= np.asarray(L, float) @ self.gamma
         return A
 
     def objective(self, gains, idx=None) -> tuple[float, int]:
@@ -213,7 +203,6 @@ class GainProblem:
         A = self.a_with_gains(gains, idx)
         lam = symmetric_top_eig(A)
         k = int(np.argmax(lam))
-        abs_k = k if idx is None else int(np.asarray(idx)[k])
         sym = 0.5 * (A[k] + A[k].T)
         _, V = np.linalg.eigh(sym)
         u = V[:, -1]
@@ -222,7 +211,7 @@ class GainProblem:
         for (i, j) in self.keys:
             ui = u[self.sub.position(i) * n : self.sub.position(i) * n + n]
             uj = u[self.sub.position(j) * n : self.sub.position(j) * n + n]
-            grads[(i, j)] = -np.outer(ui, self._dh_at(j, abs_k) @ uj)
+            grads[(i, j)] = -np.outer(ui, self.gamma @ uj)
         return float(lam[k]), grads
 
     def unmeasured_floor(self) -> float:
@@ -244,9 +233,10 @@ def _prune(gains: Mapping[tuple[int, int], np.ndarray]) -> GainSet:
     return GainSet({k: v for k, v in gains.items() if np.any(v)})
 
 
-def _subgradient_descent(prob, gains, idx, h_req, max_iters, overshoot):
+def _subgradient_descent(prob, gains, idx, h_req, max_iters):
     """Polyak-stepped subgradient loop on the active sample set; returns the
     iterate once it reaches -h_req there, or None."""
+    overshoot = POLYAK_OVERSHOOT
     stall_window = max(100, max_iters // 10)
     best_phi, last_best_iter = np.inf, 0
     for it in range(max_iters):
@@ -278,9 +268,7 @@ def design_gain_thm2(
     zero_error_nodes: Iterable[int] = (),
     max_iters: int = 5000,
     restarts: int = 3,
-    polyak_overshoot: float = 1.2,
     seed: int = 0,
-    active_cap: int = 1024,
 ) -> GainSet:
     """Find static gains with max-over-samples lambda_max(A_S^sym) <= -h_req.
 
@@ -308,7 +296,7 @@ def design_gain_thm2(
         )
     rng = np.random.Generator(np.random.PCG64(seed))
     K = prob.num_samples
-    stride = max(1, K // active_cap)
+    stride = max(1, K // ACTIVE_CAP)
     active = list(range(0, K, stride))
 
     for attempt in range(restarts + 1):
@@ -321,9 +309,7 @@ def design_gain_thm2(
             }
         idx = list(active)
         for round_ in range(8):
-            found = _subgradient_descent(
-                prob, gains, idx, h_req, max_iters, polyak_overshoot
-            )
+            found = _subgradient_descent(prob, gains, idx, h_req, max_iters)
             if found is None:
                 break
             lam = symmetric_top_eig(prob.a_with_gains(found))

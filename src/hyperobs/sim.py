@@ -25,6 +25,9 @@ from scipy.sparse import bsr_array
 from .dynamics import DimensionMismatch, NetworkSystem
 from .gain_design import ObserverDesign
 
+# a run whose state leaves this box (or turns non-finite) is flagged as diverged
+DIVERGENCE_THRESHOLD = 1e8
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -35,7 +38,6 @@ class SimConfig:
     param_rel_spread: float = 0.0
     x0_box: tuple[float, float] = (-3.0, 3.0)
     observer_init_width: float = 0.2
-    divergence_threshold: float = 1e8
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -182,14 +184,14 @@ def _cosimulate(
             y[active] = stepped[active]
             bad = ~(
                 np.isfinite(y).all(axis=(1, 2, 3))
-                & (np.abs(y).max(axis=(1, 2, 3)) < cfg.divergence_threshold)
+                & (np.abs(y).max(axis=(1, 2, 3)) < DIVERGENCE_THRESHOLD)
             )
             y[bad & active] = 0.0
             active &= ~bad
             nu = draw_noise()
         if exact:
             meas = sys.output.eval(y[:, 0, exact]) + nu[:, exact_cols]
-            y[:, 1, exact] = sys.output.inverse(meas)
+            y[:, 1, exact] = meas @ sys.output.inverse.T
         err = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1)
         err[~active] = np.nan
         yield err, ~active

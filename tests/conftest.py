@@ -53,7 +53,7 @@ def random_system(rng, h, field_kind=None, output_kind="identity"):
     else:
         field = planar_spiral_field()
     n = field.state_dim
-    coupling = tanh_coupling(0.2, 0.05, 2.0, n)
+    coupling = tanh_coupling(0.2, 0.05, 2.0)
     if output_kind == "identity" or n == 1:
         output = identity_output(n)
     else:

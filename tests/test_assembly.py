@@ -14,8 +14,6 @@ from hyperobs import (
     SubsetIndex,
     SubsetNotHeadClosed,
     SubsetTooLarge,
-    assemble_A,
-    assemble_b,
     check_head_closed,
     check_thm1,
     check_thm2,
@@ -23,6 +21,7 @@ from hyperobs import (
     fd_jacobian,
     identity_output,
     linear_coupling,
+    linear_output,
     lorenz_field,
     network_rhs,
     observer_rhs,
@@ -32,7 +31,8 @@ from hyperobs import (
     vector_field_from_callable,
 )
 from hyperobs.assembly import KRON_CAP, ErrorSystem, kron_sum
-from conftest import random_hypergraph, random_system
+from hyperobs.gain_design import GainProblem
+from conftest import hypergraphs, random_hypergraph, random_system
 
 
 def nonlinear_error_field(sys, design, xhat_flat):
@@ -57,7 +57,7 @@ def linearized_rhs_by_rows(sys, design, xhat_flat, e_flat):
     for i in range(N):
         out[i] = sys.field.jac_x(Xh[i]) @ E[i]
     for (i, j), L in design.gains.items():
-        out[i] -= np.asarray(L) @ sys.output.jac(Xh[j]) @ E[j]
+        out[i] -= np.asarray(L) @ sys.output.matrix @ E[j]
     for e in sys.hypergraph.edges:
         arg = sum(w * Xh[t] for w, t in zip(e.alpha, e.tails)) - sum(
             w * Xh[q] for w, q in zip(e.beta, e.heads)
@@ -65,7 +65,7 @@ def linearized_rhs_by_rows(sys, design, xhat_flat, e_flat):
         earg = sum(w * E[t] for w, t in zip(e.alpha, e.tails)) - sum(
             w * E[q] for w, q in zip(e.beta, e.heads)
         )
-        term = e.sigma * (sys.coupling.jac(arg) @ earg)
+        term = e.sigma * (sys.coupling.deriv(arg) * earg)
         for q in e.heads:
             out[q] += term
     return out.reshape(-1)
@@ -95,18 +95,18 @@ def random_design(rng, sys, subset):
 class TestAssembleA:
     def test_single_uncoupled_unmeasured_node(self):
         h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3), identity_output(3))
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         xh = np.array([1.0, 2.0, 3.0])
-        A = assemble_A(sys, ObserverDesign(), SubsetIndex((0,)), xh)
+        A = ErrorSystem(sys, ObserverDesign(), SubsetIndex((0,))).a_matrix_batch(xh)[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh), atol=1e-14)
 
     def test_single_measured_node_identity_output(self):
         h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3), identity_output(3))
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         kappa = 7.0
         design = ObserverDesign(frozenset({0}), GainSet({(0, 0): kappa * np.eye(3)}))
         xh = np.array([0.5, -1.0, 2.0])
-        A = assemble_A(sys, design, SubsetIndex((0,)), xh)
+        A = ErrorSystem(sys, design, SubsetIndex((0,))).a_matrix_batch(xh)[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh) - kappa * np.eye(3), atol=1e-14)
 
     def test_full_subset_matches_fd_jacobian_of_error_field(self):
@@ -117,7 +117,7 @@ class TestAssembleA:
             S = list(range(h.num_nodes))
             design = random_design(rng, sys, S)
             xh = rng.uniform(-2, 2, h.num_nodes * sys.state_dim)
-            A = assemble_A(sys, design, SubsetIndex(tuple(S)), xh)
+            A = ErrorSystem(sys, design, SubsetIndex(tuple(S))).a_matrix_batch(xh)[0]
             J = fd_jacobian(nonlinear_error_field(sys, design, xh), np.zeros_like(xh))
             for _ in range(5):
                 e = rng.normal(0, 1, xh.size)
@@ -128,9 +128,10 @@ class TestAssembleA:
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(SubsetNotHeadClosed):
-            assemble_A(sys, ObserverDesign(), SubsetIndex((1,)), np.zeros(3))
+            ErrorSystem(sys, ObserverDesign(), SubsetIndex((1,)))
         # tolerated when the missing head carries zero error
-        A = assemble_A(sys, ObserverDesign(), SubsetIndex((1,)), np.zeros(3), zero_error_nodes={2})
+        err = ErrorSystem(sys, ObserverDesign(), SubsetIndex((1,)), frozenset({2}))
+        A = err.a_matrix_batch(np.zeros(3))[0]
         assert A.shape == (1, 1)
 
     def test_external_gain_column_rejected(self):
@@ -138,7 +139,7 @@ class TestAssembleA:
         sys = random_system(np.random.default_rng(2), h, field_kind="bistable")
         design = ObserverDesign(frozenset({1}), GainSet({(0, 1): np.eye(1)}))
         with pytest.raises(ValueError):
-            assemble_A(sys, design, SubsetIndex((0,)), np.zeros(2))
+            ErrorSystem(sys, design, SubsetIndex((0,)))
 
 
 class TestAssembleB:
@@ -147,7 +148,7 @@ class TestAssembleB:
         h = random_hypergraph(rng, max_nodes=5)
         sys = random_system(rng, h)
         S = SubsetIndex(tuple(range(h.num_nodes)))
-        b = assemble_b(sys, S, rng.uniform(-1, 1, h.num_nodes * sys.state_dim), {})
+        b = ErrorSystem(sys, None, S).b_vector(rng.uniform(-1, 1, h.num_nodes * sys.state_dim), {})
         np.testing.assert_array_equal(b, np.zeros(h.num_nodes * sys.state_dim))
 
     def test_zero_outside_errors_give_zero_b(self):
@@ -157,14 +158,15 @@ class TestAssembleB:
             sys = random_system(rng, h)
             S = random_scc_union_subset(rng, h)
             outside = {v: np.zeros(sys.state_dim) for v in range(h.num_nodes) if v not in S}
-            b = assemble_b(sys, SubsetIndex(tuple(S)), rng.uniform(-1, 1, h.num_nodes * sys.state_dim), outside)
+            xh = rng.uniform(-1, 1, h.num_nodes * sys.state_dim)
+            b = ErrorSystem(sys, None, SubsetIndex(tuple(S))).b_vector(xh, outside)
             np.testing.assert_array_equal(b, 0.0)
 
     def test_missing_outside_error_raises(self):
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,)),))
         sys = random_system(np.random.default_rng(3), h, field_kind="bistable")
         with pytest.raises(MissingOutsideError):
-            assemble_b(sys, SubsetIndex((1,)), np.zeros(2), {})
+            ErrorSystem(sys, None, SubsetIndex((1,))).b_vector(np.zeros(2), {})
 
     def test_subset_dynamics_match_direct_linearization(self):
         rng = np.random.default_rng(24)
@@ -179,13 +181,62 @@ class TestAssembleB:
             e = rng.normal(0, 1, h.num_nodes * n)
             E = e.reshape(h.num_nodes, n)
             outside = {v: E[v] for v in range(h.num_nodes) if v not in S}
-            A = assemble_A(sys, design, sub, xh)
-            b = assemble_b(sys, sub, xh, outside)
+            A = ErrorSystem(sys, design, sub).a_matrix_batch(xh)[0]
+            b = ErrorSystem(sys, None, sub).b_vector(xh, outside)
             eS = np.concatenate([E[v] for v in S])
             got = A @ eS + b
             full = linearized_rhs_by_rows(sys, design, xh, e).reshape(h.num_nodes, n)
             expect = np.concatenate([full[v] for v in S])
             assert np.linalg.norm(got - expect) <= 1e-10 * max(1.0, np.linalg.norm(expect))
+
+
+class TestDenseOutput:
+    def test_a_matrices_match_direct_linearization(self):
+        # a dense Gamma, not a row selection, so L @ Gamma mixes every column
+        rng = np.random.default_rng(25)
+        for _ in range(8):
+            h = random_hypergraph(rng, max_nodes=6, max_edges=5)
+            base = random_system(rng, h, field_kind=rng.choice(["lorenz", "planar"]))
+            n = base.state_dim
+            gamma = rng.normal(0, 1, (int(rng.integers(1, n + 1)), n))
+            sys = NetworkSystem(h, base.field, base.coupling, linear_output(gamma))
+            S = list(range(h.num_nodes))
+            design = random_design(rng, sys, S)
+            samples = rng.uniform(-2, 2, (3, h.num_nodes, n))
+            A = ErrorSystem(sys, design, SubsetIndex(tuple(S))).a_matrix_batch(samples)
+            prob = GainProblem(sys, SubsetIndex(tuple(S)), design.measured, samples)
+            A_gains = prob.a_with_gains(dict(design.gains.entries))
+            for k, xh in enumerate(samples.reshape(3, -1)):
+                e = rng.normal(0, 1, xh.size)
+                expect = linearized_rhs_by_rows(sys, design, xh, e)
+                scale = max(1.0, np.linalg.norm(expect))
+                assert np.linalg.norm(A[k] @ e - expect) <= 1e-12 * scale
+                assert np.linalg.norm(A_gains[k] @ e - expect) <= 1e-12 * scale
+
+
+class TestCouplingJacBound:
+    @given(
+        hypergraphs(),
+        st.integers(0, 2**32 - 1),
+        st.floats(-1, 1),
+        st.floats(-1, 1),
+        st.floats(0, 3),
+    )
+    def test_matches_svd_of_dense_diagonal(self, h, seed, a, b, c):
+        rng = np.random.default_rng(seed)
+        base = random_system(rng, h)
+        sys = NetworkSystem(h, base.field, tanh_coupling(a, b, c), base.output)
+        S = random_scc_union_subset(rng, h)
+        samples = rng.uniform(-5, 5, (int(rng.integers(1, 5)), h.num_nodes, sys.state_dim))
+        bound = ErrorSystem(sys, None, SubsetIndex(tuple(S))).coupling_jac_bound(samples)
+        incoming = list(h.incoming_closure(S))
+        if not incoming:
+            assert bound == 0.0
+            return
+        dg = sys.coupling.deriv(sys.edge_arguments(samples, incoming))
+        dense = dg[..., :, None] * np.eye(sys.state_dim)
+        expect = float(np.linalg.svd(dense, compute_uv=False)[..., 0].max())
+        assert bound == pytest.approx(expect, rel=1e-15, abs=0)
 
 
 class TestHeadClosed:
@@ -220,7 +271,7 @@ def constant_matrix_system(A):
 
     field = vector_field_from_callable(f, n, np.zeros(1), jac_x=jx)
     h = DirectedHypergraph(1)
-    return NetworkSystem(h, field, linear_coupling(1.0, n), identity_output(n))
+    return NetworkSystem(h, field, linear_coupling(1.0), identity_output(n))
 
 
 def error_system_for(A):
@@ -243,7 +294,7 @@ class TestCheckThm2:
 
     def test_lorenz_gain_sweep_matches_eigen_sweep(self):
         h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3), identity_output(3))
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         rng = np.random.default_rng(31)
         samples = rng.uniform(-20, 20, (40, 1, 3))
         h_req = 2.0
@@ -296,7 +347,7 @@ def ramp_jacobian_system(omega):
 
     field = vector_field_from_callable(f, 1, np.zeros(1), jac_x=jx)
     h = DirectedHypergraph(1)
-    return NetworkSystem(h, field, linear_coupling(1.0, 1), identity_output(1))
+    return NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
 
 
 class TestCheckThm1:

@@ -334,6 +334,19 @@ class TestSimulateAndBatch:
         assert main(["simulate", "--config", str(cfg2), "--design", str(design),
                      "--out-dir", str(tmp_path / "o")]) == 4
 
+    def test_sub_step_horizon_exits_4(self, designed, tmp_path):
+        cfg_path, design = designed
+        doc = json.loads(cfg_path.read_text())
+        # schema-valid, but round(0.0004 / 1e-3) = 0 steps
+        doc["sim"].update(horizon=0.0004, dt=1e-3)
+        validate_config(doc)
+        cfg2 = tmp_path / "short.json"
+        cfg2.write_text(json.dumps(doc))
+        out = tmp_path / "o5"
+        assert main(["simulate", "--config", str(cfg2), "--design", str(design),
+                     "--out-dir", str(out)]) == 4
+        assert not (out / "summary.json").exists()
+
     def test_divergent_runs_exit_3(self, designed, tmp_path):
         cfg_path, design = designed
         doc = json.loads(cfg_path.read_text())

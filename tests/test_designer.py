@@ -107,14 +107,14 @@ def cohead_pair_system(sigma=80.0):
             Hyperedge.uniform((0,), (2,), sigma),
         ),
     )
-    return NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2.0, 3),
+    return NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2.0),
                          identity_output(3))
 
 
 class TestDesignObserver:
     def test_contracting_network_needs_no_measurements(self):
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1,), 0.1),))
-        sys = NetworkSystem(h, stable_scalar_field(3.0), linear_coupling(1.0, 1),
+        sys = NetworkSystem(h, stable_scalar_field(3.0), linear_coupling(1.0),
                             identity_output(1))
         ens = small_ensemble(sys, count=4, horizon=0.2)
         outcome = design_observer(sys, ens, DesignOptions(margin=1.0))
@@ -151,7 +151,7 @@ class TestDesignObserver:
     def test_everything_measured_at_worst_with_identity_output(self):
         # three isolated chaotic nodes: each must be measured, all exact
         h = DirectedHypergraph(3)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3),
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             identity_output(3))
         ens = small_ensemble(sys, count=5, horizon=0.3, seed=4)
         outcome = design_observer(sys, ens, DesignOptions(margin=1.0))
@@ -162,7 +162,7 @@ class TestDesignObserver:
         # x3-only measurement cannot stabilize the (x1, x2) subsystem near the
         # origin, so the design must fail on the singleton it cannot certify
         h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3),
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0.0, 0.0, 1.0]]))
         states = np.zeros((4, 20, 1, 3))
         ens = TrajectoryEnsemble(states, 1e-2)
@@ -201,7 +201,7 @@ class TestDesignObserver:
         rng = np.random.default_rng(51)
         for _ in range(5):
             h = random_hypergraph(rng, max_nodes=6, max_edges=4)
-            sys = NetworkSystem(h, stable_scalar_field(4.0), linear_coupling(1.0, 1),
+            sys = NetworkSystem(h, stable_scalar_field(4.0), linear_coupling(1.0),
                                 identity_output(1))
             ens = small_ensemble(sys, count=3, horizon=0.2, seed=6)
             outcome = design_observer(sys, ens, DesignOptions(margin=0.5))
@@ -218,7 +218,7 @@ class TestDesignObserver:
 class TestCertifyOrFail:
     def test_zero_gain_certification(self):
         h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, stable_scalar_field(2.0), linear_coupling(1.0, 1),
+        sys = NetworkSystem(h, stable_scalar_field(2.0), linear_coupling(1.0),
                             identity_output(1))
         ens = small_ensemble(sys, count=3, horizon=0.2)
         res = certify_or_fail(sys, [0], [], ens, DesignOptions(margin=1.0))
@@ -228,14 +228,14 @@ class TestCertifyOrFail:
 
     def test_unstable_unmeasured_scc_not_certified(self):
         h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3),
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             identity_output(3))
         ens = small_ensemble(sys, count=3, horizon=0.2)
         assert certify_or_fail(sys, [0], [], ens, DesignOptions(margin=1.0)) is None
 
     def test_measured_node_gets_gains(self):
         h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3),
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             identity_output(3))
         ens = small_ensemble(sys, count=3, horizon=0.2)
         res = certify_or_fail(sys, [0], [0], ens, DesignOptions(margin=1.0))

@@ -82,12 +82,12 @@ class TestBistable:
 class TestTanhCoupling:
     def test_zero_at_origin_any_coefficients(self):
         for a, b, c in [(0.2, 0.05, 2.0), (0.2, 0.3, 2.0), (1.0, 0.5, 0.7)]:
-            g = tanh_coupling(a, b, c, 3)
+            g = tanh_coupling(a, b, c)
             np.testing.assert_array_equal(g.eval(np.zeros(3)), np.zeros(3))
 
     def test_value_against_independent_evaluation(self):
         a, b, c = 0.2, 0.05, 2.0
-        g = tanh_coupling(a, b, c, 1)
+        g = tanh_coupling(a, b, c)
         z = 1.0
         expect = a * z + b * (
             (z + c) * np.tanh(z + c) - (z - c) * np.tanh(z - c)
@@ -96,25 +96,27 @@ class TestTanhCoupling:
 
     def test_derivative_at_origin_closed_form(self):
         a, b, c = 0.2, 0.05, 2.0
-        g = tanh_coupling(a, b, c, 1)
+        g = tanh_coupling(a, b, c)
         expect = a + 2 * b * (np.tanh(c) + c * (1 - np.tanh(c) ** 2))
-        assert g.jac([0.0])[0, 0] == pytest.approx(expect, rel=1e-12)
+        assert g.deriv([0.0])[0] == pytest.approx(expect, rel=1e-12)
         fd = fd_jacobian(lambda z: g.eval(z), np.array([0.0]))
-        assert g.jac([0.0])[0, 0] == pytest.approx(fd[0, 0], rel=1e-8)
+        assert g.deriv([0.0])[0] == pytest.approx(fd[0, 0], rel=1e-8)
 
     @given(st.floats(-30, 30))
     def test_odd_symmetry(self, z):
-        g = tanh_coupling(0.2, 0.05, 2.0, 1)
+        g = tanh_coupling(0.2, 0.05, 2.0)
         assert g.eval([-z])[0] == pytest.approx(-g.eval([z])[0], abs=1e-13)
 
     def test_jacobian_diagonal(self):
-        g = tanh_coupling(0.2, 0.3, 2.0, 3)
+        g = tanh_coupling(0.2, 0.3, 2.0)
         z = np.array([0.3, -1.2, 5.0])
-        J = g.jac(z)
-        assert J.shape == (3, 3)
-        assert np.count_nonzero(J - np.diag(np.diag(J))) == 0
+        d = g.deriv(z)
+        assert d.shape == (3,)
+        # g acts per coordinate: its Jacobian is diag(g')
         fd = fd_jacobian(lambda v: g.eval(v), z)
-        assert rel_err(J, fd) < 1e-7
+        assert np.count_nonzero(fd - np.diag(np.diag(fd))) == 0
+        assert rel_err(np.diag(d), fd) < 1e-7
+        assert g.deriv(np.tile(z, (4, 2, 1))).shape == (4, 2, 3)
 
 
 class TestOutputMaps:
@@ -122,7 +124,8 @@ class TestOutputMaps:
         h = identity_output(3)
         x = np.array([1.0, -2.0, 0.5])
         assert h.invertible
-        np.testing.assert_allclose(h.inverse(h.eval(x)), x, atol=1e-12)
+        np.testing.assert_array_equal(h.inverse, np.eye(3))
+        np.testing.assert_allclose(h.eval(x) @ h.inverse.T, x, atol=1e-12)
 
     def test_rectangular_has_no_inverse(self):
         h = linear_output([[0, 1, 0], [0, 0, 1]])
@@ -139,14 +142,14 @@ class TestOutputMaps:
         h = linear_output(m)
         for _ in range(10):
             x = rng.uniform(-10, 10, 4)
-            assert np.linalg.norm(h.inverse(h.eval(x)) - x) < 1e-9
+            assert np.linalg.norm(h.eval(x) @ h.inverse.T - x) < 1e-9
 
 
 def two_tail_one_head_system(sigma=3.0):
     edge = Hyperedge((0, 1), (2,), (0.25, 0.75), (1.0,), sigma)
     h = DirectedHypergraph(3, (edge,))
     field = lorenz_field()
-    return NetworkSystem(h, field, tanh_coupling(0.2, 0.05, 2.0, 3), identity_output(3))
+    return NetworkSystem(h, field, tanh_coupling(0.2, 0.05, 2.0), identity_output(3))
 
 
 class TestNetworkRhs:
@@ -159,7 +162,7 @@ class TestNetworkRhs:
 
     def test_no_edges_is_stacked_field(self):
         h = DirectedHypergraph(2)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3), identity_output(3))
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         rng = np.random.default_rng(8)
         x = rng.uniform(-5, 5, 6)
         expect = np.concatenate([sys.field.eval(x[:3]), sys.field.eval(x[3:])])
@@ -237,7 +240,7 @@ class TestObserverRhs:
     def test_scalar_gain_correction(self):
         # single measured node with L = kappa*I and identity h
         h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3), identity_output(3))
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         kappa = 4.0
         design = ObserverDesign(frozenset({0}), GainSet({(0, 0): kappa * np.eye(3)}))
         rng = np.random.default_rng(12)

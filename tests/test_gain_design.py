@@ -37,14 +37,14 @@ def scalar_linear_field(a):
 
 def scalar_node_system(a=2.0):
     h = DirectedHypergraph(1)
-    return NetworkSystem(h, scalar_linear_field(a), linear_coupling(1.0, 1), identity_output(1))
+    return NetworkSystem(h, scalar_linear_field(a), linear_coupling(1.0), identity_output(1))
 
 
 def scalar_chain_system(a=1.0, sigma=4.0):
     """Two scalar nodes with slope ``a``, hyperedge 0 -> 1 with diffusive
     coupling of strength ``sigma`` (which stabilizes the downstream node)."""
     h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), sigma),))
-    return NetworkSystem(h, scalar_linear_field(a), linear_coupling(1.0, 1),
+    return NetworkSystem(h, scalar_linear_field(a), linear_coupling(1.0),
                          identity_output(1))
 
 
@@ -92,7 +92,7 @@ class TestDesignThm2:
     def test_returned_gains_recertify_on_same_samples(self):
         rng = np.random.default_rng(40)
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3),
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0, 1, 0], [0, 0, 1]]))
         samples = rng.uniform(-8, 8, (30, 2, 3))
         sub = SubsetIndex((0, 1))
@@ -132,7 +132,7 @@ class TestSubgradient:
     def test_pullback_matches_finite_differences(self):
         rng = np.random.default_rng(43)
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3),
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0, 1, 0], [0, 0, 1]]))
         samples = rng.uniform(-5, 5, (6, 2, 3))
         prob = GainProblem(sys, SubsetIndex((0, 1)), [0, 1], samples)

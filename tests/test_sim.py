@@ -27,7 +27,7 @@ from hyperobs import (
 
 def lorenz_pair_system(sigma=5.0):
     h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), sigma),))
-    return NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2, 3), identity_output(3))
+    return NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
 
 
 class TestSettlingTime:
@@ -89,7 +89,7 @@ class TestIntegrate:
         field = vector_field_from_callable(
             f, 1, np.zeros(1), jac_x=lambda x, mu: np.full(x.shape[:-1] + (1, 1), 2.0)
         )
-        sys = NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0, 1),
+        sys = NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0),
                             identity_output(1))
         L = 5.0
         design = ObserverDesign(frozenset({0}), GainSet({(0, 0): [[L]]}))
@@ -126,7 +126,7 @@ class TestIntegrate:
         field = vector_field_from_callable(
             f, 1, np.zeros(1), jac_x=lambda x, mu: (2 * x)[..., None]
         )
-        sys = NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0, 1),
+        sys = NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0),
                             identity_output(1))
         cfg = SimConfig(dt=1e-3, horizon=1.0)
         res = integrate(sys, ObserverDesign(), cfg, [[2.0]], [[2.5]])
@@ -219,7 +219,7 @@ class TestMonteCarlo:
         N, R, G = 200, 4, 2000
         edges = tuple(Hyperedge.uniform((i,), ((i + 1) % N,), 0.5) for i in range(N))
         sys = NetworkSystem(DirectedHypergraph(N, edges), bistable_field(),
-                            linear_coupling(1.0, 1), identity_output(1))
+                            linear_coupling(1.0), identity_output(1))
         design = ObserverDesign(frozenset(range(N)),
                                 GainSet({(i, i): [[2.0]] for i in range(N)}))
         cfg = SimConfig(dt=1e-3, horizon=G * 1e-3, seed=17, noise_amplitude=0.01)
@@ -256,7 +256,7 @@ class TestMonteCarlo:
         N, R, G = 2000, 2, 5
         edges = tuple(Hyperedge.uniform((i,), ((i + 1) % N,), 0.5) for i in range(N))
         sys = NetworkSystem(DirectedHypergraph(N, edges), bistable_field(),
-                            linear_coupling(1.0, 1), identity_output(1))
+                            linear_coupling(1.0), identity_output(1))
         design = ObserverDesign(frozenset(range(N)),
                                 GainSet({(i, i): [[2.0]] for i in range(N)}))
         cfg = SimConfig(dt=1e-3, horizon=G * 1e-3, seed=19, noise_amplitude=0.01)
