@@ -9,31 +9,22 @@ from .hypergraph import (
     NegativeWeight,
     NodeOutOfRange,
     OverlappingTailsHeads,
-    SignedGraph,
     WeightSumViolation,
-    add_hyperedge,
     condense,
     generate_hierarchical,
-    largest_connected_component,
-    to_signed_graph,
 )
 from .dynamics import (
     CouplingFunction,
     DimensionMismatch,
-    MissingMeasurement,
     NetworkSystem,
     OutputMap,
     VectorField,
     bistable_field,
-    fd_jacobian,
     identity_output,
     linear_coupling,
     linear_output,
     lorenz_field,
-    network_rhs,
-    observer_rhs,
     tanh_coupling,
-    vector_field_from_callable,
 )
 from .assembly import (
     CertificationReport,
@@ -70,11 +61,9 @@ from .designer import (
 )
 from .sim import (
     EnsembleStats,
-    RunResult,
     SimConfig,
     TrajectoryEnsemble,
     TrajectoryEnsembleSpec,
-    integrate,
     make_ensemble,
     monte_carlo,
     settling_time,

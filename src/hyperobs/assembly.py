@@ -9,6 +9,7 @@ the two convergence theorems and the robustness bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -80,15 +81,10 @@ def check_head_closed(
     return True
 
 
-def _gain_items(design) -> list[tuple[tuple[int, int], np.ndarray]]:
-    if design is None:
-        return []
-    return [((int(i), int(j)), np.asarray(L, dtype=float)) for (i, j), L in design.gains.items()]
-
-
 @dataclass(frozen=True)
 class ErrorSystem:
-    """Evaluators for A_S and b_S along estimator states.
+    """Evaluator of the zero-gain A_S along estimator states; the gain
+    blocks enter through ``apply_gains``.
 
     ``zero_error_nodes`` are nodes whose estimation error is identically zero
     (exactly reconstructed measured nodes); hyperedge heads falling outside S
@@ -96,7 +92,6 @@ class ErrorSystem:
     """
 
     sys: NetworkSystem
-    design: object
     subset: SubsetIndex
     zero_error_nodes: frozenset[int] = frozenset()
 
@@ -107,11 +102,6 @@ class ErrorSystem:
             raise SubsetNotHeadClosed(
                 f"subset {S} splits the heads of some hyperedge"
             )
-        for (i, j), _ in _gain_items(self.design):
-            if i in self.subset and j not in self.subset and j not in self.zero_error_nodes:
-                raise ValueError(
-                    f"gain ({i},{j}) couples the subset to an external measured node"
-                )
         object.__setattr__(self, "_incoming", tuple(h.incoming_closure(S)))
 
     @property
@@ -130,7 +120,8 @@ class ErrorSystem:
         raise DimensionMismatch(f"cannot interpret state array of shape {arr.shape}")
 
     def a_matrix_batch(self, states) -> np.ndarray:
-        """A_S stacked over samples; ``states`` is (K, N, n) or flat variants."""
+        """Zero-gain A_S stacked over samples; ``states`` is (K, N, n) or
+        flat variants."""
         X = self._states(states)
         sys, sub = self.sys, self.subset
         n, M, K = sys.state_dim, sub.size, X.shape[0]
@@ -138,10 +129,6 @@ class ErrorSystem:
         Jf = sys.field.jac_x(X[:, list(sub.nodes)], sys.field.nominal_params)
         for i in range(M):
             A[:, i, :, i, :] += Jf[:, i]
-        measured = set(getattr(self.design, "measured", ())) if self.design else set()
-        for (gi, gj), L in _gain_items(self.design):
-            if gi in sub and gj in sub and gj in measured:
-                A[:, sub.position(gi), :, sub.position(gj), :] -= L @ sys.output.matrix
         h = sys.hypergraph
         if self._incoming:
             dg = sys.coupling.deriv(sys.edge_arguments(X, self._incoming))
@@ -162,35 +149,6 @@ class ErrorSystem:
                             A[:, i, diag, j, diag] += w * d
         return A.reshape(K, M * n, M * n)
 
-    def b_vector(self, state, outside_errors: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Exogenous term from tails outside S with the given error values."""
-        X = self._states(state)[0]
-        sys, sub = self.sys, self.subset
-        n, M = sys.state_dim, sub.size
-        required = set(sys.hypergraph.tails_of(sys.hypergraph.boundary(sub.nodes))) - set(
-            sub.nodes
-        )
-        missing = [t for t in sorted(required) if t not in outside_errors]
-        if missing:
-            raise MissingOutsideError(f"no error value for outside tails {missing}")
-        b = np.zeros((M, n))
-        h = sys.hypergraph
-        if self._incoming:
-            dg = sys.coupling.deriv(sys.edge_arguments(X, self._incoming))
-            for ek, k in enumerate(self._incoming):
-                members, weights, is_head = h.members_of(k)
-                acc = np.zeros(n)
-                for t, w in zip(members[~is_head].tolist(), weights[~is_head].tolist()):
-                    if t not in sub:
-                        acc = acc + w * np.asarray(outside_errors[t], dtype=float)
-                if not acc.any():
-                    continue
-                contribution = h.edge_sigma[k] * (dg[ek] * acc)
-                for head in members[is_head].tolist():
-                    if head in sub:
-                        b[sub.position(head)] += contribution
-        return b.reshape(-1)
-
     def coupling_jac_bound(self, states) -> float:
         """Max spectral norm of the coupling Jacobian over samples and
         incoming edges of the subset.  The Jacobian is diag(g'), whose
@@ -202,7 +160,33 @@ class ErrorSystem:
         return float(np.abs(dg).max())
 
 
+def apply_gains(
+    A: np.ndarray,
+    subset: SubsetIndex,
+    gains: Mapping[tuple[int, int], np.ndarray],
+    gamma: np.ndarray,
+) -> np.ndarray:
+    """Subtract L @ Gamma from block (i, j) of every A_S in the (K, Mn, Mn)
+    stack ``A``, in place, for each gain L = gains[(i, j)]; returns ``A``.
+
+    A gain whose row or column lies outside the subset is rejected: its term
+    would couple S to an error outside it."""
+    n = gamma.shape[1]
+    for (i, j), L in gains.items():
+        if i not in subset or j not in subset:
+            raise ValueError(f"gain ({i},{j}) couples subset {subset.nodes} to an outside node")
+        if not np.any(L):
+            continue
+        pi, pj = subset.position(i) * n, subset.position(j) * n
+        A[:, pi : pi + n, pj : pj + n] -= np.asarray(L, float) @ gamma
+    return A
+
+
 # -- certification ---------------------------------------------------------------
+
+
+# report fields that hold floats; non-finite ones are written as strings
+_REPORT_FLOATS = ("hurwitz_margin", "worst_value", "h2_margin", "g_bound")
 
 
 @dataclass(frozen=True)
@@ -222,7 +206,9 @@ class CertificationReport:
         return self.theorem_used != "none"
 
     def to_json_dict(self) -> dict:
-        return {
+        # strict JSON has no Infinity or NaN: such floats are written as the
+        # strings "inf", "-inf" and "nan", which float() reads back
+        doc = {
             "theorem_used": self.theorem_used,
             "hurwitz_margin": self.hurwitz_margin,
             "worst_value": self.worst_value,
@@ -231,11 +217,16 @@ class CertificationReport:
             "g_bound": self.g_bound,
             "trajectory_ids": list(self.trajectory_ids),
         }
+        for key in _REPORT_FLOATS:
+            if doc[key] is not None and not math.isfinite(doc[key]):
+                doc[key] = str(float(doc[key]))
+        return doc
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "CertificationReport":
+        floats = {k: float(doc[k]) for k in _REPORT_FLOATS if doc.get(k) is not None}
         return CertificationReport(
-            **{**doc, "trajectory_ids": tuple(doc.get("trajectory_ids", ()))}
+            **{**doc, **floats, "trajectory_ids": tuple(doc.get("trajectory_ids", ()))}
         )
 
 
@@ -245,15 +236,22 @@ def symmetric_top_eig(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sym)[..., -1]
 
 
-def check_thm2(err: ErrorSystem, samples, h_req: float) -> CertificationReport:
-    """Uniform Hurwitz margin of the symmetric part over the sample set,
-    plus the finite boundedness check on the coupling Jacobian."""
+def check_thm2(
+    err: ErrorSystem,
+    samples,
+    h_req: float,
+    gains: Mapping[tuple[int, int], np.ndarray] | None = None,
+) -> CertificationReport:
+    """Uniform Hurwitz margin of the symmetric part of A_S with the given
+    gain blocks over the sample set, plus the finite boundedness check on the
+    coupling Jacobian."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
     X = err._states(samples)
     if X.shape[0] == 0:
         raise EmptySampleSet("need at least one sample")
-    lam = symmetric_top_eig(err.a_matrix_batch(X))
+    A = apply_gains(err.a_matrix_batch(X), err.subset, gains or {}, err.sys.output.matrix)
+    lam = symmetric_top_eig(A)
     worst = float(lam.max())
     g_bound = err.coupling_jac_bound(X)
     passed = worst <= -h_req and np.isfinite(g_bound)
@@ -309,23 +307,26 @@ def check_thm1(
     worst = float(absc.max())
     h1_ok = worst <= -h_req
 
-    h2_slack = np.inf
-    for k in range(A.shape[0] - 1):
-        a_dot = (A[k + 1] - A[k]) / dt
-        lhs = float(np.linalg.norm(a_dot, 2))
-        sig = float(np.linalg.svd(kron_sum(A[k]), compute_uv=False)[-1])
-        rhs = sig**2 / (2.0 * q_fro) * (1.0 - eps_req)
-        h2_slack = min(h2_slack, rhs - lhs)
-    h2_ok = h2_slack > 0
+    # H2 decides nothing once H1 has failed: skip its SVD loop and report
+    # no H2 margin
+    h2_slack = None
+    if h1_ok:
+        h2_slack = np.inf
+        for k in range(A.shape[0] - 1):
+            a_dot = (A[k + 1] - A[k]) / dt
+            lhs = float(np.linalg.norm(a_dot, 2))
+            sig = float(np.linalg.svd(kron_sum(A[k]), compute_uv=False)[-1])
+            rhs = sig**2 / (2.0 * q_fro) * (1.0 - eps_req)
+            h2_slack = min(h2_slack, rhs - lhs)
 
     g_bound = err.coupling_jac_bound(X)
-    passed = h1_ok and h2_ok and np.isfinite(g_bound)
+    passed = h1_ok and h2_slack > 0 and np.isfinite(g_bound)
     return CertificationReport(
         theorem_used="thm1" if passed else "none",
         hurwitz_margin=-worst,
         worst_value=worst,
         sample_count=X.shape[0],
-        h2_margin=float(h2_slack),
+        h2_margin=h2_slack,
         g_bound=g_bound,
         trajectory_ids=tuple(trajectory_ids),
     )

@@ -214,49 +214,58 @@ def load_config(path: str | Path) -> dict:
 
 
 def resolve_hypergraph(doc: dict, base_dir: Path, seed_override: int | None = None) -> DirectedHypergraph:
+    """The configured hypergraph; any input the hypergraph types reject (a
+    weight sum, an out-of-range node, an unreadable file) is a ConfigError."""
     section = doc["hypergraph"]
-    if "file" in section:
-        path = Path(section["file"])
-        if not path.is_absolute():
-            path = base_dir / path
-        try:
+    try:
+        if "file" in section:
+            path = Path(section["file"])
+            if not path.is_absolute():
+                path = base_dir / path
             return DirectedHypergraph.from_json(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read hypergraph file {path}: {exc}") from exc
-    if "inline" in section:
-        return DirectedHypergraph.from_json_dict(section["inline"])
-    spec_doc = dict(section["generator"])
-    if seed_override is not None:
-        spec_doc["seed"] = seed_override
-    return generate_hierarchical(HierarchicalGenSpec.from_json_dict(spec_doc))
+        if "inline" in section:
+            return DirectedHypergraph.from_json_dict(section["inline"])
+        spec_doc = dict(section["generator"])
+        if seed_override is not None:
+            spec_doc["seed"] = seed_override
+        return generate_hierarchical(HierarchicalGenSpec.from_json_dict(spec_doc))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"invalid config: hypergraph: {exc}") from exc
 
 
 def build_system(doc: dict, hypergraph: DirectedHypergraph) -> NetworkSystem:
+    """The configured network; a value the dynamics types reject (an output
+    matrix of the wrong shape, a nonpositive field parameter) is a
+    ConfigError."""
     dyn = doc["dynamics"]
     fname, fparams = dyn["field"]["name"], dyn["field"]["params"]
-    if fname == "lorenz":
-        if len(fparams) != 3:
-            raise ConfigError("lorenz field takes 3 parameters")
-        field = lorenz_field(*fparams)
-    else:
-        if len(fparams) != 2:
-            raise ConfigError("bistable field takes 2 parameters")
-        field = bistable_field(*fparams)
-    n = field.state_dim
     cname, cparams = dyn["coupling"]["name"], dyn["coupling"]["params"]
-    if cname == "tanh":
-        if len(cparams) != 3:
-            raise ConfigError("tanh coupling takes 3 parameters")
-        coupling = tanh_coupling(*cparams)
-    else:
-        if len(cparams) != 1:
-            raise ConfigError("linear coupling takes 1 parameter")
-        coupling = linear_coupling(cparams[0])
-    out = dyn["output"]
-    output = identity_output(n) if "identity" in out else linear_output(out["matrix"])
-    if output.state_dim != n:
-        raise ConfigError("output matrix width must match the node state dimension")
-    return NetworkSystem(hypergraph, field, coupling, output)
+    try:
+        if fname == "lorenz":
+            if len(fparams) != 3:
+                raise ConfigError("lorenz field takes 3 parameters")
+            field = lorenz_field(*fparams)
+        else:
+            if len(fparams) != 2:
+                raise ConfigError("bistable field takes 2 parameters")
+            field = bistable_field(*fparams)
+        if cname == "tanh":
+            if len(cparams) != 3:
+                raise ConfigError("tanh coupling takes 3 parameters")
+            coupling = tanh_coupling(*cparams)
+        else:
+            if len(cparams) != 1:
+                raise ConfigError("linear coupling takes 1 parameter")
+            coupling = linear_coupling(cparams[0])
+        out = dyn["output"]
+        n = field.state_dim
+        output = identity_output(n) if "identity" in out else linear_output(out["matrix"])
+        # NetworkSystem rejects an output matrix whose width is not n
+        return NetworkSystem(hypergraph, field, coupling, output)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: dynamics: {exc}") from exc
 
 
 # config key -> SimConfig field; SimConfig supplies the default of every

@@ -1,7 +1,8 @@
-"""Recursive observer design over the signed-graph condensation.
+"""Recursive observer design over the condensation of the dependency pattern.
 
 The design loop peels root strongly connected components off the residual
-graph, certifies each one through the theorem checkers (synthesizing gains
+dependency pattern (an arc from every member of a hyperedge to each of its
+heads), certifies each one through the theorem checkers (synthesizing gains
 when measurements are available), and otherwise grows the measured set with
 the degree heuristic until the whole network is observable or a subset is
 exhausted.  With an invertible output map, measured nodes are reconstructed
@@ -164,12 +165,14 @@ def _check_thm1_over(
         if merged is None:
             merged = rep
         else:
+            # H2 is skipped (None) on a trajectory where H1 fails
+            h2 = (merged.h2_margin, rep.h2_margin)
             merged = CertificationReport(
                 "thm1" if rep.passed and merged.passed else "none",
                 min(merged.hurwitz_margin, rep.hurwitz_margin),
                 max(merged.worst_value, rep.worst_value),
                 merged.sample_count + rep.sample_count,
-                min(merged.h2_margin, rep.h2_margin),
+                None if None in h2 else min(h2),
                 max(merged.g_bound, rep.g_bound),
                 merged.trajectory_ids + rep.trajectory_ids,
             )
@@ -199,8 +202,7 @@ def certify_or_fail(
     if samples.shape[0] == 0:
         raise EmptyTrajectorySet("trajectory ensemble is empty")
 
-    no_gain = ObserverDesign(measured=measured, gains=GainSet({}))
-    err0 = ErrorSystem(sys, no_gain, sub, zero)
+    err0 = ErrorSystem(sys, sub, zero)
     rep0 = check_thm2(err0, samples, options.margin)
     if rep0.passed:
         return rep0, GainSet({})
@@ -218,8 +220,7 @@ def certify_or_fail(
                 restarts=options.restarts,
                 seed=solver_seed,
             )
-            design = ObserverDesign(measured=measured, gains=gains)
-            rep = check_thm2(ErrorSystem(sys, design, sub, zero), samples, options.margin)
+            rep = check_thm2(err0, samples, options.margin, gains.entries)
             if rep.passed:
                 return rep, gains
         except Infeasible:
@@ -239,15 +240,13 @@ def _exact_report() -> CertificationReport:
 def design_observer(
     sys: NetworkSystem, ensemble: TrajectoryEnsemble, options: DesignOptions = DesignOptions()
 ) -> DesignOutcome:
-    """Main design loop: peel root SCCs of the residual signed graph, certify
-    or measure, until every node is observable or a subset fails."""
+    """Main design loop: peel root SCCs of the residual dependency pattern,
+    certify or measure, until every node is observable or a subset fails."""
     if ensemble.count == 0 or ensemble.stacked().shape[0] == 0:
         raise EmptyTrajectorySet("need a nonempty trajectory ensemble")
     H = sys.hypergraph
     N = H.num_nodes
-    # reachability on the cancellation-free dependency graph: exact-zero sums
-    # in the signed graph must not hide upstream influences from H3
-    signed = to_dependency_graph(H)
+    deps = to_dependency_graph(H)
     shortcut = (
         sys.output.invertible
         if options.use_inverse_shortcut is None
@@ -271,7 +270,7 @@ def design_observer(
     while len(observed) < N:
         iteration += 1
         residual = sorted(set(range(N)) - observed)
-        cond = condense(signed, residual)
+        cond = condense(deps, residual)
         progress = len(observed)
         for root in cond.root_members():
             S = tuple(sorted(root))

@@ -1,4 +1,4 @@
-"""Node vector fields, coupling protocols, output maps, and network right-hand sides.
+"""Node vector fields, coupling protocols, output maps, and the network system.
 
 All built-ins evaluate batched: state arguments broadcast over leading axes,
 and field Jacobians gain two trailing axes.  Parameter vectors broadcast the
@@ -13,7 +13,7 @@ incidence, for all edges or for a chosen few.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -24,27 +24,9 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class MissingMeasurement(KeyError):
-    pass
-
-
-def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian, step 1e-6 * max(1, |x_j|) per coordinate."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fn(x), dtype=float)
-    jac = np.zeros(f0.shape + x.shape)
-    for j in np.ndindex(x.shape):
-        step = 1e-6 * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += step
-        xm[j] -= step
-        jac[(...,) + j] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * step)
-    return jac
-
-
 @dataclass(frozen=True)
 class VectorField:
-    """Node dynamics f(x, mu) with analytic (or finite-difference) Jacobians."""
+    """Node dynamics f(x, mu) with its Jacobians in x and in mu."""
 
     state_dim: int
     param_dim: int
@@ -69,40 +51,6 @@ class VectorField:
 
     def jac_mu(self, x, mu=None) -> np.ndarray:
         return self.jac_mu_func(np.asarray(x, dtype=float), self._mu(mu))
-
-
-def vector_field_from_callable(
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    state_dim: int,
-    nominal_params,
-    jac_x: Callable | None = None,
-    jac_mu: Callable | None = None,
-) -> VectorField:
-    """Wrap a plain callable; missing Jacobians fall back to finite differences.
-
-    The finite-difference fallback evaluates batched states point by point.
-    """
-    nominal = np.atleast_1d(np.asarray(nominal_params, dtype=float))
-
-    def fd_jac_x(x, mu):
-        if x.ndim == 1:
-            return fd_jacobian(lambda z: func(z, mu), x)
-        flat = x.reshape(-1, state_dim)
-        return np.stack([fd_jacobian(lambda z: func(z, mu), p) for p in flat]).reshape(
-            x.shape[:-1] + (state_dim, state_dim)
-        )
-
-    def fd_jac_mu(x, mu):
-        if x.ndim == 1:
-            return fd_jacobian(lambda m: func(x, m), mu)
-        flat = x.reshape(-1, state_dim)
-        return np.stack([fd_jacobian(lambda m: func(p, m), mu) for p in flat]).reshape(
-            x.shape[:-1] + (state_dim, nominal.size)
-        )
-
-    return VectorField(
-        state_dim, nominal.size, func, jac_x or fd_jac_x, jac_mu or fd_jac_mu, nominal
-    )
 
 
 def lorenz_field(mu1: float = 10.0, mu2: float = 28.0, mu3: float = 8.0 / 3.0) -> VectorField:
@@ -277,11 +225,6 @@ class NetworkSystem:
     def state_dim(self) -> int:
         return self.field.state_dim
 
-    def with_params(self, per_node_params) -> "NetworkSystem":
-        return NetworkSystem(
-            self.hypergraph, self.field, self.coupling, self.output, per_node_params
-        )
-
     def edge_arguments(self, states: np.ndarray, edges=None) -> np.ndarray:
         """Hyperdiffusive arguments of the given edges (all by default), in
         that order; ``states`` is (..., N, n).
@@ -330,41 +273,3 @@ def _gather_sum(plan, x: np.ndarray, count: int) -> np.ndarray:
     for m, index, weight in ranks:
         out[..., :m, :] += weight * np.take(x, index, axis=-2)
     return out if inverse is None else np.take(out, inverse, axis=-2)
-
-
-def _reshape_state(sys: NetworkSystem, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.size != sys.num_nodes * sys.state_dim:
-        raise DimensionMismatch(
-            f"state length {x.size} != N*n = {sys.num_nodes * sys.state_dim}"
-        )
-    return x.reshape(sys.num_nodes, sys.state_dim)
-
-
-def network_rhs(sys: NetworkSystem, x: np.ndarray) -> np.ndarray:
-    """Stacked plant dynamics: per-node field plus hyperdiffusive coupling."""
-    X = _reshape_state(sys, x)
-    out = sys.field.eval(X, sys.per_node_params) + sys.coupling_term(X)
-    return out.reshape(-1)
-
-
-def observer_rhs(sys: NetworkSystem, design, xhat: np.ndarray, y: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Prediction-correction observer dynamics.
-
-    ``design`` provides ``measured`` (node set) and ``gains`` (mapping
-    (i, j) -> n-by-p matrix).  ``y`` must contain a measurement for every
-    measured node.  The observer always runs on nominal parameters.
-    """
-    X = _reshape_state(sys, xhat)
-    out = sys.field.eval(X, sys.field.nominal_params) + sys.coupling_term(X)
-    measured = sorted(design.measured)
-    innovations = {}
-    for j in measured:
-        if j not in y:
-            raise MissingMeasurement(f"no measurement provided for node {j}")
-        innovations[j] = np.asarray(y[j], dtype=float) - sys.output.eval(X[j])
-    for (i, j), L in design.gains.items():
-        if j not in innovations:
-            raise MissingMeasurement(f"gain ({i},{j}) refers to unmeasured node {j}")
-        out[i] = out[i] + np.asarray(L) @ innovations[j]
-    return out.reshape(-1)

@@ -18,6 +18,7 @@ from .assembly import (
     EmptySampleSet,
     ErrorSystem,
     SubsetIndex,
+    apply_gains,
     spectral_abscissa,
     symmetric_top_eig,
 )
@@ -58,14 +59,8 @@ class GainSet:
     def __getitem__(self, key):
         return self.entries[key]
 
-    def __contains__(self, key):
-        return key in self.entries
-
     def __len__(self):
         return len(self.entries)
-
-    def get(self, key, default=None):
-        return self.entries.get(key, default)
 
     def merged(self, other: "GainSet") -> "GainSet":
         out = dict(self.entries)
@@ -167,7 +162,7 @@ class GainProblem:
         self.p = sys.output.output_dim
         self.gamma = sys.output.matrix
         self.measured = sorted(set(int(v) for v in measured_in_subset) & set(self.sub.nodes))
-        base_err = ErrorSystem(sys, None, self.sub, frozenset(zero_error_nodes))
+        base_err = ErrorSystem(sys, self.sub, frozenset(zero_error_nodes))
         X = base_err._states(samples)
         if X.shape[0] == 0:
             raise EmptySampleSet("need at least one sample")
@@ -182,15 +177,8 @@ class GainProblem:
         return {k: np.zeros((self.n, self.p)) for k in self.keys}
 
     def a_with_gains(self, gains: Mapping[tuple[int, int], np.ndarray], idx=None) -> np.ndarray:
-        A = self.a_base if idx is None else self.a_base[idx]
-        A = A.copy()
-        n = self.n
-        for (i, j), L in gains.items():
-            if not np.any(L):
-                continue
-            pi, pj = self.sub.position(i) * n, self.sub.position(j) * n
-            A[:, pi : pi + n, pj : pj + n] -= np.asarray(L, float) @ self.gamma
-        return A
+        A = self.a_base.copy() if idx is None else np.take(self.a_base, idx, axis=0)
+        return apply_gains(A, self.sub, gains, self.gamma)
 
     def objective(self, gains, idx=None) -> tuple[float, int]:
         """(max top symmetric eigenvalue, absolute index of the worst sample)."""

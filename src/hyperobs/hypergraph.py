@@ -1,12 +1,12 @@
-"""Directed hypergraphs, their associated signed graphs, and condensation queries.
+"""Directed hypergraphs, their pairwise dependency pattern, and condensation.
 
 A directed hyperedge carries ordered, disjoint tail and head node lists with
 per-tail weights ``alpha`` and per-head weights ``beta`` (each summing to one)
 and a positive coupling strength ``sigma``.  A hypergraph keeps its edges in
 one sparse incidence, built once on construction; every edge query, the
-pairwise graphs and the coupling kernels of ``dynamics`` read it.  The
-signed-graph association puts positive edges from every tail to every head
-and negative edges between the heads of each hyperedge.
+dependency pattern and the coupling kernels of ``dynamics`` read it.  The
+dependency pattern has an arc from every member of a hyperedge to each of its
+heads; ``condense`` splits it into strongly connected components.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import connected_components
 
 WEIGHT_SUM_TOL = 1e-12
@@ -183,10 +183,6 @@ class DirectedHypergraph:
         inside = set(self.restrict(nodes))
         return [k for k in self.incoming_closure(nodes) if k not in inside]
 
-    def pair(self, j: int, i: int) -> list[int]:
-        """Edges with j among the tails and i among the heads."""
-        return np.intersect1d(self.outgoing(j), self.incoming(i)).tolist()
-
     def tails_of(self, edge_indices: Iterable[int]) -> list[int]:
         """Union of the tail sets of the given edges, ascending."""
         out: set[int] = set()
@@ -248,85 +244,31 @@ class DirectedHypergraph:
         return DirectedHypergraph.from_json_dict(json.loads(text))
 
 
-def add_hyperedge(h: DirectedHypergraph, e: Hyperedge) -> DirectedHypergraph:
-    """Return a new hypergraph with ``e`` appended (hypergraphs are immutable)."""
-    return DirectedHypergraph(h.num_nodes, (*h.edges, e))
+# -- dependency pattern ------------------------------------------------------------
 
 
-# -- signed graph ---------------------------------------------------------------
+def to_dependency_graph(h: DirectedHypergraph) -> csr_array:
+    """Pairwise dependency pattern of hyperdiffusive coupling on ``h``.
 
+    An N x N sparse pattern with an arc j -> i (entry [j, i]) iff j is a
+    member, tail or other head, of an edge whose head is i, j != i: the
+    coupling term of node i reads the state of j.  It is the product of the
+    transposed member incidence and the head incidence, diagonal dropped.
 
-@dataclass(frozen=True)
-class SignedGraph:
-    """Weighted directed graph allowing negative weights; no self-loops, no zeros."""
-
-    num_nodes: int
-    weights: Mapping[tuple[int, int], float]
-
-    def __post_init__(self):
-        w = dict(self.weights)
-        for (i, j), v in w.items():
-            if i == j:
-                raise HypergraphError(f"self-loop {i}->{j} not allowed")
-            if v == 0.0:
-                raise HypergraphError(f"zero-weight edge {i}->{j} not allowed")
-            if not (0 <= i < self.num_nodes and 0 <= j < self.num_nodes):
-                raise NodeOutOfRange(f"edge ({i},{j}) outside node range")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_arcs", np.array(list(w), dtype=np.intp).reshape(-1, 2))
-
-    def _adjacency(self, arcs: np.ndarray) -> csr_matrix:
-        return csr_matrix((np.ones(len(arcs)), arcs.T), shape=(self.num_nodes,) * 2)
-
-
-def _pairwise(h: DirectedHypergraph, magnitude: bool) -> SignedGraph:
-    """For each hyperedge and each head i: sigma*w_j on every other member
-    j -> i (+alpha_j for tails, -beta_j for heads, or the magnitudes),
-    summed per ordered pair in edge order; exact-zero sums are dropped."""
-    acc: dict[tuple[int, int], float] = {}
-    for k in range(len(h.edges)):
-        nodes, weights, is_head = h.members_of(k)
-        terms = list(zip(nodes.tolist(), (h.edge_sigma[k] * weights).tolist()))
-        for i in nodes[is_head].tolist():
-            for j, w in terms:
-                if j != i:
-                    acc[(j, i)] = acc.get((j, i), 0.0) + (abs(w) if magnitude else w)
-    return SignedGraph(h.num_nodes, {key: v for key, v in acc.items() if v != 0.0})
-
-
-def to_signed_graph(h: DirectedHypergraph) -> SignedGraph:
-    """Signed pairwise graph associated to hyperdiffusive coupling on ``h``.
-
-    For each hyperedge and each head i: +sigma*alpha_j on every tail j -> i
-    and -sigma*beta_j on every other head j -> i.  Contributions on the same
-    ordered pair are summed; exact-zero sums are dropped.
+    The paper's signed graph puts +sigma*alpha_j on every tail j -> head i
+    and -sigma*beta_j on every other head j -> head i, summed per pair.  The
+    pattern has exactly those arcs before the summing, so neither a
+    cancellation between edges nor a zero weight can hide a dependency.
     """
-    return _pairwise(h, magnitude=False)
-
-
-def to_dependency_graph(h: DirectedHypergraph) -> SignedGraph:
-    """Pairwise reachability structure of hyperdiffusive coupling.
-
-    Same edge pattern as the signed graph, but contribution magnitudes are
-    accumulated, so opposite-sign contributions from different hyperedges on
-    one ordered pair can never cancel away a real dependency.  Condensation
-    for observer design explores this graph.
-    """
-    return _pairwise(h, magnitude=True)
-
-
-def largest_connected_component(h: DirectedHypergraph) -> tuple[list[int], list[int]]:
-    """Nodes of the largest weak component of the associated signed graph,
-    plus the hyperedges fully contained in it.
-
-    Ties are broken in favor of the component with the smallest node id.
-    """
-    g = to_signed_graph(h)
-    _, labels = connected_components(g._adjacency(g._arcs), connection="weak")
-    # argmax picks the smallest node among those in a largest component
-    best = labels[np.argmax(np.bincount(labels)[labels])]
-    nodes = np.flatnonzero(labels == best).tolist()
-    return nodes, h.restrict(nodes)
+    N, E = h.num_nodes, len(h.edges)
+    # column k of the member incidence lists edge k's members; column i of
+    # the head incidence lists the edges node i heads
+    members_t = csc_array((np.ones(len(h.members)), h.members, h.member_ptr), shape=(N, E))
+    heads = csc_array((np.ones(len(h.head_edges)), h.head_edges, h.head_ptr), shape=(E, N))
+    product = (members_t @ heads).tocoo()
+    off_diagonal = product.row != product.col
+    rows, cols = product.row[off_diagonal], product.col[off_diagonal]
+    return csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(N, N))
 
 
 # -- condensation ---------------------------------------------------------------
@@ -334,7 +276,7 @@ def largest_connected_component(h: DirectedHypergraph) -> tuple[list[int], list[
 
 @dataclass(frozen=True)
 class Condensation:
-    """SCC quotient of a signed graph restricted to a node subset."""
+    """SCC quotient of a dependency pattern restricted to a node subset."""
 
     scc_of: Mapping[int, int]
     members: tuple[tuple[int, ...], ...]
@@ -350,21 +292,26 @@ class Condensation:
         return [self.members[s] for s in self.roots()]
 
 
-def condense(g: SignedGraph, on: Iterable[int] | None = None) -> Condensation:
-    """Strongly connected components of the subgraph induced by ``on``.
+def condense(pattern, on: Iterable[int] | None = None) -> Condensation:
+    """Strongly connected components of the subgraph of the square sparse
+    ``pattern`` (nonzero [i, j] is an arc i -> j) induced by ``on``.
 
-    Reachability ignores the sign of the weights.  Components come from
-    ``scipy.sparse.csgraph.connected_components`` and are relabelled in order
-    of their smallest member, so members and ids are deterministic.
+    Components come from ``scipy.sparse.csgraph.connected_components`` and
+    are relabelled in order of their smallest member, so members and ids are
+    deterministic.
     """
-    nodes = list(range(g.num_nodes)) if on is None else sorted(set(int(v) for v in on))
+    N = pattern.shape[0]
+    nodes = list(range(N)) if on is None else sorted(set(int(v) for v in on))
     for v in nodes:
-        if not 0 <= v < g.num_nodes:
-            raise NodeOutOfRange(f"node {v} outside [0, {g.num_nodes})")
-    inside = np.zeros(g.num_nodes, dtype=bool)
+        if not 0 <= v < N:
+            raise NodeOutOfRange(f"node {v} outside [0, {N})")
+    inside = np.zeros(N, dtype=bool)
     inside[nodes] = True
-    arcs = g._arcs[inside[g._arcs].all(axis=1)]
-    _, found = connected_components(g._adjacency(arcs), connection="strong")
+    src, dst = pattern.nonzero()
+    keep = inside[src] & inside[dst]
+    src, dst = src[keep], dst[keep]
+    adjacency = csr_array((np.ones(len(src)), (src, dst)), shape=(N, N))
+    _, found = connected_components(adjacency, connection="strong")
     # nodes ascend, so numbering components by first appearance orders them
     # by smallest member
     ids: dict[int, int] = {}
@@ -372,7 +319,11 @@ def condense(g: SignedGraph, on: Iterable[int] | None = None) -> Condensation:
     members: list[list[int]] = [[] for _ in ids]
     for v, c in scc_of.items():
         members[c].append(v)
-    dag = {(scc_of[i], scc_of[j]) for i, j in arcs.tolist() if scc_of[i] != scc_of[j]}
+    dag = {
+        (scc_of[i], scc_of[j])
+        for i, j in zip(src.tolist(), dst.tolist())
+        if scc_of[i] != scc_of[j]
+    }
     return Condensation(scc_of, tuple(tuple(c) for c in members), frozenset(dag))
 
 

@@ -51,15 +51,6 @@ class SimConfig:
 
 
 @dataclass
-class RunResult:
-    times: np.ndarray
-    per_node_error: np.ndarray  # (G+1, N)
-    error_norm: np.ndarray  # (G+1,)
-    settling_time: float | None
-    flagged: bool
-
-
-@dataclass
 class EnsembleStats:
     times: np.ndarray
     median: np.ndarray
@@ -195,31 +186,6 @@ def _cosimulate(
         err = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1)
         err[~active] = np.nan
         yield err, ~active
-
-
-def integrate(
-    sys: NetworkSystem,
-    design: ObserverDesign,
-    cfg: SimConfig,
-    x0,
-    xhat0,
-    rng: np.random.Generator | None = None,
-) -> RunResult:
-    """Simulate one run from explicit initial conditions.
-
-    The measurement noise is drawn from ``rng`` (default: seeded with
-    ``cfg.seed``) once per grid point, as in ``monte_carlo``.
-    """
-    N, n = sys.num_nodes, sys.state_dim
-    x0 = np.asarray(x0, dtype=float).reshape(1, N, n)
-    xhat0 = np.asarray(xhat0, dtype=float).reshape(1, N, n)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    errs, flags = zip(*_cosimulate(sys, design, cfg, x0, xhat0, sys.per_node_params[None], [rng]))
-    per_node = np.stack(errs)[:, 0]
-    norm = np.linalg.norm(per_node, axis=-1)
-    times = np.arange(cfg.num_steps + 1) * cfg.dt
-    return RunResult(times, per_node, norm, settling_time(times, norm), bool(flags[-1][0]))
 
 
 def monte_carlo(

@@ -1,22 +1,160 @@
+from dataclasses import dataclass
+from typing import Callable, Mapping
+
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from hyperobs import (
+    DimensionMismatch,
     DirectedHypergraph,
     Hyperedge,
     NetworkSystem,
+    ObserverDesign,
+    SimConfig,
+    VectorField,
     bistable_field,
     identity_output,
     linear_output,
     lorenz_field,
+    settling_time,
     tanh_coupling,
-    vector_field_from_callable,
 )
+from hyperobs.sim import _cosimulate
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("default")
+
+
+# -- dense references the tests compare the package against --------------------
+
+
+class MissingMeasurement(KeyError):
+    pass
+
+
+def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian, step 1e-6 * max(1, |x_j|) per coordinate."""
+    x = np.asarray(x, dtype=float)
+    f0 = np.asarray(fn(x), dtype=float)
+    jac = np.zeros(f0.shape + x.shape)
+    for j in np.ndindex(x.shape):
+        step = 1e-6 * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += step
+        xm[j] -= step
+        jac[(...,) + j] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * step)
+    return jac
+
+
+def vector_field_from_callable(
+    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    state_dim: int,
+    nominal_params,
+    jac_x: Callable | None = None,
+    jac_mu: Callable | None = None,
+) -> VectorField:
+    """Wrap a plain callable; missing Jacobians fall back to finite differences.
+
+    The finite-difference fallback evaluates batched states point by point.
+    """
+    nominal = np.atleast_1d(np.asarray(nominal_params, dtype=float))
+
+    def fd_jac_x(x, mu):
+        if x.ndim == 1:
+            return fd_jacobian(lambda z: func(z, mu), x)
+        flat = x.reshape(-1, state_dim)
+        return np.stack([fd_jacobian(lambda z: func(z, mu), p) for p in flat]).reshape(
+            x.shape[:-1] + (state_dim, state_dim)
+        )
+
+    def fd_jac_mu(x, mu):
+        if x.ndim == 1:
+            return fd_jacobian(lambda m: func(x, m), mu)
+        flat = x.reshape(-1, state_dim)
+        return np.stack([fd_jacobian(lambda m: func(p, m), mu) for p in flat]).reshape(
+            x.shape[:-1] + (state_dim, nominal.size)
+        )
+
+    return VectorField(
+        state_dim, nominal.size, func, jac_x or fd_jac_x, jac_mu or fd_jac_mu, nominal
+    )
+
+
+def _reshape_state(sys: NetworkSystem, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.size != sys.num_nodes * sys.state_dim:
+        raise DimensionMismatch(
+            f"state length {x.size} != N*n = {sys.num_nodes * sys.state_dim}"
+        )
+    return x.reshape(sys.num_nodes, sys.state_dim)
+
+
+def network_rhs(sys: NetworkSystem, x: np.ndarray) -> np.ndarray:
+    """Stacked plant dynamics: per-node field plus hyperdiffusive coupling."""
+    X = _reshape_state(sys, x)
+    out = sys.field.eval(X, sys.per_node_params) + sys.coupling_term(X)
+    return out.reshape(-1)
+
+
+def observer_rhs(sys: NetworkSystem, design, xhat: np.ndarray, y: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Prediction-correction observer dynamics.
+
+    ``design`` provides ``measured`` (node set) and ``gains`` (mapping
+    (i, j) -> n-by-p matrix).  ``y`` must contain a measurement for every
+    measured node.  The observer always runs on nominal parameters.
+    """
+    X = _reshape_state(sys, xhat)
+    out = sys.field.eval(X, sys.field.nominal_params) + sys.coupling_term(X)
+    measured = sorted(design.measured)
+    innovations = {}
+    for j in measured:
+        if j not in y:
+            raise MissingMeasurement(f"no measurement provided for node {j}")
+        innovations[j] = np.asarray(y[j], dtype=float) - sys.output.eval(X[j])
+    for (i, j), L in design.gains.items():
+        if j not in innovations:
+            raise MissingMeasurement(f"gain ({i},{j}) refers to unmeasured node {j}")
+        out[i] = out[i] + np.asarray(L) @ innovations[j]
+    return out.reshape(-1)
+
+
+@dataclass
+class RunResult:
+    times: np.ndarray
+    per_node_error: np.ndarray  # (G+1, N)
+    error_norm: np.ndarray  # (G+1,)
+    settling_time: float | None
+    flagged: bool
+
+
+def integrate(
+    sys: NetworkSystem,
+    design: ObserverDesign,
+    cfg: SimConfig,
+    x0,
+    xhat0,
+    rng: np.random.Generator | None = None,
+) -> RunResult:
+    """Simulate one run from explicit initial conditions.
+
+    The measurement noise is drawn from ``rng`` (default: seeded with
+    ``cfg.seed``) once per grid point, as in ``monte_carlo``.
+    """
+    N, n = sys.num_nodes, sys.state_dim
+    x0 = np.asarray(x0, dtype=float).reshape(1, N, n)
+    xhat0 = np.asarray(xhat0, dtype=float).reshape(1, N, n)
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    errs, flags = zip(*_cosimulate(sys, design, cfg, x0, xhat0, sys.per_node_params[None], [rng]))
+    per_node = np.stack(errs)[:, 0]
+    norm = np.linalg.norm(per_node, axis=-1)
+    times = np.arange(cfg.num_steps + 1) * cfg.dt
+    return RunResult(times, per_node, norm, settling_time(times, norm), bool(flags[-1][0]))
+
+
+# -- random systems and hypergraphs ----------------------------------------------
 
 
 def planar_spiral_field(mu1=1.0, mu2=0.3):
@@ -61,8 +199,12 @@ def random_system(rng, h, field_kind=None, output_kind="identity"):
     return NetworkSystem(h, field, coupling, output)
 
 
-def random_hypergraph(rng, max_nodes=8, max_edges=6, min_nodes=2, sigma_range=(0.5, 2.0)):
-    """Seeded random hypergraph with uniform or random convex weights."""
+def random_hypergraph(
+    rng, max_nodes=8, max_edges=6, min_nodes=2, sigma_range=(0.5, 2.0), zero_prob=0.0
+):
+    """Seeded random hypergraph with uniform or random convex weights; each
+    random weight is zero with probability ``zero_prob``, keeping one nonzero
+    weight per side."""
     N = int(rng.integers(min_nodes, max_nodes + 1))
     E = int(rng.integers(0, max_edges + 1))
     edges = []
@@ -77,16 +219,26 @@ def random_hypergraph(rng, max_nodes=8, max_edges=6, min_nodes=2, sigma_range=(0
         else:
             a = rng.uniform(0.1, 1.0, nt)
             b = rng.uniform(0.1, 1.0, nh)
+            if zero_prob:
+                a, b = (_zero_some(rng, w, zero_prob) for w in (a, b))
             edges.append(
                 Hyperedge(tuple(tails), tuple(heads), tuple(a / a.sum()), tuple(b / b.sum()), sigma)
             )
     return DirectedHypergraph(N, tuple(edges))
 
 
+def _zero_some(rng, w, prob):
+    w = np.where(rng.random(w.size) < prob, 0.0, w)
+    if not w.any():
+        w[rng.integers(w.size)] = 1.0
+    return w
+
+
 @st.composite
 def hypergraphs(draw, max_nodes=8, max_edges=6):
+    """Random hypergraphs, some of whose edges carry zero alpha or beta entries."""
     seed = draw(st.integers(0, 2**32 - 1))
-    return random_hypergraph(np.random.default_rng(seed), max_nodes, max_edges)
+    return random_hypergraph(np.random.default_rng(seed), max_nodes, max_edges, zero_prob=0.3)
 
 
 def reachability_closure(num_nodes, arcs):

@@ -14,25 +14,32 @@ from hyperobs import (
     SubsetIndex,
     SubsetNotHeadClosed,
     SubsetTooLarge,
+    TrajectoryEnsemble,
     check_head_closed,
     check_thm1,
     check_thm2,
     condense,
-    fd_jacobian,
     identity_output,
     linear_coupling,
     linear_output,
     lorenz_field,
-    network_rhs,
-    observer_rhs,
     tanh_coupling,
     thm3_bound,
-    to_signed_graph,
+)
+from hyperobs import assembly
+from hyperobs.assembly import KRON_CAP, ErrorSystem, apply_gains, kron_sum
+from hyperobs.designer import _check_thm1_over
+from hyperobs.gain_design import GainProblem
+from hyperobs.hypergraph import to_dependency_graph
+from conftest import (
+    fd_jacobian,
+    hypergraphs,
+    network_rhs,
+    observer_rhs,
+    random_hypergraph,
+    random_system,
     vector_field_from_callable,
 )
-from hyperobs.assembly import KRON_CAP, ErrorSystem, kron_sum
-from hyperobs.gain_design import GainProblem
-from conftest import hypergraphs, random_hypergraph, random_system
 
 
 def nonlinear_error_field(sys, design, xhat_flat):
@@ -72,8 +79,8 @@ def linearized_rhs_by_rows(sys, design, xhat_flat, e_flat):
 
 
 def random_scc_union_subset(rng, h):
-    """Random head-closed subset: a union of signed-graph SCCs."""
-    cond = condense(to_signed_graph(h))
+    """Random head-closed subset: a union of dependency-pattern SCCs."""
+    cond = condense(to_dependency_graph(h))
     k = int(rng.integers(1, len(cond.members) + 1))
     chosen = rng.choice(len(cond.members), size=k, replace=False)
     nodes = sorted(v for s in chosen for v in cond.members[s])
@@ -92,12 +99,19 @@ def random_design(rng, sys, subset):
     return ObserverDesign(frozenset(measured), GainSet(gains))
 
 
+def a_with_design(sys, design, nodes, states, zero_error_nodes=frozenset()):
+    """A_S with the design's gain blocks, stacked over the samples."""
+    sub = SubsetIndex(tuple(nodes))
+    A = ErrorSystem(sys, sub, zero_error_nodes).a_matrix_batch(states)
+    return apply_gains(A, sub, design.gains.entries, sys.output.matrix)
+
+
 class TestAssembleA:
     def test_single_uncoupled_unmeasured_node(self):
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         xh = np.array([1.0, 2.0, 3.0])
-        A = ErrorSystem(sys, ObserverDesign(), SubsetIndex((0,))).a_matrix_batch(xh)[0]
+        A = ErrorSystem(sys, SubsetIndex((0,))).a_matrix_batch(xh)[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh), atol=1e-14)
 
     def test_single_measured_node_identity_output(self):
@@ -106,7 +120,7 @@ class TestAssembleA:
         kappa = 7.0
         design = ObserverDesign(frozenset({0}), GainSet({(0, 0): kappa * np.eye(3)}))
         xh = np.array([0.5, -1.0, 2.0])
-        A = ErrorSystem(sys, design, SubsetIndex((0,))).a_matrix_batch(xh)[0]
+        A = a_with_design(sys, design, (0,), xh)[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh) - kappa * np.eye(3), atol=1e-14)
 
     def test_full_subset_matches_fd_jacobian_of_error_field(self):
@@ -117,7 +131,7 @@ class TestAssembleA:
             S = list(range(h.num_nodes))
             design = random_design(rng, sys, S)
             xh = rng.uniform(-2, 2, h.num_nodes * sys.state_dim)
-            A = ErrorSystem(sys, design, SubsetIndex(tuple(S))).a_matrix_batch(xh)[0]
+            A = a_with_design(sys, design, S, xh)[0]
             J = fd_jacobian(nonlinear_error_field(sys, design, xh), np.zeros_like(xh))
             for _ in range(5):
                 e = rng.normal(0, 1, xh.size)
@@ -128,65 +142,68 @@ class TestAssembleA:
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(SubsetNotHeadClosed):
-            ErrorSystem(sys, ObserverDesign(), SubsetIndex((1,)))
+            ErrorSystem(sys, SubsetIndex((1,)))
         # tolerated when the missing head carries zero error
-        err = ErrorSystem(sys, ObserverDesign(), SubsetIndex((1,)), frozenset({2}))
+        err = ErrorSystem(sys, SubsetIndex((1,)), frozenset({2}))
         A = err.a_matrix_batch(np.zeros(3))[0]
         assert A.shape == (1, 1)
 
     def test_external_gain_column_rejected(self):
         h = DirectedHypergraph(2)
         sys = random_system(np.random.default_rng(2), h, field_kind="bistable")
-        design = ObserverDesign(frozenset({1}), GainSet({(0, 1): np.eye(1)}))
+        err = ErrorSystem(sys, SubsetIndex((0,)))
+        # a gain from measured node 1 into the subset {0} would couple it to
+        # an error outside the subset
         with pytest.raises(ValueError):
-            ErrorSystem(sys, design, SubsetIndex((0,)))
+            check_thm2(err, np.zeros((1, 2, 1)), 1.0, {(0, 1): np.eye(1)})
+        with pytest.raises(ValueError):
+            apply_gains(np.zeros((1, 1, 1)), err.subset, {(1, 0): np.eye(1)}, np.eye(1))
 
 
 class TestAssembleB:
+    """b_S, the input from tails outside S, enters the certificates only
+    through the Theorem-3 bound on it."""
+
     def test_full_network_has_zero_b(self):
         rng = np.random.default_rng(22)
         h = random_hypergraph(rng, max_nodes=5)
-        sys = random_system(rng, h)
-        S = SubsetIndex(tuple(range(h.num_nodes)))
-        b = ErrorSystem(sys, None, S).b_vector(rng.uniform(-1, 1, h.num_nodes * sys.state_dim), {})
-        np.testing.assert_array_equal(b, np.zeros(h.num_nodes * sys.state_dim))
+        b = thm3_bound(h, range(h.num_nodes), {}, margin=1.0, g_bound=1.0,
+                       f_bound=0.0, l_bound=0.0, mu_bar=0.0, nu_bar=0.0)
+        assert b.outside_term == 0.0 and b.value == 0.0
 
     def test_zero_outside_errors_give_zero_b(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             h = random_hypergraph(rng, max_nodes=6)
-            sys = random_system(rng, h)
             S = random_scc_union_subset(rng, h)
-            outside = {v: np.zeros(sys.state_dim) for v in range(h.num_nodes) if v not in S}
-            xh = rng.uniform(-1, 1, h.num_nodes * sys.state_dim)
-            b = ErrorSystem(sys, None, SubsetIndex(tuple(S))).b_vector(xh, outside)
-            np.testing.assert_array_equal(b, 0.0)
+            outside = {v: 0.0 for v in range(h.num_nodes) if v not in S}
+            b = thm3_bound(h, S, outside, margin=1.0, g_bound=2.0, f_bound=0.0,
+                           l_bound=0.0, mu_bar=0.0, nu_bar=0.0)
+            assert b.outside_term == 0.0
 
     def test_missing_outside_error_raises(self):
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,)),))
-        sys = random_system(np.random.default_rng(3), h, field_kind="bistable")
         with pytest.raises(MissingOutsideError):
-            ErrorSystem(sys, None, SubsetIndex((1,))).b_vector(np.zeros(2), {})
+            thm3_bound(h, [1], {}, margin=1.0, g_bound=1.0, f_bound=0.0,
+                       l_bound=0.0, mu_bar=0.0, nu_bar=0.0)
 
     def test_subset_dynamics_match_direct_linearization(self):
+        # with zero error outside S, b_S vanishes and the linearized dynamics
+        # of S are A_S e_S
         rng = np.random.default_rng(24)
         for _ in range(10):
             h = random_hypergraph(rng, max_nodes=7, max_edges=6)
             sys = random_system(rng, h)
             S = random_scc_union_subset(rng, h)
-            sub = SubsetIndex(tuple(S))
             design = random_design(rng, sys, S)
             n = sys.state_dim
             xh = rng.uniform(-2, 2, h.num_nodes * n)
-            e = rng.normal(0, 1, h.num_nodes * n)
-            E = e.reshape(h.num_nodes, n)
-            outside = {v: E[v] for v in range(h.num_nodes) if v not in S}
-            A = ErrorSystem(sys, design, sub).a_matrix_batch(xh)[0]
-            b = ErrorSystem(sys, None, sub).b_vector(xh, outside)
-            eS = np.concatenate([E[v] for v in S])
-            got = A @ eS + b
-            full = linearized_rhs_by_rows(sys, design, xh, e).reshape(h.num_nodes, n)
-            expect = np.concatenate([full[v] for v in S])
+            E = np.zeros((h.num_nodes, n))
+            E[S] = rng.normal(0, 1, (len(S), n))
+            A = a_with_design(sys, design, S, xh)[0]
+            got = A @ E[S].reshape(-1)
+            full = linearized_rhs_by_rows(sys, design, xh, E.reshape(-1)).reshape(h.num_nodes, n)
+            expect = full[S].reshape(-1)
             assert np.linalg.norm(got - expect) <= 1e-10 * max(1.0, np.linalg.norm(expect))
 
 
@@ -203,7 +220,7 @@ class TestDenseOutput:
             S = list(range(h.num_nodes))
             design = random_design(rng, sys, S)
             samples = rng.uniform(-2, 2, (3, h.num_nodes, n))
-            A = ErrorSystem(sys, design, SubsetIndex(tuple(S))).a_matrix_batch(samples)
+            A = a_with_design(sys, design, S, samples)
             prob = GainProblem(sys, SubsetIndex(tuple(S)), design.measured, samples)
             A_gains = prob.a_with_gains(dict(design.gains.entries))
             for k, xh in enumerate(samples.reshape(3, -1)):
@@ -228,7 +245,7 @@ class TestCouplingJacBound:
         sys = NetworkSystem(h, base.field, tanh_coupling(a, b, c), base.output)
         S = random_scc_union_subset(rng, h)
         samples = rng.uniform(-5, 5, (int(rng.integers(1, 5)), h.num_nodes, sys.state_dim))
-        bound = ErrorSystem(sys, None, SubsetIndex(tuple(S))).coupling_jac_bound(samples)
+        bound = ErrorSystem(sys, SubsetIndex(tuple(S))).coupling_jac_bound(samples)
         incoming = list(h.incoming_closure(S))
         if not incoming:
             assert bound == 0.0
@@ -276,7 +293,7 @@ def constant_matrix_system(A):
 
 def error_system_for(A):
     sys = constant_matrix_system(A)
-    return ErrorSystem(sys, ObserverDesign(), SubsetIndex((0,)))
+    return ErrorSystem(sys, SubsetIndex((0,)))
 
 
 class TestCheckThm2:
@@ -307,9 +324,8 @@ class TestCheckThm2:
         oracle = next(k for k in kappas if lam - k <= -h_req)
         checker = None
         for k in kappas:
-            design = ObserverDesign(frozenset({0}), GainSet({(0, 0): k * np.eye(3)}))
-            err = ErrorSystem(sys, design, SubsetIndex((0,)))
-            if check_thm2(err, samples, h_req).passed:
+            err = ErrorSystem(sys, SubsetIndex((0,)))
+            if check_thm2(err, samples, h_req, {(0, 0): k * np.eye(3)}).passed:
                 checker = k
                 break
         assert checker == pytest.approx(oracle)
@@ -324,8 +340,9 @@ class TestCheckThm2:
             design = random_design(rng, sys, S)
             perm = list(S)
             rng.shuffle(perm)
-            r1 = check_thm2(ErrorSystem(sys, design, SubsetIndex(tuple(S))), samples, 0.5)
-            r2 = check_thm2(ErrorSystem(sys, design, SubsetIndex(tuple(perm))), samples, 0.5)
+            gains = design.gains.entries
+            r1 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(S))), samples, 0.5, gains)
+            r2 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(perm))), samples, 0.5, gains)
             assert r1.passed == r2.passed
             assert r1.worst_value == pytest.approx(r2.worst_value, abs=1e-10)
 
@@ -380,12 +397,38 @@ class TestCheckThm1:
         results = {}
         for omega in [0.05, 0.2, 0.8, 2.0, 5.0, 20.0]:
             sys = ramp_jacobian_system(omega)
-            err = ErrorSystem(sys, ObserverDesign(), SubsetIndex((0,)))
+            err = ErrorSystem(sys, SubsetIndex((0,)))
             traj = t.reshape(-1, 1, 1)
             report = check_thm1(err, traj, dt=dt, h_req=0.2, eps_req=0.5)
             results[omega] = report.passed
             assert report.passed == analytic_pass(omega)
         assert results[0.05] and not results[20.0]
+
+    def test_h2_skipped_once_h1_fails(self, monkeypatch):
+        calls = []
+
+        def counted_kron_sum(a):
+            calls.append(a)
+            return kron_sum(a)
+
+        monkeypatch.setattr(assembly, "kron_sum", counted_kron_sum)
+        # J(x) = x: samples at x = -2 pass H1 at margin 1, samples at 0 fail it
+        field = vector_field_from_callable(
+            lambda x, mu: 0.5 * x**2, 1, np.zeros(1), jac_x=lambda x, mu: x[..., None]
+        )
+        sys = NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0), identity_output(1))
+        err = ErrorSystem(sys, SubsetIndex((0,)))
+        failed = check_thm1(err, np.zeros((4, 1, 1)), dt=0.1, h_req=1.0)
+        assert not failed.passed and failed.h2_margin is None
+        assert calls == []
+        passed = check_thm1(err, np.full((4, 1, 1), -2.0), dt=0.1, h_req=1.0)
+        assert passed.passed and passed.h2_margin == pytest.approx(2 * 2.0**2 * 0.5)
+        assert len(calls) == 3
+        # the ensemble merge carries the skipped H2 through as None
+        states = np.stack([np.full((4, 1, 1), -2.0), np.zeros((4, 1, 1))])
+        merged = _check_thm1_over(err, TrajectoryEnsemble(states, 0.1), 1.0)
+        assert merged.trajectory_ids == (0, 1)
+        assert not merged.passed and merged.h2_margin is None
 
     def test_subset_too_large(self):
         err = error_system_for(-np.eye(KRON_CAP + 1))

@@ -1,13 +1,14 @@
 import dataclasses
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from hyperobs import DesignOptions, SimConfig, TrajectoryEnsembleSpec
+from hyperobs import DesignOptions, DesignOutcome, SimConfig, TrajectoryEnsembleSpec
 from hyperobs.cli import main
 from hyperobs.config import (
     _SIM_FIELDS,
@@ -210,6 +211,25 @@ class TestGenerateCommand:
         assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 4
 
 
+def _edges(doc):
+    return doc["hypergraph"]["inline"]["edges"]
+
+
+# each passes the schema but not the types the config builds
+SCHEMA_VALID_BAD_CONFIGS = {
+    "output_more_rows_than_columns": lambda doc: doc["dynamics"].update(
+        output={"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}),
+    "output_ragged": lambda doc: doc["dynamics"].update(
+        output={"matrix": [[1, 0, 0], [0, 1]]}),
+    "alpha_sums_to_0.9": lambda doc: _edges(doc)[0].update(
+        tails=[0, 1], heads=[2], alpha=[0.5, 0.4], beta=[1.0]),
+    "head_out_of_range": lambda doc: _edges(doc)[1].update(heads=[3]),
+    "tail_is_a_head": lambda doc: _edges(doc)[1].update(tails=[2]),
+    "bistable_negative_param": lambda doc: doc["dynamics"].update(
+        field={"name": "bistable", "params": [-1, 2]}, output={"identity": True}),
+}
+
+
 @pytest.fixture(scope="module")
 def designed(tmp_path_factory):
     """Config + completed design report shared by the simulate/batch tests."""
@@ -248,6 +268,34 @@ class TestDesignCommand:
         cfg = tmp_path / "c.json"
         cfg.write_text("{\"nope\": 1}")
         assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+
+    def test_design_json_is_strict_and_lossless(self, designed):
+        _, report_path = designed
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(report_path.read_text(), parse_constant=reject)
+        doc = report["outcome"]
+        exact = [p["report"] for p in doc["processed_subsets"]
+                 if p["report"]["theorem_used"] == "exact"]
+        assert exact and all(r["hurwitz_margin"] == "inf" for r in exact)
+        outcome = DesignOutcome.from_json_dict(doc)
+        assert all(p.report.worst_value == -math.inf for p in outcome.processed
+                   if p.report.theorem_used == "exact")
+        assert outcome.to_json_dict() == doc
+        back = DesignOutcome.from_json_dict(json.loads(json.dumps(outcome.to_json_dict())))
+        assert back.processed == outcome.processed
+
+    @pytest.mark.parametrize("case", sorted(SCHEMA_VALID_BAD_CONFIGS))
+    def test_schema_valid_bad_config_exits_4(self, case, tmp_path):
+        doc = cohead_config()
+        SCHEMA_VALID_BAD_CONFIGS[case](doc)
+        validate_config(doc)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+        assert not (tmp_path / "design.json").exists()
 
     def test_one_sample_trajectories_exit_4(self, tmp_path):
         doc = cohead_config()

@@ -24,9 +24,8 @@ from hyperobs import (
     propagate_robustness_bounds,
     select_node,
     tanh_coupling,
-    vector_field_from_callable,
 )
-from conftest import random_hypergraph
+from conftest import random_hypergraph, vector_field_from_callable
 
 
 def stable_scalar_field(a=3.0):
@@ -197,6 +196,24 @@ class TestDesignObserver:
         with pytest.raises(EmptyTrajectorySet):
             design_observer(sys, TrajectoryEnsemble(np.zeros((0, 0, 3, 3)), 1e-3))
 
+    def test_zero_weight_tail_is_still_upstream(self):
+        # tail 1 of the first edge has alpha 0, so its signed-graph arc 1 -> 0
+        # has weight 0; node 0 still depends on 1, and 1 on 0 through the
+        # second edge, so {0, 1} must be processed as one subset after {2}
+        h = DirectedHypergraph(
+            3,
+            (
+                Hyperedge((1, 2), (0,), (0.0, 1.0), (1.0,)),
+                Hyperedge.uniform((0,), (1,)),
+            ),
+        )
+        sys = NetworkSystem(h, stable_scalar_field(4.0), linear_coupling(1.0),
+                            identity_output(1))
+        ens = small_ensemble(sys, count=3, horizon=0.2, seed=8)
+        outcome = design_observer(sys, ens, DesignOptions(margin=0.5))
+        assert outcome.complete
+        assert [p.nodes for p in outcome.processed] == [(2,), (0, 1)]
+
     def test_processed_subsets_cover_network_in_upstream_order(self):
         rng = np.random.default_rng(51)
         for _ in range(5):
@@ -241,7 +258,7 @@ class TestCertifyOrFail:
         res = certify_or_fail(sys, [0], [0], ens, DesignOptions(margin=1.0))
         assert res is not None
         report, gains = res
-        assert report.passed and (0, 0) in gains
+        assert report.passed and (0, 0) in gains.entries
 
 
 class TestRobustnessPropagation:

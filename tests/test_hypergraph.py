@@ -13,16 +13,13 @@ from hyperobs import (
     NegativeWeight,
     NodeOutOfRange,
     OverlappingTailsHeads,
-    SignedGraph,
     WeightSumViolation,
-    add_hyperedge,
     check_head_closed,
     condense,
     generate_hierarchical,
-    largest_connected_component,
-    to_signed_graph,
 )
 from hyperobs.hypergraph import to_dependency_graph
+from scipy.sparse import csr_array
 from conftest import brute_force_sccs, hypergraphs, random_hypergraph
 
 
@@ -33,8 +30,7 @@ def fig1_edge():
 
 class TestHyperedgeValidation:
     def test_two_tail_two_head_edge_accepted(self):
-        h = DirectedHypergraph(5)
-        h2 = add_hyperedge(h, fig1_edge())
+        h2 = DirectedHypergraph(5, (fig1_edge(),))
         assert len(h2.edges) == 1
         assert h2.edges[0].cardinality == 4
 
@@ -54,25 +50,20 @@ class TestHyperedgeValidation:
 
     def test_node_out_of_range(self):
         with pytest.raises(NodeOutOfRange):
-            add_hyperedge(DirectedHypergraph(2), Hyperedge((0,), (5,), (1.0,), (1.0,)))
+            DirectedHypergraph(2, (Hyperedge((0,), (5,), (1.0,), (1.0,)),))
 
 
 class TestEdgeQueries:
     def test_incoming_contains_edge_for_each_head(self):
-        h = add_hyperedge(DirectedHypergraph(5), fig1_edge())
+        h = DirectedHypergraph(5, (fig1_edge(),))
         assert 0 in h.incoming(3)
         assert 0 in h.incoming(2)
         assert h.incoming(0) == []
         assert h.outgoing(1) == [0]
 
     def test_restrict_empty_set(self):
-        h = add_hyperedge(DirectedHypergraph(5), fig1_edge())
+        h = DirectedHypergraph(5, (fig1_edge(),))
         assert h.restrict([]) == []
-
-    def test_pair(self):
-        h = add_hyperedge(DirectedHypergraph(5), fig1_edge())
-        assert h.pair(0, 2) == [0]
-        assert h.pair(2, 0) == []
 
     @given(hypergraphs())
     def test_boundary_union_restrict_is_incoming_closure(self, h):
@@ -100,8 +91,6 @@ class TestQueriesMatchScan:
         for i in range(h.num_nodes):
             assert h.incoming(i) == [k for k, e in edges if i in e.heads]
             assert h.outgoing(i) == [k for k, e in edges if i in e.tails]
-            for j in range(h.num_nodes):
-                assert h.pair(j, i) == [k for k, e in edges if j in e.tails and i in e.heads]
             assert h.degrees(i) == (
                 sum(1 for _, e in edges if i in e.heads),
                 sum(1 for _, e in edges if i in e.tails),
@@ -129,12 +118,12 @@ class TestQueriesMatchScan:
 
 class TestDegrees:
     def test_fig1_out_degree(self):
-        h = add_hyperedge(DirectedHypergraph(5), fig1_edge())
+        h = DirectedHypergraph(5, (fig1_edge(),))
         d_in, d_out = h.degrees(1)
         assert d_out >= 1 and d_in == 0
 
     def test_isolated_node(self):
-        h = add_hyperedge(DirectedHypergraph(5), fig1_edge())
+        h = DirectedHypergraph(5, (fig1_edge(),))
         assert h.degrees(4) == (0, 0)
 
     def test_degree_sums_match_head_and_tail_counts(self):
@@ -147,121 +136,71 @@ class TestDegrees:
             assert d_out == sum(len(e.tails) for e in h.edges)
 
     def test_restricted_degrees(self):
-        h = add_hyperedge(DirectedHypergraph(5), fig1_edge())
+        h = DirectedHypergraph(5, (fig1_edge(),))
         assert h.degrees(2, within=[]) == (0, 0)
         assert h.degrees(2, within=[0]) == (1, 0)
 
 
+def arcs_of(pattern) -> set[tuple[int, int]]:
+    return set(zip(*(idx.tolist() for idx in pattern.nonzero())))
+
+
+def pattern_of(num_nodes, arcs):
+    rows, cols = zip(*arcs) if arcs else ((), ())
+    return csr_array((np.ones(len(arcs)), (rows, cols)), shape=(num_nodes, num_nodes))
+
+
 class TestSignedGraph:
+    """The paper's signed graph as the dependency pattern keeps it: its arcs
+    before the weights are summed."""
+
     def test_fig1_association(self):
-        h = add_hyperedge(DirectedHypergraph(5), fig1_edge())
-        g = to_signed_graph(h)
-        expect = {
-            (0, 2): 0.5, (0, 3): 0.5, (1, 2): 0.5, (1, 3): 0.5,
-            (2, 3): -0.5, (3, 2): -0.5,
-        }
-        assert dict(g.weights) == expect
+        h = DirectedHypergraph(5, (fig1_edge(),))
+        # tails -> heads (+alpha) and head <-> head (-beta) in the signed graph
+        expect = {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 2)}
+        assert arcs_of(to_dependency_graph(h)) == expect
 
     def test_empty_hypergraph(self):
-        g = to_signed_graph(DirectedHypergraph(4))
-        assert dict(g.weights) == {}
+        g = to_dependency_graph(DirectedHypergraph(4))
+        assert g.shape == (4, 4) and arcs_of(g) == set()
 
-    def test_exact_cancellation_drops_pair(self):
-        # +0.5 from a tail->head edge, -0.5 from a co-head edge on the same pair
+    def test_cancelling_and_zero_weights_keep_the_arc(self):
+        # +0.5 from a tail->head edge and -0.5 from a co-head edge cancel on
+        # (1, 2) in the signed graph; the tail 3 of the last edge has alpha 0
         h = DirectedHypergraph(
             4,
             (
                 Hyperedge((1,), (2,), (1.0,), (1.0,), sigma=0.5),
                 Hyperedge((0,), (1, 2), (1.0,), (0.5, 0.5), sigma=1.0),
+                Hyperedge((3, 0), (1,), (0.0, 1.0), (1.0,)),
             ),
         )
-        g = to_signed_graph(h)
-        assert (1, 2) not in g.weights
-        assert g.weights[(0, 1)] == 1.0 and g.weights[(0, 2)] == 1.0
-        assert g.weights[(2, 1)] == -0.5
+        assert arcs_of(to_dependency_graph(h)) == {(1, 2), (0, 1), (0, 2), (2, 1), (3, 1)}
 
     @given(hypergraphs())
-    def test_no_self_loops_and_net_weights(self, h):
-        g = to_signed_graph(h)
-        for (i, j) in g.weights:
-            assert i != j
-        # recompute net weight of each stored pair directly from the edges
-        for (i, j), w in g.weights.items():
-            net = 0.0
-            for e in h.edges:
-                if j in e.heads:
-                    if i in e.tails:
-                        net += e.sigma * e.alpha[e.tails.index(i)]
-                    if i in e.heads and i != j:
-                        net -= e.sigma * e.beta[e.heads.index(i)]
-            assert net == pytest.approx(w, abs=1e-12)
-
-    @given(hypergraphs())
-    def test_dependency_graph_sums_magnitudes(self, h):
-        expect = {}
-        for e in h.edges:
-            for i in e.heads:
-                for j, w in (*zip(e.tails, e.alpha), *zip(e.heads, e.beta)):
-                    if j != i:
-                        expect[(j, i)] = expect.get((j, i), 0.0) + e.sigma * w
-        expect = {key: w for key, w in expect.items() if w != 0.0}
-        assert dict(to_dependency_graph(h).weights) == pytest.approx(expect, abs=1e-12)
+    def test_pattern_matches_per_edge_loop(self, h):
+        expect = {
+            (j, i)
+            for e in h.edges
+            for i in e.heads
+            for j in (*e.tails, *e.heads)
+            if j != i
+        }
+        g = to_dependency_graph(h)
+        assert g.shape == (h.num_nodes, h.num_nodes)
+        assert arcs_of(g) == expect
 
     @given(hypergraphs())
     def test_heads_share_an_scc(self, h):
-        g = to_signed_graph(h)
-        cond = condense(g)
+        cond = condense(to_dependency_graph(h))
         for e in h.edges:
             ids = {cond.scc_of[v] for v in e.heads}
             assert len(ids) == 1
 
 
-class TestLargestConnectedComponent:
-    def test_fully_connected_three_nodes(self):
-        h = add_hyperedge(DirectedHypergraph(3), Hyperedge.uniform((0,), (1, 2)))
-        nodes, edges = largest_connected_component(h)
-        assert nodes == [0, 1, 2]
-        assert edges == [0]
-
-    def test_two_disjoint_edges_pick_larger(self):
-        h = DirectedHypergraph(
-            7,
-            (
-                Hyperedge.uniform((0, 1), (2, 3)),  # 4-node side
-                Hyperedge.uniform((4,), (5, 6)),  # 3-node side
-            ),
-        )
-        nodes, edges = largest_connected_component(h)
-        assert nodes == [0, 1, 2, 3]
-        assert edges == [0]
-
-    def test_matches_brute_force_components(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            h = random_hypergraph(rng)
-            g = to_signed_graph(h)
-            # brute-force undirected components
-            comp = {v: {v} for v in range(h.num_nodes)}
-            changed = True
-            while changed:
-                changed = False
-                for (i, j) in g.weights:
-                    merged = comp[i] | comp[j]
-                    if merged != comp[i] or merged != comp[j]:
-                        for v in merged:
-                            comp[v] = merged
-                        changed = True
-            best = max(
-                ({tuple(sorted(c)) for c in comp.values()}),
-                key=lambda c: (len(c), -min(c)),
-            )
-            nodes, _ = largest_connected_component(h)
-            assert tuple(nodes) == best
-
-
 class TestCondensation:
     def chain(self):
-        return SignedGraph(3, {(0, 1): 1.0, (1, 2): -2.0})
+        return pattern_of(3, [(0, 1), (1, 2)])
 
     def test_acyclic_chain(self):
         cond = condense(self.chain())
@@ -269,35 +208,35 @@ class TestCondensation:
         assert cond.roots() == [0]
 
     def test_two_cycle_plus_pendant(self):
-        g = SignedGraph(3, {(0, 1): 1.0, (1, 0): -1.0, (1, 2): 1.0})
-        cond = condense(g)
+        arcs = [(0, 1), (1, 0), (1, 2)]
+        cond = condense(pattern_of(3, arcs))
         assert cond.members == ((0, 1), (2,))
         assert cond.root_members() == [(0, 1)]
-        assert brute_force_sccs(3, list(g.weights), [0, 1, 2]) == [(0, 1), (2,)]
+        assert brute_force_sccs(3, arcs, [0, 1, 2]) == [(0, 1), (2,)]
 
     def test_induced_subgraph(self):
-        g = SignedGraph(3, {(0, 1): 1.0, (1, 0): -1.0, (1, 2): 1.0})
-        cond = condense(g, on=[1, 2])
+        cond = condense(pattern_of(3, [(0, 1), (1, 0), (1, 2)]), on=[1, 2])
         assert cond.members == ((1,), (2,))
 
-    @given(hypergraphs(max_nodes=10))
-    def test_condense_matches_brute_force(self, h):
-        g = to_signed_graph(h)
-        cond = condense(g)
-        assert sorted(cond.members) == brute_force_sccs(
-            h.num_nodes, list(g.weights), range(h.num_nodes)
-        )
+    @given(hypergraphs(max_nodes=10), st.data())
+    def test_condense_matches_brute_force(self, h, data):
+        g = to_dependency_graph(h)
+        on = data.draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1))
+        cond = condense(g, on)
+        assert sorted(cond.members) == brute_force_sccs(h.num_nodes, arcs_of(g), on)
+        # a condensation edge joins two SCCs that some arc inside ``on`` joins
+        assert cond.dag_edges == {
+            (cond.scc_of[i], cond.scc_of[j])
+            for i, j in arcs_of(g)
+            if i in on and j in on and cond.scc_of[i] != cond.scc_of[j]
+        }
 
     @given(st.integers(0, 2**32 - 1))
     def test_condense_on_dag_is_identity(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
-        weights = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.3:
-                    weights[(i, j)] = float(rng.choice([-1.0, 1.0]))
-        cond = condense(SignedGraph(n, weights))
+        arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        cond = condense(pattern_of(n, arcs))
         assert cond.members == tuple((v,) for v in range(n))
 
 

@@ -13,7 +13,6 @@ from hyperobs import (
     TrajectoryEnsembleSpec,
     bistable_field,
     identity_output,
-    integrate,
     linear_coupling,
     lorenz_field,
     make_ensemble,
@@ -21,8 +20,8 @@ from hyperobs import (
     settling_time,
     simulate_network,
     tanh_coupling,
-    vector_field_from_callable,
 )
+from conftest import integrate, vector_field_from_callable
 
 
 def lorenz_pair_system(sigma=5.0):
