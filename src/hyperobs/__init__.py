@@ -47,7 +47,6 @@ from .gain_design import (
     NoMeasuredNodes,
     ObserverDesign,
     design_gain_thm2,
-    estimate_network_rate,
 )
 from .designer import (
     AllMeasured,

@@ -81,28 +81,37 @@ def check_head_closed(
     return True
 
 
-@dataclass(frozen=True)
 class ErrorSystem:
-    """Evaluator of the zero-gain A_S along estimator states; the gain
-    blocks enter through ``apply_gains``.
+    """The zero-gain A_S and the coupling-Jacobian bound, evaluated once over
+    a sample set of estimator states.
+
+    ``a`` is the (K, nM, nM) stack of A_S, one per sample, and ``g`` is (K,),
+    the largest |g'| over the subset's incoming edges at each sample (0 when
+    no edge enters S).  Every check of one certification attempt reads these
+    two arrays; gain blocks enter through ``apply_gains`` on a copy of ``a``.
 
     ``zero_error_nodes`` are nodes whose estimation error is identically zero
     (exactly reconstructed measured nodes); hyperedge heads falling outside S
     are tolerated only when they belong to this set.
     """
 
-    sys: NetworkSystem
-    subset: SubsetIndex
-    zero_error_nodes: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        h = self.sys.hypergraph
-        S = self.subset.nodes
-        if not check_head_closed(h, S, self.zero_error_nodes):
-            raise SubsetNotHeadClosed(
-                f"subset {S} splits the heads of some hyperedge"
-            )
-        object.__setattr__(self, "_incoming", tuple(h.incoming_closure(S)))
+    def __init__(
+        self,
+        sys: NetworkSystem,
+        subset: SubsetIndex,
+        samples,
+        zero_error_nodes: frozenset[int] = frozenset(),
+    ):
+        S = subset.nodes
+        if not check_head_closed(sys.hypergraph, S, zero_error_nodes):
+            raise SubsetNotHeadClosed(f"subset {S} splits the heads of some hyperedge")
+        self.sys, self.subset = sys, subset
+        self._incoming = tuple(sys.hypergraph.incoming_closure(S))
+        X = self._states(samples)
+        if X.shape[0] == 0:
+            raise EmptySampleSet("need at least one sample")
+        self.a = self.a_matrix_batch(X)
+        self.g = self.coupling_jac_bound(X)
 
     @property
     def dim(self) -> int:
@@ -119,10 +128,8 @@ class ErrorSystem:
             return arr.reshape(-1, N, n)
         raise DimensionMismatch(f"cannot interpret state array of shape {arr.shape}")
 
-    def a_matrix_batch(self, states) -> np.ndarray:
-        """Zero-gain A_S stacked over samples; ``states`` is (K, N, n) or
-        flat variants."""
-        X = self._states(states)
+    def a_matrix_batch(self, X: np.ndarray) -> np.ndarray:
+        """Zero-gain A_S stacked over the (K, N, n) states ``X``."""
         sys, sub = self.sys, self.subset
         n, M, K = sys.state_dim, sub.size, X.shape[0]
         A = np.zeros((K, M, n, M, n))
@@ -149,15 +156,14 @@ class ErrorSystem:
                             A[:, i, diag, j, diag] += w * d
         return A.reshape(K, M * n, M * n)
 
-    def coupling_jac_bound(self, states) -> float:
-        """Max spectral norm of the coupling Jacobian over samples and
-        incoming edges of the subset.  The Jacobian is diag(g'), whose
-        spectral norm is the largest |g'|."""
+    def coupling_jac_bound(self, X: np.ndarray) -> np.ndarray:
+        """Per sample of the (K, N, n) states ``X``, the max spectral norm of
+        the coupling Jacobian over the subset's incoming edges.  The Jacobian
+        is diag(g'), whose spectral norm is the largest |g'|."""
         if not self._incoming:
-            return 0.0
-        X = self._states(states)
+            return np.zeros(X.shape[0])
         dg = self.sys.coupling.deriv(self.sys.edge_arguments(X, self._incoming))
-        return float(np.abs(dg).max())
+        return np.abs(dg).reshape(X.shape[0], -1).max(axis=1)
 
 
 def apply_gains(
@@ -238,28 +244,24 @@ def symmetric_top_eig(mats: np.ndarray) -> np.ndarray:
 
 def check_thm2(
     err: ErrorSystem,
-    samples,
     h_req: float,
     gains: Mapping[tuple[int, int], np.ndarray] | None = None,
 ) -> CertificationReport:
     """Uniform Hurwitz margin of the symmetric part of A_S with the given
-    gain blocks over the sample set, plus the finite boundedness check on the
-    coupling Jacobian."""
+    gain blocks over the sample set of ``err``, plus the finite boundedness
+    check on the coupling Jacobian.  Gains act on a copy: ``err.a`` stays the
+    zero-gain stack."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
-    X = err._states(samples)
-    if X.shape[0] == 0:
-        raise EmptySampleSet("need at least one sample")
-    A = apply_gains(err.a_matrix_batch(X), err.subset, gains or {}, err.sys.output.matrix)
-    lam = symmetric_top_eig(A)
-    worst = float(lam.max())
-    g_bound = err.coupling_jac_bound(X)
+    A = apply_gains(err.a.copy(), err.subset, gains, err.sys.output.matrix) if gains else err.a
+    worst = float(symmetric_top_eig(A).max())
+    g_bound = float(err.g.max())
     passed = worst <= -h_req and np.isfinite(g_bound)
     return CertificationReport(
         theorem_used="thm2" if passed else "none",
         hurwitz_margin=-worst,
         worst_value=worst,
-        sample_count=X.shape[0],
+        sample_count=A.shape[0],
         g_bound=g_bound,
     )
 
@@ -275,15 +277,20 @@ def kron_sum(a: np.ndarray) -> np.ndarray:
 
 def check_thm1(
     err: ErrorSystem,
-    trajectory,
     dt: float,
     h_req: float,
     eps_req: float = 0.5,
-    trajectory_ids: Iterable[int] = (),
+    length: int | None = None,
+    count: int = 1,
 ) -> CertificationReport:
     """Slowly-varying-systems check: spectral abscissa below -h_req at every
     sample, and the finite-difference estimate of dA/dt below the
     Kronecker-sum slow-variation bound with slack fraction ``eps_req``.
+
+    The rows of ``err.a`` are time-ordered trajectories of ``length`` samples
+    each (one trajectory of all rows when omitted).  The first ``count`` of
+    them are checked in turn, up to the first that fails; the report merges
+    the checked ones worst-case and lists their ids.
 
     With Q = I in Theorem 1 the bound at sample k reads
     sigma_min(A_k (+) A_k)^2 / (2 sqrt(nM)) * (1 - eps_req)."""
@@ -291,8 +298,8 @@ def check_thm1(
         raise NonpositiveMargin("required margin must be positive")
     if not 0.0 < eps_req < 1.0:
         raise ValueError("eps_req must lie in (0, 1)")
-    X = err._states(trajectory)
-    if X.shape[0] < 2:
+    T = err.a.shape[0] if length is None else length
+    if T < 2:
         raise EmptySampleSet("need at least two time-ordered samples")
     dim = err.dim
     if dim > KRON_CAP:
@@ -302,33 +309,36 @@ def check_thm1(
     # Q = I: sigma_min(Q) = 1 and ||Q||_F = sqrt(nM)
     q_fro = float(np.sqrt(dim))
 
-    A = err.a_matrix_batch(X)
-    absc = spectral_abscissa(A)
-    worst = float(absc.max())
-    h1_ok = worst <= -h_req
-
-    # H2 decides nothing once H1 has failed: skip its SVD loop and report
-    # no H2 margin
-    h2_slack = None
-    if h1_ok:
-        h2_slack = np.inf
-        for k in range(A.shape[0] - 1):
+    worst, g_bound, h2_slack = [], [], []
+    for t in range(count):
+        A = err.a[t * T : (t + 1) * T]
+        worst.append(float(spectral_abscissa(A).max()))
+        g_bound.append(float(err.g[t * T : (t + 1) * T].max()))
+        # H2 decides nothing once H1 has failed: skip its SVD loop and report
+        # no H2 margin
+        if not worst[-1] <= -h_req:
+            h2_slack = None
+            break
+        slack = np.inf
+        for k in range(T - 1):
             a_dot = (A[k + 1] - A[k]) / dt
             lhs = float(np.linalg.norm(a_dot, 2))
             sig = float(np.linalg.svd(kron_sum(A[k]), compute_uv=False)[-1])
             rhs = sig**2 / (2.0 * q_fro) * (1.0 - eps_req)
-            h2_slack = min(h2_slack, rhs - lhs)
+            slack = min(slack, rhs - lhs)
+        h2_slack.append(slack)
+        if not (slack > 0 and np.isfinite(g_bound[-1])):
+            break
 
-    g_bound = err.coupling_jac_bound(X)
-    passed = h1_ok and h2_slack > 0 and np.isfinite(g_bound)
+    passed = h2_slack is not None and h2_slack[-1] > 0 and np.isfinite(g_bound[-1])
     return CertificationReport(
         theorem_used="thm1" if passed else "none",
-        hurwitz_margin=-worst,
-        worst_value=worst,
-        sample_count=X.shape[0],
-        h2_margin=h2_slack,
-        g_bound=g_bound,
-        trajectory_ids=tuple(trajectory_ids),
+        hurwitz_margin=-max(worst),
+        worst_value=max(worst),
+        sample_count=len(worst) * T,
+        h2_margin=None if h2_slack is None else min(h2_slack),
+        g_bound=max(g_bound),
+        trajectory_ids=tuple(range(len(worst))),
     )
 
 

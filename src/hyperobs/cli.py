@@ -81,10 +81,14 @@ def cmd_design(args) -> int:
     try:
         doc, hypergraph, sys_ = _load_experiment(args)
         spec = cfgmod.build_ensemble_spec(doc)
+        options = cfgmod.build_design_options(doc, args.seed)
+        if options.use_inverse_shortcut and not sys_.output.invertible:
+            raise ConfigError(
+                "invalid config: design.use_inverse_shortcut needs an invertible output map"
+            )
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    options = cfgmod.build_design_options(doc, args.seed)
     ensemble = make_ensemble(sys_, spec)
     outcome = design_observer(sys_, ensemble, options)
     report = {

@@ -56,10 +56,12 @@ class AllMeasured(ValueError):
 
 @dataclass(frozen=True)
 class DesignOptions:
+    """Observer-design settings.  ``seed`` is recorded in ``design.json`` but
+    read by no design step: gain synthesis is one deterministic descent."""
+
     margin: float = 1.0
     use_inverse_shortcut: bool | None = None  # None: shortcut iff h invertible
     max_iters: int = 5000
-    restarts: int = 3
     seed: int = 0
 
 
@@ -148,39 +150,6 @@ def select_node(
     return min(v for v in ties if degs[v][0] == best_in)
 
 
-def _check_thm1_over(
-    err: ErrorSystem, ensemble: TrajectoryEnsemble, margin: float
-) -> CertificationReport:
-    """Worst-case merge of the slow-variation check over a trajectory sample."""
-    n_traj = min(THM1_TRAJECTORIES, ensemble.count)
-    merged = None
-    for t in range(n_traj):
-        rep = check_thm1(
-            err,
-            ensemble.states[t],
-            ensemble.dt_sample,
-            h_req=margin,
-            trajectory_ids=(t,),
-        )
-        if merged is None:
-            merged = rep
-        else:
-            # H2 is skipped (None) on a trajectory where H1 fails
-            h2 = (merged.h2_margin, rep.h2_margin)
-            merged = CertificationReport(
-                "thm1" if rep.passed and merged.passed else "none",
-                min(merged.hurwitz_margin, rep.hurwitz_margin),
-                max(merged.worst_value, rep.worst_value),
-                merged.sample_count + rep.sample_count,
-                None if None in h2 else min(h2),
-                max(merged.g_bound, rep.g_bound),
-                merged.trajectory_ids + rep.trajectory_ids,
-            )
-        if not rep.passed:
-            break
-    return merged
-
-
 def certify_or_fail(
     sys: NetworkSystem,
     subset_nodes: Iterable[int],
@@ -188,46 +157,39 @@ def certify_or_fail(
     ensemble: TrajectoryEnsemble,
     options: DesignOptions,
     zero_error_nodes: Iterable[int] = (),
-    solver_seed: int = 0,
 ) -> tuple[CertificationReport, GainSet] | None:
     """Certify one subset: zero-gain Theorem-2 check, then gain synthesis for
-    Theorem 2, then the zero-gain Theorem-1 check over the ensemble when the
-    subset's error dimension nM is at most ``KRON_CAP``.  Returns None when
-    nothing passes."""
+    Theorem 2, then the zero-gain Theorem-1 check over the first
+    ``THM1_TRAJECTORIES`` trajectories when the subset's error dimension nM
+    is at most ``KRON_CAP``.  A_S and the coupling bound are evaluated once,
+    over the stacked ensemble, and every route reads that evaluation.
+    Returns None when nothing passes."""
     sub = SubsetIndex(tuple(sorted(set(int(v) for v in subset_nodes))))
-    zero = frozenset(int(v) for v in zero_error_nodes)
-    measured = frozenset(int(v) for v in measured)
-    measured_in = sorted(measured & set(sub.nodes))
+    measured_in = sorted(frozenset(int(v) for v in measured) & set(sub.nodes))
     samples = ensemble.stacked()
     if samples.shape[0] == 0:
         raise EmptyTrajectorySet("trajectory ensemble is empty")
 
-    err0 = ErrorSystem(sys, sub, zero)
-    rep0 = check_thm2(err0, samples, options.margin)
+    err = ErrorSystem(sys, sub, samples, frozenset(int(v) for v in zero_error_nodes))
+    rep0 = check_thm2(err, options.margin)
     if rep0.passed:
         return rep0, GainSet({})
 
     if measured_in:
         try:
-            gains = design_gain_thm2(
-                sys,
-                sub,
-                measured_in,
-                samples,
-                options.margin,
-                zero_error_nodes=zero,
-                max_iters=options.max_iters,
-                restarts=options.restarts,
-                seed=solver_seed,
-            )
-            rep = check_thm2(err0, samples, options.margin, gains.entries)
+            gains = design_gain_thm2(err, measured_in, options.margin, options.max_iters)
+            rep = check_thm2(err, options.margin, gains.entries)
             if rep.passed:
                 return rep, gains
         except Infeasible:
             log.debug("thm2 synthesis infeasible on %s", sub.nodes)
 
-    if sub.size * sys.state_dim <= KRON_CAP:
-        rep1 = _check_thm1_over(err0, ensemble, options.margin)
+    if err.dim <= KRON_CAP:
+        rep1 = check_thm1(
+            err, ensemble.dt_sample, options.margin,
+            length=ensemble.states.shape[1],
+            count=min(THM1_TRAJECTORIES, ensemble.count),
+        )
         if rep1.passed:
             return rep1, GainSet({})
     return None
@@ -261,7 +223,6 @@ def design_observer(
     gains = GainSet({})
     processed: list[ProcessedSubset] = []
     iteration = 0
-    solver_calls = 0
 
     def outcome(status: str, failed=None) -> DesignOutcome:
         design = ObserverDesign(frozenset(measured), gains, frozenset(exact))
@@ -286,11 +247,8 @@ def design_observer(
             # S is tried again with the larger measured set
             added: list[int] = []
             while True:
-                solver_calls += 1
                 res = certify_or_fail(
-                    sys, S, measured, ensemble, options,
-                    zero_error_nodes=exact,
-                    solver_seed=options.seed * 10007 + solver_calls,
+                    sys, S, measured, ensemble, options, zero_error_nodes=exact
                 )
                 if res is not None:
                     report, new_gains = res

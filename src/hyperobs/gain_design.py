@@ -1,32 +1,26 @@
 """Synthesis of static observer correction gains for a node subset.
 
-The preferred route drives the largest eigenvalue of the symmetric part of
-A_S below a required margin by Polyak-stepped subgradient descent (the
-objective is a pointwise max of top eigenvalues of matrices affine in the
-gains).
+Gains drive the largest eigenvalue of the symmetric part of A_S below a
+required margin, by one Polyak-stepped subgradient descent from L = 0 over
+the zero-gain A_S stack of an ``ErrorSystem``.  The objective,
+max_k lambda_max(sym(A_k - sum L_ij Gamma)), is a pointwise max of top
+eigenvalues of matrices affine in the gains, so it is convex (Lewis and
+Overton, "Eigenvalue optimization", Acta Numerica 1996): it has no local
+minimum a restart from another point could escape.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .assembly import (
-    EmptySampleSet,
-    ErrorSystem,
-    SubsetIndex,
-    apply_gains,
-    spectral_abscissa,
-    symmetric_top_eig,
-)
-from .dynamics import NetworkSystem
+from .assembly import ErrorSystem, apply_gains, symmetric_top_eig
 
 log = logging.getLogger("hyperobs.gain_design")
 
-RATE_FLOOR = 0.1
 # Polyak target overshoot: each step aims at -POLYAK_OVERSHOOT * h_req
 POLYAK_OVERSHOOT = 1.2
 # samples the subgradient loop starts from; larger sets run an active-set loop
@@ -132,59 +126,32 @@ class ObserverDesign:
         )
 
 
-def estimate_network_rate(jacobians) -> float:
-    """Worst spectral abscissa of the node Jacobians, floored at 0.1."""
-    J = np.asarray(jacobians, dtype=float)
-    if J.size == 0:
-        raise EmptySampleSet("need at least one Jacobian sample")
-    J = J.reshape(-1, J.shape[-2], J.shape[-1])
-    return max(RATE_FLOOR, float(spectral_abscissa(J).max()))
-
-
 class GainProblem:
-    """Affine-in-gains evaluation of A_S over a frozen sample set.
+    """Affine-in-gains evaluation of A_S over the sample set of an
+    ``ErrorSystem``.
 
     Exposes the max-over-samples top symmetric eigenvalue (the design
     objective) and its subgradient pulled back to each gain block.
     """
 
-    def __init__(
-        self,
-        sys: NetworkSystem,
-        subset: SubsetIndex | Sequence[int],
-        measured_in_subset: Iterable[int],
-        samples,
-        zero_error_nodes: Iterable[int] = (),
-    ):
-        self.sub = subset if isinstance(subset, SubsetIndex) else SubsetIndex(tuple(subset))
-        self.sys = sys
-        self.n = sys.state_dim
-        self.p = sys.output.output_dim
-        self.gamma = sys.output.matrix
+    def __init__(self, err: ErrorSystem, measured_in_subset: Iterable[int]):
+        self.err = err
+        self.sub = err.subset
+        self.n = err.sys.state_dim
+        self.p = err.sys.output.output_dim
+        self.gamma = err.sys.output.matrix
         self.measured = sorted(set(int(v) for v in measured_in_subset) & set(self.sub.nodes))
-        base_err = ErrorSystem(sys, self.sub, frozenset(zero_error_nodes))
-        X = base_err._states(samples)
-        if X.shape[0] == 0:
-            raise EmptySampleSet("need at least one sample")
-        self.num_samples = X.shape[0]
-        self.a_base = base_err.a_matrix_batch(X)
-        self.network_rate = estimate_network_rate(
-            sys.field.jac_x(X[:, list(self.sub.nodes)], sys.field.nominal_params)
-        )
         self.keys = [(i, j) for i in self.sub.nodes for j in self.measured]
 
     def zero_gains(self) -> dict[tuple[int, int], np.ndarray]:
         return {k: np.zeros((self.n, self.p)) for k in self.keys}
 
     def a_with_gains(self, gains: Mapping[tuple[int, int], np.ndarray], idx=None) -> np.ndarray:
-        A = self.a_base.copy() if idx is None else np.take(self.a_base, idx, axis=0)
+        """A_S with the gain blocks, on a copy of the zero-gain stack (the
+        rows ``idx`` of it when given)."""
+        a = self.err.a
+        A = a.copy() if idx is None else np.take(a, idx, axis=0)
         return apply_gains(A, self.sub, gains, self.gamma)
-
-    def objective(self, gains, idx=None) -> tuple[float, int]:
-        """(max top symmetric eigenvalue, absolute index of the worst sample)."""
-        lam = symmetric_top_eig(self.a_with_gains(gains, idx))
-        k = int(np.argmax(lam))
-        return float(lam[k]), (k if idx is None else int(np.asarray(idx)[k]))
 
     def subgradient(self, gains, idx=None) -> tuple[float, dict[tuple[int, int], np.ndarray]]:
         """phi(L) and d phi / d L_{ij} at the worst sample of the active set."""
@@ -212,7 +179,7 @@ class GainProblem:
             if v in self.measured:
                 continue
             pv = self.sub.position(v) * n
-            block = self.a_base[:, pv : pv + n, pv : pv + n]
+            block = self.err.a[:, pv : pv + n, pv : pv + n]
             floor = max(floor, float(symmetric_top_eig(block).max()))
         return floor
 
@@ -248,68 +215,50 @@ def _subgradient_descent(prob, gains, idx, h_req, max_iters):
 
 
 def design_gain_thm2(
-    sys: NetworkSystem,
-    subset: SubsetIndex | Sequence[int],
+    err: ErrorSystem,
     measured_in_subset: Iterable[int],
-    samples,
     h_req: float,
-    zero_error_nodes: Iterable[int] = (),
     max_iters: int = 5000,
-    restarts: int = 3,
-    seed: int = 0,
 ) -> GainSet:
-    """Find static gains with max-over-samples lambda_max(A_S^sym) <= -h_req.
+    """Find static gains with max-over-samples lambda_max(A_S^sym) <= -h_req
+    over the sample set of ``err``.
 
-    Subgradient descent with Polyak steps from L = 0, random restarts scaled
-    by the estimated network rate.  Large sample sets run through an active-set
-    outer loop: solve on a strided subset, then fold in the worst violators
-    until the full set certifies (the success test always runs on every
-    sample; infeasibility on a subset implies infeasibility overall).
+    One subgradient descent with Polyak steps from L = 0; the objective is
+    convex, so no restart from another starting point is tried.  When zero
+    gains already certify, the first iteration returns them and the result is
+    empty.  Large sample sets run through an active-set outer loop: solve on a
+    strided subset, then fold in the worst violators until the full set
+    certifies (the success test always runs on every sample; infeasibility on
+    a subset implies infeasibility overall).
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
-    prob = GainProblem(sys, subset, measured_in_subset, samples, zero_error_nodes)
-    phi0, _ = prob.objective({})
-    if phi0 <= -h_req:
-        return GainSet({})
+    prob = GainProblem(err, measured_in_subset)
     if not prob.measured:
-        raise NoMeasuredNodes(
-            f"subset {prob.sub.nodes} has no measured nodes and does not certify"
-        )
+        raise NoMeasuredNodes(f"subset {prob.sub.nodes} has no measured nodes")
     floor = prob.unmeasured_floor()
     if floor > -h_req:
         raise Infeasible(
             f"subset {prob.sub.nodes}: unmeasured diagonal blocks reach "
             f"{floor:.4g}, margin {h_req} is unattainable for any gains"
         )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    K = prob.num_samples
-    stride = max(1, K // ACTIVE_CAP)
-    active = list(range(0, K, stride))
-
-    for attempt in range(restarts + 1):
-        if attempt == 0:
-            gains = prob.zero_gains()
-        else:
-            gains = {
-                k: prob.network_rate * rng.standard_normal((prob.n, prob.p))
-                for k in prob.keys
-            }
-        idx = list(active)
-        for round_ in range(8):
-            found = _subgradient_descent(prob, gains, idx, h_req, max_iters)
-            if found is None:
-                break
-            lam = symmetric_top_eig(prob.a_with_gains(found))
-            if float(lam.max()) <= -h_req:
-                log.debug(
-                    "thm2 design for %s done (attempt %d, round %d, |active|=%d)",
-                    prob.sub.nodes, attempt, round_, len(idx),
-                )
-                return _prune(found)
-            worst = np.argsort(lam)[-64:]
-            idx = sorted(set(idx) | set(int(w) for w in worst))
-            gains = found
+    K = err.a.shape[0]
+    idx = list(range(0, K, max(1, K // ACTIVE_CAP)))
+    gains = prob.zero_gains()
+    for round_ in range(8):
+        found = _subgradient_descent(prob, gains, idx, h_req, max_iters)
+        if found is None:
+            break
+        lam = symmetric_top_eig(prob.a_with_gains(found))
+        if float(lam.max()) <= -h_req:
+            log.debug(
+                "thm2 design for %s done (round %d, |active|=%d)",
+                prob.sub.nodes, round_, len(idx),
+            )
+            return _prune(found)
+        worst = np.argsort(lam)[-64:]
+        idx = sorted(set(idx) | set(int(w) for w in worst))
+        gains = found
     raise Infeasible(
         f"no feasible gain found for subset {prob.sub.nodes} at margin {h_req}"
     )

@@ -277,10 +277,12 @@ class TrajectoryEnsembleSpec:
 class TrajectoryEnsemble:
     """Representative estimator trajectories sampled on a uniform grid."""
 
-    states: np.ndarray  # (count, T, N, n)
+    states: np.ndarray  # (count, T, N, n), C-contiguous
     dt_sample: float
 
     def stacked(self) -> np.ndarray:
+        """The (count * T, N, n) samples, trajectory by trajectory; a view
+        when ``states`` is contiguous."""
         c, T, N, n = self.states.shape
         return self.states.reshape(c * T, N, n)
 
@@ -315,4 +317,8 @@ def make_ensemble(sys: NetworkSystem, spec: TrajectoryEnsembleSpec) -> Trajector
         burn_steps = int(round(spec.burn_in / spec.dt))
         x0 = simulate_network(sys, x0, spec.dt, burn_steps)[:, -1]
     states = simulate_network(sys, x0, spec.dt, spec.num_steps)
-    return TrajectoryEnsemble(states[:, :: spec.subsample], spec.dt * spec.subsample)
+    # a contiguous copy lets the full-resolution array go and makes
+    # ``stacked`` a view
+    return TrajectoryEnsemble(
+        np.ascontiguousarray(states[:, :: spec.subsample]), spec.dt * spec.subsample
+    )

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hyperobs import (
     DirectedHypergraph,
+    EmptySampleSet,
     GainSet,
     Hyperedge,
     MissingOutsideError,
@@ -14,7 +15,6 @@ from hyperobs import (
     SubsetIndex,
     SubsetNotHeadClosed,
     SubsetTooLarge,
-    TrajectoryEnsemble,
     check_head_closed,
     check_thm1,
     check_thm2,
@@ -27,8 +27,7 @@ from hyperobs import (
     thm3_bound,
 )
 from hyperobs import assembly
-from hyperobs.assembly import KRON_CAP, ErrorSystem, apply_gains, kron_sum
-from hyperobs.designer import _check_thm1_over
+from hyperobs.assembly import KRON_CAP, CertificationReport, ErrorSystem, apply_gains, kron_sum
 from hyperobs.gain_design import GainProblem
 from hyperobs.hypergraph import to_dependency_graph
 from conftest import (
@@ -102,7 +101,7 @@ def random_design(rng, sys, subset):
 def a_with_design(sys, design, nodes, states, zero_error_nodes=frozenset()):
     """A_S with the design's gain blocks, stacked over the samples."""
     sub = SubsetIndex(tuple(nodes))
-    A = ErrorSystem(sys, sub, zero_error_nodes).a_matrix_batch(states)
+    A = ErrorSystem(sys, sub, states, zero_error_nodes).a
     return apply_gains(A, sub, design.gains.entries, sys.output.matrix)
 
 
@@ -111,7 +110,7 @@ class TestAssembleA:
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         xh = np.array([1.0, 2.0, 3.0])
-        A = ErrorSystem(sys, SubsetIndex((0,))).a_matrix_batch(xh)[0]
+        A = ErrorSystem(sys, SubsetIndex((0,)), xh).a[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh), atol=1e-14)
 
     def test_single_measured_node_identity_output(self):
@@ -142,20 +141,20 @@ class TestAssembleA:
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(SubsetNotHeadClosed):
-            ErrorSystem(sys, SubsetIndex((1,)))
+            ErrorSystem(sys, SubsetIndex((1,)), np.zeros(3))
         # tolerated when the missing head carries zero error
-        err = ErrorSystem(sys, SubsetIndex((1,)), frozenset({2}))
-        A = err.a_matrix_batch(np.zeros(3))[0]
+        err = ErrorSystem(sys, SubsetIndex((1,)), np.zeros(3), frozenset({2}))
+        A = err.a[0]
         assert A.shape == (1, 1)
 
     def test_external_gain_column_rejected(self):
         h = DirectedHypergraph(2)
         sys = random_system(np.random.default_rng(2), h, field_kind="bistable")
-        err = ErrorSystem(sys, SubsetIndex((0,)))
+        err = ErrorSystem(sys, SubsetIndex((0,)), np.zeros((1, 2, 1)))
         # a gain from measured node 1 into the subset {0} would couple it to
         # an error outside the subset
         with pytest.raises(ValueError):
-            check_thm2(err, np.zeros((1, 2, 1)), 1.0, {(0, 1): np.eye(1)})
+            check_thm2(err, 1.0, {(0, 1): np.eye(1)})
         with pytest.raises(ValueError):
             apply_gains(np.zeros((1, 1, 1)), err.subset, {(1, 0): np.eye(1)}, np.eye(1))
 
@@ -221,7 +220,7 @@ class TestDenseOutput:
             design = random_design(rng, sys, S)
             samples = rng.uniform(-2, 2, (3, h.num_nodes, n))
             A = a_with_design(sys, design, S, samples)
-            prob = GainProblem(sys, SubsetIndex(tuple(S)), design.measured, samples)
+            prob = GainProblem(ErrorSystem(sys, SubsetIndex(tuple(S)), samples), design.measured)
             A_gains = prob.a_with_gains(dict(design.gains.entries))
             for k, xh in enumerate(samples.reshape(3, -1)):
                 e = rng.normal(0, 1, xh.size)
@@ -245,15 +244,16 @@ class TestCouplingJacBound:
         sys = NetworkSystem(h, base.field, tanh_coupling(a, b, c), base.output)
         S = random_scc_union_subset(rng, h)
         samples = rng.uniform(-5, 5, (int(rng.integers(1, 5)), h.num_nodes, sys.state_dim))
-        bound = ErrorSystem(sys, SubsetIndex(tuple(S))).coupling_jac_bound(samples)
+        bound = ErrorSystem(sys, SubsetIndex(tuple(S)), samples).g
         incoming = list(h.incoming_closure(S))
         if not incoming:
-            assert bound == 0.0
+            np.testing.assert_array_equal(bound, np.zeros(len(samples)))
             return
         dg = sys.coupling.deriv(sys.edge_arguments(samples, incoming))
         dense = dg[..., :, None] * np.eye(sys.state_dim)
-        expect = float(np.linalg.svd(dense, compute_uv=False)[..., 0].max())
-        assert bound == pytest.approx(expect, rel=1e-15, abs=0)
+        # per sample: the largest singular value over the incoming edges
+        expect = np.linalg.svd(dense, compute_uv=False)[..., 0].max(axis=-1)
+        np.testing.assert_allclose(bound, expect, rtol=1e-15, atol=0)
 
 
 class TestHeadClosed:
@@ -291,21 +291,21 @@ def constant_matrix_system(A):
     return NetworkSystem(h, field, linear_coupling(1.0), identity_output(n))
 
 
-def error_system_for(A):
+def error_system_for(A, samples):
     sys = constant_matrix_system(A)
-    return ErrorSystem(sys, SubsetIndex((0,)))
+    return ErrorSystem(sys, SubsetIndex((0,)), samples)
 
 
 class TestCheckThm2:
     def test_constant_minus_identity_passes_at_margin_one(self):
-        err = error_system_for(-np.eye(2))
-        report = check_thm2(err, np.zeros((3, 1, 2)), h_req=1.0)
+        err = error_system_for(-np.eye(2), np.zeros((3, 1, 2)))
+        report = check_thm2(err, h_req=1.0)
         assert report.passed and report.theorem_used == "thm2"
         assert report.hurwitz_margin == pytest.approx(1.0)
 
     def test_positive_symmetric_part_fails(self):
         A = np.array([[0.5, 0.0], [0.0, -2.0]])
-        report = check_thm2(error_system_for(A), np.zeros((1, 1, 2)), h_req=0.1)
+        report = check_thm2(error_system_for(A, np.zeros((1, 1, 2))), h_req=0.1)
         assert not report.passed
         assert report.worst_value == pytest.approx(0.5)
 
@@ -323,9 +323,9 @@ class TestCheckThm2:
         kappas = np.arange(0.0, 40.0, 0.25)
         oracle = next(k for k in kappas if lam - k <= -h_req)
         checker = None
+        err = ErrorSystem(sys, SubsetIndex((0,)), samples)
         for k in kappas:
-            err = ErrorSystem(sys, SubsetIndex((0,)))
-            if check_thm2(err, samples, h_req, {(0, 0): k * np.eye(3)}).passed:
+            if check_thm2(err, h_req, {(0, 0): k * np.eye(3)}).passed:
                 checker = k
                 break
         assert checker == pytest.approx(oracle)
@@ -341,15 +341,24 @@ class TestCheckThm2:
             perm = list(S)
             rng.shuffle(perm)
             gains = design.gains.entries
-            r1 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(S))), samples, 0.5, gains)
-            r2 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(perm))), samples, 0.5, gains)
+            r1 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(S)), samples), 0.5, gains)
+            r2 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(perm)), samples), 0.5, gains)
             assert r1.passed == r2.passed
             assert r1.worst_value == pytest.approx(r2.worst_value, abs=1e-10)
 
     def test_empty_samples_rejected(self):
-        err = error_system_for(-np.eye(2))
-        with pytest.raises(Exception):
-            check_thm2(err, np.zeros((0, 1, 2)), 1.0)
+        with pytest.raises(EmptySampleSet):
+            error_system_for(-np.eye(2), np.zeros((0, 1, 2)))
+
+    def test_gains_leave_the_zero_gain_stack_alone(self):
+        rng = np.random.default_rng(33)
+        h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
+        err = ErrorSystem(sys, SubsetIndex((0, 1)), rng.uniform(-5, 5, (6, 2, 3)))
+        before = err.a.copy()
+        gains = {(0, 0): 5.0 * np.eye(3), (1, 0): rng.normal(0, 1, (3, 3))}
+        check_thm2(err, 1.0, gains)
+        np.testing.assert_array_equal(err.a, before)
 
 
 def ramp_jacobian_system(omega):
@@ -367,20 +376,27 @@ def ramp_jacobian_system(omega):
     return NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
 
 
+def parabola_system():
+    """Scalar node with f(x) = x^2 / 2, whose Jacobian at x is x."""
+    field = vector_field_from_callable(
+        lambda x, mu: 0.5 * x**2, 1, np.zeros(1), jac_x=lambda x, mu: x[..., None]
+    )
+    return NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0), identity_output(1))
+
+
 class TestCheckThm1:
     def test_constant_hurwitz_passes_any_eps(self):
         A = np.array([[-1.0, 2.0], [0.0, -3.0]])
-        err = error_system_for(A)
-        traj = np.zeros((10, 1, 2))
+        err = error_system_for(A, np.zeros((10, 1, 2)))
         for eps in (0.1, 0.5, 0.9):
-            report = check_thm1(err, traj, dt=0.01, h_req=0.5, eps_req=eps)
+            report = check_thm1(err, dt=0.01, h_req=0.5, eps_req=eps)
             assert report.passed
             assert report.h2_margin > 0
 
     def test_scalar_hand_derived_bound(self):
         a = 1.7
-        err = error_system_for(np.array([[-a]]))
-        report = check_thm1(err, np.zeros((5, 1, 1)), dt=0.1, h_req=1.0, eps_req=0.3)
+        err = error_system_for(np.array([[-a]]), np.zeros((5, 1, 1)))
+        report = check_thm1(err, dt=0.1, h_req=1.0, eps_req=0.3)
         # dA/dt = 0, so the slack equals the bound 2*a^2*(1-eps)
         assert report.h2_margin == pytest.approx(2 * a**2 * (1 - 0.3), rel=1e-12)
 
@@ -397,9 +413,8 @@ class TestCheckThm1:
         results = {}
         for omega in [0.05, 0.2, 0.8, 2.0, 5.0, 20.0]:
             sys = ramp_jacobian_system(omega)
-            err = ErrorSystem(sys, SubsetIndex((0,)))
-            traj = t.reshape(-1, 1, 1)
-            report = check_thm1(err, traj, dt=dt, h_req=0.2, eps_req=0.5)
+            err = ErrorSystem(sys, SubsetIndex((0,)), t.reshape(-1, 1, 1))
+            report = check_thm1(err, dt=dt, h_req=0.2, eps_req=0.5)
             results[omega] = report.passed
             assert report.passed == analytic_pass(omega)
         assert results[0.05] and not results[20.0]
@@ -412,28 +427,50 @@ class TestCheckThm1:
             return kron_sum(a)
 
         monkeypatch.setattr(assembly, "kron_sum", counted_kron_sum)
-        # J(x) = x: samples at x = -2 pass H1 at margin 1, samples at 0 fail it
-        field = vector_field_from_callable(
-            lambda x, mu: 0.5 * x**2, 1, np.zeros(1), jac_x=lambda x, mu: x[..., None]
-        )
-        sys = NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0), identity_output(1))
-        err = ErrorSystem(sys, SubsetIndex((0,)))
-        failed = check_thm1(err, np.zeros((4, 1, 1)), dt=0.1, h_req=1.0)
+        sys = parabola_system()
+        sub = SubsetIndex((0,))
+        failed = check_thm1(ErrorSystem(sys, sub, np.zeros((4, 1, 1))), dt=0.1, h_req=1.0)
         assert not failed.passed and failed.h2_margin is None
         assert calls == []
-        passed = check_thm1(err, np.full((4, 1, 1), -2.0), dt=0.1, h_req=1.0)
+        passed = check_thm1(ErrorSystem(sys, sub, np.full((4, 1, 1), -2.0)), dt=0.1, h_req=1.0)
         assert passed.passed and passed.h2_margin == pytest.approx(2 * 2.0**2 * 0.5)
         assert len(calls) == 3
-        # the ensemble merge carries the skipped H2 through as None
-        states = np.stack([np.full((4, 1, 1), -2.0), np.zeros((4, 1, 1))])
-        merged = _check_thm1_over(err, TrajectoryEnsemble(states, 0.1), 1.0)
+        # the trajectory merge carries the skipped H2 through as None
+        states = np.concatenate([np.full((4, 1, 1), -2.0), np.zeros((4, 1, 1))])
+        merged = check_thm1(ErrorSystem(sys, sub, states), dt=0.1, h_req=1.0, length=4, count=2)
         assert merged.trajectory_ids == (0, 1)
         assert not merged.passed and merged.h2_margin is None
 
+    def test_stack_rows_match_per_trajectory_checks(self):
+        # four ramps along J(x) = x: two pass both hypotheses, the third fails
+        # H1, so the fourth is never checked
+        sys = parabola_system()
+        sub = SubsetIndex((0,))
+        trajs = [np.linspace(a, a + 1.0, 5).reshape(5, 1, 1) for a in (-3.0, -2.5, -1.0, -4.0)]
+        err = ErrorSystem(sys, sub, np.concatenate(trajs))
+        alone = [ErrorSystem(sys, sub, x) for x in trajs]
+        for t, e in enumerate(alone):
+            np.testing.assert_array_equal(err.a[5 * t : 5 * t + 5], e.a)
+            np.testing.assert_array_equal(err.g[5 * t : 5 * t + 5], e.g)
+        for count, checked in ((2, 2), (4, 3)):
+            reps = [check_thm1(e, dt=0.1, h_req=1.0) for e in alone[:checked]]
+            assert [r.passed for r in reps] == [True] * 2 + [False] * (checked - 2)
+            merged = check_thm1(err, dt=0.1, h_req=1.0, length=5, count=count)
+            h2 = [r.h2_margin for r in reps]
+            assert merged == CertificationReport(
+                "thm1" if all(r.passed for r in reps) else "none",
+                min(r.hurwitz_margin for r in reps),
+                max(r.worst_value for r in reps),
+                5 * checked,
+                None if None in h2 else min(h2),
+                max(r.g_bound for r in reps),
+                tuple(range(checked)),
+            )
+
     def test_subset_too_large(self):
-        err = error_system_for(-np.eye(KRON_CAP + 1))
+        err = error_system_for(-np.eye(KRON_CAP + 1), np.zeros((3, 1, KRON_CAP + 1)))
         with pytest.raises(SubsetTooLarge):
-            check_thm1(err, np.zeros((3, 1, KRON_CAP + 1)), 0.01, 1.0)
+            check_thm1(err, 0.01, 1.0)
 
 
 class TestKroneckerSum:

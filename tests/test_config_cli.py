@@ -123,7 +123,7 @@ class TestConfigValidation:
 # the values are the defaults these keys had, so only the key can be at fault
 REMOVED_DESIGN_KEYS = {
     "rho": 10.0, "eps_req": 0.5, "kron_cap": 40,
-    "thm1_fallback": True, "thm1_placement": False,
+    "thm1_fallback": True, "thm1_placement": False, "restarts": 3,
 }
 
 
@@ -156,15 +156,15 @@ class TestSchemaMatchesDataclasses:
         assert not (tmp_path / "design.json").exists()
 
 
-def _load_bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _load_bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-BENCH_WORKLOADS = _load_bench_workloads()
+BENCH_WORKLOADS = _load_bench_module("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
@@ -175,6 +175,22 @@ def test_bench_workload_config_builds(name):
     assert isinstance(build_design_options(doc), DesignOptions)
     assert isinstance(build_ensemble_spec(doc), TrajectoryEnsembleSpec)
     assert isinstance(build_sim_config(doc), SimConfig)
+
+
+@pytest.mark.parametrize(
+    "name, module_name, attr",
+    [target[:3] for target in _load_bench_module("spans").TARGETS],
+)
+def test_bench_span_target_exists(name, module_name, attr):
+    # a refactor that drops a traced name must fail here, not only show up
+    # as a missing target in a traced benchmark run
+    owner = importlib.import_module(f"hyperobs.{module_name}")
+    if "." in attr:
+        cls_name, attr = attr.split(".")
+        owner = vars(owner)[cls_name]
+        assert attr in vars(owner), name
+    else:
+        assert callable(getattr(owner, attr, None)), name
 
 
 class TestGenerateCommand:
@@ -227,6 +243,17 @@ SCHEMA_VALID_BAD_CONFIGS = {
     "tail_is_a_head": lambda doc: _edges(doc)[1].update(tails=[2]),
     "bistable_negative_param": lambda doc: doc["dynamics"].update(
         field={"name": "bistable", "params": [-1, 2]}, output={"identity": True}),
+    "shortcut_with_non_invertible_output": lambda doc: (
+        doc["design"].update(use_inverse_shortcut=True),
+        doc["dynamics"].update(output={"matrix": [[0, 1, 0], [0, 0, 1]]})),
+}
+
+# each passes the config schema, but the file it names does not hold a
+# hypergraph document: (file content, what the error names)
+BAD_HYPERGRAPH_FILES = {
+    "no_edges": ({"num_nodes": 3}, "'edges'"),
+    "edge_without_weights": (
+        {"num_nodes": 3, "edges": [{"tails": [0], "heads": [1]}]}, "'alpha'"),
 }
 
 
@@ -256,7 +283,6 @@ class TestDesignCommand:
         # x3-only output cannot certify chaotic singletons
         doc["dynamics"]["output"] = {"matrix": [[0.0, 0.0, 1.0]]}
         doc["design"]["max_iters"] = 50
-        doc["design"]["restarts"] = 0
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
@@ -296,6 +322,21 @@ class TestDesignCommand:
         cfg.write_text(json.dumps(doc))
         assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
         assert not (tmp_path / "design.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_HYPERGRAPH_FILES))
+    def test_bad_hypergraph_file_exits_4(self, case, tmp_path):
+        content, missing = BAD_HYPERGRAPH_FILES[case]
+        (tmp_path / "network.json").write_text(json.dumps(content))
+        doc = cohead_config()
+        doc["hypergraph"] = {"file": "network.json"}
+        validate_config(doc)
+        with pytest.raises(ConfigError, match=f"{missing} is a required property"):
+            resolve_hypergraph(doc, tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 4
+        assert not (out / "design.json").exists()
 
     def test_one_sample_trajectories_exit_4(self, tmp_path):
         doc = cohead_config()

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from hyperobs import (
     select_node,
     tanh_coupling,
 )
+from hyperobs import designer
+from hyperobs.assembly import ErrorSystem
 from conftest import random_hypergraph, vector_field_from_callable
 
 
@@ -165,7 +168,7 @@ class TestDesignObserver:
                             linear_output([[0.0, 0.0, 1.0]]))
         states = np.zeros((4, 20, 1, 3))
         ens = TrajectoryEnsemble(states, 1e-2)
-        options = DesignOptions(margin=1.0, max_iters=400, restarts=1)
+        options = DesignOptions(margin=1.0, max_iters=400)
         outcome = design_observer(sys, ens, options)
         assert outcome.status == "failed"
         assert outcome.failed_subset == (0,)
@@ -177,6 +180,18 @@ class TestDesignObserver:
         o1 = design_observer(sys, ens, DesignOptions(margin=2.0, use_inverse_shortcut=False))
         o2 = design_observer(sys, ens, DesignOptions(margin=2.0, use_inverse_shortcut=False))
         assert o1.to_json_dict() == o2.to_json_dict()
+
+    def test_seed_does_not_change_the_design(self):
+        # gains come from one deterministic descent, so the seed is inert
+        sys = cohead_pair_system()
+        ens = small_ensemble(sys, count=6, horizon=0.4, seed=5)
+        outcomes = [
+            design_observer(sys, ens, DesignOptions(margin=2.0, use_inverse_shortcut=False,
+                                                    seed=seed))
+            for seed in (0, 12345)
+        ]
+        assert outcomes[0].gains.entries
+        assert outcomes[0].to_json_dict() == outcomes[1].to_json_dict()
 
     def test_json_round_trip(self):
         sys = cohead_pair_system()
@@ -259,6 +274,36 @@ class TestCertifyOrFail:
         assert res is not None
         report, gains = res
         assert report.passed and (0, 0) in gains.entries
+
+    def test_one_evaluation_serves_every_route(self, monkeypatch):
+        calls = Counter()
+
+        def count(owner, name, replacement=None):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return (replacement or original)(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(ErrorSystem, "a_matrix_batch")
+        count(ErrorSystem, "coupling_jac_bound")
+        count(designer, "check_thm2")
+        count(designer, "check_thm1")
+        # gains synthesised for half the margin fail the post-synthesis check,
+        # so the Theorem-1 route runs after it
+        real_design = designer.design_gain_thm2
+        count(designer, "design_gain_thm2",
+              lambda err, measured, h_req, max_iters: real_design(err, measured, h_req / 2,
+                                                                  max_iters))
+        h = DirectedHypergraph(1)
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
+                            identity_output(3))
+        ens = small_ensemble(sys, count=3, horizon=0.2)
+        assert certify_or_fail(sys, [0], [0], ens, DesignOptions(margin=1.0)) is None
+        assert calls == {"a_matrix_batch": 1, "coupling_jac_bound": 1, "check_thm2": 2,
+                         "design_gain_thm2": 1, "check_thm1": 1}
 
 
 class TestRobustnessPropagation:

@@ -293,6 +293,17 @@ class TestEnsembles:
         assert ens1.dt_sample == pytest.approx(5e-3)
         assert ens1.stacked().shape == (84, 2, 3)
 
+    def test_subsampled_states_are_contiguous(self):
+        sys = lorenz_pair_system()
+        spec = TrajectoryEnsembleSpec(count=3, horizon=0.05, dt=1e-3, subsample=5,
+                                      box=(-3, 3), seed=24)
+        ens = make_ensemble(sys, spec)
+        # stacking is a view: certification does not copy the ensemble
+        assert np.shares_memory(ens.stacked(), ens.states)
+        x0 = np.random.default_rng(24).uniform(-3, 3, (3, 2, 3))
+        full = simulate_network(sys, x0, 1e-3, spec.num_steps)
+        np.testing.assert_array_equal(ens.states, full[:, ::5])
+
     def test_every_trajectory_holds_two_samples(self):
         with pytest.raises(ValueError):
             TrajectoryEnsembleSpec(horizon=0.0004, dt=1e-3)
