@@ -110,8 +110,12 @@ class ErrorSystem:
         X = self._states(samples)
         if X.shape[0] == 0:
             raise EmptySampleSet("need at least one sample")
-        self.a = self.a_matrix_batch(X)
-        self.g = self.coupling_jac_bound(X)
+        # g' at the incoming edges' arguments, (K, edges, n): read by both
+        dg = np.zeros((X.shape[0], 0, sys.state_dim))
+        if self._incoming:
+            dg = sys.coupling.deriv(sys.edge_arguments(X, self._incoming))
+        self.a = self.a_matrix_batch(X, dg)
+        self.g = self.coupling_jac_bound(dg)
 
     @property
     def dim(self) -> int:
@@ -128,8 +132,9 @@ class ErrorSystem:
             return arr.reshape(-1, N, n)
         raise DimensionMismatch(f"cannot interpret state array of shape {arr.shape}")
 
-    def a_matrix_batch(self, X: np.ndarray) -> np.ndarray:
-        """Zero-gain A_S stacked over the (K, N, n) states ``X``."""
+    def a_matrix_batch(self, X: np.ndarray, dg: np.ndarray) -> np.ndarray:
+        """Zero-gain A_S stacked over the (K, N, n) states ``X``, with ``dg``
+        the (K, edges, n) coupling derivative g' on the incoming edges."""
         sys, sub = self.sys, self.subset
         n, M, K = sys.state_dim, sub.size, X.shape[0]
         A = np.zeros((K, M, n, M, n))
@@ -137,33 +142,28 @@ class ErrorSystem:
         for i in range(M):
             A[:, i, :, i, :] += Jf[:, i]
         h = sys.hypergraph
-        if self._incoming:
-            dg = sys.coupling.deriv(sys.edge_arguments(X, self._incoming))
-            diag = np.arange(n)
-            for ek, k in enumerate(self._incoming):
-                d = h.edge_sigma[k] * dg[:, ek]
-                members, weights, is_head = h.members_of(k)
-                inside = [
-                    (sub.position(v), w, head)
-                    for v, w, head in zip(members.tolist(), weights.tolist(), is_head.tolist())
-                    if v in sub
-                ]
-                # row i of a head collects w_j * diag(d) from every member j:
-                # +alpha_j for a tail, -beta_j for a head (itself included)
-                for i, _, head in inside:
-                    if head:
-                        for j, w, _ in inside:
-                            A[:, i, diag, j, diag] += w * d
+        diag = np.arange(n)
+        for ek, k in enumerate(self._incoming):
+            d = h.edge_sigma[k] * dg[:, ek]
+            members, weights, is_head = h.members_of(k)
+            inside = [
+                (sub.position(v), w, head)
+                for v, w, head in zip(members.tolist(), weights.tolist(), is_head.tolist())
+                if v in sub
+            ]
+            # row i of a head collects w_j * diag(d) from every member j:
+            # +alpha_j for a tail, -beta_j for a head (itself included)
+            for i, _, head in inside:
+                if head:
+                    for j, w, _ in inside:
+                        A[:, i, diag, j, diag] += w * d
         return A.reshape(K, M * n, M * n)
 
-    def coupling_jac_bound(self, X: np.ndarray) -> np.ndarray:
-        """Per sample of the (K, N, n) states ``X``, the max spectral norm of
-        the coupling Jacobian over the subset's incoming edges.  The Jacobian
-        is diag(g'), whose spectral norm is the largest |g'|."""
-        if not self._incoming:
-            return np.zeros(X.shape[0])
-        dg = self.sys.coupling.deriv(self.sys.edge_arguments(X, self._incoming))
-        return np.abs(dg).reshape(X.shape[0], -1).max(axis=1)
+    def coupling_jac_bound(self, dg: np.ndarray) -> np.ndarray:
+        """Per sample of the (K, edges, n) coupling derivative ``dg``, the max
+        spectral norm of the coupling Jacobian diag(g') over the incoming
+        edges: the largest |g'|, 0 when no edge enters S."""
+        return np.abs(dg).reshape(dg.shape[0], -1).max(axis=1, initial=0.0)
 
 
 def apply_gains(

@@ -2,11 +2,13 @@
 
 Gains drive the largest eigenvalue of the symmetric part of A_S below a
 required margin, by one Polyak-stepped subgradient descent from L = 0 over
-the zero-gain A_S stack of an ``ErrorSystem``.  The objective,
-max_k lambda_max(sym(A_k - sum L_ij Gamma)), is a pointwise max of top
-eigenvalues of matrices affine in the gains, so it is convex (Lewis and
+every sample of the zero-gain A_S stack of an ``ErrorSystem``.  The
+objective, max_k lambda_max(sym(A_k - sum L_ij Gamma)), is a pointwise max of
+top eigenvalues of matrices affine in the gains, so it is convex (Lewis and
 Overton, "Eigenvalue optimization", Acta Numerica 1996): it has no local
-minimum a restart from another point could escape.
+minimum a restart from another point could escape.  Each iteration runs
+``eigvalsh`` only on the samples a batched Cholesky screen cannot rule out,
+so its max and first argmax are bit for bit those over every sample.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ log = logging.getLogger("hyperobs.gain_design")
 
 # Polyak target overshoot: each step aims at -POLYAK_OVERSHOOT * h_req
 POLYAK_OVERSHOOT = 1.2
-# samples the subgradient loop starts from; larger sets run an active-set loop
-ACTIVE_CAP = 1024
+# samples evaluated exactly before each screen: the top-ranked of the last call
+SEED_COUNT = 8
 
 
 class Infeasible(RuntimeError):
@@ -142,6 +144,16 @@ class GainProblem:
         self.gamma = err.sys.output.matrix
         self.measured = sorted(set(int(v) for v in measured_in_subset) & set(self.sub.nodes))
         self.keys = [(i, j) for i in self.sub.nodes for j in self.measured]
+        # sym(A_k^0) with the samples on the last axis, for the Cholesky screen
+        a = err.a
+        self.s0 = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0),
+                         out=np.empty(a.shape[1:] + a.shape[:1]))
+        self.s0 *= 0.5
+        # the screen's rounding scale; non-finite samples fail it on their own
+        mag = np.maximum(self.s0.max(axis=(0, 1)), -self.s0.min(axis=(0, 1)))
+        self.s0_max = float(mag[np.isfinite(mag)].max(initial=0.0))
+        self.top = np.arange(min(SEED_COUNT, a.shape[0]))
+        self.evaluated = 0  # samples through eigvalsh, over all calls
 
     def zero_gains(self) -> dict[tuple[int, int], np.ndarray]:
         return {k: np.zeros((self.n, self.p)) for k in self.keys}
@@ -153,12 +165,47 @@ class GainProblem:
         A = a.copy() if idx is None else np.take(a, idx, axis=0)
         return apply_gains(A, self.sub, gains, self.gamma)
 
-    def subgradient(self, gains, idx=None) -> tuple[float, dict[tuple[int, int], np.ndarray]]:
-        """phi(L) and d phi / d L_{ij} at the worst sample of the active set."""
-        A = self.a_with_gains(gains, idx)
-        lam = symmetric_top_eig(A)
+    def screen(self, gains, best: float) -> np.ndarray:
+        """Mask of the samples whose lambda_max(sym A_k(L)) may reach ``best``.
+        The rest factor mu*I - sym(A_k(L)) by Cholesky at mu = best - tol,
+        which proves lambda_max < mu + 4 d^3 u max|S| (Higham, "Accuracy and
+        Stability", ch. 10); tol covers that and the rounding of ``eigvalsh``
+        for d < 10^5.  Finite positive pivots need finite entries and a finite
+        ``best``, so non-finite values always reach ``eigvalsh``."""
+        d, K = self.s0.shape[1:]
+        b = apply_gains(np.zeros((1, d, d)), self.sub, gains, self.gamma)[0]
+        sb = 0.5 * (b + b.T)
+        tol = 1e-10 * (1.0 + d * d * (self.s0_max + float(np.abs(sb).max())))
+        ok = np.ones(K, dtype=bool)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            M = np.subtract(-sb[:, :, None], self.s0)
+            M[np.arange(d), np.arange(d)] += best - tol
+            for j in range(d):
+                piv = M[j, j]
+                ok &= (piv > 0) & (piv < np.inf)
+                col = M[j + 1 :, j] / np.sqrt(piv)
+                M[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
+        return ~ok
+
+    def worst_sample(self, gains) -> tuple[int, float]:
+        """First argmax k and max over every sample of lambda_max(sym A_k(L)),
+        bit for bit those of ``symmetric_top_eig(a_with_gains(gains))``."""
+        lam = np.full(self.err.a.shape[0], -np.inf)
+        lam[self.top] = symmetric_top_eig(self.a_with_gains(gains, self.top))
+        keep = self.screen(gains, float(lam[self.top].max()))
+        keep[self.top] = False
+        rest = np.flatnonzero(keep)
+        lam[rest] = symmetric_top_eig(self.a_with_gains(gains, rest))
+        self.evaluated += len(self.top) + len(rest)
+        self.top = np.argsort(lam)[-SEED_COUNT:]
         k = int(np.argmax(lam))
-        sym = 0.5 * (A[k] + A[k].T)
+        return k, float(lam[k])
+
+    def subgradient(self, gains) -> tuple[float, dict[tuple[int, int], np.ndarray]]:
+        """phi(L) and d phi / d L_{ij} at the first worst sample."""
+        k, phi = self.worst_sample(gains)
+        A = self.a_with_gains(gains, [k])[0]
+        sym = 0.5 * (A + A.T)
         _, V = np.linalg.eigh(sym)
         u = V[:, -1]
         n = self.n
@@ -167,7 +214,7 @@ class GainProblem:
             ui = u[self.sub.position(i) * n : self.sub.position(i) * n + n]
             uj = u[self.sub.position(j) * n : self.sub.position(j) * n + n]
             grads[(i, j)] = -np.outer(ui, self.gamma @ uj)
-        return float(lam[k]), grads
+        return phi, grads
 
     def unmeasured_floor(self) -> float:
         """Exact lower bound on the objective over all gains: correction terms
@@ -188,32 +235,6 @@ def _prune(gains: Mapping[tuple[int, int], np.ndarray]) -> GainSet:
     return GainSet({k: v for k, v in gains.items() if np.any(v)})
 
 
-def _subgradient_descent(prob, gains, idx, h_req, max_iters):
-    """Polyak-stepped subgradient loop on the active sample set; returns the
-    iterate once it reaches -h_req there, or None."""
-    overshoot = POLYAK_OVERSHOOT
-    stall_window = max(100, max_iters // 10)
-    best_phi, last_best_iter = np.inf, 0
-    for it in range(max_iters):
-        phi, grads = prob.subgradient(gains, idx)
-        if phi < best_phi - 1e-12:
-            best_phi, last_best_iter = phi, it
-        if phi <= -h_req:
-            return gains
-        if it - last_best_iter > stall_window and overshoot > 1.01:
-            # marginal instances: an out-of-reach Polyak target cycles, so
-            # pull the target toward the requested margin
-            overshoot = 1.0 + 0.5 * (overshoot - 1.0)
-            last_best_iter = it
-        gnorm2 = sum(float(np.sum(g * g)) for g in grads.values())
-        if gnorm2 <= 1e-300:
-            return None
-        step = (phi + h_req * overshoot) / gnorm2
-        for k in prob.keys:
-            gains[k] = gains[k] - step * grads[k]
-    return None
-
-
 def design_gain_thm2(
     err: ErrorSystem,
     measured_in_subset: Iterable[int],
@@ -226,10 +247,8 @@ def design_gain_thm2(
     One subgradient descent with Polyak steps from L = 0; the objective is
     convex, so no restart from another starting point is tried.  When zero
     gains already certify, the first iteration returns them and the result is
-    empty.  Large sample sets run through an active-set outer loop: solve on a
-    strided subset, then fold in the worst violators until the full set
-    certifies (the success test always runs on every sample; infeasibility on
-    a subset implies infeasibility overall).
+    empty.  Every iteration takes the exact max over all samples, so the
+    returned gains reach -h_req on every sample.
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
@@ -242,23 +261,31 @@ def design_gain_thm2(
             f"subset {prob.sub.nodes}: unmeasured diagonal blocks reach "
             f"{floor:.4g}, margin {h_req} is unattainable for any gains"
         )
-    K = err.a.shape[0]
-    idx = list(range(0, K, max(1, K // ACTIVE_CAP)))
     gains = prob.zero_gains()
-    for round_ in range(8):
-        found = _subgradient_descent(prob, gains, idx, h_req, max_iters)
-        if found is None:
-            break
-        lam = symmetric_top_eig(prob.a_with_gains(found))
-        if float(lam.max()) <= -h_req:
+    overshoot = POLYAK_OVERSHOOT
+    stall_window = max(100, max_iters // 10)
+    best_phi, last_best_iter = np.inf, 0
+    for it in range(max_iters):
+        phi, grads = prob.subgradient(gains)
+        if phi < best_phi - 1e-12:
+            best_phi, last_best_iter = phi, it
+        if phi <= -h_req:
             log.debug(
-                "thm2 design for %s done (round %d, |active|=%d)",
-                prob.sub.nodes, round_, len(idx),
+                "thm2 design for %s done: %d iterations, %.1f of %d samples per iteration",
+                prob.sub.nodes, it + 1, prob.evaluated / (it + 1), err.a.shape[0],
             )
-            return _prune(found)
-        worst = np.argsort(lam)[-64:]
-        idx = sorted(set(idx) | set(int(w) for w in worst))
-        gains = found
+            return _prune(gains)
+        if it - last_best_iter > stall_window and overshoot > 1.01:
+            # marginal instances: an out-of-reach Polyak target cycles, so
+            # pull the target toward the requested margin
+            overshoot = 1.0 + 0.5 * (overshoot - 1.0)
+            last_best_iter = it
+        gnorm2 = sum(float(np.sum(g * g)) for g in grads.values())
+        if gnorm2 <= 1e-300:
+            break
+        step = (phi + h_req * overshoot) / gnorm2
+        for k in prob.keys:
+            gains[k] = gains[k] - step * grads[k]
     raise Infeasible(
         f"no feasible gain found for subset {prob.sub.nodes} at margin {h_req}"
     )

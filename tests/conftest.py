@@ -21,6 +21,8 @@ from hyperobs import (
     settling_time,
     tanh_coupling,
 )
+from hyperobs.assembly import symmetric_top_eig
+from hyperobs.gain_design import POLYAK_OVERSHOOT, GainProblem
 from hyperobs.sim import _cosimulate
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
@@ -152,6 +154,40 @@ def integrate(
     norm = np.linalg.norm(per_node, axis=-1)
     times = np.arange(cfg.num_steps + 1) * cfg.dt
     return RunResult(times, per_node, norm, settling_time(times, norm), bool(flags[-1][0]))
+
+
+def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int = 5000):
+    """The Polyak-stepped subgradient descent of ``design_gain_thm2`` from
+    L = 0, with every iteration running ``eigvalsh`` on every sample; returns
+    the nonzero gain blocks once the max reaches -h_req, or None."""
+    prob = GainProblem(err, measured_in_subset)
+    n, pos = prob.n, prob.sub.position
+    gains = prob.zero_gains()
+    overshoot = POLYAK_OVERSHOOT
+    stall_window = max(100, max_iters // 10)
+    best_phi, last_best_iter = np.inf, 0
+    for it in range(max_iters):
+        A = prob.a_with_gains(gains)
+        lam = symmetric_top_eig(A)
+        k = int(np.argmax(lam))
+        phi = float(lam[k])
+        u = np.linalg.eigh(0.5 * (A[k] + A[k].T))[1][:, -1]
+        block = {v: u[pos(v) * n : pos(v) * n + n] for v in prob.sub.nodes}
+        grads = {(i, j): -np.outer(block[i], prob.gamma @ block[j]) for (i, j) in prob.keys}
+        if phi < best_phi - 1e-12:
+            best_phi, last_best_iter = phi, it
+        if phi <= -h_req:
+            return {key: L for key, L in gains.items() if np.any(L)}
+        if it - last_best_iter > stall_window and overshoot > 1.01:
+            overshoot = 1.0 + 0.5 * (overshoot - 1.0)
+            last_best_iter = it
+        gnorm2 = sum(float(np.sum(g * g)) for g in grads.values())
+        if gnorm2 <= 1e-300:
+            return None
+        step = (phi + h_req * overshoot) / gnorm2
+        for key in prob.keys:
+            gains[key] = gains[key] - step * grads[key]
+    return None
 
 
 # -- random systems and hypergraphs ----------------------------------------------

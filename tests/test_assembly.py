@@ -231,6 +231,19 @@ class TestDenseOutput:
 
 
 class TestCouplingJacBound:
+    def test_one_coupling_evaluation_serves_both(self, monkeypatch):
+        calls = []
+        real = NetworkSystem.edge_arguments
+        monkeypatch.setattr(NetworkSystem, "edge_arguments",
+                            lambda self, *args: calls.append(args) or real(self, *args))
+        h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
+        samples = np.random.default_rng(7).uniform(-5, 5, (4, 2, 3))
+        err = ErrorSystem(sys, SubsetIndex((0, 1)), samples)
+        # the stack's coupling entries and the bound read one evaluation of g'
+        assert len(calls) == 1
+        assert err.g.shape == (4,) and np.all(err.g > 0)
+
     @given(
         hypergraphs(),
         st.integers(0, 2**32 - 1),

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperobs import (
     DirectedHypergraph,
@@ -18,8 +22,14 @@ from hyperobs import (
     lorenz_field,
     tanh_coupling,
 )
+from hyperobs.assembly import symmetric_top_eig
 from hyperobs.gain_design import GainProblem
-from conftest import random_hypergraph, random_system, vector_field_from_callable
+from conftest import (
+    dense_gain_descent,
+    random_hypergraph,
+    random_system,
+    vector_field_from_callable,
+)
 
 
 def scalar_linear_field(a):
@@ -112,6 +122,145 @@ class TestDesignThm2:
         assert phi2 == pytest.approx(phi1, abs=1e-12)
         gains2 = design_gain_thm2(err, [0, 1], h_req=1.0)
         assert check_thm2(err, 1.0, gains2.entries).passed
+
+
+def lorenz_pair_problem(rng, count):
+    """The 2-node Lorenz chain with a 2-of-3 output, over ``count`` uniform
+    samples of [-8, 8]."""
+    h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
+    sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
+                        linear_output([[0, 1, 0], [0, 0, 1]]))
+    return ErrorSystem(sys, SubsetIndex((0, 1)), rng.uniform(-8, 8, (count, 2, 3)))
+
+
+def lorenz_triple_problem(rng, count):
+    """Three Lorenz nodes in one cycle of hyperedges with a 2-of-3 output,
+    over ``count`` uniform samples of [-8, 8]."""
+    h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2), 1.5),
+                               Hyperedge.uniform((1, 2), (0,), 1.0)))
+    sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
+                        linear_output([[0, 1, 0], [0, 0, 1]]))
+    return ErrorSystem(sys, SubsetIndex((0, 1, 2)), rng.uniform(-8, 8, (count, 3, 3)))
+
+
+class TestDenseReference:
+    def test_two_node_lorenz_gains_bit_identical(self):
+        err = lorenz_pair_problem(np.random.default_rng(40), 30)
+        gains = design_gain_thm2(err, [0, 1], h_req=1.5)
+        ref = dense_gain_descent(err, [0, 1], h_req=1.5)
+        assert ref and gains.entries.keys() == ref.keys()
+        for key, L in ref.items():
+            assert np.array_equal(gains[key], L)
+
+    def test_random_three_node_subset_gains_bit_identical(self):
+        err = lorenz_triple_problem(np.random.default_rng(44), 200)
+        gains = design_gain_thm2(err, [0, 1, 2], h_req=1.0)
+        ref = dense_gain_descent(err, [0, 1, 2], h_req=1.0)
+        assert ref and gains.entries.keys() == ref.keys()
+        for key, L in ref.items():
+            assert np.array_equal(gains[key], L)
+        # the screen does prune: at the final gains most samples skip eigvalsh
+        prob = GainProblem(err, [0, 1, 2])
+        for _ in range(2):
+            prob.subgradient({**prob.zero_gains(), **ref})
+        assert prob.evaluated < 0.5 * 2 * 200
+
+
+def scalar_free_field(n):
+    return vector_field_from_callable(
+        lambda x, mu: np.zeros_like(x), n, np.zeros(1),
+        jac_x=lambda x, mu: np.zeros(x.shape[:-1] + (n, n)),
+    )
+
+
+def stack_problem(rng, stack, n):
+    """GainProblem over a given (K, d, d) stack, d = M n, every node of the
+    M-node subset measured through a random p x n output."""
+    K, d, _ = stack.shape
+    M = d // n
+    gamma = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+    sys = NetworkSystem(DirectedHypergraph(M), scalar_free_field(n), linear_coupling(1.0),
+                        linear_output(gamma))
+    err = ErrorSystem(sys, SubsetIndex(tuple(range(M))), np.zeros((K, M, n)))
+    err.a = stack
+    measured = [v for v in range(M) if rng.random() < 0.6] or [0]
+    return GainProblem(err, measured)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestScreen:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 64),
+        st.sampled_from([(1, 1), (1, 4), (1, 9), (2, 2), (2, 4), (3, 3), (3, 2)]),
+        st.sampled_from(["none", "exact", "near"]),
+    )
+    def test_max_and_argmax_match_dense(self, seed, K, nm, ties):
+        rng = np.random.default_rng(seed)
+        n, M = nm
+        d = n * M
+        scale = 10.0 ** rng.uniform(-2, 2)
+        if ties == "none":
+            stack = scale * rng.normal(size=(K, d, d))
+        else:
+            # a few distinct samples, each repeated: the lowest index must win
+            distinct = scale * rng.normal(size=(int(rng.integers(1, 5)), d, d))
+            stack = distinct[rng.integers(0, len(distinct), K)]
+            if ties == "near":
+                stack = stack + 1e-12 * rng.normal(size=stack.shape)
+        prob = stack_problem(rng, stack, n)
+        sets = [prob.zero_gains()] + [
+            {k: rng.normal(0, scale, (n, prob.p)) for k in prob.keys} for _ in range(4)
+        ]
+        # screen calls in any order, each seeded by the one before
+        for gains in [sets[i] for i in rng.permutation(len(sets))] + sets[:1]:
+            k, phi = prob.worst_sample(gains)
+            lam = symmetric_top_eig(prob.a_with_gains(gains))
+            assert k == int(np.argmax(lam))
+            assert bits(phi) == bits(lam.max())
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_samples_reach_exact_path(self, seed, bad):
+        rng = np.random.default_rng(seed)
+        K, n, M = 40, 1, 5
+        stack = rng.normal(size=(K, M, M))
+        hit = rng.choice(K, size=3, replace=False)
+        for k in hit:
+            i, j = rng.integers(0, M, 2)
+            stack[k, i, j] = stack[k, j, i] = bad
+        prob = stack_problem(rng, stack, n)
+        gains = {k: rng.normal(0, 1, (n, prob.p)) for k in prob.keys}
+        assert prob.screen(gains, 1e3)[hit].all()
+        try:
+            lam = symmetric_top_eig(prob.a_with_gains(gains))
+        except np.linalg.LinAlgError:
+            # eigvalsh may reject a NaN sample: then so does the screened path
+            with pytest.raises(np.linalg.LinAlgError):
+                prob.worst_sample(gains)
+            return
+        k, phi = prob.worst_sample(gains)
+        assert k == int(np.argmax(lam))
+        assert bits(phi) == bits(lam.max())
+
+    def test_subgradient_peak_memory_bounded(self):
+        # the screen allocates no more per iteration than one copy of the
+        # stack and its symmetric part would
+        rng = np.random.default_rng(45)
+        err = lorenz_triple_problem(rng, 1000)
+        prob = GainProblem(err, [0, 1, 2])
+        gains = {k: rng.normal(0, 1, (3, 2)) for k in prob.keys}
+        prob.subgradient(gains)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prob.subgradient(gains)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * err.a.nbytes
 
 
 class TestSubgradient:
