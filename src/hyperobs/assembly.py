@@ -88,7 +88,8 @@ class ErrorSystem:
     ``a`` is the (K, nM, nM) stack of A_S, one per sample, and ``g`` is (K,),
     the largest |g'| over the subset's incoming edges at each sample (0 when
     no edge enters S).  Every check of one certification attempt reads these
-    two arrays; gain blocks enter through ``apply_gains`` on a copy of ``a``.
+    two arrays; gains enter as ``a - B`` with B from ``gain_matrix``, on a
+    new array, so ``a`` stays the zero-gain stack.
 
     ``zero_error_nodes`` are nodes whose estimation error is identically zero
     (exactly reconstructed measured nodes); hyperedge heads falling outside S
@@ -166,26 +167,35 @@ class ErrorSystem:
         return np.abs(dg).reshape(dg.shape[0], -1).max(axis=1, initial=0.0)
 
 
-def apply_gains(
-    A: np.ndarray,
+def gain_matrix(
     subset: SubsetIndex,
-    gains: Mapping[tuple[int, int], np.ndarray],
+    keys: Sequence[tuple[int, int]],
+    gains: np.ndarray,
     gamma: np.ndarray,
 ) -> np.ndarray:
-    """Subtract L @ Gamma from block (i, j) of every A_S in the (K, Mn, Mn)
-    stack ``A``, in place, for each gain L = gains[(i, j)]; returns ``A``.
+    """The (Mn, Mn) correction matrix B with block (i, j) equal to
+    gains[k] @ gamma for keys[k] = (i, j), and zero elsewhere: A_S with these
+    gains is ``err.a - B`` at every sample.  ``gains`` is the (len(keys), n, p)
+    stack of gain blocks; keys are distinct.
+
+    Elementwise, ``a - B`` is the IEEE subtraction the per-block form
+    A[block] -= L @ Gamma makes, and a - 0.0 is a, bit for bit: so where
+    that form has no block or skips an all-zero one, ``a - B`` leaves the
+    entry as it was too (for a finite Gamma, whose products with zero gains
+    sum to 0.0).
 
     A gain whose row or column lies outside the subset is rejected: its term
     would couple S to an error outside it."""
-    n = gamma.shape[1]
-    for (i, j), L in gains.items():
+    for i, j in keys:
         if i not in subset or j not in subset:
             raise ValueError(f"gain ({i},{j}) couples subset {subset.nodes} to an outside node")
-        if not np.any(L):
-            continue
-        pi, pj = subset.position(i) * n, subset.position(j) * n
-        A[:, pi : pi + n, pj : pj + n] -= np.asarray(L, float) @ gamma
-    return A
+    M, n = subset.size, gamma.shape[1]
+    B = np.zeros((M, n, M, n))
+    if keys:
+        rows = [subset.position(i) for i, _ in keys]
+        cols = [subset.position(j) for _, j in keys]
+        B[rows, :, cols, :] = gains @ gamma
+    return B.reshape(M * n, M * n)
 
 
 # -- certification ---------------------------------------------------------------
@@ -249,11 +259,15 @@ def check_thm2(
 ) -> CertificationReport:
     """Uniform Hurwitz margin of the symmetric part of A_S with the given
     gain blocks over the sample set of ``err``, plus the finite boundedness
-    check on the coupling Jacobian.  Gains act on a copy: ``err.a`` stays the
-    zero-gain stack."""
+    check on the coupling Jacobian.  Gains act through ``err.a - B``, on a
+    new array: ``err.a`` stays the zero-gain stack."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
-    A = apply_gains(err.a.copy(), err.subset, gains, err.sys.output.matrix) if gains else err.a
+    A = err.a
+    if gains:
+        keys = list(gains)
+        blocks = np.array([gains[k] for k in keys], dtype=float)
+        A = A - gain_matrix(err.subset, keys, blocks, err.sys.output.matrix)
     worst = float(symmetric_top_eig(A).max())
     g_bound = float(err.g.max())
     passed = worst <= -h_req and np.isfinite(g_bound)

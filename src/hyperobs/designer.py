@@ -181,8 +181,8 @@ def certify_or_fail(
             rep = check_thm2(err, options.margin, gains.entries)
             if rep.passed:
                 return rep, gains
-        except Infeasible:
-            log.debug("thm2 synthesis infeasible on %s", sub.nodes)
+        except Infeasible as exc:
+            log.debug("thm2 synthesis infeasible on %s: %s", sub.nodes, exc)
 
     if err.dim <= KRON_CAP:
         rep1 = check_thm1(

@@ -9,6 +9,15 @@ Overton, "Eigenvalue optimization", Acta Numerica 1996): it has no local
 minimum a restart from another point could escape.  Each iteration runs
 ``eigvalsh`` only on the samples a batched Cholesky screen cannot rule out,
 so its max and first argmax are bit for bit those over every sample.
+
+The gains of one synthesis are one array L (layout in ``GainProblem``).  Each
+iteration scatters the blocks L @ Gamma into one matrix B
+(``assembly.gain_matrix``) and reads A_S(L) as ``a[idx] - B``, elementwise
+the subtraction of the per-block form A[block] -= L @ Gamma; the Polyak step
+is ``L - step * grads`` on the whole array.  The two sums whose order could
+move keep the per-block order: the squared gradient norm adds the per-block
+sums in key order, and Gamma u_j is one matvec per measured node.  So the
+iterates are those of the per-block form bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .assembly import ErrorSystem, apply_gains, symmetric_top_eig
+from .assembly import ErrorSystem, gain_matrix, symmetric_top_eig
 
 log = logging.getLogger("hyperobs.gain_design")
 
@@ -132,8 +141,12 @@ class GainProblem:
     """Affine-in-gains evaluation of A_S over the sample set of an
     ``ErrorSystem``.
 
-    Exposes the max-over-samples top symmetric eigenvalue (the design
-    objective) and its subgradient pulled back to each gain block.
+    The gains are one (len(keys), n, p) array L, block k the n-by-p gain of
+    keys[k] = (i, j): i runs over the subset's nodes in subset order and, for
+    each i, j over the measured nodes in increasing order.  Exposes the
+    max-over-samples top symmetric eigenvalue (the design objective) and its
+    subgradient, an array in the layout of L; ``subgradient`` builds
+    B = ``gain_matrix(L)`` once and reads every A_S(L) as ``a[idx] - B``.
     """
 
     def __init__(self, err: ErrorSystem, measured_in_subset: Iterable[int]):
@@ -149,36 +162,38 @@ class GainProblem:
         self.s0 = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0),
                          out=np.empty(a.shape[1:] + a.shape[:1]))
         self.s0 *= 0.5
+        # the screen's work array, reused by every call
+        self._work = np.empty_like(self.s0)
         # the screen's rounding scale; non-finite samples fail it on their own
         mag = np.maximum(self.s0.max(axis=(0, 1)), -self.s0.min(axis=(0, 1)))
         self.s0_max = float(mag[np.isfinite(mag)].max(initial=0.0))
         self.top = np.arange(min(SEED_COUNT, a.shape[0]))
         self.evaluated = 0  # samples through eigvalsh, over all calls
 
-    def zero_gains(self) -> dict[tuple[int, int], np.ndarray]:
-        return {k: np.zeros((self.n, self.p)) for k in self.keys}
+    def gain_matrix(self, L: np.ndarray) -> np.ndarray:
+        """B of the gain array ``L``: A_S(L) = err.a - B."""
+        return gain_matrix(self.sub, self.keys, L, self.gamma)
 
-    def a_with_gains(self, gains: Mapping[tuple[int, int], np.ndarray], idx=None) -> np.ndarray:
-        """A_S with the gain blocks, on a copy of the zero-gain stack (the
-        rows ``idx`` of it when given)."""
-        a = self.err.a
-        A = a.copy() if idx is None else np.take(a, idx, axis=0)
-        return apply_gains(A, self.sub, gains, self.gamma)
+    def rows(self, B: np.ndarray, idx) -> np.ndarray:
+        """The rows ``idx`` of the A_S(L) stack, err.a - B."""
+        A = np.take(self.err.a, idx, axis=0)
+        A -= B
+        return A
 
-    def screen(self, gains, best: float) -> np.ndarray:
+    def screen(self, B: np.ndarray, best: float) -> np.ndarray:
         """Mask of the samples whose lambda_max(sym A_k(L)) may reach ``best``.
-        The rest factor mu*I - sym(A_k(L)) by Cholesky at mu = best - tol,
-        which proves lambda_max < mu + 4 d^3 u max|S| (Higham, "Accuracy and
-        Stability", ch. 10); tol covers that and the rounding of ``eigvalsh``
-        for d < 10^5.  Finite positive pivots need finite entries and a finite
+        The rest factor mu*I - sym(A_k(L)) = sym(B) - sym(A_k^0) + mu*I by
+        Cholesky at mu = best - tol, which proves
+        lambda_max < mu + 4 d^3 u max|S| (Higham, "Accuracy and Stability",
+        ch. 10); tol covers that and the rounding of ``eigvalsh`` for
+        d < 10^5.  Finite positive pivots need finite entries and a finite
         ``best``, so non-finite values always reach ``eigvalsh``."""
         d, K = self.s0.shape[1:]
-        b = apply_gains(np.zeros((1, d, d)), self.sub, gains, self.gamma)[0]
-        sb = 0.5 * (b + b.T)
+        sb = 0.5 * (B + B.T)
         tol = 1e-10 * (1.0 + d * d * (self.s0_max + float(np.abs(sb).max())))
         ok = np.ones(K, dtype=bool)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            M = np.subtract(-sb[:, :, None], self.s0)
+            M = np.subtract(sb[:, :, None], self.s0, out=self._work)
             M[np.arange(d), np.arange(d)] += best - tol
             for j in range(d):
                 piv = M[j, j]
@@ -187,34 +202,33 @@ class GainProblem:
                 M[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
         return ~ok
 
-    def worst_sample(self, gains) -> tuple[int, float]:
+    def worst_sample(self, B: np.ndarray) -> tuple[int, float]:
         """First argmax k and max over every sample of lambda_max(sym A_k(L)),
-        bit for bit those of ``symmetric_top_eig(a_with_gains(gains))``."""
+        bit for bit those of ``symmetric_top_eig(err.a - B)``."""
         lam = np.full(self.err.a.shape[0], -np.inf)
-        lam[self.top] = symmetric_top_eig(self.a_with_gains(gains, self.top))
-        keep = self.screen(gains, float(lam[self.top].max()))
+        lam[self.top] = symmetric_top_eig(self.rows(B, self.top))
+        keep = self.screen(B, float(lam[self.top].max()))
         keep[self.top] = False
         rest = np.flatnonzero(keep)
-        lam[rest] = symmetric_top_eig(self.a_with_gains(gains, rest))
+        lam[rest] = symmetric_top_eig(self.rows(B, rest))
         self.evaluated += len(self.top) + len(rest)
         self.top = np.argsort(lam)[-SEED_COUNT:]
         k = int(np.argmax(lam))
         return k, float(lam[k])
 
-    def subgradient(self, gains) -> tuple[float, dict[tuple[int, int], np.ndarray]]:
-        """phi(L) and d phi / d L_{ij} at the first worst sample."""
-        k, phi = self.worst_sample(gains)
-        A = self.a_with_gains(gains, [k])[0]
-        sym = 0.5 * (A + A.T)
-        _, V = np.linalg.eigh(sym)
-        u = V[:, -1]
-        n = self.n
-        grads = {}
-        for (i, j) in self.keys:
-            ui = u[self.sub.position(i) * n : self.sub.position(i) * n + n]
-            uj = u[self.sub.position(j) * n : self.sub.position(j) * n + n]
-            grads[(i, j)] = -np.outer(ui, self.gamma @ uj)
-        return phi, grads
+    def subgradient(self, L: np.ndarray) -> tuple[float, np.ndarray]:
+        """phi(L) and d phi / d L, in the layout of ``L``, at the first worst
+        sample: block (i, j) is -u_i (Gamma u_j)^T for the top eigenvector u
+        of sym(A_k(L)), u_i its slice at node i."""
+        B = self.gain_matrix(L)
+        k, phi = self.worst_sample(B)
+        A = self.err.a[k] - B
+        _, V = np.linalg.eigh(0.5 * (A + A.T))
+        u = V[:, -1].reshape(self.sub.size, self.n)
+        # one matvec per measured node, as Gamma @ u_j
+        gu = np.array([self.gamma @ u[self.sub.position(j)] for j in self.measured])
+        grads = -(u[:, None, :, None] * gu[None, :, None, :])
+        return phi, grads.reshape(len(self.keys), self.n, self.p)
 
     def unmeasured_floor(self) -> float:
         """Exact lower bound on the objective over all gains: correction terms
@@ -231,27 +245,30 @@ class GainProblem:
         return floor
 
 
-def _prune(gains: Mapping[tuple[int, int], np.ndarray]) -> GainSet:
-    return GainSet({k: v for k, v in gains.items() if np.any(v)})
+def _prune(keys: list[tuple[int, int]], L: np.ndarray) -> GainSet:
+    return GainSet({k: g for k, g in zip(keys, L) if np.any(g)})
 
 
 def design_gain_thm2(
     err: ErrorSystem,
     measured_in_subset: Iterable[int],
     h_req: float,
-    max_iters: int = 5000,
+    max_iters: int,
 ) -> GainSet:
     """Find static gains with max-over-samples lambda_max(A_S^sym) <= -h_req
-    over the sample set of ``err``.
+    over the sample set of ``err``, within ``max_iters`` iterations.
 
     One subgradient descent with Polyak steps from L = 0; the objective is
     convex, so no restart from another starting point is tried.  When zero
     gains already certify, the first iteration returns them and the result is
     empty.  Every iteration takes the exact max over all samples, so the
-    returned gains reach -h_req on every sample.
+    returned gains reach -h_req on every sample.  When the budget runs out,
+    ``Infeasible`` names the iterations made and the best max reached.
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     prob = GainProblem(err, measured_in_subset)
     if not prob.measured:
         raise NoMeasuredNodes(f"subset {prob.sub.nodes} has no measured nodes")
@@ -261,12 +278,12 @@ def design_gain_thm2(
             f"subset {prob.sub.nodes}: unmeasured diagonal blocks reach "
             f"{floor:.4g}, margin {h_req} is unattainable for any gains"
         )
-    gains = prob.zero_gains()
+    L = np.zeros((len(prob.keys), prob.n, prob.p))
     overshoot = POLYAK_OVERSHOOT
     stall_window = max(100, max_iters // 10)
     best_phi, last_best_iter = np.inf, 0
     for it in range(max_iters):
-        phi, grads = prob.subgradient(gains)
+        phi, grads = prob.subgradient(L)
         if phi < best_phi - 1e-12:
             best_phi, last_best_iter = phi, it
         if phi <= -h_req:
@@ -274,18 +291,20 @@ def design_gain_thm2(
                 "thm2 design for %s done: %d iterations, %.1f of %d samples per iteration",
                 prob.sub.nodes, it + 1, prob.evaluated / (it + 1), err.a.shape[0],
             )
-            return _prune(gains)
+            return _prune(prob.keys, L)
         if it - last_best_iter > stall_window and overshoot > 1.01:
             # marginal instances: an out-of-reach Polyak target cycles, so
             # pull the target toward the requested margin
             overshoot = 1.0 + 0.5 * (overshoot - 1.0)
             last_best_iter = it
-        gnorm2 = sum(float(np.sum(g * g)) for g in grads.values())
+        # the per-block sums added one by one in key order: one np.sum over
+        # all blocks would sum pairwise and round differently
+        gnorm2 = sum(np.sum(grads * grads, axis=(1, 2)).tolist())
         if gnorm2 <= 1e-300:
             break
         step = (phi + h_req * overshoot) / gnorm2
-        for k in prob.keys:
-            gains[k] = gains[k] - step * grads[k]
+        L = L - step * grads
     raise Infeasible(
-        f"no feasible gain found for subset {prob.sub.nodes} at margin {h_req}"
+        f"no feasible gain found for subset {prob.sub.nodes} at margin {h_req}: "
+        f"best max eigenvalue {best_phi:.6g} after {it + 1} iterations"
     )

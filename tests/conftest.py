@@ -21,8 +21,7 @@ from hyperobs import (
     settling_time,
     tanh_coupling,
 )
-from hyperobs.assembly import symmetric_top_eig
-from hyperobs.gain_design import POLYAK_OVERSHOOT, GainProblem
+from hyperobs.gain_design import POLYAK_OVERSHOOT
 from hyperobs.sim import _cosimulate
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
@@ -156,24 +155,47 @@ def integrate(
     return RunResult(times, per_node, norm, settling_time(times, norm), bool(flags[-1][0]))
 
 
-def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int = 5000):
+def apply_gains_by_block(A, subset, gains: Mapping, gamma: np.ndarray) -> np.ndarray:
+    """Subtract L @ Gamma from block (i, j) of every A_S in the (K, Mn, Mn)
+    stack ``A``, in place, for each gain L = gains[(i, j)], skipping all-zero
+    blocks; returns ``A``.  A gain whose row or column lies outside the
+    subset raises ValueError."""
+    n = gamma.shape[1]
+    for (i, j), L in gains.items():
+        if i not in subset or j not in subset:
+            raise ValueError(f"gain ({i},{j}) couples subset {subset.nodes} to an outside node")
+        if not np.any(L):
+            continue
+        pi, pj = subset.position(i) * n, subset.position(j) * n
+        A[:, pi : pi + n, pj : pj + n] -= np.asarray(L, float) @ gamma
+    return A
+
+
+def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int, phis=None):
     """The Polyak-stepped subgradient descent of ``design_gain_thm2`` from
-    L = 0, with every iteration running ``eigvalsh`` on every sample; returns
-    the nonzero gain blocks once the max reaches -h_req, or None."""
-    prob = GainProblem(err, measured_in_subset)
-    n, pos = prob.n, prob.sub.position
-    gains = prob.zero_gains()
+    L = 0, on a dict of gain blocks: every iteration rebuilds A_S from
+    ``err.a`` with ``apply_gains_by_block`` and runs ``eigvalsh`` on every
+    sample.  Returns the nonzero gain blocks once the max reaches -h_req, or
+    None; each iteration's max is appended to the list ``phis`` when given."""
+    sub, n = err.subset, err.sys.state_dim
+    gamma = err.sys.output.matrix
+    measured = sorted(set(int(v) for v in measured_in_subset) & set(sub.nodes))
+    keys = [(i, j) for i in sub.nodes for j in measured]
+    gains = {key: np.zeros((n, gamma.shape[0])) for key in keys}
     overshoot = POLYAK_OVERSHOOT
     stall_window = max(100, max_iters // 10)
     best_phi, last_best_iter = np.inf, 0
     for it in range(max_iters):
-        A = prob.a_with_gains(gains)
-        lam = symmetric_top_eig(A)
+        A = apply_gains_by_block(err.a.copy(), sub, gains, gamma)
+        sym = 0.5 * (A + np.swapaxes(A, 1, 2))
+        lam = np.linalg.eigvalsh(sym)[:, -1]
         k = int(np.argmax(lam))
         phi = float(lam[k])
-        u = np.linalg.eigh(0.5 * (A[k] + A[k].T))[1][:, -1]
-        block = {v: u[pos(v) * n : pos(v) * n + n] for v in prob.sub.nodes}
-        grads = {(i, j): -np.outer(block[i], prob.gamma @ block[j]) for (i, j) in prob.keys}
+        if phis is not None:
+            phis.append(phi)
+        u = np.linalg.eigh(sym[k])[1][:, -1]
+        block = {v: u[sub.position(v) * n : sub.position(v) * n + n] for v in sub.nodes}
+        grads = {(i, j): -np.outer(block[i], gamma @ block[j]) for (i, j) in keys}
         if phi < best_phi - 1e-12:
             best_phi, last_best_iter = phi, it
         if phi <= -h_req:
@@ -185,9 +207,16 @@ def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int = 5
         if gnorm2 <= 1e-300:
             return None
         step = (phi + h_req * overshoot) / gnorm2
-        for key in prob.keys:
+        for key in keys:
             gains[key] = gains[key] - step * grads[key]
     return None
+
+
+def gain_array(prob, gains: Mapping) -> np.ndarray:
+    """The gain blocks of ``gains`` as the (len(keys), n, p) array of
+    ``prob``, zero where a key is absent."""
+    zero = np.zeros((prob.n, prob.p))
+    return np.array([gains.get(key, zero) for key in prob.keys], dtype=float)
 
 
 # -- random systems and hypergraphs ----------------------------------------------

@@ -27,11 +27,13 @@ from hyperobs import (
     thm3_bound,
 )
 from hyperobs import assembly
-from hyperobs.assembly import KRON_CAP, CertificationReport, ErrorSystem, apply_gains, kron_sum
+from hyperobs.assembly import KRON_CAP, CertificationReport, ErrorSystem, gain_matrix, kron_sum
 from hyperobs.gain_design import GainProblem
 from hyperobs.hypergraph import to_dependency_graph
 from conftest import (
+    apply_gains_by_block,
     fd_jacobian,
+    gain_array,
     hypergraphs,
     network_rhs,
     observer_rhs,
@@ -101,8 +103,12 @@ def random_design(rng, sys, subset):
 def a_with_design(sys, design, nodes, states, zero_error_nodes=frozenset()):
     """A_S with the design's gain blocks, stacked over the samples."""
     sub = SubsetIndex(tuple(nodes))
-    A = ErrorSystem(sys, sub, states, zero_error_nodes).a
-    return apply_gains(A, sub, design.gains.entries, sys.output.matrix)
+    keys = list(design.gains.entries)
+    blocks = np.array([design.gains[k] for k in keys]).reshape(
+        len(keys), sys.state_dim, sys.output.output_dim
+    )
+    B = gain_matrix(sub, keys, blocks, sys.output.matrix)
+    return ErrorSystem(sys, sub, states, zero_error_nodes).a - B
 
 
 class TestAssembleA:
@@ -156,7 +162,54 @@ class TestAssembleA:
         with pytest.raises(ValueError):
             check_thm2(err, 1.0, {(0, 1): np.eye(1)})
         with pytest.raises(ValueError):
-            apply_gains(np.zeros((1, 1, 1)), err.subset, {(1, 0): np.eye(1)}, np.eye(1))
+            gain_matrix(err.subset, [(1, 0)], np.ones((1, 1, 1)), np.eye(1))
+
+
+def bit_pattern(x: np.ndarray) -> bytes:
+    """Raw bytes: tells -0.0 from 0.0 and one NaN from another."""
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestGainMatrix:
+    """``a - gain_matrix(...)`` against the per-block in-place subtraction."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5))
+    def test_matches_per_block_subtraction_bit_for_bit(self, seed, n, M):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, n + 1))  # p < n outputs too
+        gamma = rng.normal(size=(p, n))
+        sub = SubsetIndex(tuple(rng.choice(12, size=M, replace=False).tolist()))
+        K, d = int(rng.integers(1, 4)), M * n
+        a = rng.normal(size=(K, d, d))
+        for value in (0.0, -0.0, np.inf, -np.inf, np.nan):
+            a[rng.random(a.shape) < 0.08] = value
+        pairs = [(i, j) for i in sub.nodes for j in sub.nodes]
+        keys = [pairs[t] for t in rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)]]
+        L = rng.normal(size=(len(keys), n, p))
+        L[rng.random(L.shape) < 0.1] = -0.0
+        # all-zero blocks, of +0.0 and of -0.0 entries
+        zero = rng.random(len(keys)) < 0.3
+        L[zero] = np.where(rng.random(L[zero].shape) < 0.5, 0.0, -0.0)
+        got = a - gain_matrix(sub, keys, L, gamma)
+        want = apply_gains_by_block(a.copy(), sub, dict(zip(keys, L)), gamma)
+        assert bit_pattern(got) == bit_pattern(want)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_key_outside_subset_rejected(self, seed, outside_row):
+        rng = np.random.default_rng(seed)
+        n, M = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        gamma = rng.normal(size=(n, n))
+        nodes = rng.choice(8, size=M + 1, replace=False).tolist()
+        sub, stranger = SubsetIndex(tuple(nodes[:M])), nodes[M]
+        inside = int(rng.choice(sub.nodes))
+        keys = [(i, j) for i in sub.nodes for j in sub.nodes if rng.random() < 0.5]
+        keys.insert(int(rng.integers(0, len(keys) + 1)),
+                    (stranger, inside) if outside_row else (inside, stranger))
+        L = rng.normal(size=(len(keys), n, n))
+        with pytest.raises(ValueError):
+            gain_matrix(sub, keys, L, gamma)
+        with pytest.raises(ValueError):
+            apply_gains_by_block(np.zeros((1, M * n, M * n)), sub, dict(zip(keys, L)), gamma)
 
 
 class TestAssembleB:
@@ -220,8 +273,11 @@ class TestDenseOutput:
             design = random_design(rng, sys, S)
             samples = rng.uniform(-2, 2, (3, h.num_nodes, n))
             A = a_with_design(sys, design, S, samples)
+            # the same gains through the synthesis' gain array
             prob = GainProblem(ErrorSystem(sys, SubsetIndex(tuple(S)), samples), design.measured)
-            A_gains = prob.a_with_gains(dict(design.gains.entries))
+            assert set(design.gains.entries) <= set(prob.keys)
+            L = gain_array(prob, design.gains.entries)
+            A_gains = prob.rows(prob.gain_matrix(L), np.arange(3))
             for k, xh in enumerate(samples.reshape(3, -1)):
                 e = rng.normal(0, 1, xh.size)
                 expect = linearized_rhs_by_rows(sys, design, xh, e)
