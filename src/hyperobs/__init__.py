@@ -1,7 +1,6 @@
 """Observer design and validation for networks coupled through directed hypergraphs."""
 
 from .hypergraph import (
-    Condensation,
     DirectedHypergraph,
     Hyperedge,
     HierarchicalGenSpec,

@@ -371,9 +371,6 @@ class RobustnessBound:
     subset_size: int
     outside_term: float
 
-    def to_json_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 def thm3_bound(
     hypergraph: DirectedHypergraph,

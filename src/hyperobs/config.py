@@ -197,12 +197,21 @@ CONFIG_SCHEMA = {
 _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # a hypergraph file holds the document the inline form holds
 _HYPERGRAPH_VALIDATOR = jsonschema.Draft202012Validator(_HYPERGRAPH_INLINE_SCHEMA)
+# a ``hyperobs generate`` spec holds the document the generator form holds
+_GENERATOR_VALIDATOR = jsonschema.Draft202012Validator(_GENERATOR_SCHEMA)
 
 
 def validate_config(doc: dict) -> dict:
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
     if error is not None:
         raise ConfigError(f"invalid config: {error.message}")
+    return doc
+
+
+def validate_generator_spec(doc: dict) -> dict:
+    error = jsonschema.exceptions.best_match(_GENERATOR_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"invalid generator spec: {error.message}")
     return doc
 
 
@@ -216,7 +225,8 @@ def load_config(path: str | Path) -> dict:
 
 def resolve_hypergraph(doc: dict, base_dir: Path, seed_override: int | None = None) -> DirectedHypergraph:
     """The configured hypergraph; any input the hypergraph types reject (a
-    weight sum, an out-of-range node, an unreadable file) is a ConfigError."""
+    weight sum, an out-of-range node, an unreadable file) and a network with
+    no nodes, which nothing downstream can design for, are ConfigErrors."""
     section = doc["hypergraph"]
     try:
         if "file" in section:
@@ -225,7 +235,7 @@ def resolve_hypergraph(doc: dict, base_dir: Path, seed_override: int | None = No
                 path = base_dir / path
             file_doc = json.loads(path.read_text())
             try:
-                return DirectedHypergraph.from_json_dict(file_doc)
+                hypergraph = DirectedHypergraph.from_json_dict(file_doc)
             except (KeyError, TypeError) as exc:
                 # the schema only explains a document the builder cannot
                 # read: run on every file, it would take 0.12 s for the 716
@@ -234,14 +244,18 @@ def resolve_hypergraph(doc: dict, base_dir: Path, seed_override: int | None = No
                     _HYPERGRAPH_VALIDATOR.iter_errors(file_doc)
                 )
                 raise ValueError(f"file {path}: {error.message if error else exc!r}") from exc
-        if "inline" in section:
-            return DirectedHypergraph.from_json_dict(section["inline"])
-        spec_doc = dict(section["generator"])
-        if seed_override is not None:
-            spec_doc["seed"] = seed_override
-        return generate_hierarchical(HierarchicalGenSpec.from_json_dict(spec_doc))
+        elif "inline" in section:
+            hypergraph = DirectedHypergraph.from_json_dict(section["inline"])
+        else:
+            spec_doc = dict(section["generator"])
+            if seed_override is not None:
+                spec_doc["seed"] = seed_override
+            hypergraph = generate_hierarchical(HierarchicalGenSpec.from_json_dict(spec_doc))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"invalid config: hypergraph: {exc}") from exc
+    if hypergraph.num_nodes == 0:
+        raise ConfigError("invalid config: hypergraph: the network has no nodes")
+    return hypergraph
 
 
 def build_system(doc: dict, hypergraph: DirectedHypergraph) -> NetworkSystem:

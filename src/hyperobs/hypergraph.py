@@ -1,4 +1,4 @@
-"""Directed hypergraphs, their pairwise dependency pattern, and condensation.
+"""Directed hypergraphs, their pairwise dependency pattern, and its root components.
 
 A directed hyperedge carries ordered, disjoint tail and head node lists with
 per-tail weights ``alpha`` and per-head weights ``beta`` (each summing to one)
@@ -6,7 +6,8 @@ and a positive coupling strength ``sigma``.  A hypergraph keeps its edges in
 one sparse incidence, built once on construction; every edge query, the
 dependency pattern and the coupling kernels of ``dynamics`` read it.  The
 dependency pattern has an arc from every member of a hyperedge to each of its
-heads; ``condense`` splits it into strongly connected components.
+heads; ``condense`` returns the root strongly connected components of the
+pattern restricted to a node subset, the components no other one reaches.
 """
 
 from __future__ import annotations
@@ -271,60 +272,39 @@ def to_dependency_graph(h: DirectedHypergraph) -> csr_array:
     return csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(N, N))
 
 
-# -- condensation ---------------------------------------------------------------
+# -- root components ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Condensation:
-    """SCC quotient of a dependency pattern restricted to a node subset."""
+def condense(pattern, on: Iterable[int] | None = None) -> list[tuple[int, ...]]:
+    """Root strongly connected components of the subgraph of the square sparse
+    ``pattern`` (nonzero [i, j] is an arc i -> j) induced by ``on``: the
+    components that no arc of the subgraph enters from another component.
 
-    scc_of: Mapping[int, int]
-    members: tuple[tuple[int, ...], ...]
-    dag_edges: frozenset[tuple[int, int]]
-
-    def roots(self) -> list[int]:
-        """SCC ids with no incoming condensation edge, sorted by smallest member."""
-        targets = {b for (_, b) in self.dag_edges}
-        ids = [s for s in range(len(self.members)) if s not in targets]
-        return sorted(ids, key=lambda s: self.members[s][0])
-
-    def root_members(self) -> list[tuple[int, ...]]:
-        return [self.members[s] for s in self.roots()]
-
-
-def condense(pattern, on: Iterable[int] | None = None) -> Condensation:
-    """Strongly connected components of the subgraph of the square sparse
-    ``pattern`` (nonzero [i, j] is an arc i -> j) induced by ``on``.
-
-    Components come from ``scipy.sparse.csgraph.connected_components`` and
-    are relabelled in order of their smallest member, so members and ids are
-    deterministic.
+    Each root is an ascending node tuple, and the roots come in order of their
+    smallest member.  Components come from
+    ``scipy.sparse.csgraph.connected_components``; only root members are
+    visited in Python.
     """
     N = pattern.shape[0]
-    nodes = list(range(N)) if on is None else sorted(set(int(v) for v in on))
-    for v in nodes:
-        if not 0 <= v < N:
-            raise NodeOutOfRange(f"node {v} outside [0, {N})")
+    nodes = np.arange(N) if on is None else np.unique(np.fromiter(on, dtype=np.intp))
+    outside = nodes[(nodes < 0) | (nodes >= N)]
+    if outside.size:
+        raise NodeOutOfRange(f"node {outside[0]} outside [0, {N})")
     inside = np.zeros(N, dtype=bool)
     inside[nodes] = True
     src, dst = pattern.nonzero()
     keep = inside[src] & inside[dst]
     src, dst = src[keep], dst[keep]
     adjacency = csr_array((np.ones(len(src)), (src, dst)), shape=(N, N))
-    _, found = connected_components(adjacency, connection="strong")
-    # nodes ascend, so numbering components by first appearance orders them
-    # by smallest member
-    ids: dict[int, int] = {}
-    scc_of = {v: ids.setdefault(c, len(ids)) for v, c in zip(nodes, found[nodes].tolist())}
-    members: list[list[int]] = [[] for _ in ids]
-    for v, c in scc_of.items():
-        members[c].append(v)
-    dag = {
-        (scc_of[i], scc_of[j])
-        for i, j in zip(src.tolist(), dst.tolist())
-        if scc_of[i] != scc_of[j]
-    }
-    return Condensation(scc_of, tuple(tuple(c) for c in members), frozenset(dag))
+    count, label = connected_components(adjacency, connection="strong")
+    entered = np.zeros(count, dtype=bool)
+    entered[label[dst][label[src] != label[dst]]] = True
+    root_nodes = nodes[~entered[label[nodes]]]
+    # nodes ascend, so roots collect in order of smallest member
+    roots: dict[int, list[int]] = {}
+    for v, c in zip(root_nodes.tolist(), label[root_nodes].tolist()):
+        roots.setdefault(c, []).append(v)
+    return [tuple(members) for members in roots.values()]
 
 
 # -- hierarchical generator -------------------------------------------------------

@@ -18,7 +18,6 @@ from hyperobs import (
     check_head_closed,
     check_thm1,
     check_thm2,
-    condense,
     identity_output,
     linear_coupling,
     linear_output,
@@ -32,6 +31,7 @@ from hyperobs.gain_design import GainProblem
 from hyperobs.hypergraph import to_dependency_graph
 from conftest import (
     apply_gains_by_block,
+    brute_force_sccs,
     fd_jacobian,
     gain_array,
     hypergraphs,
@@ -81,10 +81,11 @@ def linearized_rhs_by_rows(sys, design, xhat_flat, e_flat):
 
 def random_scc_union_subset(rng, h):
     """Random head-closed subset: a union of dependency-pattern SCCs."""
-    cond = condense(to_dependency_graph(h))
-    k = int(rng.integers(1, len(cond.members) + 1))
-    chosen = rng.choice(len(cond.members), size=k, replace=False)
-    nodes = sorted(v for s in chosen for v in cond.members[s])
+    arcs = zip(*(idx.tolist() for idx in to_dependency_graph(h).nonzero()))
+    sccs = brute_force_sccs(h.num_nodes, arcs, range(h.num_nodes))
+    k = int(rng.integers(1, len(sccs) + 1))
+    chosen = rng.choice(len(sccs), size=k, replace=False)
+    nodes = sorted(v for s in chosen for v in sccs[s])
     return nodes
 
 

@@ -193,6 +193,16 @@ def test_bench_span_target_exists(name, module_name, attr):
         assert callable(getattr(owner, attr, None)), name
 
 
+# each is JSON that the generator schema rejects: (spec from a valid one,
+# extra command-line arguments)
+MALFORMED_GENERATOR_SPECS = {
+    "layer_sizes_not_a_list": (lambda doc: {**doc, "layer_sizes": 5}, []),
+    "seed_null": (lambda doc: {**doc, "seed": None}, []),
+    "top_level_array": (lambda doc: [doc], []),
+    "top_level_array_with_seed": (lambda doc: [doc], ["--seed", "8"]),
+}
+
+
 class TestGenerateCommand:
     def spec_doc(self):
         return {
@@ -225,6 +235,26 @@ class TestGenerateCommand:
         doc["layer_sizes"] = [1, 1]
         spec.write_text(json.dumps(doc))
         assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 4
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GENERATOR_SPECS))
+    def test_generate_malformed_spec_exits_4(self, case, tmp_path):
+        malformed, extra = MALFORMED_GENERATOR_SPECS[case]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(malformed(self.spec_doc())))
+        out = tmp_path / "x.json"
+        assert main(["generate", "--spec", str(spec), "--out", str(out), *extra]) == 4
+        assert not out.exists()
+
+    def test_generate_seed_from_command_line_only(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        doc = self.spec_doc()
+        del doc["seed"]
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert main(["generate", "--spec", str(spec), "--out", str(out), "--seed", "7"]) == 0
+        assert json.loads(out.read_text())["num_nodes"] == 10
 
 
 def _edges(doc):
@@ -331,6 +361,24 @@ class TestDesignCommand:
         doc["hypergraph"] = {"file": "network.json"}
         validate_config(doc)
         with pytest.raises(ConfigError, match=f"{missing} is a required property"):
+            resolve_hypergraph(doc, tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 4
+        assert not (out / "design.json").exists()
+
+    @pytest.mark.parametrize("form", ["inline", "file"])
+    def test_network_without_nodes_exits_4(self, form, tmp_path):
+        network = {"num_nodes": 0, "edges": []}
+        doc = cohead_config()
+        if form == "file":
+            (tmp_path / "network.json").write_text(json.dumps(network))
+            doc["hypergraph"] = {"file": "network.json"}
+        else:
+            doc["hypergraph"] = {"inline": network}
+        validate_config(doc)
+        with pytest.raises(ConfigError, match="no nodes"):
             resolve_hypergraph(doc, tmp_path)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))

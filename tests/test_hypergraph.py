@@ -192,9 +192,10 @@ class TestSignedGraph:
 
     @given(hypergraphs())
     def test_heads_share_an_scc(self, h):
-        cond = condense(to_dependency_graph(h))
+        sccs = brute_force_sccs(h.num_nodes, arcs_of(to_dependency_graph(h)), range(h.num_nodes))
+        scc_of = {v: k for k, comp in enumerate(sccs) for v in comp}
         for e in h.edges:
-            ids = {cond.scc_of[v] for v in e.heads}
+            ids = {scc_of[v] for v in e.heads}
             assert len(ids) == 1
 
 
@@ -203,41 +204,39 @@ class TestCondensation:
         return pattern_of(3, [(0, 1), (1, 2)])
 
     def test_acyclic_chain(self):
-        cond = condense(self.chain())
-        assert cond.members == ((0,), (1,), (2,))
-        assert cond.roots() == [0]
+        assert condense(self.chain()) == [(0,)]
 
     def test_two_cycle_plus_pendant(self):
         arcs = [(0, 1), (1, 0), (1, 2)]
-        cond = condense(pattern_of(3, arcs))
-        assert cond.members == ((0, 1), (2,))
-        assert cond.root_members() == [(0, 1)]
+        assert condense(pattern_of(3, arcs)) == [(0, 1)]
         assert brute_force_sccs(3, arcs, [0, 1, 2]) == [(0, 1), (2,)]
 
     def test_induced_subgraph(self):
-        cond = condense(pattern_of(3, [(0, 1), (1, 0), (1, 2)]), on=[1, 2])
-        assert cond.members == ((1,), (2,))
+        assert condense(pattern_of(3, [(0, 1), (1, 0), (1, 2)]), on=[1, 2]) == [(1,)]
+
+    def test_node_outside_pattern_rejected(self):
+        with pytest.raises(NodeOutOfRange):
+            condense(self.chain(), on=[0, 3])
 
     @given(hypergraphs(max_nodes=10), st.data())
     def test_condense_matches_brute_force(self, h, data):
         g = to_dependency_graph(h)
         on = data.draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1))
-        cond = condense(g, on)
-        assert sorted(cond.members) == brute_force_sccs(h.num_nodes, arcs_of(g), on)
-        # a condensation edge joins two SCCs that some arc inside ``on`` joins
-        assert cond.dag_edges == {
-            (cond.scc_of[i], cond.scc_of[j])
-            for i, j in arcs_of(g)
-            if i in on and j in on and cond.scc_of[i] != cond.scc_of[j]
+        sccs = brute_force_sccs(h.num_nodes, arcs_of(g), on)
+        scc_of = {v: k for k, comp in enumerate(sccs) for v in comp}
+        # a root is a component no arc inside ``on`` enters from another one
+        entered = {
+            scc_of[j] for i, j in arcs_of(g) if i in on and j in on and scc_of[i] != scc_of[j]
         }
+        assert condense(g, on) == [comp for k, comp in enumerate(sccs) if k not in entered]
 
     @given(st.integers(0, 2**32 - 1))
-    def test_condense_on_dag_is_identity(self, seed):
+    def test_condense_on_dag_returns_sources(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
         arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
-        cond = condense(pattern_of(n, arcs))
-        assert cond.members == tuple((v,) for v in range(n))
+        heads = {j for _, j in arcs}
+        assert condense(pattern_of(n, arcs)) == [(v,) for v in range(n) if v not in heads]
 
 
 class TestHierarchicalGenerator:
