@@ -111,10 +111,8 @@ class ErrorSystem:
         X = self._states(samples)
         if X.shape[0] == 0:
             raise EmptySampleSet("need at least one sample")
-        # g' at the incoming edges' arguments, (K, edges, n): read by both
-        dg = np.zeros((X.shape[0], 0, sys.state_dim))
-        if self._incoming:
-            dg = sys.coupling.deriv(sys.edge_arguments(X, self._incoming))
+        # g' at the incoming edges' arguments, node-first (edges, K, n): read by both
+        dg = sys.coupling.deriv(sys.edge_arguments(X.transpose(1, 0, 2), self._incoming))
         self.a = self.a_matrix_batch(X, dg)
         self.g = self.coupling_jac_bound(dg)
 
@@ -135,7 +133,7 @@ class ErrorSystem:
 
     def a_matrix_batch(self, X: np.ndarray, dg: np.ndarray) -> np.ndarray:
         """Zero-gain A_S stacked over the (K, N, n) states ``X``, with ``dg``
-        the (K, edges, n) coupling derivative g' on the incoming edges."""
+        the (edges, K, n) coupling derivative g' on the incoming edges."""
         sys, sub = self.sys, self.subset
         n, M, K = sys.state_dim, sub.size, X.shape[0]
         A = np.zeros((K, M, n, M, n))
@@ -145,7 +143,7 @@ class ErrorSystem:
         h = sys.hypergraph
         diag = np.arange(n)
         for ek, k in enumerate(self._incoming):
-            d = h.edge_sigma[k] * dg[:, ek]
+            d = h.edge_sigma[k] * dg[ek]
             members, weights, is_head = h.members_of(k)
             inside = [
                 (sub.position(v), w, head)
@@ -161,10 +159,10 @@ class ErrorSystem:
         return A.reshape(K, M * n, M * n)
 
     def coupling_jac_bound(self, dg: np.ndarray) -> np.ndarray:
-        """Per sample of the (K, edges, n) coupling derivative ``dg``, the max
+        """Per sample of the (edges, K, n) coupling derivative ``dg``, the max
         spectral norm of the coupling Jacobian diag(g') over the incoming
         edges: the largest |g'|, 0 when no edge enters S."""
-        return np.abs(dg).reshape(dg.shape[0], -1).max(axis=1, initial=0.0)
+        return np.abs(dg).max(axis=(0, 2), initial=0.0)
 
 
 def gain_matrix(

@@ -6,16 +6,19 @@ same way, which is how heterogeneous per-node parameters enter the network
 dynamics.  The coupling acts per coordinate, so its Jacobian is diagonal and
 is stored as its diagonal g', shaped like the argument.  The output map is
 linear and is its matrix Gamma, which is also its Jacobian.  The
-hyperdiffusive coupling gathers node states through the hypergraph's sparse
-incidence, for all edges or for a chosen few.
+hyperdiffusive coupling is two CSR products, H_sigma g(W x), on a node-first
+state x of shape (N, ...), with W the E x N member incidence and H_sigma the
+N x E head incidence scaled by sigma, both built once from the hypergraph's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .hypergraph import DirectedHypergraph
 
@@ -209,13 +212,12 @@ class NetworkSystem:
             params = np.tile(self.field.nominal_params, (N, 1))
         params = np.asarray(params, dtype=float).reshape(N, self.field.param_dim)
         object.__setattr__(self, "per_node_params", params)
-        # gather plans of the coupling kernels over all edges and all nodes
-        h = self.hypergraph
-        all_edges = np.arange(len(h.edges))
-        edge_plan = _gather_plan(h.member_ptr, all_edges, h.members, h.member_weight)
-        head_plan = _gather_plan(h.head_ptr, np.arange(N), h.head_edges, h.edge_sigma[h.head_edges])
-        object.__setattr__(self, "_edge_plan", edge_plan)
-        object.__setattr__(self, "_head_plan", head_plan)
+        # W (+alpha for a tail, -beta for a head) and H_sigma
+        h, E = self.hypergraph, len(self.hypergraph.edges)
+        W = csr_array((h.member_weight, h.members, h.member_ptr), shape=(E, N))
+        object.__setattr__(self, "_members", W)
+        H = csr_array((h.edge_sigma[h.head_edges], h.head_edges, h.head_ptr), shape=(N, E))
+        object.__setattr__(self, "_heads", H)
 
     @property
     def num_nodes(self) -> int:
@@ -226,50 +228,29 @@ class NetworkSystem:
         return self.field.state_dim
 
     def edge_arguments(self, states: np.ndarray, edges=None) -> np.ndarray:
-        """Hyperdiffusive arguments of the given edges (all by default), in
-        that order; ``states`` is (..., N, n).
-
-        Members ascend within an edge, so each argument is summed in the node
-        order of a dense incidence product."""
-        h = self.hypergraph
+        """Hyperdiffusive arguments W x of the given edges (all by default),
+        in that order, for node-first ``states`` (N, ...): (edges, ...).
+        Chosen edges read their rows of W, restricted to their members."""
         if edges is None:
-            return _gather_sum(self._edge_plan, states, len(h.edges))
+            return _product(self._members, states)
+        h = self.hypergraph
         edges = np.asarray(edges, dtype=np.intp)
-        plan = _gather_plan(h.member_ptr, edges, h.members, h.member_weight)
-        return _gather_sum(plan, states, len(edges))
+        start, sizes = h.member_ptr[edges], np.diff(h.member_ptr)[edges]
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        entries = np.repeat(start - ptr[:-1], sizes) + np.arange(ptr[-1])
+        cols, local = np.unique(h.members[entries], return_inverse=True)
+        rows = csr_array((h.member_weight[entries], local, ptr), shape=(len(edges), len(cols)))
+        return _product(rows, states[cols])
 
     def coupling_term(self, states: np.ndarray) -> np.ndarray:
-        """Per-node sum of sigma * g(argument) over incoming edges."""
-        if not self.hypergraph.edges:
-            return np.zeros_like(states)
-        g = self.coupling.eval(self.edge_arguments(states))
-        return _gather_sum(self._head_plan, g, self.num_nodes)
+        """Per-node sum of sigma * g(argument) over incoming edges, H g(W x),
+        on node-first ``states`` (N, ...)."""
+        return _product(self._heads, self.coupling.eval(self.edge_arguments(states)))
 
 
-def _gather_plan(ptr: np.ndarray, rows: np.ndarray, source: np.ndarray, weight: np.ndarray):
-    """Plan for summing ``weight * x[source]`` over the entries of each CSR
-    row in ``rows``, one entry at a time in entry order.
-
-    Rows are visited longest first, so the r-th entries of all rows that have
-    one form a prefix; ``inverse`` (None when the order is unchanged) puts the
-    sums back in the order of ``rows``.
-    """
-    start = ptr[rows]
-    size = ptr[rows + 1] - start
-    order = np.argsort(-size, kind="stable")
-    start, size = start[order], size[order]
-    ranks = []
-    for r in range(size.max(initial=0)):
-        entry = start[size > r] + r
-        ranks.append((len(entry), source[entry], weight[entry, None]))
-    inverse = None if (order == np.arange(len(order))).all() else np.argsort(order)
-    return ranks, inverse
-
-
-def _gather_sum(plan, x: np.ndarray, count: int) -> np.ndarray:
-    """Apply a ``_gather_plan`` to ``x`` of shape (..., M, d): (..., count, d)."""
-    ranks, inverse = plan
-    out = np.zeros(x.shape[:-2] + (count, x.shape[-1]))
-    for m, index, weight in ranks:
-        out[..., :m, :] += weight * np.take(x, index, axis=-2)
-    return out if inverse is None else np.take(out, inverse, axis=-2)
+def _product(matrix: csr_array, x: np.ndarray) -> np.ndarray:
+    """``matrix`` times the node-first ``x`` (cols, ...): (rows, ...).  scipy's
+    CSR kernel adds each row's entries onto zero in entry order, and members
+    ascend within an edge and edges within a node."""
+    out = matrix @ x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    return out.reshape((matrix.shape[0],) + x.shape[1:])

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
-from scipy.sparse.csgraph import connected_components
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -285,6 +284,9 @@ def condense(pattern, on: Iterable[int] | None = None) -> list[tuple[int, ...]]:
     ``scipy.sparse.csgraph.connected_components``; only root members are
     visited in Python.
     """
+    # csgraph, and the scipy.sparse.linalg it loads, only where condensing runs
+    from scipy.sparse.csgraph import connected_components
+
     N = pattern.shape[0]
     nodes = np.arange(N) if on is None else np.unique(np.fromiter(on, dtype=np.intp))
     outside = nodes[(nodes < 0) | (nodes >= N)]

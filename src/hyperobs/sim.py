@@ -1,14 +1,16 @@
 """Fixed-step co-simulation of the network and its observer.
 
 One classical RK4 step, ``_rk4_step``, integrates the plant alone
-(``simulate_network``) and the plant and its observer together.  The
-co-simulation stacks them as one state of shape (R, 2, N, n), so one field
-and one coupling evaluation per stage serve both systems: the plant runs on
-per-run parameters, the observer on nominal ones.  Measurement noise is drawn
-once per grid point from each run's own generator, per output channel of
-every measured node, and held constant through the four stages of the next
-step.  Measured nodes listed in ``design.exact_nodes`` are reconstructed
-directly through the inverse output map at every grid point.
+(``simulate_network``) and the plant and its observer together, on a
+node-first state that the coupling's CSR products read as it is.  The
+co-simulation stacks them as one state (N, 2, A, n) over the A runs not yet
+diverged, so one field and one coupling evaluation per stage serve both: the
+plant runs on per-run parameters, the observer on nominal ones.  Each run's
+generator draws its measurement noise for every output channel of every
+measured node, a chunk of grid points at a time; the noise of a grid point is
+held through the four stages of the next step.  Measured nodes listed in
+``design.exact_nodes`` are reconstructed directly through the inverse output
+map at every grid point.
 
 The co-simulation yields the per-node error norms grid point by grid point;
 ``monte_carlo`` keeps only the stacked error norm of each run, (R, G+1).
@@ -16,6 +18,7 @@ The co-simulation yields the per-node error norms grid point by grid point;
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +30,8 @@ from .gain_design import ObserverDesign
 
 # a run whose state leaves this box (or turns non-finite) is flagged as diverged
 DIVERGENCE_THRESHOLD = 1e8
+# measurement noise is drawn ahead in chunks of at most this many bytes
+NOISE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,21 @@ def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _noise(rngs: Sequence[np.random.Generator], amplitude: float, m: int, p: int, count: int):
+    """Uniform noise in [-amplitude, amplitude) at each of ``count`` grid
+    points, (R, m, p) for R generators.  Each generator draws one (C, m, p)
+    block per chunk of C grid points, the numbers that C draws of shape
+    (m, p) give; a chunk holds at most ``NOISE_CHUNK_BYTES`` for all runs."""
+    R = len(rngs)
+    chunk = max(1, NOISE_CHUNK_BYTES // (8 * m * R * p))
+    for start in range(0, count, chunk):
+        c = min(chunk, count - start)
+        block = np.empty((c, R, m, p))
+        for r, rng in enumerate(rngs):
+            block[:, r] = rng.uniform(-amplitude, amplitude, (c, m, p))
+        yield from block
+
+
 def _cosimulate(
     sys: NetworkSystem,
     design: ObserverDesign,
@@ -137,55 +157,53 @@ def _cosimulate(
     Yields, at each of the G+1 grid points, the per-node error norms (R, N),
     NaN for diverged runs, and the diverged flags (R,).
     """
-    N, n = sys.num_nodes, sys.state_dim
-    R = x0.shape[0]
+    R, N, n = x0.shape
     measured, op = _correction_operator(sys, design)
     exact = sorted(design.exact_nodes)
     if exact and not sys.output.invertible:
         raise ValueError("exact reconstruction requires an invertible output map")
     exact_cols = [measured.index(j) for j in exact]
+    m, p = len(measured), sys.output.output_dim
 
-    # index 0 along axis 1 is the plant, 1 the observer
-    y = np.stack([x0, xhat0], axis=1)
-    params = np.stack(
-        [per_params, np.broadcast_to(sys.field.nominal_params, per_params.shape)], axis=1
-    )
-    active = np.ones(R, dtype=bool)
-    a = cfg.noise_amplitude
-    noise_shape = (len(measured), sys.output.output_dim)
-    silent = np.zeros((R,) + noise_shape)
+    # node-first (N, 2, A, n) over the A runs still alive: index 0 along
+    # axis 1 is the plant, 1 the observer
+    y = np.ascontiguousarray(np.stack([x0, xhat0]).transpose(2, 0, 1, 3))
+    nominal = np.broadcast_to(sys.field.nominal_params, per_params.shape)
+    params = np.ascontiguousarray(np.stack([per_params, nominal]).transpose(2, 0, 1, 3))
+    alive, diverged = np.arange(R), np.zeros(R, dtype=bool)
+    a, G = cfg.noise_amplitude, cfg.num_steps
+    noise = _noise(rngs, a, m, p, G + 1) if a > 0 and m else itertools.repeat(np.zeros((R, m, p)))
 
-    def draw_noise():
-        if a > 0 and measured:
-            return np.stack([rng.uniform(-a, a, noise_shape) for rng in rngs])
-        return silent
-
-    def rhs(ys, nu):
+    # outputs are taken on run-first copies: the BLAS calls of a stacked
+    # matmul, and so a run's bits, do not depend on the number of runs
+    def rhs(ys):
         d = sys.field.eval(ys, params) + sys.coupling_term(ys)
         if op is not None:
-            h = sys.output.eval(ys[:, :, measured])
+            h = sys.output.eval(np.ascontiguousarray(ys[measured].transpose(2, 1, 0, 3)))
             innov = h[:, 0] + nu - h[:, 1]
-            d[:, 1] += (op @ innov.reshape(R, -1).T).T.reshape(R, N, n)
+            # the innovations of each run as one column of length m p
+            corr = op @ innov.reshape(len(innov), m * p).T
+            d[:, 1] += corr.reshape(N, n, -1).transpose(0, 2, 1)
         return d
 
-    nu = draw_noise()
-    for k in range(cfg.num_steps + 1):
-        if k:
-            stepped = _rk4_step(lambda ys: rhs(ys, nu), y, cfg.dt)
-            y[active] = stepped[active]
-            bad = ~(
-                np.isfinite(y).all(axis=(1, 2, 3))
-                & (np.abs(y).max(axis=(1, 2, 3)) < DIVERGENCE_THRESHOLD)
-            )
-            y[bad & active] = 0.0
-            active &= ~bad
-            nu = draw_noise()
+    for k in range(G + 1):
+        if k and alive.size:
+            y = _rk4_step(rhs, y, cfg.dt)
+            # the max of a run with a NaN is NaN, which compares False
+            ok = np.abs(y).max(axis=(0, 1, 3)) < DIVERGENCE_THRESHOLD
+            if not ok.all():
+                diverged[alive[~ok]] = True
+                y, params, alive = y[:, :, ok], params[:, :, ok], alive[ok]
+        # the noise of grid point k, held through the next step
+        nu = next(noise)[alive]
         if exact:
-            meas = sys.output.eval(y[:, 0, exact]) + nu[:, exact_cols]
-            y[:, 1, exact] = meas @ sys.output.inverse.T
-        err = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1)
-        err[~active] = np.nan
-        yield err, ~active
+            xe = np.ascontiguousarray(y[exact, 0].swapaxes(0, 1))
+            meas = sys.output.eval(xe) + nu[:, exact_cols]
+            y[exact, 1] = (meas @ sys.output.inverse.T).swapaxes(0, 1)
+        err = np.full((R, N), np.nan)
+        # contiguous rows: a run's norm over N sums in the same order always
+        err[alive] = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1).T
+        yield err, diverged.copy()
 
 
 def monte_carlo(
@@ -199,8 +217,8 @@ def monte_carlo(
     Each run owns a generator spawned from the master seed.  It draws, in
     order: x(0) uniform in the initial box, xhat(0) from the relative-width
     perturbation of x(0), per-node parameter draws (when a spread is
-    configured), then the measurement noise, once per grid point while the
-    runs are co-simulated.  All runs step together, and only the (R, G+1)
+    configured), then the measurement noise, grid point by grid point while
+    the runs are co-simulated.  All runs step together, and only the (R, G+1)
     error norms are kept, so memory does not grow with N times G.
     """
     if n_runs < 1:
@@ -211,19 +229,13 @@ def monte_carlo(
 
     x0 = np.empty((n_runs, N, n))
     xh0 = np.empty((n_runs, N, n))
-    params = np.empty((n_runs,) + sys.per_node_params.shape)
+    params = np.tile(sys.per_node_params, (n_runs, 1, 1))
+    (lo, hi), w, s = cfg.x0_box, cfg.observer_init_width, cfg.param_rel_spread
     for r, rng in enumerate(rngs):
-        lo, hi = cfg.x0_box
         x0[r] = rng.uniform(lo, hi, (N, n))
-        w = cfg.observer_init_width
         xh0[r] = x0[r] * (1.0 + rng.uniform(-w, w, (N, n)))
-        if cfg.param_rel_spread > 0:
-            spread = rng.uniform(
-                -cfg.param_rel_spread, cfg.param_rel_spread, sys.per_node_params.shape
-            )
-            params[r] = sys.per_node_params * (1.0 + spread)
-        else:
-            params[r] = sys.per_node_params
+        if s > 0:
+            params[r] = sys.per_node_params * (1.0 + rng.uniform(-s, s, params.shape[1:]))
 
     norms = np.empty((n_runs, G + 1))
     # no run is flagged at grid point 0, so 0 means "never diverged"
@@ -238,7 +250,9 @@ def monte_carlo(
     # steps at which every run has diverged have no percentiles: NaN
     stats = np.full((3, G + 1), np.nan)
     seen = ~np.isnan(norms).all(axis=0)
-    stats[:, seen] = np.nanpercentile(norms[:, seen], [50, 25, 75], axis=0)
+    # with no NaN to skip, one vectorised quantile serves every column
+    quantile = np.nanpercentile if flagged else np.percentile
+    stats[:, seen] = quantile(norms[:, seen], [50, 25, 75], axis=0)
     med, p25, p75 = stats
     return EnsembleStats(times, med, p25, p75, settle, norms, flagged)
 
@@ -292,19 +306,22 @@ class TrajectoryEnsemble:
 
 
 def simulate_network(sys: NetworkSystem, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """Plant-only RK4; ``x0`` is (R, N, n), returns (R, steps+1, N, n)."""
+    """Plant-only RK4 on the node-first state (N, R, n); ``x0`` is (R, N, n),
+    returns (R, steps+1, N, n)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 3:
         raise DimensionMismatch("x0 must be (runs, N, n)")
-    params = sys.per_node_params
+    params = sys.per_node_params[:, None]
 
     def f(xs):
         return sys.field.eval(xs, params) + sys.coupling_term(xs)
 
     out = np.empty((x0.shape[0], steps + 1) + x0.shape[1:])
     out[:, 0] = x0
+    x = np.ascontiguousarray(x0.transpose(1, 0, 2))
     for k in range(steps):
-        out[:, k + 1] = _rk4_step(f, out[:, k], dt)
+        x = _rk4_step(f, x, dt)
+        out[:, k + 1] = x.transpose(1, 0, 2)
     return out
 
 

@@ -319,10 +319,10 @@ class TestCouplingJacBound:
         if not incoming:
             np.testing.assert_array_equal(bound, np.zeros(len(samples)))
             return
-        dg = sys.coupling.deriv(sys.edge_arguments(samples, incoming))
+        dg = sys.coupling.deriv(sys.edge_arguments(samples.transpose(1, 0, 2), incoming))
         dense = dg[..., :, None] * np.eye(sys.state_dim)
         # per sample: the largest singular value over the incoming edges
-        expect = np.linalg.svd(dense, compute_uv=False)[..., 0].max(axis=-1)
+        expect = np.linalg.svd(dense, compute_uv=False)[..., 0].max(axis=0)
         np.testing.assert_allclose(bound, expect, rtol=1e-15, atol=0)
 
 

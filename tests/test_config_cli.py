@@ -2,12 +2,16 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import hyperobs
 from hyperobs import DesignOptions, DesignOutcome, SimConfig, TrajectoryEnsembleSpec
 from hyperobs.cli import main
 from hyperobs.config import (
@@ -512,3 +516,19 @@ class TestSimulateAndBatch:
               "--out-dir", str(out)])
         rows = (out / "batch_1.csv").read_text().splitlines()
         assert len(rows) - 1 <= 50
+
+
+def test_cli_import_leaves_csgraph_out():
+    # only condense needs scipy.sparse.csgraph; it imports it when it runs
+    code = (
+        "import sys, hyperobs.cli\n"
+        "before = 'scipy.sparse.csgraph' in sys.modules\n"
+        "from scipy.sparse import csr_array\n"
+        "hyperobs.hypergraph.condense(csr_array((2, 2)))\n"
+        "print(before, 'scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    src = Path(hyperobs.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -198,25 +198,35 @@ class TestNetworkRhs:
 
 
 class TestCouplingKernels:
-    @given(hypergraphs(), st.sampled_from(["bistable", "planar", "lorenz"]), st.integers(0, 2**32 - 1))
-    def test_match_per_edge_loop(self, h, kind, seed):
+    @given(
+        hypergraphs(),
+        st.sampled_from(["bistable", "planar", "lorenz"]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(), (4,), (2, 3)]),
+    )
+    @example(DirectedHypergraph(3), "lorenz", 0, (4,))
+    @example(DirectedHypergraph(4, (Hyperedge.uniform((2,), (0, 1), 1.5),)), "planar", 1, (2, 3))
+    def test_match_per_edge_loop(self, h, kind, seed, batch):
+        # node-first states with batch axes; every reference sum starts at
+        # zero and adds its entries in ascending index order, so the kernels
+        # must agree bit for bit
         rng = np.random.default_rng(seed)
         sys_ = random_system(rng, h, field_kind=kind)
-        X = rng.uniform(-3, 3, (4, h.num_nodes, sys_.state_dim))
-        args = np.zeros((4, len(h.edges), sys_.state_dim))
+        X = rng.uniform(-3, 3, (h.num_nodes,) + batch + (sys_.state_dim,))
+        args = np.zeros((len(h.edges),) + X.shape[1:])
+        for k, e in enumerate(h.edges):
+            weights = dict(zip(e.tails, e.alpha)) | {q: -b for q, b in zip(e.heads, e.beta)}
+            for v in sorted(weights):
+                args[k] += weights[v] * X[v]
+        g = sys_.coupling.eval(args)
         expect = np.zeros_like(X)
         for k, e in enumerate(h.edges):
-            for w, t in zip(e.alpha, e.tails):
-                args[:, k] += w * X[:, t]
-            for w, q in zip(e.beta, e.heads):
-                args[:, k] -= w * X[:, q]
-            g = sys_.coupling.eval(args[:, k])
             for q in e.heads:
-                expect[:, q] += e.sigma * g
-        assert rel_err(sys_.edge_arguments(X), args) < 1e-12
-        assert rel_err(sys_.coupling_term(X), expect) < 1e-12
+                expect[q] += e.sigma * g[k]
+        np.testing.assert_array_equal(sys_.edge_arguments(X), args)
+        np.testing.assert_array_equal(sys_.coupling_term(X), expect)
         pick = rng.permutation(len(h.edges))[: int(rng.integers(0, len(h.edges) + 1))]
-        assert rel_err(sys_.edge_arguments(X, pick), args[:, pick]) < 1e-12
+        np.testing.assert_array_equal(sys_.edge_arguments(X, pick), args[pick])
 
 
 class TestObserverRhs:

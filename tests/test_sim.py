@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hyperobs import (
     DirectedHypergraph,
@@ -14,6 +17,7 @@ from hyperobs import (
     bistable_field,
     identity_output,
     linear_coupling,
+    linear_output,
     lorenz_field,
     make_ensemble,
     monte_carlo,
@@ -21,7 +25,19 @@ from hyperobs import (
     simulate_network,
     tanh_coupling,
 )
+from hyperobs import sim
 from conftest import integrate, vector_field_from_callable
+
+
+def own_runs(cfg, n_runs, shape):
+    """Each run's x(0), xhat(0) and generator, drawn as ``monte_carlo`` draws
+    them without a parameter spread: the generator is left where its noise
+    begins."""
+    for seed in np.random.SeedSequence(cfg.seed).spawn(n_runs):
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(*cfg.x0_box, shape)
+        w = cfg.observer_init_width
+        yield x0, x0 * (1.0 + rng.uniform(-w, w, shape)), rng
 
 
 def lorenz_pair_system(sigma=5.0):
@@ -190,11 +206,25 @@ class TestMonteCarlo:
         design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
         cfg = SimConfig(dt=1e-3, horizon=0.1, seed=14, noise_amplitude=0.05)
         stats = monte_carlo(sys, design, cfg, n_runs=6)
-        for r, seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(6)):
-            rng = np.random.default_rng(seed)
-            x0 = rng.uniform(*cfg.x0_box, (2, 3))
-            w = cfg.observer_init_width
-            xh0 = x0 * (1.0 + rng.uniform(-w, w, (2, 3)))
+        for r, (x0, xh0, rng) in enumerate(own_runs(cfg, 6, (2, 3))):
+            res = integrate(sys, design, cfg, x0, xh0, rng)
+            np.testing.assert_array_equal(stats.error_norms[r], res.error_norm)
+
+    def test_each_run_equals_integrate_with_a_mixing_output(self):
+        # a full output matrix, gains and an exactly reconstructed node: each
+        # run's outputs pass through BLAS matmuls, and its norms must not
+        # depend on how many runs share the ensemble
+        gamma = [[3.0, 0.4, -0.2], [0.5, 2.0, 0.3], [-0.1, 0.6, 2.5]]
+        base = lorenz_pair_system()
+        sys = NetworkSystem(base.hypergraph, base.field, base.coupling, linear_output(gamma))
+        design = ObserverDesign(
+            frozenset({0, 1}),
+            GainSet({(1, 0): np.full((3, 3), 0.07), (1, 1): np.eye(3)}),
+            exact_nodes=frozenset({0}),
+        )
+        cfg = SimConfig(dt=1e-3, horizon=0.1, seed=21, noise_amplitude=0.05)
+        stats = monte_carlo(sys, design, cfg, n_runs=7)
+        for r, (x0, xh0, rng) in enumerate(own_runs(cfg, 7, (2, 3))):
             res = integrate(sys, design, cfg, x0, xh0, rng)
             np.testing.assert_array_equal(stats.error_norms[r], res.error_norm)
 
@@ -269,6 +299,40 @@ class TestMonteCarlo:
         # a dense N x N correction matrix alone would be 32 MB
         assert peak < 4e6
 
+    def test_noise_chunks_do_not_change_the_draws(self, monkeypatch):
+        sys = lorenz_pair_system()
+        design = ObserverDesign(frozenset({0, 1}), GainSet({
+            (0, 0): 3.0 * np.eye(3), (1, 1): 2.0 * np.eye(3),
+        }))
+        cfg = SimConfig(dt=1e-3, horizon=0.1, seed=20, noise_amplitude=0.05)
+        whole = monte_carlo(sys, design, cfg, n_runs=3)
+        # 3 runs x 2 measured nodes x 3 channels: 7 grid points per chunk,
+        # so the 101 grid points span 15 chunks, the last one partial
+        monkeypatch.setattr(sim, "NOISE_CHUNK_BYTES", 7 * 3 * 2 * 3 * 8)
+        assert (cfg.num_steps + 1) % 7 != 0
+        chunked = monte_carlo(sys, design, cfg, n_runs=3)
+        np.testing.assert_array_equal(chunked.error_norms, whole.error_norms)
+
+    def test_diverged_run_leaves_the_others_untouched(self):
+        # x' = x^2 blows up from large starts; at seed 49 only run 1 does
+        field = vector_field_from_callable(
+            lambda x, mu: x**2, 1, np.zeros(1), jac_x=lambda x, mu: (2 * x)[..., None]
+        )
+        h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 0.5),))
+        sys = NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
+        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): [[2.0]]}))
+        cfg = SimConfig(dt=1e-3, horizon=1.0, seed=49, noise_amplitude=0.01,
+                        x0_box=(-1.0, 1.5))
+        stats = monte_carlo(sys, design, cfg, n_runs=3)
+        assert [r for r, _ in stats.flagged_runs] == [1]
+        k = stats.flagged_runs[0][1]
+        assert np.isnan(stats.error_norms[1, k:]).all()
+        assert np.isfinite(stats.error_norms[1, :k]).all()
+        for r, (x0, xh0, rng) in enumerate(own_runs(cfg, 3, (2, 1))):
+            if r != 1:
+                res = integrate(sys, design, cfg, x0, xh0, rng)
+                np.testing.assert_array_equal(stats.error_norms[r], res.error_norm)
+
     def test_parameter_spread_reaches_plant_only(self):
         sys = lorenz_pair_system()
         design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
@@ -331,3 +395,13 @@ class TestEnsembles:
         # plant trajectory is recoverable from zero-error co-simulation
         assert res.error_norm.max() == 0.0
         assert states.shape == (1, 101, 2, 3)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 25), st.integers(1, 30)),
+              elements=st.floats(0.0, 1e12)))
+def test_percentile_equals_nanpercentile_without_nan(norms):
+    # monte_carlo takes the vectorised percentile when no run is flagged
+    np.testing.assert_array_equal(
+        np.percentile(norms, [50, 25, 75], axis=0),
+        np.nanpercentile(norms, [50, 25, 75], axis=0),
+    )
