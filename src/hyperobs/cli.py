@@ -121,6 +121,27 @@ def _batch_list(doc: dict, simulate_only_first: bool) -> list[tuple[int, str | N
     return triples[:1] if simulate_only_first else triples
 
 
+def _read_design(report_doc: dict, sys_) -> tuple[DesignOutcome, float]:
+    """The outcome and ``f_bound`` of a design report, checked against the
+    system it is simulated on; KeyError, TypeError or ValueError when the
+    report is malformed."""
+    outcome = DesignOutcome.from_json_dict(report_doc["outcome"])
+    f_bound = float(report_doc["f_bound"])
+    if not 0.0 <= f_bound < math.inf:
+        raise ValueError(f"f_bound {f_bound} is not a finite nonnegative number")
+    design, N = outcome.design, sys_.num_nodes
+    nodes = set(design.measured).union(*design.gains.entries)
+    nodes.update(*(p.nodes for p in outcome.processed))
+    outside = sorted(v for v in nodes if not 0 <= v < N)
+    if outside:
+        raise ValueError(f"node ids {outside} outside [0, {N})")
+    shape = (sys_.state_dim, sys_.output.output_dim)
+    for key, L in design.gains.items():
+        if L.shape != shape:
+            raise ValueError(f"gain {key} has shape {L.shape}, expected {shape}")
+    return outcome, f_bound
+
+
 def _run_batches(args, simulate_only_first: bool) -> int:
     try:
         doc, hypergraph, sys_ = _load_experiment(args)
@@ -129,15 +150,9 @@ def _run_batches(args, simulate_only_first: bool) -> int:
         log.error("%s", exc)
         return EXIT_CONFIG
     expect_hash = cfgmod.design_relevant_hash(doc, hypergraph)
-    if report_doc.get("config_hash") != expect_hash:
+    if not isinstance(report_doc, dict) or report_doc.get("config_hash") != expect_hash:
         log.error("design report does not match this config (hash check failed)")
         return EXIT_CONFIG
-    outcome = DesignOutcome.from_json_dict(report_doc["outcome"])
-    if not outcome.complete:
-        log.error("design report is not complete; refusing to simulate")
-        return EXIT_DESIGN_FAILED
-    f_bound = float(report_doc.get("f_bound", 0.0))
-
     batches = _batch_list(doc, simulate_only_first)
     if args.batch_index is not None:
         batches = [b for b in batches if b[0] == args.batch_index]
@@ -145,7 +160,7 @@ def _run_batches(args, simulate_only_first: bool) -> int:
             log.error("batch index %d not in config", args.batch_index)
             return EXIT_CONFIG
     base_seed = doc["sim"].get("seed", 0) if args.seed is None else args.seed
-    # every batch's settings are checked before any batch runs
+    # every batch's settings and bound are checked before any batch runs
     try:
         configs = [
             cfgmod.build_sim_config(
@@ -156,6 +171,20 @@ def _run_batches(args, simulate_only_first: bool) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
+    param_norm = float(np.linalg.norm(sys_.field.nominal_params))
+    noise_gain = math.sqrt(sys_.output.output_dim)
+    try:
+        outcome, f_bound = _read_design(report_doc, sys_)
+        if not outcome.complete:
+            log.error("design report is not complete; refusing to simulate")
+            return EXIT_DESIGN_FAILED
+        # the Theorem-3 bounds propagate only with positive margins, upstream subsets first
+        bounds = [propagate_robustness_bounds(sys_, outcome, cfg.param_rel_spread * param_norm,
+                                              cfg.noise_amplitude * noise_gain, f_bound)[0]
+                  for cfg in configs]
+    except (KeyError, TypeError, ValueError) as exc:
+        log.error("malformed design report %s: %s: %s", args.design, type(exc).__name__, exc)
+        return EXIT_CONFIG
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     max_rows = doc["sim"].get("downsample_rows", 2000)
@@ -163,18 +192,11 @@ def _run_batches(args, simulate_only_first: bool) -> int:
 
     summary_batches = []
     any_flags = False
-    for (index, variable, value), cfg in zip(batches, configs):
+    for (index, variable, value), cfg, bound in zip(batches, configs, bounds):
         stats = monte_carlo(sys_, outcome.design, cfg, n_runs)
         csv_name = f"batch_{index}.csv"
         _write_batch_csv(out_dir / csv_name, stats.times, stats.median,
                          stats.p25, stats.p75, max_rows)
-        mu_bar = cfg.param_rel_spread * float(
-            np.linalg.norm(sys_.field.nominal_params)
-        )
-        nu_bar = cfg.noise_amplitude * math.sqrt(sys_.output.output_dim)
-        bound, _ = propagate_robustness_bounds(
-            sys_, outcome, None, mu_bar, nu_bar, f_bound=f_bound
-        )
         any_flags = any_flags or stats.n_flagged > 0
         summary_batches.append(
             {

@@ -2,19 +2,22 @@
 
 Each pass of the design loop takes the root strongly connected components of
 the residual dependency pattern (an arc from every member of a hyperedge to
-each of its heads) from ``condense``, which no unprocessed node reaches.  It
-certifies each one through the theorem checkers (synthesizing gains when
-measurements are available), and otherwise grows the measured set with the
-degree heuristic until the whole network is observable or a subset is
-exhausted.  With an invertible output map, measured nodes are reconstructed
-exactly and skip certification.
+each of its heads) from ``condense``, which no unprocessed node reaches.  Each
+root S is certified on one ``ErrorSystem``, one evaluation of A_S over the
+ensemble: first with zero gains, by the Theorem-2 check and then the
+Theorem-1 check, once per subset (``certify_or_fail``).  When both fail, each
+retry measures one more node of S, chosen by the degree heuristic, and
+synthesizes Theorem-2 gains on the nodes of S measured so far, until a
+synthesis passes or S is exhausted.  With an invertible output map, a
+measured node is instead reconstructed exactly and skips certification, and
+the rest of S returns in the next pass.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,12 +33,7 @@ from .assembly import (
     RobustnessBound,
 )
 from .dynamics import NetworkSystem
-from .gain_design import (
-    GainSet,
-    Infeasible,
-    ObserverDesign,
-    design_gain_thm2,
-)
+from .gain_design import GainSet, Infeasible, ObserverDesign, design_gain_thm2
 from .hypergraph import DirectedHypergraph, condense, to_dependency_graph
 from .sim import TrajectoryEnsemble
 
@@ -151,52 +149,22 @@ def select_node(
 
 
 def certify_or_fail(
-    sys: NetworkSystem,
-    subset_nodes: Iterable[int],
-    measured: Iterable[int],
-    ensemble: TrajectoryEnsemble,
-    options: DesignOptions,
-    zero_error_nodes: Iterable[int] = (),
-) -> tuple[CertificationReport, GainSet] | None:
-    """Certify one subset: zero-gain Theorem-2 check, then gain synthesis for
-    Theorem 2, then the zero-gain Theorem-1 check over the first
-    ``THM1_TRAJECTORIES`` trajectories when the subset's error dimension nM
-    is at most ``KRON_CAP``.  A_S and the coupling bound are evaluated once,
-    over the stacked ensemble, and every route reads that evaluation.
-    Returns None when nothing passes."""
-    sub = SubsetIndex(tuple(sorted(set(int(v) for v in subset_nodes))))
-    measured_in = sorted(frozenset(int(v) for v in measured) & set(sub.nodes))
-    samples = ensemble.stacked()
-    if samples.shape[0] == 0:
-        raise EmptyTrajectorySet("trajectory ensemble is empty")
-
-    err = ErrorSystem(sys, sub, samples, frozenset(int(v) for v in zero_error_nodes))
-    rep0 = check_thm2(err, options.margin)
-    if rep0.passed:
-        return rep0, GainSet({})
-
-    if measured_in:
-        try:
-            gains = design_gain_thm2(err, measured_in, options.margin, options.max_iters)
-            rep = check_thm2(err, options.margin, gains.entries)
-            if rep.passed:
-                return rep, gains
-        except Infeasible as exc:
-            log.debug("thm2 synthesis infeasible on %s: %s", sub.nodes, exc)
-
-    if err.dim <= KRON_CAP:
-        rep1 = check_thm1(
+    err: ErrorSystem, ensemble: TrajectoryEnsemble, options: DesignOptions
+) -> CertificationReport | None:
+    """Certify one subset with zero gains: the Theorem-2 check, then, when
+    the subset's error dimension nM is at most ``KRON_CAP``, the Theorem-1
+    check over the first ``THM1_TRAJECTORIES`` trajectories, both on the one
+    evaluation of A_S in ``err``.  Neither reads the measured set, so
+    ``design_observer`` runs this once per subset; each retry then measures
+    one node and synthesizes gains.  Returns the passing report, or None."""
+    report = check_thm2(err, options.margin)
+    if not report.passed and err.dim <= KRON_CAP:
+        report = check_thm1(
             err, ensemble.dt_sample, options.margin,
             length=ensemble.states.shape[1],
             count=min(THM1_TRAJECTORIES, ensemble.count),
         )
-        if rep1.passed:
-            return rep1, GainSet({})
-    return None
-
-
-def _exact_report() -> CertificationReport:
-    return CertificationReport("exact", math.inf, -math.inf, 0)
+    return report if report.passed else None
 
 
 def design_observer(
@@ -204,7 +172,8 @@ def design_observer(
 ) -> DesignOutcome:
     """Main design loop: peel root SCCs of the residual dependency pattern,
     certify or measure, until every node is observable or a subset fails."""
-    if ensemble.count == 0 or ensemble.stacked().shape[0] == 0:
+    samples = ensemble.stacked()
+    if samples.shape[0] == 0:
         raise EmptyTrajectorySet("need a nonempty trajectory ensemble")
     H = sys.hypergraph
     N = H.num_nodes
@@ -239,34 +208,22 @@ def design_observer(
             if not boundary_tails <= observed:
                 raise AssertionError(f"upstream tails {boundary_tails} of {S} unprocessed")
 
-            # certify S, or else measure select_node(S): with the shortcut the
-            # node is reconstructed exactly and the pass moves on, otherwise
-            # S is tried again with the larger measured set
+            # certify S with zero gains, or else measure select_node(S): with
+            # the shortcut the node is reconstructed exactly and the pass moves
+            # on, otherwise gains are synthesized on the nodes of S measured so
+            # far, ``added``.  No root holds a measured node (a measured node's
+            # subset was certified, or the node is exact and observed), so the
+            # zero-gain checks, which read neither gains nor the measured set,
+            # would decide every retry as they decide the first attempt: they
+            # run once, and every retry reads the same err
+            err = ErrorSystem(sys, SubsetIndex(S), samples, frozenset(exact))
+            report, new_gains = certify_or_fail(err, ensemble, options), GainSet({})
             added: list[int] = []
-            while True:
-                res = certify_or_fail(
-                    sys, S, measured, ensemble, options, zero_error_nodes=exact
-                )
-                if res is not None:
-                    report, new_gains = res
-                    gains = gains.merged(new_gains)
-                    observed.update(S)
-                    processed.append(ProcessedSubset(S, report, tuple(added), iteration))
-                    log.info(
-                        "iteration %d: certified %s via %s (measured %s)",
-                        iteration, S, report.theorem_used, added,
-                    )
-                    break
+            while report is None:
                 if set(S) <= measured:
                     log.warning("subset %s exhausted without certification", S)
-                    processed.append(
-                        ProcessedSubset(
-                            S,
-                            CertificationReport("none", -math.inf, math.inf, 0),
-                            tuple(added),
-                            iteration,
-                        )
-                    )
+                    none = CertificationReport("none", -math.inf, math.inf, 0)
+                    processed.append(ProcessedSubset(S, none, tuple(added), iteration))
                     return outcome("failed", S)
                 j = select_node(S, H, measured)
                 measured.add(j)
@@ -274,11 +231,28 @@ def design_observer(
                     # the rest of the SCC re-enters the residual graph next pass
                     exact.add(j)
                     observed.add(j)
-                    processed.append(ProcessedSubset((j,), _exact_report(), (j,), iteration))
+                    exact_report = CertificationReport("exact", math.inf, -math.inf, 0)
+                    processed.append(ProcessedSubset((j,), exact_report, (j,), iteration))
                     log.info("iteration %d: measuring node %d of %s (exact)", iteration, j, S)
                     break
                 added.append(j)
                 log.info("iteration %d: measuring node %d of %s", iteration, j, S)
+                try:
+                    new_gains = design_gain_thm2(err, added, options.margin, options.max_iters)
+                except Infeasible as exc:
+                    log.debug("thm2 synthesis infeasible on %s: %s", S, exc)
+                    continue
+                report = check_thm2(err, options.margin, new_gains.entries)
+                if not report.passed:
+                    report = None
+            if report is not None:
+                gains = gains.merged(new_gains)
+                observed.update(S)
+                processed.append(ProcessedSubset(S, report, tuple(added), iteration))
+                log.info(
+                    "iteration %d: certified %s via %s (measured %s)",
+                    iteration, S, report.theorem_used, added,
+                )
         if len(observed) == progress:
             raise AssertionError("design loop made no progress")
     return outcome("complete")
@@ -299,22 +273,19 @@ def field_param_jacobian_bound(sys: NetworkSystem, samples) -> float:
 def propagate_robustness_bounds(
     sys: NetworkSystem,
     outcome: DesignOutcome,
-    samples,
     mu_bar: float,
     nu_bar: float,
-    f_bound: float | None = None,
+    f_bound: float,
 ) -> tuple[float, list[RobustnessBound]]:
     """Per-subset asymptotic error bounds, propagated in processing order.
 
     Bounds of upstream tails feed the exogenous term of downstream subsets.
     Exactly reconstructed nodes are bounded by the inverted measurement noise.
-    Returns the stacked network bound and the per-subset bounds.
+    ``f_bound`` bounds the field's parameter Jacobian over the design
+    samples, as ``field_param_jacobian_bound`` computes it.  Returns the
+    stacked network bound and the per-subset bounds.
     """
-    if f_bound is None:
-        f_bound = field_param_jacobian_bound(sys, samples)
-    inv_gain = 0.0
-    if sys.output.invertible:
-        inv_gain = float(np.linalg.norm(sys.output.inverse, 2))
+    inv_gain = float(np.linalg.norm(sys.output.inverse, 2)) if sys.output.invertible else 0.0
     node_bound: dict[int, float] = {}
     per_subset: list[RobustnessBound] = []
     total_sq = 0.0

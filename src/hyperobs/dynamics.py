@@ -62,9 +62,11 @@ def lorenz_field(mu1: float = 10.0, mu2: float = 28.0, mu3: float = 8.0 / 3.0) -
     def f(x, mu):
         m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        return np.stack(
-            [m1 * (x2 - x1), x1 * (m2 - x3) - x2, x1 * x2 - m3 * x3], axis=-1
-        )
+        out = np.empty(np.broadcast_shapes(x1.shape, np.shape(m1)) + (3,))
+        out[..., 0] = m1 * (x2 - x1)
+        out[..., 1] = x1 * (m2 - x3) - x2
+        out[..., 2] = x1 * x2 - m3 * x3
+        return out
 
     def jx(x, mu):
         m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]

@@ -120,6 +120,8 @@ class ObserverDesign:
         for (_, j) in self.gains.entries:
             if j not in self.measured:
                 raise ValueError(f"gain column {j} is not a measured node")
+        if not self.exact_nodes <= self.measured:
+            raise ValueError(f"exact nodes {sorted(self.exact_nodes - self.measured)} unmeasured")
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -21,7 +22,17 @@ from hyperobs import (
     settling_time,
     tanh_coupling,
 )
-from hyperobs.gain_design import POLYAK_OVERSHOOT
+from hyperobs.assembly import (
+    KRON_CAP,
+    CertificationReport,
+    ErrorSystem,
+    SubsetIndex,
+    check_thm1,
+    check_thm2,
+)
+from hyperobs.designer import THM1_TRAJECTORIES, DesignOutcome, ProcessedSubset, select_node
+from hyperobs.gain_design import POLYAK_OVERSHOOT, GainSet, Infeasible, design_gain_thm2
+from hyperobs.hypergraph import condense, to_dependency_graph
 from hyperobs.sim import _cosimulate
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
@@ -217,6 +228,85 @@ def gain_array(prob, gains: Mapping) -> np.ndarray:
     ``prob``, zero where a key is absent."""
     zero = np.zeros((prob.n, prob.p))
     return np.array([gains.get(key, zero) for key in prob.keys], dtype=float)
+
+
+def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error_nodes=()):
+    """One certification attempt of the design loop, every route on a fresh
+    ``ErrorSystem``: zero-gain Theorem 2, then gain synthesis on the measured
+    nodes of the subset, then zero-gain Theorem 1 when nM <= ``KRON_CAP``.
+    Returns (report, gains) of the first route that passes, or None."""
+    sub = SubsetIndex(tuple(sorted(set(int(v) for v in subset_nodes))))
+    measured_in = sorted(frozenset(int(v) for v in measured) & set(sub.nodes))
+    err = ErrorSystem(sys, sub, ensemble.stacked(), frozenset(zero_error_nodes))
+    rep0 = check_thm2(err, options.margin)
+    if rep0.passed:
+        return rep0, GainSet({})
+    if measured_in:
+        try:
+            gains = design_gain_thm2(err, measured_in, options.margin, options.max_iters)
+            rep = check_thm2(err, options.margin, gains.entries)
+            if rep.passed:
+                return rep, gains
+        except Infeasible:
+            pass
+    if err.dim <= KRON_CAP:
+        rep1 = check_thm1(
+            err, ensemble.dt_sample, options.margin,
+            length=ensemble.states.shape[1],
+            count=min(THM1_TRAJECTORIES, ensemble.count),
+        )
+        if rep1.passed:
+            return rep1, GainSet({})
+    return None
+
+
+def reference_design_observer(sys, ensemble, options) -> DesignOutcome:
+    """The design loop with every route retried on every attempt: each root
+    subset is passed to ``reference_certify`` again after each node it
+    measures."""
+    H = sys.hypergraph
+    N = H.num_nodes
+    deps = to_dependency_graph(H)
+    shortcut = (
+        sys.output.invertible
+        if options.use_inverse_shortcut is None
+        else options.use_inverse_shortcut
+    )
+    observed, measured, exact = set(), set(), set()
+    gains = GainSet({})
+    processed = []
+    iteration = 0
+
+    def outcome(status, failed=None):
+        design = ObserverDesign(frozenset(measured), gains, frozenset(exact))
+        return DesignOutcome(design, processed, status, failed)
+
+    while len(observed) < N:
+        iteration += 1
+        for S in condense(deps, sorted(set(range(N)) - observed)):
+            added = []
+            while True:
+                res = reference_certify(sys, S, measured, ensemble, options, exact)
+                if res is not None:
+                    report, new_gains = res
+                    gains = gains.merged(new_gains)
+                    observed.update(S)
+                    processed.append(ProcessedSubset(S, report, tuple(added), iteration))
+                    break
+                if set(S) <= measured:
+                    none = CertificationReport("none", -math.inf, math.inf, 0)
+                    processed.append(ProcessedSubset(S, none, tuple(added), iteration))
+                    return outcome("failed", S)
+                j = select_node(S, H, measured)
+                measured.add(j)
+                if shortcut:
+                    exact.add(j)
+                    observed.add(j)
+                    exact_report = CertificationReport("exact", math.inf, -math.inf, 0)
+                    processed.append(ProcessedSubset((j,), exact_report, (j,), iteration))
+                    break
+                added.append(j)
+    return outcome("complete")
 
 
 # -- random systems and hypergraphs ----------------------------------------------

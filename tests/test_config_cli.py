@@ -291,6 +291,26 @@ BAD_HYPERGRAPH_FILES = {
 }
 
 
+def _design(report):
+    return report["outcome"]["design"]
+
+
+# each edits a design report that simulate and batch must refuse, exit 4
+MALFORMED_DESIGN_REPORTS = {
+    "missing_outcome": lambda report: report.pop("outcome"),
+    "unparsable_report_float": lambda report: report["outcome"]["processed_subsets"][0][
+        "report"].update(hurwitz_margin="abc"),
+    "gain_block_wrong_shape": lambda report: _design(report)["gains"].update({"2,0": [[1.0]]}),
+    "exact_node_not_measured": lambda report: _design(report).update(exact_nodes=[0, 1, 2]),
+    "measured_id_out_of_range": lambda report: _design(report).update(measured=[0, 1, 3]),
+    "missing_f_bound": lambda report: report.pop("f_bound"),
+    "nonpositive_margin": lambda report: [
+        p["report"].update(hurwitz_margin=-1.0)
+        for p in report["outcome"]["processed_subsets"] if p["report"]["theorem_used"] == "thm2"],
+    "downstream_subset_first": lambda report: report["outcome"]["processed_subsets"].reverse(),
+}
+
+
 @pytest.fixture(scope="module")
 def designed(tmp_path_factory):
     """Config + completed design report shared by the simulate/batch tests."""
@@ -312,7 +332,7 @@ class TestDesignCommand:
         assert report["config_hash"]
         assert report["f_bound"] > 0
 
-    def test_design_failure_exits_2(self, tmp_path):
+    def test_design_failure_exits_2(self, tmp_path, caplog):
         doc = cohead_config()
         # x3-only output cannot certify chaotic singletons
         doc["dynamics"]["output"] = {"matrix": [[0.0, 0.0, 1.0]]}
@@ -323,6 +343,14 @@ class TestDesignCommand:
         report = json.loads((tmp_path / "design.json").read_text())
         assert report["outcome"]["status"] == "failed"
         assert report["outcome"]["failed_subset"] is not None
+        # the failed subset's report has margin -inf; simulating still says "design failed"
+        for command in ("simulate", "batch"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--design",
+                         str(tmp_path / "design.json"), "--out-dir", str(out)]) == 2
+            assert not (out / "summary.json").exists()
+        assert "refusing to simulate" in caplog.text
+        assert "malformed design report" not in caplog.text
 
     def test_bad_config_exits_4(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -474,6 +502,20 @@ class TestSimulateAndBatch:
         cfg2.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(cfg2), "--design", str(design),
                      "--out-dir", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "batch"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DESIGN_REPORTS))
+    def test_malformed_design_report_exits_4(self, designed, tmp_path, case, command, caplog):
+        cfg, design = designed
+        report = json.loads(design.read_text())
+        MALFORMED_DESIGN_REPORTS[case](report)
+        bad = tmp_path / "design.json"
+        bad.write_text(json.dumps(report))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--design", str(bad),
+                     "--out-dir", str(out)]) == 4
+        assert "malformed design report" in caplog.text
+        assert not (out / "summary.json").exists()
 
     def test_sub_step_horizon_exits_4(self, designed, tmp_path):
         cfg_path, design = designed

@@ -1,10 +1,14 @@
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import conftest
 from hyperobs import (
     AllMeasured,
     DesignOptions,
@@ -15,6 +19,7 @@ from hyperobs import (
     NetworkSystem,
     TrajectoryEnsemble,
     TrajectoryEnsembleSpec,
+    bistable_field,
     certify_or_fail,
     design_observer,
     identity_output,
@@ -27,8 +32,9 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import designer
-from hyperobs.assembly import ErrorSystem
-from conftest import random_hypergraph, vector_field_from_callable
+from hyperobs.assembly import ErrorSystem, SubsetIndex
+from hyperobs.designer import field_param_jacobian_bound
+from conftest import random_hypergraph, reference_design_observer, vector_field_from_callable
 
 
 def stable_scalar_field(a=3.0):
@@ -247,63 +253,226 @@ class TestDesignObserver:
             assert covered == set(range(h.num_nodes))
 
 
+@dataclass(frozen=True)
+class DesignCase:
+    """A small network, its design ensemble and its design options, as data;
+    ``output`` holds the rows of Gamma, empty for the identity."""
+
+    num_nodes: int
+    edges: tuple[Hyperedge, ...]
+    field: str = "lorenz"  # "lorenz" | "bistable"
+    bistable: tuple = (3.0, 0.5)
+    coupling: str = "tanh"  # "tanh" | "linear"
+    output: tuple = ()
+    margin: float = 2.0
+    shortcut: bool | None = False
+    count: int = 3
+    seed: int = 0
+    max_iters: int = 300
+
+    def build(self):
+        h = DirectedHypergraph(self.num_nodes, self.edges)
+        field = lorenz_field() if self.field == "lorenz" else bistable_field(*self.bistable)
+        n = field.state_dim
+        coupling = (tanh_coupling(0.2, 0.05, 2.0) if self.coupling == "tanh"
+                    else linear_coupling(1.0))
+        output = linear_output(self.output) if self.output else identity_output(n)
+        sys = NetworkSystem(h, field, coupling, output)
+        ens = make_ensemble(sys, TrajectoryEnsembleSpec(
+            count=self.count, horizon=0.2, dt=1e-2, subsample=2, seed=self.seed))
+        options = DesignOptions(margin=self.margin, use_inverse_shortcut=self.shortcut,
+                                max_iters=self.max_iters)
+        return sys, ens, options
+
+
+def _cohead(sigma, **kw):
+    """``cohead_pair_system`` with an extra edge 2 -> 1."""
+    edges = ((0,), (1, 2)), ((0,), (2,)), ((2,), (1,))
+    return DesignCase(3, tuple(Hyperedge.uniform(t, hd, sigma) for t, hd in edges), **kw)
+
+
+# one case per route of the design loop; test_named_cases_take_their_route
+# checks that each still takes it
+NAMED_CASES = {
+    # {1, 2} passes zero-gain Theorem 2 once node 0 is certified by gains
+    "zero_gain": _cohead(80.0),
+    # the two-node bistable cycle: Theorem 2 fails, Theorem 1 certifies
+    "thm1": DesignCase(2, (Hyperedge.uniform((0,), (1,), 3.0),
+                           Hyperedge.uniform((1,), (0,), 0.01)),
+                       field="bistable", coupling="linear", count=10),
+    # a chaotic singleton certified by gains on its one measured node
+    "synthesis_one_node": DesignCase(1, ()),
+    # {1, 2}: synthesis on node 2 alone is infeasible, on nodes 2 and 1 it passes
+    "synthesis_two_nodes": _cohead(20.0),
+    "synthesis_two_nodes_partial_output": _cohead(20.0, output=((1, 0, 0), (0, 1, 0))),
+    # an x3-only output: synthesis is infeasible and the singleton is exhausted
+    "exhausted": DesignCase(1, (), output=((0, 0, 1),), margin=1.0, max_iters=100),
+    "inverse_shortcut": _cohead(20.0, shortcut=None),
+}
+
+
+@st.composite
+def design_cases(draw):
+    """Random networks of 2-4 Lorenz or bistable nodes."""
+    h = random_hypergraph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                          max_nodes=4, max_edges=3, sigma_range=(0.01, 30.0))
+    field = draw(st.sampled_from(["lorenz", "bistable"]))
+    output = ()
+    if field == "lorenz" and draw(st.booleans()):
+        output = ((1, 0, 0), (0, 1, 0))
+    return DesignCase(
+        h.num_nodes, h.edges, field=field,
+        bistable=draw(st.sampled_from([(3.0, 0.5), (1.0, 2.0)])),
+        coupling=draw(st.sampled_from(["tanh", "linear"])), output=output,
+        margin=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        shortcut=draw(st.sampled_from([None, False])),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+def _routes(outcome) -> set[str]:
+    """The routes a design took: the theorem of each processed subset, and
+    ``synthesis_<k>`` for a subset certified by gains on k measured nodes."""
+    routes = {outcome.status}
+    for p in outcome.processed:
+        routes.add(p.report.theorem_used)
+        if p.report.theorem_used == "thm2" and p.added_measured:
+            routes.add(f"synthesis_{len(p.added_measured)}")
+    return routes
+
+
+class TestDesignMatchesReference:
+    @pytest.mark.parametrize("name, routes", [
+        ("zero_gain", {"thm2"}),
+        ("thm1", {"thm1"}),
+        ("synthesis_one_node", {"synthesis_1"}),
+        ("synthesis_two_nodes", {"synthesis_2"}),
+        ("synthesis_two_nodes_partial_output", {"synthesis_2"}),
+        ("exhausted", {"failed", "none"}),
+        ("inverse_shortcut", {"exact"}),
+    ])
+    def test_named_cases_take_their_route(self, name, routes):
+        sys, ens, options = NAMED_CASES[name].build()
+        assert routes <= _routes(design_observer(sys, ens, options))
+
+    @settings(max_examples=30)
+    @given(case=design_cases())
+    @example(case=NAMED_CASES["zero_gain"])
+    @example(case=NAMED_CASES["thm1"])
+    @example(case=NAMED_CASES["synthesis_one_node"])
+    @example(case=NAMED_CASES["synthesis_two_nodes"])
+    @example(case=NAMED_CASES["synthesis_two_nodes_partial_output"])
+    @example(case=NAMED_CASES["exhausted"])
+    @example(case=NAMED_CASES["inverse_shortcut"])
+    def test_equals_per_attempt_reference(self, case):
+        # the reference reruns every route on a fresh ErrorSystem after each
+        # measured node; certifying each subset once must decide the same
+        sys, ens, options = case.build()
+        assert (design_observer(sys, ens, options).to_json_dict()
+                == reference_design_observer(sys, ens, options).to_json_dict())
+
+    def test_failing_post_synthesis_check_matches_reference(self, monkeypatch):
+        # gains synthesized for half the margin fail the check at the full
+        # margin, so each synthesis is rejected after it returns
+        real = designer.design_gain_thm2
+
+        def half_margin(err, measured, h_req, max_iters):
+            return real(err, measured, h_req / 2, max_iters)
+
+        monkeypatch.setattr(designer, "design_gain_thm2", half_margin)
+        monkeypatch.setattr(conftest, "design_gain_thm2", half_margin)
+        for name in ("synthesis_one_node", "synthesis_two_nodes"):
+            sys, ens, options = NAMED_CASES[name].build()
+            outcome = design_observer(sys, ens, options)
+            assert outcome.to_json_dict() == reference_design_observer(
+                sys, ens, options).to_json_dict()
+            assert outcome.status == "failed"
+
+
+def _count_per_subset(monkeypatch) -> Counter:
+    """Counts, per (route, subset nodes), of the A_S evaluations, zero-gain
+    and gain Theorem-2 checks, Theorem-1 checks and gain syntheses the
+    design loop makes from now on."""
+    calls = Counter()
+
+    def count(owner, name, route):
+        original = getattr(owner, name)
+
+        def counted(err, *args, **kwargs):
+            calls[route(args, kwargs), err.subset.nodes] += 1
+            return original(err, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(ErrorSystem, "a_matrix_batch", lambda args, kw: "a_matrix_batch")
+    count(designer, "check_thm2",
+          lambda args, kw: "thm2_gains" if args[1:] or kw else "thm2_zero_gain")
+    count(designer, "check_thm1", lambda args, kw: "thm1")
+    count(designer, "design_gain_thm2", lambda args, kw: "design_gain_thm2")
+    return calls
+
+
 class TestCertifyOrFail:
+    def certify(self, sys, nodes, ens, margin=1.0):
+        err = ErrorSystem(sys, SubsetIndex(tuple(nodes)), ens.stacked())
+        return certify_or_fail(err, ens, DesignOptions(margin=margin))
+
     def test_zero_gain_certification(self):
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, stable_scalar_field(2.0), linear_coupling(1.0),
                             identity_output(1))
         ens = small_ensemble(sys, count=3, horizon=0.2)
-        res = certify_or_fail(sys, [0], [], ens, DesignOptions(margin=1.0))
-        assert res is not None
-        report, gains = res
-        assert report.theorem_used == "thm2" and len(gains) == 0
+        report = self.certify(sys, [0], ens)
+        assert report is not None and report.theorem_used == "thm2"
 
     def test_unstable_unmeasured_scc_not_certified(self):
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             identity_output(3))
         ens = small_ensemble(sys, count=3, horizon=0.2)
-        assert certify_or_fail(sys, [0], [], ens, DesignOptions(margin=1.0)) is None
+        assert self.certify(sys, [0], ens) is None
+
+    def test_theorem1_certifies_after_theorem2_fails(self, monkeypatch):
+        sys, ens, options = NAMED_CASES["thm1"].build()
+        err = ErrorSystem(sys, SubsetIndex((0, 1)), ens.stacked())
+        assert not designer.check_thm2(err, options.margin).passed
+        report = certify_or_fail(err, ens, options)
+        assert report is not None and report.theorem_used == "thm1"
+        assert report.trajectory_ids == tuple(range(10))
+        # above KRON_CAP the Theorem-1 route is not tried
+        monkeypatch.setattr(designer, "KRON_CAP", err.dim - 1)
+        monkeypatch.setattr(designer, "check_thm1", None)
+        assert certify_or_fail(err, ens, options) is None
 
     def test_measured_node_gets_gains(self):
-        h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
-                            identity_output(3))
-        ens = small_ensemble(sys, count=3, horizon=0.2)
-        res = certify_or_fail(sys, [0], [0], ens, DesignOptions(margin=1.0))
-        assert res is not None
-        report, gains = res
-        assert report.passed and (0, 0) in gains.entries
+        sys, ens, options = NAMED_CASES["synthesis_one_node"].build()
+        outcome = design_observer(sys, ens, options)
+        (entry,) = outcome.processed
+        assert entry.report.theorem_used == "thm2" and entry.added_measured == (0,)
+        assert (0, 0) in outcome.gains.entries
 
     def test_one_evaluation_serves_every_route(self, monkeypatch):
-        calls = Counter()
-
-        def count(owner, name, replacement=None):
-            original = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return (replacement or original)(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        count(ErrorSystem, "a_matrix_batch")
-        count(ErrorSystem, "coupling_jac_bound")
-        count(designer, "check_thm2")
-        count(designer, "check_thm1")
-        # gains synthesised for half the margin fail the post-synthesis check,
-        # so the Theorem-1 route runs after it
-        real_design = designer.design_gain_thm2
-        count(designer, "design_gain_thm2",
-              lambda err, measured, h_req, max_iters: real_design(err, measured, h_req / 2,
-                                                                  max_iters))
-        h = DirectedHypergraph(1)
-        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
-                            identity_output(3))
-        ens = small_ensemble(sys, count=3, horizon=0.2)
-        assert certify_or_fail(sys, [0], [0], ens, DesignOptions(margin=1.0)) is None
-        assert calls == {"a_matrix_batch": 1, "coupling_jac_bound": 1, "check_thm2": 2,
-                         "design_gain_thm2": 1, "check_thm1": 1}
+        # per subset: one A_S evaluation, one zero-gain Theorem-2 check and at
+        # most one Theorem-1 check; per measured node without the shortcut, one
+        # synthesis and, when it returns gains, one Theorem-2 check with them
+        calls = _count_per_subset(monkeypatch)
+        for name, case in NAMED_CASES.items():
+            calls.clear()
+            sys, ens, options = case.build()
+            outcome = design_observer(sys, ens, options)
+            tried = {nodes for _, nodes in calls}
+            certified = [p for p in outcome.processed if p.report.theorem_used != "exact"]
+            assert {p.nodes for p in certified} <= tried
+            for nodes in tried:
+                assert calls["a_matrix_batch", nodes] == 1, name
+                assert calls["thm2_zero_gain", nodes] == 1, name
+                assert calls["thm1", nodes] <= 1, name
+                assert calls["thm2_gains", nodes] <= calls["design_gain_thm2", nodes], name
+            for p in certified:
+                assert calls["design_gain_thm2", p.nodes] == len(p.added_measured), name
+            if case.shortcut is None:
+                # every measured node is reconstructed exactly: no synthesis
+                assert not any(route == "design_gain_thm2" for route, _ in calls)
 
 
 class TestRobustnessPropagation:
@@ -311,27 +480,26 @@ class TestRobustnessPropagation:
         sys = cohead_pair_system()
         ens = small_ensemble(sys, count=6, horizon=0.4, seed=7)
         outcome = design_observer(sys, ens, DesignOptions(margin=2.0))
-        return sys, ens, outcome
+        return sys, outcome, field_param_jacobian_bound(sys, ens.stacked())
 
     def test_bounds_finite_and_monotone(self):
-        sys, ens, outcome = self.make_outcome()
-        samples = ens.stacked()
-        b1, per1 = propagate_robustness_bounds(sys, outcome, samples, 0.1, 0.05)
-        b2, _ = propagate_robustness_bounds(sys, outcome, samples, 0.2, 0.05)
-        b3, _ = propagate_robustness_bounds(sys, outcome, samples, 0.1, 0.10)
+        sys, outcome, f_bound = self.make_outcome()
+        b1, per1 = propagate_robustness_bounds(sys, outcome, 0.1, 0.05, f_bound)
+        b2, _ = propagate_robustness_bounds(sys, outcome, 0.2, 0.05, f_bound)
+        b3, _ = propagate_robustness_bounds(sys, outcome, 0.1, 0.10, f_bound)
         assert math.isfinite(b1) and b1 >= 0
         assert b2 >= b1 and b3 >= b1
         assert len(per1) == len(outcome.processed)
 
     def test_zero_uncertainty_zero_bound(self):
-        sys, ens, outcome = self.make_outcome()
-        b, per = propagate_robustness_bounds(sys, outcome, ens.stacked(), 0.0, 0.0)
+        sys, outcome, f_bound = self.make_outcome()
+        b, per = propagate_robustness_bounds(sys, outcome, 0.0, 0.0, f_bound)
         assert b == 0.0
 
     def test_exact_nodes_bounded_by_inverted_noise(self):
-        sys, ens, outcome = self.make_outcome()
+        sys, outcome, f_bound = self.make_outcome()
         nu = 0.3
-        _, per = propagate_robustness_bounds(sys, outcome, ens.stacked(), 0.0, nu)
+        _, per = propagate_robustness_bounds(sys, outcome, 0.0, nu, f_bound)
         exact_entries = [
             bound for p, bound in zip(outcome.processed, per)
             if p.report.theorem_used == "exact"

@@ -62,6 +62,24 @@ class TestLorenz:
         )
 
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([
+        ((4, 2, 5, 3), (4, 2, 5, 3)),
+        ((4, 2, 5, 3), (4, 1, 5, 3)),
+        ((4, 2, 5, 3), (3,)),
+        ((3,), (4, 2, 5, 3)),
+    ]))
+    def test_matches_stacked_formula_on_broadcast_inputs(self, seed, shapes):
+        # the co-simulation evaluates node-first (N, 2, A, 3) states with
+        # per-run parameters in the same layout
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-30, 30, shapes[0])
+        mu = rng.uniform(0, 30, shapes[1])
+        m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        stacked = np.stack([m1 * (x2 - x1), x1 * (m2 - x3) - x2, x1 * x2 - m3 * x3], axis=-1)
+        np.testing.assert_array_equal(lorenz_field().eval(x, mu), stacked)
+
+
 class TestBistable:
     def test_origin_and_slope(self):
         f = bistable_field(1.0, 2.0)
