@@ -186,7 +186,8 @@ def design_observer(
     if shortcut and not sys.output.invertible:
         raise ValueError("inverse shortcut requested but the output map is not invertible")
 
-    observed: set[int] = set()
+    # the residual pattern is the one on the nodes not yet observed
+    observed = np.zeros(N, dtype=bool)
     measured: set[int] = set()
     exact: set[int] = set()
     gains = GainSet({})
@@ -197,15 +198,14 @@ def design_observer(
         design = ObserverDesign(frozenset(measured), gains, frozenset(exact))
         return DesignOutcome(design, processed, status, failed)
 
-    while len(observed) < N:
+    while not observed.all():
         iteration += 1
-        residual = sorted(set(range(N)) - observed)
-        progress = len(observed)
-        for S in condense(deps, residual):
+        progress = np.count_nonzero(observed)
+        for S in condense(deps, np.flatnonzero(~observed)):
             # structural guarantee behind hypothesis H3 and the b_S form;
             # ErrorSystem checks that S is head-closed modulo exact nodes
             boundary_tails = set(H.tails_of(H.boundary(S))) - set(S)
-            if not boundary_tails <= observed:
+            if not all(observed[v] for v in boundary_tails):
                 raise AssertionError(f"upstream tails {boundary_tails} of {S} unprocessed")
 
             # certify S with zero gains, or else measure select_node(S): with
@@ -230,7 +230,7 @@ def design_observer(
                 if shortcut:
                     # the rest of the SCC re-enters the residual graph next pass
                     exact.add(j)
-                    observed.add(j)
+                    observed[j] = True
                     exact_report = CertificationReport("exact", math.inf, -math.inf, 0)
                     processed.append(ProcessedSubset((j,), exact_report, (j,), iteration))
                     log.info("iteration %d: measuring node %d of %s (exact)", iteration, j, S)
@@ -247,27 +247,28 @@ def design_observer(
                     report = None
             if report is not None:
                 gains = gains.merged(new_gains)
-                observed.update(S)
+                observed[list(S)] = True
                 processed.append(ProcessedSubset(S, report, tuple(added), iteration))
                 log.info(
                     "iteration %d: certified %s via %s (measured %s)",
                     iteration, S, report.theorem_used, added,
                 )
-        if len(observed) == progress:
+        if np.count_nonzero(observed) == progress:
             raise AssertionError("design loop made no progress")
     return outcome("complete")
 
 
 def field_param_jacobian_bound(sys: NetworkSystem, samples) -> float:
-    """Max spectral norm of the field's parameter Jacobian over the samples."""
-    X = np.asarray(samples, dtype=float)
-    return float(
-        np.linalg.svd(
-            sys.field.jac_mu(X.reshape(-1, sys.num_nodes, sys.state_dim),
-                             sys.field.nominal_params),
-            compute_uv=False,
-        )[..., 0].max()
-    )
+    """Max spectral norm of the field's parameter Jacobian over the samples;
+    the spectral norm of a one-row Jacobian is its row's norm."""
+    X = np.asarray(samples, dtype=float).reshape(-1, sys.num_nodes, sys.state_dim)
+    J = sys.field.jac_mu(X, sys.field.nominal_params)
+    if J.shape[-2] == 1:
+        # sqrt is monotone: the largest norm is the root of the largest sum of
+        # squares, and einsum forms the sums with no temporary as large as J
+        row = J[..., 0, :]
+        return float(np.sqrt(np.einsum("...i,...i->...", row, row).max()))
+    return float(np.linalg.svd(J, compute_uv=False)[..., 0].max())
 
 
 def propagate_robustness_bounds(

@@ -133,7 +133,18 @@ def tanh_coupling(a: float, b: float, c: float) -> CouplingFunction:
     """Componentwise a*z + b*((z+c)tanh(z+c) - (z-c)tanh(z-c))."""
 
     def g(z):
-        return a * z + b * ((z + c) * np.tanh(z + c) - (z - c) * np.tanh(z - c))
+        # in place wherever the operands commute: the bits of the one-line form
+        u = z + c
+        t = np.tanh(u)
+        t *= u
+        u = z - c
+        s = np.tanh(u)
+        s *= u
+        t -= s
+        t *= b
+        out = a * z
+        out += t
+        return out
 
     def dg(z):
         def t(u):

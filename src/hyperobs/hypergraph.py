@@ -282,13 +282,19 @@ def condense(pattern, on: Iterable[int] | None = None) -> list[tuple[int, ...]]:
     Each root is an ascending node tuple, and the roots come in order of their
     smallest member.  Components come from
     ``scipy.sparse.csgraph.connected_components``; only root members are
-    visited in Python.
+    visited in Python.  An index array ``on`` is taken as it is, so it must
+    ascend without repeats, as ``np.flatnonzero`` of a node mask does.
     """
     # csgraph, and the scipy.sparse.linalg it loads, only where condensing runs
     from scipy.sparse.csgraph import connected_components
 
     N = pattern.shape[0]
-    nodes = np.arange(N) if on is None else np.unique(np.fromiter(on, dtype=np.intp))
+    if on is None:
+        nodes = np.arange(N)
+    elif isinstance(on, np.ndarray):
+        nodes = on
+    else:
+        nodes = np.unique(np.fromiter(on, dtype=np.intp))
     outside = nodes[(nodes < 0) | (nodes >= N)]
     if outside.size:
         raise NodeOutOfRange(f"node {outside[0]} outside [0, {N})")

@@ -10,7 +10,11 @@ generator draws its measurement noise for every output channel of every
 measured node, a chunk of grid points at a time; the noise of a grid point is
 held through the four stages of the next step.  Measured nodes listed in
 ``design.exact_nodes`` are reconstructed directly through the inverse output
-map at every grid point.
+map at every grid point, x̂ = Γ⁻¹(Γx + ν).  When that covers every node the
+observer has no dynamics, and the co-simulation steps the plant alone, (N, A,
+n) on per-run parameters.  Both ways, ``monte_carlo`` draws xhat(0) and the
+noise of every output channel of every measured node at every grid point, so
+each run's generator yields the same numbers whichever state is stepped.
 
 The co-simulation yields the per-node error norms grid point by grid point;
 ``monte_carlo`` keeps only the stacked error norm of each run, (R, G+1).
@@ -155,21 +159,32 @@ def _cosimulate(
     """Co-simulate R runs of plant and observer.
 
     Yields, at each of the G+1 grid points, the per-node error norms (R, N),
-    NaN for diverged runs, and the diverged flags (R,).
+    NaN for diverged runs, and the diverged flags (R,).  When every node is in
+    ``design.exact_nodes`` only the plant is stepped, and only it is checked
+    for divergence: ``xhat0`` and any gains go unread, since the
+    reconstruction replaces the observer at every grid point.
     """
     R, N, n = x0.shape
     measured, op = _correction_operator(sys, design)
-    exact = sorted(design.exact_nodes)
-    if exact and not sys.output.invertible:
+    exact = np.array(sorted(design.exact_nodes), dtype=np.intp)
+    if exact.size and not sys.output.invertible:
         raise ValueError("exact reconstruction requires an invertible output map")
-    exact_cols = [measured.index(j) for j in exact]
+    exact_cols = np.searchsorted(measured, exact)
     m, p = len(measured), sys.output.output_dim
-
-    # node-first (N, 2, A, n) over the A runs still alive: index 0 along
-    # axis 1 is the plant, 1 the observer
-    y = np.ascontiguousarray(np.stack([x0, xhat0]).transpose(2, 0, 1, 3))
-    nominal = np.broadcast_to(sys.field.nominal_params, per_params.shape)
-    params = np.ascontiguousarray(np.stack([per_params, nominal]).transpose(2, 0, 1, 3))
+    # with every node reconstructed the observer has no dynamics: the state
+    # is the plant's alone, node-first (N, A, n) over the A runs still alive
+    plant_only = exact.size == N
+    if plant_only:
+        y = np.ascontiguousarray(x0.transpose(1, 0, 2))
+        params = np.ascontiguousarray(per_params.transpose(1, 0, 2))
+        op, others = None, (0, 2)
+    else:
+        # node-first (N, 2, A, n): index 0 along axis 1 is the plant, 1 the
+        # observer
+        y = np.ascontiguousarray(np.stack([x0, xhat0]).transpose(2, 0, 1, 3))
+        nominal = np.broadcast_to(sys.field.nominal_params, per_params.shape)
+        params = np.ascontiguousarray(np.stack([per_params, nominal]).transpose(2, 0, 1, 3))
+        others = (0, 1, 3)
     alive, diverged = np.arange(R), np.zeros(R, dtype=bool)
     a, G = cfg.noise_amplitude, cfg.num_steps
     noise = _noise(rngs, a, m, p, G + 1) if a > 0 and m else itertools.repeat(np.zeros((R, m, p)))
@@ -186,23 +201,32 @@ def _cosimulate(
             d[:, 1] += corr.reshape(N, n, -1).transpose(0, 2, 1)
         return d
 
+    def reconstruct(x, v):
+        """Gamma^-1 (Gamma x + v) for run-first plant states ``x`` (A, E, n)
+        under the noise ``v`` (A, E, p)."""
+        return (sys.output.eval(x) + v) @ sys.output.inverse.T
+
     for k in range(G + 1):
         if k and alive.size:
             y = _rk4_step(rhs, y, cfg.dt)
-            # the max of a run with a NaN is NaN, which compares False
-            ok = np.abs(y).max(axis=(0, 1, 3)) < DIVERGENCE_THRESHOLD
+            # the max of a run (over every axis of the state but the run
+            # axis) with a NaN is NaN, which compares False
+            ok = np.abs(y).max(axis=others) < DIVERGENCE_THRESHOLD
             if not ok.all():
                 diverged[alive[~ok]] = True
-                y, params, alive = y[:, :, ok], params[:, :, ok], alive[ok]
+                y, params, alive = y[..., ok, :], params[..., ok, :], alive[ok]
         # the noise of grid point k, held through the next step
         nu = next(noise)[alive]
-        if exact:
-            xe = np.ascontiguousarray(y[exact, 0].swapaxes(0, 1))
-            meas = sys.output.eval(xe) + nu[:, exact_cols]
-            y[exact, 1] = (meas @ sys.output.inverse.T).swapaxes(0, 1)
         err = np.full((R, N), np.nan)
         # contiguous rows: a run's norm over N sums in the same order always
-        err[alive] = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1).T
+        if plant_only:
+            x = np.ascontiguousarray(y.swapaxes(0, 1))
+            err[alive] = np.linalg.norm(x - reconstruct(x, nu), axis=-1)
+        else:
+            if exact.size:
+                xe = np.ascontiguousarray(y[exact, 0].swapaxes(0, 1))
+                y[exact, 1] = reconstruct(xe, nu[:, exact_cols]).swapaxes(0, 1)
+            err[alive] = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1).T
         yield err, diverged.copy()
 
 
@@ -218,7 +242,9 @@ def monte_carlo(
     order: x(0) uniform in the initial box, xhat(0) from the relative-width
     perturbation of x(0), per-node parameter draws (when a spread is
     configured), then the measurement noise, grid point by grid point while
-    the runs are co-simulated.  All runs step together, and only the (R, G+1)
+    the runs are co-simulated.  xhat(0) is drawn even when every node is
+    reconstructed exactly and it goes unread, so the noise does not depend
+    on the design.  All runs step together, and only the (R, G+1)
     error norms are kept, so memory does not grow with N times G.
     """
     if n_runs < 1:

@@ -507,3 +507,22 @@ class TestRobustnessPropagation:
         assert exact_entries
         for bound in exact_entries:
             assert bound.value == pytest.approx(nu)  # identity output
+
+
+class TestFieldParamJacobianBound:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40))
+    def test_one_row_jacobian_matches_the_svd(self, seed, N, K):
+        # bistable: a 1x2 parameter Jacobian, whose spectral norm is its
+        # row's norm; the two routes round differently, by at most 4 ulp
+        rng = np.random.default_rng(seed)
+        sys = NetworkSystem(DirectedHypergraph(N), bistable_field(*rng.uniform(0.1, 5.0, 2)),
+                            linear_coupling(1.0), identity_output(1))
+        X = rng.uniform(-5.0, 5.0, (K, N, 1))
+        J = sys.field.jac_mu(X, sys.field.nominal_params)
+        assert J.shape == (K, N, 1, 2)
+        svd = np.linalg.svd(J, compute_uv=False)[..., 0]
+        for k in range(K):
+            got = field_param_jacobian_bound(sys, X[k : k + 1])
+            assert abs(got - svd[k].max()) <= 4 * np.spacing(svd[k].max())
+        got = field_param_jacobian_bound(sys, X)
+        assert abs(got - svd.max()) <= 4 * np.spacing(svd.max())

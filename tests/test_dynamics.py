@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import brentq
 
 from hyperobs import (
@@ -122,6 +123,17 @@ class TestTanhCoupling:
         assert g.deriv([0.0])[0] == pytest.approx(expect, rel=1e-12)
         fd = fd_jacobian(lambda z: g.eval(z), np.array([0.0]))
         assert g.deriv([0.0])[0] == pytest.approx(fd[0, 0], rel=1e-8)
+
+    @given(
+        arrays(np.float64, array_shapes(min_dims=0, max_dims=4, max_side=5),
+               elements=st.floats(-1e3, 1e3)),
+        st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10),
+    )
+    def test_bits_equal_the_one_line_form(self, z, a, b, c):
+        expect = a * z + b * ((z + c) * np.tanh(z + c) - (z - c) * np.tanh(z - c))
+        got = np.asarray(tanh_coupling(a, b, c).eval(z))
+        assert got.shape == np.shape(expect)
+        np.testing.assert_array_equal(got.view(np.uint64), np.asarray(expect).view(np.uint64))
 
     @given(st.floats(-30, 30))
     def test_odd_symmetry(self, z):

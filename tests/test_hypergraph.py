@@ -230,6 +230,15 @@ class TestCondensation:
         }
         assert condense(g, on) == [comp for k, comp in enumerate(sccs) if k not in entered]
 
+    @given(hypergraphs(max_nodes=10), st.data())
+    def test_index_array_gives_the_roots_of_its_node_set(self, h, data):
+        # the design loop passes np.flatnonzero of its residual mask
+        g = to_dependency_graph(h)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=h.num_nodes,
+                                           max_size=h.num_nodes)))
+        on = np.flatnonzero(mask)
+        assert condense(g, on) == condense(g, set(on.tolist()))
+
     @given(st.integers(0, 2**32 - 1))
     def test_condense_on_dag_returns_sources(self, seed):
         rng = np.random.default_rng(seed)

@@ -244,6 +244,77 @@ class TestMonteCarlo:
         for k, values in pinned.items():
             np.testing.assert_allclose(stats.error_norms[:, k], values, rtol=1e-12)
 
+    @pytest.mark.parametrize("exact, gains, pinned", [
+        # every node reconstructed: only the plant is stepped
+        ({0, 1}, {}, {
+            0: [0.08669322688030467, 0.07153197013484895, 0.05961826602549255],
+            1: [0.044458077690467036, 0.06828293993513564, 0.0732700306928366],
+            100: [0.07121052238078722, 0.08105961449120722, 0.08566308199950605],
+            200: [0.0575771653745244, 0.06297867348325821, 0.04905598708800586],
+        }),
+        # node 1 corrected by a gain: the observer is stepped
+        ({0}, {(1, 1): 2.0 * np.eye(3)}, {
+            0: [0.1533531707933546, 0.31938072357984576, 0.7316057533423113],
+            1: [0.1458182301394158, 0.32543705170176085, 0.710303133246147],
+            100: [0.1369724979559373, 0.8579153187571616, 0.482340499010497],
+            200: [0.33778720229131115, 2.0290489799593345, 0.9849294385316528],
+        }),
+    ], ids=["all-exact", "one-not-exact"])
+    def test_exact_error_norms_pinned(self, exact, gains, pinned):
+        # computed with the observer of every node stepped, and the observer
+        # of each exact node overwritten at each grid point
+        sys = lorenz_pair_system()
+        design = ObserverDesign(frozenset({0, 1}), GainSet(gains), exact_nodes=frozenset(exact))
+        cfg = SimConfig(dt=1e-3, horizon=0.2, seed=16, noise_amplitude=0.05,
+                        param_rel_spread=0.02)
+        stats = monte_carlo(sys, design, cfg, n_runs=3)
+        for k, values in pinned.items():
+            np.testing.assert_allclose(stats.error_norms[:, k], values, rtol=1e-12)
+
+    def test_all_exact_equals_plant_simulation_and_reconstruction(self):
+        # each run's error norms are those of its own plant trajectory, from
+        # simulate_network with the run's parameters, against its
+        # reconstruction Gamma^-1 (Gamma x + nu) under the run's noise
+        gamma = np.array([[3.0, 0.4, -0.2], [0.5, 2.0, 0.3], [-0.1, 0.6, 2.5]])
+        base = lorenz_pair_system()
+        sys = NetworkSystem(base.hypergraph, base.field, base.coupling, linear_output(gamma))
+        design = ObserverDesign(frozenset({0, 1}), GainSet({}), exact_nodes=frozenset({0, 1}))
+        cfg = SimConfig(dt=1e-3, horizon=0.1, seed=22, noise_amplitude=0.05,
+                        param_rel_spread=0.02)
+        stats = monte_carlo(sys, design, cfg, n_runs=4)
+        G, s, a = cfg.num_steps, cfg.param_rel_spread, cfg.noise_amplitude
+        for r, (x0, _, rng) in enumerate(own_runs(cfg, 4, (2, 3))):
+            params = sys.per_node_params * (1.0 + rng.uniform(-s, s, (2, 3)))
+            own = NetworkSystem(sys.hypergraph, sys.field, sys.coupling, sys.output, params)
+            x = simulate_network(own, x0[None], cfg.dt, G)[0]
+            xhat = (x @ gamma.T + rng.uniform(-a, a, (G + 1, 2, 3))) @ sys.output.inverse.T
+            expect = np.linalg.norm(np.linalg.norm(x - xhat, axis=-1), axis=-1)
+            np.testing.assert_array_equal(stats.error_norms[r], expect)
+
+    def test_all_exact_divergence_flagged_at_the_pinned_step(self):
+        # x' = x^2 with both nodes reconstructed: only the plant is stepped
+        # and checked, and runs 1 and 4 are flagged at the grid steps found
+        # with the observer stepped and checked alongside
+        field = vector_field_from_callable(
+            lambda x, mu: x**2, 1, np.zeros(1), jac_x=lambda x, mu: (2 * x)[..., None]
+        )
+        h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 0.5),))
+        sys = NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
+        design = ObserverDesign(frozenset({0, 1}), GainSet({}), exact_nodes=frozenset({0, 1}))
+        cfg = SimConfig(dt=1e-3, horizon=1.0, seed=49, noise_amplitude=0.01,
+                        x0_box=(-1.0, 1.5))
+        stats = monte_carlo(sys, design, cfg, n_runs=6)
+        assert stats.flagged_runs == [(1, 828), (4, 946)]
+        for r, k in stats.flagged_runs:
+            assert np.isnan(stats.error_norms[r, k:]).all()
+            assert np.isfinite(stats.error_norms[r, :k]).all()
+        np.testing.assert_allclose(
+            stats.error_norms[:, 827],
+            [0.006631009792396592, 0.005310399502869086, 0.009952046005334527,
+             0.0048085299443999625, 0.008472934990586059, 0.008961694413197545],
+            rtol=1e-12,
+        )
+
     def test_memory_stays_below_one_per_node_history(self):
         N, R, G = 200, 4, 2000
         edges = tuple(Hyperedge.uniform((i,), ((i + 1) % N,), 0.5) for i in range(N))
