@@ -6,9 +6,11 @@ same way, which is how heterogeneous per-node parameters enter the network
 dynamics.  The coupling acts per coordinate, so its Jacobian is diagonal and
 is stored as its diagonal g', shaped like the argument.  The output map is
 linear and is its matrix Gamma, which is also its Jacobian.  The
-hyperdiffusive coupling is two CSR products, H_sigma g(W x), on a node-first
-state x of shape (N, ...), with W the E x N member incidence and H_sigma the
-N x E head incidence scaled by sigma, both built once from the hypergraph's.
+hyperdiffusive coupling is two sparse products, H_sigma g(W x), on a
+node-first state x of shape (N, ...), with W the E x N member incidence and
+H_sigma the N x E head incidence scaled by sigma, both built once from the
+hypergraph's as ``JaggedMatrix``es: a few numpy calls per product, with the
+sums of scipy's CSR kernel bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .hypergraph import DirectedHypergraph
 
@@ -226,10 +227,10 @@ class NetworkSystem:
         params = np.asarray(params, dtype=float).reshape(N, self.field.param_dim)
         object.__setattr__(self, "per_node_params", params)
         # W (+alpha for a tail, -beta for a head) and H_sigma
-        h, E = self.hypergraph, len(self.hypergraph.edges)
-        W = csr_array((h.member_weight, h.members, h.member_ptr), shape=(E, N))
+        h = self.hypergraph
+        W = JaggedMatrix(h.member_weight, h.members, h.member_ptr)
         object.__setattr__(self, "_members", W)
-        H = csr_array((h.edge_sigma[h.head_edges], h.head_edges, h.head_ptr), shape=(N, E))
+        H = JaggedMatrix(h.edge_sigma[h.head_edges], h.head_edges, h.head_ptr)
         object.__setattr__(self, "_heads", H)
 
     @property
@@ -245,25 +246,89 @@ class NetworkSystem:
         in that order, for node-first ``states`` (N, ...): (edges, ...).
         Chosen edges read their rows of W, restricted to their members."""
         if edges is None:
-            return _product(self._members, states)
+            return self._members @ states
         h = self.hypergraph
         edges = np.asarray(edges, dtype=np.intp)
         start, sizes = h.member_ptr[edges], np.diff(h.member_ptr)[edges]
         ptr = np.concatenate([[0], np.cumsum(sizes)])
         entries = np.repeat(start - ptr[:-1], sizes) + np.arange(ptr[-1])
         cols, local = np.unique(h.members[entries], return_inverse=True)
-        rows = csr_array((h.member_weight[entries], local, ptr), shape=(len(edges), len(cols)))
-        return _product(rows, states[cols])
+        return JaggedMatrix(h.member_weight[entries], local, ptr) @ states[cols]
 
     def coupling_term(self, states: np.ndarray) -> np.ndarray:
         """Per-node sum of sigma * g(argument) over incoming edges, H g(W x),
-        on node-first ``states`` (N, ...)."""
-        return _product(self._heads, self.coupling.eval(self.edge_arguments(states)))
+        on node-first ``states`` (N, ...).  Members ascend within an edge and
+        edges within a node, so every sum runs in ascending index order."""
+        return self._heads @ self.coupling.eval(self.edge_arguments(states))
 
 
-def _product(matrix: csr_array, x: np.ndarray) -> np.ndarray:
-    """``matrix`` times the node-first ``x`` (cols, ...): (rows, ...).  scipy's
-    CSR kernel adds each row's entries onto zero in entry order, and members
-    ascend within an edge and edges within a node."""
-    out = matrix @ x.reshape(x.shape[0], math.prod(x.shape[1:]))
-    return out.reshape((matrix.shape[0],) + x.shape[1:])
+# a ``JaggedMatrix`` product keeps three work arrays of up to this many bytes
+# each; a wider right-hand side is multiplied a column chunk at a time
+PRODUCT_CHUNK_BYTES = 1 << 22
+
+
+class JaggedMatrix:
+    """A sparse matrix in jagged-diagonal storage (Saad, "Iterative Methods
+    for Sparse Linear Systems", 2nd ed., 2003, sec. 3.4), built from a CSR
+    triple ``data``, ``indices``, ``indptr`` with ``indptr[0] == 0``.  The
+    rows are sorted by decreasing length, stably, and the entries stored
+    k-major: the first entry of every row, then the second of every row that
+    has one, and so on, so the rows with a k-th entry are a prefix of the
+    sorted rows.  A product reuses the work arrays of the previous one when
+    the column count is the same, so a matrix serves one thread."""
+
+    def __init__(self, data, indices, indptr):
+        indptr = np.asarray(indptr, dtype=np.intp)
+        lengths = np.diff(indptr)
+        rows = len(lengths)
+        order = np.argsort(-lengths, kind="stable")
+        self._rank = np.empty(rows, dtype=np.intp)
+        self._rank[order] = np.arange(rows)
+        # counts[k] rows have a k-th entry; diagonal k starts at starts[k]
+        width = int(lengths.max(initial=0))
+        counts = rows - np.searchsorted(np.sort(lengths), np.arange(width), side="right")
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        row = np.repeat(np.arange(rows), lengths)
+        slot = starts[np.arange(len(row)) - indptr[row]] + self._rank[row]
+        self._data = np.empty((len(row), 1))
+        self._data[slot, 0] = data
+        self._indices = np.empty(len(row), dtype=np.intp)
+        self._indices[slot] = indices
+        self._diagonals = list(zip(counts.tolist(), starts.tolist(), starts[1:].tolist()))
+        self._chunk = max(1, PRODUCT_CHUNK_BYTES // (8 * max(1, len(row), rows)))
+        self._cols = None  # the column count of the work arrays
+        self.num_rows = rows
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """This matrix times ``x`` (cols, ...): (rows, ...).  Each row's
+        products are added onto zero in CSR entry order, one diagonal at a
+        time, as scipy's CSR kernel adds them: the sums are its own bit for
+        bit, signed zeros included."""
+        x = np.asarray(x, dtype=float)
+        cols = math.prod(x.shape[1:])
+        flat = x.reshape(x.shape[0], cols)
+        step = self._chunk
+        if cols <= step:
+            out = self._sorted_product(flat)
+        else:
+            out = np.empty((self.num_rows, cols))
+            for c in range(0, cols, step):
+                out[:, c : c + step] = self._sorted_product(flat[:, c : c + step])
+        # a copy out of the work array, in the caller's row order
+        return out.take(self._rank, axis=0).reshape((self.num_rows,) + x.shape[1:])
+
+    def _sorted_product(self, x: np.ndarray) -> np.ndarray:
+        """The product with the 2-D ``x`` in a work array, rows sorted."""
+        cols = x.shape[1]
+        if cols != self._cols:
+            self._prod = np.empty((len(self._indices), cols))
+            self._scale = np.repeat(self._data, cols, axis=1)
+            self._out = np.empty((self.num_rows, cols))
+            self._pairs = [(self._out[:c], self._prod[a:b]) for c, a, b in self._diagonals]
+            self._cols = cols
+        x.take(self._indices, axis=0, out=self._prod, mode="clip")
+        self._prod *= self._scale
+        self._out.fill(0.0)
+        for acc, terms in self._pairs:
+            acc += terms
+        return self._out

@@ -164,8 +164,12 @@ class GainProblem:
         self.s0 = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0),
                          out=np.empty(a.shape[1:] + a.shape[:1]))
         self.s0 *= 0.5
-        # the screen's work array, reused by every call
+        # the screen's work arrays, reused by every call: the matrices it
+        # factors (afterwards the rows that reach eigvalsh) and the rank-1
+        # update of one Cholesky step
         self._work = np.empty_like(self.s0)
+        d = a.shape[1]
+        self._update = np.empty((max(d - 1, 0), max(d - 1, 0), a.shape[0]))
         # the screen's rounding scale; non-finite samples fail it on their own
         mag = np.maximum(self.s0.max(axis=(0, 1)), -self.s0.min(axis=(0, 1)))
         self.s0_max = float(mag[np.isfinite(mag)].max(initial=0.0))
@@ -176,9 +180,10 @@ class GainProblem:
         """B of the gain array ``L``: A_S(L) = err.a - B."""
         return gain_matrix(self.sub, self.keys, L, self.gamma)
 
-    def rows(self, B: np.ndarray, idx) -> np.ndarray:
-        """The rows ``idx`` of the A_S(L) stack, err.a - B."""
-        A = np.take(self.err.a, idx, axis=0)
+    def rows(self, B: np.ndarray, idx, out=None) -> np.ndarray:
+        """The rows ``idx`` of the A_S(L) stack, err.a - B, in ``out`` when
+        given."""
+        A = np.take(self.err.a, idx, axis=0, out=out, mode="clip")
         A -= B
         return A
 
@@ -201,7 +206,10 @@ class GainProblem:
                 piv = M[j, j]
                 ok &= (piv > 0) & (piv < np.inf)
                 col = M[j + 1 :, j] / np.sqrt(piv)
-                M[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
+                r = d - j - 1
+                M[j + 1 :, j + 1 :] -= np.multiply(
+                    col[:, None], col[None, :], out=self._update[:r, :r]
+                )
         return ~ok
 
     def worst_sample(self, B: np.ndarray) -> tuple[int, float]:
@@ -212,7 +220,10 @@ class GainProblem:
         keep = self.screen(B, float(lam[self.top].max()))
         keep[self.top] = False
         rest = np.flatnonzero(keep)
-        lam[rest] = symmetric_top_eig(self.rows(B, rest))
+        # the screen is done with its work array, which holds every sample
+        d = B.shape[0]
+        out = self._work.reshape(-1)[: len(rest) * d * d].reshape(len(rest), d, d)
+        lam[rest] = symmetric_top_eig(self.rows(B, rest, out))
         self.evaluated += len(self.top) + len(rest)
         self.top = np.argsort(lam)[-SEED_COUNT:]
         k = int(np.argmax(lam))

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -260,6 +262,9 @@ def to_dependency_graph(h: DirectedHypergraph) -> csr_array:
     pattern has exactly those arcs before the summing, so neither a
     cancellation between edges nor a zero weight can hide a dependency.
     """
+    # scipy only where the design runs: simulation never loads it
+    from scipy.sparse import csc_array, csr_array
+
     N, E = h.num_nodes, len(h.edges)
     # column k of the member incidence lists edge k's members; column i of
     # the head incidence lists the edges node i heads
@@ -285,7 +290,9 @@ def condense(pattern, on: Iterable[int] | None = None) -> list[tuple[int, ...]]:
     visited in Python.  An index array ``on`` is taken as it is, so it must
     ascend without repeats, as ``np.flatnonzero`` of a node mask does.
     """
-    # csgraph, and the scipy.sparse.linalg it loads, only where condensing runs
+    # scipy.sparse and csgraph, which loads scipy.sparse.linalg, only where
+    # condensing runs: importing the package and simulating never load scipy
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
     N = pattern.shape[0]

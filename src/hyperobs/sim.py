@@ -2,10 +2,11 @@
 
 One classical RK4 step, ``_rk4_step``, integrates the plant alone
 (``simulate_network``) and the plant and its observer together, on a
-node-first state that the coupling's CSR products read as it is.  The
+node-first state that the coupling's two sparse products read as it is.  The
 co-simulation stacks them as one state (N, 2, A, n) over the A runs not yet
 diverged, so one field and one coupling evaluation per stage serve both: the
-plant runs on per-run parameters, the observer on nominal ones.  Each run's
+plant runs on per-run parameters, the observer on nominal ones, and the gain
+correction is a third product on the same ``JaggedMatrix`` kernel.  Each run's
 generator draws its measurement noise for every output channel of every
 measured node, a chunk of grid points at a time; the noise of a grid point is
 held through the four stages of the next step.  Measured nodes listed in
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import bsr_array
 
-from .dynamics import DimensionMismatch, NetworkSystem
+from .dynamics import DimensionMismatch, JaggedMatrix, NetworkSystem
 from .gain_design import ObserverDesign
 
 # a run whose state leaves this box (or turns non-finite) is flagged as diverged
@@ -104,23 +104,28 @@ def settling_time(times, norms, fraction: float = 0.05) -> float | None:
 
 def _correction_operator(sys: NetworkSystem, design: ObserverDesign):
     """Sparse (N n) x (m p) map from the stacked innovations of the m measured
-    nodes to state space, one n-by-p block per gain; None without gains."""
+    nodes to state space, one n-by-p block per gain; None without gains.
+    Row i n + r holds the gain blocks of node i in key order, each as its p
+    columns: the entry order of the block-sparse layout's CSR form."""
     measured = sorted(design.measured)
     if not design.gains:
         return measured, None
     n, p, N = sys.state_dim, sys.output.output_dim, sys.num_nodes
     pos = {j: k for k, j in enumerate(measured)}
     keys = sorted(design.gains.entries)
-    blocks_per_row = np.bincount([i for i, _ in keys], minlength=N)
-    op = bsr_array(
-        (
-            np.stack([design.gains[k] for k in keys]),
-            [pos[j] for _, j in keys],
-            np.concatenate([[0], np.cumsum(blocks_per_row)]),
-        ),
-        shape=(N * n, len(measured) * p),
-    )
-    return measured, op.tocsr()
+    node = np.array([i for i, _ in keys], dtype=np.intp)
+    block_col = np.array([pos[j] for _, j in keys], dtype=np.intp)
+    blocks = np.bincount(node, minlength=N)
+    first = np.concatenate([[0], np.cumsum(blocks)])
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(blocks * p, n))])
+    # entry (b, r, c) of the stacked gains: row node[b] n + r, slot
+    # (b - first block of its node) p + c within it
+    b, r, c = np.indices((len(keys), n, p)).reshape(3, -1)
+    at = indptr[node[b] * n + r] + (b - first[node[b]]) * p + c
+    data, indices = np.empty(len(at)), np.empty(len(at), dtype=np.intp)
+    data[at] = np.stack([design.gains[k] for k in keys]).ravel()
+    indices[at] = block_col[b] * p + c
+    return measured, JaggedMatrix(data, indices, indptr)
 
 
 def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:

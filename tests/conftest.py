@@ -6,6 +6,7 @@ import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.sparse import bsr_array
 
 from hyperobs import (
     DimensionMismatch,
@@ -164,6 +165,27 @@ def integrate(
     norm = np.linalg.norm(per_node, axis=-1)
     times = np.arange(cfg.num_steps + 1) * cfg.dt
     return RunResult(times, per_node, norm, settling_time(times, norm), bool(flags[-1][0]))
+
+
+def reference_correction_operator(sys: NetworkSystem, design: ObserverDesign):
+    """The (N n) x (m p) gain-correction map as scipy builds it: one n-by-p
+    block per gain in a block-sparse array, converted to CSR; None without
+    gains.  Its product adds each row's entries onto zero in entry order."""
+    if not design.gains:
+        return None
+    measured = sorted(design.measured)
+    n, p, N = sys.state_dim, sys.output.output_dim, sys.num_nodes
+    pos = {j: k for k, j in enumerate(measured)}
+    keys = sorted(design.gains.entries)
+    blocks_per_row = np.bincount([i for i, _ in keys], minlength=N)
+    return bsr_array(
+        (
+            np.stack([design.gains[k] for k in keys]),
+            [pos[j] for _, j in keys],
+            np.concatenate([[0], np.cumsum(blocks_per_row)]),
+        ),
+        shape=(N * n, len(measured) * p),
+    ).tocsr()
 
 
 def apply_gains_by_block(A, subset, gains: Mapping, gamma: np.ndarray) -> np.ndarray:

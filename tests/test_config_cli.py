@@ -560,17 +560,38 @@ class TestSimulateAndBatch:
         assert len(rows) - 1 <= 50
 
 
-def test_cli_import_leaves_csgraph_out():
-    # only condense needs scipy.sparse.csgraph; it imports it when it runs
-    code = (
-        "import sys, hyperobs.cli\n"
-        "before = 'scipy.sparse.csgraph' in sys.modules\n"
-        "from scipy.sparse import csr_array\n"
-        "hyperobs.hypergraph.condense(csr_array((2, 2)))\n"
-        "print(before, 'scipy.sparse.csgraph' in sys.modules)\n"
-    )
+def test_cli_import_leaves_csgraph_out(designed, tmp_path):
+    # importing the package, building a system, a Monte-Carlo run with gains
+    # and an exact node, and the whole simulate command load no scipy
+    # module; only the design's condense and dependency graph load it
+    cfg, design = designed
+    code = f"""
+import json, sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import hyperobs
+from hyperobs import GainSet, ObserverDesign, SimConfig, monte_carlo
+from hyperobs.config import build_system, resolve_hypergraph
+doc = json.loads({json.dumps(json.dumps(cohead_config()))})
+sys_ = build_system(doc, resolve_hypergraph(doc, ".", None))
+design = ObserverDesign(frozenset({{0, 2}}), GainSet({{(1, 0): np.eye(3), (1, 2): np.eye(3)}}),
+                        frozenset({{0}}))
+stats = monte_carlo(sys_, design, SimConfig(horizon=0.01, noise_amplitude=0.01), 3)
+assert np.isfinite(stats.error_norms).all()
+after_run = scipy_modules()
+from hyperobs.cli import main
+code = main(["simulate", "--config", {str(cfg)!r}, "--design", {str(design)!r},
+             "--out-dir", {str(tmp_path / "sim")!r}])
+after_simulate = scipy_modules()
+from hyperobs.hypergraph import condense, to_dependency_graph
+condense(to_dependency_graph(sys_.hypergraph))
+print(json.dumps([after_run, code, after_simulate, "scipy.sparse.csgraph" in sys.modules]))
+"""
     src = Path(hyperobs.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], 0, [], True]

@@ -18,12 +18,14 @@ from hyperobs import (
     lorenz_field,
     tanh_coupling,
 )
+from hyperobs import dynamics
 from conftest import (
     MissingMeasurement,
     fd_jacobian,
     hypergraphs,
     network_rhs,
     observer_rhs,
+    random_hypergraph,
     random_system,
     vector_field_from_callable,
 )
@@ -227,22 +229,35 @@ class TestNetworkRhs:
         np.testing.assert_allclose(rhs[1], sys.field.eval(xbar, params[1]), atol=1e-14)
 
 
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestCouplingKernels:
     @given(
         hypergraphs(),
         st.sampled_from(["bistable", "planar", "lorenz"]),
         st.integers(0, 2**32 - 1),
         st.sampled_from([(), (4,), (2, 3)]),
+        st.booleans(),
     )
-    @example(DirectedHypergraph(3), "lorenz", 0, (4,))
-    @example(DirectedHypergraph(4, (Hyperedge.uniform((2,), (0, 1), 1.5),)), "planar", 1, (2, 3))
-    def test_match_per_edge_loop(self, h, kind, seed, batch):
+    @example(DirectedHypergraph(3), "lorenz", 0, (4,), False)
+    @example(DirectedHypergraph(4, (Hyperedge.uniform((2,), (0, 1), 1.5),)), "planar", 1, (2, 3),
+             False)
+    @example(
+        DirectedHypergraph(4, (Hyperedge.uniform((2, 3), (0,), 1.5), Hyperedge.uniform((0,), (1,)))),
+        "planar", 2, (3,), True,
+    )
+    def test_match_per_edge_loop(self, h, kind, seed, batch, zeros):
         # node-first states with batch axes; every reference sum starts at
         # zero and adds its entries in ascending index order, so the kernels
-        # must agree bit for bit
+        # must agree bit for bit, signed zeros included
         rng = np.random.default_rng(seed)
         sys_ = random_system(rng, h, field_kind=kind)
         X = rng.uniform(-3, 3, (h.num_nodes,) + batch + (sys_.state_dim,))
+        if zeros:
+            X[rng.random(X.shape) < 0.5] = -0.0
         args = np.zeros((len(h.edges),) + X.shape[1:])
         for k, e in enumerate(h.edges):
             weights = dict(zip(e.tails, e.alpha)) | {q: -b for q, b in zip(e.heads, e.beta)}
@@ -253,10 +268,36 @@ class TestCouplingKernels:
         for k, e in enumerate(h.edges):
             for q in e.heads:
                 expect[q] += e.sigma * g[k]
-        np.testing.assert_array_equal(sys_.edge_arguments(X), args)
-        np.testing.assert_array_equal(sys_.coupling_term(X), expect)
+        assert_bits_equal(sys_.edge_arguments(X), args)
+        assert_bits_equal(sys_.coupling_term(X), expect)
         pick = rng.permutation(len(h.edges))[: int(rng.integers(0, len(h.edges) + 1))]
-        np.testing.assert_array_equal(sys_.edge_arguments(X, pick), args[pick])
+        assert_bits_equal(sys_.edge_arguments(X, pick), args[pick])
+
+    def test_column_chunks_and_reuse(self, monkeypatch):
+        # a product in one-column chunks, and products of other widths on
+        # the same matrices in between, give the one-pass bits; no result
+        # shares memory with the kernel's work arrays
+        rng = np.random.default_rng(7)
+        h = random_hypergraph(rng, max_nodes=9, max_edges=8, min_nodes=6)
+        X = rng.uniform(-3, 3, (h.num_nodes, 5, 3))
+        sys_ = random_system(rng, h, field_kind="lorenz")
+        args, coupled = sys_.edge_arguments(X), sys_.coupling_term(X)
+        sys_.coupling_term(X[:, :2])
+        assert_bits_equal(sys_.edge_arguments(X), args)
+        assert_bits_equal(sys_.coupling_term(X), coupled)
+        monkeypatch.setattr(dynamics, "PRODUCT_CHUNK_BYTES", 1)
+        chunked = NetworkSystem(h, sys_.field, sys_.coupling, sys_.output)
+        got = chunked.edge_arguments(X)
+        assert_bits_equal(got, args)
+        assert_bits_equal(chunked.coupling_term(X), coupled)
+        assert_bits_equal(chunked.edge_arguments(X, [1, 0]), args[[1, 0]])
+        assert_bits_equal(got, args)
+
+    def test_integer_states(self):
+        sys_ = random_system(np.random.default_rng(8), random_hypergraph(
+            np.random.default_rng(8), min_nodes=4), field_kind="planar")
+        X = np.random.default_rng(9).integers(-3, 4, (sys_.num_nodes, 2, 2))
+        assert_bits_equal(sys_.coupling_term(X), sys_.coupling_term(X.astype(float)))
 
 
 class TestObserverRhs:

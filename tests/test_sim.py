@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,7 +26,7 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import sim
-from conftest import integrate, vector_field_from_callable
+from conftest import integrate, reference_correction_operator, vector_field_from_callable
 
 
 def own_runs(cfg, n_runs, shape):
@@ -172,6 +172,47 @@ class TestRk4Order:
             errs[dt] = abs(en - e_ref)
         ratio = errs[base] / errs[base / 2]
         assert 12.0 <= ratio <= 20.0
+
+
+def with_signed_zeros(rng, a, prob):
+    """``a`` with each entry replaced by -0.0 or +0.0 with probability ``prob``."""
+    zero = rng.random(a.shape) < prob
+    return np.where(zero, np.where(rng.random(a.shape) < 0.5, -0.0, 0.0), a)
+
+
+class TestCorrectionOperator:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]),
+        st.integers(1, 7),
+        st.integers(1, 5),
+    )
+    @example(0, (3, 2), 5, 3)
+    def test_matches_block_sparse_reference(self, seed, dims, N, runs):
+        # several gain blocks per node, nodes without gains, and signed
+        # zeros in the gains and the innovations: the products must match
+        # scipy's block-sparse operator bit for bit
+        rng = np.random.default_rng(seed)
+        n, p = dims
+        field = vector_field_from_callable(lambda x, mu: np.zeros_like(x), n, np.zeros(1))
+        sys_ = NetworkSystem(DirectedHypergraph(N), field, linear_coupling(1.0),
+                             linear_output(rng.normal(size=(p, n))))
+        measured = sorted(rng.choice(N, int(rng.integers(1, N + 1)), replace=False).tolist())
+        gained = rng.random(N) < 0.7
+        gains = {(i, j): with_signed_zeros(rng, rng.normal(size=(n, p)), 0.2)
+                 for i in range(N) for j in measured if gained[i] and rng.random() < 0.6}
+        design = ObserverDesign(frozenset(measured), GainSet(gains))
+        got_measured, op = sim._correction_operator(sys_, design)
+        ref = reference_correction_operator(sys_, design)
+        assert got_measured == measured
+        if ref is None:
+            assert op is None
+            return
+        x = with_signed_zeros(rng, rng.normal(size=(len(measured) * p, runs)), 0.3)
+        for arg in (x, x.T.copy().T):  # C- and Fortran-ordered innovations
+            got, want = op @ arg, ref @ arg
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMonteCarlo:
