@@ -35,7 +35,6 @@ from .assembly import (
     SubsetIndex,
     SubsetNotHeadClosed,
     SubsetTooLarge,
-    check_head_closed,
     check_thm1,
     check_thm2,
     thm3_bound,

@@ -3,15 +3,18 @@
 For a subset S the linearized error obeys  d/dt e_S = A_S(t) e_S + b_S(t),
 where A_S collects field Jacobians, output-correction terms, and the
 hyperdiffusive coupling Jacobians, and b_S collects the contributions of
-tails outside S.  This module also implements the checkable hypotheses of
-the two convergence theorems and the robustness bound.
+tails outside S.  Every fact about the edges entering S, head-closedness,
+the members inside S and the tails outside it, is read from one incidence
+slice, ``DirectedHypergraph.entering(S)``.  This module also implements the
+checkable hypotheses of the two convergence theorems and the robustness
+bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,20 +70,6 @@ class SubsetIndex:
         return node in self._pos
 
 
-def check_head_closed(
-    h: DirectedHypergraph, nodes: Iterable[int], ignoring: Iterable[int] = ()
-) -> bool:
-    """True iff every hyperedge with a head in ``nodes`` has all heads inside
-    ``nodes`` (nodes in ``ignoring`` are treated as acceptable outside heads)."""
-    nodes = list(nodes)
-    ok = set(nodes) | set(ignoring)
-    for k in h.incoming_closure(nodes):
-        members, _, is_head = h.members_of(k)
-        if not ok.issuperset(members[is_head].tolist()):
-            return False
-    return True
-
-
 class ErrorSystem:
     """The zero-gain A_S and the coupling-Jacobian bound, evaluated once over
     a sample set of estimator states.
@@ -94,6 +83,9 @@ class ErrorSystem:
     ``zero_error_nodes`` are nodes whose estimation error is identically zero
     (exactly reconstructed measured nodes); hyperedge heads falling outside S
     are tolerated only when they belong to this set.
+
+    ``entering`` is the incidence slice of the edges with a head in S: every
+    fact about the edges entering S that a design step reads comes from it.
     """
 
     def __init__(
@@ -104,15 +96,28 @@ class ErrorSystem:
         zero_error_nodes: frozenset[int] = frozenset(),
     ):
         S = subset.nodes
-        if not check_head_closed(sys.hypergraph, S, zero_error_nodes):
-            raise SubsetNotHeadClosed(f"subset {S} splits the heads of some hyperedge")
         self.sys, self.subset = sys, subset
-        self._incoming = tuple(sys.hypergraph.incoming_closure(S))
+        self.entering = sys.hypergraph.entering(S)
+        # head-closed: every head of an entering edge is in S or has no error
+        allowed = self.entering.inside.copy()
+        allowed[list(zero_error_nodes)] = True
+        if not allowed[self.entering.members[self.entering.is_head]].all():
+            raise SubsetNotHeadClosed(f"subset {S} splits the heads of some hyperedge")
         X = self._states(samples)
         if X.shape[0] == 0:
             raise EmptySampleSet("need at least one sample")
-        # g' at the incoming edges' arguments, node-first (edges, K, n): read by both
-        dg = sys.coupling.deriv(sys.edge_arguments(X.transpose(1, 0, 2), self._incoming))
+        # g' at the entering edges' arguments, node-first (edges, K, n): read
+        # by both.  Step k adds the k-th term of every edge that has one, so
+        # each argument adds its terms onto zero in entry order, the sums of
+        # ``sys.edge_arguments`` bit for bit
+        sl = self.entering
+        args = np.zeros((len(sl.edges), X.shape[0], X.shape[2]))
+        sizes = np.diff(sl.ptr)
+        for k in range(int(sizes.max(initial=0))):
+            rows = np.flatnonzero(sizes > k)
+            q = sl.ptr[rows] + k
+            args[rows] += sl.weights[q, None, None] * X[:, sl.members[q]].transpose(1, 0, 2)
+        dg = sys.coupling.deriv(args)
         self.a = self.a_matrix_batch(X, dg)
         self.g = self.coupling_jac_bound(dg)
 
@@ -140,15 +145,19 @@ class ErrorSystem:
         Jf = sys.field.jac_x(X[:, list(sub.nodes)], sys.field.nominal_params)
         for i in range(M):
             A[:, i, :, i, :] += Jf[:, i]
-        h = sys.hypergraph
+        sl, sigma = self.entering, sys.hypergraph.edge_sigma
+        position = np.full(sys.num_nodes, -1)
+        position[list(sub.nodes)] = np.arange(M)
+        local, weights, is_head, ptr = (
+            a.tolist() for a in (position[sl.members], sl.weights, sl.is_head, sl.ptr)
+        )
         diag = np.arange(n)
-        for ek, k in enumerate(self._incoming):
-            d = h.edge_sigma[k] * dg[ek]
-            members, weights, is_head = h.members_of(k)
+        for ek, k in enumerate(sl.edges.tolist()):
+            d = sigma[k] * dg[ek]
             inside = [
-                (sub.position(v), w, head)
-                for v, w, head in zip(members.tolist(), weights.tolist(), is_head.tolist())
-                if v in sub
+                (local[q], weights[q], is_head[q])
+                for q in range(ptr[ek], ptr[ek + 1])
+                if local[q] >= 0
             ]
             # row i of a head collects w_j * diag(d) from every member j:
             # +alpha_j for a tail, -beta_j for a head (itself included)
@@ -394,19 +403,25 @@ def thm3_bound(
                     ("mu_bar", mu_bar), ("nu_bar", nu_bar)):
         if v < 0:
             raise ValueError(f"bound {name} must be nonnegative, got {v}")
-    S = set(int(v) for v in subset_nodes)
+    S = sorted(set(int(v) for v in subset_nodes))
     M = len(S)
+    sl = hypergraph.entering(S)
+    outside, rows = sl.outside_tails, sl.rows
+    tails = sl.members[outside].tolist()
+    missing = [t for t in tails if t not in upstream_bounds]
+    if missing:
+        raise MissingOutsideError(f"no upstream bound for tail {missing[0]}")
+    # each entering edge's sum of the bounds of its tails outside S, added
+    # onto zero in member order
+    totals = np.zeros(len(sl.edges))
+    np.add.at(totals, rows[outside], [float(upstream_bounds[t]) for t in tails])
+    totals = totals.tolist()
+    # one term per (head in S, edge) pair, heads ascending, then edges
+    head_in = sl.is_head & sl.inside[sl.members]
+    heads, head_rows = sl.members[head_in], rows[head_in]
     outside_term = 0.0
-    for s in sorted(S):
-        for k in hypergraph.incoming(s):
-            members, _, is_head = hypergraph.members_of(k)
-            tot = 0.0
-            for t in members[~is_head].tolist():
-                if t not in S:
-                    if t not in upstream_bounds:
-                        raise MissingOutsideError(f"no upstream bound for tail {t}")
-                    tot += float(upstream_bounds[t])
-            outside_term += g_bound * float(hypergraph.edge_sigma[k]) * tot
+    for r in head_rows[np.lexsort((head_rows, heads))].tolist():
+        outside_term += g_bound * float(hypergraph.edge_sigma[sl.edges[r]]) * totals[r]
     value = (
         np.sqrt(2.0) * outside_term
         + np.sqrt(2.0 * M) * mu_bar * f_bound

@@ -10,7 +10,9 @@ retry measures one more node of S, chosen by the degree heuristic, and
 synthesizes Theorem-2 gains on the nodes of S measured so far, until a
 synthesis passes or S is exhausted.  With an invertible output map, a
 measured node is instead reconstructed exactly and skips certification, and
-the rest of S returns in the next pass.
+the rest of S returns in the next pass.  The edges entering S come from one
+incidence slice, ``DirectedHypergraph.entering``: ``ErrorSystem`` keeps it and
+the upstream-tail check reads it; the degree heuristic takes its own.
 """
 
 from __future__ import annotations
@@ -135,17 +137,18 @@ def select_node(
     out-degree over the subset-internal hyperedges; ties go to the largest
     in-degree, then to the smallest node id."""
     S = sorted(set(int(v) for v in subset))
-    candidates = [v for v in S if v not in set(already_measured)]
+    measured = set(already_measured)
+    candidates = [v for v in S if v not in measured]
     if not candidates:
         raise AllMeasured(f"all nodes of {S} are already measured")
-    within = h.restrict(S)
-    degs = {v: h.degrees(v, within) for v in candidates}
-    best_out = max(degs[v][1] for v in candidates)
-    ties = [v for v in candidates if degs[v][1] == best_out]
-    if len(ties) == 1:
-        return ties[0]
-    best_in = max(degs[v][0] for v in ties)
-    return min(v for v in ties if degs[v][0] == best_in)
+    # the subset-internal edges are the entering ones with no member outside S
+    sl = h.entering(S)
+    rows = sl.rows
+    internal = np.bincount(rows[~sl.inside[sl.members]], minlength=len(sl.edges)) == 0
+    keep = internal[rows]
+    d_in = np.bincount(sl.members[keep & sl.is_head], minlength=h.num_nodes)
+    d_out = np.bincount(sl.members[keep & ~sl.is_head], minlength=h.num_nodes)
+    return max(candidates, key=lambda v: (d_out[v], d_in[v], -v))
 
 
 def certify_or_fail(
@@ -202,12 +205,6 @@ def design_observer(
         iteration += 1
         progress = np.count_nonzero(observed)
         for S in condense(deps, np.flatnonzero(~observed)):
-            # structural guarantee behind hypothesis H3 and the b_S form;
-            # ErrorSystem checks that S is head-closed modulo exact nodes
-            boundary_tails = set(H.tails_of(H.boundary(S))) - set(S)
-            if not all(observed[v] for v in boundary_tails):
-                raise AssertionError(f"upstream tails {boundary_tails} of {S} unprocessed")
-
             # certify S with zero gains, or else measure select_node(S): with
             # the shortcut the node is reconstructed exactly and the pass moves
             # on, otherwise gains are synthesized on the nodes of S measured so
@@ -215,8 +212,13 @@ def design_observer(
             # subset was certified, or the node is exact and observed), so the
             # zero-gain checks, which read neither gains nor the measured set,
             # would decide every retry as they decide the first attempt: they
-            # run once, and every retry reads the same err
+            # run once, and every retry reads the same err.  ErrorSystem checks
+            # that S is head-closed modulo exact nodes
             err = ErrorSystem(sys, SubsetIndex(S), samples, frozenset(exact))
+            # structural guarantee behind hypothesis H3 and the b_S form
+            upstream = err.entering.members[err.entering.outside_tails]
+            if not observed[upstream].all():
+                raise AssertionError(f"upstream tails {set(upstream.tolist())} of {S} unprocessed")
             report, new_gains = certify_or_fail(err, ensemble, options), GainSet({})
             added: list[int] = []
             while report is None:

@@ -241,19 +241,10 @@ class NetworkSystem:
     def state_dim(self) -> int:
         return self.field.state_dim
 
-    def edge_arguments(self, states: np.ndarray, edges=None) -> np.ndarray:
-        """Hyperdiffusive arguments W x of the given edges (all by default),
-        in that order, for node-first ``states`` (N, ...): (edges, ...).
-        Chosen edges read their rows of W, restricted to their members."""
-        if edges is None:
-            return self._members @ states
-        h = self.hypergraph
-        edges = np.asarray(edges, dtype=np.intp)
-        start, sizes = h.member_ptr[edges], np.diff(h.member_ptr)[edges]
-        ptr = np.concatenate([[0], np.cumsum(sizes)])
-        entries = np.repeat(start - ptr[:-1], sizes) + np.arange(ptr[-1])
-        cols, local = np.unique(h.members[entries], return_inverse=True)
-        return JaggedMatrix(h.member_weight[entries], local, ptr) @ states[cols]
+    def edge_arguments(self, states: np.ndarray) -> np.ndarray:
+        """Hyperdiffusive arguments W x of every edge for node-first
+        ``states`` (N, ...): (E, ...)."""
+        return self._members @ states
 
     def coupling_term(self, states: np.ndarray) -> np.ndarray:
         """Per-node sum of sigma * g(argument) over incoming edges, H g(W x),

@@ -3,11 +3,12 @@
 A directed hyperedge carries ordered, disjoint tail and head node lists with
 per-tail weights ``alpha`` and per-head weights ``beta`` (each summing to one)
 and a positive coupling strength ``sigma``.  A hypergraph keeps its edges in
-one sparse incidence, built once on construction; every edge query, the
-dependency pattern and the coupling kernels of ``dynamics`` read it.  The
-dependency pattern has an arc from every member of a hyperedge to each of its
-heads; ``condense`` returns the root strongly connected components of the
-pattern restricted to a node subset, the components no other one reaches.
+one sparse incidence, built once on construction.  ``entering`` slices out
+the rows of the edges that enter a node subset, the one edge query; the
+dependency pattern and the coupling kernels of ``dynamics`` read it whole.
+The dependency pattern has an arc from every member of a hyperedge to each
+of its heads; ``condense`` returns the root strongly connected components of
+the pattern restricted to a node subset, the components no other one reaches.
 """
 
 from __future__ import annotations
@@ -100,6 +101,40 @@ def _csr(rows: np.ndarray, cols: np.ndarray, num_rows: int) -> tuple[np.ndarray,
     return ptr, np.lexsort((cols, rows))
 
 
+def _rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointer of the chosen rows of a CSR layout and the indices of
+    their entries, rows in the given order."""
+    sizes = ptr[rows + 1] - ptr[rows]
+    sub_ptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=sub_ptr[1:])
+    return sub_ptr, np.repeat(ptr[rows] - sub_ptr[:-1], sizes) + np.arange(sub_ptr[-1])
+
+
+@dataclass(frozen=True)
+class EdgeSlice:
+    """The rows of the member incidence for the edges entering a node subset:
+    edge ``edges[r]`` has the members ``members[ptr[r]:ptr[r + 1]]``,
+    ascending, with their weights (+alpha for a tail, -beta for a head) and
+    head flags.  ``inside`` is the subset's node mask."""
+
+    edges: np.ndarray
+    ptr: np.ndarray
+    members: np.ndarray
+    weights: np.ndarray
+    is_head: np.ndarray
+    inside: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(len(self.edges)), np.diff(self.ptr))
+
+    @property
+    def outside_tails(self) -> np.ndarray:
+        """The entries that are tails outside the subset."""
+        return ~self.is_head & ~self.inside[self.members]
+
+
 @dataclass(frozen=True)
 class DirectedHypergraph:
     """Hyperedges over nodes ``0 .. num_nodes-1`` with their CSR incidence.
@@ -108,8 +143,7 @@ class DirectedHypergraph:
     ids ascending; ``member_weight`` holds +alpha for a tail and -beta for a
     head, ``member_is_head`` marks the heads and ``edge_sigma[k]`` is the
     strength.  Node i is a head of the edges
-    ``head_edges[head_ptr[i]:head_ptr[i + 1]]`` and a tail of
-    ``tail_edges[tail_ptr[i]:tail_ptr[i + 1]]``, edge ids ascending.
+    ``head_edges[head_ptr[i]:head_ptr[i + 1]]``, edge ids ascending.
     """
 
     num_nodes: int
@@ -121,7 +155,8 @@ class DirectedHypergraph:
             raise HypergraphError("num_nodes must be nonnegative")
         for e in self.edges:
             for v in (*e.tails, *e.heads):
-                self._check_node(v)
+                if not 0 <= v < self.num_nodes:
+                    raise NodeOutOfRange(f"node {v} outside [0, {self.num_nodes})")
         sizes = [e.cardinality for e in self.edges]
         edge = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
         node = np.array([v for e in self.edges for v in (*e.tails, *e.heads)], dtype=np.intp)
@@ -132,7 +167,6 @@ class DirectedHypergraph:
         )
         member_ptr, order = _csr(edge, node, len(sizes))
         head_ptr, head_order = _csr(node[is_head], edge[is_head], self.num_nodes)
-        tail_ptr, tail_order = _csr(node[~is_head], edge[~is_head], self.num_nodes)
         for name, value in (
             ("member_ptr", member_ptr),
             ("members", node[order]),
@@ -141,71 +175,26 @@ class DirectedHypergraph:
             ("edge_sigma", np.array([e.sigma for e in self.edges])),
             ("head_ptr", head_ptr),
             ("head_edges", edge[is_head][head_order]),
-            ("tail_ptr", tail_ptr),
-            ("tail_edges", edge[~is_head][tail_order]),
         ):
             object.__setattr__(self, name, value)
 
-    def _check_node(self, i: int) -> None:
-        if not 0 <= i < self.num_nodes:
-            raise NodeOutOfRange(f"node {i} outside [0, {self.num_nodes})")
-
-    def members_of(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Member node ids of edge k (ascending), their weights (+alpha for a
-        tail, -beta for a head) and head flags."""
-        s = slice(self.member_ptr[k], self.member_ptr[k + 1])
-        return self.members[s], self.member_weight[s], self.member_is_head[s]
-
-    # -- edge queries (all return edge indices, ascending) --------------------
-
-    def incoming(self, i: int) -> list[int]:
-        """Edges having node i as a head."""
-        self._check_node(i)
-        return self.head_edges[self.head_ptr[i] : self.head_ptr[i + 1]].tolist()
-
-    def outgoing(self, i: int) -> list[int]:
-        """Edges having node i as a tail."""
-        self._check_node(i)
-        return self.tail_edges[self.tail_ptr[i] : self.tail_ptr[i + 1]].tolist()
-
-    def restrict(self, nodes: Iterable[int]) -> list[int]:
-        """Edges whose tails and heads all lie inside ``nodes``."""
-        # every edge has a head, so these are incoming-closure edges
-        s = self._as_node_set(nodes)
-        return [k for k in self.incoming_closure(s) if s.issuperset(self.members_of(k)[0].tolist())]
-
-    def incoming_closure(self, nodes: Iterable[int]) -> list[int]:
-        """Edges with at least one head inside ``nodes``."""
-        s = self._as_node_set(nodes)
-        parts = [self.head_edges[self.head_ptr[v] : self.head_ptr[v + 1]] for v in s]
-        return np.unique(np.concatenate(parts)).tolist() if parts else []
-
-    def boundary(self, nodes: Iterable[int]) -> list[int]:
-        """Edges entering ``nodes`` that are not fully contained in it."""
-        inside = set(self.restrict(nodes))
-        return [k for k in self.incoming_closure(nodes) if k not in inside]
-
-    def tails_of(self, edge_indices: Iterable[int]) -> list[int]:
-        """Union of the tail sets of the given edges, ascending."""
-        out: set[int] = set()
-        for k in edge_indices:
-            nodes, _, is_head = self.members_of(k)
-            out.update(nodes[~is_head].tolist())
-        return sorted(out)
-
-    def degrees(self, i: int, within: Iterable[int] | None = None) -> tuple[int, int]:
-        """(in-degree, out-degree) of node i, optionally restricted to an edge set."""
-        d_in, d_out = self.incoming(i), self.outgoing(i)
-        if within is None:
-            return len(d_in), len(d_out)
-        keep = set(within)
-        return sum(k in keep for k in d_in), sum(k in keep for k in d_out)
-
-    def _as_node_set(self, nodes: Iterable[int]) -> set[int]:
-        s = set(int(v) for v in nodes)
-        for v in s:
-            self._check_node(v)
-        return s
+    def entering(self, nodes: Iterable[int]) -> "EdgeSlice":
+        """The CSR rows of the edges with a head in ``nodes``, edge ids
+        ascending: one incidence slice serves every fact about the edges
+        entering a subset."""
+        nodes = np.fromiter(nodes, dtype=np.intp)
+        outside = nodes[(nodes < 0) | (nodes >= self.num_nodes)]
+        if outside.size:
+            raise NodeOutOfRange(f"node {outside[0]} outside [0, {self.num_nodes})")
+        _, heads = _rows(self.head_ptr, nodes)
+        hit = np.zeros(len(self.edges), dtype=bool)
+        hit[self.head_edges[heads]] = True
+        edges = np.flatnonzero(hit)
+        ptr, entries = _rows(self.member_ptr, edges)
+        inside = np.zeros(self.num_nodes, dtype=bool)
+        inside[nodes] = True
+        entry_arrays = (self.members, self.member_weight, self.member_is_head)
+        return EdgeSlice(edges, ptr, *(a[entries] for a in entry_arrays), inside)
 
     # -- serialization ---------------------------------------------------------
 

@@ -331,6 +331,121 @@ def reference_design_observer(sys, ensemble, options) -> DesignOutcome:
     return outcome("complete")
 
 
+# -- per-edge scans the incidence slice and its consumers are checked against ------
+
+
+def members_of(h, k):
+    """Edge k's members ascending, their weights (+alpha for a tail, -beta
+    for a head) and head flags, read from ``h.edges``."""
+    e = h.edges[k]
+    weight = dict(zip(e.tails, e.alpha)) | {q: -b for q, b in zip(e.heads, e.beta)}
+    nodes = sorted(weight)
+    return nodes, [weight[v] for v in nodes], [v in e.heads for v in nodes]
+
+
+def incoming(h, i):
+    """Edges having node i as a head, ascending."""
+    return [k for k, e in enumerate(h.edges) if i in e.heads]
+
+
+def outgoing(h, i):
+    """Edges having node i as a tail, ascending."""
+    return [k for k, e in enumerate(h.edges) if i in e.tails]
+
+
+def incoming_closure(h, nodes):
+    """Edges with at least one head inside ``nodes``, ascending."""
+    S = set(nodes)
+    return [k for k, e in enumerate(h.edges) if S & set(e.heads)]
+
+
+def restrict(h, nodes):
+    """Edges whose tails and heads all lie inside ``nodes``, ascending."""
+    S = set(nodes)
+    return [k for k, e in enumerate(h.edges) if set(e.tails) | set(e.heads) <= S]
+
+
+def boundary(h, nodes):
+    """Edges entering ``nodes`` that are not fully contained in it."""
+    inside = set(restrict(h, nodes))
+    return [k for k in incoming_closure(h, nodes) if k not in inside]
+
+
+def tails_of(h, edges):
+    """Union of the tail sets of the given edges, ascending."""
+    return sorted({t for k in edges for t in h.edges[k].tails})
+
+
+def degrees(h, i, within=None):
+    """(in-degree, out-degree) of node i, optionally over an edge set only."""
+    keep = set(range(len(h.edges)) if within is None else within)
+    return sum(k in keep for k in incoming(h, i)), sum(k in keep for k in outgoing(h, i))
+
+
+def head_closed(h, nodes, ignoring=()):
+    """Every edge with a head in ``nodes`` has its heads in ``nodes`` or in
+    ``ignoring``."""
+    ok = set(nodes) | set(ignoring)
+    return all(set(h.edges[k].heads) <= ok for k in incoming_closure(h, nodes))
+
+
+def upstream_tails(h, nodes):
+    """Tails outside ``nodes`` of the edges entering it."""
+    return set(tails_of(h, boundary(h, nodes))) - set(nodes)
+
+
+def reference_select_node(subset, h, already_measured):
+    """The degree heuristic on per-node degree scans: largest out-degree over
+    the subset-internal edges, then largest in-degree, then smallest id."""
+    S = sorted(set(subset))
+    within = restrict(h, S)
+    candidates = [v for v in S if v not in set(already_measured)]
+    degs = {v: degrees(h, v, within) for v in candidates}
+    return max(candidates, key=lambda v: (degs[v][1], degs[v][0], -v))
+
+
+def reference_a_matrix_batch(sys, subset, X, dg):
+    """Zero-gain A_S over the (K, N, n) states ``X`` by a scan of the edges
+    entering the subset, with ``dg`` the coupling derivative on those edges
+    in ascending order: each edge adds its (head, member) terms in member
+    order."""
+    n, M, K = sys.state_dim, subset.size, X.shape[0]
+    A = np.zeros((K, M, n, M, n))
+    Jf = sys.field.jac_x(X[:, list(subset.nodes)], sys.field.nominal_params)
+    for i in range(M):
+        A[:, i, :, i, :] += Jf[:, i]
+    diag = np.arange(n)
+    for ek, k in enumerate(incoming_closure(sys.hypergraph, subset.nodes)):
+        d = sys.hypergraph.edge_sigma[k] * dg[ek]
+        inside = [
+            (subset.position(v), w, head)
+            for v, w, head in zip(*members_of(sys.hypergraph, k))
+            if v in subset
+        ]
+        for i, _, head in inside:
+            if head:
+                for j, w, _ in inside:
+                    A[:, i, diag, j, diag] += w * d
+    return A.reshape(K, M * n, M * n)
+
+
+def reference_outside_term(h, subset_nodes, upstream_bounds, g_bound):
+    """Theorem 3's outside term by a scan per head: for every head s in S
+    ascending and every edge entering s ascending, g * sigma * the sum of
+    the bounds of the edge's tails outside S."""
+    S = set(subset_nodes)
+    outside_term = 0.0
+    for s in sorted(S):
+        for k in incoming(h, s):
+            nodes, _, is_head = members_of(h, k)
+            tot = 0.0
+            for t, head in zip(nodes, is_head):
+                if not head and t not in S:
+                    tot += float(upstream_bounds[t])
+            outside_term += g_bound * float(h.edge_sigma[k]) * tot
+    return outside_term
+
+
 # -- random systems and hypergraphs ----------------------------------------------
 
 

@@ -4,18 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperobs import (
+    CouplingFunction,
     DirectedHypergraph,
     EmptySampleSet,
     GainSet,
     Hyperedge,
     MissingOutsideError,
     NetworkSystem,
+    NodeOutOfRange,
     NonpositiveMargin,
     ObserverDesign,
     SubsetIndex,
     SubsetNotHeadClosed,
     SubsetTooLarge,
-    check_head_closed,
     check_thm1,
     check_thm2,
     identity_output,
@@ -34,11 +35,16 @@ from conftest import (
     brute_force_sccs,
     fd_jacobian,
     gain_array,
+    head_closed,
     hypergraphs,
+    incoming_closure,
     network_rhs,
     observer_rhs,
     random_hypergraph,
     random_system,
+    reference_a_matrix_batch,
+    reference_outside_term,
+    upstream_tails,
     vector_field_from_callable,
 )
 
@@ -290,9 +296,9 @@ class TestDenseOutput:
 class TestCouplingJacBound:
     def test_one_coupling_evaluation_serves_both(self, monkeypatch):
         calls = []
-        real = NetworkSystem.edge_arguments
-        monkeypatch.setattr(NetworkSystem, "edge_arguments",
-                            lambda self, *args: calls.append(args) or real(self, *args))
+        real = CouplingFunction.deriv
+        monkeypatch.setattr(CouplingFunction, "deriv",
+                            lambda self, z: calls.append(z) or real(self, z))
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         samples = np.random.default_rng(7).uniform(-5, 5, (4, 2, 3))
@@ -315,34 +321,121 @@ class TestCouplingJacBound:
         S = random_scc_union_subset(rng, h)
         samples = rng.uniform(-5, 5, (int(rng.integers(1, 5)), h.num_nodes, sys.state_dim))
         bound = ErrorSystem(sys, SubsetIndex(tuple(S)), samples).g
-        incoming = list(h.incoming_closure(S))
+        incoming = incoming_closure(h, S)
         if not incoming:
             np.testing.assert_array_equal(bound, np.zeros(len(samples)))
             return
-        dg = sys.coupling.deriv(sys.edge_arguments(samples.transpose(1, 0, 2), incoming))
+        dg = sys.coupling.deriv(sys.edge_arguments(samples.transpose(1, 0, 2))[incoming])
         dense = dg[..., :, None] * np.eye(sys.state_dim)
         # per sample: the largest singular value over the incoming edges
         expect = np.linalg.svd(dense, compute_uv=False)[..., 0].max(axis=0)
         np.testing.assert_allclose(bound, expect, rtol=1e-15, atol=0)
 
 
+def one_sample_error_system(h, S, zero_error_nodes=frozenset()):
+    sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
+    samples = np.zeros((1, h.num_nodes, 3))
+    return ErrorSystem(sys, SubsetIndex(tuple(S)), samples, frozenset(zero_error_nodes))
+
+
 class TestHeadClosed:
     def test_full_set_closed(self):
         h = random_hypergraph(np.random.default_rng(4))
-        assert check_head_closed(h, range(h.num_nodes))
+        assert head_closed(h, range(h.num_nodes))
+        one_sample_error_system(h, range(h.num_nodes))
 
     def test_partial_heads_not_closed(self):
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
-        assert not check_head_closed(h, [1])
-        assert check_head_closed(h, [1], ignoring=[2])
-        assert check_head_closed(h, [1, 2])
+        assert not head_closed(h, [1])
+        with pytest.raises(SubsetNotHeadClosed):
+            one_sample_error_system(h, [1])
+        assert head_closed(h, [1], ignoring=[2])
+        one_sample_error_system(h, [1], zero_error_nodes={2})
+        assert head_closed(h, [1, 2])
+        one_sample_error_system(h, [1, 2])
 
     def test_scc_unions_are_head_closed(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             h = random_hypergraph(rng)
             S = random_scc_union_subset(rng, h)
-            assert check_head_closed(h, S)
+            assert head_closed(h, S)
+            one_sample_error_system(h, S)
+
+
+class TestEnteringSliceConsumers:
+    """Each reader of ``DirectedHypergraph.entering`` against its per-edge
+    scan in ``conftest``."""
+
+    @given(hypergraphs(), st.data())
+    def test_head_closed_decision(self, h, data):
+        nodes = st.integers(0, h.num_nodes - 1)
+        S = sorted(data.draw(st.sets(nodes, min_size=1)))
+        for zero in (set(), data.draw(st.sets(nodes))):
+            if head_closed(h, S, zero):
+                one_sample_error_system(h, S, zero)
+            else:
+                with pytest.raises(SubsetNotHeadClosed):
+                    one_sample_error_system(h, S, zero)
+
+    @given(hypergraphs(), st.data())
+    def test_upstream_tails(self, h, data):
+        S = sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1)))
+        sl = one_sample_error_system(h, S, set(range(h.num_nodes)) - set(S)).entering
+        assert set(sl.members[sl.outside_tails].tolist()) == upstream_tails(h, S)
+
+    @given(hypergraphs(), st.data(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_arguments_and_a_matrix_batch_bit_for_bit(self, h, data, seed, zeros):
+        # the entering edges' arguments are W x's rows, signed zeros included,
+        # and A_S is the per-edge scan's, bit for bit
+        rng = np.random.default_rng(seed)
+        S = sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1)))
+        base = random_system(rng, h)
+        seen = []
+        coupling = CouplingFunction(
+            base.coupling.func, lambda z: seen.append(z.copy()) or base.coupling.deriv_func(z)
+        )
+        sys = NetworkSystem(h, base.field, coupling, base.output)
+        X = rng.uniform(-3, 3, (int(rng.integers(1, 4)), h.num_nodes, sys.state_dim))
+        if zeros:
+            X[rng.random(X.shape) < 0.5] = -0.0
+        sub = SubsetIndex(tuple(S))
+        err = ErrorSystem(sys, sub, X, frozenset(range(h.num_nodes)) - set(S))
+        args = sys.edge_arguments(X.transpose(1, 0, 2))[incoming_closure(h, S)]
+        assert bit_pattern(seen[0]) == bit_pattern(args)
+        expect = reference_a_matrix_batch(sys, sub, X, base.coupling.deriv(args))
+        assert bit_pattern(err.a) == bit_pattern(expect)
+
+    @given(hypergraphs(), st.data(), st.integers(0, 2**32 - 1))
+    def test_thm3_bound_bit_for_bit(self, h, data, seed):
+        rng = np.random.default_rng(seed)
+        S = data.draw(st.lists(st.integers(0, h.num_nodes - 1)))
+        bounds = {v: float(rng.uniform(0, 2)) for v in range(h.num_nodes) if v not in S}
+        g, f, l, mu, nu, margin = rng.uniform(0.1, 2, 6).tolist()
+        got = thm3_bound(h, S, bounds, margin, g, f, l, mu, nu)
+        outside = reference_outside_term(h, S, bounds, g)
+        M = len(set(S))
+        value = (np.sqrt(2.0) * outside + np.sqrt(2.0 * M) * mu * f
+                 + np.sqrt(2.0 * M) * nu * l) / (2.0 * margin)
+        assert got.outside_term == outside and got.value == float(value)
+
+    def test_thm3_tails_add_in_member_order(self):
+        # 1e16 + 1 rounds back to 1e16, so only member order gives 1e16 here;
+        # the reverse order would give 1e16 + 2
+        h = DirectedHypergraph(4, (Hyperedge.uniform((0, 1, 2), (3,)),))
+        bounds = {0: 1e16, 1: 1.0, 2: 1.0}
+        got = thm3_bound(h, [3], bounds, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        assert got.outside_term == reference_outside_term(h, [3], bounds, 1.0) == 1e16
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_nodes_raise(self, bad):
+        h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
+        with pytest.raises(NodeOutOfRange):
+            h.entering([0, bad])
+        with pytest.raises(NodeOutOfRange):
+            thm3_bound(h, [1, bad], {0: 0.0}, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(NodeOutOfRange):
+            one_sample_error_system(h, [1, 2, bad])
 
 
 def constant_matrix_system(A):

@@ -181,20 +181,37 @@ def test_bench_workload_config_builds(name):
     assert isinstance(build_sim_config(doc), SimConfig)
 
 
+# traced names deleted on purpose: every fact about the edges entering a
+# subset now comes from one slice, ``DirectedHypergraph.entering``.  The
+# benchmark reports them as missing targets until its next change retargets
+# the two spans to that method
+DELETED_SPAN_TARGETS = {
+    ("hypergraph", "DirectedHypergraph.incoming"),
+    ("hypergraph", "DirectedHypergraph.incoming_closure"),
+    ("hypergraph", "DirectedHypergraph.restrict"),
+    ("hypergraph", "DirectedHypergraph.boundary"),
+    ("hypergraph", "DirectedHypergraph.tails_of"),
+    ("hypergraph", "DirectedHypergraph.degrees"),
+    ("assembly", "check_head_closed"),
+}
+
+
 @pytest.mark.parametrize(
     "name, module_name, attr",
     [target[:3] for target in _load_bench_module("spans").TARGETS],
 )
 def test_bench_span_target_exists(name, module_name, attr):
     # a refactor that drops a traced name must fail here, not only show up
-    # as a missing target in a traced benchmark run
+    # as a missing target in a traced benchmark run; a name deleted on
+    # purpose must be listed above, and must stay deleted
+    deleted = (module_name, attr) in DELETED_SPAN_TARGETS
     owner = importlib.import_module(f"hyperobs.{module_name}")
     if "." in attr:
         cls_name, attr = attr.split(".")
         owner = vars(owner)[cls_name]
-        assert attr in vars(owner), name
+        assert (attr in vars(owner)) != deleted, name
     else:
-        assert callable(getattr(owner, attr, None)), name
+        assert callable(getattr(owner, attr, None)) != deleted, name
 
 
 # each is JSON that the generator schema rejects: (spec from a valid one,

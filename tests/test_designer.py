@@ -17,6 +17,7 @@ from hyperobs import (
     EmptyTrajectorySet,
     Hyperedge,
     NetworkSystem,
+    NodeOutOfRange,
     TrajectoryEnsemble,
     TrajectoryEnsembleSpec,
     bistable_field,
@@ -34,7 +35,16 @@ from hyperobs import (
 from hyperobs import designer
 from hyperobs.assembly import ErrorSystem, SubsetIndex
 from hyperobs.designer import field_param_jacobian_bound
-from conftest import random_hypergraph, reference_design_observer, vector_field_from_callable
+from conftest import (
+    degrees,
+    hypergraphs,
+    random_hypergraph,
+    reference_design_observer,
+    reference_select_node,
+    restrict,
+    upstream_tails,
+    vector_field_from_callable,
+)
 
 
 def stable_scalar_field(a=3.0):
@@ -80,8 +90,8 @@ class TestSelectNode:
                 Hyperedge.uniform((2,), (1,)),
             ),
         )
-        within = h.restrict([0, 1, 2])
-        degs = {v: h.degrees(v, within) for v in (0, 1, 2)}
+        within = restrict(h, [0, 1, 2])
+        degs = {v: degrees(h, v, within) for v in (0, 1, 2)}
         oracle = max((0, 1, 2), key=lambda v: (degs[v][1], degs[v][0], -v))
         assert select_node([0, 1, 2], h, []) == oracle
 
@@ -95,8 +105,8 @@ class TestSelectNode:
             cands = [v for v in S if v not in measured]
             if not cands:
                 continue
-            within = h.restrict(S)
-            degs = {v: h.degrees(v, within) for v in cands}
+            within = restrict(h, S)
+            degs = {v: degrees(h, v, within) for v in cands}
             oracle = max(cands, key=lambda v: (degs[v][1], degs[v][0], -v))
             assert select_node(S, h, measured) == oracle
 
@@ -104,6 +114,22 @@ class TestSelectNode:
         h = DirectedHypergraph(2)
         with pytest.raises(AllMeasured):
             select_node([0, 1], h, [0, 1])
+
+    @given(hypergraphs(max_nodes=10, max_edges=8), st.data())
+    def test_matches_per_node_degree_scans(self, h, data):
+        nodes = st.integers(0, h.num_nodes - 1)
+        S = data.draw(st.lists(nodes, min_size=1))
+        measured = data.draw(st.lists(nodes))
+        if set(S) <= set(measured):
+            with pytest.raises(AllMeasured):
+                select_node(S, h, iter(measured))
+            return
+        # a one-shot iterable: the measured set is read once
+        assert select_node(S, h, iter(measured)) == reference_select_node(S, h, measured)
+
+    def test_out_of_range_node_raises(self):
+        with pytest.raises(NodeOutOfRange):
+            select_node([0, 2], DirectedHypergraph(2), [])
 
 
 def cohead_pair_system(sigma=80.0):
@@ -246,11 +272,27 @@ class TestDesignObserver:
             assert outcome.complete
             covered = set()
             for p in outcome.processed:
-                upstream_tails = set(sys.hypergraph.tails_of(
-                    sys.hypergraph.boundary(p.nodes))) - set(p.nodes)
-                assert upstream_tails <= covered
+                assert upstream_tails(sys.hypergraph, p.nodes) <= covered
                 covered.update(p.nodes)
             assert covered == set(range(h.num_nodes))
+
+    def test_one_entering_slice_per_root_on_the_zero_gain_path(self, monkeypatch):
+        # head-closedness, the arguments, A_S and the upstream-tail check of
+        # a root all read the one slice its ErrorSystem takes
+        calls = []
+        real = DirectedHypergraph.entering
+        monkeypatch.setattr(DirectedHypergraph, "entering",
+                            lambda self, nodes: real(self, calls.append(tuple(nodes)) or calls[-1]))
+        rng = np.random.default_rng(51)
+        for _ in range(5):
+            h = random_hypergraph(rng, max_nodes=6, max_edges=4)
+            sys = NetworkSystem(h, stable_scalar_field(4.0), linear_coupling(1.0),
+                                identity_output(1))
+            ens = small_ensemble(sys, count=3, horizon=0.2, seed=6)
+            calls.clear()
+            outcome = design_observer(sys, ens, DesignOptions(margin=0.5))
+            assert outcome.complete and not outcome.measured
+            assert calls == [p.nodes for p in outcome.processed]
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,6 @@ class TestCouplingKernels:
                 expect[q] += e.sigma * g[k]
         assert_bits_equal(sys_.edge_arguments(X), args)
         assert_bits_equal(sys_.coupling_term(X), expect)
-        pick = rng.permutation(len(h.edges))[: int(rng.integers(0, len(h.edges) + 1))]
-        assert_bits_equal(sys_.edge_arguments(X, pick), args[pick])
 
     def test_column_chunks_and_reuse(self, monkeypatch):
         # a product in one-column chunks, and products of other widths on
@@ -290,7 +288,6 @@ class TestCouplingKernels:
         got = chunked.edge_arguments(X)
         assert_bits_equal(got, args)
         assert_bits_equal(chunked.coupling_term(X), coupled)
-        assert_bits_equal(chunked.edge_arguments(X, [1, 0]), args[[1, 0]])
         assert_bits_equal(got, args)
 
     def test_integer_states(self):

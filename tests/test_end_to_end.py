@@ -1,0 +1,65 @@
+"""generate -> design -> simulate through the CLI, against recorded outputs.
+
+Each directory under ``data/`` holds a generator spec, an experiment config
+and the ``design.json``, ``summary.json`` and ``batch_1.csv`` that the
+pipeline wrote for them before the incidence-slice refactor.  ``e2e-exact``
+runs the inverse shortcut on bistable nodes, mixing exactly reconstructed
+nodes with zero-gain Theorem-2 subsets; ``e2e-partial`` measures two of three
+Lorenz coordinates, so every subset synthesizes gains.  Decisions (measured
+nodes, theorems, statuses, counts) must match exactly, floats to a relative
+1e-12.
+"""
+
+import json
+import math
+import shutil
+from pathlib import Path
+
+import pytest
+
+from hyperobs.cli import main
+
+DATA = Path(__file__).parent / "data"
+RTOL = 1e-12
+
+
+def assert_matches(got, expect, where="$"):
+    """Equal structure and non-float leaves, floats to a relative ``RTOL``."""
+    if isinstance(expect, float) or isinstance(got, float):
+        assert isinstance(got, (int, float)) and isinstance(expect, (int, float)), where
+        assert math.isclose(got, expect, rel_tol=RTOL, abs_tol=0.0), (where, got, expect)
+    elif isinstance(expect, dict):
+        assert isinstance(got, dict) and list(got) == list(expect), where
+        for key in expect:
+            assert_matches(got[key], expect[key], f"{where}.{key}")
+    elif isinstance(expect, list):
+        assert isinstance(got, list) and len(got) == len(expect), where
+        for k, (g, e) in enumerate(zip(got, expect)):
+            assert_matches(g, e, f"{where}[{k}]")
+    else:
+        assert got == expect, (where, got, expect)
+
+
+def read_csv(path):
+    header, *rows = path.read_text().splitlines()
+    return header, [[float(v) for v in row.split(",")] for row in rows]
+
+
+@pytest.mark.parametrize("case", ["e2e-exact", "e2e-partial"])
+def test_pipeline_reproduces_recorded_outputs(case, tmp_path):
+    recorded = DATA / case
+    for name in ("spec.json", "config.json"):
+        shutil.copy(recorded / name, tmp_path / name)
+    config, out = str(tmp_path / "config.json"), tmp_path / "out"
+    assert main(["generate", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "network.json")]) == 0
+    assert main(["design", "--config", config, "--out-dir", str(out)]) == 0
+    assert main(["simulate", "--config", config, "--design", str(out / "design.json"),
+                 "--out-dir", str(out)]) == 0
+    for name in ("design.json", "summary.json"):
+        got = json.loads((out / name).read_text())
+        assert_matches(got, json.loads((recorded / name).read_text()), name)
+    got_header, got_rows = read_csv(out / "batch_1.csv")
+    expect_header, expect_rows = read_csv(recorded / "batch_1.csv")
+    assert got_header == expect_header
+    assert_matches(got_rows, expect_rows, "batch_1.csv")

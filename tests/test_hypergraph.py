@@ -14,13 +14,25 @@ from hyperobs import (
     NodeOutOfRange,
     OverlappingTailsHeads,
     WeightSumViolation,
-    check_head_closed,
     condense,
     generate_hierarchical,
 )
 from hyperobs.hypergraph import to_dependency_graph
 from scipy.sparse import csr_array
-from conftest import brute_force_sccs, hypergraphs, random_hypergraph
+from conftest import (
+    boundary,
+    brute_force_sccs,
+    degrees,
+    head_closed,
+    hypergraphs,
+    incoming,
+    incoming_closure,
+    members_of,
+    outgoing,
+    random_hypergraph,
+    restrict,
+    tails_of,
+)
 
 
 def fig1_edge():
@@ -53,17 +65,44 @@ class TestHyperedgeValidation:
             DirectedHypergraph(2, (Hyperedge((0,), (5,), (1.0,), (1.0,)),))
 
 
+def slice_rows(sl):
+    """The slice's edge ids and each row's (members, weights, head flags)."""
+    rows = [slice(lo, hi) for lo, hi in zip(sl.ptr[:-1], sl.ptr[1:])]
+    return sl.edges.tolist(), [
+        (sl.members[r].tolist(), sl.weights[r].tolist(), sl.is_head[r].tolist()) for r in rows
+    ]
+
+
+def slice_degrees(h):
+    """(in-degrees, out-degrees) of every node, counted on the slice of all
+    nodes: every edge has a head, so it holds every edge."""
+    sl = h.entering(range(h.num_nodes))
+    return (np.bincount(sl.members[sl.is_head], minlength=h.num_nodes),
+            np.bincount(sl.members[~sl.is_head], minlength=h.num_nodes))
+
+
+def internal(h, S):
+    """The edges of ``h.entering(S)`` with no member outside S."""
+    sl = h.entering(S)
+    return [int(k) for k, lo, hi in zip(sl.edges, sl.ptr[:-1], sl.ptr[1:])
+            if set(sl.members[lo:hi].tolist()) <= set(S)]
+
+
 class TestEdgeQueries:
     def test_incoming_contains_edge_for_each_head(self):
         h = DirectedHypergraph(5, (fig1_edge(),))
-        assert 0 in h.incoming(3)
-        assert 0 in h.incoming(2)
-        assert h.incoming(0) == []
-        assert h.outgoing(1) == [0]
+        assert h.entering([3]).edges.tolist() == [0]
+        assert h.entering([2]).edges.tolist() == [0]
+        assert h.entering([0]).edges.tolist() == []
+        sl = h.entering(range(5))
+        assert sl.edges[sl.rows[(sl.members == 1) & ~sl.is_head]].tolist() == [0]
 
     def test_restrict_empty_set(self):
         h = DirectedHypergraph(5, (fig1_edge(),))
-        assert h.restrict([]) == []
+        sl = h.entering([])
+        assert sl.edges.tolist() == [] and sl.ptr.tolist() == [0]
+        assert len(sl.members) == len(sl.weights) == len(sl.is_head) == 0
+        assert internal(h, []) == restrict(h, []) == []
 
     @given(hypergraphs())
     def test_boundary_union_restrict_is_incoming_closure(self, h):
@@ -72,30 +111,41 @@ class TestEdgeQueries:
             if h.num_nodes == 0:
                 break
             size = int(rng.integers(0, h.num_nodes + 1))
-            S = sorted(rng.choice(h.num_nodes, size=size, replace=False))
-            got = sorted(set(h.boundary(S)) | set(h.restrict(S)))
+            S = sorted(rng.choice(h.num_nodes, size=size, replace=False).tolist())
+            got = h.entering(S).edges.tolist()
             # brute-force scan over all edges
             expect = [k for k, e in enumerate(h.edges) if set(S) & set(e.heads)]
             assert got == expect
-            assert set(h.boundary(S)).isdisjoint(h.restrict(S))
+            inside = internal(h, S)
+            assert inside == restrict(h, S)
+            assert sorted(set(boundary(h, S)) | set(inside)) == expect
+            assert set(boundary(h, S)).isdisjoint(inside)
+
+    def test_out_of_range_nodes_raise(self):
+        h = DirectedHypergraph(5, (fig1_edge(),))
+        for bad in ([5], [0, -1], [2, 7]):
+            with pytest.raises(NodeOutOfRange):
+                h.entering(bad)
 
 
 class TestQueriesMatchScan:
-    """The incidence-backed queries against brute-force scans of ``h.edges``."""
+    """The incidence slice against per-edge scans of ``h.edges``."""
 
     @given(hypergraphs(), st.data())
     def test_node_queries(self, h, data):
         edges = list(enumerate(h.edges))
+        d_in, d_out = slice_degrees(h)
         mask = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
         within = [k for k, keep in enumerate(mask) if keep]
         for i in range(h.num_nodes):
-            assert h.incoming(i) == [k for k, e in edges if i in e.heads]
-            assert h.outgoing(i) == [k for k, e in edges if i in e.tails]
-            assert h.degrees(i) == (
+            assert h.entering([i]).edges.tolist() == incoming(h, i)
+            assert incoming(h, i) == [k for k, e in edges if i in e.heads]
+            assert outgoing(h, i) == [k for k, e in edges if i in e.tails]
+            assert (d_in[i], d_out[i]) == degrees(h, i) == (
                 sum(1 for _, e in edges if i in e.heads),
                 sum(1 for _, e in edges if i in e.tails),
             )
-            assert h.degrees(i, within) == (
+            assert degrees(h, i, within) == (
                 sum(1 for k in within if i in h.edges[k].heads),
                 sum(1 for k in within if i in h.edges[k].tails),
             )
@@ -107,11 +157,15 @@ class TestQueriesMatchScan:
         edges = list(enumerate(h.edges))
         inside = [k for k, e in edges if set(e.tails) <= S and set(e.heads) <= S]
         closure = [k for k, e in edges if S & set(e.heads)]
-        assert h.restrict(S) == inside
-        assert h.incoming_closure(S) == closure
-        assert h.boundary(S) == [k for k in closure if k not in inside]
-        assert h.tails_of(closure) == sorted({t for k in closure for t in h.edges[k].tails})
-        assert check_head_closed(h, S, ignoring) == all(
+        sl = h.entering(S)
+        got_edges, rows = slice_rows(sl)
+        assert got_edges == incoming_closure(h, S) == closure
+        assert rows == [tuple(members_of(h, k)) for k in closure]
+        assert internal(h, sorted(S)) == restrict(h, S) == inside
+        assert boundary(h, S) == [k for k in closure if k not in inside]
+        assert tails_of(h, closure) == sorted({t for k in closure for t in h.edges[k].tails})
+        heads = set(sl.members[sl.is_head].tolist())
+        assert (heads <= S | ignoring) == head_closed(h, S, ignoring) == all(
             set(e.heads) <= S | ignoring for _, e in edges if S & set(e.heads)
         )
 
@@ -119,26 +173,31 @@ class TestQueriesMatchScan:
 class TestDegrees:
     def test_fig1_out_degree(self):
         h = DirectedHypergraph(5, (fig1_edge(),))
-        d_in, d_out = h.degrees(1)
-        assert d_out >= 1 and d_in == 0
+        d_in, d_out = slice_degrees(h)
+        assert d_out[1] >= 1 and d_in[1] == 0
+        assert degrees(h, 1) == (d_in[1], d_out[1])
 
     def test_isolated_node(self):
         h = DirectedHypergraph(5, (fig1_edge(),))
-        assert h.degrees(4) == (0, 0)
+        d_in, d_out = slice_degrees(h)
+        assert (d_in[4], d_out[4]) == degrees(h, 4) == (0, 0)
 
     def test_degree_sums_match_head_and_tail_counts(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             h = random_hypergraph(rng)
-            d_in = sum(h.degrees(i)[0] for i in range(h.num_nodes))
-            d_out = sum(h.degrees(i)[1] for i in range(h.num_nodes))
-            assert d_in == sum(len(e.heads) for e in h.edges)
-            assert d_out == sum(len(e.tails) for e in h.edges)
+            d_in, d_out = slice_degrees(h)
+            assert d_in.sum() == sum(degrees(h, i)[0] for i in range(h.num_nodes))
+            assert d_out.sum() == sum(degrees(h, i)[1] for i in range(h.num_nodes))
+            assert d_in.sum() == sum(len(e.heads) for e in h.edges)
+            assert d_out.sum() == sum(len(e.tails) for e in h.edges)
 
     def test_restricted_degrees(self):
         h = DirectedHypergraph(5, (fig1_edge(),))
-        assert h.degrees(2, within=[]) == (0, 0)
-        assert h.degrees(2, within=[0]) == (1, 0)
+        assert degrees(h, 2, within=[]) == (0, 0)
+        assert degrees(h, 2, within=[0]) == (1, 0)
+        # the slice sees the one edge inside {0, 1, 2, 3}, none inside {1, 2, 3}
+        assert internal(h, [0, 1, 2, 3]) == [0] and internal(h, [1, 2, 3]) == []
 
 
 def arcs_of(pattern) -> set[tuple[int, int]]:
