@@ -9,7 +9,6 @@ from .hypergraph import (
     NodeOutOfRange,
     OverlappingTailsHeads,
     WeightSumViolation,
-    condense,
     generate_hierarchical,
 )
 from .dynamics import (

@@ -54,13 +54,13 @@ def _write_batch_csv(path: Path, times, median, p25, p75, max_rows: int) -> None
 
 def cmd_generate(args) -> int:
     try:
-        doc = json.loads(Path(args.spec).read_text())
+        doc = cfgmod.read_json(args.spec)
         if args.seed is not None and isinstance(doc, dict):
             doc["seed"] = args.seed
         # validated after the override, so a spec may leave the seed to --seed
         spec = HierarchicalGenSpec.from_json_dict(cfgmod.validate_generator_spec(doc))
         hypergraph = generate_hierarchical(spec)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         log.error("generate failed: %s", exc)
         return EXIT_CONFIG
     out = Path(args.out)

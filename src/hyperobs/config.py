@@ -215,10 +215,21 @@ def validate_generator_spec(doc: dict) -> dict:
     return doc
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path: str | Path):
+    """The JSON document in a file; ValueError on NaN or +-Infinity, which
+    ``json`` reads though JSON has no such literal, and which slip past the
+    schema's lower bounds."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
 def load_config(path: str | Path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = read_json(path)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return validate_config(doc)
 
@@ -233,7 +244,7 @@ def resolve_hypergraph(doc: dict, base_dir: Path, seed_override: int | None = No
             path = Path(section["file"])
             if not path.is_absolute():
                 path = base_dir / path
-            file_doc = json.loads(path.read_text())
+            file_doc = read_json(path)
             try:
                 hypergraph = DirectedHypergraph.from_json_dict(file_doc)
             except (KeyError, TypeError) as exc:

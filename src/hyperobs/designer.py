@@ -1,16 +1,16 @@
 """Recursive observer design over the root components of the dependency pattern.
 
-Each pass of the design loop takes the root strongly connected components of
-the residual dependency pattern (an arc from every member of a hyperedge to
-each of its heads) from ``condense``, which no unprocessed node reaches.  Each
-root S is certified on one ``ErrorSystem``, one evaluation of A_S over the
-ensemble: first with zero gains, by the Theorem-2 check and then the
-Theorem-1 check, once per subset (``certify_or_fail``).  When both fail, each
-retry measures one more node of S, chosen by the degree heuristic, and
-synthesizes Theorem-2 gains on the nodes of S measured so far, until a
-synthesis passes or S is exhausted.  With an invertible output map, a
-measured node is instead reconstructed exactly and skips certification, and
-the rest of S returns in the next pass.  The edges entering S come from one
+The pattern's strongly connected components are labelled once per design, and
+each design pass takes from ``condense`` the roots, the components no other
+unobserved one enters.  Each root S is certified on one ``ErrorSystem``, one
+evaluation of A_S over the ensemble: first with zero gains, by the Theorem-2
+check and then the Theorem-1 check, once per subset (``certify_or_fail``).
+When both fail, each retry measures one more node of S, chosen by the degree
+heuristic, and synthesizes Theorem-2 gains on the nodes of S measured so far,
+until a synthesis passes or S is exhausted.  With an invertible output map, a
+measured node j is instead reconstructed exactly and skips certification, and
+S \\ {j} returns in the next pass, labelled again on its own: no unobserved
+node outside the root S reaches it.  The edges entering S come from one
 incidence slice, ``DirectedHypergraph.entering``: ``ErrorSystem`` keeps it and
 the upstream-tail check reads it; the degree heuristic takes its own.
 """
@@ -36,7 +36,7 @@ from .assembly import (
 )
 from .dynamics import NetworkSystem
 from .gain_design import GainSet, Infeasible, ObserverDesign, design_gain_thm2
-from .hypergraph import DirectedHypergraph, condense, to_dependency_graph
+from .hypergraph import DirectedHypergraph, condense, dependency_arcs, label_components
 from .sim import TrajectoryEnsemble
 
 log = logging.getLogger("hyperobs.designer")
@@ -180,7 +180,9 @@ def design_observer(
         raise EmptyTrajectorySet("need a nonempty trajectory ensemble")
     H = sys.hypergraph
     N = H.num_nodes
-    deps = to_dependency_graph(H)
+    src, dst = dependency_arcs(H)
+    label = np.full(N, -1, dtype=np.intp)
+    label_components(src, dst, range(N), label)
     shortcut = (
         sys.output.invertible
         if options.use_inverse_shortcut is None
@@ -204,7 +206,7 @@ def design_observer(
     while not observed.all():
         iteration += 1
         progress = np.count_nonzero(observed)
-        for S in condense(deps, np.flatnonzero(~observed)):
+        for S in condense(src, dst, label, ~observed):
             # certify S with zero gains, or else measure select_node(S): with
             # the shortcut the node is reconstructed exactly and the pass moves
             # on, otherwise gains are synthesized on the nodes of S measured so
@@ -230,9 +232,10 @@ def design_observer(
                 j = select_node(S, H, measured)
                 measured.add(j)
                 if shortcut:
-                    # the rest of the SCC re-enters the residual graph next pass
+                    # S \ {j} re-enters the residual pattern next pass, labelled on its own
                     exact.add(j)
                     observed[j] = True
+                    label_components(src, dst, (v for v in S if v != j), label)
                     exact_report = CertificationReport("exact", math.inf, -math.inf, 0)
                     processed.append(ProcessedSubset((j,), exact_report, (j,), iteration))
                     log.info("iteration %d: measuring node %d of %s (exact)", iteration, j, S)

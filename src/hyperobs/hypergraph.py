@@ -1,26 +1,25 @@
 """Directed hypergraphs, their pairwise dependency pattern, and its root components.
 
 A directed hyperedge carries ordered, disjoint tail and head node lists with
-per-tail weights ``alpha`` and per-head weights ``beta`` (each summing to one)
-and a positive coupling strength ``sigma``.  A hypergraph keeps its edges in
-one sparse incidence, built once on construction.  ``entering`` slices out
-the rows of the edges that enter a node subset, the one edge query; the
-dependency pattern and the coupling kernels of ``dynamics`` read it whole.
-The dependency pattern has an arc from every member of a hyperedge to each
-of its heads; ``condense`` returns the root strongly connected components of
-the pattern restricted to a node subset, the components no other one reaches.
+finite per-tail weights ``alpha`` and per-head weights ``beta``, each summing
+to one, and a finite positive coupling strength ``sigma``.  A hypergraph keeps
+its edges in one sparse incidence, built once; ``entering`` slices out the
+rows of the edges that enter a node subset.  ``dependency_arcs`` reads the
+pattern's arcs, member -> head, off the incidence.  A design labels their
+strongly connected components once (``label_components``) and takes each
+pass's roots, the components no other unobserved one enters, from
+``condense``.  When an exact node j splits a root S, only S \\ {j} is labelled
+again: no unobserved node outside the root S reaches it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -75,6 +74,8 @@ class Hyperedge:
             raise HypergraphError("repeated node within tails or heads")
         if len(self.alpha) != len(self.tails) or len(self.beta) != len(self.heads):
             raise HypergraphError("weight vector length must match tails/heads")
+        if not all(math.isfinite(v) for v in (*self.alpha, *self.beta, self.sigma)):
+            raise HypergraphError("alpha, beta and sigma must be finite")
         for name, w in (("alpha", self.alpha), ("beta", self.beta)):
             if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
                 raise WeightSumViolation(f"{name} sums to {sum(w)!r}, expected 1")
@@ -235,76 +236,76 @@ class DirectedHypergraph:
         return DirectedHypergraph.from_json_dict(json.loads(text))
 
 
-# -- dependency pattern ------------------------------------------------------------
+# -- dependency pattern and its root components ---------------------------------
 
 
-def to_dependency_graph(h: DirectedHypergraph) -> csr_array:
-    """Pairwise dependency pattern of hyperdiffusive coupling on ``h``.
-
-    An N x N sparse pattern with an arc j -> i (entry [j, i]) iff j is a
-    member, tail or other head, of an edge whose head is i, j != i: the
-    coupling term of node i reads the state of j.  It is the product of the
-    transposed member incidence and the head incidence, diagonal dropped.
-
-    The paper's signed graph puts +sigma*alpha_j on every tail j -> head i
-    and -sigma*beta_j on every other head j -> head i, summed per pair.  The
-    pattern has exactly those arcs before the summing, so neither a
-    cancellation between edges nor a zero weight can hide a dependency.
-    """
-    # scipy only where the design runs: simulation never loads it
-    from scipy.sparse import csc_array, csr_array
-
-    N, E = h.num_nodes, len(h.edges)
-    # column k of the member incidence lists edge k's members; column i of
-    # the head incidence lists the edges node i heads
-    members_t = csc_array((np.ones(len(h.members)), h.members, h.member_ptr), shape=(N, E))
-    heads = csc_array((np.ones(len(h.head_edges)), h.head_edges, h.head_ptr), shape=(E, N))
-    product = (members_t @ heads).tocoo()
-    off_diagonal = product.row != product.col
-    rows, cols = product.row[off_diagonal], product.col[off_diagonal]
-    return csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(N, N))
+def dependency_arcs(h: DirectedHypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs ``src[k] -> dst[k]`` of the dependency pattern, grouped by head
+    ``dst`` ascending: j -> i iff j is a member, tail or other head, of an
+    edge whose head is i, j != i, so the coupling term of node i reads x_j.
+    These are the paper's signed-graph arcs before any weights are summed, so
+    no cancellation or zero weight hides one; two edges may give one twice."""
+    ptr, entries = _rows(h.member_ptr, h.head_edges)
+    heads = np.repeat(np.arange(h.num_nodes), np.diff(h.head_ptr))
+    src, dst = h.members[entries], np.repeat(heads, np.diff(ptr))
+    return src[src != dst], dst[src != dst]
 
 
-# -- root components ------------------------------------------------------------
-
-
-def condense(pattern, on: Iterable[int] | None = None) -> list[tuple[int, ...]]:
-    """Root strongly connected components of the subgraph of the square sparse
-    ``pattern`` (nonzero [i, j] is an arc i -> j) induced by ``on``: the
-    components that no arc of the subgraph enters from another component.
-
-    Each root is an ascending node tuple, and the roots come in order of their
-    smallest member.  Components come from
-    ``scipy.sparse.csgraph.connected_components``; only root members are
-    visited in Python.  An index array ``on`` is taken as it is, so it must
-    ascend without repeats, as ``np.flatnonzero`` of a node mask does.
-    """
-    # scipy.sparse and csgraph, which loads scipy.sparse.linalg, only where
-    # condensing runs: importing the package and simulating never load scipy
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
-    N = pattern.shape[0]
-    if on is None:
-        nodes = np.arange(N)
-    elif isinstance(on, np.ndarray):
-        nodes = on
-    else:
-        nodes = np.unique(np.fromiter(on, dtype=np.intp))
-    outside = nodes[(nodes < 0) | (nodes >= N)]
+def label_components(src, dst, nodes: Iterable[int], label: np.ndarray) -> None:
+    """Give each strongly connected component of the pattern induced by
+    ``nodes`` a fresh id in ``label``, one entry per node, above every id it
+    holds.  Iterative Tarjan (SIAM J. Comput. 1, 1972) on the reverse pattern,
+    which has the same components: as the arcs come grouped by head, node v's
+    in-arcs come from ``pred[ptr[v]:ptr[v + 1]]``, in local ids."""
+    nodes = np.fromiter(nodes, dtype=np.intp)
+    outside = nodes[(nodes < 0) | (nodes >= len(label))]
     if outside.size:
-        raise NodeOutOfRange(f"node {outside[0]} outside [0, {N})")
-    inside = np.zeros(N, dtype=bool)
+        raise NodeOutOfRange(f"node {outside[0]} outside [0, {len(label)})")
+    inside = np.zeros(len(label), dtype=bool)
     inside[nodes] = True
-    src, dst = pattern.nonzero()
-    keep = inside[src] & inside[dst]
-    src, dst = src[keep], dst[keep]
-    adjacency = csr_array((np.ones(len(src)), (src, dst)), shape=(N, N))
-    count, label = connected_components(adjacency, connection="strong")
-    entered = np.zeros(count, dtype=bool)
-    entered[label[dst][label[src] != label[dst]]] = True
+    nodes, local, keep = np.flatnonzero(inside), np.cumsum(inside) - 1, inside[src] & inside[dst]
+    n, pred = len(nodes), local[src[keep]].tolist()
+    ptr = np.searchsorted(local[dst[keep]], np.arange(n + 1)).tolist()
+    order, low, comp, stack, nxt = [-1] * n, [0] * n, [-1] * n, [], ptr[:-1]
+    visits = count = 0
+    for root in range(n):
+        work = [root] if order[root] < 0 else []
+        while work:
+            v = work[-1]
+            if order[v] < 0:
+                order[v] = low[v] = visits
+                visits += 1
+                stack.append(v)
+            if nxt[v] < ptr[v + 1]:
+                w = pred[nxt[v]]
+                nxt[v] += 1
+                if order[w] < 0:
+                    work.append(w)
+                elif comp[w] < 0:  # w is on the stack
+                    low[v] = min(low[v], order[w])
+                continue
+            # every arc of v is walked: v passes its low link up or closes a component
+            work.pop()
+            if work:
+                low[work[-1]] = min(low[work[-1]], low[v])
+            if low[v] == order[v]:
+                while comp[v] < 0:
+                    comp[stack.pop()] = count
+                count += 1
+    label[nodes] = label.max(initial=-1) + 1 + np.array(comp, dtype=np.intp)
+
+
+def condense(src, dst, label: np.ndarray, on: np.ndarray) -> list[tuple[int, ...]]:
+    """Root strongly connected components of the pattern induced by the node
+    mask ``on``: those no arc of the induced pattern enters from another one,
+    as ascending node tuples in order of their smallest member.  ``label``
+    holds the induced pattern's components on ``on``.  A design labels them
+    once; when an exact node j leaves a root S it labels S \\ {j} again, alone:
+    no unobserved node outside a root reaches it, so nothing else changes."""
+    entered = np.zeros(label.max(initial=-1) + 1, dtype=bool)
+    entered[label[dst][on[src] & on[dst] & (label[src] != label[dst])]] = True
+    nodes = np.flatnonzero(on)
     root_nodes = nodes[~entered[label[nodes]]]
-    # nodes ascend, so roots collect in order of smallest member
     roots: dict[int, list[int]] = {}
     for v, c in zip(root_nodes.tolist(), label[root_nodes].tolist()):
         roots.setdefault(c, []).append(v)

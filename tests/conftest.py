@@ -6,7 +6,8 @@ import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.sparse import bsr_array
+from scipy.sparse import bsr_array, csc_array, csr_array
+from scipy.sparse.csgraph import connected_components
 
 from hyperobs import (
     DimensionMismatch,
@@ -33,7 +34,7 @@ from hyperobs.assembly import (
 )
 from hyperobs.designer import THM1_TRAJECTORIES, DesignOutcome, ProcessedSubset, select_node
 from hyperobs.gain_design import POLYAK_OVERSHOOT, GainSet, Infeasible, design_gain_thm2
-from hyperobs.hypergraph import condense, to_dependency_graph
+from hyperobs.hypergraph import NodeOutOfRange
 from hyperobs.sim import _cosimulate
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
@@ -305,7 +306,7 @@ def reference_design_observer(sys, ensemble, options) -> DesignOutcome:
 
     while len(observed) < N:
         iteration += 1
-        for S in condense(deps, sorted(set(range(N)) - observed)):
+        for S in reference_condense(deps, sorted(set(range(N)) - observed)):
             added = []
             while True:
                 res = reference_certify(sys, S, measured, ensemble, options, exact)
@@ -329,6 +330,51 @@ def reference_design_observer(sys, ensemble, options) -> DesignOutcome:
                     break
                 added.append(j)
     return outcome("complete")
+
+
+# -- csgraph references for the dependency pattern and its root components ------
+
+
+def to_dependency_graph(h: DirectedHypergraph) -> csr_array:
+    """The N x N dependency pattern as a sparse matrix: an arc j -> i (entry
+    [j, i]) iff j is a member, tail or other head, of an edge whose head is
+    i, j != i.  It is the product of the transposed member incidence and the
+    head incidence, diagonal dropped."""
+    N, E = h.num_nodes, len(h.edges)
+    # column k of the member incidence lists edge k's members; column i of
+    # the head incidence lists the edges node i heads
+    members_t = csc_array((np.ones(len(h.members)), h.members, h.member_ptr), shape=(N, E))
+    heads = csc_array((np.ones(len(h.head_edges)), h.head_edges, h.head_ptr), shape=(E, N))
+    product = (members_t @ heads).tocoo()
+    off_diagonal = product.row != product.col
+    rows, cols = product.row[off_diagonal], product.col[off_diagonal]
+    return csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(N, N))
+
+
+def reference_condense(pattern, on=None) -> list[tuple[int, ...]]:
+    """Root strongly connected components of the subgraph of the square sparse
+    ``pattern`` (nonzero [i, j] is an arc i -> j) induced by the nodes ``on``,
+    with the components from ``scipy.sparse.csgraph.connected_components``;
+    roots as ascending tuples in order of their smallest member."""
+    N = pattern.shape[0]
+    nodes = np.arange(N) if on is None else np.unique(np.fromiter(on, dtype=np.intp))
+    outside = nodes[(nodes < 0) | (nodes >= N)]
+    if outside.size:
+        raise NodeOutOfRange(f"node {outside[0]} outside [0, {N})")
+    inside = np.zeros(N, dtype=bool)
+    inside[nodes] = True
+    src, dst = pattern.nonzero()
+    keep = inside[src] & inside[dst]
+    src, dst = src[keep], dst[keep]
+    adjacency = csr_array((np.ones(len(src)), (src, dst)), shape=(N, N))
+    count, label = connected_components(adjacency, connection="strong")
+    entered = np.zeros(count, dtype=bool)
+    entered[label[dst][label[src] != label[dst]]] = True
+    root_nodes = nodes[~entered[label[nodes]]]
+    roots: dict[int, list[int]] = {}
+    for v, c in zip(root_nodes.tolist(), label[root_nodes].tolist()):
+        roots.setdefault(c, []).append(v)
+    return [tuple(members) for members in roots.values()]
 
 
 # -- per-edge scans the incidence slice and its consumers are checked against ------

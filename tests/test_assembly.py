@@ -29,7 +29,6 @@ from hyperobs import (
 from hyperobs import assembly
 from hyperobs.assembly import KRON_CAP, CertificationReport, ErrorSystem, gain_matrix, kron_sum
 from hyperobs.gain_design import GainProblem
-from hyperobs.hypergraph import to_dependency_graph
 from conftest import (
     apply_gains_by_block,
     brute_force_sccs,
@@ -44,6 +43,7 @@ from conftest import (
     random_system,
     reference_a_matrix_batch,
     reference_outside_term,
+    to_dependency_graph,
     upstream_tails,
     vector_field_from_callable,
 )

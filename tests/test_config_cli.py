@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from hyperobs.config import (
     resolve_hypergraph,
     validate_config,
 )
+from test_end_to_end import assert_matches
 
 
 def cohead_config(**sim_overrides):
@@ -182,9 +184,9 @@ def test_bench_workload_config_builds(name):
 
 
 # traced names deleted on purpose: every fact about the edges entering a
-# subset now comes from one slice, ``DirectedHypergraph.entering``.  The
-# benchmark reports them as missing targets until its next change retargets
-# the two spans to that method
+# subset now comes from one slice, ``DirectedHypergraph.entering``, and the
+# dependency pattern is the arc arrays of ``dependency_arcs``.  The benchmark
+# reports them as missing targets until its next change retargets the spans
 DELETED_SPAN_TARGETS = {
     ("hypergraph", "DirectedHypergraph.incoming"),
     ("hypergraph", "DirectedHypergraph.incoming_closure"),
@@ -193,6 +195,7 @@ DELETED_SPAN_TARGETS = {
     ("hypergraph", "DirectedHypergraph.tails_of"),
     ("hypergraph", "DirectedHypergraph.degrees"),
     ("assembly", "check_head_closed"),
+    ("hypergraph", "to_dependency_graph"),
 }
 
 
@@ -264,6 +267,15 @@ class TestGenerateCommand:
         spec.write_text(json.dumps(malformed(self.spec_doc())))
         out = tmp_path / "x.json"
         assert main(["generate", "--spec", str(spec), "--out", str(out), *extra]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_generate_non_finite_spec_exits_4(self, value, tmp_path):
+        # json writes and reads NaN and Infinity; sigma's schema bound lets both through
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**self.spec_doc(), "sigma": value}))
+        out = tmp_path / "x.json"
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 4
         assert not out.exists()
 
     def test_generate_seed_from_command_line_only(self, tmp_path):
@@ -417,6 +429,21 @@ class TestDesignCommand:
         assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 4
         assert not (out / "design.json").exists()
 
+    def test_non_finite_hypergraph_file_exits_4(self, tmp_path):
+        # the schema reads a hypergraph file only when the builder cannot
+        edge = {"tails": [0], "heads": [1, 2], "alpha": [1.0], "beta": [0.5, 0.5],
+                "sigma": math.nan}
+        (tmp_path / "network.json").write_text(json.dumps({"num_nodes": 3, "edges": [edge]}))
+        doc = cohead_config()
+        doc["hypergraph"] = {"file": "network.json"}
+        with pytest.raises(ConfigError, match="NaN is not a JSON number"):
+            resolve_hypergraph(doc, tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 4
+        assert not (out / "design.json").exists()
+
     @pytest.mark.parametrize("form", ["inline", "file"])
     def test_network_without_nodes_exits_4(self, form, tmp_path):
         network = {"num_nodes": 0, "edges": []}
@@ -547,6 +574,23 @@ class TestSimulateAndBatch:
                      "--out-dir", str(out)]) == 4
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("section", ["design", "sim"])
+    def test_non_finite_horizon_exits_4(self, designed, section, tmp_path):
+        cfg_path, design = designed
+        doc = json.loads(cfg_path.read_text())
+        (doc["design"]["trajectories"] if section == "design" else doc["sim"])["horizon"] = math.inf
+        # the schema's exclusiveMinimum lets Infinity through
+        validate_config(doc)
+        cfg2 = tmp_path / "inf.json"
+        cfg2.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="Infinity is not a JSON number"):
+            load_config(cfg2)
+        out = tmp_path / "o6"
+        assert main(["design", "--config", str(cfg2), "--out-dir", str(out)]) == 4
+        assert main(["simulate", "--config", str(cfg2), "--design", str(design),
+                     "--out-dir", str(out)]) == 4
+        assert not out.exists()
+
     def test_divergent_runs_exit_3(self, designed, tmp_path):
         cfg_path, design = designed
         doc = json.loads(cfg_path.read_text())
@@ -577,20 +621,21 @@ class TestSimulateAndBatch:
         assert len(rows) - 1 <= 50
 
 
-def test_cli_import_leaves_csgraph_out(designed, tmp_path):
-    # importing the package, building a system, a Monte-Carlo run with gains
-    # and an exact node, and the whole simulate command load no scipy
-    # module; only the design's condense and dependency graph load it
-    cfg, design = designed
+def test_design_and_simulate_run_without_scipy(tmp_path):
+    # with scipy unimportable: a Monte-Carlo run with gains and an exact node,
+    # and generate, design and simulate on the recorded e2e-exact case, whose
+    # inverse shortcut splits roots and so relabels their rest.  Each exits 0
+    # and the design is the recorded one
+    recorded = Path(__file__).parent / "data" / "e2e-exact"
+    for name in ("spec.json", "config.json"):
+        shutil.copy(recorded / name, tmp_path / name)
+    config, out = str(tmp_path / "config.json"), str(tmp_path / "out")
     code = f"""
 import json, sys
+sys.modules["scipy"] = None
 import numpy as np
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-import hyperobs
 from hyperobs import GainSet, ObserverDesign, SimConfig, monte_carlo
+from hyperobs.cli import main
 from hyperobs.config import build_system, resolve_hypergraph
 doc = json.loads({json.dumps(json.dumps(cohead_config()))})
 sys_ = build_system(doc, resolve_hypergraph(doc, ".", None))
@@ -598,17 +643,19 @@ design = ObserverDesign(frozenset({{0, 2}}), GainSet({{(1, 0): np.eye(3), (1, 2)
                         frozenset({{0}}))
 stats = monte_carlo(sys_, design, SimConfig(horizon=0.01, noise_amplitude=0.01), 3)
 assert np.isfinite(stats.error_norms).all()
-after_run = scipy_modules()
-from hyperobs.cli import main
-code = main(["simulate", "--config", {str(cfg)!r}, "--design", {str(design)!r},
-             "--out-dir", {str(tmp_path / "sim")!r}])
-after_simulate = scipy_modules()
-from hyperobs.hypergraph import condense, to_dependency_graph
-condense(to_dependency_graph(sys_.hypergraph))
-print(json.dumps([after_run, code, after_simulate, "scipy.sparse.csgraph" in sys.modules]))
+codes = [
+    main(["generate", "--spec", {str(tmp_path / "spec.json")!r},
+          "--out", {str(tmp_path / "network.json")!r}]),
+    main(["design", "--config", {config!r}, "--out-dir", {out!r}]),
+    main(["simulate", "--config", {config!r}, "--design", {out + "/design.json"!r},
+          "--out-dir", {out!r}]),
+]
+print(json.dumps(codes))
 """
     src = Path(hyperobs.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == [[], 0, [], True]
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, 0, 0]
+    got = json.loads((tmp_path / "out" / "design.json").read_text())
+    assert_matches(got, json.loads((recorded / "design.json").read_text()), "design.json")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,11 +15,10 @@ from hyperobs import (
     NodeOutOfRange,
     OverlappingTailsHeads,
     WeightSumViolation,
-    condense,
     generate_hierarchical,
 )
-from hyperobs.hypergraph import to_dependency_graph
-from scipy.sparse import csr_array
+from hyperobs.hypergraph import HypergraphError, condense, dependency_arcs, label_components
+from scipy.sparse.csgraph import connected_components
 from conftest import (
     boundary,
     brute_force_sccs,
@@ -30,8 +30,10 @@ from conftest import (
     members_of,
     outgoing,
     random_hypergraph,
+    reference_condense,
     restrict,
     tails_of,
+    to_dependency_graph,
 )
 
 
@@ -59,6 +61,17 @@ class TestHyperedgeValidation:
             Hyperedge((0, 1), (2,), (1.5, -0.5), (1.0,))
         with pytest.raises(NegativeWeight):
             Hyperedge((0,), (1, 2), (1.0,), (-0.5, 1.5))
+
+    def test_non_finite_numbers_rejected(self):
+        # NaN passes the sum, sign and positivity tests, which all compare false
+        for value in (math.nan, math.inf):
+            for alpha, beta, sigma in (
+                ((value, 1.0), (1.0,), 1.0),
+                ((0.5, 0.5), (value,), 1.0),
+                ((0.5, 0.5), (1.0,), value),
+            ):
+                with pytest.raises(HypergraphError, match="finite"):
+                    Hyperedge((0, 1), (2,), alpha, beta, sigma)
 
     def test_node_out_of_range(self):
         with pytest.raises(NodeOutOfRange):
@@ -200,13 +213,44 @@ class TestDegrees:
         assert internal(h, [0, 1, 2, 3]) == [0] and internal(h, [1, 2, 3]) == []
 
 
-def arcs_of(pattern) -> set[tuple[int, int]]:
-    return set(zip(*(idx.tolist() for idx in pattern.nonzero())))
+def arcs_of(src, dst) -> set[tuple[int, int]]:
+    return set(zip(src.tolist(), dst.tolist()))
 
 
-def pattern_of(num_nodes, arcs):
-    rows, cols = zip(*arcs) if arcs else ((), ())
-    return csr_array((np.ones(len(arcs)), (rows, cols)), shape=(num_nodes, num_nodes))
+def arc_arrays(arcs):
+    """(src, dst) of plain arcs, grouped by head as ``dependency_arcs`` groups them."""
+    arcs = sorted(arcs, key=lambda arc: arc[1])
+    return tuple(np.array([arc[k] for arc in arcs], dtype=np.intp) for k in (0, 1))
+
+
+def labels_on(num_nodes, src, dst, on):
+    label = np.full(num_nodes, -1, dtype=np.intp)
+    label_components(src, dst, on, label)
+    return label
+
+
+def roots_of(num_nodes, arcs, on=None):
+    """``condense``'s roots of the pattern with plain ``arcs``, induced by ``on``."""
+    src, dst = arc_arrays(arcs)
+    label = labels_on(num_nodes, src, dst, range(num_nodes) if on is None else on)
+    return condense(src, dst, label, label >= 0)
+
+
+def partition(label, nodes):
+    """The node sets of ``nodes`` that share a label, ascending tuples, sorted."""
+    groups: dict[int, list[int]] = {}
+    for v in sorted(nodes):
+        groups.setdefault(int(label[v]), []).append(v)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def csgraph_partition(h, nodes):
+    """The SCC partition of the csgraph reference pattern induced by ``nodes``."""
+    nodes = sorted(nodes)
+    _, label = connected_components(
+        to_dependency_graph(h)[nodes][:, nodes], connection="strong"
+    )
+    return partition(dict(zip(nodes, label.tolist())), nodes)
 
 
 class TestSignedGraph:
@@ -217,11 +261,11 @@ class TestSignedGraph:
         h = DirectedHypergraph(5, (fig1_edge(),))
         # tails -> heads (+alpha) and head <-> head (-beta) in the signed graph
         expect = {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 2)}
-        assert arcs_of(to_dependency_graph(h)) == expect
+        assert arcs_of(*dependency_arcs(h)) == expect
 
     def test_empty_hypergraph(self):
-        g = to_dependency_graph(DirectedHypergraph(4))
-        assert g.shape == (4, 4) and arcs_of(g) == set()
+        src, dst = dependency_arcs(DirectedHypergraph(4))
+        assert len(src) == len(dst) == 0
 
     def test_cancelling_and_zero_weights_keep_the_arc(self):
         # +0.5 from a tail->head edge and -0.5 from a co-head edge cancel on
@@ -234,7 +278,7 @@ class TestSignedGraph:
                 Hyperedge((3, 0), (1,), (0.0, 1.0), (1.0,)),
             ),
         )
-        assert arcs_of(to_dependency_graph(h)) == {(1, 2), (0, 1), (0, 2), (2, 1), (3, 1)}
+        assert arcs_of(*dependency_arcs(h)) == {(1, 2), (0, 1), (0, 2), (2, 1), (3, 1)}
 
     @given(hypergraphs())
     def test_pattern_matches_per_edge_loop(self, h):
@@ -245,13 +289,18 @@ class TestSignedGraph:
             for j in (*e.tails, *e.heads)
             if j != i
         }
+        src, dst = dependency_arcs(h)
+        assert arcs_of(src, dst) == expect
+        # grouped by head, as label_components reads them
+        assert (np.diff(dst) >= 0).all()
+        # the csgraph reference the other tests lean on holds the same arcs
         g = to_dependency_graph(h)
         assert g.shape == (h.num_nodes, h.num_nodes)
-        assert arcs_of(g) == expect
+        assert set(zip(*(idx.tolist() for idx in g.nonzero()))) == expect
 
     @given(hypergraphs())
     def test_heads_share_an_scc(self, h):
-        sccs = brute_force_sccs(h.num_nodes, arcs_of(to_dependency_graph(h)), range(h.num_nodes))
+        sccs = brute_force_sccs(h.num_nodes, arcs_of(*dependency_arcs(h)), range(h.num_nodes))
         scc_of = {v: k for k, comp in enumerate(sccs) for v in comp}
         for e in h.edges:
             ids = {scc_of[v] for v in e.heads}
@@ -259,44 +308,83 @@ class TestSignedGraph:
 
 
 class TestCondensation:
-    def chain(self):
-        return pattern_of(3, [(0, 1), (1, 2)])
+    chain = [(0, 1), (1, 2)]
 
     def test_acyclic_chain(self):
-        assert condense(self.chain()) == [(0,)]
+        assert roots_of(3, self.chain) == [(0,)]
 
     def test_two_cycle_plus_pendant(self):
         arcs = [(0, 1), (1, 0), (1, 2)]
-        assert condense(pattern_of(3, arcs)) == [(0, 1)]
+        assert roots_of(3, arcs) == [(0, 1)]
         assert brute_force_sccs(3, arcs, [0, 1, 2]) == [(0, 1), (2,)]
 
     def test_induced_subgraph(self):
-        assert condense(pattern_of(3, [(0, 1), (1, 0), (1, 2)]), on=[1, 2]) == [(1,)]
+        assert roots_of(3, [(0, 1), (1, 0), (1, 2)], on=[1, 2]) == [(1,)]
 
     def test_node_outside_pattern_rejected(self):
-        with pytest.raises(NodeOutOfRange):
-            condense(self.chain(), on=[0, 3])
+        for on in ([0, 3], [-1, 0]):
+            with pytest.raises(NodeOutOfRange):
+                roots_of(3, self.chain, on=on)
+
+    @given(hypergraphs(max_nodes=10), st.data())
+    def test_labels_match_brute_force_and_csgraph(self, h, data):
+        src, dst = dependency_arcs(h)
+        on = data.draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1))
+        # node order and repeats in the node list do not matter
+        label = labels_on(h.num_nodes, src, dst, data.draw(st.permutations([*on, *on])))
+        assert (label >= 0).sum() == len(on) and (label[sorted(on)] >= 0).all()
+        expect = brute_force_sccs(h.num_nodes, arcs_of(src, dst), on)
+        assert partition(label, on) == expect == csgraph_partition(h, on)
+
+    def test_fresh_labels_leave_the_others(self):
+        src, dst = arc_arrays([(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
+        label = labels_on(4, src, dst, [0, 1])
+        label_components(src, dst, [2, 3], label)
+        assert label[0] == label[1] != label[2] == label[3]
+        assert label[2] > label[0]
 
     @given(hypergraphs(max_nodes=10), st.data())
     def test_condense_matches_brute_force(self, h, data):
-        g = to_dependency_graph(h)
+        src, dst = dependency_arcs(h)
         on = data.draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1))
-        sccs = brute_force_sccs(h.num_nodes, arcs_of(g), on)
+        label = labels_on(h.num_nodes, src, dst, on)
+        sccs = brute_force_sccs(h.num_nodes, arcs_of(src, dst), on)
         scc_of = {v: k for k, comp in enumerate(sccs) for v in comp}
         # a root is a component no arc inside ``on`` enters from another one
         entered = {
-            scc_of[j] for i, j in arcs_of(g) if i in on and j in on and scc_of[i] != scc_of[j]
+            scc_of[j]
+            for i, j in arcs_of(src, dst)
+            if i in on and j in on and scc_of[i] != scc_of[j]
         }
-        assert condense(g, on) == [comp for k, comp in enumerate(sccs) if k not in entered]
+        roots = condense(src, dst, label, label >= 0)
+        assert roots == [comp for k, comp in enumerate(sccs) if k not in entered]
 
-    @given(hypergraphs(max_nodes=10), st.data())
-    def test_index_array_gives_the_roots_of_its_node_set(self, h, data):
-        # the design loop passes np.flatnonzero of its residual mask
-        g = to_dependency_graph(h)
-        mask = np.array(data.draw(st.lists(st.booleans(), min_size=h.num_nodes,
-                                           max_size=h.num_nodes)))
-        on = np.flatnonzero(mask)
-        assert condense(g, on) == condense(g, set(on.tolist()))
+    @given(hypergraphs(max_nodes=12, max_edges=10), st.data())
+    def test_peel_with_exact_splits_matches_csgraph(self, h, data):
+        # the design loop's two label updates in a random order: a root is
+        # certified whole, or one node of it turns exact and the rest of the
+        # root alone is relabelled.  After each, the labels are the residual
+        # pattern's components and condense gives csgraph's roots
+        N = h.num_nodes
+        src, dst = dependency_arcs(h)
+        deps = to_dependency_graph(h)
+        label = labels_on(N, src, dst, range(N))
+        observed = np.zeros(N, dtype=bool)
+        while not observed.all():
+            roots = condense(src, dst, label, ~observed)
+            assert roots == reference_condense(deps, np.flatnonzero(~observed).tolist())
+            for S in roots:
+                if data.draw(st.booleans()):
+                    observed[list(S)] = True
+                else:
+                    j = data.draw(st.sampled_from(S))
+                    observed[j] = True
+                    label_components(src, dst, [v for v in S if v != j], label)
+                residual = np.flatnonzero(~observed).tolist()
+                assert condense(src, dst, label, ~observed) == reference_condense(deps, residual)
+                assert partition(label, residual) == brute_force_sccs(
+                    N, arcs_of(src, dst), residual
+                )
 
     @given(st.integers(0, 2**32 - 1))
     def test_condense_on_dag_returns_sources(self, seed):
@@ -304,7 +392,7 @@ class TestCondensation:
         n = int(rng.integers(1, 9))
         arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
         heads = {j for _, j in arcs}
-        assert condense(pattern_of(n, arcs)) == [(v,) for v in range(n) if v not in heads]
+        assert roots_of(n, arcs) == [(v,) for v in range(n) if v not in heads]
 
 
 class TestHierarchicalGenerator:
