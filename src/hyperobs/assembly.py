@@ -249,7 +249,7 @@ class CertificationReport:
     def from_json_dict(doc: Mapping) -> "CertificationReport":
         floats = {k: float(doc[k]) for k in _REPORT_FLOATS if doc.get(k) is not None}
         return CertificationReport(
-            **{**doc, **floats, "trajectory_ids": tuple(doc.get("trajectory_ids", ()))}
+            **{**doc, **floats, "trajectory_ids": tuple(doc["trajectory_ids"])}
         )
 
 

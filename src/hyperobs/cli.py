@@ -137,17 +137,20 @@ def _read_design(report_doc: dict, sys_) -> tuple[DesignOutcome, float]:
         raise ValueError(f"node ids {outside} outside [0, {N})")
     shape = (sys_.state_dim, sys_.output.output_dim)
     for key, L in design.gains.items():
-        if L.shape != shape:
-            raise ValueError(f"gain {key} has shape {L.shape}, expected {shape}")
+        if L.shape != shape or not np.isfinite(L).all():
+            raise ValueError(f"gain {key} is not a finite matrix of shape {shape}")
     return outcome, f_bound
 
 
 def _run_batches(args, simulate_only_first: bool) -> int:
     try:
         doc, hypergraph, sys_ = _load_experiment(args)
-        report_doc = json.loads(Path(args.design).read_text())
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        report_doc = cfgmod.read_json(args.design)
+    except (ConfigError, OSError) as exc:
         log.error("%s", exc)
+        return EXIT_CONFIG
+    except ValueError as exc:  # not JSON, or a NaN or Infinity literal in it
+        log.error("malformed design report %s: %s", args.design, exc)
         return EXIT_CONFIG
     expect_hash = cfgmod.design_relevant_hash(doc, hypergraph)
     if not isinstance(report_doc, dict) or report_doc.get("config_hash") != expect_hash:

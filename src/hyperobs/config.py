@@ -3,16 +3,19 @@
 A config file fully determines one experiment: the hypergraph (inline, from a
 file, or generated), the node dynamics, the observer-design options, the
 simulation protocol, and an optional batch sweep.  Unknown keys are rejected.
+
+The schemas are Draft 2020-12 documents, read by a small interpreter so that
+the runtime imports numpy alone.  It knows only the keywords they use and
+raises on any other; ``const`` and ``enum`` compare types too, and
+``integer`` means an integer literal, not 3.0, which would reach ``range``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from pathlib import Path
-
-import jsonschema
-import numpy as np
 
 from .designer import DesignOptions
 from .dynamics import (
@@ -193,25 +196,59 @@ CONFIG_SCHEMA = {
 }
 
 
-# built once: jsonschema.validate would check the schema itself on every call
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-# a hypergraph file holds the document the inline form holds
-_HYPERGRAPH_VALIDATOR = jsonschema.Draft202012Validator(_HYPERGRAPH_INLINE_SCHEMA)
-# a ``hyperobs generate`` spec holds the document the generator form holds
-_GENERATOR_VALIDATOR = jsonschema.Draft202012Validator(_GENERATOR_SCHEMA)
+# JSON type -> Python types, matched exactly: True is no number, 3.0 no integer
+_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
+          "null": (type(None),), "number": (int, float), "integer": (int,)}
+# keyword -> (type it bounds, comparison that holds; arrays and objects compare their size)
+_BOUNDS = {"minimum": ("number", operator.ge), "exclusiveMinimum": ("number", operator.gt),
+           "minItems": ("array", operator.ge), "maxItems": ("array", operator.le),
+           "minProperties": ("object", operator.ge), "maxProperties": ("object", operator.le)}
+
+
+def _violation(schema: dict, x, path: str = "$") -> str | None:
+    """The first violation of ``schema`` by ``x`` in schema order, as "json-path:
+    message", or None; ValueError on a keyword outside the subset."""
+    for key, rule in schema.items():
+        if key == "type":
+            allowed = _TYPES[rule] if isinstance(rule, str) else sum((_TYPES[t] for t in rule), ())
+            if type(x) not in allowed:
+                return f"{path}: {x!r} is not of type {rule!r}"
+        elif key in ("const", "enum"):
+            if not any(type(x) is type(v) and x == v for v in ([rule] if key == "const" else rule)):
+                return f"{path}: {x!r} breaks {key} {rule!r}"
+        elif key in _BOUNDS:
+            kind, holds = _BOUNDS[key]
+            if type(x) in _TYPES[kind] and not holds(x if kind == "number" else len(x), rule):
+                return f"{path}: {x!r} breaks {key} {rule!r}"
+        elif key == "required":
+            if missing := [k for k in rule if type(x) is dict and k not in x]:
+                return f"{path}: {missing[0]!r} is a required property"
+        elif key == "additionalProperties" and rule is False:
+            known = schema.get("properties", ())
+            if extra := [k for k in (x if type(x) is dict else ()) if k not in known]:
+                return f"{path}: Additional properties are not allowed ({extra[0]!r} was unexpected)"
+        elif key == "items":
+            for i, item in enumerate(x if type(x) is list else ()):
+                if found := _violation(rule, item, f"{path}[{i}]"):
+                    return found
+        elif key == "properties":
+            for k, sub in rule.items():
+                if type(x) is dict and k in x and (found := _violation(sub, x[k], f"{path}.{k}")):
+                    return found
+        elif key != "$schema":
+            raise ValueError(f"schema keyword {key!r} is not supported")
+    return None
 
 
 def validate_config(doc: dict) -> dict:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        raise ConfigError(f"invalid config: {error.message}")
+    if error := _violation(CONFIG_SCHEMA, doc):
+        raise ConfigError(f"invalid config: {error}")
     return doc
 
 
 def validate_generator_spec(doc: dict) -> dict:
-    error = jsonschema.exceptions.best_match(_GENERATOR_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        raise ConfigError(f"invalid generator spec: {error.message}")
+    if error := _violation(_GENERATOR_SCHEMA, doc):
+        raise ConfigError(f"invalid generator spec: {error}")
     return doc
 
 
@@ -245,16 +282,10 @@ def resolve_hypergraph(doc: dict, base_dir: Path, seed_override: int | None = No
             if not path.is_absolute():
                 path = base_dir / path
             file_doc = read_json(path)
-            try:
-                hypergraph = DirectedHypergraph.from_json_dict(file_doc)
-            except (KeyError, TypeError) as exc:
-                # the schema only explains a document the builder cannot
-                # read: run on every file, it would take 0.12 s for the 716
-                # edges of the bistable1000 benchmark network
-                error = jsonschema.exceptions.best_match(
-                    _HYPERGRAPH_VALIDATOR.iter_errors(file_doc)
-                )
-                raise ValueError(f"file {path}: {error.message if error else exc!r}") from exc
+            # a hypergraph file holds what the inline form holds
+            if error := _violation(_HYPERGRAPH_INLINE_SCHEMA, file_doc):
+                raise ValueError(f"file {path}: {error}")
+            hypergraph = DirectedHypergraph.from_json_dict(file_doc)
         elif "inline" in section:
             hypergraph = DirectedHypergraph.from_json_dict(section["inline"])
         else:

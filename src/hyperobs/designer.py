@@ -122,7 +122,7 @@ class DesignOutcome:
                 tuple(p["added_measured"]),
                 p["iteration"],
             )
-            for p in doc.get("processed_subsets", ())
+            for p in doc["processed_subsets"]
         ]
         failed = doc.get("failed_subset")
         return DesignOutcome(

@@ -101,6 +101,9 @@ class GainSet:
         entries = {}
         for key, mat in doc.items():
             i, j = key.split(",")
+            # numpy would read the string "-5.0" and the boolean true as numbers
+            if not all(type(v) in (int, float) for row in mat for v in row):
+                raise ValueError(f"gain {key} holds a value that is not a JSON number")
             entries[(int(i), int(j))] = np.asarray(mat, dtype=float)
         return GainSet(entries)
 
@@ -134,8 +137,8 @@ class ObserverDesign:
     def from_json_dict(doc: Mapping) -> "ObserverDesign":
         return ObserverDesign(
             frozenset(doc["measured"]),
-            GainSet.from_json_dict(doc.get("gains", {})),
-            frozenset(doc.get("exact_nodes", ())),
+            GainSet.from_json_dict(doc["gains"]),
+            frozenset(doc["exact_nodes"]),
         )
 
 

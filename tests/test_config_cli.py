@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import importlib.util
 import json
 import math
+import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -311,17 +314,36 @@ SCHEMA_VALID_BAD_CONFIGS = {
         doc["dynamics"].update(output={"matrix": [[0, 1, 0], [0, 0, 1]]})),
 }
 
-# each passes the config schema, but the file it names does not hold a
-# hypergraph document: (file content, what the error names)
+def _network(**edge):
+    """A one-edge network document; ``edge`` adds keys, None drops one."""
+    base = {"tails": [0], "heads": [1], "alpha": [1.0], "beta": [1.0], **edge}
+    return {"num_nodes": 3, "edges": [{k: v for k, v in base.items() if v is not None}]}
+
+
+# each is a network the hypergraph schema refuses, in a file a config names or
+# inline: (document, JSON path of the fault in it, message)
 BAD_HYPERGRAPH_FILES = {
-    "no_edges": ({"num_nodes": 3}, "'edges'"),
+    "no_edges": ({"num_nodes": 3}, "", "'edges' is a required property"),
     "edge_without_weights": (
-        {"num_nodes": 3, "edges": [{"tails": [0], "heads": [1]}]}, "'alpha'"),
+        _network(alpha=None, beta=None), ".edges[0]", "'alpha' is a required property"),
+    "unknown_edge_key": (_network(typo_weight=7), ".edges[0]",
+                         "Additional properties are not allowed ('typo_weight' was unexpected)"),
+    "string_node_id": (_network(tails=["0"]), ".edges[0].tails[0]", "'0' is not of type 'integer'"),
+    "float_node_id": (_network(heads=[1.0]), ".edges[0].heads[0]", "1.0 is not of type 'integer'"),
+    "fractional_num_nodes": (
+        {**_network(), "num_nodes": 3.5}, ".num_nodes", "3.5 is not of type 'integer'"),
+    "missing_alpha": (_network(alpha=None), ".edges[0]", "'alpha' is a required property"),
 }
 
 
 def _design(report):
     return report["outcome"]["design"]
+
+
+def _with_gain(entry):
+    """A report edit adding a gain block on measured node 0 whose first entry is ``entry``."""
+    block = [[entry, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    return lambda report: _design(report)["gains"].update({"2,0": block})
 
 
 # each edits a design report that simulate and batch must refuse, exit 4
@@ -337,6 +359,26 @@ MALFORMED_DESIGN_REPORTS = {
         p["report"].update(hurwitz_margin=-1.0)
         for p in report["outcome"]["processed_subsets"] if p["report"]["theorem_used"] == "thm2"],
     "downstream_subset_first": lambda report: report["outcome"]["processed_subsets"].reverse(),
+    # to_json_dict writes every one of these keys
+    "missing_gains": lambda report: _design(report).pop("gains"),
+    "missing_exact_nodes": lambda report: _design(report).pop("exact_nodes"),
+    "missing_processed_subsets": lambda report: report["outcome"].pop("processed_subsets"),
+    "missing_trajectory_ids": lambda report: [
+        p["report"].pop("trajectory_ids") for p in report["outcome"]["processed_subsets"]],
+    # json writes and reads NaN and Infinity; JSON has no such literal
+    "gain_nan_literal": _with_gain(math.nan),
+    "gain_infinity_literal": _with_gain(math.inf),
+    "gain_entry_string": _with_gain("-5.0"),
+    "gain_entry_inf_string": _with_gain("inf"),
+    "gain_entry_boolean": _with_gain(True),
+}
+
+
+# integer keys given as integral floats, which Draft 2020-12 calls integers:
+# each reached range() or a seed as a float
+INTEGRAL_FLOAT_VALUES = {
+    "sim.runs": 3.0, "sim.seed": 13.0, "design.trajectories.count": 4.0,
+    "design.trajectories.subsample": 5.0, "design.trajectories.seed": 11.0,
 }
 
 
@@ -416,21 +458,23 @@ class TestDesignCommand:
 
     @pytest.mark.parametrize("case", sorted(BAD_HYPERGRAPH_FILES))
     def test_bad_hypergraph_file_exits_4(self, case, tmp_path):
-        content, missing = BAD_HYPERGRAPH_FILES[case]
-        (tmp_path / "network.json").write_text(json.dumps(content))
-        doc = cohead_config()
-        doc["hypergraph"] = {"file": "network.json"}
-        validate_config(doc)
-        with pytest.raises(ConfigError, match=f"{missing} is a required property"):
-            resolve_hypergraph(doc, tmp_path)
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 4
-        assert not (out / "design.json").exists()
+        # a file and an inline network are refused for one fault, with one message
+        network, where, message = BAD_HYPERGRAPH_FILES[case]
+        (tmp_path / "network.json").write_text(json.dumps(network))
+        for form, root in (("file", "$"), ("inline", "$.hypergraph.inline")):
+            doc = cohead_config()
+            doc["hypergraph"] = {form: "network.json" if form == "file" else network}
+            cfg = tmp_path / f"{form}.json"
+            cfg.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError) as refused:
+                resolve_hypergraph(load_config(cfg), tmp_path)
+            assert str(refused.value).endswith(f"{root}{where}: {message}"), form
+            out = tmp_path / form
+            assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 4
+            assert not (out / "design.json").exists()
 
     def test_non_finite_hypergraph_file_exits_4(self, tmp_path):
-        # the schema reads a hypergraph file only when the builder cannot
+        # json reads the NaN literal; read_json refuses it before the schema runs
         edge = {"tails": [0], "heads": [1, 2], "alpha": [1.0], "beta": [0.5, 0.5],
                 "sigma": math.nan}
         (tmp_path / "network.json").write_text(json.dumps({"num_nodes": 3, "edges": [edge]}))
@@ -574,6 +618,22 @@ class TestSimulateAndBatch:
                      "--out-dir", str(out)]) == 4
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("key", sorted(INTEGRAL_FLOAT_VALUES))
+    def test_integral_float_at_integer_key_exits_4(self, designed, key, tmp_path):
+        cfg_path, design = designed
+        doc = json.loads(cfg_path.read_text())
+        *sections, leaf = key.split(".")
+        functools.reduce(operator.getitem, sections, doc)[leaf] = INTEGRAL_FLOAT_VALUES[key]
+        with pytest.raises(ConfigError, match=re.escape(f"$.{key}: ")):
+            validate_config(doc)
+        cfg2 = tmp_path / "float.json"
+        cfg2.write_text(json.dumps(doc))
+        out = tmp_path / "o7"
+        assert main(["design", "--config", str(cfg2), "--out-dir", str(out)]) == 4
+        assert main(["simulate", "--config", str(cfg2), "--design", str(design),
+                     "--out-dir", str(out)]) == 4
+        assert not out.exists()
+
     @pytest.mark.parametrize("section", ["design", "sim"])
     def test_non_finite_horizon_exits_4(self, designed, section, tmp_path):
         cfg_path, design = designed
@@ -622,20 +682,23 @@ class TestSimulateAndBatch:
 
 
 def test_design_and_simulate_run_without_scipy(tmp_path):
-    # with scipy unimportable: a Monte-Carlo run with gains and an exact node,
-    # and generate, design and simulate on the recorded e2e-exact case, whose
-    # inverse shortcut splits roots and so relabels their rest.  Each exits 0
-    # and the design is the recorded one
+    # with scipy and jsonschema unimportable: a Monte-Carlo run with gains and
+    # an exact node, and generate, design and simulate on the recorded
+    # e2e-exact case, whose inverse shortcut splits roots and so relabels
+    # their rest.  Each exits 0 and the design is the recorded one; the CLI
+    # loads nothing of jsonschema's
     recorded = Path(__file__).parent / "data" / "e2e-exact"
     for name in ("spec.json", "config.json"):
         shutil.copy(recorded / name, tmp_path / name)
     config, out = str(tmp_path / "config.json"), str(tmp_path / "out")
     code = f"""
 import json, sys
-sys.modules["scipy"] = None
+sys.modules["scipy"] = sys.modules["jsonschema"] = None
 import numpy as np
 from hyperobs import GainSet, ObserverDesign, SimConfig, monte_carlo
 from hyperobs.cli import main
+loaded = {{name.partition(".")[0] for name, module in sys.modules.items() if module is not None}}
+assert not loaded & {{"jsonschema", "referencing", "attrs", "rpds"}}, sorted(loaded)
 from hyperobs.config import build_system, resolve_hypergraph
 doc = json.loads({json.dumps(json.dumps(cohead_config()))})
 sys_ = build_system(doc, resolve_hypergraph(doc, ".", None))
