@@ -7,7 +7,11 @@ tails outside S.  Every fact about the edges entering S, head-closedness,
 the members inside S and the tails outside it, is read from one incidence
 slice, ``DirectedHypergraph.entering(S)``.  This module also implements the
 checkable hypotheses of the two convergence theorems and the robustness
-bound.
+bound.  ``ErrorSystem.block_floor`` bounds the Theorem-2 worst value from
+below by the n x n diagonal blocks of A_S: the symmetric part of a principal
+block is a principal submatrix of sym(A_S), so by Cauchy interlacing its
+largest eigenvalue is at most that of sym(A_S) (Horn and Johnson, "Matrix
+Analysis", 2nd ed., Thm 4.3.28).
 """
 
 from __future__ import annotations
@@ -166,6 +170,32 @@ class ErrorSystem:
                     for j, w, _ in inside:
                         A[:, i, diag, j, diag] += w * d
         return A.reshape(K, M * n, M * n)
+
+    def block_floor(self, nodes: Sequence[int]) -> tuple[float, int | None]:
+        """The largest lambda_max of the symmetric part over the samples and
+        the n x n diagonal blocks of ``a`` at ``nodes``, and the first node
+        whose block reaches it; (-inf, None) for no nodes.
+
+        The blocks are the entries ``a`` holds, so by interlacing the value is
+        at most the worst value of ``check_thm2`` with zero gains, and with any
+        gains when none touches these blocks, up to the rounding of the two
+        ``eigvalsh`` calls (``floor_tol``)."""
+        if not nodes:
+            return -np.inf, None
+        n = self.sys.state_dim
+        idx = np.add.outer([self.subset.position(v) * n for v in nodes], np.arange(n))
+        tops = symmetric_top_eig(self.a[:, idx[:, :, None], idx[:, None, :]]).max(axis=0)
+        k = int(np.argmax(tops))
+        return float(tops[k]), int(nodes[k])
+
+    def floor_tol(self) -> float:
+        """The rounding slack of ``block_floor`` against ``check_thm2``:
+        1e-10 (1 + d^2 max|A_S|), the scale of the screen's tolerance in gain
+        design, for the error dimension d.  Not finite when ``a`` has a
+        non-finite entry.  max|A_S| is taken with no temporary the size of
+        ``a``."""
+        mag = float(np.maximum(self.a.max(), -self.a.min()))
+        return 1e-10 * (1.0 + self.dim**2 * mag)
 
     def coupling_jac_bound(self, dg: np.ndarray) -> np.ndarray:
         """Per sample of the (edges, K, n) coupling derivative ``dg``, the max

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 from pathlib import Path
 
@@ -256,11 +257,33 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} does not fit in a float")
+    return value
+
+
+def _float_sized_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"integer of {len(text)} characters does not fit in a float") from None
+    return value
+
+
 def read_json(path: str | Path):
     """The JSON document in a file; ValueError on NaN or +-Infinity, which
-    ``json`` reads though JSON has no such literal, and which slip past the
-    schema's lower bounds."""
-    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    ``json`` reads though JSON has no such literal, and on a number literal
+    too large for a float (``1e999`` would read as inf).  All of these slip
+    past the schema's lower bounds."""
+    return json.loads(
+        Path(path).read_text(),
+        parse_constant=_reject_constant,
+        parse_float=_finite_float,
+        parse_int=_float_sized_int,
+    )
 
 
 def load_config(path: str | Path) -> dict:

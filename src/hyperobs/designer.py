@@ -5,6 +5,9 @@ each design pass takes from ``condense`` the roots, the components no other
 unobserved one enters.  Each root S is certified on one ``ErrorSystem``, one
 evaluation of A_S over the ensemble: first with zero gains, by the Theorem-2
 check and then the Theorem-1 check, once per subset (``certify_or_fail``).
+On a subset of two or more nodes, a diagonal block of A_S whose symmetric
+part reaches above -h at some sample proves by interlacing that the
+Theorem-2 check would fail (``thm2_refuted``), so that check is skipped.
 When both fail, each retry measures one more node of S, chosen by the degree
 heuristic, and synthesizes Theorem-2 gains on the nodes of S measured so far,
 until a synthesis passes or S is exhausted.  With an invertible output map, a
@@ -151,23 +154,53 @@ def select_node(
     return max(candidates, key=lambda v: (d_out[v], d_in[v], -v))
 
 
+def thm2_refuted(err: ErrorSystem, h_req: float) -> bool:
+    """Whether a diagonal block proves that the zero-gain Theorem-2 check of
+    ``err`` fails at margin ``h_req``: its floor (``ErrorSystem.block_floor``)
+    exceeds -h_req by more than the rounding slack ``floor_tol``.  The first
+    node's block is tried alone, as on a failing subset it alone usually
+    refutes, then the other nodes' in one call.  A
+    one-node subset's block is A_S itself, and a non-finite A_S has no finite
+    slack: neither is ever refuted."""
+    nodes = err.subset.nodes
+    if len(nodes) < 2:
+        return False
+    tol = err.floor_tol()
+    if not math.isfinite(tol):
+        return False
+    for part in (nodes[:1], nodes[1:]):
+        floor, node = err.block_floor(part)
+        if floor > tol - h_req:
+            log.debug("thm2 refuted on %s: the block of node %d reaches %.6g", nodes, node, floor)
+            return True
+    return False
+
+
 def certify_or_fail(
     err: ErrorSystem, ensemble: TrajectoryEnsemble, options: DesignOptions
 ) -> CertificationReport | None:
-    """Certify one subset with zero gains: the Theorem-2 check, then, when
-    the subset's error dimension nM is at most ``KRON_CAP``, the Theorem-1
-    check over the first ``THM1_TRAJECTORIES`` trajectories, both on the one
-    evaluation of A_S in ``err``.  Neither reads the measured set, so
-    ``design_observer`` runs this once per subset; each retry then measures
-    one node and synthesizes gains.  Returns the passing report, or None."""
-    report = check_thm2(err, options.margin)
-    if not report.passed and err.dim <= KRON_CAP:
+    """Certify one subset with zero gains: the Theorem-2 check unless
+    ``thm2_refuted`` proves it fails, then, when that check fails or is
+    refuted and the subset's error dimension nM is at most ``KRON_CAP``, the
+    Theorem-1 check over the first ``THM1_TRAJECTORIES`` trajectories, all on
+    the one evaluation of A_S in ``err``.  A refuted check's report is never
+    returned, so skipping it changes no outcome.  Neither check reads the
+    measured set, so ``design_observer`` runs this once per subset; each
+    retry then measures one node and synthesizes gains.  Returns the passing
+    report, or None."""
+    if not thm2_refuted(err, options.margin):
+        report = check_thm2(err, options.margin)
+        if report.passed:
+            return report
+    if err.dim <= KRON_CAP:
         report = check_thm1(
             err, ensemble.dt_sample, options.margin,
             length=ensemble.states.shape[1],
             count=min(THM1_TRAJECTORIES, ensemble.count),
         )
-    return report if report.passed else None
+        if report.passed:
+            return report
+    return None
 
 
 def design_observer(

@@ -249,16 +249,10 @@ class GainProblem:
     def unmeasured_floor(self) -> float:
         """Exact lower bound on the objective over all gains: correction terms
         never touch the diagonal blocks of unmeasured nodes, and eigenvalue
-        interlacing bounds the full matrix by any principal block."""
-        floor = -np.inf
-        n = self.n
-        for v in self.sub.nodes:
-            if v in self.measured:
-                continue
-            pv = self.sub.position(v) * n
-            block = self.err.a[:, pv : pv + n, pv : pv + n]
-            floor = max(floor, float(symmetric_top_eig(block).max()))
-        return floor
+        interlacing bounds the full matrix by any principal block
+        (``ErrorSystem.block_floor``)."""
+        unmeasured = [v for v in self.sub.nodes if v not in self.measured]
+        return self.err.block_floor(unmeasured)[0]
 
 
 def _prune(keys: list[tuple[int, int]], L: np.ndarray) -> GainSet:

@@ -253,6 +253,19 @@ def gain_array(prob, gains: Mapping) -> np.ndarray:
     return np.array([gains.get(key, zero) for key in prob.keys], dtype=float)
 
 
+def reference_certify_or_fail(err, ensemble, options):
+    """``certify_or_fail`` with no block floor: the zero-gain Theorem-2 check
+    always runs, then the Theorem-1 check when it fails and nM <= ``KRON_CAP``."""
+    report = check_thm2(err, options.margin)
+    if not report.passed and err.dim <= KRON_CAP:
+        report = check_thm1(
+            err, ensemble.dt_sample, options.margin,
+            length=ensemble.states.shape[1],
+            count=min(THM1_TRAJECTORIES, ensemble.count),
+        )
+    return report if report.passed else None
+
+
 def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error_nodes=()):
     """One certification attempt of the design loop, every route on a fresh
     ``ErrorSystem``: zero-gain Theorem 2, then gain synthesis on the measured

@@ -371,6 +371,8 @@ MALFORMED_DESIGN_REPORTS = {
     "gain_entry_string": _with_gain("-5.0"),
     "gain_entry_inf_string": _with_gain("inf"),
     "gain_entry_boolean": _with_gain(True),
+    # json writes and reads it as an int, which numpy cannot make a float
+    "gain_entry_401_digit_integer": _with_gain(10**400),
 }
 
 
@@ -646,6 +648,22 @@ class TestSimulateAndBatch:
         with pytest.raises(ConfigError, match="Infinity is not a JSON number"):
             load_config(cfg2)
         out = tmp_path / "o6"
+        assert main(["design", "--config", str(cfg2), "--out-dir", str(out)]) == 4
+        assert main(["simulate", "--config", str(cfg2), "--design", str(design),
+                     "--out-dir", str(out)]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["design", "sim"])
+    def test_horizon_too_large_for_a_float_exits_4(self, designed, section, tmp_path):
+        cfg_path, design = designed
+        doc = json.loads(cfg_path.read_text())
+        (doc["design"]["trajectories"] if section == "design" else doc["sim"])["horizon"] = 12345.5
+        # json reads the literal 1e999 as inf, which the schema lets through
+        cfg2 = tmp_path / "huge.json"
+        cfg2.write_text(json.dumps(doc).replace("12345.5", "1e999"))
+        with pytest.raises(ConfigError, match="1e999 does not fit in a float"):
+            load_config(cfg2)
+        out = tmp_path / "o8"
         assert main(["design", "--config", str(cfg2), "--out-dir", str(out)]) == 4
         assert main(["simulate", "--config", str(cfg2), "--design", str(design),
                      "--out-dir", str(out)]) == 4

@@ -33,12 +33,14 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import designer
-from hyperobs.assembly import ErrorSystem, SubsetIndex
+from hyperobs.assembly import ErrorSystem, SubsetIndex, check_thm2, symmetric_top_eig
 from hyperobs.designer import field_param_jacobian_bound
 from conftest import (
     degrees,
     hypergraphs,
     random_hypergraph,
+    random_system,
+    reference_certify_or_fail,
     reference_design_observer,
     reference_select_node,
     restrict,
@@ -433,8 +435,9 @@ class TestDesignMatchesReference:
 
 def _count_per_subset(monkeypatch) -> Counter:
     """Counts, per (route, subset nodes), of the A_S evaluations, zero-gain
-    and gain Theorem-2 checks, Theorem-1 checks and gain syntheses the
-    design loop makes from now on."""
+    Theorem-2 checks and their refutations by a diagonal block, gain
+    Theorem-2 checks, Theorem-1 checks and gain syntheses the design loop
+    makes from now on."""
     calls = Counter()
 
     def count(owner, name, route):
@@ -446,6 +449,13 @@ def _count_per_subset(monkeypatch) -> Counter:
 
         monkeypatch.setattr(owner, name, counted)
 
+    real_refuted = designer.thm2_refuted
+
+    def refuted(err, h_req):
+        calls["thm2_refuted", err.subset.nodes] += (result := real_refuted(err, h_req))
+        return result
+
+    monkeypatch.setattr(designer, "thm2_refuted", refuted)
     count(ErrorSystem, "a_matrix_batch", lambda args, kw: "a_matrix_batch")
     count(designer, "check_thm2",
           lambda args, kw: "thm2_gains" if args[1:] or kw else "thm2_zero_gain")
@@ -494,9 +504,10 @@ class TestCertifyOrFail:
         assert (0, 0) in outcome.gains.entries
 
     def test_one_evaluation_serves_every_route(self, monkeypatch):
-        # per subset: one A_S evaluation, one zero-gain Theorem-2 check and at
-        # most one Theorem-1 check; per measured node without the shortcut, one
-        # synthesis and, when it returns gains, one Theorem-2 check with them
+        # per subset: one A_S evaluation, one zero-gain Theorem-2 check or its
+        # refutation, and at most one Theorem-1 check; per measured node
+        # without the shortcut, one synthesis and, when it returns gains, one
+        # Theorem-2 check with them
         calls = _count_per_subset(monkeypatch)
         for name, case in NAMED_CASES.items():
             calls.clear()
@@ -507,7 +518,7 @@ class TestCertifyOrFail:
             assert {p.nodes for p in certified} <= tried
             for nodes in tried:
                 assert calls["a_matrix_batch", nodes] == 1, name
-                assert calls["thm2_zero_gain", nodes] == 1, name
+                assert calls["thm2_zero_gain", nodes] + calls["thm2_refuted", nodes] == 1, name
                 assert calls["thm1", nodes] <= 1, name
                 assert calls["thm2_gains", nodes] <= calls["design_gain_thm2", nodes], name
             for p in certified:
@@ -515,6 +526,75 @@ class TestCertifyOrFail:
             if case.shortcut is None:
                 # every measured node is reconstructed exactly: no synthesis
                 assert not any(route == "design_gain_thm2" for route, _ in calls)
+
+
+@st.composite
+def lorenz_or_bistable_subsets(draw):
+    """An ``ErrorSystem`` on a random subset of a random 2-4 node Lorenz or
+    bistable network, every node outside the subset exact, over an ensemble
+    of 1-3 random trajectories of 2-6 samples, and a margin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = random_hypergraph(rng, max_nodes=4, max_edges=4,
+                          sigma_range=(0.01, 30.0))
+    sys = random_system(rng, h, draw(st.sampled_from(["lorenz", "bistable"])))
+    S = sorted(draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1)))
+    shape = (int(rng.integers(1, 4)), int(rng.integers(2, 7)), h.num_nodes, sys.state_dim)
+    ens = TrajectoryEnsemble(rng.uniform(-3, 3, shape), 1e-2)
+    err = ErrorSystem(sys, SubsetIndex(tuple(S)), ens.stacked(),
+                      frozenset(range(h.num_nodes)) - set(S))
+    return err, ens, draw(st.sampled_from([0.05, 0.5, 2.0]))
+
+
+class TestThm2Refutation:
+    @given(lorenz_or_bistable_subsets(), st.data())
+    def test_block_floor_is_the_per_node_max_and_bounds_the_check(self, case, data):
+        err, _, margin = case
+        nodes = data.draw(st.lists(st.sampled_from(err.subset.nodes), unique=True))
+        floor, node = err.block_floor(nodes)
+        n = err.sys.state_dim
+        tops = [
+            float(symmetric_top_eig(err.a[:, p : p + n, p : p + n]).max())
+            for p in (err.subset.position(v) * n for v in nodes)
+        ]
+        assert floor == max(tops, default=-math.inf)
+        assert node == (nodes[tops.index(floor)] if nodes else None)
+        assert floor <= check_thm2(err, margin).worst_value + err.floor_tol()
+
+    @given(lorenz_or_bistable_subsets())
+    def test_refuted_subset_fails_the_check(self, case):
+        err, _, margin = case
+        if designer.thm2_refuted(err, margin):
+            assert err.subset.size > 1
+            assert not check_thm2(err, margin).passed
+
+    @given(lorenz_or_bistable_subsets())
+    def test_certify_or_fail_equals_the_unconditional_check(self, case):
+        err, ens, margin = case
+        options = DesignOptions(margin=margin)
+        assert certify_or_fail(err, ens, options) == reference_certify_or_fail(err, ens, options)
+
+    def test_non_finite_stack_is_never_refuted(self, monkeypatch):
+        sys, ens, options = NAMED_CASES["thm1"].build()
+        err = ErrorSystem(sys, SubsetIndex((0, 1)), ens.stacked())
+        err.a[0, 0, 0] = 1e300
+        assert designer.thm2_refuted(err, options.margin)
+        # a non-finite stack goes to check_thm2 with no eigvalsh on its blocks
+        monkeypatch.setattr(err, "block_floor", None)
+        for bad in (math.inf, math.nan):
+            err.a[0, 0, 0] = bad
+            assert not designer.thm2_refuted(err, options.margin)
+
+    def test_refutation_is_logged_with_subset_node_and_floor(self, caplog):
+        sys = NetworkSystem(DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,)),
+                                                   Hyperedge.uniform((1,), (0,)))),
+                            lorenz_field(), tanh_coupling(0.2, 0.05, 2.0), identity_output(3))
+        ens = small_ensemble(sys, count=2, horizon=0.1)
+        err = ErrorSystem(sys, SubsetIndex((0, 1)), ens.stacked())
+        with caplog.at_level("DEBUG", logger="hyperobs.designer"):
+            assert designer.thm2_refuted(err, 1.0)
+        floor, node = err.block_floor((0,))
+        assert caplog.messages == [f"thm2 refuted on (0, 1): the block of node {node} "
+                                   f"reaches {floor:.6g}"]
 
 
 class TestRobustnessPropagation:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperobs import designer
 from hyperobs.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -45,8 +46,9 @@ def read_csv(path):
     return header, [[float(v) for v in row.split(",")] for row in rows]
 
 
-@pytest.mark.parametrize("case", ["e2e-exact", "e2e-partial"])
-def test_pipeline_reproduces_recorded_outputs(case, tmp_path):
+def run_and_compare(case, tmp_path):
+    """generate, design and simulate the recorded ``case`` in ``tmp_path``
+    and compare the outputs with the recorded ones."""
     recorded = DATA / case
     for name in ("spec.json", "config.json"):
         shutil.copy(recorded / name, tmp_path / name)
@@ -63,3 +65,33 @@ def test_pipeline_reproduces_recorded_outputs(case, tmp_path):
     expect_header, expect_rows = read_csv(recorded / "batch_1.csv")
     assert got_header == expect_header
     assert_matches(got_rows, expect_rows, "batch_1.csv")
+
+
+@pytest.mark.parametrize("case", ["e2e-exact", "e2e-partial"])
+def test_pipeline_reproduces_recorded_outputs(case, tmp_path):
+    run_and_compare(case, tmp_path)
+
+
+def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
+    # every multi-node root of e2e-exact that fails zero-gain Theorem 2 is
+    # refuted by a diagonal block and never reaches check_thm2, and the
+    # outputs are still the recorded ones
+    refuted, checked = [], []
+    real_refuted, real_check = designer.thm2_refuted, designer.check_thm2
+
+    def count_refuted(err, h_req):
+        if result := real_refuted(err, h_req):
+            refuted.append(err.subset.nodes)
+        return result
+
+    def count_check(err, h_req, gains=None):
+        report = real_check(err, h_req, gains)
+        checked.append((err.subset.nodes, report.passed))
+        return report
+
+    monkeypatch.setattr(designer, "thm2_refuted", count_refuted)
+    monkeypatch.setattr(designer, "check_thm2", count_check)
+    run_and_compare("e2e-exact", tmp_path)
+    assert len(refuted) == 5 and all(len(nodes) > 1 for nodes in refuted)
+    assert not set(refuted) & {nodes for nodes, _ in checked}
+    assert all(passed for nodes, passed in checked if len(nodes) > 1)

@@ -103,6 +103,21 @@ class TestDesignThm2:
             f"best max eigenvalue {min(phis):.6g} after 3 iterations"
         )
 
+    def test_unmeasured_block_proves_infeasibility(self):
+        # node 1 is unmeasured, so no gain reaches its diagonal block; the
+        # floor is that block's, over the same samples, with node 0 left out
+        err = lorenz_pair_problem(np.random.default_rng(41), 20)
+        n = err.sys.state_dim
+        floor = float(symmetric_top_eig(err.a[:, n:, n:]).max())
+        assert GainProblem(err, [0]).unmeasured_floor() == floor == err.block_floor((1,))[0]
+        assert GainProblem(err, [0, 1]).unmeasured_floor() == -np.inf
+        with pytest.raises(Infeasible) as info:
+            design_gain_thm2(err, [0], h_req=1.0, max_iters=MAX_ITERS)
+        assert str(info.value) == (
+            f"subset (0, 1): unmeasured diagonal blocks reach {floor:.4g}, "
+            "margin 1.0 is unattainable for any gains"
+        )
+
     def test_max_iters_below_one_rejected(self):
         sys = scalar_node_system(a=2.0)
         with pytest.raises(ValueError):
