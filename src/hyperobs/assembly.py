@@ -49,6 +49,8 @@ class NonpositiveMargin(ValueError):
 # largest error dimension nM the Theorem-1 check accepts: its H2 test takes
 # the SVD of the (nM)^2 x (nM)^2 Kronecker sum at every sample
 KRON_CAP = 40
+# slack fraction of the Theorem-1 slow-variation bound, in (0, 1)
+EPS_REQ = 0.5
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class SubsetIndex:
 
 class ErrorSystem:
     """The zero-gain A_S and the coupling-Jacobian bound, evaluated once over
-    a sample set of estimator states.
+    a sample set of estimator states, the (K, N, n) array ``samples``.
 
     ``a`` is the (K, nM, nM) stack of A_S, one per sample, and ``g`` is (K,),
     the largest |g'| over the subset's incoming edges at each sample (0 when
@@ -107,7 +109,11 @@ class ErrorSystem:
         allowed[list(zero_error_nodes)] = True
         if not allowed[self.entering.members[self.entering.is_head]].all():
             raise SubsetNotHeadClosed(f"subset {S} splits the heads of some hyperedge")
-        X = self._states(samples)
+        X = np.asarray(samples, dtype=float)
+        if X.ndim != 3 or X.shape[1:] != (sys.num_nodes, sys.state_dim):
+            raise DimensionMismatch(
+                f"samples of shape {X.shape}, expected (K, {sys.num_nodes}, {sys.state_dim})"
+            )
         if X.shape[0] == 0:
             raise EmptySampleSet("need at least one sample")
         # g' at the entering edges' arguments, node-first (edges, K, n): read
@@ -128,17 +134,6 @@ class ErrorSystem:
     @property
     def dim(self) -> int:
         return self.subset.size * self.sys.state_dim
-
-    def _states(self, x) -> np.ndarray:
-        N, n = self.sys.num_nodes, self.sys.state_dim
-        arr = np.asarray(x, dtype=float)
-        if arr.size == N * n:
-            return arr.reshape(1, N, n)
-        if arr.ndim >= 2 and arr.shape[-1] == n and arr.shape[-2] == N:
-            return arr.reshape(-1, N, n)
-        if arr.ndim == 2 and arr.shape[-1] == N * n:
-            return arr.reshape(-1, N, n)
-        raise DimensionMismatch(f"cannot interpret state array of shape {arr.shape}")
 
     def a_matrix_batch(self, X: np.ndarray, dg: np.ndarray) -> np.ndarray:
         """Zero-gain A_S stacked over the (K, N, n) states ``X``, with ``dg``
@@ -327,30 +322,22 @@ def kron_sum(a: np.ndarray) -> np.ndarray:
 
 
 def check_thm1(
-    err: ErrorSystem,
-    dt: float,
-    h_req: float,
-    eps_req: float = 0.5,
-    length: int | None = None,
-    count: int = 1,
+    err: ErrorSystem, dt: float, h_req: float, length: int, count: int
 ) -> CertificationReport:
     """Slowly-varying-systems check: spectral abscissa below -h_req at every
     sample, and the finite-difference estimate of dA/dt below the
-    Kronecker-sum slow-variation bound with slack fraction ``eps_req``.
+    Kronecker-sum slow-variation bound with slack fraction ``EPS_REQ``.
 
     The rows of ``err.a`` are time-ordered trajectories of ``length`` samples
-    each (one trajectory of all rows when omitted).  The first ``count`` of
-    them are checked in turn, up to the first that fails; the report merges
-    the checked ones worst-case and lists their ids.
+    each.  The first ``count`` of them are checked in turn, up to the first
+    that fails; the report merges the checked ones worst-case and lists
+    their ids.
 
     With Q = I in Theorem 1 the bound at sample k reads
-    sigma_min(A_k (+) A_k)^2 / (2 sqrt(nM)) * (1 - eps_req)."""
+    sigma_min(A_k (+) A_k)^2 / (2 sqrt(nM)) * (1 - EPS_REQ)."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
-    if not 0.0 < eps_req < 1.0:
-        raise ValueError("eps_req must lie in (0, 1)")
-    T = err.a.shape[0] if length is None else length
-    if T < 2:
+    if length < 2:
         raise EmptySampleSet("need at least two time-ordered samples")
     dim = err.dim
     if dim > KRON_CAP:
@@ -362,20 +349,20 @@ def check_thm1(
 
     worst, g_bound, h2_slack = [], [], []
     for t in range(count):
-        A = err.a[t * T : (t + 1) * T]
+        A = err.a[t * length : (t + 1) * length]
         worst.append(float(spectral_abscissa(A).max()))
-        g_bound.append(float(err.g[t * T : (t + 1) * T].max()))
+        g_bound.append(float(err.g[t * length : (t + 1) * length].max()))
         # H2 decides nothing once H1 has failed: skip its SVD loop and report
         # no H2 margin
         if not worst[-1] <= -h_req:
             h2_slack = None
             break
         slack = np.inf
-        for k in range(T - 1):
+        for k in range(length - 1):
             a_dot = (A[k + 1] - A[k]) / dt
             lhs = float(np.linalg.norm(a_dot, 2))
             sig = float(np.linalg.svd(kron_sum(A[k]), compute_uv=False)[-1])
-            rhs = sig**2 / (2.0 * q_fro) * (1.0 - eps_req)
+            rhs = sig**2 / (2.0 * q_fro) * (1.0 - EPS_REQ)
             slack = min(slack, rhs - lhs)
         h2_slack.append(slack)
         if not (slack > 0 and np.isfinite(g_bound[-1])):
@@ -386,7 +373,7 @@ def check_thm1(
         theorem_used="thm1" if passed else "none",
         hurwitz_margin=-max(worst),
         worst_value=max(worst),
-        sample_count=len(worst) * T,
+        sample_count=len(worst) * length,
         h2_margin=None if h2_slack is None else min(h2_slack),
         g_bound=max(g_bound),
         trajectory_ids=tuple(range(len(worst))),

@@ -1,8 +1,11 @@
 """Command-line entry points: generate, design, simulate, batch.
 
 Exit codes: 0 success, 2 design failed, 3 divergence flags present,
-4 configuration error.  All commands are deterministic given the config file
-and the seed; summaries embed the design-relevant config hash for provenance.
+4 configuration error.  Every command is deterministic given its inputs:
+``generate`` its spec, ``design`` the config and the network it names, and
+``simulate`` and ``batch`` those, the design report and the Monte-Carlo
+seed, ``sim.seed`` unless ``--seed`` replaces it.  Summaries embed the
+design-relevant config hash for provenance.
 """
 
 from __future__ import annotations
@@ -43,9 +46,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_batch_csv(path: Path, times, median, p25, p75, max_rows: int) -> None:
-    stride = max(1, math.ceil(len(times) / max_rows))
+    """At most ``max_rows`` rows, from t = 0 every ``stride`` grid points,
+    and always the last one."""
+    last = len(times) - 1
+    stride = max(1, math.ceil(last / (max_rows - 1)))
     lines = ["t,median,p25,p75"]
-    for k in range(0, len(times), stride):
+    for k in [*range(0, last, stride), last]:
         lines.append(
             ",".join((_fmt(times[k]), _fmt(median[k]), _fmt(p25[k]), _fmt(p75[k])))
         )
@@ -73,7 +79,7 @@ def cmd_generate(args) -> int:
 def _load_experiment(args):
     doc = cfgmod.load_config(args.config)
     base_dir = Path(args.config).resolve().parent
-    hypergraph = cfgmod.resolve_hypergraph(doc, base_dir, getattr(args, "seed", None))
+    hypergraph = cfgmod.resolve_hypergraph(doc, base_dir)
     sys_ = cfgmod.build_system(doc, hypergraph)
     return doc, hypergraph, sys_
 
@@ -82,7 +88,7 @@ def cmd_design(args) -> int:
     try:
         doc, hypergraph, sys_ = _load_experiment(args)
         spec = cfgmod.build_ensemble_spec(doc)
-        options = cfgmod.build_design_options(doc, args.seed)
+        options = cfgmod.build_design_options(doc)
         if options.use_inverse_shortcut and not sys_.output.invertible:
             raise ConfigError(
                 "invalid config: design.use_inverse_shortcut needs an invertible output map"
@@ -123,9 +129,17 @@ def _batch_list(doc: dict, simulate_only_first: bool) -> list[tuple[int, str | N
 
 def _read_design(report_doc: dict, sys_) -> tuple[DesignOutcome, float]:
     """The outcome and ``f_bound`` of a design report, checked against the
-    system it is simulated on; KeyError, TypeError or ValueError when the
-    report is malformed."""
-    outcome = DesignOutcome.from_json_dict(report_doc["outcome"])
+    system it is simulated on: node ids are JSON integers in [0, N), and the
+    processed subsets of a complete design cover every node once.  KeyError,
+    TypeError or ValueError when the report is malformed."""
+    doc = report_doc["outcome"]
+    id_lists = [doc["design"]["measured"], doc["design"]["exact_nodes"]]
+    id_lists += [p[key] for p in doc["processed_subsets"] for key in ("nodes", "added_measured")]
+    for ids in id_lists:
+        # the dataclasses read 0.5 and true as node 0 and node 1
+        if type(ids) is not list or not all(type(v) is int for v in ids):
+            raise ValueError(f"node ids {ids!r} are not a list of JSON integers")
+    outcome = DesignOutcome.from_json_dict(doc)
     f_bound = float(report_doc["f_bound"])
     if not 0.0 <= f_bound < math.inf:
         raise ValueError(f"f_bound {f_bound} is not a finite nonnegative number")
@@ -135,6 +149,9 @@ def _read_design(report_doc: dict, sys_) -> tuple[DesignOutcome, float]:
     outside = sorted(v for v in nodes if not 0 <= v < N)
     if outside:
         raise ValueError(f"node ids {outside} outside [0, {N})")
+    covered = sorted(v for p in outcome.processed for v in p.nodes)
+    if outcome.complete and covered != list(range(N)):
+        raise ValueError(f"the processed subsets do not cover the nodes 0..{N - 1} once each")
     shape = (sys_.state_dim, sys_.output.output_dim)
     for key, L in design.gains.items():
         if L.shape != shape or not np.isfinite(L).all():
@@ -162,9 +179,9 @@ def _run_batches(args, simulate_only_first: bool) -> int:
         if not batches:
             log.error("batch index %d not in config", args.batch_index)
             return EXIT_CONFIG
-    base_seed = doc["sim"].get("seed", 0) if args.seed is None else args.seed
     # every batch's settings and bound are checked before any batch runs
     try:
+        base_seed = cfgmod.build_sim_config(doc).seed if args.seed is None else args.seed
         configs = [
             cfgmod.build_sim_config(
                 doc, seed=base_seed + index, **({} if variable is None else {variable: value})
@@ -248,13 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a hierarchical hypergraph")
     gen.add_argument("--spec", required=True, help="generator spec JSON file")
     gen.add_argument("--out", required=True, help="output hypergraph JSON file")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=None, help="replaces the spec's seed")
     gen.set_defaults(func=cmd_generate)
 
     des = sub.add_parser("design", help="run the observer design algorithm")
     des.add_argument("--config", required=True)
     des.add_argument("--out-dir", default=".")
-    des.add_argument("--seed", type=int, default=None)
     des.set_defaults(func=cmd_design)
 
     for name, fn, help_text in (
@@ -265,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--design", required=True, help="design report JSON")
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None,
+                       help="Monte-Carlo base seed in place of sim.seed; "
+                            "batch k draws from seed + k")
         p.add_argument("--batch-index", type=int, default=None)
         p.set_defaults(func=fn)
     return parser

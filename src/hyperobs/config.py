@@ -1,8 +1,9 @@
 """Experiment configuration: JSON schema, validation, and object builders.
 
-A config file fully determines one experiment: the hypergraph (inline, from a
-file, or generated), the node dynamics, the observer-design options, the
-simulation protocol, and an optional batch sweep.  Unknown keys are rejected.
+A config file fully determines one experiment: the hypergraph (inline, or
+from a file, which ``hyperobs generate`` can write), the node dynamics, the
+observer-design options, the simulation protocol, and an optional batch
+sweep.  Unknown keys are rejected.
 
 The schemas are Draft 2020-12 documents, read by a small interpreter so that
 the runtime imports numpy alone.  It knows only the keywords they use and
@@ -28,7 +29,7 @@ from .dynamics import (
     lorenz_field,
     tanh_coupling,
 )
-from .hypergraph import DirectedHypergraph, HierarchicalGenSpec, generate_hierarchical
+from .hypergraph import DirectedHypergraph
 from .sim import SimConfig, TrajectoryEnsembleSpec
 
 
@@ -98,7 +99,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "file": {"type": "string"},
                 "inline": _HYPERGRAPH_INLINE_SCHEMA,
-                "generator": _GENERATOR_SCHEMA,
             },
         },
         "dynamics": {
@@ -146,7 +146,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "margin": {"type": "number", "exclusiveMinimum": 0},
                 "use_inverse_shortcut": {"type": ["boolean", "null"]},
-                "max_iters": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer"},
                 "trajectories": {
                     "type": "object",
@@ -294,7 +293,7 @@ def load_config(path: str | Path) -> dict:
     return validate_config(doc)
 
 
-def resolve_hypergraph(doc: dict, base_dir: Path, seed_override: int | None = None) -> DirectedHypergraph:
+def resolve_hypergraph(doc: dict, base_dir: Path) -> DirectedHypergraph:
     """The configured hypergraph; any input the hypergraph types reject (a
     weight sum, an out-of-range node, an unreadable file) and a network with
     no nodes, which nothing downstream can design for, are ConfigErrors."""
@@ -309,13 +308,8 @@ def resolve_hypergraph(doc: dict, base_dir: Path, seed_override: int | None = No
             if error := _violation(_HYPERGRAPH_INLINE_SCHEMA, file_doc):
                 raise ValueError(f"file {path}: {error}")
             hypergraph = DirectedHypergraph.from_json_dict(file_doc)
-        elif "inline" in section:
-            hypergraph = DirectedHypergraph.from_json_dict(section["inline"])
         else:
-            spec_doc = dict(section["generator"])
-            if seed_override is not None:
-                spec_doc["seed"] = seed_override
-            hypergraph = generate_hierarchical(HierarchicalGenSpec.from_json_dict(spec_doc))
+            hypergraph = DirectedHypergraph.from_json_dict(section["inline"])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"invalid config: hypergraph: {exc}") from exc
     if hypergraph.num_nodes == 0:
@@ -367,12 +361,9 @@ _SIM_FIELDS = {
 }
 
 
-def build_design_options(doc: dict, seed_override: int | None = None) -> DesignOptions:
+def build_design_options(doc: dict) -> DesignOptions:
     # the schema's design keys are DesignOptions fields, trajectories aside
-    kwargs = {k: v for k, v in doc["design"].items() if k != "trajectories"}
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return DesignOptions(**kwargs)
+    return DesignOptions(**{k: v for k, v in doc["design"].items() if k != "trajectories"})
 
 
 def build_ensemble_spec(doc: dict) -> TrajectoryEnsembleSpec:

@@ -60,11 +60,11 @@ class AllMeasured(ValueError):
 @dataclass(frozen=True)
 class DesignOptions:
     """Observer-design settings.  ``seed`` is recorded in ``design.json`` but
-    read by no design step: gain synthesis is one deterministic descent."""
+    read by no design step: gain synthesis is one deterministic descent,
+    whose iteration budget is ``gain_design.MAX_ITERS``."""
 
     margin: float = 1.0
     use_inverse_shortcut: bool | None = None  # None: shortcut iff h invertible
-    max_iters: int = 5000
     seed: int = 0
 
 
@@ -276,7 +276,7 @@ def design_observer(
                 added.append(j)
                 log.info("iteration %d: measuring node %d of %s", iteration, j, S)
                 try:
-                    new_gains = design_gain_thm2(err, added, options.margin, options.max_iters)
+                    new_gains = design_gain_thm2(err, added, options.margin)
                 except Infeasible as exc:
                     log.debug("thm2 synthesis infeasible on %s: %s", S, exc)
                     continue

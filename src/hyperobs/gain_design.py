@@ -34,6 +34,8 @@ log = logging.getLogger("hyperobs.gain_design")
 
 # Polyak target overshoot: each step aims at -POLYAK_OVERSHOOT * h_req
 POLYAK_OVERSHOOT = 1.2
+# iterations of one synthesis before it gives up with Infeasible
+MAX_ITERS = 5000
 # samples evaluated exactly before each screen: the top-ranked of the last call
 SEED_COUNT = 8
 
@@ -72,14 +74,14 @@ class GainSet:
         out.update(other.entries)
         return GainSet(out)
 
-    def block_norm(self, nodes: Iterable[int] | None = None) -> float:
+    def block_norm(self, nodes: Iterable[int]) -> float:
         """Spectral norm of the stacked gain matrix restricted to rows/columns
-        in ``nodes`` (all nodes when omitted)."""
-        keep = None if nodes is None else set(nodes)
+        in ``nodes``."""
+        keep = set(nodes)
         items = [
             ((i, j), L)
             for (i, j), L in sorted(self.entries.items())
-            if keep is None or (i in keep and j in keep)
+            if i in keep and j in keep
         ]
         if not items:
             return 0.0
@@ -263,10 +265,9 @@ def design_gain_thm2(
     err: ErrorSystem,
     measured_in_subset: Iterable[int],
     h_req: float,
-    max_iters: int,
 ) -> GainSet:
     """Find static gains with max-over-samples lambda_max(A_S^sym) <= -h_req
-    over the sample set of ``err``, within ``max_iters`` iterations.
+    over the sample set of ``err``, within ``MAX_ITERS`` iterations.
 
     One subgradient descent with Polyak steps from L = 0; the objective is
     convex, so no restart from another starting point is tried.  When zero
@@ -277,8 +278,6 @@ def design_gain_thm2(
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     prob = GainProblem(err, measured_in_subset)
     if not prob.measured:
         raise NoMeasuredNodes(f"subset {prob.sub.nodes} has no measured nodes")
@@ -290,9 +289,9 @@ def design_gain_thm2(
         )
     L = np.zeros((len(prob.keys), prob.n, prob.p))
     overshoot = POLYAK_OVERSHOOT
-    stall_window = max(100, max_iters // 10)
+    stall_window = max(100, MAX_ITERS // 10)
     best_phi, last_best_iter = np.inf, 0
-    for it in range(max_iters):
+    for it in range(MAX_ITERS):
         phi, grads = prob.subgradient(L)
         if phi < best_phi - 1e-12:
             best_phi, last_best_iter = phi, it

@@ -89,8 +89,9 @@ class Hyperedge:
         return len(self.tails) + len(self.heads)
 
     @staticmethod
-    def uniform(tails: Sequence[int], heads: Sequence[int], sigma: float = 1.0) -> "Hyperedge":
-        """Hyperedge with uniform convex weights on tails and heads."""
+    def uniform(tails: Sequence[int], heads: Sequence[int], sigma: float = sigma) -> "Hyperedge":
+        """Hyperedge with uniform convex weights on tails and heads; the
+        default ``sigma`` is the field's, a class-body name here."""
         nt, nh = len(tails), len(heads)
         return Hyperedge(tuple(tails), tuple(heads), (1.0 / nt,) * nt, (1.0 / nh,) * nh, sigma)
 
@@ -151,6 +152,7 @@ class DirectedHypergraph:
     edges: tuple[Hyperedge, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "num_nodes", int(self.num_nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.num_nodes < 0:
             raise HypergraphError("num_nodes must be nonnegative")
@@ -216,24 +218,10 @@ class DirectedHypergraph:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "DirectedHypergraph":
-        edges = tuple(
-            Hyperedge(
-                tuple(d["tails"]),
-                tuple(d["heads"]),
-                tuple(d["alpha"]),
-                tuple(d["beta"]),
-                d.get("sigma", 1.0),
-            )
-            for d in doc["edges"]
-        )
-        return DirectedHypergraph(int(doc["num_nodes"]), edges)
+        return DirectedHypergraph(doc["num_nodes"], tuple(Hyperedge(**d) for d in doc["edges"]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "DirectedHypergraph":
-        return DirectedHypergraph.from_json_dict(json.loads(text))
 
 
 # -- dependency pattern and its root components ---------------------------------
@@ -327,11 +315,13 @@ class HierarchicalGenSpec:
     src_inter: tuple[int, ...]
     snk_inter: tuple[int, ...]
     seed: int
-    sigma: float = 1.0
+    sigma: float = Hyperedge.sigma
 
     def __post_init__(self):
         for name in ("layer_sizes", "src_intra", "snk_intra", "src_inter", "snk_inter"):
             object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+        for name, kind in (("cardinality", int), ("seed", int), ("sigma", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         ell = len(self.layer_sizes)
         if ell < 1 or any(s < 1 for s in self.layer_sizes):
             raise HypergraphError("need at least one nonempty layer")
@@ -359,30 +349,9 @@ class HierarchicalGenSpec:
             offset += size
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "cardinality": self.cardinality,
-            "src_intra": list(self.src_intra),
-            "snk_intra": list(self.snk_intra),
-            "src_inter": list(self.src_inter),
-            "snk_inter": list(self.snk_inter),
-            "seed": self.seed,
-            "sigma": self.sigma,
-        }
-
     @staticmethod
     def from_json_dict(doc: Mapping) -> "HierarchicalGenSpec":
-        return HierarchicalGenSpec(
-            tuple(doc["layer_sizes"]),
-            int(doc["cardinality"]),
-            tuple(doc["src_intra"]),
-            tuple(doc["snk_intra"]),
-            tuple(doc["src_inter"]),
-            tuple(doc["snk_inter"]),
-            int(doc["seed"]),
-            float(doc.get("sigma", 1.0)),
-        )
+        return HierarchicalGenSpec(**doc)
 
 
 def _fisher_yates_take(rng: np.random.Generator, pool: Sequence[int], k: int) -> list[int]:
@@ -403,33 +372,27 @@ def generate_hierarchical(spec: HierarchicalGenSpec) -> DirectedHypergraph:
     c = spec.cardinality
     edges: list[Hyperedge] = []
 
-    def source_edge(tail_pool, head_pool):
+    def add_edge(tail_pool, head_pool, num_tails):
+        # c members: num_tails tails and the rest heads, from one draw
+        # within a layer, from each pool across two
         if tail_pool is head_pool:
             picks = _fisher_yates_take(rng, tail_pool, c)
-            tails, heads = picks[:1], picks[1:]
+            tails, heads = picks[:num_tails], picks[num_tails:]
         else:
-            tails = _fisher_yates_take(rng, tail_pool, 1)
-            heads = _fisher_yates_take(rng, head_pool, c - 1)
+            tails = _fisher_yates_take(rng, tail_pool, num_tails)
+            heads = _fisher_yates_take(rng, head_pool, c - num_tails)
         edges.append(Hyperedge.uniform(tails, heads, spec.sigma))
 
-    def sink_edge(tail_pool, head_pool):
-        if tail_pool is head_pool:
-            picks = _fisher_yates_take(rng, tail_pool, c)
-            tails, heads = picks[: c - 1], picks[c - 1 :]
-        else:
-            tails = _fisher_yates_take(rng, tail_pool, c - 1)
-            heads = _fisher_yates_take(rng, head_pool, 1)
-        edges.append(Hyperedge.uniform(tails, heads, spec.sigma))
-
-    for i, layer in enumerate(layers):
-        for _ in range(spec.src_intra[i]):
-            source_edge(layer, layer)
-        for _ in range(spec.snk_intra[i]):
-            sink_edge(layer, layer)
-    for i in range(len(layers) - 1):
-        for _ in range(spec.src_inter[i]):
-            source_edge(layers[i], layers[i + 1])
-        for _ in range(spec.snk_inter[i]):
-            sink_edge(layers[i], layers[i + 1])
+    # (tail pool, head pool, source edges, sink edges): within each layer,
+    # then across each pair of consecutive layers
+    groups = [(layer, layer, spec.src_intra[i], spec.snk_intra[i])
+              for i, layer in enumerate(layers)]
+    groups += [(layers[i], layers[i + 1], spec.src_inter[i], spec.snk_inter[i])
+               for i in range(len(layers) - 1)]
+    for tail_pool, head_pool, sources, sinks in groups:
+        for _ in range(sources):
+            add_edge(tail_pool, head_pool, 1)
+        for _ in range(sinks):
+            add_edge(tail_pool, head_pool, c - 1)
 
     return DirectedHypergraph(spec.num_nodes, tuple(edges))

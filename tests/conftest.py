@@ -279,7 +279,7 @@ def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error
         return rep0, GainSet({})
     if measured_in:
         try:
-            gains = design_gain_thm2(err, measured_in, options.margin, options.max_iters)
+            gains = design_gain_thm2(err, measured_in, options.margin)
             rep = check_thm2(err, options.margin, gains.entries)
             if rep.passed:
                 return rep, gains

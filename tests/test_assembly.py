@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hyperobs import (
     CouplingFunction,
+    DimensionMismatch,
     DirectedHypergraph,
     EmptySampleSet,
     GainSet,
@@ -108,7 +109,9 @@ def random_design(rng, sys, subset):
 
 
 def a_with_design(sys, design, nodes, states, zero_error_nodes=frozenset()):
-    """A_S with the design's gain blocks, stacked over the samples."""
+    """A_S with the design's gain blocks, stacked over the samples; one state
+    of N * n entries is one sample."""
+    states = np.reshape(states, (-1, sys.num_nodes, sys.state_dim))
     sub = SubsetIndex(tuple(nodes))
     keys = list(design.gains.entries)
     blocks = np.array([design.gains[k] for k in keys]).reshape(
@@ -123,7 +126,7 @@ class TestAssembleA:
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         xh = np.array([1.0, 2.0, 3.0])
-        A = ErrorSystem(sys, SubsetIndex((0,)), xh).a[0]
+        A = ErrorSystem(sys, SubsetIndex((0,)), xh.reshape(1, 1, 3)).a[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh), atol=1e-14)
 
     def test_single_measured_node_identity_output(self):
@@ -154,11 +157,19 @@ class TestAssembleA:
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(SubsetNotHeadClosed):
-            ErrorSystem(sys, SubsetIndex((1,)), np.zeros(3))
+            ErrorSystem(sys, SubsetIndex((1,)), np.zeros((1, 3, 1)))
         # tolerated when the missing head carries zero error
-        err = ErrorSystem(sys, SubsetIndex((1,)), np.zeros(3), frozenset({2}))
+        err = ErrorSystem(sys, SubsetIndex((1,)), np.zeros((1, 3, 1)), frozenset({2}))
         A = err.a[0]
         assert A.shape == (1, 1)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 3, 1), (2, 3, 2), (3, 1)])
+    def test_samples_other_than_k_by_n_by_n_rejected(self, shape):
+        # one state of N * n entries, (K, N * n) rows and extra leading axes too
+        h = DirectedHypergraph(3)
+        sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
+        with pytest.raises(DimensionMismatch):
+            ErrorSystem(sys, SubsetIndex((0,)), np.zeros(shape))
 
     def test_external_gain_column_rejected(self):
         h = DirectedHypergraph(2)
@@ -548,18 +559,20 @@ def parabola_system():
 
 
 class TestCheckThm1:
-    def test_constant_hurwitz_passes_any_eps(self):
+    def test_constant_hurwitz_passes_any_eps(self, monkeypatch):
         A = np.array([[-1.0, 2.0], [0.0, -3.0]])
         err = error_system_for(A, np.zeros((10, 1, 2)))
         for eps in (0.1, 0.5, 0.9):
-            report = check_thm1(err, dt=0.01, h_req=0.5, eps_req=eps)
+            monkeypatch.setattr(assembly, "EPS_REQ", eps)
+            report = check_thm1(err, dt=0.01, h_req=0.5, length=10, count=1)
             assert report.passed
             assert report.h2_margin > 0
 
-    def test_scalar_hand_derived_bound(self):
+    def test_scalar_hand_derived_bound(self, monkeypatch):
         a = 1.7
         err = error_system_for(np.array([[-a]]), np.zeros((5, 1, 1)))
-        report = check_thm1(err, dt=0.1, h_req=1.0, eps_req=0.3)
+        monkeypatch.setattr(assembly, "EPS_REQ", 0.3)
+        report = check_thm1(err, dt=0.1, h_req=1.0, length=5, count=1)
         # dA/dt = 0, so the slack equals the bound 2*a^2*(1-eps)
         assert report.h2_margin == pytest.approx(2 * a**2 * (1 - 0.3), rel=1e-12)
 
@@ -577,7 +590,7 @@ class TestCheckThm1:
         for omega in [0.05, 0.2, 0.8, 2.0, 5.0, 20.0]:
             sys = ramp_jacobian_system(omega)
             err = ErrorSystem(sys, SubsetIndex((0,)), t.reshape(-1, 1, 1))
-            report = check_thm1(err, dt=dt, h_req=0.2, eps_req=0.5)
+            report = check_thm1(err, dt=dt, h_req=0.2, length=len(t), count=1)
             results[omega] = report.passed
             assert report.passed == analytic_pass(omega)
         assert results[0.05] and not results[20.0]
@@ -592,10 +605,10 @@ class TestCheckThm1:
         monkeypatch.setattr(assembly, "kron_sum", counted_kron_sum)
         sys = parabola_system()
         sub = SubsetIndex((0,))
-        failed = check_thm1(ErrorSystem(sys, sub, np.zeros((4, 1, 1))), dt=0.1, h_req=1.0)
+        failed = check_thm1(ErrorSystem(sys, sub, np.zeros((4, 1, 1))), 0.1, 1.0, 4, 1)
         assert not failed.passed and failed.h2_margin is None
         assert calls == []
-        passed = check_thm1(ErrorSystem(sys, sub, np.full((4, 1, 1), -2.0)), dt=0.1, h_req=1.0)
+        passed = check_thm1(ErrorSystem(sys, sub, np.full((4, 1, 1), -2.0)), 0.1, 1.0, 4, 1)
         assert passed.passed and passed.h2_margin == pytest.approx(2 * 2.0**2 * 0.5)
         assert len(calls) == 3
         # the trajectory merge carries the skipped H2 through as None
@@ -616,7 +629,7 @@ class TestCheckThm1:
             np.testing.assert_array_equal(err.a[5 * t : 5 * t + 5], e.a)
             np.testing.assert_array_equal(err.g[5 * t : 5 * t + 5], e.g)
         for count, checked in ((2, 2), (4, 3)):
-            reps = [check_thm1(e, dt=0.1, h_req=1.0) for e in alone[:checked]]
+            reps = [check_thm1(e, dt=0.1, h_req=1.0, length=5, count=1) for e in alone[:checked]]
             assert [r.passed for r in reps] == [True] * 2 + [False] * (checked - 2)
             merged = check_thm1(err, dt=0.1, h_req=1.0, length=5, count=count)
             h2 = [r.h2_margin for r in reps]
@@ -633,7 +646,7 @@ class TestCheckThm1:
     def test_subset_too_large(self):
         err = error_system_for(-np.eye(KRON_CAP + 1), np.zeros((3, 1, KRON_CAP + 1)))
         with pytest.raises(SubsetTooLarge):
-            check_thm1(err, 0.01, 1.0)
+            check_thm1(err, 0.01, 1.0, 3, 1)
 
 
 class TestKroneckerSum:

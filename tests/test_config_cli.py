@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import hyperobs
-from hyperobs import DesignOptions, DesignOutcome, SimConfig, TrajectoryEnsembleSpec
+from hyperobs import DesignOptions, DesignOutcome, SimConfig, TrajectoryEnsembleSpec, gain_design
 from hyperobs.cli import main
 from hyperobs.config import (
     _SIM_FIELDS,
@@ -30,7 +30,7 @@ from hyperobs.config import (
     resolve_hypergraph,
     validate_config,
 )
-from test_end_to_end import assert_matches
+from test_end_to_end import assert_matches, read_csv
 
 
 def cohead_config(**sim_overrides):
@@ -132,7 +132,7 @@ class TestConfigValidation:
 # the values are the defaults these keys had, so only the key can be at fault
 REMOVED_DESIGN_KEYS = {
     "rho": 10.0, "eps_req": 0.5, "kron_cap": 40,
-    "thm1_fallback": True, "thm1_placement": False, "restarts": 3,
+    "thm1_fallback": True, "thm1_placement": False, "restarts": 3, "max_iters": 5000,
 }
 
 
@@ -359,6 +359,18 @@ MALFORMED_DESIGN_REPORTS = {
         p["report"].update(hurwitz_margin=-1.0)
         for p in report["outcome"]["processed_subsets"] if p["report"]["theorem_used"] == "thm2"],
     "downstream_subset_first": lambda report: report["outcome"]["processed_subsets"].reverse(),
+    # the dataclasses would read these as nodes 0, 0, 1, 2 and 0
+    "measured_id_fraction": lambda report: _design(report).update(measured=[0.5, 1]),
+    "measured_id_boolean": lambda report: _design(report).update(measured=[False, 1]),
+    "exact_node_id_float": lambda report: _design(report).update(exact_nodes=[0, 1.0]),
+    "subset_node_id_float": lambda report: report["outcome"]["processed_subsets"][-1].update(
+        nodes=[2.0]),
+    "added_measured_id_float": lambda report: report["outcome"]["processed_subsets"][0].update(
+        added_measured=[0.0]),
+    # a complete design's subsets cover every node once
+    "last_subset_dropped": lambda report: report["outcome"]["processed_subsets"].pop(),
+    "subset_listed_twice": lambda report: report["outcome"]["processed_subsets"].append(
+        report["outcome"]["processed_subsets"][-1]),
     # to_json_dict writes every one of these keys
     "missing_gains": lambda report: _design(report).pop("gains"),
     "missing_exact_nodes": lambda report: _design(report).pop("exact_nodes"),
@@ -405,11 +417,11 @@ class TestDesignCommand:
         assert report["config_hash"]
         assert report["f_bound"] > 0
 
-    def test_design_failure_exits_2(self, tmp_path, caplog):
+    def test_design_failure_exits_2(self, tmp_path, caplog, monkeypatch):
         doc = cohead_config()
         # x3-only output cannot certify chaotic singletons
         doc["dynamics"]["output"] = {"matrix": [[0.0, 0.0, 1.0]]}
-        doc["design"]["max_iters"] = 50
+        monkeypatch.setattr(gain_design, "MAX_ITERS", 50)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
@@ -429,6 +441,27 @@ class TestDesignCommand:
         cfg = tmp_path / "c.json"
         cfg.write_text("{\"nope\": 1}")
         assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+
+    def test_generator_config_exits_4_naming_the_key(self, tmp_path, caplog):
+        # a run reads its network from a file or inline; ``generate`` writes the file
+        doc = cohead_config()
+        doc["hypergraph"] = {"generator": TestGenerateCommand().spec_doc()}
+        with pytest.raises(ConfigError, match="'generator' was unexpected"):
+            validate_config(doc)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+        assert "'generator' was unexpected" in caplog.text
+        assert not (tmp_path / "design.json").exists()
+
+    def test_design_has_no_seed_flag(self, designed, tmp_path, capsys):
+        # design.seed is recorded, never read: the flag that replaced it is gone
+        cfg, _ = designed
+        with pytest.raises(SystemExit) as refused:
+            main(["design", "--config", str(cfg), "--out-dir", str(tmp_path), "--seed", "5"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "design.json").exists()
 
     def test_design_json_is_strict_and_lossless(self, designed):
         _, report_path = designed
@@ -686,18 +719,46 @@ class TestSimulateAndBatch:
         steps = round(doc["sim"]["horizon"] / doc["sim"]["dt"])
         assert all(1 <= step <= steps for _, step in batch["flagged_runs"])
 
-    def test_downsample_row_cap(self, designed, tmp_path):
+    def test_seed_flag_moves_only_the_monte_carlo_draws(self, designed, tmp_path):
+        # on a network read from a file, which a hash check compares by
+        # content with the inline one the report was designed on
         cfg_path, design = designed
         doc = json.loads(cfg_path.read_text())
-        doc["sim"]["downsample_rows"] = 50
+        (tmp_path / "network.json").write_text(json.dumps(doc["hypergraph"]["inline"]))
+        doc["hypergraph"] = {"file": "network.json"}
+        cfg = tmp_path / "file.json"
+        cfg.write_text(json.dumps(doc))
+        runs = {}
+        for seed in ([], ["--seed", "5"]):
+            out = tmp_path / f"seed{len(seed)}"
+            assert main(["simulate", "--config", str(cfg), "--design", str(design),
+                         "--out-dir", str(out), *seed]) == 0
+            runs[len(seed)] = (json.loads((out / "summary.json").read_text()),
+                               (out / "batch_1.csv").read_bytes())
+        (base, base_csv), (moved, moved_csv) = runs[0], runs[2]
+        assert (base["seed"], moved["seed"]) == (doc["sim"]["seed"], 5)
+        assert base["config_hash"] == moved["config_hash"]
+        draws = ("n_flagged", "flagged_runs", "max_error", "settling_times")
+        (b,), (m,) = base["batches"], moved["batches"]
+        assert {k: v for k, v in b.items() if k not in draws} == {
+            k: v for k, v in m.items() if k not in draws}
+        assert b["max_error"] != m["max_error"] and base_csv != moved_csv
+
+    @pytest.mark.parametrize("rows", [2, 3, 50])
+    def test_downsampled_csv_ends_at_the_horizon(self, designed, tmp_path, rows):
+        # 501 grid points: strides of 251 and 167 from t = 0 would miss t = 0.5
+        cfg_path, design = designed
+        doc = json.loads(cfg_path.read_text())
+        doc["sim"]["downsample_rows"] = rows
         cfg2 = tmp_path / "rows.json"
         cfg2.write_text(json.dumps(doc))
-        out = tmp_path / "o4"
-        main(["simulate", "--config", str(cfg2), "--design", str(design),
-              "--out-dir", str(out)])
-        rows = (out / "batch_1.csv").read_text().splitlines()
-        assert len(rows) - 1 <= 50
-
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg2), "--design", str(design),
+                     "--out-dir", str(out)]) == 0
+        _, got = read_csv(out / "batch_1.csv")
+        times = [row[0] for row in got]
+        assert len(times) <= rows and times[0] == 0.0
+        assert times[-1] == pytest.approx(doc["sim"]["horizon"], rel=1e-12)
 
 def test_design_and_simulate_run_without_scipy(tmp_path):
     # with scipy and jsonschema unimportable: a Monte-Carlo run with gains and
@@ -719,7 +780,7 @@ loaded = {{name.partition(".")[0] for name, module in sys.modules.items() if mod
 assert not loaded & {{"jsonschema", "referencing", "attrs", "rpds"}}, sorted(loaded)
 from hyperobs.config import build_system, resolve_hypergraph
 doc = json.loads({json.dumps(json.dumps(cohead_config()))})
-sys_ = build_system(doc, resolve_hypergraph(doc, ".", None))
+sys_ = build_system(doc, resolve_hypergraph(doc, "."))
 design = ObserverDesign(frozenset({{0, 2}}), GainSet({{(1, 0): np.eye(3), (1, 2): np.eye(3)}}),
                         frozenset({{0}}))
 stats = monte_carlo(sys_, design, SimConfig(horizon=0.01, noise_amplitude=0.01), 3)

@@ -32,7 +32,7 @@ def _bench_documents():
     an inline-network config, the generator spec and its network."""
     spec, config = BENCH_WORKLOADS["lorenz12-partial"](1)
     spec = {**spec, "sigma": 2.0}
-    config["design"].update(use_inverse_shortcut=None, max_iters=50)
+    config["design"]["use_inverse_shortcut"] = None
     config["design"]["trajectories"]["burn_in"] = 0.0
     config["sim"].update(param_spread=0.0, downsample_rows=100)
     config["batch"] = {"variable": "noise", "values": [0.0, 0.1]}

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 from collections import Counter
@@ -32,7 +33,7 @@ from hyperobs import (
     select_node,
     tanh_coupling,
 )
-from hyperobs import designer
+from hyperobs import designer, gain_design
 from hyperobs.assembly import ErrorSystem, SubsetIndex, check_thm2, symmetric_top_eig
 from hyperobs.designer import field_param_jacobian_bound
 from conftest import (
@@ -194,7 +195,7 @@ class TestDesignObserver:
         assert outcome.complete
         assert outcome.measured == frozenset({0, 1, 2})
 
-    def test_unobservable_output_fails_with_culprit(self):
+    def test_unobservable_output_fails_with_culprit(self, monkeypatch):
         # x3-only measurement cannot stabilize the (x1, x2) subsystem near the
         # origin, so the design must fail on the singleton it cannot certify
         h = DirectedHypergraph(1)
@@ -202,8 +203,8 @@ class TestDesignObserver:
                             linear_output([[0.0, 0.0, 1.0]]))
         states = np.zeros((4, 20, 1, 3))
         ens = TrajectoryEnsemble(states, 1e-2)
-        options = DesignOptions(margin=1.0, max_iters=400)
-        outcome = design_observer(sys, ens, options)
+        monkeypatch.setattr(gain_design, "MAX_ITERS", 400)
+        outcome = design_observer(sys, ens, DesignOptions(margin=1.0))
         assert outcome.status == "failed"
         assert outcome.failed_subset == (0,)
         assert outcome.processed[-1].report.theorem_used == "none"
@@ -300,7 +301,8 @@ class TestDesignObserver:
 @dataclass(frozen=True)
 class DesignCase:
     """A small network, its design ensemble and its design options, as data;
-    ``output`` holds the rows of Gamma, empty for the identity."""
+    ``output`` holds the rows of Gamma, empty for the identity, and
+    ``max_iters`` is the gain-synthesis budget ``budget`` sets."""
 
     num_nodes: int
     edges: tuple[Hyperedge, ...]
@@ -324,9 +326,13 @@ class DesignCase:
         sys = NetworkSystem(h, field, coupling, output)
         ens = make_ensemble(sys, TrajectoryEnsembleSpec(
             count=self.count, horizon=0.2, dt=1e-2, subsample=2, seed=self.seed))
-        options = DesignOptions(margin=self.margin, use_inverse_shortcut=self.shortcut,
-                                max_iters=self.max_iters)
-        return sys, ens, options
+        return sys, ens, DesignOptions(margin=self.margin, use_inverse_shortcut=self.shortcut)
+
+    @contextlib.contextmanager
+    def budget(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gain_design, "MAX_ITERS", self.max_iters)
+            yield
 
 
 def _cohead(sigma, **kw):
@@ -397,7 +403,8 @@ class TestDesignMatchesReference:
     ])
     def test_named_cases_take_their_route(self, name, routes):
         sys, ens, options = NAMED_CASES[name].build()
-        assert routes <= _routes(design_observer(sys, ens, options))
+        with NAMED_CASES[name].budget():
+            assert routes <= _routes(design_observer(sys, ens, options))
 
     @settings(max_examples=30)
     @given(case=design_cases())
@@ -412,24 +419,26 @@ class TestDesignMatchesReference:
         # the reference reruns every route on a fresh ErrorSystem after each
         # measured node; certifying each subset once must decide the same
         sys, ens, options = case.build()
-        assert (design_observer(sys, ens, options).to_json_dict()
-                == reference_design_observer(sys, ens, options).to_json_dict())
+        with case.budget():
+            assert (design_observer(sys, ens, options).to_json_dict()
+                    == reference_design_observer(sys, ens, options).to_json_dict())
 
     def test_failing_post_synthesis_check_matches_reference(self, monkeypatch):
         # gains synthesized for half the margin fail the check at the full
         # margin, so each synthesis is rejected after it returns
         real = designer.design_gain_thm2
 
-        def half_margin(err, measured, h_req, max_iters):
-            return real(err, measured, h_req / 2, max_iters)
+        def half_margin(err, measured, h_req):
+            return real(err, measured, h_req / 2)
 
         monkeypatch.setattr(designer, "design_gain_thm2", half_margin)
         monkeypatch.setattr(conftest, "design_gain_thm2", half_margin)
         for name in ("synthesis_one_node", "synthesis_two_nodes"):
             sys, ens, options = NAMED_CASES[name].build()
-            outcome = design_observer(sys, ens, options)
-            assert outcome.to_json_dict() == reference_design_observer(
-                sys, ens, options).to_json_dict()
+            with NAMED_CASES[name].budget():
+                outcome = design_observer(sys, ens, options)
+                assert outcome.to_json_dict() == reference_design_observer(
+                    sys, ens, options).to_json_dict()
             assert outcome.status == "failed"
 
 
@@ -498,7 +507,8 @@ class TestCertifyOrFail:
 
     def test_measured_node_gets_gains(self):
         sys, ens, options = NAMED_CASES["synthesis_one_node"].build()
-        outcome = design_observer(sys, ens, options)
+        with NAMED_CASES["synthesis_one_node"].budget():
+            outcome = design_observer(sys, ens, options)
         (entry,) = outcome.processed
         assert entry.report.theorem_used == "thm2" and entry.added_measured == (0,)
         assert (0, 0) in outcome.gains.entries
@@ -512,7 +522,8 @@ class TestCertifyOrFail:
         for name, case in NAMED_CASES.items():
             calls.clear()
             sys, ens, options = case.build()
-            outcome = design_observer(sys, ens, options)
+            with case.budget():
+                outcome = design_observer(sys, ens, options)
             tried = {nodes for _, nodes in calls}
             certified = [p for p in outcome.processed if p.report.theorem_used != "exact"]
             assert {p.nodes for p in certified} <= tried

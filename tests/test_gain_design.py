@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperobs import (
-    DesignOptions,
     DirectedHypergraph,
     ErrorSystem,
     GainSet,
@@ -24,7 +23,8 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs.assembly import symmetric_top_eig
-from hyperobs.gain_design import GainProblem
+from hyperobs import gain_design
+from hyperobs.gain_design import MAX_ITERS, GainProblem
 from conftest import (
     apply_gains_by_block,
     dense_gain_descent,
@@ -46,9 +46,6 @@ def scalar_linear_field(a):
     return vector_field_from_callable(f, 1, np.zeros(1), jac_x=jx)
 
 
-MAX_ITERS = DesignOptions().max_iters
-
-
 def scalar_node_system(a=2.0):
     h = DirectedHypergraph(1)
     return NetworkSystem(h, scalar_linear_field(a), linear_coupling(1.0), identity_output(1))
@@ -66,8 +63,7 @@ class TestDesignThm2:
     def test_scalar_unstable_node(self):
         sys = scalar_node_system(a=2.0)
         samples = np.zeros((3, 1, 1))
-        gains = design_gain_thm2(ErrorSystem(sys, SubsetIndex((0,)), samples), [0], h_req=1.0,
-                                 max_iters=MAX_ITERS)
+        gains = design_gain_thm2(ErrorSystem(sys, SubsetIndex((0,)), samples), [0], h_req=1.0)
         L = gains[(0, 0)][0, 0]
         assert L >= 3.0
         assert 2.0 - L <= -1.0
@@ -75,30 +71,32 @@ class TestDesignThm2:
     def test_already_certified_returns_zero_gains(self):
         sys = scalar_node_system(a=-5.0)
         err = ErrorSystem(sys, SubsetIndex((0,)), np.zeros((2, 1, 1)))
-        gains = design_gain_thm2(err, [0], h_req=1.0, max_iters=MAX_ITERS)
+        gains = design_gain_thm2(err, [0], h_req=1.0)
         assert len(gains) == 0
 
     def test_no_measured_nodes_raises(self):
         sys = scalar_node_system(a=2.0)
         with pytest.raises(NoMeasuredNodes):
             design_gain_thm2(ErrorSystem(sys, SubsetIndex((0,)), np.zeros((2, 1, 1))), [],
-                             h_req=1.0, max_iters=MAX_ITERS)
+                             h_req=1.0)
 
-    def test_budget_exhaustion_is_infeasible(self):
+    def test_budget_exhaustion_is_infeasible(self, monkeypatch):
         # the message names the iterations made and the best max reached:
         # the scalar node's objective is 50 - L, read once at L = 0
         sys = scalar_node_system(a=50.0)
+        monkeypatch.setattr(gain_design, "MAX_ITERS", 1)
         with pytest.raises(Infeasible, match=r"best max eigenvalue 50 after 1 iterations$"):
             design_gain_thm2(ErrorSystem(sys, SubsetIndex((0,)), np.zeros((2, 1, 1))), [0],
-                             h_req=100.0, max_iters=1)
+                             h_req=100.0)
         # a budget too small for the Lorenz pair: the lowest max of the
         # iterates, which the dense reference shares
         err = lorenz_pair_problem(np.random.default_rng(40), 30)
         phis = []
         assert dense_gain_descent(err, [0, 1], h_req=1.5, max_iters=3, phis=phis) is None
         assert len(phis) == 3
+        monkeypatch.setattr(gain_design, "MAX_ITERS", 3)
         with pytest.raises(Infeasible) as info:
-            design_gain_thm2(err, [0, 1], h_req=1.5, max_iters=3)
+            design_gain_thm2(err, [0, 1], h_req=1.5)
         assert str(info.value).endswith(
             f"best max eigenvalue {min(phis):.6g} after 3 iterations"
         )
@@ -112,17 +110,11 @@ class TestDesignThm2:
         assert GainProblem(err, [0]).unmeasured_floor() == floor == err.block_floor((1,))[0]
         assert GainProblem(err, [0, 1]).unmeasured_floor() == -np.inf
         with pytest.raises(Infeasible) as info:
-            design_gain_thm2(err, [0], h_req=1.0, max_iters=MAX_ITERS)
+            design_gain_thm2(err, [0], h_req=1.0)
         assert str(info.value) == (
             f"subset (0, 1): unmeasured diagonal blocks reach {floor:.4g}, "
             "margin 1.0 is unattainable for any gains"
         )
-
-    def test_max_iters_below_one_rejected(self):
-        sys = scalar_node_system(a=2.0)
-        with pytest.raises(ValueError):
-            design_gain_thm2(ErrorSystem(sys, SubsetIndex((0,)), np.zeros((2, 1, 1))), [0],
-                             h_req=1.0, max_iters=0)
 
     def test_returned_gains_recertify_on_same_samples(self):
         rng = np.random.default_rng(40)
@@ -133,7 +125,7 @@ class TestDesignThm2:
         sub = SubsetIndex((0, 1))
         err = ErrorSystem(sys, sub, samples)
         before = err.a.copy()
-        gains = design_gain_thm2(err, [0, 1], h_req=1.5, max_iters=MAX_ITERS)
+        gains = design_gain_thm2(err, [0, 1], h_req=1.5)
         # synthesis works on copies: the zero-gain stack is left as it was
         np.testing.assert_array_equal(err.a, before)
         assert gains.entries
@@ -147,7 +139,7 @@ class TestDesignThm2:
         sys = random_system(rng, h, field_kind="planar")
         S = tuple(range(h.num_nodes))
         err = ErrorSystem(sys, SubsetIndex(S), rng.uniform(-1, 1, (5, h.num_nodes, 2)))
-        gains = design_gain_thm2(err, [S[0]], h_req=0.5, max_iters=MAX_ITERS)
+        gains = design_gain_thm2(err, [S[0]], h_req=0.5)
         for (i, j) in gains.entries:
             assert i in S and j == S[0]
 
@@ -158,12 +150,12 @@ class TestDesignThm2:
         samples = np.zeros((4, 2, 1))
         sub = SubsetIndex((0, 1))
         err = ErrorSystem(sys, sub, samples)
-        gains1 = design_gain_thm2(err, [0], h_req=1.0, max_iters=MAX_ITERS)
+        gains1 = design_gain_thm2(err, [0], h_req=1.0)
         prob1, prob2 = GainProblem(err, [0]), GainProblem(err, [0, 1])
         phi1, _ = prob1.subgradient(gain_array(prob1, gains1.entries))
         phi2, _ = prob2.subgradient(gain_array(prob2, gains1.entries))
         assert phi2 == pytest.approx(phi1, abs=1e-12)
-        gains2 = design_gain_thm2(err, [0, 1], h_req=1.0, max_iters=MAX_ITERS)
+        gains2 = design_gain_thm2(err, [0, 1], h_req=1.0)
         assert check_thm2(err, 1.0, gains2.entries).passed
 
 
@@ -199,7 +191,7 @@ def planar_partial_problem(rng, count):
 class TestDenseReference:
     def test_two_node_lorenz_gains_bit_identical(self):
         err = lorenz_pair_problem(np.random.default_rng(40), 30)
-        gains = design_gain_thm2(err, [0, 1], h_req=1.5, max_iters=MAX_ITERS)
+        gains = design_gain_thm2(err, [0, 1], h_req=1.5)
         ref = dense_gain_descent(err, [0, 1], h_req=1.5, max_iters=MAX_ITERS)
         assert ref and gains.entries.keys() == ref.keys()
         for key, L in ref.items():
@@ -207,7 +199,7 @@ class TestDenseReference:
 
     def test_random_three_node_subset_gains_bit_identical(self):
         err = lorenz_triple_problem(np.random.default_rng(44), 200)
-        gains = design_gain_thm2(err, [0, 1, 2], h_req=1.0, max_iters=MAX_ITERS)
+        gains = design_gain_thm2(err, [0, 1, 2], h_req=1.0)
         ref = dense_gain_descent(err, [0, 1, 2], h_req=1.0, max_iters=MAX_ITERS)
         assert ref and gains.entries.keys() == ref.keys()
         for key, L in ref.items():
@@ -224,7 +216,7 @@ class TestDenseReference:
         # dropped from the result
         err = planar_partial_problem(np.random.default_rng(46), 60)
         assert not check_thm2(err, 1.0).passed
-        gains = design_gain_thm2(err, [0, 2], h_req=1.0, max_iters=MAX_ITERS)
+        gains = design_gain_thm2(err, [0, 2], h_req=1.0)
         ref = dense_gain_descent(err, [0, 2], h_req=1.0, max_iters=MAX_ITERS)
         assert ref and gains.entries.keys() == ref.keys()
         for key, L in ref.items():
@@ -371,7 +363,7 @@ class TestScreen:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            gains = design_gain_thm2(err, [0, 1, 2], h_req=1.0, max_iters=MAX_ITERS)
+            gains = design_gain_thm2(err, [0, 1, 2], h_req=1.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

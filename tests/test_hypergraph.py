@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -441,11 +442,12 @@ class TestSerialization:
         rng = np.random.default_rng(2)
         for _ in range(10):
             h = random_hypergraph(rng)
-            assert DirectedHypergraph.from_json(h.to_json()) == h
+            back = DirectedHypergraph.from_json_dict(json.loads(h.to_json()))
+            assert back == h
             # serializing twice gives identical bytes
-            assert h.to_json() == DirectedHypergraph.from_json(h.to_json()).to_json()
+            assert h.to_json() == back.to_json()
 
     def test_genspec_round_trip(self):
         spec = HierarchicalGenSpec((6, 5), 3, (1, 0), (0, 2), (1,), (1,), seed=3, sigma=1.5)
-        doc = json.loads(json.dumps(spec.to_json_dict()))
+        doc = json.loads(json.dumps(dataclasses.asdict(spec)))
         assert HierarchicalGenSpec.from_json_dict(doc) == spec
