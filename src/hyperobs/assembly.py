@@ -7,17 +7,18 @@ tails outside S.  Every fact about the edges entering S, head-closedness,
 the members inside S and the tails outside it, is read from one incidence
 slice, ``DirectedHypergraph.entering(S)``.  This module also implements the
 checkable hypotheses of the two convergence theorems and the robustness
-bound.  ``ErrorSystem.block_floor`` bounds the Theorem-2 worst value from
-below by the n x n diagonal blocks of A_S: the symmetric part of a principal
-block is a principal submatrix of sym(A_S), so by Cauchy interlacing its
-largest eigenvalue is at most that of sym(A_S) (Horn and Johnson, "Matrix
-Analysis", 2nd ed., Thm 4.3.28).
+bound.  ``ErrorSystem.refuting_block`` is the one interlacing refutation,
+which the designer's zero-gain check and gain synthesis both read: the
+symmetric part of an n x n diagonal block of A_S is a principal submatrix of
+sym(A_S), so by Cauchy interlacing its largest eigenvalue is at most that of
+sym(A_S) (Horn and Johnson, "Matrix Analysis", 2nd ed., Thm 4.3.28).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -183,20 +184,36 @@ class ErrorSystem:
         k = int(np.argmax(tops))
         return float(tops[k]), int(nodes[k])
 
+    @cached_property
     def floor_tol(self) -> float:
         """The rounding slack of ``block_floor`` against ``check_thm2``:
-        1e-10 (1 + d^2 max|A_S|), the scale of the screen's tolerance in gain
-        design, for the error dimension d.  Not finite when ``a`` has a
-        non-finite entry.  max|A_S| is taken with no temporary the size of
-        ``a``."""
-        mag = float(np.maximum(self.a.max(), -self.a.min()))
-        return 1e-10 * (1.0 + self.dim**2 * mag)
+        ``rounding_tol`` at the error dimension and max|A_S|, which is taken
+        with no temporary the size of ``a``; not finite when ``a`` is not."""
+        return rounding_tol(self.dim, float(np.maximum(self.a.max(), -self.a.min())))
+
+    def refuting_block(self, nodes: Sequence[int], h_req: float) -> tuple[float, int] | None:
+        """(floor, node) when the diagonal blocks at ``nodes`` prove that the
+        Theorem-2 check fails at margin ``h_req`` with any gains that leave
+        these blocks alone: their ``block_floor`` exceeds -h_req by more than
+        ``floor_tol``.  None otherwise, and always when ``a`` has a
+        non-finite entry, which has no finite slack (no ``eigvalsh`` runs)."""
+        if not math.isfinite(self.floor_tol):
+            return None
+        floor, node = self.block_floor(nodes)
+        return (floor, node) if floor > self.floor_tol - h_req else None
 
     def coupling_jac_bound(self, dg: np.ndarray) -> np.ndarray:
         """Per sample of the (edges, K, n) coupling derivative ``dg``, the max
         spectral norm of the coupling Jacobian diag(g') over the incoming
         edges: the largest |g'|, 0 when no edge enters S."""
         return np.abs(dg).max(axis=(0, 2), initial=0.0)
+
+
+def rounding_tol(d: int, magnitude: float) -> float:
+    """1e-10 (1 + d^2 magnitude): the slack that covers the rounding of
+    ``eigvalsh`` and of a Cholesky factorization on d x d matrices whose
+    entries are at most ``magnitude`` in size, for d < 10^5."""
+    return 1e-10 * (1.0 + d * d * magnitude)
 
 
 def gain_matrix(
@@ -234,20 +251,19 @@ def gain_matrix(
 
 
 # report fields that hold floats; non-finite ones are written as strings
-_REPORT_FLOATS = ("hurwitz_margin", "worst_value", "h2_margin", "g_bound")
+_REPORT_FLOATS = ("hurwitz_margin", "h2_margin", "g_bound")
 
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of a hypothesis check on one subset."""
+    """Outcome of a hypothesis check on one subset; the worst symmetric or
+    spectral value over the samples is -``hurwitz_margin``."""
 
-    theorem_used: str  # "thm1" | "thm2" | "exact" | "none"
+    theorem_used: str  # "thm1" | "thm2" | "exact", or "none" when it failed
     hurwitz_margin: float
-    worst_value: float
-    sample_count: int
-    h2_margin: float | None = None
-    g_bound: float | None = None
-    trajectory_ids: tuple[int, ...] = ()
+    sample_count: int  # samples checked
+    h2_margin: float | None = None  # least Theorem-1 H2 slack; None: not evaluated
+    g_bound: float | None = None  # largest coupling-Jacobian norm
 
     @property
     def passed(self) -> bool:
@@ -255,16 +271,9 @@ class CertificationReport:
 
     def to_json_dict(self) -> dict:
         # strict JSON has no Infinity or NaN: such floats are written as the
-        # strings "inf", "-inf" and "nan", which float() reads back
-        doc = {
-            "theorem_used": self.theorem_used,
-            "hurwitz_margin": self.hurwitz_margin,
-            "worst_value": self.worst_value,
-            "sample_count": self.sample_count,
-            "h2_margin": self.h2_margin,
-            "g_bound": self.g_bound,
-            "trajectory_ids": list(self.trajectory_ids),
-        }
+        # strings "inf", "-inf" and "nan", which float() reads back; vars()
+        # lists the fields in order, 20 times as fast as dataclasses.asdict
+        doc = dict(vars(self))
         for key in _REPORT_FLOATS:
             if doc[key] is not None and not math.isfinite(doc[key]):
                 doc[key] = str(float(doc[key]))
@@ -273,9 +282,7 @@ class CertificationReport:
     @staticmethod
     def from_json_dict(doc: Mapping) -> "CertificationReport":
         floats = {k: float(doc[k]) for k in _REPORT_FLOATS if doc.get(k) is not None}
-        return CertificationReport(
-            **{**doc, **floats, "trajectory_ids": tuple(doc["trajectory_ids"])}
-        )
+        return CertificationReport(**{**doc, **floats})
 
 
 def symmetric_top_eig(mats: np.ndarray) -> np.ndarray:
@@ -306,7 +313,6 @@ def check_thm2(
     return CertificationReport(
         theorem_used="thm2" if passed else "none",
         hurwitz_margin=-worst,
-        worst_value=worst,
         sample_count=A.shape[0],
         g_bound=g_bound,
     )
@@ -330,8 +336,8 @@ def check_thm1(
 
     The rows of ``err.a`` are time-ordered trajectories of ``length`` samples
     each.  The first ``count`` of them are checked in turn, up to the first
-    that fails; the report merges the checked ones worst-case and lists
-    their ids.
+    that fails; the report merges the checked ones worst-case, and its
+    ``sample_count`` is ``length`` times the number checked.
 
     With Q = I in Theorem 1 the bound at sample k reads
     sigma_min(A_k (+) A_k)^2 / (2 sqrt(nM)) * (1 - EPS_REQ)."""
@@ -372,11 +378,9 @@ def check_thm1(
     return CertificationReport(
         theorem_used="thm1" if passed else "none",
         hurwitz_margin=-max(worst),
-        worst_value=max(worst),
         sample_count=len(worst) * length,
         h2_margin=None if h2_slack is None else min(h2_slack),
         g_bound=max(g_bound),
-        trajectory_ids=tuple(range(len(worst))),
     )
 
 
@@ -385,14 +389,10 @@ def check_thm1(
 
 @dataclass(frozen=True)
 class RobustnessBound:
+    """A subset's asymptotic error bound and the part of it that its tails
+    outside the subset contribute, before the sqrt(2) / (2h) scaling."""
+
     value: float
-    margin: float
-    g_bound: float
-    f_bound: float
-    l_bound: float
-    mu_bar: float
-    nu_bar: float
-    subset_size: int
     outside_term: float
 
 
@@ -444,6 +444,4 @@ def thm3_bound(
         + np.sqrt(2.0 * M) * mu_bar * f_bound
         + np.sqrt(2.0 * M) * nu_bar * l_bound
     ) / (2.0 * margin)
-    return RobustnessBound(
-        float(value), margin, g_bound, f_bound, l_bound, mu_bar, nu_bar, M, outside_term
-    )
+    return RobustnessBound(float(value), outside_term)

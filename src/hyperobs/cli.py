@@ -229,7 +229,8 @@ def _run_batches(args, simulate_only_first: bool) -> int:
                 "flagged_runs": [list(run) for run in stats.flagged_runs],
                 "max_error": stats.max_error,
                 "settling_times": stats.settling_times,
-                "robustness_bound": bound,
+                # strict JSON, as in the design report: inf is written "inf"
+                "robustness_bound": bound if math.isfinite(bound) else str(bound),
             }
         )
         log.info(

@@ -5,9 +5,9 @@ each design pass takes from ``condense`` the roots, the components no other
 unobserved one enters.  Each root S is certified on one ``ErrorSystem``, one
 evaluation of A_S over the ensemble: first with zero gains, by the Theorem-2
 check and then the Theorem-1 check, once per subset (``certify_or_fail``).
-On a subset of two or more nodes, a diagonal block of A_S whose symmetric
-part reaches above -h at some sample proves by interlacing that the
-Theorem-2 check would fail (``thm2_refuted``), so that check is skipped.
+On a subset of two or more nodes, a diagonal block that refutes the margin
+(``ErrorSystem.refuting_block``, which gain synthesis reads too) proves that
+the Theorem-2 check would fail (``thm2_refuted``), so that check is skipped.
 When both fail, each retry measures one more node of S, chosen by the degree
 heuristic, and synthesizes Theorem-2 gains on the nodes of S measured so far,
 until a synthesis passes or S is exhausted.  With an invertible output map, a
@@ -156,22 +156,17 @@ def select_node(
 
 def thm2_refuted(err: ErrorSystem, h_req: float) -> bool:
     """Whether a diagonal block proves that the zero-gain Theorem-2 check of
-    ``err`` fails at margin ``h_req``: its floor (``ErrorSystem.block_floor``)
-    exceeds -h_req by more than the rounding slack ``floor_tol``.  The first
-    node's block is tried alone, as on a failing subset it alone usually
-    refutes, then the other nodes' in one call.  A
-    one-node subset's block is A_S itself, and a non-finite A_S has no finite
-    slack: neither is ever refuted."""
+    ``err`` fails at margin ``h_req`` (``ErrorSystem.refuting_block``).  The
+    first node's block is tried alone, as on a failing subset it alone
+    usually refutes, then the other nodes' in one call.  A one-node subset's
+    block is A_S itself: it is never refuted."""
     nodes = err.subset.nodes
     if len(nodes) < 2:
         return False
-    tol = err.floor_tol()
-    if not math.isfinite(tol):
-        return False
     for part in (nodes[:1], nodes[1:]):
-        floor, node = err.block_floor(part)
-        if floor > tol - h_req:
-            log.debug("thm2 refuted on %s: the block of node %d reaches %.6g", nodes, node, floor)
+        if (refuted := err.refuting_block(part, h_req)) is not None:
+            log.debug("thm2 refuted on %s: the block of node %d reaches %.6g",
+                      nodes, refuted[1], refuted[0])
             return True
     return False
 
@@ -259,7 +254,7 @@ def design_observer(
             while report is None:
                 if set(S) <= measured:
                     log.warning("subset %s exhausted without certification", S)
-                    none = CertificationReport("none", -math.inf, math.inf, 0)
+                    none = CertificationReport("none", -math.inf, 0)
                     processed.append(ProcessedSubset(S, none, tuple(added), iteration))
                     return outcome("failed", S)
                 j = select_node(S, H, measured)
@@ -269,7 +264,7 @@ def design_observer(
                     exact.add(j)
                     observed[j] = True
                     label_components(src, dst, (v for v in S if v != j), label)
-                    exact_report = CertificationReport("exact", math.inf, -math.inf, 0)
+                    exact_report = CertificationReport("exact", math.inf, 0)
                     processed.append(ProcessedSubset((j,), exact_report, (j,), iteration))
                     log.info("iteration %d: measuring node %d of %s (exact)", iteration, j, S)
                     break
@@ -322,7 +317,8 @@ def propagate_robustness_bounds(
     Exactly reconstructed nodes are bounded by the inverted measurement noise.
     ``f_bound`` bounds the field's parameter Jacobian over the design
     samples, as ``field_param_jacobian_bound`` computes it.  Returns the
-    stacked network bound and the per-subset bounds.
+    stacked network bound, inf when its sum of squares overflows, and the
+    per-subset bounds.
     """
     inv_gain = float(np.linalg.norm(sys.output.inverse, 2)) if sys.output.invertible else 0.0
     node_bound: dict[int, float] = {}
@@ -330,11 +326,7 @@ def propagate_robustness_bounds(
     total_sq = 0.0
     for entry in outcome.processed:
         if entry.report.theorem_used == "exact":
-            value = inv_gain * nu_bar
-            bound = RobustnessBound(
-                value, math.inf, 0.0, f_bound,
-                inv_gain, mu_bar, nu_bar, len(entry.nodes), 0.0,
-            )
+            bound = RobustnessBound(inv_gain * nu_bar, 0.0)
         else:
             l_bound = outcome.gains.block_norm(entry.nodes)
             bound = thm3_bound(
@@ -349,7 +341,10 @@ def propagate_robustness_bounds(
                 nu_bar=nu_bar,
             )
         per_subset.append(bound)
-        total_sq += bound.value**2
+        try:
+            total_sq += bound.value**2
+        except OverflowError:  # a float's ** raises where * gives inf
+            total_sq = math.inf
         for v in entry.nodes:
             node_bound[v] = bound.value
     return float(np.sqrt(total_sq)), per_subset

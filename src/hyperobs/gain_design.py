@@ -6,7 +6,9 @@ every sample of the zero-gain A_S stack of an ``ErrorSystem``.  The
 objective, max_k lambda_max(sym(A_k - sum L_ij Gamma)), is a pointwise max of
 top eigenvalues of matrices affine in the gains, so it is convex (Lewis and
 Overton, "Eigenvalue optimization", Acta Numerica 1996): it has no local
-minimum a restart from another point could escape.  Each iteration runs
+minimum a restart from another point could escape.  No gain reaches the
+diagonal block of an unmeasured node, so first ``ErrorSystem.refuting_block``
+tries to prove the margin out of reach on those blocks.  Each iteration runs
 ``eigvalsh`` only on the samples a batched Cholesky screen cannot rule out,
 so its max and first argmax are bit for bit those over every sample.
 
@@ -28,7 +30,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .assembly import ErrorSystem, gain_matrix, symmetric_top_eig
+from .assembly import ErrorSystem, gain_matrix, rounding_tol, symmetric_top_eig
 
 log = logging.getLogger("hyperobs.gain_design")
 
@@ -102,11 +104,15 @@ class GainSet:
     def from_json_dict(doc: Mapping) -> "GainSet":
         entries = {}
         for key, mat in doc.items():
-            i, j = key.split(",")
+            i, j = (int(v) for v in key.split(","))
+            # int() reads "00", " 0" and "+0" as 0: only the key to_json_dict
+            # writes names a gain, so no two keys name one
+            if min(i, j) < 0 or key != f"{i},{j}":
+                raise ValueError(f"gain key {key!r} is not 'i,j' for node ids i and j")
             # numpy would read the string "-5.0" and the boolean true as numbers
             if not all(type(v) in (int, float) for row in mat for v in row):
                 raise ValueError(f"gain {key} holds a value that is not a JSON number")
-            entries[(int(i), int(j))] = np.asarray(mat, dtype=float)
+            entries[(i, j)] = np.asarray(mat, dtype=float)
         return GainSet(entries)
 
 
@@ -181,10 +187,6 @@ class GainProblem:
         self.top = np.arange(min(SEED_COUNT, a.shape[0]))
         self.evaluated = 0  # samples through eigvalsh, over all calls
 
-    def gain_matrix(self, L: np.ndarray) -> np.ndarray:
-        """B of the gain array ``L``: A_S(L) = err.a - B."""
-        return gain_matrix(self.sub, self.keys, L, self.gamma)
-
     def rows(self, B: np.ndarray, idx, out=None) -> np.ndarray:
         """The rows ``idx`` of the A_S(L) stack, err.a - B, in ``out`` when
         given."""
@@ -202,7 +204,7 @@ class GainProblem:
         ``best``, so non-finite values always reach ``eigvalsh``."""
         d, K = self.s0.shape[1:]
         sb = 0.5 * (B + B.T)
-        tol = 1e-10 * (1.0 + d * d * (self.s0_max + float(np.abs(sb).max())))
+        tol = rounding_tol(d, self.s0_max + float(np.abs(sb).max()))
         ok = np.ones(K, dtype=bool)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             M = np.subtract(sb[:, :, None], self.s0, out=self._work)
@@ -238,7 +240,7 @@ class GainProblem:
         """phi(L) and d phi / d L, in the layout of ``L``, at the first worst
         sample: block (i, j) is -u_i (Gamma u_j)^T for the top eigenvector u
         of sym(A_k(L)), u_i its slice at node i."""
-        B = self.gain_matrix(L)
+        B = gain_matrix(self.sub, self.keys, L, self.gamma)
         k, phi = self.worst_sample(B)
         A = self.err.a[k] - B
         _, V = np.linalg.eigh(0.5 * (A + A.T))
@@ -247,18 +249,6 @@ class GainProblem:
         gu = np.array([self.gamma @ u[self.sub.position(j)] for j in self.measured])
         grads = -(u[:, None, :, None] * gu[None, :, None, :])
         return phi, grads.reshape(len(self.keys), self.n, self.p)
-
-    def unmeasured_floor(self) -> float:
-        """Exact lower bound on the objective over all gains: correction terms
-        never touch the diagonal blocks of unmeasured nodes, and eigenvalue
-        interlacing bounds the full matrix by any principal block
-        (``ErrorSystem.block_floor``)."""
-        unmeasured = [v for v in self.sub.nodes if v not in self.measured]
-        return self.err.block_floor(unmeasured)[0]
-
-
-def _prune(keys: list[tuple[int, int]], L: np.ndarray) -> GainSet:
-    return GainSet({k: g for k, g in zip(keys, L) if np.any(g)})
 
 
 def design_gain_thm2(
@@ -273,19 +263,21 @@ def design_gain_thm2(
     convex, so no restart from another starting point is tried.  When zero
     gains already certify, the first iteration returns them and the result is
     empty.  Every iteration takes the exact max over all samples, so the
-    returned gains reach -h_req on every sample.  When the budget runs out,
-    ``Infeasible`` names the iterations made and the best max reached.
+    returned gains reach -h_req on every sample.  ``Infeasible`` is proven
+    before any iteration when an unmeasured node's diagonal block refutes
+    the margin (``ErrorSystem.refuting_block``); when the budget runs out, it
+    names the iterations made and the best max reached.
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
     prob = GainProblem(err, measured_in_subset)
     if not prob.measured:
         raise NoMeasuredNodes(f"subset {prob.sub.nodes} has no measured nodes")
-    floor = prob.unmeasured_floor()
-    if floor > -h_req:
+    refuted = err.refuting_block([v for v in prob.sub.nodes if v not in prob.measured], h_req)
+    if refuted is not None:
         raise Infeasible(
             f"subset {prob.sub.nodes}: unmeasured diagonal blocks reach "
-            f"{floor:.4g}, margin {h_req} is unattainable for any gains"
+            f"{refuted[0]:.4g}, margin {h_req} is unattainable for any gains"
         )
     L = np.zeros((len(prob.keys), prob.n, prob.p))
     overshoot = POLYAK_OVERSHOOT
@@ -300,7 +292,7 @@ def design_gain_thm2(
                 "thm2 design for %s done: %d iterations, %.1f of %d samples per iteration",
                 prob.sub.nodes, it + 1, prob.evaluated / (it + 1), err.a.shape[0],
             )
-            return _prune(prob.keys, L)
+            return GainSet({k: g for k, g in zip(prob.keys, L) if np.any(g)})
         if it - last_best_iter > stall_window and overshoot > 1.01:
             # marginal instances: an out-of-reach Polyak target cycles, so
             # pull the target toward the requested margin

@@ -24,6 +24,7 @@ The co-simulation yields the per-node error norms grid point by grid point;
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +37,13 @@ from .gain_design import ObserverDesign
 DIVERGENCE_THRESHOLD = 1e8
 # measurement noise is drawn ahead in chunks of at most this many bytes
 NOISE_CHUNK_BYTES = 1 << 20
+
+
+def _check_interval(name: str, lo: float, hi: float) -> None:
+    """ValueError unless lo <= hi and hi - lo is finite, as numpy's uniform
+    draw in [lo, hi) needs: a width w is drawn in [-w, w)."""
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise ValueError(f"{name} draws in [{lo}, {hi}], not an interval of finite width")
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,9 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must cover at least one step")
+        _check_interval("x0_box", *self.x0_box)
+        for name in ("observer_init_width", "noise_amplitude", "param_rel_spread"):
+            _check_interval(name, -getattr(self, name), getattr(self, name))
 
     @property
     def num_steps(self) -> int:
@@ -304,6 +315,7 @@ class TrajectoryEnsembleSpec:
     def __post_init__(self):
         if self.count < 1 or self.dt <= 0 or self.subsample < 1:
             raise ValueError("invalid ensemble spec")
+        _check_interval("box", *self.box)
         # the Theorem-1 check differentiates A_S along each trajectory, so
         # every trajectory needs at least two samples
         if self.num_steps < self.subsample:

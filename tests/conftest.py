@@ -330,7 +330,7 @@ def reference_design_observer(sys, ensemble, options) -> DesignOutcome:
                     processed.append(ProcessedSubset(S, report, tuple(added), iteration))
                     break
                 if set(S) <= measured:
-                    none = CertificationReport("none", -math.inf, math.inf, 0)
+                    none = CertificationReport("none", -math.inf, 0)
                     processed.append(ProcessedSubset(S, none, tuple(added), iteration))
                     return outcome("failed", S)
                 j = select_node(S, H, measured)
@@ -338,7 +338,7 @@ def reference_design_observer(sys, ensemble, options) -> DesignOutcome:
                 if shortcut:
                     exact.add(j)
                     observed.add(j)
-                    exact_report = CertificationReport("exact", math.inf, -math.inf, 0)
+                    exact_report = CertificationReport("exact", math.inf, 0)
                     processed.append(ProcessedSubset((j,), exact_report, (j,), iteration))
                     break
                 added.append(j)

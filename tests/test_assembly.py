@@ -295,7 +295,7 @@ class TestDenseOutput:
             prob = GainProblem(ErrorSystem(sys, SubsetIndex(tuple(S)), samples), design.measured)
             assert set(design.gains.entries) <= set(prob.keys)
             L = gain_array(prob, design.gains.entries)
-            A_gains = prob.rows(prob.gain_matrix(L), np.arange(3))
+            A_gains = prob.rows(gain_matrix(prob.sub, prob.keys, L, prob.gamma), np.arange(3))
             for k, xh in enumerate(samples.reshape(3, -1)):
                 e = rng.normal(0, 1, xh.size)
                 expect = linearized_rhs_by_rows(sys, design, xh, e)
@@ -481,7 +481,7 @@ class TestCheckThm2:
         A = np.array([[0.5, 0.0], [0.0, -2.0]])
         report = check_thm2(error_system_for(A, np.zeros((1, 1, 2))), h_req=0.1)
         assert not report.passed
-        assert report.worst_value == pytest.approx(0.5)
+        assert report.hurwitz_margin == pytest.approx(-0.5)
 
     def test_lorenz_gain_sweep_matches_eigen_sweep(self):
         h = DirectedHypergraph(1)
@@ -518,7 +518,7 @@ class TestCheckThm2:
             r1 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(S)), samples), 0.5, gains)
             r2 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(perm)), samples), 0.5, gains)
             assert r1.passed == r2.passed
-            assert r1.worst_value == pytest.approx(r2.worst_value, abs=1e-10)
+            assert r1.hurwitz_margin == pytest.approx(r2.hurwitz_margin, abs=1e-10)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(EmptySampleSet):
@@ -614,7 +614,7 @@ class TestCheckThm1:
         # the trajectory merge carries the skipped H2 through as None
         states = np.concatenate([np.full((4, 1, 1), -2.0), np.zeros((4, 1, 1))])
         merged = check_thm1(ErrorSystem(sys, sub, states), dt=0.1, h_req=1.0, length=4, count=2)
-        assert merged.trajectory_ids == (0, 1)
+        assert merged.sample_count == 8
         assert not merged.passed and merged.h2_margin is None
 
     def test_stack_rows_match_per_trajectory_checks(self):
@@ -636,11 +636,9 @@ class TestCheckThm1:
             assert merged == CertificationReport(
                 "thm1" if all(r.passed for r in reps) else "none",
                 min(r.hurwitz_margin for r in reps),
-                max(r.worst_value for r in reps),
                 5 * checked,
                 None if None in h2 else min(h2),
                 max(r.g_bound for r in reps),
-                tuple(range(checked)),
             )
 
     def test_subset_too_large(self):

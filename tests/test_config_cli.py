@@ -340,10 +340,11 @@ def _design(report):
     return report["outcome"]["design"]
 
 
-def _with_gain(entry):
-    """A report edit adding a gain block on measured node 0 whose first entry is ``entry``."""
+def _with_gain(entry, key="2,0"):
+    """A report edit adding a gain block on measured node 0 whose first entry
+    is ``entry``, under ``key``."""
     block = [[entry, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    return lambda report: _design(report)["gains"].update({"2,0": block})
+    return lambda report: _design(report)["gains"].update({key: block})
 
 
 # each edits a design report that simulate and batch must refuse, exit 4
@@ -375,8 +376,10 @@ MALFORMED_DESIGN_REPORTS = {
     "missing_gains": lambda report: _design(report).pop("gains"),
     "missing_exact_nodes": lambda report: _design(report).pop("exact_nodes"),
     "missing_processed_subsets": lambda report: report["outcome"].pop("processed_subsets"),
-    "missing_trajectory_ids": lambda report: [
-        p["report"].pop("trajectory_ids") for p in report["outcome"]["processed_subsets"]],
+    # a report states each fact once: the worst value is -hurwitz_margin
+    "report_carries_worst_value": lambda report: [
+        p["report"].update(worst_value=-float(p["report"]["hurwitz_margin"]))
+        for p in report["outcome"]["processed_subsets"]],
     # json writes and reads NaN and Infinity; JSON has no such literal
     "gain_nan_literal": _with_gain(math.nan),
     "gain_infinity_literal": _with_gain(math.inf),
@@ -385,6 +388,11 @@ MALFORMED_DESIGN_REPORTS = {
     "gain_entry_boolean": _with_gain(True),
     # json writes and reads it as an int, which numpy cannot make a float
     "gain_entry_401_digit_integer": _with_gain(10**400),
+    # int() reads each as gain (0, 0), and a later key would silently win
+    "gain_key_leading_zero": _with_gain(1.0, "00,0"),
+    "gain_key_leading_space": _with_gain(1.0, " 0,0"),
+    "gain_key_plus_sign": _with_gain(1.0, "+0,0"),
+    "gain_key_inner_space": _with_gain(1.0, "0, 0"),
 }
 
 
@@ -394,6 +402,19 @@ INTEGRAL_FLOAT_VALUES = {
     "sim.runs": 3.0, "sim.seed": 13.0, "design.trajectories.count": 4.0,
     "design.trajectories.subsample": 5.0, "design.trajectories.seed": 11.0,
 }
+
+
+# settings whose uniform draw has no finite width, numpy's "high - low" of
+# [-w, w) for a width w: each is refused with exit 4
+UNDRAWABLE_INTERVALS = [
+    ("design.trajectories.box", [3.0, -3.0]),
+    ("design.trajectories.box", [-1e308, 1e308]),
+    ("sim.x0_box", [3.0, -3.0]),
+    ("sim.x0_box", [-1e308, 1e308]),
+    ("sim.observer_init_width", 1e308),
+    ("sim.param_spread", 1e308),
+    ("sim.noise", 1e308),
+]
 
 
 @pytest.fixture(scope="module")
@@ -475,7 +496,7 @@ class TestDesignCommand:
                  if p["report"]["theorem_used"] == "exact"]
         assert exact and all(r["hurwitz_margin"] == "inf" for r in exact)
         outcome = DesignOutcome.from_json_dict(doc)
-        assert all(p.report.worst_value == -math.inf for p in outcome.processed
+        assert all(p.report.hurwitz_margin == math.inf for p in outcome.processed
                    if p.report.theorem_used == "exact")
         assert outcome.to_json_dict() == doc
         back = DesignOutcome.from_json_dict(json.loads(json.dumps(outcome.to_json_dict())))
@@ -684,6 +705,24 @@ class TestSimulateAndBatch:
         assert main(["design", "--config", str(cfg2), "--out-dir", str(out)]) == 4
         assert main(["simulate", "--config", str(cfg2), "--design", str(design),
                      "--out-dir", str(out)]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", UNDRAWABLE_INTERVALS)
+    def test_undrawable_interval_exits_4(self, designed, key, value, tmp_path, caplog):
+        cfg_path, design = designed
+        doc = json.loads(cfg_path.read_text())
+        *sections, leaf = key.split(".")
+        functools.reduce(operator.getitem, sections, doc)[leaf] = value
+        validate_config(doc)
+        cfg2 = tmp_path / "wide.json"
+        cfg2.write_text(json.dumps(doc))
+        out = tmp_path / "o9"
+        if sections[0] == "design":
+            assert main(["design", "--config", str(cfg2), "--out-dir", str(out)]) == 4
+        else:
+            assert main(["simulate", "--config", str(cfg2), "--design", str(design),
+                         "--out-dir", str(out)]) == 4
+        assert "not an interval of finite width" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("section", ["design", "sim"])

@@ -499,7 +499,7 @@ class TestCertifyOrFail:
         assert not designer.check_thm2(err, options.margin).passed
         report = certify_or_fail(err, ens, options)
         assert report is not None and report.theorem_used == "thm1"
-        assert report.trajectory_ids == tuple(range(10))
+        assert report.sample_count == 10 * ens.states.shape[1]
         # above KRON_CAP the Theorem-1 route is not tried
         monkeypatch.setattr(designer, "KRON_CAP", err.dim - 1)
         monkeypatch.setattr(designer, "check_thm1", None)
@@ -569,7 +569,7 @@ class TestThm2Refutation:
         ]
         assert floor == max(tops, default=-math.inf)
         assert node == (nodes[tops.index(floor)] if nodes else None)
-        assert floor <= check_thm2(err, margin).worst_value + err.floor_tol()
+        assert floor <= err.floor_tol - check_thm2(err, margin).hurwitz_margin
 
     @given(lorenz_or_bistable_subsets())
     def test_refuted_subset_fails_the_check(self, case):
@@ -586,14 +586,38 @@ class TestThm2Refutation:
 
     def test_non_finite_stack_is_never_refuted(self, monkeypatch):
         sys, ens, options = NAMED_CASES["thm1"].build()
-        err = ErrorSystem(sys, SubsetIndex((0, 1)), ens.stacked())
-        err.a[0, 0, 0] = 1e300
-        assert designer.thm2_refuted(err, options.margin)
-        # a non-finite stack goes to check_thm2 with no eigvalsh on its blocks
-        monkeypatch.setattr(err, "block_floor", None)
+
+        def err_with(entry):
+            # before the first refutation, which fixes the slack
+            err = ErrorSystem(sys, SubsetIndex((0, 1)), ens.stacked())
+            err.a[0, 0, 0] = entry
+            return err
+
+        assert designer.thm2_refuted(err_with(1e300), options.margin)
         for bad in (math.inf, math.nan):
-            err.a[0, 0, 0] = bad
+            # a non-finite stack goes to check_thm2 with no eigvalsh on its
+            # blocks, and synthesis reads the same guard
+            err = err_with(bad)
+            monkeypatch.setattr(err, "block_floor", None)
             assert not designer.thm2_refuted(err, options.margin)
+            assert err.refuting_block((1,), options.margin) is None
+
+    @given(lorenz_or_bistable_subsets(), st.data())
+    def test_refuted_margin_is_out_of_every_gains_reach(self, case, data):
+        # no gain on the measured nodes touches an unmeasured diagonal block,
+        # so none brings the check below that block's floor, up to the slack
+        err, _, margin = case
+        nodes = err.subset.nodes
+        measured = data.draw(st.lists(st.sampled_from(nodes), unique=True))
+        refuted = err.refuting_block([v for v in nodes if v not in measured], margin)
+        if refuted is None:
+            return
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (err.sys.state_dim, err.sys.output.output_dim)
+        for scale in (0.1, 10.0, 1e3):
+            gains = {(i, j): rng.normal(0.0, scale, shape) for i in nodes for j in measured}
+            worst = -check_thm2(err, margin, gains).hurwitz_margin
+            assert worst >= refuted[0] - err.floor_tol
 
     def test_refutation_is_logged_with_subset_node_and_floor(self, caplog):
         sys = NetworkSystem(DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,)),
@@ -628,6 +652,13 @@ class TestRobustnessPropagation:
         sys, outcome, f_bound = self.make_outcome()
         b, per = propagate_robustness_bounds(sys, outcome, 0.0, 0.0, f_bound)
         assert b == 0.0
+
+    @pytest.mark.parametrize("nu", [1e154, 1e200])
+    def test_overflowing_sum_of_squares_is_inf(self, nu):
+        # every subset's bound is finite, the sum of their squares is not
+        sys, outcome, f_bound = self.make_outcome()
+        b, per = propagate_robustness_bounds(sys, outcome, 0.0, nu, f_bound)
+        assert b == math.inf and all(math.isfinite(p.value) for p in per)
 
     def test_exact_nodes_bounded_by_inverted_noise(self):
         sys, outcome, f_bound = self.make_outcome()

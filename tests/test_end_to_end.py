@@ -1,13 +1,14 @@
 """generate -> design -> simulate through the CLI, against recorded outputs.
 
-Each directory under ``data/`` holds a generator spec, an experiment config
-and the ``design.json``, ``summary.json`` and ``batch_1.csv`` that the
-pipeline wrote for them before the incidence-slice refactor.  ``e2e-exact``
-runs the inverse shortcut on bistable nodes, mixing exactly reconstructed
-nodes with zero-gain Theorem-2 subsets; ``e2e-partial`` measures two of three
-Lorenz coordinates, so every subset synthesizes gains.  Decisions (measured
-nodes, theorems, statuses, counts) must match exactly, floats to a relative
-1e-12.
+Each directory under ``data/`` holds an experiment config, with the
+generator spec of its network unless the network is inline, and the
+``design.json``, ``summary.json`` and ``batch_1.csv`` that the pipeline wrote
+for them.  ``e2e-exact`` runs the inverse shortcut on bistable nodes, mixing
+exactly reconstructed nodes with zero-gain Theorem-2 subsets; ``e2e-partial``
+measures two of three Lorenz coordinates, so every subset synthesizes gains;
+``e2e-thm1`` is a two-node bistable cycle that fails Theorem 2 and that
+Theorem 1 certifies.  Decisions (measured nodes, theorems, statuses, counts)
+must match exactly, floats to a relative 1e-12.
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 
 from hyperobs import designer
 from hyperobs.cli import main
+from hyperobs.designer import DesignOutcome
 
 DATA = Path(__file__).parent / "data"
 RTOL = 1e-12
@@ -47,14 +49,15 @@ def read_csv(path):
 
 
 def run_and_compare(case, tmp_path):
-    """generate, design and simulate the recorded ``case`` in ``tmp_path``
-    and compare the outputs with the recorded ones."""
+    """generate (when the case has a spec), design and simulate the recorded
+    ``case`` in ``tmp_path`` and compare the outputs with the recorded ones."""
     recorded = DATA / case
-    for name in ("spec.json", "config.json"):
-        shutil.copy(recorded / name, tmp_path / name)
+    shutil.copy(recorded / "config.json", tmp_path / "config.json")
     config, out = str(tmp_path / "config.json"), tmp_path / "out"
-    assert main(["generate", "--spec", str(tmp_path / "spec.json"),
-                 "--out", str(tmp_path / "network.json")]) == 0
+    if (recorded / "spec.json").exists():
+        shutil.copy(recorded / "spec.json", tmp_path / "spec.json")
+        assert main(["generate", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "network.json")]) == 0
     assert main(["design", "--config", config, "--out-dir", str(out)]) == 0
     assert main(["simulate", "--config", config, "--design", str(out / "design.json"),
                  "--out-dir", str(out)]) == 0
@@ -67,9 +70,48 @@ def run_and_compare(case, tmp_path):
     assert_matches(got_rows, expect_rows, "batch_1.csv")
 
 
-@pytest.mark.parametrize("case", ["e2e-exact", "e2e-partial"])
+CASES = sorted(path.name for path in DATA.iterdir())
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_pipeline_reproduces_recorded_outputs(case, tmp_path):
     run_and_compare(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_recorded_design_round_trips(case):
+    # every field of a report is read back and written again unchanged
+    doc = json.loads((DATA / case / "design.json").read_text())["outcome"]
+    assert DesignOutcome.from_json_dict(doc).to_json_dict() == doc
+
+
+@pytest.mark.parametrize("noise", [1e154, 1e200])
+def test_overflowing_robustness_bound_is_written_inf(noise, tmp_path):
+    # every subset's bound is finite, the sum of their squares is not
+    recorded = DATA / "e2e-exact"
+    shutil.copy(recorded / "spec.json", tmp_path / "spec.json")
+    doc = json.loads((recorded / "config.json").read_text())
+    doc["sim"]["noise"] = noise
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["generate", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "network.json")]) == 0
+    # the co-simulation's error norms overflow at this noise too, and numpy
+    # warns of that and of the inf - inf in their percentiles
+    with pytest.warns(RuntimeWarning):
+        code = main(["simulate", "--config", str(tmp_path / "config.json"),
+                     "--design", str(recorded / "design.json"), "--out-dir", str(out)])
+    assert code == 3
+    (batch,) = json.loads((out / "summary.json").read_text())["batches"]
+    assert batch["robustness_bound"] == "inf"
+
+
+def test_theorem1_case_certifies_by_theorem1():
+    doc = json.loads((DATA / "e2e-thm1" / "design.json").read_text())["outcome"]
+    assert [(p["nodes"], p["report"]["theorem_used"]) for p in doc["processed_subsets"]] == [
+        ([0, 1], "thm1")]
+    summary = json.loads((DATA / "e2e-thm1" / "summary.json").read_text())
+    assert summary["batches"][0]["robustness_bound"] > 0
 
 
 def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from hyperobs import (
     lorenz_field,
     tanh_coupling,
 )
-from hyperobs.assembly import symmetric_top_eig
+from hyperobs.assembly import gain_matrix, symmetric_top_eig
 from hyperobs import gain_design
 from hyperobs.gain_design import MAX_ITERS, GainProblem
 from conftest import (
@@ -107,8 +107,9 @@ class TestDesignThm2:
         err = lorenz_pair_problem(np.random.default_rng(41), 20)
         n = err.sys.state_dim
         floor = float(symmetric_top_eig(err.a[:, n:, n:]).max())
-        assert GainProblem(err, [0]).unmeasured_floor() == floor == err.block_floor((1,))[0]
-        assert GainProblem(err, [0, 1]).unmeasured_floor() == -np.inf
+        assert err.refuting_block((1,), 1.0) == (floor, 1)
+        # with every node measured, every block is within the gains' reach
+        assert err.refuting_block((), 1.0) is None
         with pytest.raises(Infeasible) as info:
             design_gain_thm2(err, [0], h_req=1.0)
         assert str(info.value) == (
@@ -282,7 +283,7 @@ class TestScreen:
         sets = [np.zeros(shape)] + [rng.normal(0, scale, shape) for _ in range(4)]
         # screen calls in any order, each seeded by the one before
         for L in [sets[i] for i in rng.permutation(len(sets))] + sets[:1]:
-            k, phi = prob.worst_sample(prob.gain_matrix(L))
+            k, phi = prob.worst_sample(gain_matrix(prob.sub, prob.keys, L, prob.gamma))
             lam = dense_top_eig(prob, L)
             assert k == int(np.argmax(lam))
             assert bits(phi) == bits(lam.max())
@@ -298,7 +299,7 @@ class TestScreen:
             stack[k, i, j] = stack[k, j, i] = bad
         prob = stack_problem(rng, stack, n)
         L = rng.normal(0, 1, (len(prob.keys), n, prob.p))
-        B = prob.gain_matrix(L)
+        B = gain_matrix(prob.sub, prob.keys, L, prob.gamma)
         assert prob.screen(B, 1e3)[hit].all()
         try:
             lam = dense_top_eig(prob, L)
