@@ -281,7 +281,16 @@ class CertificationReport:
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "CertificationReport":
-        floats = {k: float(doc[k]) for k in _REPORT_FLOATS if doc.get(k) is not None}
+        # the JSON types to_json_dict writes: float() would also read true,
+        # "8.5" and " inf", and the dataclass would take a count of 0.5
+        count = doc["sample_count"]
+        if type(count) is not int or count < 0:
+            raise ValueError(f"sample_count {count!r} is not a JSON integer >= 0")
+        floats = {k: doc[k] for k in _REPORT_FLOATS if doc.get(k) is not None}
+        for key, v in floats.items():
+            if type(v) not in (int, float) and v not in ("inf", "-inf", "nan"):
+                raise ValueError(f"{key} {v!r} is not a JSON number, 'inf', '-inf' or 'nan'")
+            floats[key] = float(v)
         return CertificationReport(**{**doc, **floats})
 
 

@@ -130,8 +130,9 @@ def _batch_list(doc: dict, simulate_only_first: bool) -> list[tuple[int, str | N
 def _read_design(report_doc: dict, sys_) -> tuple[DesignOutcome, float]:
     """The outcome and ``f_bound`` of a design report, checked against the
     system it is simulated on: node ids are JSON integers in [0, N), and the
-    processed subsets of a complete design cover every node once.  KeyError,
-    TypeError or ValueError when the report is malformed."""
+    processed subsets of a complete design cover every node once, each
+    labelled as the design loop labels it.  KeyError, TypeError or
+    ValueError when the report is malformed."""
     doc = report_doc["outcome"]
     id_lists = [doc["design"]["measured"], doc["design"]["exact_nodes"]]
     id_lists += [p[key] for p in doc["processed_subsets"] for key in ("nodes", "added_measured")]
@@ -152,11 +153,27 @@ def _read_design(report_doc: dict, sys_) -> tuple[DesignOutcome, float]:
     covered = sorted(v for p in outcome.processed for v in p.nodes)
     if outcome.complete and covered != list(range(N)):
         raise ValueError(f"the processed subsets do not cover the nodes 0..{N - 1} once each")
+    # the bound of an "exact" subset is the inverted noise alone; only a
+    # failed design holds a "none"
+    for p in outcome.processed if outcome.complete else ():
+        exact = len(p.nodes) == 1 and p.nodes[0] in design.exact_nodes
+        if p.report.theorem_used not in (("exact",) if exact else ("thm1", "thm2")):
+            raise ValueError(
+                f"subset {list(p.nodes)} is labelled {p.report.theorem_used!r}: a complete "
+                "design labels a subset 'exact' when it is one node of exact_nodes, else "
+                "'thm1' or 'thm2'"
+            )
     shape = (sys_.state_dim, sys_.output.output_dim)
     for key, L in design.gains.items():
         if L.shape != shape or not np.isfinite(L).all():
             raise ValueError(f"gain {key} is not a finite matrix of shape {shape}")
     return outcome, f_bound
+
+
+def _strict_float(x: float) -> float | str:
+    """``x``, or for strict JSON, as in the design report, its string
+    "inf", "-inf" or "nan" when it is not finite."""
+    return x if math.isfinite(x) else str(x)
 
 
 def _run_batches(args, simulate_only_first: bool) -> int:
@@ -227,10 +244,9 @@ def _run_batches(args, simulate_only_first: bool) -> int:
                 "n_runs": n_runs,
                 "n_flagged": stats.n_flagged,
                 "flagged_runs": [list(run) for run in stats.flagged_runs],
-                "max_error": stats.max_error,
+                "max_error": _strict_float(stats.max_error),
                 "settling_times": stats.settling_times,
-                # strict JSON, as in the design report: inf is written "inf"
-                "robustness_bound": bound if math.isfinite(bound) else str(bound),
+                "robustness_bound": _strict_float(bound),
             }
         )
         log.info(

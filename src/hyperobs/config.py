@@ -37,6 +37,12 @@ class ConfigError(ValueError):
     pass
 
 
+# each model name, per kind, with its factory and the number of parameters
+# the factory takes; the schema's enums are the names
+_FIELDS = {"lorenz": (lorenz_field, 3), "bistable": (bistable_field, 2)}
+_COUPLINGS = {"tanh": (tanh_coupling, 3), "linear": (linear_coupling, 1)}
+
+
 _BOX = {
     "type": "array",
     "items": {"type": "number"},
@@ -111,7 +117,7 @@ CONFIG_SCHEMA = {
                     "additionalProperties": False,
                     "required": ["name", "params"],
                     "properties": {
-                        "name": {"enum": ["lorenz", "bistable"]},
+                        "name": {"enum": list(_FIELDS)},
                         "params": {"type": "array", "items": {"type": "number"}},
                     },
                 },
@@ -120,7 +126,7 @@ CONFIG_SCHEMA = {
                     "additionalProperties": False,
                     "required": ["name", "params"],
                     "properties": {
-                        "name": {"enum": ["tanh", "linear"]},
+                        "name": {"enum": list(_COUPLINGS)},
                         "params": {"type": "array", "items": {"type": "number"}},
                     },
                 },
@@ -322,32 +328,19 @@ def build_system(doc: dict, hypergraph: DirectedHypergraph) -> NetworkSystem:
     matrix of the wrong shape, a nonpositive field parameter) is a
     ConfigError."""
     dyn = doc["dynamics"]
-    fname, fparams = dyn["field"]["name"], dyn["field"]["params"]
-    cname, cparams = dyn["coupling"]["name"], dyn["coupling"]["params"]
+    for kind, models in (("field", _FIELDS), ("coupling", _COUPLINGS)):
+        name, params = dyn[kind]["name"], dyn[kind]["params"]
+        k = models[name][1]
+        if len(params) != k:
+            raise ConfigError(f"{name} {kind} takes {k} parameter{'s' * (k != 1)}")
     try:
-        if fname == "lorenz":
-            if len(fparams) != 3:
-                raise ConfigError("lorenz field takes 3 parameters")
-            field = lorenz_field(*fparams)
-        else:
-            if len(fparams) != 2:
-                raise ConfigError("bistable field takes 2 parameters")
-            field = bistable_field(*fparams)
-        if cname == "tanh":
-            if len(cparams) != 3:
-                raise ConfigError("tanh coupling takes 3 parameters")
-            coupling = tanh_coupling(*cparams)
-        else:
-            if len(cparams) != 1:
-                raise ConfigError("linear coupling takes 1 parameter")
-            coupling = linear_coupling(cparams[0])
+        field = _FIELDS[dyn["field"]["name"]][0](*dyn["field"]["params"])
+        coupling = _COUPLINGS[dyn["coupling"]["name"]][0](*dyn["coupling"]["params"])
         out = dyn["output"]
         n = field.state_dim
         output = identity_output(n) if "identity" in out else linear_output(out["matrix"])
         # NetworkSystem rejects an output matrix whose width is not n
         return NetworkSystem(hypergraph, field, coupling, output)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"invalid config: dynamics: {exc}") from exc
 

@@ -294,19 +294,19 @@ class JaggedMatrix:
         """This matrix times ``x`` (cols, ...): (rows, ...).  Each row's
         products are added onto zero in CSR entry order, one diagonal at a
         time, as scipy's CSR kernel adds them: the sums are its own bit for
-        bit, signed zeros included."""
+        bit, signed zeros included.  The columns go through the work arrays
+        a chunk at a time, and each chunk's rows are copied out of them into
+        the result in the caller's order."""
         x = np.asarray(x, dtype=float)
         cols = math.prod(x.shape[1:])
         flat = x.reshape(x.shape[0], cols)
+        out = np.empty((self.num_rows, cols))
         step = self._chunk
-        if cols <= step:
-            out = self._sorted_product(flat)
-        else:
-            out = np.empty((self.num_rows, cols))
-            for c in range(0, cols, step):
-                out[:, c : c + step] = self._sorted_product(flat[:, c : c + step])
-        # a copy out of the work array, in the caller's row order
-        return out.take(self._rank, axis=0).reshape((self.num_rows,) + x.shape[1:])
+        for c in range(0, cols, step):
+            part = self._sorted_product(flat[:, c : c + step])
+            # positional (axis, out, mode): keywords cost about a microsecond
+            part.take(self._rank, 0, out[:, c : c + step], "clip")
+        return out.reshape((self.num_rows,) + x.shape[1:])
 
     def _sorted_product(self, x: np.ndarray) -> np.ndarray:
         """The product with the 2-D ``x`` in a work array, rows sorted."""
@@ -317,7 +317,7 @@ class JaggedMatrix:
             self._out = np.empty((self.num_rows, cols))
             self._pairs = [(self._out[:c], self._prod[a:b]) for c, a, b in self._diagonals]
             self._cols = cols
-        x.take(self._indices, axis=0, out=self._prod, mode="clip")
+        x.take(self._indices, 0, self._prod, "clip")  # (axis, out, mode)
         self._prod *= self._scale
         self._out.fill(0.0)
         for acc, terms in self._pairs:

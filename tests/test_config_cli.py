@@ -19,6 +19,8 @@ import hyperobs
 from hyperobs import DesignOptions, DesignOutcome, SimConfig, TrajectoryEnsembleSpec, gain_design
 from hyperobs.cli import main
 from hyperobs.config import (
+    _COUPLINGS,
+    _FIELDS,
     _SIM_FIELDS,
     CONFIG_SCHEMA,
     ConfigError,
@@ -347,6 +349,11 @@ def _with_gain(entry, key="2,0"):
     return lambda report: _design(report)["gains"].update({key: block})
 
 
+def _with_report(k, **fields):
+    """A report edit setting ``fields`` in the report of processed subset k."""
+    return lambda report: report["outcome"]["processed_subsets"][k]["report"].update(fields)
+
+
 # each edits a design report that simulate and batch must refuse, exit 4
 MALFORMED_DESIGN_REPORTS = {
     "missing_outcome": lambda report: report.pop("outcome"),
@@ -393,6 +400,18 @@ MALFORMED_DESIGN_REPORTS = {
     "gain_key_leading_space": _with_gain(1.0, " 0,0"),
     "gain_key_plus_sign": _with_gain(1.0, "+0,0"),
     "gain_key_inner_space": _with_gain(1.0, "0, 0"),
+    # a complete design labels a subset "exact" when it is one node of
+    # exact_nodes, and any other subset "thm1" or "thm2"
+    "thm2_subset_labelled_exact": _with_report(-1, theorem_used="exact"),
+    "exact_subset_labelled_thm2": _with_report(0, theorem_used="thm2"),
+    "unknown_label": _with_report(-1, theorem_used="thm9"),
+    "none_label_in_complete_design": _with_report(-1, theorem_used="none"),
+    # a report holds the JSON types to_json_dict writes: the dataclass takes
+    # any count, and float() reads true and "0.3"
+    "sample_count_fraction": _with_report(-1, sample_count=0.5),
+    "sample_count_negative": _with_report(-1, sample_count=-1),
+    "hurwitz_margin_boolean": _with_report(-1, hurwitz_margin=True),
+    "g_bound_numeric_string": _with_report(-1, g_bound="0.3"),
 }
 
 
@@ -511,6 +530,29 @@ class TestDesignCommand:
         cfg.write_text(json.dumps(doc))
         assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
         assert not (tmp_path / "design.json").exists()
+
+    @pytest.mark.parametrize("kind, name, count, message", [
+        ("field", "lorenz", 3, "lorenz field takes 3 parameters"),
+        ("field", "bistable", 2, "bistable field takes 2 parameters"),
+        ("coupling", "tanh", 3, "tanh coupling takes 3 parameters"),
+        ("coupling", "linear", 1, "linear coupling takes 1 parameter"),
+    ])
+    def test_one_parameter_too_many_exits_4(self, kind, name, count, message, tmp_path, caplog):
+        doc = cohead_config()
+        doc["dynamics"][kind] = {"name": name, "params": [1.0] * (count + 1)}
+        validate_config(doc)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+        assert message in caplog.text
+        assert not (tmp_path / "design.json").exists()
+
+    def test_model_enums_are_the_tables(self):
+        dynamics = CONFIG_SCHEMA["properties"]["dynamics"]["properties"]
+        assert dynamics["field"]["properties"]["name"]["enum"] == list(_FIELDS)
+        assert dynamics["coupling"]["properties"]["name"]["enum"] == list(_COUPLINGS)
+        assert sorted(_FIELDS) == ["bistable", "lorenz"]
+        assert sorted(_COUPLINGS) == ["linear", "tanh"]
 
     @pytest.mark.parametrize("case", sorted(BAD_HYPERGRAPH_FILES))
     def test_bad_hypergraph_file_exits_4(self, case, tmp_path):

@@ -272,9 +272,10 @@ class TestCouplingKernels:
         assert_bits_equal(sys_.coupling_term(X), expect)
 
     def test_column_chunks_and_reuse(self, monkeypatch):
-        # a product in one-column chunks, and products of other widths on
-        # the same matrices in between, give the one-pass bits; no result
-        # shares memory with the kernel's work arrays
+        # a product in chunks of one column or of two (which do not divide
+        # the 15 columns), products of other widths on the same matrices in
+        # between, and a right-hand side with no columns give the one-chunk
+        # bits; no result shares memory with the kernel's work arrays
         rng = np.random.default_rng(7)
         h = random_hypergraph(rng, max_nodes=9, max_edges=8, min_nodes=6)
         X = rng.uniform(-3, 3, (h.num_nodes, 5, 3))
@@ -283,12 +284,21 @@ class TestCouplingKernels:
         sys_.coupling_term(X[:, :2])
         assert_bits_equal(sys_.edge_arguments(X), args)
         assert_bits_equal(sys_.coupling_term(X), coupled)
-        monkeypatch.setattr(dynamics, "PRODUCT_CHUNK_BYTES", 1)
-        chunked = NetworkSystem(h, sys_.field, sys_.coupling, sys_.output)
-        got = chunked.edge_arguments(X)
-        assert_bits_equal(got, args)
-        assert_bits_equal(chunked.coupling_term(X), coupled)
-        assert_bits_equal(got, args)
+        empty = sys_.edge_arguments(X[:, :0])
+        assert empty.shape == (len(h.edges), 0, 3)
+        assert sys_.coupling_term(X[:, :0]).shape == (h.num_nodes, 0, 3)
+        for chunk in (1, 2):
+            # W's chunk width is the byte budget over 8 bytes times the
+            # larger of its entry and row counts
+            most = max(1, len(h.members), len(h.edges))
+            monkeypatch.setattr(dynamics, "PRODUCT_CHUNK_BYTES", 8 * chunk * most)
+            chunked = NetworkSystem(h, sys_.field, sys_.coupling, sys_.output)
+            assert chunked._members._chunk == chunk
+            got = chunked.edge_arguments(X)
+            assert_bits_equal(got, args)
+            assert_bits_equal(chunked.coupling_term(X), coupled)
+            assert_bits_equal(got, args)
+            assert_bits_equal(chunked.edge_arguments(X[:, :0]), empty)
 
     def test_integer_states(self):
         sys_ = random_system(np.random.default_rng(8), random_hypergraph(

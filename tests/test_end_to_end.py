@@ -20,6 +20,7 @@ import pytest
 
 from hyperobs import designer
 from hyperobs.cli import main
+from hyperobs.config import read_json
 from hyperobs.designer import DesignOutcome
 
 DATA = Path(__file__).parent / "data"
@@ -102,8 +103,10 @@ def test_overflowing_robustness_bound_is_written_inf(noise, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "config.json"),
                      "--design", str(recorded / "design.json"), "--out-dir", str(out)])
     assert code == 3
-    (batch,) = json.loads((out / "summary.json").read_text())["batches"]
+    # strict JSON: read_json refuses the Infinity literal
+    (batch,) = read_json(out / "summary.json")["batches"]
     assert batch["robustness_bound"] == "inf"
+    assert batch["max_error"] == "inf"
 
 
 def test_theorem1_case_certifies_by_theorem1():

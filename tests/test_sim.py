@@ -332,6 +332,27 @@ class TestMonteCarlo:
             expect = np.linalg.norm(np.linalg.norm(x - xhat, axis=-1), axis=-1)
             np.testing.assert_array_equal(stats.error_norms[r], expect)
 
+    @pytest.mark.parametrize("exact, reads_xhat0", [({0, 1}, False), ({0}, True)],
+                             ids=["all-exact", "one-not-exact"])
+    def test_xhat0_read_only_with_an_observer_to_step(self, exact, reads_xhat0):
+        # with every node reconstructed only the plant is stepped, S = 1, and
+        # a NaN xhat(0) changes no error norm; with node 1 not exact the
+        # observer is stepped from it
+        sys = lorenz_pair_system()
+        design = ObserverDesign(frozenset({0, 1}), GainSet({}), exact_nodes=frozenset(exact))
+        cfg = SimConfig(dt=1e-3, horizon=0.02, seed=24, noise_amplitude=0.05)
+        runs = list(own_runs(cfg, 3, (2, 3)))
+        x0, xh0 = np.stack([x for x, _, _ in runs]), np.stack([x for _, x, _ in runs])
+        params = np.tile(sys.per_node_params, (3, 1, 1))
+
+        def norms(xhat0):
+            rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+            steps = sim._cosimulate(sys, design, cfg, x0, xhat0, params, rngs)
+            return np.stack([err for err, _ in steps])
+
+        same = np.array_equal(norms(xh0), norms(np.full_like(xh0, np.nan)), equal_nan=True)
+        assert same != reads_xhat0
+
     def test_all_exact_divergence_flagged_at_the_pinned_step(self):
         # x' = x^2 with both nodes reconstructed: only the plant is stepped
         # and checked, and runs 1 and 4 are flagged at the grid steps found
