@@ -39,7 +39,6 @@ from .assembly import (
     thm3_bound,
 )
 from .gain_design import (
-    GainSet,
     Infeasible,
     NoMeasuredNodes,
     ObserverDesign,

@@ -250,10 +250,6 @@ def gain_matrix(
 # -- certification ---------------------------------------------------------------
 
 
-# report fields that hold floats; non-finite ones are written as strings
-_REPORT_FLOATS = ("hurwitz_margin", "h2_margin", "g_bound")
-
-
 @dataclass(frozen=True)
 class CertificationReport:
     """Outcome of a hypothesis check on one subset; the worst symmetric or
@@ -268,30 +264,6 @@ class CertificationReport:
     @property
     def passed(self) -> bool:
         return self.theorem_used != "none"
-
-    def to_json_dict(self) -> dict:
-        # strict JSON has no Infinity or NaN: such floats are written as the
-        # strings "inf", "-inf" and "nan", which float() reads back; vars()
-        # lists the fields in order, 20 times as fast as dataclasses.asdict
-        doc = dict(vars(self))
-        for key in _REPORT_FLOATS:
-            if doc[key] is not None and not math.isfinite(doc[key]):
-                doc[key] = str(float(doc[key]))
-        return doc
-
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "CertificationReport":
-        # the JSON types to_json_dict writes: float() would also read true,
-        # "8.5" and " inf", and the dataclass would take a count of 0.5
-        count = doc["sample_count"]
-        if type(count) is not int or count < 0:
-            raise ValueError(f"sample_count {count!r} is not a JSON integer >= 0")
-        floats = {k: doc[k] for k in _REPORT_FLOATS if doc.get(k) is not None}
-        for key, v in floats.items():
-            if type(v) not in (int, float) and v not in ("inf", "-inf", "nan"):
-                raise ValueError(f"{key} {v!r} is not a JSON number, 'inf', '-inf' or 'nan'")
-            floats[key] = float(v)
-        return CertificationReport(**{**doc, **floats})
 
 
 def symmetric_top_eig(mats: np.ndarray) -> np.ndarray:

@@ -23,10 +23,12 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError
 from .designer import (
-    DesignOutcome,
     design_observer,
+    design_report,
     field_param_jacobian_bound,
     propagate_robustness_bounds,
+    read_design_report,
+    strict_float,
 )
 from .hypergraph import HierarchicalGenSpec, generate_hierarchical
 from .sim import make_ensemble, monte_carlo
@@ -39,22 +41,14 @@ EXIT_DIVERGENCE = 3
 EXIT_CONFIG = 4
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
-
-
 def _write_batch_csv(path: Path, times, median, p25, p75, max_rows: int) -> None:
     """At most ``max_rows`` rows, from t = 0 every ``stride`` grid points,
-    and always the last one."""
+    and always the last one; "nan" for either sign of NaN."""
     last = len(times) - 1
     stride = max(1, math.ceil(last / (max_rows - 1)))
     lines = ["t,median,p25,p75"]
     for k in [*range(0, last, stride), last]:
-        lines.append(
-            ",".join((_fmt(times[k]), _fmt(median[k]), _fmt(p25[k]), _fmt(p75[k])))
-        )
+        lines.append(",".join(format(float(col[k]), ".17g") for col in (times, median, p25, p75)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -98,12 +92,8 @@ def cmd_design(args) -> int:
         return EXIT_CONFIG
     ensemble = make_ensemble(sys_, spec)
     outcome = design_observer(sys_, ensemble, options)
-    report = {
-        "config_hash": cfgmod.design_relevant_hash(doc, hypergraph),
-        "seed": options.seed,
-        "f_bound": field_param_jacobian_bound(sys_, ensemble.stacked()),
-        "outcome": outcome.to_json_dict(),
-    }
+    report = design_report(outcome, cfgmod.design_relevant_hash(doc, hypergraph), options.seed,
+                           field_param_jacobian_bound(sys_, ensemble.stacked()))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "design.json"
@@ -127,55 +117,6 @@ def _batch_list(doc: dict, simulate_only_first: bool) -> list[tuple[int, str | N
     return triples[:1] if simulate_only_first else triples
 
 
-def _read_design(report_doc: dict, sys_) -> tuple[DesignOutcome, float]:
-    """The outcome and ``f_bound`` of a design report, checked against the
-    system it is simulated on: node ids are JSON integers in [0, N), and the
-    processed subsets of a complete design cover every node once, each
-    labelled as the design loop labels it.  KeyError, TypeError or
-    ValueError when the report is malformed."""
-    doc = report_doc["outcome"]
-    id_lists = [doc["design"]["measured"], doc["design"]["exact_nodes"]]
-    id_lists += [p[key] for p in doc["processed_subsets"] for key in ("nodes", "added_measured")]
-    for ids in id_lists:
-        # the dataclasses read 0.5 and true as node 0 and node 1
-        if type(ids) is not list or not all(type(v) is int for v in ids):
-            raise ValueError(f"node ids {ids!r} are not a list of JSON integers")
-    outcome = DesignOutcome.from_json_dict(doc)
-    f_bound = float(report_doc["f_bound"])
-    if not 0.0 <= f_bound < math.inf:
-        raise ValueError(f"f_bound {f_bound} is not a finite nonnegative number")
-    design, N = outcome.design, sys_.num_nodes
-    nodes = set(design.measured).union(*design.gains.entries)
-    nodes.update(*(p.nodes for p in outcome.processed))
-    outside = sorted(v for v in nodes if not 0 <= v < N)
-    if outside:
-        raise ValueError(f"node ids {outside} outside [0, {N})")
-    covered = sorted(v for p in outcome.processed for v in p.nodes)
-    if outcome.complete and covered != list(range(N)):
-        raise ValueError(f"the processed subsets do not cover the nodes 0..{N - 1} once each")
-    # the bound of an "exact" subset is the inverted noise alone; only a
-    # failed design holds a "none"
-    for p in outcome.processed if outcome.complete else ():
-        exact = len(p.nodes) == 1 and p.nodes[0] in design.exact_nodes
-        if p.report.theorem_used not in (("exact",) if exact else ("thm1", "thm2")):
-            raise ValueError(
-                f"subset {list(p.nodes)} is labelled {p.report.theorem_used!r}: a complete "
-                "design labels a subset 'exact' when it is one node of exact_nodes, else "
-                "'thm1' or 'thm2'"
-            )
-    shape = (sys_.state_dim, sys_.output.output_dim)
-    for key, L in design.gains.items():
-        if L.shape != shape or not np.isfinite(L).all():
-            raise ValueError(f"gain {key} is not a finite matrix of shape {shape}")
-    return outcome, f_bound
-
-
-def _strict_float(x: float) -> float | str:
-    """``x``, or for strict JSON, as in the design report, its string
-    "inf", "-inf" or "nan" when it is not finite."""
-    return x if math.isfinite(x) else str(x)
-
-
 def _run_batches(args, simulate_only_first: bool) -> int:
     try:
         doc, hypergraph, sys_ = _load_experiment(args)
@@ -185,10 +126,6 @@ def _run_batches(args, simulate_only_first: bool) -> int:
         return EXIT_CONFIG
     except ValueError as exc:  # not JSON, or a NaN or Infinity literal in it
         log.error("malformed design report %s: %s", args.design, exc)
-        return EXIT_CONFIG
-    expect_hash = cfgmod.design_relevant_hash(doc, hypergraph)
-    if not isinstance(report_doc, dict) or report_doc.get("config_hash") != expect_hash:
-        log.error("design report does not match this config (hash check failed)")
         return EXIT_CONFIG
     batches = _batch_list(doc, simulate_only_first)
     if args.batch_index is not None:
@@ -208,10 +145,11 @@ def _run_batches(args, simulate_only_first: bool) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
+    expect_hash = cfgmod.design_relevant_hash(doc, hypergraph)
     param_norm = float(np.linalg.norm(sys_.field.nominal_params))
     noise_gain = math.sqrt(sys_.output.output_dim)
     try:
-        outcome, f_bound = _read_design(report_doc, sys_)
+        outcome, f_bound = read_design_report(report_doc, sys_, expect_hash)
         if not outcome.complete:
             log.error("design report is not complete; refusing to simulate")
             return EXIT_DESIGN_FAILED
@@ -244,9 +182,9 @@ def _run_batches(args, simulate_only_first: bool) -> int:
                 "n_runs": n_runs,
                 "n_flagged": stats.n_flagged,
                 "flagged_runs": [list(run) for run in stats.flagged_runs],
-                "max_error": _strict_float(stats.max_error),
+                "max_error": strict_float(stats.max_error),
                 "settling_times": stats.settling_times,
-                "robustness_bound": _strict_float(bound),
+                "robustness_bound": strict_float(bound),
             }
         )
         log.info(

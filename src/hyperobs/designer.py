@@ -16,6 +16,43 @@ S \\ {j} returns in the next pass, labelled again on its own: no unobserved
 node outside the root S reaches it.  The edges entering S come from one
 incidence slice, ``DirectedHypergraph.entering``: ``ErrorSystem`` keeps it and
 the upstream-tail check reads it; the degree heuristic takes its own.
+
+The design report, ``design.json``, is one JSON object, built by
+``design_report`` and read back, checked, by ``read_design_report``; no other
+code writes or checks it.  Node ids are JSON integers in [0, N), and a number
+that is not finite is the string "inf", "-inf" or "nan" (``strict_float``):
+
+    config_hash          string: ``config.design_relevant_hash`` of the run
+    seed                 integer: ``design.seed``, which no design step reads
+    f_bound              finite number >= 0: ``field_param_jacobian_bound``
+    outcome
+      status             "complete", or "failed" with
+      failed_subset      the failed subset's node ids; null when complete
+      design
+        measured         node ids, increasing
+        exact_nodes      node ids, increasing: measured, reconstructed exactly
+        gains            "i,j" (no sign, space or leading 0) -> n rows of p
+                         numbers, node i's gain on measured node j's innovation
+      processed_subsets  list, in processing order, of
+        nodes            node ids of the subset
+        report           a ``CertificationReport``:
+          theorem_used   "thm2", "thm1", "exact", or "none" when it failed
+          hurwitz_margin number
+          sample_count   integer >= 0
+          h2_margin      number or null
+          g_bound        number or null
+        added_measured   node ids of the subset measured while processing it
+        iteration        integer >= 1: the design pass
+
+``simulate`` and ``batch`` refuse, with exit 4, a report with another config
+hash, a key missing or extra, or a value of another JSON type; with exact
+nodes or added_measured that are not measured; with a gain that is not a
+finite n-by-p matrix, or not on a "thm2" subset holding node i with j among
+its added_measured; or a complete one whose subsets do not cover every node
+once, or that labels a subset otherwise than "exact" when it is one node of
+exact_nodes, and "thm1" or "thm2" else.  A failed report exits 2, and the
+Theorem-3 bound refuses a subset listed before an upstream one or with a
+nonpositive margin.
 """
 
 from __future__ import annotations
@@ -38,7 +75,7 @@ from .assembly import (
     RobustnessBound,
 )
 from .dynamics import NetworkSystem
-from .gain_design import GainSet, Infeasible, ObserverDesign, design_gain_thm2
+from .gain_design import Infeasible, ObserverDesign, design_gain_thm2
 from .hypergraph import DirectedHypergraph, condense, dependency_arcs, label_components
 from .sim import TrajectoryEnsemble
 
@@ -75,14 +112,6 @@ class ProcessedSubset:
     added_measured: tuple[int, ...]
     iteration: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "report": self.report.to_json_dict(),
-            "added_measured": list(self.added_measured),
-            "iteration": self.iteration,
-        }
-
 
 @dataclass
 class DesignOutcome:
@@ -96,7 +125,7 @@ class DesignOutcome:
         return self.design.measured
 
     @property
-    def gains(self) -> GainSet:
+    def gains(self) -> dict[tuple[int, int], np.ndarray]:
         return self.design.gains
 
     @property
@@ -108,29 +137,151 @@ class DesignOutcome:
         return self.status == "complete"
 
     def to_json_dict(self) -> dict:
+        """The ``outcome`` object of the design report, every key written."""
         return {
             "status": self.status,
             "failed_subset": None if self.failed_subset is None else list(self.failed_subset),
-            "design": self.design.to_json_dict(),
-            "processed_subsets": [p.to_json_dict() for p in self.processed],
+            "design": {
+                "measured": sorted(self.measured),
+                "exact_nodes": sorted(self.exact_nodes),
+                "gains": {f"{i},{j}": L.tolist() for (i, j), L in sorted(self.gains.items())},
+            },
+            "processed_subsets": [
+                {
+                    "nodes": list(p.nodes),
+                    "report": {
+                        "theorem_used": p.report.theorem_used,
+                        "hurwitz_margin": strict_float(p.report.hurwitz_margin),
+                        "sample_count": p.report.sample_count,
+                        "h2_margin": strict_float(p.report.h2_margin),
+                        "g_bound": strict_float(p.report.g_bound),
+                    },
+                    "added_measured": list(p.added_measured),
+                    "iteration": p.iteration,
+                }
+                for p in self.processed
+            ],
         }
 
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "DesignOutcome":
-        design = ObserverDesign.from_json_dict(doc["design"])
-        processed = [
-            ProcessedSubset(
-                tuple(p["nodes"]),
-                CertificationReport.from_json_dict(p["report"]),
-                tuple(p["added_measured"]),
-                p["iteration"],
-            )
-            for p in doc["processed_subsets"]
-        ]
-        failed = doc.get("failed_subset")
-        return DesignOutcome(
-            design, processed, doc["status"], None if failed is None else tuple(failed)
-        )
+
+def strict_float(x: float | None) -> float | str | None:
+    """``x`` for strict JSON: the string "inf", "-inf" or "nan" when it is
+    not finite, which ``read_design_report`` reads back."""
+    return x if x is None or math.isfinite(x) else str(float(x))
+
+
+def design_report(outcome: DesignOutcome, config_hash: str, seed: int, f_bound: float) -> dict:
+    """The design report of ``outcome`` (layout in the module docstring)."""
+    return {
+        "config_hash": config_hash,
+        "seed": seed,
+        "f_bound": strict_float(f_bound),
+        "outcome": outcome.to_json_dict(),
+    }
+
+
+def _fields(doc, keys: str, where: str) -> list:
+    """The values of the space-separated ``keys`` of the JSON object ``doc``,
+    which must hold these keys and no other."""
+    if type(doc) is not dict or doc.keys() != set(keys.split()):
+        raise ValueError(f"{where} is not an object with exactly the keys {keys}")
+    return [doc[k] for k in keys.split()]
+
+
+def _ids(ids, N: int, where: str) -> list[int]:
+    # the dataclasses would read 0.5 and true as node 0 and node 1
+    if type(ids) is not list or not all(type(v) is int and 0 <= v < N for v in ids):
+        raise ValueError(f"{where} {ids!r} is not a list of JSON integers in [0, {N})")
+    return ids
+
+
+def _float(v, where: str) -> float:
+    # float() would also read true, "8.5" and " inf"
+    if type(v) not in (int, float) and v not in ("inf", "-inf", "nan"):
+        raise ValueError(f"{where} {v!r} is not a JSON number, 'inf', '-inf' or 'nan'")
+    return float(v)
+
+
+def _gain(key: str, rows, shape: tuple[int, int]) -> tuple[tuple[int, int], np.ndarray]:
+    i, j = (int(v) for v in key.split(","))
+    # int() reads "00", " 0" and "+0" as 0: only the key the writer writes
+    # names a gain, so no two keys name one
+    if min(i, j) < 0 or key != f"{i},{j}":
+        raise ValueError(f"gain key {key!r} is not 'i,j' for node ids i and j")
+    # numpy would read the string "-5.0" and the boolean true as numbers
+    numbers = type(rows) is list and all(type(row) is list for row in rows)
+    if not numbers or not all(type(v) in (int, float) for row in rows for v in row):
+        raise ValueError(f"gain {key} is not a list of rows of JSON numbers")
+    L = np.array(rows, dtype=float)
+    if L.shape != shape or not np.isfinite(L).all():
+        raise ValueError(f"gain {key} is not a finite matrix of shape {shape}")
+    return (i, j), L
+
+
+def read_design_report(doc, sys: NetworkSystem, config_hash: str) -> tuple[DesignOutcome, float]:
+    """The outcome and ``f_bound`` of the design report ``doc``, checked
+    against the run that simulates it, its config hash and its system, as
+    the module docstring lists; ValueError names the first fault."""
+    if type(doc) is not dict or doc.get("config_hash") != config_hash:
+        raise ValueError("the report does not match this config (hash check failed)")
+    _, seed, f_bound, out = _fields(doc, "config_hash seed f_bound outcome", "the report")
+    if type(seed) is not int:
+        raise ValueError(f"seed {seed!r} is not a JSON integer")
+    if type(f_bound) not in (int, float) or not 0.0 <= f_bound < math.inf:
+        raise ValueError(f"f_bound {f_bound!r} is not a finite nonnegative JSON number")
+    status, failed, design, processed = _fields(
+        out, "status failed_subset design processed_subsets", "outcome")
+    if (status, failed is None) not in (("complete", True), ("failed", False)):
+        raise ValueError(f"status {status!r} does not go with failed_subset {failed!r}")
+    N = sys.num_nodes
+    measured, exact, gains = _fields(design, "measured exact_nodes gains", "design")
+    if type(gains) is not dict:
+        raise ValueError(f"gains {gains!r} is not a JSON object")
+    shape = (sys.state_dim, sys.output.output_dim)
+    design = ObserverDesign(_ids(measured, N, "measured"),
+                            dict(_gain(key, rows, shape) for key, rows in gains.items()),
+                            _ids(exact, N, "exact_nodes"))
+    if type(processed) is not list:
+        raise ValueError(f"processed_subsets {processed!r} is not a list")
+    subsets = []
+    for k, entry in enumerate(processed):
+        at = f"processed_subsets[{k}]"
+        nodes, report, added, iteration = _fields(
+            entry, "nodes report added_measured iteration", at)
+        nodes, added = _ids(nodes, N, f"{at}.nodes"), _ids(added, N, f"{at}.added_measured")
+        if not set(added) <= set(nodes) & design.measured:
+            raise ValueError(f"{at}: added_measured {added} are not measured nodes of it")
+        if type(iteration) is not int or iteration < 1:
+            raise ValueError(f"{at}: iteration {iteration!r} is not a JSON integer >= 1")
+        theorem, margin, count, h2, g = _fields(
+            report, "theorem_used hurwitz_margin sample_count h2_margin g_bound", f"{at}.report")
+        if theorem not in ("thm2", "thm1", "exact", "none"):
+            raise ValueError(f"{at}: theorem_used {theorem!r} is not a known label")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"{at}: sample_count {count!r} is not a JSON integer >= 0")
+        report = CertificationReport(theorem, _float(margin, "hurwitz_margin"), count,
+                                     None if h2 is None else _float(h2, "h2_margin"),
+                                     None if g is None else _float(g, "g_bound"))
+        subsets.append(ProcessedSubset(tuple(nodes), report, tuple(added), iteration))
+    if failed is not None:
+        failed = tuple(_ids(failed, N, "failed_subset"))
+    outcome = DesignOutcome(design, subsets, status, failed)
+    if outcome.complete and sorted(v for p in subsets for v in p.nodes) != list(range(N)):
+        raise ValueError(f"the processed subsets do not cover the nodes 0..{N - 1} once each")
+    # the bound of an "exact" subset is the inverted noise alone; only a
+    # failed design holds a "none"
+    for p in subsets if outcome.complete else ():
+        is_exact = len(p.nodes) == 1 and p.nodes[0] in design.exact_nodes
+        if p.report.theorem_used not in (("exact",) if is_exact else ("thm1", "thm2")):
+            raise ValueError(f"subset {list(p.nodes)} is labelled {p.report.theorem_used!r}: "
+                             "'exact' is one node of exact_nodes, any other 'thm1' or 'thm2'")
+    # a gain acts only where the Theorem-2 certificate of its subset counts it
+    sound = {(i, j) for p in subsets if p.report.theorem_used == "thm2"
+             for i in p.nodes for j in p.added_measured}
+    if unsound := sorted(design.gains.keys() - sound):
+        raise ValueError(f"gain {unsound[0]} is not on a 'thm2' subset holding its node "
+                         "with its measured node among the subset's added_measured")
+    return outcome, float(f_bound)
 
 
 def select_node(
@@ -223,7 +374,7 @@ def design_observer(
     observed = np.zeros(N, dtype=bool)
     measured: set[int] = set()
     exact: set[int] = set()
-    gains = GainSet({})
+    gains: dict[tuple[int, int], np.ndarray] = {}
     processed: list[ProcessedSubset] = []
     iteration = 0
 
@@ -249,7 +400,7 @@ def design_observer(
             upstream = err.entering.members[err.entering.outside_tails]
             if not observed[upstream].all():
                 raise AssertionError(f"upstream tails {set(upstream.tolist())} of {S} unprocessed")
-            report, new_gains = certify_or_fail(err, ensemble, options), GainSet({})
+            report, new_gains = certify_or_fail(err, ensemble, options), {}
             added: list[int] = []
             while report is None:
                 if set(S) <= measured:
@@ -275,11 +426,11 @@ def design_observer(
                 except Infeasible as exc:
                     log.debug("thm2 synthesis infeasible on %s: %s", S, exc)
                     continue
-                report = check_thm2(err, options.margin, new_gains.entries)
+                report = check_thm2(err, options.margin, new_gains)
                 if not report.passed:
                     report = None
             if report is not None:
-                gains = gains.merged(new_gains)
+                gains = {**gains, **new_gains}
                 observed[list(S)] = True
                 processed.append(ProcessedSubset(S, report, tuple(added), iteration))
                 log.info(
@@ -302,6 +453,21 @@ def field_param_jacobian_bound(sys: NetworkSystem, samples) -> float:
         row = J[..., 0, :]
         return float(np.sqrt(np.einsum("...i,...i->...", row, row).max()))
     return float(np.linalg.svd(J, compute_uv=False)[..., 0].max())
+
+
+def block_norm(gains: Mapping[tuple[int, int], np.ndarray], nodes: Iterable[int]) -> float:
+    """Spectral norm of the stacked gain matrix restricted to rows/columns
+    in ``nodes``."""
+    keep = set(nodes)
+    keys = [(i, j) for i, j in sorted(gains) if i in keep and j in keep]
+    if not keys:
+        return 0.0
+    rows, cols = sorted({i for i, _ in keys}), sorted({j for _, j in keys})
+    n, p = gains[keys[0]].shape
+    big = np.zeros((len(rows), n, len(cols), p))
+    for i, j in keys:
+        big[rows.index(i), :, cols.index(j)] = gains[i, j]
+    return float(np.linalg.norm(big.reshape(len(rows) * n, len(cols) * p), 2))
 
 
 def propagate_robustness_bounds(
@@ -328,7 +494,7 @@ def propagate_robustness_bounds(
         if entry.report.theorem_used == "exact":
             bound = RobustnessBound(inv_gain * nu_bar, 0.0)
         else:
-            l_bound = outcome.gains.block_norm(entry.nodes)
+            l_bound = block_norm(outcome.gains, entry.nodes)
             bound = thm3_bound(
                 sys.hypergraph,
                 entry.nodes,

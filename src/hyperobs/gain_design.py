@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -51,103 +51,26 @@ class NoMeasuredNodes(ValueError):
 
 
 @dataclass
-class GainSet:
-    """Sparse map (i, j) -> n-by-p correction matrix; absent keys mean zero."""
-
-    entries: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.entries = {
-            (int(i), int(j)): np.asarray(L, dtype=float)
-            for (i, j), L in self.entries.items()
-        }
-
-    def items(self):
-        return self.entries.items()
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def merged(self, other: "GainSet") -> "GainSet":
-        out = dict(self.entries)
-        out.update(other.entries)
-        return GainSet(out)
-
-    def block_norm(self, nodes: Iterable[int]) -> float:
-        """Spectral norm of the stacked gain matrix restricted to rows/columns
-        in ``nodes``."""
-        keep = set(nodes)
-        items = [
-            ((i, j), L)
-            for (i, j), L in sorted(self.entries.items())
-            if i in keep and j in keep
-        ]
-        if not items:
-            return 0.0
-        rows = sorted({i for (i, _), _ in items})
-        cols = sorted({j for (_, j), _ in items})
-        n, p = items[0][1].shape
-        big = np.zeros((len(rows) * n, len(cols) * p))
-        rpos = {v: k for k, v in enumerate(rows)}
-        cpos = {v: k for k, v in enumerate(cols)}
-        for (i, j), L in items:
-            big[rpos[i] * n : rpos[i] * n + n, cpos[j] * p : cpos[j] * p + p] = L
-        return float(np.linalg.norm(big, 2))
-
-    def to_json_dict(self) -> dict:
-        return {f"{i},{j}": L.tolist() for (i, j), L in sorted(self.entries.items())}
-
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "GainSet":
-        entries = {}
-        for key, mat in doc.items():
-            i, j = (int(v) for v in key.split(","))
-            # int() reads "00", " 0" and "+0" as 0: only the key to_json_dict
-            # writes names a gain, so no two keys name one
-            if min(i, j) < 0 or key != f"{i},{j}":
-                raise ValueError(f"gain key {key!r} is not 'i,j' for node ids i and j")
-            # numpy would read the string "-5.0" and the boolean true as numbers
-            if not all(type(v) in (int, float) for row in mat for v in row):
-                raise ValueError(f"gain {key} holds a value that is not a JSON number")
-            entries[(i, j)] = np.asarray(mat, dtype=float)
-        return GainSet(entries)
-
-
-@dataclass
 class ObserverDesign:
-    """Measured node set with correction gains; ``exact_nodes`` are measured
-    nodes reconstructed directly through an invertible output map."""
+    """Measured node set with correction gains: a sparse map (i, j) -> n-by-p
+    matrix, absent keys meaning zero.  ``exact_nodes`` are measured nodes
+    reconstructed directly through an invertible output map."""
 
     measured: frozenset[int] = frozenset()
-    gains: GainSet = field(default_factory=GainSet)
+    gains: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     exact_nodes: frozenset[int] = frozenset()
 
     def __post_init__(self):
         self.measured = frozenset(int(v) for v in self.measured)
         self.exact_nodes = frozenset(int(v) for v in self.exact_nodes)
-        for (_, j) in self.gains.entries:
+        self.gains = {
+            (int(i), int(j)): np.asarray(L, dtype=float) for (i, j), L in self.gains.items()
+        }
+        for (_, j) in self.gains:
             if j not in self.measured:
                 raise ValueError(f"gain column {j} is not a measured node")
         if not self.exact_nodes <= self.measured:
             raise ValueError(f"exact nodes {sorted(self.exact_nodes - self.measured)} unmeasured")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "measured": sorted(self.measured),
-            "exact_nodes": sorted(self.exact_nodes),
-            "gains": self.gains.to_json_dict(),
-        }
-
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "ObserverDesign":
-        return ObserverDesign(
-            frozenset(doc["measured"]),
-            GainSet.from_json_dict(doc["gains"]),
-            frozenset(doc["exact_nodes"]),
-        )
 
 
 class GainProblem:
@@ -255,7 +178,7 @@ def design_gain_thm2(
     err: ErrorSystem,
     measured_in_subset: Iterable[int],
     h_req: float,
-) -> GainSet:
+) -> dict[tuple[int, int], np.ndarray]:
     """Find static gains with max-over-samples lambda_max(A_S^sym) <= -h_req
     over the sample set of ``err``, within ``MAX_ITERS`` iterations.
 
@@ -292,7 +215,7 @@ def design_gain_thm2(
                 "thm2 design for %s done: %d iterations, %.1f of %d samples per iteration",
                 prob.sub.nodes, it + 1, prob.evaluated / (it + 1), err.a.shape[0],
             )
-            return GainSet({k: g for k, g in zip(prob.keys, L) if np.any(g)})
+            return {k: g for k, g in zip(prob.keys, L) if np.any(g)}
         if it - last_best_iter > stall_window and overshoot > 1.01:
             # marginal instances: an out-of-reach Polyak target cycles, so
             # pull the target toward the requested margin

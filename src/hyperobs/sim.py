@@ -123,7 +123,7 @@ def _correction_operator(sys: NetworkSystem, design: ObserverDesign):
         return measured, None
     n, p, N = sys.state_dim, sys.output.output_dim, sys.num_nodes
     pos = {j: k for k, j in enumerate(measured)}
-    keys = sorted(design.gains.entries)
+    keys = sorted(design.gains)
     node = np.array([i for i, _ in keys], dtype=np.intp)
     block_col = np.array([pos[j] for _, j in keys], dtype=np.intp)
     blocks = np.bincount(node, minlength=N)

@@ -33,7 +33,7 @@ from hyperobs.assembly import (
     check_thm2,
 )
 from hyperobs.designer import THM1_TRAJECTORIES, DesignOutcome, ProcessedSubset, select_node
-from hyperobs.gain_design import POLYAK_OVERSHOOT, GainSet, Infeasible, design_gain_thm2
+from hyperobs.gain_design import POLYAK_OVERSHOOT, Infeasible, design_gain_thm2
 from hyperobs.hypergraph import NodeOutOfRange
 from hyperobs.sim import _cosimulate
 
@@ -177,7 +177,7 @@ def reference_correction_operator(sys: NetworkSystem, design: ObserverDesign):
     measured = sorted(design.measured)
     n, p, N = sys.state_dim, sys.output.output_dim, sys.num_nodes
     pos = {j: k for k, j in enumerate(measured)}
-    keys = sorted(design.gains.entries)
+    keys = sorted(design.gains)
     blocks_per_row = np.bincount([i for i, _ in keys], minlength=N)
     return bsr_array(
         (
@@ -276,11 +276,11 @@ def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error
     err = ErrorSystem(sys, sub, ensemble.stacked(), frozenset(zero_error_nodes))
     rep0 = check_thm2(err, options.margin)
     if rep0.passed:
-        return rep0, GainSet({})
+        return rep0, {}
     if measured_in:
         try:
             gains = design_gain_thm2(err, measured_in, options.margin)
-            rep = check_thm2(err, options.margin, gains.entries)
+            rep = check_thm2(err, options.margin, gains)
             if rep.passed:
                 return rep, gains
         except Infeasible:
@@ -292,7 +292,7 @@ def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error
             count=min(THM1_TRAJECTORIES, ensemble.count),
         )
         if rep1.passed:
-            return rep1, GainSet({})
+            return rep1, {}
     return None
 
 
@@ -309,7 +309,7 @@ def reference_design_observer(sys, ensemble, options) -> DesignOutcome:
         else options.use_inverse_shortcut
     )
     observed, measured, exact = set(), set(), set()
-    gains = GainSet({})
+    gains = {}
     processed = []
     iteration = 0
 
@@ -325,7 +325,7 @@ def reference_design_observer(sys, ensemble, options) -> DesignOutcome:
                 res = reference_certify(sys, S, measured, ensemble, options, exact)
                 if res is not None:
                     report, new_gains = res
-                    gains = gains.merged(new_gains)
+                    gains = {**gains, **new_gains}
                     observed.update(S)
                     processed.append(ProcessedSubset(S, report, tuple(added), iteration))
                     break

@@ -8,7 +8,6 @@ from hyperobs import (
     DimensionMismatch,
     DirectedHypergraph,
     EmptySampleSet,
-    GainSet,
     Hyperedge,
     MissingOutsideError,
     NetworkSystem,
@@ -105,7 +104,7 @@ def random_design(rng, sys, subset):
         for i in subset:
             if rng.random() < 0.5:
                 gains[(i, j)] = rng.normal(0, 1.0, (n, p))
-    return ObserverDesign(frozenset(measured), GainSet(gains))
+    return ObserverDesign(frozenset(measured), gains)
 
 
 def a_with_design(sys, design, nodes, states, zero_error_nodes=frozenset()):
@@ -113,7 +112,7 @@ def a_with_design(sys, design, nodes, states, zero_error_nodes=frozenset()):
     of N * n entries is one sample."""
     states = np.reshape(states, (-1, sys.num_nodes, sys.state_dim))
     sub = SubsetIndex(tuple(nodes))
-    keys = list(design.gains.entries)
+    keys = list(design.gains)
     blocks = np.array([design.gains[k] for k in keys]).reshape(
         len(keys), sys.state_dim, sys.output.output_dim
     )
@@ -133,7 +132,7 @@ class TestAssembleA:
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         kappa = 7.0
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): kappa * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): kappa * np.eye(3)})
         xh = np.array([0.5, -1.0, 2.0])
         A = a_with_design(sys, design, (0,), xh)[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh) - kappa * np.eye(3), atol=1e-14)
@@ -293,8 +292,8 @@ class TestDenseOutput:
             A = a_with_design(sys, design, S, samples)
             # the same gains through the synthesis' gain array
             prob = GainProblem(ErrorSystem(sys, SubsetIndex(tuple(S)), samples), design.measured)
-            assert set(design.gains.entries) <= set(prob.keys)
-            L = gain_array(prob, design.gains.entries)
+            assert set(design.gains) <= set(prob.keys)
+            L = gain_array(prob, design.gains)
             A_gains = prob.rows(gain_matrix(prob.sub, prob.keys, L, prob.gamma), np.arange(3))
             for k, xh in enumerate(samples.reshape(3, -1)):
                 e = rng.normal(0, 1, xh.size)
@@ -514,7 +513,7 @@ class TestCheckThm2:
             design = random_design(rng, sys, S)
             perm = list(S)
             rng.shuffle(perm)
-            gains = design.gains.entries
+            gains = design.gains
             r1 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(S)), samples), 0.5, gains)
             r2 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(perm)), samples), 0.5, gains)
             assert r1.passed == r2.passed

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import hyperobs
-from hyperobs import DesignOptions, DesignOutcome, SimConfig, TrajectoryEnsembleSpec, gain_design
+from hyperobs import DesignOptions, SimConfig, TrajectoryEnsembleSpec, gain_design
 from hyperobs.cli import main
 from hyperobs.config import (
     _COUPLINGS,
@@ -32,6 +32,7 @@ from hyperobs.config import (
     resolve_hypergraph,
     validate_config,
 )
+from hyperobs.designer import design_report, read_design_report
 from test_end_to_end import assert_matches, read_csv
 
 
@@ -342,11 +343,22 @@ def _design(report):
     return report["outcome"]["design"]
 
 
-def _with_gain(entry, key="2,0"):
-    """A report edit adding a gain block on measured node 0 whose first entry
-    is ``entry``, under ``key``."""
-    block = [[entry, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    return lambda report: _design(report)["gains"].update({key: block})
+def _with_gain_block(block, key="2,2", added=True):
+    """A report edit measuring node 2 and adding the gain ``block`` under
+    ``key``; with ``added``, node 2 is measured while certifying its subset,
+    the last, by Theorem 2, so that gain "2,2" of a finite 3-by-3 block is
+    sound (``test_sound_gain_edit_is_simulated``)."""
+    def edit(report):
+        _design(report)["measured"].append(2)
+        _design(report)["gains"][key] = block
+        if added:
+            report["outcome"]["processed_subsets"][-1]["added_measured"] = [2]
+    return edit
+
+
+def _with_gain(entry, key="2,2", added=True):
+    """``_with_gain_block`` of a block whose first entry is ``entry``."""
+    return _with_gain_block([[entry, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], key, added)
 
 
 def _with_report(k, **fields):
@@ -359,7 +371,7 @@ MALFORMED_DESIGN_REPORTS = {
     "missing_outcome": lambda report: report.pop("outcome"),
     "unparsable_report_float": lambda report: report["outcome"]["processed_subsets"][0][
         "report"].update(hurwitz_margin="abc"),
-    "gain_block_wrong_shape": lambda report: _design(report)["gains"].update({"2,0": [[1.0]]}),
+    "gain_block_wrong_shape": _with_gain_block([[1.0]]),
     "exact_node_not_measured": lambda report: _design(report).update(exact_nodes=[0, 1, 2]),
     "measured_id_out_of_range": lambda report: _design(report).update(measured=[0, 1, 3]),
     "missing_f_bound": lambda report: report.pop("f_bound"),
@@ -395,11 +407,33 @@ MALFORMED_DESIGN_REPORTS = {
     "gain_entry_boolean": _with_gain(True),
     # json writes and reads it as an int, which numpy cannot make a float
     "gain_entry_401_digit_integer": _with_gain(10**400),
-    # int() reads each as gain (0, 0), and a later key would silently win
-    "gain_key_leading_zero": _with_gain(1.0, "00,0"),
-    "gain_key_leading_space": _with_gain(1.0, " 0,0"),
-    "gain_key_plus_sign": _with_gain(1.0, "+0,0"),
-    "gain_key_inner_space": _with_gain(1.0, "0, 0"),
+    # int() reads each as gain (2, 2), and a later key would silently win
+    "gain_key_leading_zero": _with_gain(1.0, "02,2"),
+    "gain_key_leading_space": _with_gain(1.0, " 2,2"),
+    "gain_key_plus_sign": _with_gain(1.0, "+2,2"),
+    "gain_key_inner_space": _with_gain(1.0, "2, 2"),
+    # a gain acts only within a Theorem-2 subset, from a node measured while
+    # certifying it: no certificate accounts for any other
+    "gain_row_in_exact_subset": _with_gain(1.0, "0,2"),
+    "gain_column_in_exact_subset": _with_gain(1.0, "2,0"),
+    "gain_on_zero_gain_certificate": _with_gain(1.0, added=False),
+    "added_measured_outside_subset": lambda report: report["outcome"]["processed_subsets"][
+        -1].update(added_measured=[0]),
+    "added_measured_unmeasured": lambda report: report["outcome"]["processed_subsets"][
+        -1].update(added_measured=[2]),
+    # the JSON types the writer writes: dict([]) would read [] as no gains,
+    # and float() reads "50.5" and true
+    "gains_list": lambda report: _design(report).update(gains=[]),
+    "gains_null": lambda report: _design(report).update(gains=None),
+    "f_bound_string": lambda report: report.update(f_bound=str(report["f_bound"])),
+    "f_bound_boolean": lambda report: report.update(f_bound=True),
+    "iteration_string": lambda report: report["outcome"]["processed_subsets"][0].update(
+        iteration="x"),
+    "unknown_status": lambda report: report["outcome"].update(status="weird"),
+    "complete_with_failed_subset": lambda report: report["outcome"].update(failed_subset=[2]),
+    # the writer writes every key and no other
+    "missing_failed_subset": lambda report: report["outcome"].pop("failed_subset"),
+    "outcome_extra_key": lambda report: report["outcome"].update(note="hand-edited"),
     # a complete design labels a subset "exact" when it is one node of
     # exact_nodes, and any other subset "thm1" or "thm2"
     "thm2_subset_labelled_exact": _with_report(-1, theorem_used="exact"),
@@ -434,6 +468,11 @@ UNDRAWABLE_INTERVALS = [
     ("sim.param_spread", 1e308),
     ("sim.noise", 1e308),
 ]
+
+
+def cohead_system():
+    doc = cohead_config()
+    return build_system(doc, resolve_hypergraph(doc, Path(".")))
 
 
 @pytest.fixture(scope="module")
@@ -510,16 +549,13 @@ class TestDesignCommand:
             raise ValueError(f"non-standard JSON constant {token}")
 
         report = json.loads(report_path.read_text(), parse_constant=reject)
-        doc = report["outcome"]
-        exact = [p["report"] for p in doc["processed_subsets"]
+        exact = [p["report"] for p in report["outcome"]["processed_subsets"]
                  if p["report"]["theorem_used"] == "exact"]
         assert exact and all(r["hurwitz_margin"] == "inf" for r in exact)
-        outcome = DesignOutcome.from_json_dict(doc)
+        outcome, f_bound = read_design_report(report, cohead_system(), report["config_hash"])
         assert all(p.report.hurwitz_margin == math.inf for p in outcome.processed
                    if p.report.theorem_used == "exact")
-        assert outcome.to_json_dict() == doc
-        back = DesignOutcome.from_json_dict(json.loads(json.dumps(outcome.to_json_dict())))
-        assert back.processed == outcome.processed
+        assert design_report(outcome, report["config_hash"], report["seed"], f_bound) == report
 
     @pytest.mark.parametrize("case", sorted(SCHEMA_VALID_BAD_CONFIGS))
     def test_schema_valid_bad_config_exits_4(self, case, tmp_path):
@@ -689,6 +725,20 @@ class TestSimulateAndBatch:
         assert main(["simulate", "--config", str(cfg2), "--design", str(design),
                      "--out-dir", str(tmp_path / "o")]) == 4
 
+    def test_sound_gain_edit_is_simulated(self, designed, tmp_path, caplog):
+        # the malformed gain cases each break one thing of this edit
+        cfg, design = designed
+        report = json.loads(design.read_text())
+        _with_gain(0.5)(report)
+        edited = tmp_path / "design.json"
+        edited.write_text(json.dumps(report))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--design", str(edited),
+                     "--out-dir", str(out)]) == 0
+        outcome, _ = read_design_report(report, cohead_system(), report["config_hash"])
+        assert outcome.design.gains.keys() == {(2, 2)}
+        assert "malformed design report" not in caplog.text
+
     @pytest.mark.parametrize("command", ["simulate", "batch"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_DESIGN_REPORTS))
     def test_malformed_design_report_exits_4(self, designed, tmp_path, case, command, caplog):
@@ -855,14 +905,14 @@ def test_design_and_simulate_run_without_scipy(tmp_path):
 import json, sys
 sys.modules["scipy"] = sys.modules["jsonschema"] = None
 import numpy as np
-from hyperobs import GainSet, ObserverDesign, SimConfig, monte_carlo
+from hyperobs import ObserverDesign, SimConfig, monte_carlo
 from hyperobs.cli import main
 loaded = {{name.partition(".")[0] for name, module in sys.modules.items() if module is not None}}
 assert not loaded & {{"jsonschema", "referencing", "attrs", "rpds"}}, sorted(loaded)
 from hyperobs.config import build_system, resolve_hypergraph
 doc = json.loads({json.dumps(json.dumps(cohead_config()))})
 sys_ = build_system(doc, resolve_hypergraph(doc, "."))
-design = ObserverDesign(frozenset({{0, 2}}), GainSet({{(1, 0): np.eye(3), (1, 2): np.eye(3)}}),
+design = ObserverDesign(frozenset({{0, 2}}), {{(1, 0): np.eye(3), (1, 2): np.eye(3)}},
                         frozenset({{0}}))
 stats = monte_carlo(sys_, design, SimConfig(horizon=0.01, noise_amplitude=0.01), 3)
 assert np.isfinite(stats.error_norms).all()

@@ -13,7 +13,6 @@ import conftest
 from hyperobs import (
     AllMeasured,
     DesignOptions,
-    DesignOutcome,
     DirectedHypergraph,
     EmptyTrajectorySet,
     Hyperedge,
@@ -35,7 +34,7 @@ from hyperobs import (
 )
 from hyperobs import designer, gain_design
 from hyperobs.assembly import ErrorSystem, SubsetIndex, check_thm2, symmetric_top_eig
-from hyperobs.designer import field_param_jacobian_bound
+from hyperobs.designer import design_report, field_param_jacobian_bound, read_design_report
 from conftest import (
     degrees,
     hypergraphs,
@@ -182,7 +181,7 @@ class TestDesignObserver:
         assert len(outcome.gains) > 0
         assert all(p.report.passed for p in outcome.processed)
         # every gain respects the measured-column rule
-        for (i, j) in outcome.gains.entries:
+        for (i, j) in outcome.gains:
             assert j in outcome.measured
 
     def test_everything_measured_at_worst_with_identity_output(self):
@@ -225,7 +224,7 @@ class TestDesignObserver:
                                                     seed=seed))
             for seed in (0, 12345)
         ]
-        assert outcomes[0].gains.entries
+        assert outcomes[0].gains
         assert outcomes[0].to_json_dict() == outcomes[1].to_json_dict()
 
     def test_json_round_trip(self):
@@ -235,7 +234,9 @@ class TestDesignObserver:
             o = design_observer(
                 sys, ens, DesignOptions(margin=2.0, use_inverse_shortcut=shortcut)
             )
-            back = DesignOutcome.from_json_dict(json.loads(json.dumps(o.to_json_dict())))
+            doc = json.loads(json.dumps(design_report(o, "hash", 0, 1.5)))
+            back, f_bound = read_design_report(doc, sys, "hash")
+            assert f_bound == 1.5
             assert back.processed == o.processed
             assert (back.status, back.failed_subset) == (o.status, o.failed_subset)
             assert (back.measured, back.exact_nodes) == (o.measured, o.exact_nodes)
@@ -511,7 +512,7 @@ class TestCertifyOrFail:
             outcome = design_observer(sys, ens, options)
         (entry,) = outcome.processed
         assert entry.report.theorem_used == "thm2" and entry.added_measured == (0,)
-        assert (0, 0) in outcome.gains.entries
+        assert (0, 0) in outcome.gains
 
     def test_one_evaluation_serves_every_route(self, monkeypatch):
         # per subset: one A_S evaluation, one zero-gain Theorem-2 check or its

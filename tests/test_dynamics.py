@@ -10,7 +10,6 @@ from hyperobs import (
     DirectedHypergraph,
     Hyperedge,
     NetworkSystem,
-    GainSet,
     ObserverDesign,
     bistable_field,
     identity_output,
@@ -314,7 +313,7 @@ class TestObserverRhs:
         x = rng.uniform(-3, 3, 9)
         design = ObserverDesign(
             measured=frozenset({0, 2}),
-            gains=GainSet({(0, 0): np.eye(3), (1, 2): 2.0 * np.eye(3)}),
+            gains={(0, 0): np.eye(3), (1, 2): 2.0 * np.eye(3)},
         )
         y = {j: sys.output.eval(x.reshape(3, 3)[j]) for j in design.measured}
         np.testing.assert_array_equal(
@@ -333,7 +332,7 @@ class TestObserverRhs:
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         kappa = 4.0
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): kappa * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): kappa * np.eye(3)})
         rng = np.random.default_rng(12)
         x, xh = rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3)
         got = observer_rhs(sys, design, xh, {0: x.copy()})
@@ -342,7 +341,7 @@ class TestObserverRhs:
 
     def test_missing_measurement_raises(self):
         sys = two_tail_one_head_system()
-        design = ObserverDesign(frozenset({1}), GainSet({(1, 1): np.eye(3)}))
+        design = ObserverDesign(frozenset({1}), {(1, 1): np.eye(3)})
         with pytest.raises(MissingMeasurement):
             observer_rhs(sys, design, np.zeros(9), {})
 

@@ -20,8 +20,14 @@ import pytest
 
 from hyperobs import designer
 from hyperobs.cli import main
-from hyperobs.config import read_json
-from hyperobs.designer import DesignOutcome
+from hyperobs.config import (
+    build_system,
+    design_relevant_hash,
+    load_config,
+    read_json,
+    resolve_hypergraph,
+)
+from hyperobs.designer import design_report, read_design_report
 
 DATA = Path(__file__).parent / "data"
 RTOL = 1e-12
@@ -49,16 +55,25 @@ def read_csv(path):
     return header, [[float(v) for v in row.split(",")] for row in rows]
 
 
+def recorded_run(case, tmp_path):
+    """The config path, the system and the config hash of the recorded
+    ``case``, its network generated in ``tmp_path`` when it has a spec."""
+    recorded = DATA / case
+    shutil.copy(recorded / "config.json", tmp_path / "config.json")
+    if (recorded / "spec.json").exists():
+        assert main(["generate", "--spec", str(recorded / "spec.json"),
+                     "--out", str(tmp_path / "network.json")]) == 0
+    doc = load_config(tmp_path / "config.json")
+    hypergraph = resolve_hypergraph(doc, tmp_path)
+    return tmp_path / "config.json", build_system(doc, hypergraph), design_relevant_hash(
+        doc, hypergraph)
+
+
 def run_and_compare(case, tmp_path):
     """generate (when the case has a spec), design and simulate the recorded
     ``case`` in ``tmp_path`` and compare the outputs with the recorded ones."""
     recorded = DATA / case
-    shutil.copy(recorded / "config.json", tmp_path / "config.json")
-    config, out = str(tmp_path / "config.json"), tmp_path / "out"
-    if (recorded / "spec.json").exists():
-        shutil.copy(recorded / "spec.json", tmp_path / "spec.json")
-        assert main(["generate", "--spec", str(tmp_path / "spec.json"),
-                     "--out", str(tmp_path / "network.json")]) == 0
+    config, out = str(recorded_run(case, tmp_path)[0]), tmp_path / "out"
     assert main(["design", "--config", config, "--out-dir", str(out)]) == 0
     assert main(["simulate", "--config", config, "--design", str(out / "design.json"),
                  "--out-dir", str(out)]) == 0
@@ -80,10 +95,29 @@ def test_pipeline_reproduces_recorded_outputs(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_recorded_design_round_trips(case):
+def test_recorded_design_round_trips(case, tmp_path):
     # every field of a report is read back and written again unchanged
-    doc = json.loads((DATA / case / "design.json").read_text())["outcome"]
-    assert DesignOutcome.from_json_dict(doc).to_json_dict() == doc
+    report = json.loads((DATA / case / "design.json").read_text())
+    _, system, config_hash = recorded_run(case, tmp_path)
+    outcome, f_bound = read_design_report(report, system, config_hash)
+    assert design_report(outcome, config_hash, report["seed"], f_bound) == report
+
+
+@pytest.mark.parametrize("key", ["0,3", "3,0"])
+def test_gain_across_subsets_is_refused(key, tmp_path, caplog):
+    # nodes 0 and 3 are measured while certifying two different Theorem-2
+    # subsets: neither certificate accounts for a gain coupling them, which
+    # would move the simulated error while the robustness bound stays put
+    config, _, _ = recorded_run("e2e-partial", tmp_path)
+    report = json.loads((DATA / "e2e-partial" / "design.json").read_text())
+    gains = report["outcome"]["design"]["gains"]
+    gains[key] = gains["0,0"]
+    (tmp_path / "design.json").write_text(json.dumps(report))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--design", str(tmp_path / "design.json"),
+                 "--out-dir", str(out)]) == 4
+    assert f"malformed design report {tmp_path / 'design.json'}" in caplog.text
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("noise", [1e154, 1e200])

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from hyperobs import (
     DirectedHypergraph,
-    GainSet,
     Hyperedge,
     NetworkSystem,
     ObserverDesign,
@@ -78,7 +77,7 @@ class TestSettlingTime:
 class TestIntegrate:
     def test_zero_error_stays_zero(self):
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): 3.0 * np.eye(3)})
         cfg = SimConfig(dt=1e-3, horizon=10.0)
         rng = np.random.default_rng(1)
         x0 = rng.uniform(-3, 3, (2, 3))
@@ -107,7 +106,7 @@ class TestIntegrate:
         sys = NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0),
                             identity_output(1))
         L = 5.0
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): [[L]]}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): [[L]]})
         cfg = SimConfig(dt=1e-3, horizon=1.5)
         res = integrate(sys, design, cfg, [[0.3]], [[1.3]])
         predict = np.abs(1.0) * np.exp((2.0 - L) * res.times)
@@ -116,7 +115,7 @@ class TestIntegrate:
 
     def test_exact_reconstruction_pins_measured_nodes(self):
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0}), GainSet({}), exact_nodes=frozenset({0}))
+        design = ObserverDesign(frozenset({0}), {}, exact_nodes=frozenset({0}))
         cfg = SimConfig(dt=1e-3, horizon=0.3)
         rng = np.random.default_rng(3)
         res = integrate(sys, design, cfg, rng.uniform(-2, 2, (2, 3)),
@@ -126,7 +125,7 @@ class TestIntegrate:
 
     def test_exact_reconstruction_with_noise_stays_noise_sized(self):
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0}), GainSet({}), exact_nodes=frozenset({0}))
+        design = ObserverDesign(frozenset({0}), {}, exact_nodes=frozenset({0}))
         cfg = SimConfig(dt=1e-3, horizon=0.2, noise_amplitude=0.1, seed=5)
         rng = np.random.default_rng(4)
         x0 = rng.uniform(-2, 2, (2, 3))
@@ -153,7 +152,7 @@ class TestIntegrate:
 class TestRk4Order:
     def test_halving_dt_cuts_error_sixteen_fold(self):
         sys = lorenz_pair_system(sigma=3.0)
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 4.0 * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): 4.0 * np.eye(3)})
         rng = np.random.default_rng(6)
         x0 = rng.uniform(-3, 3, (2, 3))
         xh0 = x0 * (1 + rng.uniform(-0.2, 0.2, (2, 3)))
@@ -201,7 +200,7 @@ class TestCorrectionOperator:
         gained = rng.random(N) < 0.7
         gains = {(i, j): with_signed_zeros(rng, rng.normal(size=(n, p)), 0.2)
                  for i in range(N) for j in measured if gained[i] and rng.random() < 0.6}
-        design = ObserverDesign(frozenset(measured), GainSet(gains))
+        design = ObserverDesign(frozenset(measured), gains)
         got_measured, op = sim._correction_operator(sys_, design)
         ref = reference_correction_operator(sys_, design)
         assert got_measured == measured
@@ -218,7 +217,7 @@ class TestCorrectionOperator:
 class TestMonteCarlo:
     def test_single_run_percentiles_coincide(self):
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): 3.0 * np.eye(3)})
         cfg = SimConfig(dt=1e-3, horizon=0.2, seed=11)
         stats = monte_carlo(sys, design, cfg, n_runs=1)
         np.testing.assert_array_equal(stats.median, stats.p25)
@@ -226,7 +225,7 @@ class TestMonteCarlo:
 
     def test_percentile_monotonicity(self):
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): 3.0 * np.eye(3)})
         cfg = SimConfig(dt=1e-3, horizon=0.2, seed=12, noise_amplitude=0.05)
         stats = monte_carlo(sys, design, cfg, n_runs=12)
         assert np.all(stats.p25 <= stats.median + 1e-15)
@@ -234,7 +233,7 @@ class TestMonteCarlo:
 
     def test_deterministic_given_master_seed(self):
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): 3.0 * np.eye(3)})
         cfg = SimConfig(dt=1e-3, horizon=0.1, seed=13, noise_amplitude=0.1,
                         param_rel_spread=0.02)
         s1 = monte_carlo(sys, design, cfg, n_runs=5)
@@ -244,7 +243,7 @@ class TestMonteCarlo:
 
     def test_each_run_equals_integrate_with_its_own_generator(self):
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): 3.0 * np.eye(3)})
         cfg = SimConfig(dt=1e-3, horizon=0.1, seed=14, noise_amplitude=0.05)
         stats = monte_carlo(sys, design, cfg, n_runs=6)
         for r, (x0, xh0, rng) in enumerate(own_runs(cfg, 6, (2, 3))):
@@ -260,7 +259,7 @@ class TestMonteCarlo:
         sys = NetworkSystem(base.hypergraph, base.field, base.coupling, linear_output(gamma))
         design = ObserverDesign(
             frozenset({0, 1}),
-            GainSet({(1, 0): np.full((3, 3), 0.07), (1, 1): np.eye(3)}),
+            {(1, 0): np.full((3, 3), 0.07), (1, 1): np.eye(3)},
             exact_nodes=frozenset({0}),
         )
         cfg = SimConfig(dt=1e-3, horizon=0.1, seed=21, noise_amplitude=0.05)
@@ -273,7 +272,7 @@ class TestMonteCarlo:
         # computed with each run's noise drawn as one (G+1, m, p) block; drawing
         # it step by step from the same PCG64 generator gives the same numbers
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): 3.0 * np.eye(3)})
         cfg = SimConfig(dt=1e-3, horizon=0.2, seed=16, noise_amplitude=0.05,
                         param_rel_spread=0.02)
         stats = monte_carlo(sys, design, cfg, n_runs=3)
@@ -305,7 +304,7 @@ class TestMonteCarlo:
         # computed with the observer of every node stepped, and the observer
         # of each exact node overwritten at each grid point
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0, 1}), GainSet(gains), exact_nodes=frozenset(exact))
+        design = ObserverDesign(frozenset({0, 1}), gains, exact_nodes=frozenset(exact))
         cfg = SimConfig(dt=1e-3, horizon=0.2, seed=16, noise_amplitude=0.05,
                         param_rel_spread=0.02)
         stats = monte_carlo(sys, design, cfg, n_runs=3)
@@ -319,7 +318,7 @@ class TestMonteCarlo:
         gamma = np.array([[3.0, 0.4, -0.2], [0.5, 2.0, 0.3], [-0.1, 0.6, 2.5]])
         base = lorenz_pair_system()
         sys = NetworkSystem(base.hypergraph, base.field, base.coupling, linear_output(gamma))
-        design = ObserverDesign(frozenset({0, 1}), GainSet({}), exact_nodes=frozenset({0, 1}))
+        design = ObserverDesign(frozenset({0, 1}), {}, exact_nodes=frozenset({0, 1}))
         cfg = SimConfig(dt=1e-3, horizon=0.1, seed=22, noise_amplitude=0.05,
                         param_rel_spread=0.02)
         stats = monte_carlo(sys, design, cfg, n_runs=4)
@@ -339,7 +338,7 @@ class TestMonteCarlo:
         # a NaN xhat(0) changes no error norm; with node 1 not exact the
         # observer is stepped from it
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0, 1}), GainSet({}), exact_nodes=frozenset(exact))
+        design = ObserverDesign(frozenset({0, 1}), {}, exact_nodes=frozenset(exact))
         cfg = SimConfig(dt=1e-3, horizon=0.02, seed=24, noise_amplitude=0.05)
         runs = list(own_runs(cfg, 3, (2, 3)))
         x0, xh0 = np.stack([x for x, _, _ in runs]), np.stack([x for _, x, _ in runs])
@@ -362,7 +361,7 @@ class TestMonteCarlo:
         )
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 0.5),))
         sys = NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
-        design = ObserverDesign(frozenset({0, 1}), GainSet({}), exact_nodes=frozenset({0, 1}))
+        design = ObserverDesign(frozenset({0, 1}), {}, exact_nodes=frozenset({0, 1}))
         cfg = SimConfig(dt=1e-3, horizon=1.0, seed=49, noise_amplitude=0.01,
                         x0_box=(-1.0, 1.5))
         stats = monte_carlo(sys, design, cfg, n_runs=6)
@@ -383,7 +382,7 @@ class TestMonteCarlo:
         sys = NetworkSystem(DirectedHypergraph(N, edges), bistable_field(),
                             linear_coupling(1.0), identity_output(1))
         design = ObserverDesign(frozenset(range(N)),
-                                GainSet({(i, i): [[2.0]] for i in range(N)}))
+                                {(i, i): [[2.0]] for i in range(N)})
         cfg = SimConfig(dt=1e-3, horizon=G * 1e-3, seed=17, noise_amplitude=0.01)
         tracemalloc.start()
         try:
@@ -399,11 +398,11 @@ class TestMonteCarlo:
         # node 1 takes gains from measured nodes 0 and 1; computed with the
         # dense (N n) x (m p) correction matrix
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0, 1}), GainSet({
+        design = ObserverDesign(frozenset({0, 1}), {
             (0, 0): 3.0 * np.eye(3),
             (1, 0): [[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.3, 0.0, 0.2]],
             (1, 1): [[2.0, 0.1, 0.0], [0.1, 2.5, 0.0], [0.0, 0.2, 3.0]],
-        }))
+        })
         cfg = SimConfig(dt=1e-3, horizon=0.2, seed=18, noise_amplitude=0.05)
         stats = monte_carlo(sys, design, cfg, n_runs=3)
         pinned = {
@@ -420,7 +419,7 @@ class TestMonteCarlo:
         sys = NetworkSystem(DirectedHypergraph(N, edges), bistable_field(),
                             linear_coupling(1.0), identity_output(1))
         design = ObserverDesign(frozenset(range(N)),
-                                GainSet({(i, i): [[2.0]] for i in range(N)}))
+                                {(i, i): [[2.0]] for i in range(N)})
         cfg = SimConfig(dt=1e-3, horizon=G * 1e-3, seed=19, noise_amplitude=0.01)
         tracemalloc.start()
         try:
@@ -434,9 +433,9 @@ class TestMonteCarlo:
 
     def test_noise_chunks_do_not_change_the_draws(self, monkeypatch):
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0, 1}), GainSet({
+        design = ObserverDesign(frozenset({0, 1}), {
             (0, 0): 3.0 * np.eye(3), (1, 1): 2.0 * np.eye(3),
-        }))
+        })
         cfg = SimConfig(dt=1e-3, horizon=0.1, seed=20, noise_amplitude=0.05)
         whole = monte_carlo(sys, design, cfg, n_runs=3)
         # 3 runs x 2 measured nodes x 3 channels: 7 grid points per chunk,
@@ -453,7 +452,7 @@ class TestMonteCarlo:
         )
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 0.5),))
         sys = NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): [[2.0]]}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): [[2.0]]})
         cfg = SimConfig(dt=1e-3, horizon=1.0, seed=49, noise_amplitude=0.01,
                         x0_box=(-1.0, 1.5))
         stats = monte_carlo(sys, design, cfg, n_runs=3)
@@ -468,7 +467,7 @@ class TestMonteCarlo:
 
     def test_parameter_spread_reaches_plant_only(self):
         sys = lorenz_pair_system()
-        design = ObserverDesign(frozenset({0}), GainSet({(0, 0): 3.0 * np.eye(3)}))
+        design = ObserverDesign(frozenset({0}), {(0, 0): 3.0 * np.eye(3)})
         cfg = SimConfig(dt=1e-3, horizon=0.3, seed=15, param_rel_spread=0.05,
                         observer_init_width=0.0)
         stats = monte_carlo(sys, design, cfg, n_runs=4)
