@@ -31,7 +31,6 @@ from .assembly import (
     MissingOutsideError,
     NonpositiveMargin,
     RobustnessBound,
-    SubsetIndex,
     SubsetNotHeadClosed,
     SubsetTooLarge,
     check_thm1,

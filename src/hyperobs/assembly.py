@@ -5,9 +5,10 @@ where A_S collects field Jacobians, output-correction terms, and the
 hyperdiffusive coupling Jacobians, and b_S collects the contributions of
 tails outside S.  Every fact about the edges entering S, head-closedness,
 the members inside S and the tails outside it, is read from one incidence
-slice, ``DirectedHypergraph.entering(S)``.  This module also implements the
-checkable hypotheses of the two convergence theorems and the robustness
-bound.  ``ErrorSystem.refuting_block`` is the one interlacing refutation,
+slice, ``DirectedHypergraph.entering(S)``, and its ``position`` array is the
+one index of S, which places each node's block in A_S.  This module also
+implements the checkable hypotheses of the two convergence theorems and the
+robustness bound.  ``ErrorSystem.refuting_block`` is the one interlacing refutation,
 which the designer's zero-gain check and gain synthesis both read: the
 symmetric part of an n x n diagonal block of A_S is a principal submatrix of
 sym(A_S), so by Cauchy interlacing its largest eigenvalue is at most that of
@@ -54,32 +55,10 @@ KRON_CAP = 40
 EPS_REQ = 0.5
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
-    """Ordered node subset with positional lookup."""
-
-    nodes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("subset contains duplicate nodes")
-        object.__setattr__(self, "_pos", {v: k for k, v in enumerate(self.nodes)})
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-    def position(self, node: int) -> int:
-        return self._pos[node]
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._pos
-
-
 class ErrorSystem:
-    """The zero-gain A_S and the coupling-Jacobian bound, evaluated once over
-    a sample set of estimator states, the (K, N, n) array ``samples``.
+    """The zero-gain A_S and the coupling-Jacobian bound of the subset S,
+    the node tuple ``nodes``, evaluated once over a sample set of estimator
+    states, the (K, N, n) array ``samples``.
 
     ``a`` is the (K, nM, nM) stack of A_S, one per sample, and ``g`` is (K,),
     the largest |g'| over the subset's incoming edges at each sample (0 when
@@ -91,25 +70,25 @@ class ErrorSystem:
     (exactly reconstructed measured nodes); hyperedge heads falling outside S
     are tolerated only when they belong to this set.
 
-    ``entering`` is the incidence slice of the edges with a head in S: every
-    fact about the edges entering S that a design step reads comes from it.
+    ``entering`` is S's incidence slice, ``DirectedHypergraph.entering``,
+    which refuses a node given twice: every fact about the edges entering S
+    that a design step reads comes from it, and its ``position`` places node
+    ``nodes[k]`` at block k of A_S.
     """
 
     def __init__(
         self,
         sys: NetworkSystem,
-        subset: SubsetIndex,
+        nodes: Sequence[int],
         samples,
         zero_error_nodes: frozenset[int] = frozenset(),
     ):
-        S = subset.nodes
-        self.sys, self.subset = sys, subset
-        self.entering = sys.hypergraph.entering(S)
+        self.sys, self.nodes = sys, tuple(int(v) for v in nodes)
+        self.entering = sl = sys.hypergraph.entering(self.nodes)
         # head-closed: every head of an entering edge is in S or has no error
-        allowed = self.entering.inside.copy()
-        allowed[list(zero_error_nodes)] = True
-        if not allowed[self.entering.members[self.entering.is_head]].all():
-            raise SubsetNotHeadClosed(f"subset {S} splits the heads of some hyperedge")
+        heads = sl.members[sl.is_head]
+        if set(heads[sl.position[heads] < 0].tolist()).difference(zero_error_nodes):
+            raise SubsetNotHeadClosed(f"subset {self.nodes} splits the heads of some hyperedge")
         X = np.asarray(samples, dtype=float)
         if X.ndim != 3 or X.shape[1:] != (sys.num_nodes, sys.state_dim):
             raise DimensionMismatch(
@@ -121,7 +100,6 @@ class ErrorSystem:
         # by both.  Step k adds the k-th term of every edge that has one, so
         # each argument adds its terms onto zero in entry order, the sums of
         # ``sys.edge_arguments`` bit for bit
-        sl = self.entering
         args = np.zeros((len(sl.edges), X.shape[0], X.shape[2]))
         sizes = np.diff(sl.ptr)
         for k in range(int(sizes.max(initial=0))):
@@ -134,43 +112,38 @@ class ErrorSystem:
 
     @property
     def dim(self) -> int:
-        return self.subset.size * self.sys.state_dim
+        return len(self.nodes) * self.sys.state_dim
 
     def a_matrix_batch(self, X: np.ndarray, dg: np.ndarray) -> np.ndarray:
         """Zero-gain A_S stacked over the (K, N, n) states ``X``, with ``dg``
         the (edges, K, n) coupling derivative g' on the incoming edges."""
-        sys, sub = self.sys, self.subset
-        n, M, K = sys.state_dim, sub.size, X.shape[0]
+        sys, sl = self.sys, self.entering
+        n, M, K = sys.state_dim, len(self.nodes), X.shape[0]
         A = np.zeros((K, M, n, M, n))
-        Jf = sys.field.jac_x(X[:, list(sub.nodes)], sys.field.nominal_params)
+        Jf = sys.field.jac_x(X[:, list(self.nodes)], sys.field.nominal_params)
         for i in range(M):
             A[:, i, :, i, :] += Jf[:, i]
-        sl, sigma = self.entering, sys.hypergraph.edge_sigma
-        position = np.full(sys.num_nodes, -1)
-        position[list(sub.nodes)] = np.arange(M)
-        local, weights, is_head, ptr = (
-            a.tolist() for a in (position[sl.members], sl.weights, sl.is_head, sl.ptr)
-        )
-        diag = np.arange(n)
-        for ek, k in enumerate(sl.edges.tolist()):
-            d = sigma[k] * dg[ek]
-            inside = [
-                (local[q], weights[q], is_head[q])
-                for q in range(ptr[ek], ptr[ek + 1])
-                if local[q] >= 0
-            ]
+        sigma, diag = sys.hypergraph.edge_sigma[sl.edges], np.arange(n)
+        # the entries of members in S, by position; edge r's are [at[r], at[r + 1])
+        local = sl.position[sl.members]
+        inside = local >= 0
+        at = np.searchsorted(np.flatnonzero(inside), sl.ptr).tolist()
+        local, weights, is_head = local[inside], sl.weights[inside, None], sl.is_head[inside]
+        for r, (lo, hi) in enumerate(zip(at, at[1:])):
             # row i of a head collects w_j * diag(d) from every member j:
-            # +alpha_j for a tail, -beta_j for a head (itself included)
-            for i, _, head in inside:
-                if head:
-                    for j, w, _ in inside:
-                        A[:, i, diag, j, diag] += w * d
+            # +alpha_j for a tail, -beta_j for a head (itself included).  An
+            # edge's (head, member) pairs are distinct entries of A, so one
+            # add gives each its term of this edge, and edges add in order
+            members = local[lo:hi]
+            heads = members[is_head[lo:hi]]
+            terms = weights[lo:hi] * (sigma[r] * dg[r])[:, None, None]
+            A[:, heads[:, None, None], diag, members[:, None], diag] += terms
         return A.reshape(K, M * n, M * n)
 
     def block_floor(self, nodes: Sequence[int]) -> tuple[float, int | None]:
         """The largest lambda_max of the symmetric part over the samples and
-        the n x n diagonal blocks of ``a`` at ``nodes``, and the first node
-        whose block reaches it; (-inf, None) for no nodes.
+        the n x n diagonal blocks of ``a`` at ``nodes`` of S, and the first
+        node whose block reaches it; (-inf, None) for no nodes.
 
         The blocks are the entries ``a`` holds, so by interlacing the value is
         at most the worst value of ``check_thm2`` with zero gains, and with any
@@ -179,7 +152,7 @@ class ErrorSystem:
         if not nodes:
             return -np.inf, None
         n = self.sys.state_dim
-        idx = np.add.outer([self.subset.position(v) * n for v in nodes], np.arange(n))
+        idx = np.add.outer(self.entering.position[list(nodes)] * n, np.arange(n))
         tops = symmetric_top_eig(self.a[:, idx[:, :, None], idx[:, None, :]]).max(axis=0)
         k = int(np.argmax(tops))
         return float(tops[k]), int(nodes[k])
@@ -217,15 +190,16 @@ def rounding_tol(d: int, magnitude: float) -> float:
 
 
 def gain_matrix(
-    subset: SubsetIndex,
+    position: np.ndarray,
     keys: Sequence[tuple[int, int]],
     gains: np.ndarray,
     gamma: np.ndarray,
 ) -> np.ndarray:
-    """The (Mn, Mn) correction matrix B with block (i, j) equal to
-    gains[k] @ gamma for keys[k] = (i, j), and zero elsewhere: A_S with these
-    gains is ``err.a - B`` at every sample.  ``gains`` is the (len(keys), n, p)
-    stack of gain blocks; keys are distinct.
+    """The (Mn, Mn) correction matrix B of the M-node subset S with block
+    (i, j) equal to gains[k] @ gamma for keys[k] = (i, j), and zero
+    elsewhere: A_S with these gains is ``err.a - B`` at every sample.
+    ``position`` is the index of S, ``EdgeSlice.position``; ``gains`` is the
+    (len(keys), n, p) stack of gain blocks; keys are distinct.
 
     Elementwise, ``a - B`` is the IEEE subtraction the per-block form
     A[block] -= L @ Gamma makes, and a - 0.0 is a, bit for bit: so where
@@ -235,15 +209,16 @@ def gain_matrix(
 
     A gain whose row or column lies outside the subset is rejected: its term
     would couple S to an error outside it."""
-    for i, j in keys:
-        if i not in subset or j not in subset:
-            raise ValueError(f"gain ({i},{j}) couples subset {subset.nodes} to an outside node")
-    M, n = subset.size, gamma.shape[1]
+    ids = np.array(keys, dtype=np.intp).reshape(len(keys), 2)
+    # an id outside [0, N) is outside S too: position[-1] would wrap around
+    local = position.take(ids, mode="clip")
+    local[(ids < 0) | (ids >= len(position))] = -1
+    if local.min(initial=0) < 0:
+        stray = keys[int(np.flatnonzero(local.min(axis=1) < 0)[0])]
+        raise ValueError(f"gain {stray} couples the subset to a node outside it")
+    M, n = int(position.max(initial=-1)) + 1, gamma.shape[1]
     B = np.zeros((M, n, M, n))
-    if keys:
-        rows = [subset.position(i) for i, _ in keys]
-        cols = [subset.position(j) for _, j in keys]
-        B[rows, :, cols, :] = gains @ gamma
+    B[local[:, 0], :, local[:, 1], :] = gains @ gamma
     return B.reshape(M * n, M * n)
 
 
@@ -287,7 +262,7 @@ def check_thm2(
     if gains:
         keys = list(gains)
         blocks = np.array([gains[k] for k in keys], dtype=float)
-        A = A - gain_matrix(err.subset, keys, blocks, err.sys.output.matrix)
+        A = A - gain_matrix(err.entering.position, keys, blocks, err.sys.output.matrix)
     worst = float(symmetric_top_eig(A).max())
     g_bound = float(err.g.max())
     passed = worst <= -h_req and np.isfinite(g_bound)
@@ -415,7 +390,7 @@ def thm3_bound(
     np.add.at(totals, rows[outside], [float(upstream_bounds[t]) for t in tails])
     totals = totals.tolist()
     # one term per (head in S, edge) pair, heads ascending, then edges
-    head_in = sl.is_head & sl.inside[sl.members]
+    head_in = sl.is_head & (sl.position[sl.members] >= 0)
     heads, head_rows = sl.members[head_in], rows[head_in]
     outside_term = 0.0
     for r in head_rows[np.lexsort((head_rows, heads))].tolist():

@@ -14,8 +14,9 @@ until a synthesis passes or S is exhausted.  With an invertible output map, a
 measured node j is instead reconstructed exactly and skips certification, and
 S \\ {j} returns in the next pass, labelled again on its own: no unobserved
 node outside the root S reaches it.  The edges entering S come from one
-incidence slice, ``DirectedHypergraph.entering``: ``ErrorSystem`` keeps it and
-the upstream-tail check reads it; the degree heuristic takes its own.
+incidence slice, ``DirectedHypergraph.entering``, taken once per root:
+``ErrorSystem`` keeps it, and the upstream-tail check and the degree
+heuristic read it.
 
 The design report, ``design.json``, is one JSON object, built by
 ``design_report`` and read back, checked, by ``read_design_report``; no other
@@ -46,11 +47,13 @@ that is not finite is the string "inf", "-inf" or "nan" (``strict_float``):
 
 ``simulate`` and ``batch`` refuse, with exit 4, a report with another config
 hash, a key missing or extra, or a value of another JSON type; with exact
-nodes or added_measured that are not measured; with a gain that is not a
-finite n-by-p matrix, or not on a "thm2" subset holding node i with j among
-its added_measured; or a complete one whose subsets do not cover every node
-once, or that labels a subset otherwise than "exact" when it is one node of
-exact_nodes, and "thm1" or "thm2" else.  A failed report exits 2, and the
+nodes that are not measured, or any under an output map with no inverse;
+with added_measured outside its subset, measured nodes other than the union
+of the subsets' added_measured, or exact_nodes other than the nodes of the
+"exact" subsets, one node each; with a gain that is not a finite n-by-p
+matrix, or not on a "thm2" subset holding node i with j among its
+added_measured; or a complete one whose subsets do not cover every node
+once, or that labels a subset "none".  A failed report exits 2, and the
 Theorem-3 bound refuses a subset listed before an upstream one or with a
 nonpositive margin.
 """
@@ -67,7 +70,6 @@ import numpy as np
 from .assembly import (
     CertificationReport,
     ErrorSystem,
-    SubsetIndex,
     check_thm1,
     check_thm2,
     thm3_bound,
@@ -76,7 +78,7 @@ from .assembly import (
 )
 from .dynamics import NetworkSystem
 from .gain_design import Infeasible, ObserverDesign, design_gain_thm2
-from .hypergraph import DirectedHypergraph, condense, dependency_arcs, label_components
+from .hypergraph import EdgeSlice, condense, dependency_arcs, label_components
 from .sim import TrajectoryEnsemble
 
 log = logging.getLogger("hyperobs.designer")
@@ -241,6 +243,8 @@ def read_design_report(doc, sys: NetworkSystem, config_hash: str) -> tuple[Desig
     design = ObserverDesign(_ids(measured, N, "measured"),
                             dict(_gain(key, rows, shape) for key, rows in gains.items()),
                             _ids(exact, N, "exact_nodes"))
+    if design.exact_nodes and not sys.output.invertible:
+        raise ValueError("exact nodes are reconstructed through an inverse the output map lacks")
     if type(processed) is not list:
         raise ValueError(f"processed_subsets {processed!r} is not a list")
     subsets = []
@@ -249,8 +253,8 @@ def read_design_report(doc, sys: NetworkSystem, config_hash: str) -> tuple[Desig
         nodes, report, added, iteration = _fields(
             entry, "nodes report added_measured iteration", at)
         nodes, added = _ids(nodes, N, f"{at}.nodes"), _ids(added, N, f"{at}.added_measured")
-        if not set(added) <= set(nodes) & design.measured:
-            raise ValueError(f"{at}: added_measured {added} are not measured nodes of it")
+        if not set(added) <= set(nodes):
+            raise ValueError(f"{at}: added_measured {added} are not nodes of it")
         if type(iteration) is not int or iteration < 1:
             raise ValueError(f"{at}: iteration {iteration!r} is not a JSON integer >= 1")
         theorem, margin, count, h2, g = _fields(
@@ -265,16 +269,19 @@ def read_design_report(doc, sys: NetworkSystem, config_hash: str) -> tuple[Desig
         subsets.append(ProcessedSubset(tuple(nodes), report, tuple(added), iteration))
     if failed is not None:
         failed = tuple(_ids(failed, N, "failed_subset"))
+    # a report states each measured node, and each exact one, twice; the
+    # bound of an "exact" subset is one node's inverted noise
+    if design.measured != {v for p in subsets for v in p.added_measured}:
+        raise ValueError("measured is not the union of the subsets' added_measured")
+    exact_subsets = [p.nodes for p in subsets if p.report.theorem_used == "exact"]
+    if any(len(nodes) != 1 for nodes in exact_subsets) or design.exact_nodes != {
+            nodes[0] for nodes in exact_subsets}:
+        raise ValueError("exact_nodes are not the nodes of the 'exact' subsets, one node each")
     outcome = DesignOutcome(design, subsets, status, failed)
     if outcome.complete and sorted(v for p in subsets for v in p.nodes) != list(range(N)):
         raise ValueError(f"the processed subsets do not cover the nodes 0..{N - 1} once each")
-    # the bound of an "exact" subset is the inverted noise alone; only a
-    # failed design holds a "none"
-    for p in subsets if outcome.complete else ():
-        is_exact = len(p.nodes) == 1 and p.nodes[0] in design.exact_nodes
-        if p.report.theorem_used not in (("exact",) if is_exact else ("thm1", "thm2")):
-            raise ValueError(f"subset {list(p.nodes)} is labelled {p.report.theorem_used!r}: "
-                             "'exact' is one node of exact_nodes, any other 'thm1' or 'thm2'")
+    if outcome.complete and "none" in {p.report.theorem_used for p in subsets}:
+        raise ValueError("a complete design labels a subset 'none': only a failed one does")
     # a gain acts only where the Theorem-2 certificate of its subset counts it
     sound = {(i, j) for p in subsets if p.report.theorem_used == "thm2"
              for i in p.nodes for j in p.added_measured}
@@ -284,24 +291,23 @@ def read_design_report(doc, sys: NetworkSystem, config_hash: str) -> tuple[Desig
     return outcome, float(f_bound)
 
 
-def select_node(
-    subset: Iterable[int], h: DirectedHypergraph, already_measured: Iterable[int]
-) -> int:
-    """Degree heuristic: the unmeasured node of the subset with the largest
-    out-degree over the subset-internal hyperedges; ties go to the largest
-    in-degree, then to the smallest node id."""
-    S = sorted(set(int(v) for v in subset))
+def select_node(entering: EdgeSlice, already_measured: Iterable[int]) -> int:
+    """Degree heuristic on the subset S of the slice ``entering``, S's
+    ``DirectedHypergraph.entering``: the unmeasured node of S with the
+    largest out-degree over the subset-internal hyperedges; ties go to the
+    largest in-degree, then to the smallest node id."""
+    sl = entering
+    S = np.flatnonzero(sl.position >= 0).tolist()
     measured = set(already_measured)
     candidates = [v for v in S if v not in measured]
     if not candidates:
         raise AllMeasured(f"all nodes of {S} are already measured")
     # the subset-internal edges are the entering ones with no member outside S
-    sl = h.entering(S)
     rows = sl.rows
-    internal = np.bincount(rows[~sl.inside[sl.members]], minlength=len(sl.edges)) == 0
+    internal = np.bincount(rows[sl.position[sl.members] < 0], minlength=len(sl.edges)) == 0
     keep = internal[rows]
-    d_in = np.bincount(sl.members[keep & sl.is_head], minlength=h.num_nodes)
-    d_out = np.bincount(sl.members[keep & ~sl.is_head], minlength=h.num_nodes)
+    d_in = np.bincount(sl.members[keep & sl.is_head], minlength=len(sl.position))
+    d_out = np.bincount(sl.members[keep & ~sl.is_head], minlength=len(sl.position))
     return max(candidates, key=lambda v: (d_out[v], d_in[v], -v))
 
 
@@ -311,7 +317,7 @@ def thm2_refuted(err: ErrorSystem, h_req: float) -> bool:
     first node's block is tried alone, as on a failing subset it alone
     usually refutes, then the other nodes' in one call.  A one-node subset's
     block is A_S itself: it is never refuted."""
-    nodes = err.subset.nodes
+    nodes = err.nodes
     if len(nodes) < 2:
         return False
     for part in (nodes[:1], nodes[1:]):
@@ -395,7 +401,7 @@ def design_observer(
             # would decide every retry as they decide the first attempt: they
             # run once, and every retry reads the same err.  ErrorSystem checks
             # that S is head-closed modulo exact nodes
-            err = ErrorSystem(sys, SubsetIndex(S), samples, frozenset(exact))
+            err = ErrorSystem(sys, S, samples, frozenset(exact))
             # structural guarantee behind hypothesis H3 and the b_S form
             upstream = err.entering.members[err.entering.outside_tails]
             if not observed[upstream].all():
@@ -408,7 +414,7 @@ def design_observer(
                     none = CertificationReport("none", -math.inf, 0)
                     processed.append(ProcessedSubset(S, none, tuple(added), iteration))
                     return outcome("failed", S)
-                j = select_node(S, H, measured)
+                j = select_node(err.entering, measured)
                 measured.add(j)
                 if shortcut:
                     # S \ {j} re-enters the residual pattern next pass, labelled on its own

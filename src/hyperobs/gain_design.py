@@ -83,16 +83,17 @@ class GainProblem:
     max-over-samples top symmetric eigenvalue (the design objective) and its
     subgradient, an array in the layout of L; ``subgradient`` builds
     B = ``gain_matrix(L)`` once and reads every A_S(L) as ``a[idx] - B``.
+    Both place node v's block by the subset's index, ``err.entering.position``.
     """
 
     def __init__(self, err: ErrorSystem, measured_in_subset: Iterable[int]):
         self.err = err
-        self.sub = err.subset
+        self.nodes, self.position = err.nodes, err.entering.position
         self.n = err.sys.state_dim
         self.p = err.sys.output.output_dim
         self.gamma = err.sys.output.matrix
-        self.measured = sorted(set(int(v) for v in measured_in_subset) & set(self.sub.nodes))
-        self.keys = [(i, j) for i in self.sub.nodes for j in self.measured]
+        self.measured = sorted(set(int(v) for v in measured_in_subset) & set(self.nodes))
+        self.keys = [(i, j) for i in self.nodes for j in self.measured]
         # sym(A_k^0) with the samples on the last axis, for the Cholesky screen
         a = err.a
         self.s0 = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0),
@@ -163,13 +164,13 @@ class GainProblem:
         """phi(L) and d phi / d L, in the layout of ``L``, at the first worst
         sample: block (i, j) is -u_i (Gamma u_j)^T for the top eigenvector u
         of sym(A_k(L)), u_i its slice at node i."""
-        B = gain_matrix(self.sub, self.keys, L, self.gamma)
+        B = gain_matrix(self.position, self.keys, L, self.gamma)
         k, phi = self.worst_sample(B)
         A = self.err.a[k] - B
         _, V = np.linalg.eigh(0.5 * (A + A.T))
-        u = V[:, -1].reshape(self.sub.size, self.n)
+        u = V[:, -1].reshape(len(self.nodes), self.n)
         # one matvec per measured node, as Gamma @ u_j
-        gu = np.array([self.gamma @ u[self.sub.position(j)] for j in self.measured])
+        gu = np.array([self.gamma @ u[self.position[j]] for j in self.measured])
         grads = -(u[:, None, :, None] * gu[None, :, None, :])
         return phi, grads.reshape(len(self.keys), self.n, self.p)
 
@@ -195,11 +196,11 @@ def design_gain_thm2(
         raise ValueError("h_req must be positive")
     prob = GainProblem(err, measured_in_subset)
     if not prob.measured:
-        raise NoMeasuredNodes(f"subset {prob.sub.nodes} has no measured nodes")
-    refuted = err.refuting_block([v for v in prob.sub.nodes if v not in prob.measured], h_req)
+        raise NoMeasuredNodes(f"subset {prob.nodes} has no measured nodes")
+    refuted = err.refuting_block([v for v in prob.nodes if v not in prob.measured], h_req)
     if refuted is not None:
         raise Infeasible(
-            f"subset {prob.sub.nodes}: unmeasured diagonal blocks reach "
+            f"subset {prob.nodes}: unmeasured diagonal blocks reach "
             f"{refuted[0]:.4g}, margin {h_req} is unattainable for any gains"
         )
     L = np.zeros((len(prob.keys), prob.n, prob.p))
@@ -213,7 +214,7 @@ def design_gain_thm2(
         if phi <= -h_req:
             log.debug(
                 "thm2 design for %s done: %d iterations, %.1f of %d samples per iteration",
-                prob.sub.nodes, it + 1, prob.evaluated / (it + 1), err.a.shape[0],
+                prob.nodes, it + 1, prob.evaluated / (it + 1), err.a.shape[0],
             )
             return {k: g for k, g in zip(prob.keys, L) if np.any(g)}
         if it - last_best_iter > stall_window and overshoot > 1.01:
@@ -229,6 +230,6 @@ def design_gain_thm2(
         step = (phi + h_req * overshoot) / gnorm2
         L = L - step * grads
     raise Infeasible(
-        f"no feasible gain found for subset {prob.sub.nodes} at margin {h_req}: "
+        f"no feasible gain found for subset {prob.nodes} at margin {h_req}: "
         f"best max eigenvalue {best_phi:.6g} after {it + 1} iterations"
     )

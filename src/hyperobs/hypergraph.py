@@ -4,12 +4,13 @@ A directed hyperedge carries ordered, disjoint tail and head node lists with
 finite per-tail weights ``alpha`` and per-head weights ``beta``, each summing
 to one, and a finite positive coupling strength ``sigma``.  A hypergraph keeps
 its edges in one sparse incidence, built once; ``entering`` slices out the
-rows of the edges that enter a node subset.  ``dependency_arcs`` reads the
-pattern's arcs, member -> head, off the incidence.  A design labels their
-strongly connected components once (``label_components``) and takes each
-pass's roots, the components no other unobserved one enters, from
-``condense``.  When an exact node j splits a root S, only S \\ {j} is labelled
-again: no unobserved node outside the root S reaches it.
+rows of the edges that enter a node subset, with the subset's one index.
+``dependency_arcs`` reads the pattern's arcs, member -> head, off the
+incidence.  A design labels their strongly connected components once
+(``label_components``) and takes each pass's roots, the components no other
+unobserved one enters, from ``condense``.  When an exact node j splits a
+root S, only S \\ {j} is labelled again: no unobserved node outside the root
+S reaches it.
 """
 
 from __future__ import annotations
@@ -117,14 +118,15 @@ class EdgeSlice:
     """The rows of the member incidence for the edges entering a node subset:
     edge ``edges[r]`` has the members ``members[ptr[r]:ptr[r + 1]]``,
     ascending, with their weights (+alpha for a tail, -beta for a head) and
-    head flags.  ``inside`` is the subset's node mask."""
+    head flags.  ``position`` is the subset's one index, an (N,) array:
+    ``position[v]`` is node v's place in the subset's order, -1 outside it."""
 
     edges: np.ndarray
     ptr: np.ndarray
     members: np.ndarray
     weights: np.ndarray
     is_head: np.ndarray
-    inside: np.ndarray
+    position: np.ndarray
 
     @property
     def rows(self) -> np.ndarray:
@@ -134,7 +136,7 @@ class EdgeSlice:
     @property
     def outside_tails(self) -> np.ndarray:
         """The entries that are tails outside the subset."""
-        return ~self.is_head & ~self.inside[self.members]
+        return ~self.is_head & (self.position[self.members] < 0)
 
 
 @dataclass(frozen=True)
@@ -183,21 +185,24 @@ class DirectedHypergraph:
 
     def entering(self, nodes: Iterable[int]) -> "EdgeSlice":
         """The CSR rows of the edges with a head in ``nodes``, edge ids
-        ascending: one incidence slice serves every fact about the edges
-        entering a subset."""
+        ascending, indexed by the nodes in their order: one incidence slice
+        serves every fact about the edges entering a subset.  A node out of
+        range or given twice is refused."""
         nodes = np.fromiter(nodes, dtype=np.intp)
         outside = nodes[(nodes < 0) | (nodes >= self.num_nodes)]
         if outside.size:
             raise NodeOutOfRange(f"node {outside[0]} outside [0, {self.num_nodes})")
+        if len(ids := nodes.tolist()) > len(set(ids)):
+            raise HypergraphError(f"node {next(v for v in ids if ids.count(v) > 1)} given twice")
+        position = np.full(self.num_nodes, -1, dtype=np.intp)
+        position[nodes] = np.arange(len(nodes))
         _, heads = _rows(self.head_ptr, nodes)
         hit = np.zeros(len(self.edges), dtype=bool)
         hit[self.head_edges[heads]] = True
         edges = np.flatnonzero(hit)
         ptr, entries = _rows(self.member_ptr, edges)
-        inside = np.zeros(self.num_nodes, dtype=bool)
-        inside[nodes] = True
         entry_arrays = (self.members, self.member_weight, self.member_is_head)
-        return EdgeSlice(edges, ptr, *(a[entries] for a in entry_arrays), inside)
+        return EdgeSlice(edges, ptr, *(a[entries] for a in entry_arrays), position)
 
     # -- serialization ---------------------------------------------------------
 

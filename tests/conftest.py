@@ -28,7 +28,6 @@ from hyperobs.assembly import (
     KRON_CAP,
     CertificationReport,
     ErrorSystem,
-    SubsetIndex,
     check_thm1,
     check_thm2,
 )
@@ -46,6 +45,22 @@ hypothesis.settings.load_profile("default")
 
 class MissingMeasurement(KeyError):
     pass
+
+
+class SubsetIndex(tuple):
+    """A subset's node tuple with the positional lookup the references read
+    it by, a scan of the tuple."""
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    @property
+    def size(self) -> int:
+        return len(self)
+
+    def position(self, node: int) -> int:
+        return self.index(node)
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -211,7 +226,7 @@ def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int, ph
     ``err.a`` with ``apply_gains_by_block`` and runs ``eigvalsh`` on every
     sample.  Returns the nonzero gain blocks once the max reaches -h_req, or
     None; each iteration's max is appended to the list ``phis`` when given."""
-    sub, n = err.subset, err.sys.state_dim
+    sub, n = SubsetIndex(err.nodes), err.sys.state_dim
     gamma = err.sys.output.matrix
     measured = sorted(set(int(v) for v in measured_in_subset) & set(sub.nodes))
     keys = [(i, j) for i in sub.nodes for j in measured]
@@ -271,9 +286,9 @@ def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error
     ``ErrorSystem``: zero-gain Theorem 2, then gain synthesis on the measured
     nodes of the subset, then zero-gain Theorem 1 when nM <= ``KRON_CAP``.
     Returns (report, gains) of the first route that passes, or None."""
-    sub = SubsetIndex(tuple(sorted(set(int(v) for v in subset_nodes))))
-    measured_in = sorted(frozenset(int(v) for v in measured) & set(sub.nodes))
-    err = ErrorSystem(sys, sub, ensemble.stacked(), frozenset(zero_error_nodes))
+    nodes = sorted(set(int(v) for v in subset_nodes))
+    measured_in = sorted(frozenset(int(v) for v in measured) & set(nodes))
+    err = ErrorSystem(sys, nodes, ensemble.stacked(), frozenset(zero_error_nodes))
     rep0 = check_thm2(err, options.margin)
     if rep0.passed:
         return rep0, {}
@@ -333,7 +348,7 @@ def reference_design_observer(sys, ensemble, options) -> DesignOutcome:
                     none = CertificationReport("none", -math.inf, 0)
                     processed.append(ProcessedSubset(S, none, tuple(added), iteration))
                     return outcome("failed", S)
-                j = select_node(S, H, measured)
+                j = select_node(H.entering(S), measured)
                 measured.add(j)
                 if shortcut:
                     exact.add(j)

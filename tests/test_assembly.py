@@ -14,7 +14,6 @@ from hyperobs import (
     NodeOutOfRange,
     NonpositiveMargin,
     ObserverDesign,
-    SubsetIndex,
     SubsetNotHeadClosed,
     SubsetTooLarge,
     check_thm1,
@@ -29,7 +28,9 @@ from hyperobs import (
 from hyperobs import assembly
 from hyperobs.assembly import KRON_CAP, CertificationReport, ErrorSystem, gain_matrix, kron_sum
 from hyperobs.gain_design import GainProblem
+from hyperobs.hypergraph import HypergraphError
 from conftest import (
+    SubsetIndex,
     apply_gains_by_block,
     brute_force_sccs,
     fd_jacobian,
@@ -111,13 +112,12 @@ def a_with_design(sys, design, nodes, states, zero_error_nodes=frozenset()):
     """A_S with the design's gain blocks, stacked over the samples; one state
     of N * n entries is one sample."""
     states = np.reshape(states, (-1, sys.num_nodes, sys.state_dim))
-    sub = SubsetIndex(tuple(nodes))
+    err = ErrorSystem(sys, nodes, states, zero_error_nodes)
     keys = list(design.gains)
     blocks = np.array([design.gains[k] for k in keys]).reshape(
         len(keys), sys.state_dim, sys.output.output_dim
     )
-    B = gain_matrix(sub, keys, blocks, sys.output.matrix)
-    return ErrorSystem(sys, sub, states, zero_error_nodes).a - B
+    return err.a - gain_matrix(err.entering.position, keys, blocks, sys.output.matrix)
 
 
 class TestAssembleA:
@@ -125,7 +125,7 @@ class TestAssembleA:
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         xh = np.array([1.0, 2.0, 3.0])
-        A = ErrorSystem(sys, SubsetIndex((0,)), xh.reshape(1, 1, 3)).a[0]
+        A = ErrorSystem(sys, (0,), xh.reshape(1, 1, 3)).a[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh), atol=1e-14)
 
     def test_single_measured_node_identity_output(self):
@@ -156,11 +156,19 @@ class TestAssembleA:
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(SubsetNotHeadClosed):
-            ErrorSystem(sys, SubsetIndex((1,)), np.zeros((1, 3, 1)))
+            ErrorSystem(sys, (1,), np.zeros((1, 3, 1)))
         # tolerated when the missing head carries zero error
-        err = ErrorSystem(sys, SubsetIndex((1,)), np.zeros((1, 3, 1)), frozenset({2}))
+        err = ErrorSystem(sys, (1,), np.zeros((1, 3, 1)), frozenset({2}))
         A = err.a[0]
         assert A.shape == (1, 1)
+
+    def test_repeated_node_rejected(self):
+        # entering refuses it, so the subset's index holds each node once
+        h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
+        sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
+        for nodes in ([1, 2, 1], [0, 0]):
+            with pytest.raises(HypergraphError, match="given twice"):
+                ErrorSystem(sys, nodes, np.zeros((1, 3, 1)))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 3, 1), (2, 3, 2), (3, 1)])
     def test_samples_other_than_k_by_n_by_n_rejected(self, shape):
@@ -168,18 +176,18 @@ class TestAssembleA:
         h = DirectedHypergraph(3)
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(DimensionMismatch):
-            ErrorSystem(sys, SubsetIndex((0,)), np.zeros(shape))
+            ErrorSystem(sys, (0,), np.zeros(shape))
 
     def test_external_gain_column_rejected(self):
         h = DirectedHypergraph(2)
         sys = random_system(np.random.default_rng(2), h, field_kind="bistable")
-        err = ErrorSystem(sys, SubsetIndex((0,)), np.zeros((1, 2, 1)))
+        err = ErrorSystem(sys, (0,), np.zeros((1, 2, 1)))
         # a gain from measured node 1 into the subset {0} would couple it to
         # an error outside the subset
         with pytest.raises(ValueError):
             check_thm2(err, 1.0, {(0, 1): np.eye(1)})
         with pytest.raises(ValueError):
-            gain_matrix(err.subset, [(1, 0)], np.ones((1, 1, 1)), np.eye(1))
+            gain_matrix(err.entering.position, [(1, 0)], np.ones((1, 1, 1)), np.eye(1))
 
 
 def bit_pattern(x: np.ndarray) -> bytes:
@@ -207,24 +215,27 @@ class TestGainMatrix:
         # all-zero blocks, of +0.0 and of -0.0 entries
         zero = rng.random(len(keys)) < 0.3
         L[zero] = np.where(rng.random(L[zero].shape) < 0.5, 0.0, -0.0)
-        got = a - gain_matrix(sub, keys, L, gamma)
+        got = a - gain_matrix(DirectedHypergraph(12).entering(sub).position, keys, L, gamma)
         want = apply_gains_by_block(a.copy(), sub, dict(zip(keys, L)), gamma)
         assert bit_pattern(got) == bit_pattern(want)
 
-    @given(st.integers(0, 2**32 - 1), st.booleans())
-    def test_key_outside_subset_rejected(self, seed, outside_row):
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0, -8, 8]))
+    def test_key_outside_subset_rejected(self, seed, outside_row, shift):
+        # of 8 nodes, a stranger is a node outside the subset, or an id off
+        # by -8, which would wrap around to a node inside, or by +8
         rng = np.random.default_rng(seed)
         n, M = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         gamma = rng.normal(size=(n, n))
         nodes = rng.choice(8, size=M + 1, replace=False).tolist()
-        sub, stranger = SubsetIndex(tuple(nodes[:M])), nodes[M]
+        sub = SubsetIndex(tuple(nodes[:M]))
         inside = int(rng.choice(sub.nodes))
+        stranger = inside + shift if shift else nodes[M]
         keys = [(i, j) for i in sub.nodes for j in sub.nodes if rng.random() < 0.5]
         keys.insert(int(rng.integers(0, len(keys) + 1)),
                     (stranger, inside) if outside_row else (inside, stranger))
         L = rng.normal(size=(len(keys), n, n))
         with pytest.raises(ValueError):
-            gain_matrix(sub, keys, L, gamma)
+            gain_matrix(DirectedHypergraph(8).entering(sub).position, keys, L, gamma)
         with pytest.raises(ValueError):
             apply_gains_by_block(np.zeros((1, M * n, M * n)), sub, dict(zip(keys, L)), gamma)
 
@@ -291,10 +302,10 @@ class TestDenseOutput:
             samples = rng.uniform(-2, 2, (3, h.num_nodes, n))
             A = a_with_design(sys, design, S, samples)
             # the same gains through the synthesis' gain array
-            prob = GainProblem(ErrorSystem(sys, SubsetIndex(tuple(S)), samples), design.measured)
+            prob = GainProblem(ErrorSystem(sys, S, samples), design.measured)
             assert set(design.gains) <= set(prob.keys)
             L = gain_array(prob, design.gains)
-            A_gains = prob.rows(gain_matrix(prob.sub, prob.keys, L, prob.gamma), np.arange(3))
+            A_gains = prob.rows(gain_matrix(prob.position, prob.keys, L, prob.gamma), np.arange(3))
             for k, xh in enumerate(samples.reshape(3, -1)):
                 e = rng.normal(0, 1, xh.size)
                 expect = linearized_rhs_by_rows(sys, design, xh, e)
@@ -312,7 +323,7 @@ class TestCouplingJacBound:
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         samples = np.random.default_rng(7).uniform(-5, 5, (4, 2, 3))
-        err = ErrorSystem(sys, SubsetIndex((0, 1)), samples)
+        err = ErrorSystem(sys, (0, 1), samples)
         # the stack's coupling entries and the bound read one evaluation of g'
         assert len(calls) == 1
         assert err.g.shape == (4,) and np.all(err.g > 0)
@@ -330,7 +341,7 @@ class TestCouplingJacBound:
         sys = NetworkSystem(h, base.field, tanh_coupling(a, b, c), base.output)
         S = random_scc_union_subset(rng, h)
         samples = rng.uniform(-5, 5, (int(rng.integers(1, 5)), h.num_nodes, sys.state_dim))
-        bound = ErrorSystem(sys, SubsetIndex(tuple(S)), samples).g
+        bound = ErrorSystem(sys, S, samples).g
         incoming = incoming_closure(h, S)
         if not incoming:
             np.testing.assert_array_equal(bound, np.zeros(len(samples)))
@@ -345,7 +356,7 @@ class TestCouplingJacBound:
 def one_sample_error_system(h, S, zero_error_nodes=frozenset()):
     sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
     samples = np.zeros((1, h.num_nodes, 3))
-    return ErrorSystem(sys, SubsetIndex(tuple(S)), samples, frozenset(zero_error_nodes))
+    return ErrorSystem(sys, S, samples, frozenset(zero_error_nodes))
 
 
 class TestHeadClosed:
@@ -466,7 +477,7 @@ def constant_matrix_system(A):
 
 def error_system_for(A, samples):
     sys = constant_matrix_system(A)
-    return ErrorSystem(sys, SubsetIndex((0,)), samples)
+    return ErrorSystem(sys, (0,), samples)
 
 
 class TestCheckThm2:
@@ -496,7 +507,7 @@ class TestCheckThm2:
         kappas = np.arange(0.0, 40.0, 0.25)
         oracle = next(k for k in kappas if lam - k <= -h_req)
         checker = None
-        err = ErrorSystem(sys, SubsetIndex((0,)), samples)
+        err = ErrorSystem(sys, (0,), samples)
         for k in kappas:
             if check_thm2(err, h_req, {(0, 0): k * np.eye(3)}).passed:
                 checker = k
@@ -514,8 +525,8 @@ class TestCheckThm2:
             perm = list(S)
             rng.shuffle(perm)
             gains = design.gains
-            r1 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(S)), samples), 0.5, gains)
-            r2 = check_thm2(ErrorSystem(sys, SubsetIndex(tuple(perm)), samples), 0.5, gains)
+            r1 = check_thm2(ErrorSystem(sys, S, samples), 0.5, gains)
+            r2 = check_thm2(ErrorSystem(sys, perm, samples), 0.5, gains)
             assert r1.passed == r2.passed
             assert r1.hurwitz_margin == pytest.approx(r2.hurwitz_margin, abs=1e-10)
 
@@ -527,7 +538,7 @@ class TestCheckThm2:
         rng = np.random.default_rng(33)
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
-        err = ErrorSystem(sys, SubsetIndex((0, 1)), rng.uniform(-5, 5, (6, 2, 3)))
+        err = ErrorSystem(sys, (0, 1), rng.uniform(-5, 5, (6, 2, 3)))
         before = err.a.copy()
         gains = {(0, 0): 5.0 * np.eye(3), (1, 0): rng.normal(0, 1, (3, 3))}
         check_thm2(err, 1.0, gains)
@@ -588,7 +599,7 @@ class TestCheckThm1:
         results = {}
         for omega in [0.05, 0.2, 0.8, 2.0, 5.0, 20.0]:
             sys = ramp_jacobian_system(omega)
-            err = ErrorSystem(sys, SubsetIndex((0,)), t.reshape(-1, 1, 1))
+            err = ErrorSystem(sys, (0,), t.reshape(-1, 1, 1))
             report = check_thm1(err, dt=dt, h_req=0.2, length=len(t), count=1)
             results[omega] = report.passed
             assert report.passed == analytic_pass(omega)
@@ -603,7 +614,7 @@ class TestCheckThm1:
 
         monkeypatch.setattr(assembly, "kron_sum", counted_kron_sum)
         sys = parabola_system()
-        sub = SubsetIndex((0,))
+        sub = (0,)
         failed = check_thm1(ErrorSystem(sys, sub, np.zeros((4, 1, 1))), 0.1, 1.0, 4, 1)
         assert not failed.passed and failed.h2_margin is None
         assert calls == []
@@ -620,7 +631,7 @@ class TestCheckThm1:
         # four ramps along J(x) = x: two pass both hypotheses, the third fails
         # H1, so the fourth is never checked
         sys = parabola_system()
-        sub = SubsetIndex((0,))
+        sub = (0,)
         trajs = [np.linspace(a, a + 1.0, 5).reshape(5, 1, 1) for a in (-3.0, -2.5, -1.0, -4.0)]
         err = ErrorSystem(sys, sub, np.concatenate(trajs))
         alone = [ErrorSystem(sys, sub, x) for x in trajs]

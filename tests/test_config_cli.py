@@ -421,6 +421,8 @@ MALFORMED_DESIGN_REPORTS = {
         -1].update(added_measured=[0]),
     "added_measured_unmeasured": lambda report: report["outcome"]["processed_subsets"][
         -1].update(added_measured=[2]),
+    # a report states each measured node twice: no subset measured node 2
+    "measured_node_no_subset_added": lambda report: _design(report).update(measured=[0, 1, 2]),
     # the JSON types the writer writes: dict([]) would read [] as no gains,
     # and float() reads "50.5" and true
     "gains_list": lambda report: _design(report).update(gains=[]),
@@ -437,6 +439,8 @@ MALFORMED_DESIGN_REPORTS = {
     # a complete design labels a subset "exact" when it is one node of
     # exact_nodes, and any other subset "thm1" or "thm2"
     "thm2_subset_labelled_exact": _with_report(-1, theorem_used="exact"),
+    "exact_subsets_merged": lambda report: report["outcome"]["processed_subsets"][0].update(
+        nodes=[0, 1], added_measured=[0, 1]) or report["outcome"]["processed_subsets"].pop(1),
     "exact_subset_labelled_thm2": _with_report(0, theorem_used="thm2"),
     "unknown_label": _with_report(-1, theorem_used="thm9"),
     "none_label_in_complete_design": _with_report(-1, theorem_used="none"),

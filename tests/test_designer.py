@@ -17,7 +17,6 @@ from hyperobs import (
     EmptyTrajectorySet,
     Hyperedge,
     NetworkSystem,
-    NodeOutOfRange,
     TrajectoryEnsemble,
     TrajectoryEnsembleSpec,
     bistable_field,
@@ -33,7 +32,7 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import designer, gain_design
-from hyperobs.assembly import ErrorSystem, SubsetIndex, check_thm2, symmetric_top_eig
+from hyperobs.assembly import ErrorSystem, check_thm2, symmetric_top_eig
 from hyperobs.designer import design_report, field_param_jacobian_bound, read_design_report
 from conftest import (
     degrees,
@@ -74,12 +73,12 @@ class TestSelectNode:
                 Hyperedge.uniform((0, 1), (3,)),
             ),
         )
-        assert select_node([0, 1, 2, 3], h, []) == 0
+        assert select_node(h.entering([0, 1, 2, 3]), []) == 0
 
     def test_all_equal_degrees_smallest_id(self):
         h = DirectedHypergraph(3)
-        assert select_node([0, 1, 2], h, []) == 0
-        assert select_node([0, 1, 2], h, [0]) == 1
+        assert select_node(h.entering([0, 1, 2]), []) == 0
+        assert select_node(h.entering([0, 1, 2]), [0]) == 1
 
     def test_in_degree_breaks_out_degree_ties(self):
         # nodes 0 and 1 both have out-degree 1 inside S; node 1 also has
@@ -95,7 +94,7 @@ class TestSelectNode:
         within = restrict(h, [0, 1, 2])
         degs = {v: degrees(h, v, within) for v in (0, 1, 2)}
         oracle = max((0, 1, 2), key=lambda v: (degs[v][1], degs[v][0], -v))
-        assert select_node([0, 1, 2], h, []) == oracle
+        assert select_node(h.entering([0, 1, 2]), []) == oracle
 
     def test_matches_brute_force_lexicographic(self):
         rng = np.random.default_rng(50)
@@ -110,12 +109,12 @@ class TestSelectNode:
             within = restrict(h, S)
             degs = {v: degrees(h, v, within) for v in cands}
             oracle = max(cands, key=lambda v: (degs[v][1], degs[v][0], -v))
-            assert select_node(S, h, measured) == oracle
+            assert select_node(h.entering(S), measured) == oracle
 
     def test_all_measured_raises(self):
         h = DirectedHypergraph(2)
         with pytest.raises(AllMeasured):
-            select_node([0, 1], h, [0, 1])
+            select_node(h.entering([0, 1]), [0, 1])
 
     @given(hypergraphs(max_nodes=10, max_edges=8), st.data())
     def test_matches_per_node_degree_scans(self, h, data):
@@ -124,14 +123,11 @@ class TestSelectNode:
         measured = data.draw(st.lists(nodes))
         if set(S) <= set(measured):
             with pytest.raises(AllMeasured):
-                select_node(S, h, iter(measured))
+                select_node(h.entering(set(S)), iter(measured))
             return
         # a one-shot iterable: the measured set is read once
-        assert select_node(S, h, iter(measured)) == reference_select_node(S, h, measured)
-
-    def test_out_of_range_node_raises(self):
-        with pytest.raises(NodeOutOfRange):
-            select_node([0, 2], DirectedHypergraph(2), [])
+        got = select_node(h.entering(set(S)), iter(measured))
+        assert got == reference_select_node(S, h, measured)
 
 
 def cohead_pair_system(sigma=80.0):
@@ -145,6 +141,15 @@ def cohead_pair_system(sigma=80.0):
     )
     return NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2.0),
                          identity_output(3))
+
+
+def _entering_calls(monkeypatch) -> list[tuple[int, ...]]:
+    """The nodes of every ``DirectedHypergraph.entering`` call from now on."""
+    calls = []
+    real = DirectedHypergraph.entering
+    monkeypatch.setattr(DirectedHypergraph, "entering",
+                        lambda self, nodes: real(self, calls.append(tuple(nodes)) or calls[-1]))
+    return calls
 
 
 class TestDesignObserver:
@@ -283,10 +288,7 @@ class TestDesignObserver:
     def test_one_entering_slice_per_root_on_the_zero_gain_path(self, monkeypatch):
         # head-closedness, the arguments, A_S and the upstream-tail check of
         # a root all read the one slice its ErrorSystem takes
-        calls = []
-        real = DirectedHypergraph.entering
-        monkeypatch.setattr(DirectedHypergraph, "entering",
-                            lambda self, nodes: real(self, calls.append(tuple(nodes)) or calls[-1]))
+        calls = _entering_calls(monkeypatch)
         rng = np.random.default_rng(51)
         for _ in range(5):
             h = random_hypergraph(rng, max_nodes=6, max_edges=4)
@@ -297,6 +299,24 @@ class TestDesignObserver:
             outcome = design_observer(sys, ens, DesignOptions(margin=0.5))
             assert outcome.complete and not outcome.measured
             assert calls == [p.nodes for p in outcome.processed]
+
+    @pytest.mark.parametrize("shortcut", [True, False])
+    def test_one_entering_slice_per_root_when_measuring(self, monkeypatch, shortcut):
+        # the degree heuristic reads the slice of the root's ErrorSystem on
+        # every retry.  Each root adds one processed subset: itself when it
+        # is certified, the node it measures when that is reconstructed exactly
+        calls = _entering_calls(monkeypatch)
+        isolated = NetworkSystem(DirectedHypergraph(3), lorenz_field(),
+                                 tanh_coupling(0.2, 0.05, 2), identity_output(3))
+        for sys in (cohead_pair_system(), isolated):
+            ens = small_ensemble(sys, count=5, horizon=0.3, seed=4)
+            calls.clear()
+            options = DesignOptions(margin=2.0, use_inverse_shortcut=shortcut)
+            outcome = design_observer(sys, ens, options)
+            assert outcome.complete and outcome.measured
+            assert (outcome.exact_nodes == outcome.measured) == shortcut
+            assert len(calls) == len(outcome.processed)
+            assert all(set(p.nodes) <= set(S) for S, p in zip(calls, outcome.processed))
 
 
 @dataclass(frozen=True)
@@ -454,7 +474,7 @@ def _count_per_subset(monkeypatch) -> Counter:
         original = getattr(owner, name)
 
         def counted(err, *args, **kwargs):
-            calls[route(args, kwargs), err.subset.nodes] += 1
+            calls[route(args, kwargs), err.nodes] += 1
             return original(err, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
@@ -462,7 +482,7 @@ def _count_per_subset(monkeypatch) -> Counter:
     real_refuted = designer.thm2_refuted
 
     def refuted(err, h_req):
-        calls["thm2_refuted", err.subset.nodes] += (result := real_refuted(err, h_req))
+        calls["thm2_refuted", err.nodes] += (result := real_refuted(err, h_req))
         return result
 
     monkeypatch.setattr(designer, "thm2_refuted", refuted)
@@ -476,7 +496,7 @@ def _count_per_subset(monkeypatch) -> Counter:
 
 class TestCertifyOrFail:
     def certify(self, sys, nodes, ens, margin=1.0):
-        err = ErrorSystem(sys, SubsetIndex(tuple(nodes)), ens.stacked())
+        err = ErrorSystem(sys, nodes, ens.stacked())
         return certify_or_fail(err, ens, DesignOptions(margin=margin))
 
     def test_zero_gain_certification(self):
@@ -496,7 +516,7 @@ class TestCertifyOrFail:
 
     def test_theorem1_certifies_after_theorem2_fails(self, monkeypatch):
         sys, ens, options = NAMED_CASES["thm1"].build()
-        err = ErrorSystem(sys, SubsetIndex((0, 1)), ens.stacked())
+        err = ErrorSystem(sys, (0, 1), ens.stacked())
         assert not designer.check_thm2(err, options.margin).passed
         report = certify_or_fail(err, ens, options)
         assert report is not None and report.theorem_used == "thm1"
@@ -552,7 +572,7 @@ def lorenz_or_bistable_subsets(draw):
     S = sorted(draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1)))
     shape = (int(rng.integers(1, 4)), int(rng.integers(2, 7)), h.num_nodes, sys.state_dim)
     ens = TrajectoryEnsemble(rng.uniform(-3, 3, shape), 1e-2)
-    err = ErrorSystem(sys, SubsetIndex(tuple(S)), ens.stacked(),
+    err = ErrorSystem(sys, S, ens.stacked(),
                       frozenset(range(h.num_nodes)) - set(S))
     return err, ens, draw(st.sampled_from([0.05, 0.5, 2.0]))
 
@@ -561,12 +581,12 @@ class TestThm2Refutation:
     @given(lorenz_or_bistable_subsets(), st.data())
     def test_block_floor_is_the_per_node_max_and_bounds_the_check(self, case, data):
         err, _, margin = case
-        nodes = data.draw(st.lists(st.sampled_from(err.subset.nodes), unique=True))
+        nodes = data.draw(st.lists(st.sampled_from(err.nodes), unique=True))
         floor, node = err.block_floor(nodes)
         n = err.sys.state_dim
         tops = [
             float(symmetric_top_eig(err.a[:, p : p + n, p : p + n]).max())
-            for p in (err.subset.position(v) * n for v in nodes)
+            for p in (err.nodes.index(v) * n for v in nodes)
         ]
         assert floor == max(tops, default=-math.inf)
         assert node == (nodes[tops.index(floor)] if nodes else None)
@@ -576,7 +596,7 @@ class TestThm2Refutation:
     def test_refuted_subset_fails_the_check(self, case):
         err, _, margin = case
         if designer.thm2_refuted(err, margin):
-            assert err.subset.size > 1
+            assert len(err.nodes) > 1
             assert not check_thm2(err, margin).passed
 
     @given(lorenz_or_bistable_subsets())
@@ -590,7 +610,7 @@ class TestThm2Refutation:
 
         def err_with(entry):
             # before the first refutation, which fixes the slack
-            err = ErrorSystem(sys, SubsetIndex((0, 1)), ens.stacked())
+            err = ErrorSystem(sys, (0, 1), ens.stacked())
             err.a[0, 0, 0] = entry
             return err
 
@@ -608,7 +628,7 @@ class TestThm2Refutation:
         # no gain on the measured nodes touches an unmeasured diagonal block,
         # so none brings the check below that block's floor, up to the slack
         err, _, margin = case
-        nodes = err.subset.nodes
+        nodes = err.nodes
         measured = data.draw(st.lists(st.sampled_from(nodes), unique=True))
         refuted = err.refuting_block([v for v in nodes if v not in measured], margin)
         if refuted is None:
@@ -625,7 +645,7 @@ class TestThm2Refutation:
                                                    Hyperedge.uniform((1,), (0,)))),
                             lorenz_field(), tanh_coupling(0.2, 0.05, 2.0), identity_output(3))
         ens = small_ensemble(sys, count=2, horizon=0.1)
-        err = ErrorSystem(sys, SubsetIndex((0, 1)), ens.stacked())
+        err = ErrorSystem(sys, (0, 1), ens.stacked())
         with caplog.at_level("DEBUG", logger="hyperobs.designer"):
             assert designer.thm2_refuted(err, 1.0)
         floor, node = err.block_floor((0,))

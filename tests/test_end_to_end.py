@@ -103,15 +103,66 @@ def test_recorded_design_round_trips(case, tmp_path):
     assert design_report(outcome, config_hash, report["seed"], f_bound) == report
 
 
-@pytest.mark.parametrize("key", ["0,3", "3,0"])
-def test_gain_across_subsets_is_refused(key, tmp_path, caplog):
-    # nodes 0 and 3 are measured while certifying two different Theorem-2
-    # subsets: neither certificate accounts for a gain coupling them, which
-    # would move the simulated error while the robustness bound stays put
-    config, _, _ = recorded_run("e2e-partial", tmp_path)
-    report = json.loads((DATA / "e2e-partial" / "design.json").read_text())
-    gains = report["outcome"]["design"]["gains"]
-    gains[key] = gains["0,0"]
+def _gain_across_subsets(key):
+    """An e2e-partial edit adding gain ``key``: nodes 0 and 3 are measured
+    while certifying two different Theorem-2 subsets, so neither certificate
+    accounts for a gain coupling them, which would move the simulated error
+    while the robustness bound stays put."""
+    def edit(report):
+        gains = report["outcome"]["design"]["gains"]
+        gains[key] = gains["0,0"]
+    return edit
+
+
+def _exact_node_0(report):
+    """An e2e-partial edit making node 0 of the first subset, [0, 1, 2], a
+    one-node "exact" subset and dropping the gains on it: only the output
+    map, whose 2-by-3 Gamma has no inverse, refuses the report."""
+    outcome = report["outcome"]
+    design, first = outcome["design"], outcome["processed_subsets"][0]
+    design["exact_nodes"] = [0]
+    design["gains"] = {k: v for k, v in design["gains"].items() if "0" not in k.split(",")}
+    first.update(nodes=[1, 2], added_measured=[1, 2])
+    outcome["processed_subsets"].insert(0, {
+        "nodes": [0], "added_measured": [0], "iteration": 1,
+        "report": {"theorem_used": "exact", "hurwitz_margin": "inf", "sample_count": 0,
+                   "h2_margin": None, "g_bound": None},
+    })
+
+
+def _measure_node_2(exact, added=False):
+    """An e2e-exact edit listing node 2, of the "thm2" subset [2, 3], as
+    measured, and as exact with ``exact``; with ``added``, that subset
+    states it measured too."""
+    def edit(report):
+        design = report["outcome"]["design"]
+        design["measured"] = sorted(design["measured"] + [2])
+        if exact:
+            design["exact_nodes"] = sorted(design["exact_nodes"] + [2])
+        if added:
+            subset, = (p for p in report["outcome"]["processed_subsets"] if p["nodes"] == [2, 3])
+            subset["added_measured"] = [2]
+    return edit
+
+
+# (recorded case, edit) pairs that simulate must refuse, exit 4
+MALFORMED_RECORDED_REPORTS = {
+    "gain_across_subsets_0,3": ("e2e-partial", _gain_across_subsets("0,3")),
+    "gain_across_subsets_3,0": ("e2e-partial", _gain_across_subsets("3,0")),
+    "exact_node_without_inverse": ("e2e-partial", _exact_node_0),
+    # a report states each measured node, and each exact one, twice
+    "measured_node_no_subset_added": ("e2e-exact", _measure_node_2(exact=False)),
+    "exact_node_of_a_thm2_subset": ("e2e-exact", _measure_node_2(exact=True)),
+    "exact_node_added_by_a_thm2_subset": ("e2e-exact", _measure_node_2(exact=True, added=True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_RECORDED_REPORTS))
+def test_malformed_recorded_report_exits_4(name, tmp_path, caplog):
+    case, edit = MALFORMED_RECORDED_REPORTS[name]
+    config, _, _ = recorded_run(case, tmp_path)
+    report = json.loads((DATA / case / "design.json").read_text())
+    edit(report)
     (tmp_path / "design.json").write_text(json.dumps(report))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--design", str(tmp_path / "design.json"),
@@ -160,12 +211,12 @@ def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
 
     def count_refuted(err, h_req):
         if result := real_refuted(err, h_req):
-            refuted.append(err.subset.nodes)
+            refuted.append(err.nodes)
         return result
 
     def count_check(err, h_req, gains=None):
         report = real_check(err, h_req, gains)
-        checked.append((err.subset.nodes, report.passed))
+        checked.append((err.nodes, report.passed))
         return report
 
     monkeypatch.setattr(designer, "thm2_refuted", count_refuted)

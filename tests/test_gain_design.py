@@ -12,7 +12,6 @@ from hyperobs import (
     Infeasible,
     NetworkSystem,
     NoMeasuredNodes,
-    SubsetIndex,
     check_thm2,
     design_gain_thm2,
     identity_output,
@@ -25,6 +24,7 @@ from hyperobs.assembly import gain_matrix, symmetric_top_eig
 from hyperobs import gain_design
 from hyperobs.gain_design import MAX_ITERS, GainProblem
 from conftest import (
+    SubsetIndex,
     apply_gains_by_block,
     dense_gain_descent,
     gain_array,
@@ -62,21 +62,21 @@ class TestDesignThm2:
     def test_scalar_unstable_node(self):
         sys = scalar_node_system(a=2.0)
         samples = np.zeros((3, 1, 1))
-        gains = design_gain_thm2(ErrorSystem(sys, SubsetIndex((0,)), samples), [0], h_req=1.0)
+        gains = design_gain_thm2(ErrorSystem(sys, (0,), samples), [0], h_req=1.0)
         L = gains[(0, 0)][0, 0]
         assert L >= 3.0
         assert 2.0 - L <= -1.0
 
     def test_already_certified_returns_zero_gains(self):
         sys = scalar_node_system(a=-5.0)
-        err = ErrorSystem(sys, SubsetIndex((0,)), np.zeros((2, 1, 1)))
+        err = ErrorSystem(sys, (0,), np.zeros((2, 1, 1)))
         gains = design_gain_thm2(err, [0], h_req=1.0)
         assert len(gains) == 0
 
     def test_no_measured_nodes_raises(self):
         sys = scalar_node_system(a=2.0)
         with pytest.raises(NoMeasuredNodes):
-            design_gain_thm2(ErrorSystem(sys, SubsetIndex((0,)), np.zeros((2, 1, 1))), [],
+            design_gain_thm2(ErrorSystem(sys, (0,), np.zeros((2, 1, 1))), [],
                              h_req=1.0)
 
     def test_budget_exhaustion_is_infeasible(self, monkeypatch):
@@ -85,7 +85,7 @@ class TestDesignThm2:
         sys = scalar_node_system(a=50.0)
         monkeypatch.setattr(gain_design, "MAX_ITERS", 1)
         with pytest.raises(Infeasible, match=r"best max eigenvalue 50 after 1 iterations$"):
-            design_gain_thm2(ErrorSystem(sys, SubsetIndex((0,)), np.zeros((2, 1, 1))), [0],
+            design_gain_thm2(ErrorSystem(sys, (0,), np.zeros((2, 1, 1))), [0],
                              h_req=100.0)
         # a budget too small for the Lorenz pair: the lowest max of the
         # iterates, which the dense reference shares
@@ -122,8 +122,7 @@ class TestDesignThm2:
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0, 1, 0], [0, 0, 1]]))
         samples = rng.uniform(-8, 8, (30, 2, 3))
-        sub = SubsetIndex((0, 1))
-        err = ErrorSystem(sys, sub, samples)
+        err = ErrorSystem(sys, (0, 1), samples)
         before = err.a.copy()
         gains = design_gain_thm2(err, [0, 1], h_req=1.5)
         # synthesis works on copies: the zero-gain stack is left as it was
@@ -138,7 +137,7 @@ class TestDesignThm2:
         h = random_hypergraph(rng, max_nodes=5, max_edges=3)
         sys = random_system(rng, h, field_kind="planar")
         S = tuple(range(h.num_nodes))
-        err = ErrorSystem(sys, SubsetIndex(S), rng.uniform(-1, 1, (5, h.num_nodes, 2)))
+        err = ErrorSystem(sys, S, rng.uniform(-1, 1, (5, h.num_nodes, 2)))
         gains = design_gain_thm2(err, [S[0]], h_req=0.5)
         for (i, j) in gains:
             assert i in S and j == S[0]
@@ -148,8 +147,7 @@ class TestDesignThm2:
         # same objective value, so the enlarged instance stays feasible
         sys = scalar_chain_system(a=1.0, sigma=4.0)
         samples = np.zeros((4, 2, 1))
-        sub = SubsetIndex((0, 1))
-        err = ErrorSystem(sys, sub, samples)
+        err = ErrorSystem(sys, (0, 1), samples)
         gains1 = design_gain_thm2(err, [0], h_req=1.0)
         prob1, prob2 = GainProblem(err, [0]), GainProblem(err, [0, 1])
         phi1, _ = prob1.subgradient(gain_array(prob1, gains1))
@@ -165,7 +163,7 @@ def lorenz_pair_problem(rng, count):
     h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
     sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                         linear_output([[0, 1, 0], [0, 0, 1]]))
-    return ErrorSystem(sys, SubsetIndex((0, 1)), rng.uniform(-8, 8, (count, 2, 3)))
+    return ErrorSystem(sys, (0, 1), rng.uniform(-8, 8, (count, 2, 3)))
 
 
 def lorenz_triple_problem(rng, count):
@@ -175,7 +173,7 @@ def lorenz_triple_problem(rng, count):
                                Hyperedge.uniform((1, 2), (0,), 1.0)))
     sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                         linear_output([[0, 1, 0], [0, 0, 1]]))
-    return ErrorSystem(sys, SubsetIndex((0, 1, 2)), rng.uniform(-8, 8, (count, 3, 3)))
+    return ErrorSystem(sys, (0, 1, 2), rng.uniform(-8, 8, (count, 3, 3)))
 
 
 def planar_partial_problem(rng, count):
@@ -185,7 +183,7 @@ def planar_partial_problem(rng, count):
     samples of [-1, 1]."""
     h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1,), 2.0),))
     sys = NetworkSystem(h, planar_spiral_field(), linear_coupling(1.0), identity_output(2))
-    return ErrorSystem(sys, SubsetIndex((0, 1, 2)), rng.uniform(-1, 1, (count, 3, 2)))
+    return ErrorSystem(sys, (0, 1, 2), rng.uniform(-1, 1, (count, 3, 2)))
 
 
 class TestDenseReference:
@@ -241,7 +239,7 @@ def stack_problem(rng, stack, n):
     gamma = rng.normal(size=(int(rng.integers(1, n + 1)), n))
     sys = NetworkSystem(DirectedHypergraph(M), scalar_free_field(n), linear_coupling(1.0),
                         linear_output(gamma))
-    err = ErrorSystem(sys, SubsetIndex(tuple(range(M))), np.zeros((K, M, n)))
+    err = ErrorSystem(sys, range(M), np.zeros((K, M, n)))
     err.a = stack
     measured = [v for v in range(M) if rng.random() < 0.6] or [0]
     return GainProblem(err, measured)
@@ -250,7 +248,8 @@ def stack_problem(rng, stack, n):
 def dense_top_eig(prob, L) -> np.ndarray:
     """lambda_max(sym A_k(L)) at every sample, A_S built block by block."""
     gains = dict(zip(prob.keys, L))
-    return symmetric_top_eig(apply_gains_by_block(prob.err.a.copy(), prob.sub, gains, prob.gamma))
+    A = apply_gains_by_block(prob.err.a.copy(), SubsetIndex(prob.nodes), gains, prob.gamma)
+    return symmetric_top_eig(A)
 
 
 def bits(x) -> bytes:
@@ -282,7 +281,7 @@ class TestScreen:
         sets = [np.zeros(shape)] + [rng.normal(0, scale, shape) for _ in range(4)]
         # screen calls in any order, each seeded by the one before
         for L in [sets[i] for i in rng.permutation(len(sets))] + sets[:1]:
-            k, phi = prob.worst_sample(gain_matrix(prob.sub, prob.keys, L, prob.gamma))
+            k, phi = prob.worst_sample(gain_matrix(prob.position, prob.keys, L, prob.gamma))
             lam = dense_top_eig(prob, L)
             assert k == int(np.argmax(lam))
             assert bits(phi) == bits(lam.max())
@@ -298,7 +297,7 @@ class TestScreen:
             stack[k, i, j] = stack[k, j, i] = bad
         prob = stack_problem(rng, stack, n)
         L = rng.normal(0, 1, (len(prob.keys), n, prob.p))
-        B = gain_matrix(prob.sub, prob.keys, L, prob.gamma)
+        B = gain_matrix(prob.position, prob.keys, L, prob.gamma)
         assert prob.screen(B, 1e3)[hit].all()
         try:
             lam = dense_top_eig(prob, L)
@@ -378,7 +377,7 @@ class TestSubgradient:
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0, 1, 0], [0, 0, 1]]))
         samples = rng.uniform(-5, 5, (6, 2, 3))
-        prob = GainProblem(ErrorSystem(sys, SubsetIndex((0, 1)), samples), [0, 1])
+        prob = GainProblem(ErrorSystem(sys, (0, 1), samples), [0, 1])
         L = rng.normal(0, 2, (len(prob.keys), 3, 2))
         _, grads = prob.subgradient(L)
         assert grads.shape == L.shape

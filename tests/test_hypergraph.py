@@ -141,6 +141,18 @@ class TestEdgeQueries:
             with pytest.raises(NodeOutOfRange):
                 h.entering(bad)
 
+    def test_repeated_node_raises(self):
+        h = DirectedHypergraph(5, (fig1_edge(),))
+        for bad in ([3, 3], [0, 2, 4, 2], [1, 0, 1, 1]):
+            with pytest.raises(HypergraphError, match=f"node {bad[-1]} given twice"):
+                h.entering(bad)
+
+    @given(hypergraphs(), st.data())
+    def test_position_indexes_the_nodes_in_their_order(self, h, data):
+        nodes = data.draw(st.lists(st.integers(0, h.num_nodes - 1), unique=True))
+        expect = [nodes.index(v) if v in nodes else -1 for v in range(h.num_nodes)]
+        assert h.entering(iter(nodes)).position.tolist() == expect
+
 
 class TestQueriesMatchScan:
     """The incidence slice against per-edge scans of ``h.edges``."""
