@@ -6,13 +6,34 @@ hyperdiffusive coupling Jacobians, and b_S collects the contributions of
 tails outside S.  Every fact about the edges entering S, head-closedness,
 the members inside S and the tails outside it, is read from one incidence
 slice, ``DirectedHypergraph.entering(S)``, and its ``position`` array is the
-one index of S, which places each node's block in A_S.  This module also
-implements the checkable hypotheses of the two convergence theorems and the
-robustness bound.  ``ErrorSystem.refuting_block`` is the one interlacing refutation,
-which the designer's zero-gain check and gain synthesis both read: the
-symmetric part of an n x n diagonal block of A_S is a principal submatrix of
-sym(A_S), so by Cauchy interlacing its largest eigenvalue is at most that of
-sym(A_S) (Horn and Johnson, "Matrix Analysis", 2nd ed., Thm 4.3.28).
+one index of S, which places each node's block in A_S.
+
+A design certifies the roots of a pass, disjoint subsets that no edge joins,
+several at a time: ``stack_roots`` assembles the A_S of R roots of M nodes
+each as one (R, K, Mn, Mn) stack over one slice of their union, whose
+``position`` indexes all of them, and gives each root an ``ErrorSystem``
+that is a view of its row of the stack.  A design chunks the roots of one
+size so that a stack holds at most ``CHUNK_BYTES``, or one root.
+
+This module also implements the checkable hypotheses of the two convergence
+theorems and the robustness bound.  ``ErrorSystem.refuting_block`` is the one
+interlacing refutation, which the designer's zero-gain check and gain
+synthesis both read: the symmetric part of an n x n diagonal block of A_S is
+a principal submatrix of sym(A_S), so by Cauchy interlacing its largest
+eigenvalue is at most that of sym(A_S) (Horn and Johnson, "Matrix
+Analysis", 2nd ed., Thm 4.3.28).
+
+``top_eig_max``, the max over samples that every Theorem-2 check reads, runs
+``eigvalsh`` on ``SEED_COUNT`` evenly spaced samples of a root, whose largest
+top eigenvalue is ``best``, and factors mu I - sym(A_k) = LL^T by one batched
+LAPACK Cholesky at mu = best - tol on the other samples with finite entries.
+A factorization that runs to completion proves lambda_max(sym A_k) < mu +
+4 d^3 u max|mu I - sym A_k| (Higham, "Accuracy and Stability of Numerical
+Algorithms", 2nd ed., ch. 10), and tol, ``rounding_tol`` at max|A| + |best|,
+covers that and the rounding of ``eigvalsh`` for d < 10^5: such a sample
+cannot beat ``best``.  Only the samples whose factorization fails, or that
+hold a non-finite entry, reach ``eigvalsh``, so the max is bit for bit that
+of ``symmetric_top_eig`` over every sample.
 """
 
 from __future__ import annotations
@@ -20,12 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo
 
-from .dynamics import DimensionMismatch, NetworkSystem
-from .hypergraph import DirectedHypergraph
+from .dynamics import CHUNK_BYTES, DimensionMismatch, NetworkSystem
+from .hypergraph import DirectedHypergraph, EdgeSlice
 
 
 class SubsetNotHeadClosed(ValueError):
@@ -53,6 +75,8 @@ class NonpositiveMargin(ValueError):
 KRON_CAP = 40
 # slack fraction of the Theorem-1 slow-variation bound, in (0, 1)
 EPS_REQ = 0.5
+# samples a max over samples evaluates by eigvalsh before its Cholesky screen
+SEED_COUNT = 8
 
 
 class ErrorSystem:
@@ -73,7 +97,10 @@ class ErrorSystem:
     ``entering`` is S's incidence slice, ``DirectedHypergraph.entering``,
     which refuses a node given twice: every fact about the edges entering S
     that a design step reads comes from it, and its ``position`` places node
-    ``nodes[k]`` at block k of A_S.
+    ``nodes[k]`` at block k of A_S.  S alone is a stack of one root, whose
+    union slice is S's own; a root of a larger stack cuts its slice from the
+    union's on first use (``EdgeSlice.subset``), which only a root that fails
+    its zero-gain checks makes.
     """
 
     def __init__(
@@ -83,62 +110,65 @@ class ErrorSystem:
         samples,
         zero_error_nodes: frozenset[int] = frozenset(),
     ):
-        self.sys, self.nodes = sys, tuple(int(v) for v in nodes)
-        self.entering = sl = sys.hypergraph.entering(self.nodes)
-        # head-closed: every head of an entering edge is in S or has no error
-        heads = sl.members[sl.is_head]
-        if set(heads[sl.position[heads] < 0].tolist()).difference(zero_error_nodes):
-            raise SubsetNotHeadClosed(f"subset {self.nodes} splits the heads of some hyperedge")
-        X = np.asarray(samples, dtype=float)
-        if X.ndim != 3 or X.shape[1:] != (sys.num_nodes, sys.state_dim):
-            raise DimensionMismatch(
-                f"samples of shape {X.shape}, expected (K, {sys.num_nodes}, {sys.state_dim})"
-            )
-        if X.shape[0] == 0:
-            raise EmptySampleSet("need at least one sample")
-        # g' at the entering edges' arguments, node-first (edges, K, n): read
-        # by both.  Step k adds the k-th term of every edge that has one, so
-        # each argument adds its terms onto zero in entry order, the sums of
-        # ``sys.edge_arguments`` bit for bit
-        args = np.zeros((len(sl.edges), X.shape[0], X.shape[2]))
-        sizes = np.diff(sl.ptr)
-        for k in range(int(sizes.max(initial=0))):
-            rows = np.flatnonzero(sizes > k)
-            q = sl.ptr[rows] + k
-            args[rows] += sl.weights[q, None, None] * X[:, sl.members[q]].transpose(1, 0, 2)
-        dg = sys.coupling.deriv(args)
-        self.a = self.a_matrix_batch(X, dg)
-        self.g = self.coupling_jac_bound(dg)
+        vars(self).update(vars(stack_roots(sys, [nodes], samples, zero_error_nodes).systems[0]))
+
+    @cached_property
+    def entering(self) -> EdgeSlice:
+        return self._stack_slice.subset(self.nodes)
 
     @property
     def dim(self) -> int:
         return len(self.nodes) * self.sys.state_dim
 
-    def a_matrix_batch(self, X: np.ndarray, dg: np.ndarray) -> np.ndarray:
-        """Zero-gain A_S stacked over the (K, N, n) states ``X``, with ``dg``
-        the (edges, K, n) coupling derivative g' on the incoming edges."""
-        sys, sl = self.sys, self.entering
-        n, M, K = sys.state_dim, len(self.nodes), X.shape[0]
-        A = np.zeros((K, M, n, M, n))
-        Jf = sys.field.jac_x(X[:, list(self.nodes)], sys.field.nominal_params)
-        for i in range(M):
-            A[:, i, :, i, :] += Jf[:, i]
-        sigma, diag = sys.hypergraph.edge_sigma[sl.edges], np.arange(n)
-        # the entries of members in S, by position; edge r's are [at[r], at[r + 1])
-        local = sl.position[sl.members]
-        inside = local >= 0
-        at = np.searchsorted(np.flatnonzero(inside), sl.ptr).tolist()
-        local, weights, is_head = local[inside], sl.weights[inside, None], sl.is_head[inside]
-        for r, (lo, hi) in enumerate(zip(at, at[1:])):
-            # row i of a head collects w_j * diag(d) from every member j:
-            # +alpha_j for a tail, -beta_j for a head (itself included).  An
-            # edge's (head, member) pairs are distinct entries of A, so one
-            # add gives each its term of this edge, and edges add in order
-            members = local[lo:hi]
-            heads = members[is_head[lo:hi]]
-            terms = weights[lo:hi] * (sigma[r] * dg[r])[:, None, None]
-            A[:, heads[:, None, None], diag, members[:, None], diag] += terms
-        return A.reshape(K, M * n, M * n)
+    @staticmethod
+    def a_matrix_batch(
+        sys: NetworkSystem,
+        roots: np.ndarray,
+        entering: EdgeSlice,
+        edge_root: np.ndarray,
+        local: np.ndarray,
+        X: np.ndarray,
+        dg: np.ndarray,
+    ) -> np.ndarray:
+        """Zero-gain A_S of the R roots of M nodes, the rows of ``roots``,
+        stacked over the (K, N, n) states ``X``: (R, K, Mn, Mn).  ``entering``
+        is the slice of their union, ``edge_root`` the root of each of its
+        edges, ``local`` each entry's place in its edge's root (-1 outside
+        it), and ``dg`` the (edges, K, n) coupling derivative g'."""
+        sl = entering
+        (R, M), n, K = roots.shape, sys.state_dim, X.shape[0]
+        A = np.zeros((R, K, M, n, M, n))
+        Jf = sys.field.jac_x(X[:, roots.ravel()], sys.field.nominal_params)
+        block = np.arange(M)
+        A[:, :, block, :, block, :] += Jf.reshape(K, R, M, n, n).transpose(2, 1, 0, 3, 4)
+        # the (head, member) pairs of every edge inside its root: row i of a
+        # head collects w_j * diag(d) from every member j, +alpha_j for a
+        # tail and -beta_j for a head (itself included)
+        inside = np.flatnonzero(local >= 0)
+        row = sl.rows[inside]
+        at = np.searchsorted(inside, sl.ptr)
+        heads = np.flatnonzero(sl.is_head[inside])
+        count = np.diff(at)[row[heads]]
+        head = np.repeat(heads, count)
+        member = np.arange(count.sum()) + np.repeat(at[row[heads]] - np.cumsum(count) + count,
+                                                    count)
+        # an edge's pairs are distinct entries of A, and so are those of the
+        # k-th edges of distinct roots: wave k adds them with one add, and
+        # every entry gets its terms in edge order
+        order = np.argsort(edge_root, kind="stable")
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order)) - np.searchsorted(edge_root[order], edge_root[order])
+        by_wave = np.argsort(rank[row[head]], kind="stable")
+        edge, head, member = row[head][by_wave], inside[head][by_wave], inside[member][by_wave]
+        waves = np.searchsorted(rank[edge], np.arange(rank.max(initial=-1) + 2)).tolist()
+        root, weight = edge_root[edge, None], sl.weights[member, None, None]
+        head, member = local[head, None], local[member, None]
+        terms = sys.hypergraph.edge_sigma[sl.edges][:, None, None] * dg
+        diag = np.arange(n)
+        for lo, hi in zip(waves, waves[1:]):
+            wave = weight[lo:hi] * terms[edge[lo:hi]]
+            A[root[lo:hi], :, head[lo:hi], diag, member[lo:hi], diag] += wave.transpose(0, 2, 1)
+        return A.reshape(R, K, M * n, M * n)
 
     def block_floor(self, nodes: Sequence[int]) -> tuple[float, int | None]:
         """The largest lambda_max of the symmetric part over the samples and
@@ -151,9 +181,8 @@ class ErrorSystem:
         ``eigvalsh`` calls (``floor_tol``)."""
         if not nodes:
             return -np.inf, None
-        n = self.sys.state_dim
-        idx = np.add.outer(self.entering.position[list(nodes)] * n, np.arange(n))
-        tops = symmetric_top_eig(self.a[:, idx[:, :, None], idx[:, None, :]]).max(axis=0)
+        blocks = diagonal_blocks(self.a, self.sys.state_dim)
+        tops = symmetric_top_eig(blocks[:, self.entering.position[list(nodes)]]).max(axis=0)
         k = int(np.argmax(tops))
         return float(tops[k]), int(nodes[k])
 
@@ -175,11 +204,99 @@ class ErrorSystem:
         floor, node = self.block_floor(nodes)
         return (floor, node) if floor > self.floor_tol - h_req else None
 
-    def coupling_jac_bound(self, dg: np.ndarray) -> np.ndarray:
-        """Per sample of the (edges, K, n) coupling derivative ``dg``, the max
-        spectral norm of the coupling Jacobian diag(g') over the incoming
-        edges: the largest |g'|, 0 when no edge enters S."""
-        return np.abs(dg).max(axis=(0, 2), initial=0.0)
+    @staticmethod
+    def coupling_jac_bound(dg: np.ndarray, edge_root: np.ndarray, R: int) -> np.ndarray:
+        """Per root and sample of the (edges, K, n) coupling derivative
+        ``dg``, whose edges enter the roots ``edge_root``, the max spectral
+        norm of the coupling Jacobian diag(g') over the incoming edges: the
+        largest |g'|, 0 when no edge enters the root.  (R, K)."""
+        order = np.argsort(edge_root, kind="stable")
+        starts = np.searchsorted(edge_root[order], np.arange(R + 1))
+        entered = np.flatnonzero(np.diff(starts))
+        g = np.zeros((R, dg.shape[1]))
+        g[entered] = np.maximum.reduceat(np.abs(dg[order]).max(axis=2), starts[entered])
+        return g
+
+
+class RootStack(NamedTuple):
+    """The zero-gain A_S of R disjoint subsets of M nodes each, assembled at
+    once: ``a`` is (R, K, Mn, Mn), ``g`` is (R, K), and ``systems[r]`` is
+    root r's ``ErrorSystem``, whose ``a`` and ``g`` are row r of these.
+    ``upstream`` holds the tails of the entering edges outside their root."""
+
+    a: np.ndarray
+    g: np.ndarray
+    systems: list[ErrorSystem]
+    upstream: np.ndarray
+
+
+def stack_roots(
+    sys: NetworkSystem,
+    roots: Sequence[Sequence[int]],
+    samples,
+    zero_error_nodes: frozenset[int] = frozenset(),
+) -> RootStack:
+    """The ``RootStack`` of ``roots``, disjoint node subsets of one size, over
+    the (K, N, n) ``samples``, from one slice of their union: the roots of a
+    pass share no edge, so every edge entering their union enters one root,
+    the root of its heads.  Every root must be head-closed modulo
+    ``zero_error_nodes`` (``ErrorSystem``)."""
+    roots = [tuple(int(v) for v in S) for S in roots]
+    R, M = len(roots), len(roots[0])
+    if any(len(S) != M for S in roots):
+        raise ValueError("roots of one stack must have one size")
+    sl = sys.hypergraph.entering(v for S in roots for v in S)
+    # an edge belongs to the root of its first head in the union; a member
+    # in another root is outside this one, as it is to the root alone
+    at = sl.position[sl.members]
+    first = np.where(sl.is_head & (at >= 0), at, R * M)
+    edge_root = (np.minimum.reduceat(first, sl.ptr[:-1]) if len(sl.edges) else first) // M
+    entry_root = np.repeat(edge_root, np.diff(sl.ptr))
+    local = np.where((at >= 0) & (at // M == entry_root), at - entry_root * M, -1)
+    # head-closed: every head of an entering edge is in its root, or outside
+    # the union with no error
+    split = np.flatnonzero(sl.is_head & (local < 0))
+    stray = [q for q in split.tolist() if at[q] >= 0 or int(sl.members[q]) not in zero_error_nodes]
+    if stray:
+        raise SubsetNotHeadClosed(
+            f"subset {roots[entry_root[stray[0]]]} splits the heads of some hyperedge")
+    X = np.asarray(samples, dtype=float)
+    if X.ndim != 3 or X.shape[1:] != (sys.num_nodes, sys.state_dim):
+        raise DimensionMismatch(
+            f"samples of shape {X.shape}, expected (K, {sys.num_nodes}, {sys.state_dim})"
+        )
+    if X.shape[0] == 0:
+        raise EmptySampleSet("need at least one sample")
+    # g' at the entering edges' arguments, node-first (edges, K, n): read
+    # by both.  Step k adds the k-th term of every edge that has one, so
+    # each argument adds its terms onto zero in entry order, the sums of
+    # ``sys.edge_arguments`` bit for bit
+    args = np.zeros((len(sl.edges), X.shape[0], X.shape[2]))
+    sizes = np.diff(sl.ptr)
+    for k in range(int(sizes.max(initial=0))):
+        rows = np.flatnonzero(sizes > k)
+        q = sl.ptr[rows] + k
+        args[rows] += sl.weights[q, None, None] * X[:, sl.members[q]].transpose(1, 0, 2)
+    dg = sys.coupling.deriv(args)
+    a = ErrorSystem.a_matrix_batch(sys, np.array(roots, dtype=np.intp).reshape(R, M), sl,
+                                   edge_root, local, X, dg)
+    g = ErrorSystem.coupling_jac_bound(dg, edge_root, R)
+    systems = []
+    for r, nodes in enumerate(roots):
+        err = object.__new__(ErrorSystem)
+        err.sys, err.nodes, err.a, err.g, err._stack_slice = sys, nodes, a[r], g[r], sl
+        if R == 1:
+            err.entering = sl
+        systems.append(err)
+    return RootStack(a, g, systems, sl.members[~sl.is_head & (local < 0)])
+
+
+def diagonal_blocks(a: np.ndarray, n: int) -> np.ndarray:
+    """The n x n diagonal blocks of the (..., Mn, Mn) stack ``a``, a
+    read-only view (..., M, n, n)."""
+    M = a.shape[-1] // n
+    blocks = np.diagonal(a.reshape(a.shape[:-2] + (M, n, M, n)), axis1=-4, axis2=-2)
+    return np.moveaxis(blocks, -1, -3)
 
 
 def rounding_tol(d: int, magnitude: float) -> float:
@@ -242,9 +359,75 @@ class CertificationReport:
 
 
 def symmetric_top_eig(mats: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of the symmetric part, batched over the first axis."""
-    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    """Largest eigenvalue of the symmetric part, batched over the leading
+    axes.  LAPACK's ``syevd`` returns a 1 x 1 matrix's entry as it is, so
+    that case needs no ``eigvalsh`` call."""
+    sym = mats + np.swapaxes(mats, -1, -2)
+    sym *= 0.5
+    if sym.shape[-1] == 1:
+        return sym[..., 0, 0]
     return np.linalg.eigvalsh(sym)[..., -1]
+
+
+def top_eig_max(A: np.ndarray) -> np.ndarray:
+    """max_k lambda_max(sym A_rk) for each root r of the (R, K, d, d) stack
+    ``A``, (R,), bit for bit ``symmetric_top_eig(A).max(axis=1)``.
+    ``eigvalsh`` runs on ``SEED_COUNT`` evenly spaced samples of each root
+    and on the samples that the Cholesky screen of the module docstring does
+    not rule out, a chunk of samples at a time.  A failed
+    factorization comes back as NaN rows, and one with an infinite pivot has
+    an infinite diagonal entry: either sends its sample to ``eigvalsh``."""
+    R, K, d = A.shape[0], A.shape[1], A.shape[-1]
+    if d <= 2:
+        # eigvalsh of a 1 x 1 or 2 x 2 matrix costs less than the screen
+        return symmetric_top_eig(A).max(axis=1)
+    flat = A.reshape(R * K, d, d)
+    top = np.full((R, K), -np.inf)
+    seeds = np.arange(min(SEED_COUNT, K)) * K // min(SEED_COUNT, K)
+    top[:, seeds] = symmetric_top_eig(A[:, seeds])
+    best = top[:, seeds].max(axis=1)
+    todo = np.ones((R, K), dtype=bool)
+    todo[:, seeds] = False
+    # a chunk's three work arrays (the matrices, the transpose numpy copies
+    # to add in place, the factors) hold CHUNK_BYTES together
+    step, diag = max(1, CHUNK_BYTES // (3 * 8 * d * d)), np.arange(d)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # the rounding scale; a sample with a non-finite entry goes to
+        # eigvalsh, and so does every sample of a root whose mu is not finite
+        mag = np.maximum(flat.max(axis=(1, 2)), -flat.min(axis=(1, 2))).reshape(R, K)
+        finite = np.isfinite(mag)
+        mu = best - rounding_tol(d, np.where(finite, mag, 0.0).max(axis=1) + np.abs(best))
+        rest = np.flatnonzero(todo & finite & np.isfinite(mu)[:, None])
+        todo, top = todo.reshape(-1), top.reshape(-1)
+        for lo in range(0, len(rest), step):
+            idx = rest[lo : lo + step]
+            M = np.take(flat, idx, axis=0)
+            M += M.transpose(0, 2, 1)
+            M *= -0.5
+            M[:, diag, diag] += mu[idx // K, None]
+            pivots = np.diagonal(cholesky_lo(M), axis1=1, axis2=2)
+            todo[idx] = ~np.isfinite(pivots).all(axis=1)
+    rest = np.flatnonzero(todo)
+    for lo in range(0, len(rest), step):
+        idx = rest[lo : lo + step]
+        top[idx] = symmetric_top_eig(flat[idx])
+    return top.reshape(R, K).max(axis=1)
+
+
+def thm2_report(worst: float, g_bound: float, sample_count: int, h_req: float) -> CertificationReport:
+    """The Theorem-2 report on ``sample_count`` samples whose max of
+    lambda_max(sym A_k), with the gains checked, is ``worst`` and whose
+    largest coupling-Jacobian norm is ``g_bound``: it passes at
+    ``worst <= -h_req`` with a finite ``g_bound``."""
+    if h_req <= 0:
+        raise NonpositiveMargin("required margin must be positive")
+    passed = worst <= -h_req and math.isfinite(g_bound)
+    return CertificationReport(
+        theorem_used="thm2" if passed else "none",
+        hurwitz_margin=-worst,
+        sample_count=sample_count,
+        g_bound=g_bound,
+    )
 
 
 def check_thm2(
@@ -253,9 +436,9 @@ def check_thm2(
     gains: Mapping[tuple[int, int], np.ndarray] | None = None,
 ) -> CertificationReport:
     """Uniform Hurwitz margin of the symmetric part of A_S with the given
-    gain blocks over the sample set of ``err``, plus the finite boundedness
-    check on the coupling Jacobian.  Gains act through ``err.a - B``, on a
-    new array: ``err.a`` stays the zero-gain stack."""
+    gain blocks over the sample set of ``err`` (``top_eig_max``), plus the
+    finite boundedness check on the coupling Jacobian.  Gains act through
+    ``err.a - B``, on a new array: ``err.a`` stays the zero-gain stack."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
     A = err.a
@@ -263,15 +446,7 @@ def check_thm2(
         keys = list(gains)
         blocks = np.array([gains[k] for k in keys], dtype=float)
         A = A - gain_matrix(err.entering.position, keys, blocks, err.sys.output.matrix)
-    worst = float(symmetric_top_eig(A).max())
-    g_bound = float(err.g.max())
-    passed = worst <= -h_req and np.isfinite(g_bound)
-    return CertificationReport(
-        theorem_used="thm2" if passed else "none",
-        hurwitz_margin=-worst,
-        sample_count=A.shape[0],
-        g_bound=g_bound,
-    )
+    return thm2_report(float(top_eig_max(A[None])[0]), float(err.g.max()), A.shape[0], h_req)
 
 
 def spectral_abscissa(mats: np.ndarray) -> np.ndarray:
@@ -292,8 +467,12 @@ def check_thm1(
 
     The rows of ``err.a`` are time-ordered trajectories of ``length`` samples
     each.  The first ``count`` of them are checked in turn, up to the first
-    that fails; the report merges the checked ones worst-case, and its
-    ``sample_count`` is ``length`` times the number checked.
+    that fails; the report merges the checked ones worst-case.  Within a
+    trajectory, H1 runs on chunks of 1, 2, 4, ... samples and stops at the
+    first sample that fails it, so a failing report states only the samples
+    up to that one: its ``sample_count`` counts them, and its margin and
+    ``g_bound`` are taken over them.  A passing report has evaluated every
+    sample of the ``count`` trajectories.
 
     With Q = I in Theorem 1 the bound at sample k reads
     sigma_min(A_k (+) A_k)^2 / (2 sqrt(nM)) * (1 - EPS_REQ)."""
@@ -309,14 +488,23 @@ def check_thm1(
     # Q = I: sigma_min(Q) = 1 and ||Q||_F = sqrt(nM)
     q_fro = float(np.sqrt(dim))
 
-    worst, g_bound, h2_slack = [], [], []
+    worst, g_bound, h2_slack, checked = [], [], [], 0
     for t in range(count):
         A = err.a[t * length : (t + 1) * length]
-        worst.append(float(spectral_abscissa(A).max()))
-        g_bound.append(float(err.g[t * length : (t + 1) * length].max()))
+        parts, seen, h1 = [], 0, True
+        while h1 and seen < length:
+            part = spectral_abscissa(A[seen : 2 * seen + 1])
+            failing = np.flatnonzero(~(part <= -h_req))
+            if failing.size:
+                part, h1 = part[: failing[0] + 1], False
+            parts.append(part)
+            seen += len(part)
+        checked += seen
+        worst.append(float(np.concatenate(parts).max()))
+        g_bound.append(float(err.g[t * length : t * length + seen].max()))
         # H2 decides nothing once H1 has failed: skip its SVD loop and report
         # no H2 margin
-        if not worst[-1] <= -h_req:
+        if not h1:
             h2_slack = None
             break
         slack = np.inf
@@ -334,7 +522,7 @@ def check_thm1(
     return CertificationReport(
         theorem_used="thm1" if passed else "none",
         hurwitz_margin=-max(worst),
-        sample_count=len(worst) * length,
+        sample_count=checked,
         h2_margin=None if h2_slack is None else min(h2_slack),
         g_bound=max(g_bound),
     )

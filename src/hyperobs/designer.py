@@ -2,21 +2,24 @@
 
 The pattern's strongly connected components are labelled once per design, and
 each design pass takes from ``condense`` the roots, the components no other
-unobserved one enters.  Each root S is certified on one ``ErrorSystem``, one
-evaluation of A_S over the ensemble: first with zero gains, by the Theorem-2
-check and then the Theorem-1 check, once per subset (``certify_or_fail``).
-On a subset of two or more nodes, a diagonal block that refutes the margin
-(``ErrorSystem.refuting_block``, which gain synthesis reads too) proves that
-the Theorem-2 check would fail (``thm2_refuted``), so that check is skipped.
-When both fail, each retry measures one more node of S, chosen by the degree
-heuristic, and synthesizes Theorem-2 gains on the nodes of S measured so far,
-until a synthesis passes or S is exhausted.  With an invertible output map, a
-measured node j is instead reconstructed exactly and skips certification, and
-S \\ {j} returns in the next pass, labelled again on its own: no unobserved
-node outside the root S reaches it.  The edges entering S come from one
-incidence slice, ``DirectedHypergraph.entering``, taken once per root:
-``ErrorSystem`` keeps it, and the upstream-tail check and the degree
-heuristic read it.
+unobserved one enters.  The roots of a pass are independent: no edge joins
+two (the heads of an edge share a component), and zero-gain A_S reads only
+edges whose outside tails are observed.  So a pass stacks the A_S of its
+roots of one size (``assembly.stack_roots``) and certifies each stack at once
+(``certify_roots``): batched diagonal-block floors refute the Theorem-2 check
+where they can (``thm2_refuted``, the test of ``ErrorSystem.refuting_block``,
+which synthesis reads too), one ``assembly.top_eig_max`` runs it on the other
+roots, and the Theorem-1 check follows on those left.  Certified roots are
+recorded as they are; the others retry in the pass's order on their
+``ErrorSystem``, a view of the stack.  Each retry measures one more node of
+S, chosen by the degree heuristic, and synthesizes Theorem-2 gains on the
+nodes of S measured so far, until a synthesis passes or S is exhausted.  With
+an invertible output map, a measured node j is instead reconstructed exactly
+and skips certification, and S \\ {j} returns in the next pass, labelled
+again on its own: no unobserved node outside the root S reaches it.  A stack
+slices the edges entering its roots once, ``DirectedHypergraph.entering``; a
+failing root cuts its own slice from it.  The design logs one INFO line per
+pass and each root's fate at DEBUG.
 
 The design report, ``design.json``, is one JSON object, built by
 ``design_report`` and read back, checked, by ``read_design_report``; no other
@@ -70,13 +73,19 @@ import numpy as np
 from .assembly import (
     CertificationReport,
     ErrorSystem,
+    RootStack,
     check_thm1,
     check_thm2,
+    diagonal_blocks,
+    stack_roots,
+    symmetric_top_eig,
+    thm2_report,
+    top_eig_max,
     thm3_bound,
     KRON_CAP,
     RobustnessBound,
 )
-from .dynamics import NetworkSystem
+from .dynamics import CHUNK_BYTES, NetworkSystem
 from .gain_design import Infeasible, ObserverDesign, design_gain_thm2
 from .hypergraph import EdgeSlice, condense, dependency_arcs, label_components
 from .sim import TrajectoryEnsemble
@@ -311,48 +320,96 @@ def select_node(entering: EdgeSlice, already_measured: Iterable[int]) -> int:
     return max(candidates, key=lambda v: (d_out[v], d_in[v], -v))
 
 
-def thm2_refuted(err: ErrorSystem, h_req: float) -> bool:
-    """Whether a diagonal block proves that the zero-gain Theorem-2 check of
-    ``err`` fails at margin ``h_req`` (``ErrorSystem.refuting_block``).  The
-    first node's block is tried alone, as on a failing subset it alone
-    usually refutes, then the other nodes' in one call.  A one-node subset's
-    block is A_S itself: it is never refuted."""
-    nodes = err.nodes
-    if len(nodes) < 2:
-        return False
-    for part in (nodes[:1], nodes[1:]):
-        if (refuted := err.refuting_block(part, h_req)) is not None:
+def thm2_refuted(a: np.ndarray, errs: list[ErrorSystem], h_req: float) -> np.ndarray:
+    """Which roots of the stack ``a`` (R, K, Mn, Mn), whose ErrorSystems are
+    ``errs``, a diagonal block proves to fail the zero-gain Theorem-2 check
+    (``ErrorSystem.refuting_block``).  The first node's blocks of every root
+    are tried in one call, as on a failing root they usually refute, then
+    the other nodes' of the roots still standing.  No ``eigvalsh`` runs on a
+    root with a non-finite entry, and a one-node root is never refuted."""
+    n = errs[0].sys.state_dim
+    refuted = np.zeros(len(errs), dtype=bool)
+    if a.shape[-1] == n:
+        return refuted
+    tol = np.array([err.floor_tol for err in errs])
+    blocks = diagonal_blocks(a, n)
+    for part in (slice(0, 1), slice(1, None)):
+        rows = np.flatnonzero(np.isfinite(tol) & ~refuted)
+        if not rows.size:
+            break
+        tops = symmetric_top_eig(blocks[rows, :, part]).max(axis=1)
+        hit = tops.max(axis=1) > tol[rows] - h_req
+        for r, top in zip(rows[hit].tolist(), tops[hit]):
+            k = int(np.argmax(top))
             log.debug("thm2 refuted on %s: the block of node %d reaches %.6g",
-                      nodes, refuted[1], refuted[0])
-            return True
-    return False
+                      errs[r].nodes, errs[r].nodes[part.start + k], top[k])
+        refuted[rows[hit]] = True
+    return refuted
+
+
+def certify_roots(
+    stack: RootStack, ensemble: TrajectoryEnsemble, options: DesignOptions
+) -> list[CertificationReport | None]:
+    """The passing zero-gain report of each root of ``stack``, or None: the
+    Theorem-2 check on every root ``thm2_refuted`` leaves, in one
+    ``top_eig_max`` call, then the Theorem-1 check over the first
+    ``THM1_TRAJECTORIES`` trajectories on each root still uncertified whose
+    nM is at most ``KRON_CAP``.  A refuted check would fail, so skipping it
+    changes no outcome."""
+    a, errs, h = stack.a, stack.systems, options.margin
+    reports: list[CertificationReport | None] = [None] * len(errs)
+    checked = np.flatnonzero(~thm2_refuted(a, errs, h))
+    worst = top_eig_max(a if len(checked) == len(errs) else a[checked])
+    g_bound = stack.g.max(axis=1)
+    for r, w in zip(checked.tolist(), worst.tolist()):
+        reports[r] = thm2_report(w, float(g_bound[r]), a.shape[1], h)
+    for r, err in enumerate(errs):
+        if (reports[r] is None or not reports[r].passed) and err.dim <= KRON_CAP:
+            reports[r] = check_thm1(err, ensemble.dt_sample, h, length=ensemble.states.shape[1],
+                                    count=min(THM1_TRAJECTORIES, ensemble.count))
+    return [report if report is not None and report.passed else None for report in reports]
 
 
 def certify_or_fail(
     err: ErrorSystem, ensemble: TrajectoryEnsemble, options: DesignOptions
 ) -> CertificationReport | None:
-    """Certify one subset with zero gains: the Theorem-2 check unless
-    ``thm2_refuted`` proves it fails, then, when that check fails or is
-    refuted and the subset's error dimension nM is at most ``KRON_CAP``, the
-    Theorem-1 check over the first ``THM1_TRAJECTORIES`` trajectories, all on
-    the one evaluation of A_S in ``err``.  A refuted check's report is never
-    returned, so skipping it changes no outcome.  Neither check reads the
-    measured set, so ``design_observer`` runs this once per subset; each
-    retry then measures one node and synthesizes gains.  Returns the passing
-    report, or None."""
-    if not thm2_refuted(err, options.margin):
-        report = check_thm2(err, options.margin)
-        if report.passed:
-            return report
-    if err.dim <= KRON_CAP:
-        report = check_thm1(
-            err, ensemble.dt_sample, options.margin,
-            length=ensemble.states.shape[1],
-            count=min(THM1_TRAJECTORIES, ensemble.count),
-        )
-        if report.passed:
-            return report
-    return None
+    """``certify_roots`` on the one root of ``err``."""
+    sl = err.entering
+    stack = RootStack(err.a[None], err.g[None], [err], sl.members[sl.outside_tails])
+    return certify_roots(stack, ensemble, options)[0]
+
+
+def certify_pass(
+    sys: NetworkSystem,
+    roots: list[tuple[int, ...]],
+    ensemble: TrajectoryEnsemble,
+    options: DesignOptions,
+    exact: set[int],
+    observed: np.ndarray,
+) -> list[tuple[CertificationReport | None, ErrorSystem | None]]:
+    """For each root of a pass, in order, (report, None) when
+    ``certify_roots`` certifies it, else (None, err) with the root's
+    ErrorSystem for its retries.  Roots of one size are stacked, as many as
+    ``CHUNK_BYTES`` holds and at least one."""
+    samples = ensemble.stacked()
+    K, n = samples.shape[0], sys.state_dim
+    sizes: dict[int, list[int]] = {}
+    for k, S in enumerate(roots):
+        sizes.setdefault(len(S), []).append(k)
+    verdicts: list = [None] * len(roots)
+    for M, group in sizes.items():
+        step = max(1, CHUNK_BYTES // (8 * K * (M * n) ** 2))
+        for lo in range(0, len(group), step):
+            chunk = group[lo : lo + step]
+            stack = stack_roots(sys, [roots[k] for k in chunk], samples, frozenset(exact))
+            # structural guarantee behind hypothesis H3 and the b_S form
+            if not observed[stack.upstream].all():
+                raise AssertionError(f"upstream tails {set(stack.upstream.tolist())} of "
+                                     f"{[roots[k] for k in chunk]} unprocessed")
+            reports = certify_roots(stack, ensemble, options)
+            for k, err, report in zip(chunk, stack.systems, reports):
+                verdicts[k] = (report, None) if report is not None else (None, err)
+    return verdicts
 
 
 def design_observer(
@@ -390,23 +447,19 @@ def design_observer(
 
     while not observed.all():
         iteration += 1
-        progress = np.count_nonzero(observed)
-        for S in condense(src, dst, label, ~observed):
-            # certify S with zero gains, or else measure select_node(S): with
-            # the shortcut the node is reconstructed exactly and the pass moves
-            # on, otherwise gains are synthesized on the nodes of S measured so
-            # far, ``added``.  No root holds a measured node (a measured node's
-            # subset was certified, or the node is exact and observed), so the
-            # zero-gain checks, which read neither gains nor the measured set,
-            # would decide every retry as they decide the first attempt: they
-            # run once, and every retry reads the same err.  ErrorSystem checks
-            # that S is head-closed modulo exact nodes
-            err = ErrorSystem(sys, S, samples, frozenset(exact))
-            # structural guarantee behind hypothesis H3 and the b_S form
-            upstream = err.entering.members[err.entering.outside_tails]
-            if not observed[upstream].all():
-                raise AssertionError(f"upstream tails {set(upstream.tolist())} of {S} unprocessed")
-            report, new_gains = certify_or_fail(err, ensemble, options), {}
+        progress, first = np.count_nonzero(observed), len(processed)
+        roots = condense(src, dst, label, ~observed)
+        verdicts = certify_pass(sys, roots, ensemble, options, exact, observed)
+        for k, S in enumerate(roots):
+            # a root's view goes once its retries are done
+            (report, err), verdicts[k] = verdicts[k], None
+            # an uncertified root measures select_node(S): with the shortcut
+            # the node is reconstructed exactly and the pass moves on, else
+            # gains are synthesized on the nodes of S measured so far,
+            # ``added``.  No root holds a measured node, so the zero-gain
+            # checks, which read neither gains nor the measured set, would
+            # decide every retry as they decided the first: retries reuse err
+            new_gains: dict[tuple[int, int], np.ndarray] = {}
             added: list[int] = []
             while report is None:
                 if set(S) <= measured:
@@ -423,10 +476,10 @@ def design_observer(
                     label_components(src, dst, (v for v in S if v != j), label)
                     exact_report = CertificationReport("exact", math.inf, 0)
                     processed.append(ProcessedSubset((j,), exact_report, (j,), iteration))
-                    log.info("iteration %d: measuring node %d of %s (exact)", iteration, j, S)
+                    log.debug("iteration %d: measuring node %d of %s (exact)", iteration, j, S)
                     break
                 added.append(j)
-                log.info("iteration %d: measuring node %d of %s", iteration, j, S)
+                log.debug("iteration %d: measuring node %d of %s", iteration, j, S)
                 try:
                     new_gains = design_gain_thm2(err, added, options.margin)
                 except Infeasible as exc:
@@ -439,26 +492,40 @@ def design_observer(
                 gains = {**gains, **new_gains}
                 observed[list(S)] = True
                 processed.append(ProcessedSubset(S, report, tuple(added), iteration))
-                log.info(
-                    "iteration %d: certified %s via %s (measured %s)",
-                    iteration, S, report.theorem_used, added,
-                )
+                log.debug("iteration %d: certified %s via %s (measured %s)",
+                          iteration, S, report.theorem_used, added)
+        # no view of this pass outlives it into the next pass's stacks
+        err = None
         if np.count_nonzero(observed) == progress:
             raise AssertionError("design loop made no progress")
+        entries = processed[first:]
+        log.info("iteration %d: %d roots, %d certified, %d nodes measured", iteration,
+                 len(roots), sum(p.report.theorem_used != "exact" for p in entries),
+                 sum(len(p.added_measured) for p in entries))
     return outcome("complete")
 
 
 def field_param_jacobian_bound(sys: NetworkSystem, samples) -> float:
-    """Max spectral norm of the field's parameter Jacobian over the samples;
-    the spectral norm of a one-row Jacobian is its row's norm."""
+    """Max spectral norm of the field's parameter Jacobian over the samples,
+    taken ``CHUNK_BYTES`` of Jacobians at a time; a max is exact, so the
+    chunks change no bit.  The spectral norm of a one-row Jacobian is its
+    row's norm."""
     X = np.asarray(samples, dtype=float).reshape(-1, sys.num_nodes, sys.state_dim)
-    J = sys.field.jac_mu(X, sys.field.nominal_params)
-    if J.shape[-2] == 1:
-        # sqrt is monotone: the largest norm is the root of the largest sum of
-        # squares, and einsum forms the sums with no temporary as large as J
-        row = J[..., 0, :]
-        return float(np.sqrt(np.einsum("...i,...i->...", row, row).max()))
-    return float(np.linalg.svd(J, compute_uv=False)[..., 0].max())
+    per_sample = 8 * sys.num_nodes * sys.state_dim * sys.field.param_dim
+    step = max(1, CHUNK_BYTES // per_sample)
+    tops = []
+    for lo in range(0, len(X), step):
+        J = sys.field.jac_mu(X[lo : lo + step], sys.field.nominal_params)
+        if J.shape[-2] == 1:
+            # sqrt is monotone: the largest norm is the root of the largest
+            # sum of squares, and einsum forms the sums with no temporary as
+            # large as J
+            row = J[..., 0, :]
+            tops.append(np.einsum("...i,...i->...", row, row).max())
+        else:
+            tops.append(np.linalg.svd(J, compute_uv=False)[..., 0].max())
+    top = np.max(tops)
+    return float(np.sqrt(top) if J.shape[-2] == 1 else top)
 
 
 def block_norm(gains: Mapping[tuple[int, int], np.ndarray], nodes: Iterable[int]) -> float:

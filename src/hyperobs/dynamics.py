@@ -253,9 +253,11 @@ class NetworkSystem:
         return self._heads @ self.coupling.eval(self.edge_arguments(states))
 
 
-# a ``JaggedMatrix`` product keeps three work arrays of up to this many bytes
-# each; a wider right-hand side is multiplied a column chunk at a time
-PRODUCT_CHUNK_BYTES = 1 << 22
+# the one byte budget of the package's chunked work: a ``JaggedMatrix``
+# product keeps three work arrays of up to this many bytes each, and a wider
+# right-hand side is multiplied a column chunk at a time; ``sim`` draws noise
+# ahead and ``assembly`` stacks A_S and screens samples in chunks of it
+CHUNK_BYTES = 1 << 20
 
 
 class JaggedMatrix:
@@ -286,7 +288,7 @@ class JaggedMatrix:
         self._indices = np.empty(len(row), dtype=np.intp)
         self._indices[slot] = indices
         self._diagonals = list(zip(counts.tolist(), starts.tolist(), starts[1:].tolist()))
-        self._chunk = max(1, PRODUCT_CHUNK_BYTES // (8 * max(1, len(row), rows)))
+        self._chunk = max(1, CHUNK_BYTES // (8 * max(1, len(row), rows)))
         self._cols = None  # the column count of the work arrays
         self.num_rows = rows
 

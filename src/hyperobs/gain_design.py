@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .assembly import ErrorSystem, gain_matrix, rounding_tol, symmetric_top_eig
+from .assembly import SEED_COUNT, ErrorSystem, gain_matrix, rounding_tol, symmetric_top_eig
 
 log = logging.getLogger("hyperobs.gain_design")
 
@@ -38,8 +38,6 @@ log = logging.getLogger("hyperobs.gain_design")
 POLYAK_OVERSHOOT = 1.2
 # iterations of one synthesis before it gives up with Infeasible
 MAX_ITERS = 5000
-# samples evaluated exactly before each screen: the top-ranked of the last call
-SEED_COUNT = 8
 
 
 class Infeasible(RuntimeError):
@@ -108,6 +106,7 @@ class GainProblem:
         # the screen's rounding scale; non-finite samples fail it on their own
         mag = np.maximum(self.s0.max(axis=(0, 1)), -self.s0.min(axis=(0, 1)))
         self.s0_max = float(mag[np.isfinite(mag)].max(initial=0.0))
+        # samples evaluated exactly before each screen: the top-ranked of the last call
         self.top = np.arange(min(SEED_COUNT, a.shape[0]))
         self.evaluated = 0  # samples through eigvalsh, over all calls
 

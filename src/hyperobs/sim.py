@@ -30,13 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DimensionMismatch, JaggedMatrix, NetworkSystem
+from .dynamics import CHUNK_BYTES, DimensionMismatch, JaggedMatrix, NetworkSystem
 from .gain_design import ObserverDesign
 
 # a run whose state leaves this box (or turns non-finite) is flagged as diverged
 DIVERGENCE_THRESHOLD = 1e8
-# measurement noise is drawn ahead in chunks of at most this many bytes
-NOISE_CHUNK_BYTES = 1 << 20
 
 
 def _check_interval(name: str, lo: float, hi: float) -> None:
@@ -139,6 +137,23 @@ def _correction_operator(sys: NetworkSystem, design: ObserverDesign):
     return measured, JaggedMatrix(data, indices, indptr)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, the sums and square roots of
+    ``np.linalg.norm`` bit for bit wherever its sum of squares stays finite.
+    A row of finite entries whose sum overflows is scaled by its largest
+    magnitude first, so an error that a float holds reads as a finite norm,
+    not as inf."""
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.add.reduce(x * x, axis=-1))
+    over = np.isinf(out)
+    if over.any():
+        over &= np.isfinite(x).all(axis=-1)
+        rows = x[over]
+        scale = np.abs(rows).max(axis=-1, keepdims=True)
+        out[over] = scale[..., 0] * np.linalg.norm(rows / scale, axis=-1)
+    return out
+
+
 def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of y' = f(y); returns the new state."""
     k1 = f(y)
@@ -152,9 +167,9 @@ def _noise(rngs: Sequence[np.random.Generator], amplitude: float, m: int, p: int
     """Uniform noise in [-amplitude, amplitude) at each of ``count`` grid
     points, (R, m, p) for R generators.  Each generator draws one (C, m, p)
     block per chunk of C grid points, the numbers that C draws of shape
-    (m, p) give; a chunk holds at most ``NOISE_CHUNK_BYTES`` for all runs."""
+    (m, p) give; a chunk holds at most ``CHUNK_BYTES`` for all runs."""
     R = len(rngs)
-    chunk = max(1, NOISE_CHUNK_BYTES // (8 * m * R * p))
+    chunk = max(1, CHUNK_BYTES // (8 * m * R * p))
     for start in range(0, count, chunk):
         c = min(chunk, count - start)
         block = np.empty((c, R, m, p))
@@ -230,7 +245,7 @@ def _cosimulate(
             xe = (sys.output.eval(xe) + nu.take(exact_cols, axis=1)) @ sys.output.inverse.T
             xhat[exact] = xe.swapaxes(0, 1)
         err = np.full((R, N), np.nan)
-        err[alive] = np.linalg.norm(y[:, 0] - xhat, axis=-1).T
+        err[alive] = _norms(y[:, 0] - xhat).T
         yield err, diverged.copy()
 
 
@@ -271,7 +286,7 @@ def monte_carlo(
     # no run is flagged at grid point 0, so 0 means "never diverged"
     diverged_at = np.zeros(n_runs, dtype=int)
     for k, (err, flags) in enumerate(_cosimulate(sys, design, cfg, x0, xh0, params, rngs)):
-        norms[:, k] = np.linalg.norm(err, axis=-1)
+        norms[:, k] = _norms(err)
         diverged_at[flags & (diverged_at == 0)] = k
     flagged = [(int(r), int(diverged_at[r])) for r in np.flatnonzero(diverged_at)]
 
@@ -336,9 +351,12 @@ class TrajectoryEnsemble:
         return self.states.shape[0]
 
 
-def simulate_network(sys: NetworkSystem, x0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """Plant-only RK4 on the node-first state (N, R, n); ``x0`` is (R, N, n),
-    returns (R, steps+1, N, n)."""
+def simulate_network(
+    sys: NetworkSystem, x0: np.ndarray, dt: float, steps: int, stride: int = 1
+) -> np.ndarray:
+    """Plant-only RK4 on the node-first state (N, R, n); ``x0`` is (R, N, n).
+    Returns every ``stride``-th state from the initial one on,
+    (R, steps // stride + 1, N, n), a C-contiguous array."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 3:
         raise DimensionMismatch("x0 must be (runs, N, n)")
@@ -347,26 +365,25 @@ def simulate_network(sys: NetworkSystem, x0: np.ndarray, dt: float, steps: int) 
     def f(xs):
         return sys.field.eval(xs, params) + sys.coupling_term(xs)
 
-    out = np.empty((x0.shape[0], steps + 1) + x0.shape[1:])
+    out = np.empty((x0.shape[0], steps // stride + 1) + x0.shape[1:])
     out[:, 0] = x0
     x = np.ascontiguousarray(x0.transpose(1, 0, 2))
-    for k in range(steps):
+    for k in range(1, steps + 1):
         x = _rk4_step(f, x, dt)
-        out[:, k + 1] = x.transpose(1, 0, 2)
+        if k % stride == 0:
+            out[:, k // stride] = x.transpose(1, 0, 2)
     return out
 
 
 def make_ensemble(sys: NetworkSystem, spec: TrajectoryEnsembleSpec) -> TrajectoryEnsemble:
-    """Simulate ``count`` network trajectories from the initial-condition box."""
+    """Simulate ``count`` network trajectories from the initial-condition
+    box, keeping every ``subsample``-th state; a burn-in keeps only its last
+    state.  ``stacked`` is then a view."""
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.box
     x0 = rng.uniform(lo, hi, (spec.count, sys.num_nodes, sys.state_dim))
     if spec.burn_in > 0:
         burn_steps = int(round(spec.burn_in / spec.dt))
-        x0 = simulate_network(sys, x0, spec.dt, burn_steps)[:, -1]
-    states = simulate_network(sys, x0, spec.dt, spec.num_steps)
-    # a contiguous copy lets the full-resolution array go and makes
-    # ``stacked`` a view
-    return TrajectoryEnsemble(
-        np.ascontiguousarray(states[:, :: spec.subsample]), spec.dt * spec.subsample
-    )
+        x0 = simulate_network(sys, x0, spec.dt, burn_steps, max(burn_steps, 1))[:, -1]
+    states = simulate_network(sys, x0, spec.dt, spec.num_steps, spec.subsample)
+    return TrajectoryEnsemble(states, spec.dt * spec.subsample)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from hyperobs import (
 from hyperobs import assembly
 from hyperobs.assembly import KRON_CAP, CertificationReport, ErrorSystem, gain_matrix, kron_sum
 from hyperobs.gain_design import GainProblem
-from hyperobs.hypergraph import HypergraphError
+from hyperobs.hypergraph import HypergraphError, condense, dependency_arcs, label_components
 from conftest import (
     SubsetIndex,
     apply_gains_by_block,
@@ -560,6 +562,173 @@ def ramp_jacobian_system(omega):
     return NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
 
 
+def same_floats(got: np.ndarray, expect: np.ndarray) -> bool:
+    """Equal bit for bit, any NaN equal to any NaN."""
+    nan = np.isnan(expect)
+    return bool((np.isnan(got) == nan).all()) and bit_pattern(got[~nan]) == bit_pattern(expect[~nan])
+
+
+@st.composite
+def sample_stacks(draw):
+    """(R, K, d, d) stacks whose top eigenvalues tie exactly or within
+    rounding across samples, some with a NaN or infinite entry, d = 1 and
+    K <= SEED_COUNT among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R, K, d = draw(st.integers(1, 3)), draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e150]))
+    A = rng.normal(0.0, 1.0, (R, K, d, d)) * scale
+    A -= rng.uniform(0, 3, (R, K, 1, 1)) * scale * np.eye(d)
+    for r in range(R):
+        # a sample copied (an exact tie) and one moved by about an ulp
+        i, j, k = rng.integers(0, K, 3)
+        A[r, j] = A[r, i]
+        A[r, k] = A[r, i] * (1.0 + rng.choice([-1, 1]) * 2.0**-52)
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2)):
+        A[tuple(rng.integers(0, A.shape))] = value
+    return A
+
+
+class TestTopEigMax:
+    @given(sample_stacks(), st.sampled_from([None, 1, 3]))
+    def test_equals_eigvalsh_over_every_sample(self, A, chunk):
+        # eigvalsh may not converge on a matrix with a NaN: then both raise,
+        # as every sample with a non-finite entry reaches eigvalsh
+        def outcome(f):
+            try:
+                return f()
+            except np.linalg.LinAlgError:
+                return "LinAlgError"
+
+        d = A.shape[-1]
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                # chunks of a few samples: every loop runs more than once
+                mp.setattr(assembly, "CHUNK_BYTES", 8 * d * d * chunk)
+            got = outcome(lambda: assembly.top_eig_max(A))
+        expect = outcome(lambda: assembly.symmetric_top_eig(A).max(axis=1))
+        assert got == expect if isinstance(expect, str) else same_floats(got, expect)
+
+    def test_screen_spares_most_samples(self, monkeypatch):
+        # one sample stands out: the seeds find a max near it, and the
+        # Cholesky screen rules out most of the others without eigvalsh
+        rng = np.random.default_rng(3)
+        A = rng.normal(0, 1, (1, 400, 6, 6)) - 10 * np.eye(6)
+        A[0, 200] += 5 * np.eye(6)
+        evaluated = []
+        real = assembly.symmetric_top_eig
+        monkeypatch.setattr(assembly, "symmetric_top_eig",
+                            lambda m: evaluated.append(m.shape[0] * m.shape[1] if m.ndim == 4
+                                                       else m.shape[0]) or real(m))
+        got = assembly.top_eig_max(A)
+        assert got[0] == real(A[0]).max()
+        assert sum(evaluated) < 40
+
+    def test_check_thm2_reads_the_max_of_every_sample(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(0, 1, (300, 2, 2)) - 2.0 * np.eye(2)
+        err = error_system_for(np.zeros((2, 2)), np.zeros((300, 1, 2)))
+        err.a = A
+        report = check_thm2(err, 0.1)
+        assert -report.hurwitz_margin == float(assembly.symmetric_top_eig(A).max())
+
+    def test_cholesky_failures_come_back_as_nan_rows(self):
+        # the screen's verdict per sample comes from one batched LAPACK
+        # factorization: a matrix that is not positive definite yields NaN
+        # rows with no warning or error, the others numpy's factor
+        rng = np.random.default_rng(9)
+        B = rng.normal(0, 1, (6, 4, 4))
+        M = B @ B.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        M[[1, 4]] -= 50 * np.eye(4)
+        M[3, 2, 2] = -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore", over="ignore"):
+                L = assembly.cholesky_lo(M)
+        failed = [1, 3, 4]
+        assert np.isnan(np.diagonal(L[failed], axis1=1, axis2=2)).any(axis=1).all()
+        ok = [0, 2, 5]
+        np.testing.assert_array_equal(L[ok], np.linalg.cholesky(M[ok]))
+
+    def test_one_by_one_eigvalsh_returns_the_entry(self):
+        # symmetric_top_eig takes a 1 x 1 matrix's entry for its eigenvalue
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)
+        x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7e308]])
+        got = np.linalg.eigvalsh(x[:, None, None])[:, 0]
+        assert bit_pattern(got) == bit_pattern(x)
+        assert np.isnan(np.linalg.eigvalsh(np.full((1, 1, 1), np.nan))).all()
+
+
+class TestStackRoots:
+    @given(hypergraphs(), st.integers(0, 2**32 - 1))
+    def test_each_root_equals_its_own_error_system(self, h, seed):
+        # the roots of the first design pass, grouped by size, stacked
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, h)
+        src, dst = dependency_arcs(h)
+        label = np.full(h.num_nodes, -1, dtype=np.intp)
+        label_components(src, dst, range(h.num_nodes), label)
+        roots = condense(src, dst, label, np.ones(h.num_nodes, dtype=bool))
+        X = rng.uniform(-3, 3, (int(rng.integers(1, 4)), h.num_nodes, sys.state_dim))
+        for size in {len(S) for S in roots}:
+            group = [S for S in roots if len(S) == size]
+            stack = assembly.stack_roots(sys, group, X)
+            assert stack.a.shape == (len(group), len(X), size * sys.state_dim,
+                                     size * sys.state_dim)
+            upstream = set()
+            for S, err in zip(group, stack.systems):
+                alone = ErrorSystem(sys, S, X)
+                assert err.nodes == S and np.shares_memory(err.a, stack.a)
+                assert bit_pattern(err.a) == bit_pattern(alone.a)
+                assert bit_pattern(err.g) == bit_pattern(alone.g)
+                for name in ("edges", "ptr", "members", "position"):
+                    got, expect = getattr(err.entering, name), getattr(alone.entering, name)
+                    assert got.tolist() == expect.tolist()
+                upstream |= upstream_tails(h, S)
+            assert set(stack.upstream.tolist()) == upstream
+
+    @given(hypergraphs(max_nodes=12, max_edges=10), st.data(), st.integers(0, 2**32 - 1))
+    def test_disjoint_subsets_equal_their_own_error_systems(self, h, data, seed):
+        # any disjoint subsets of one size, head-closed modulo the nodes
+        # outside them, as the roots of a pass are modulo the exact nodes
+        rng = np.random.default_rng(seed)
+        size = data.draw(st.integers(1, max(1, h.num_nodes // 2)))
+        order = rng.permutation(h.num_nodes)
+        count = data.draw(st.integers(1, h.num_nodes // size))
+        roots = [tuple(order[k * size:(k + 1) * size].tolist()) for k in range(count)]
+        zero = frozenset(range(h.num_nodes)) - set(order[:count * size].tolist())
+        sys = random_system(rng, h)
+        X = rng.uniform(-3, 3, (int(rng.integers(1, 4)), h.num_nodes, sys.state_dim))
+        try:
+            alone = [ErrorSystem(sys, S, X, zero) for S in roots]
+        except SubsetNotHeadClosed:
+            with pytest.raises(SubsetNotHeadClosed):
+                assembly.stack_roots(sys, roots, X, zero)
+            return
+        stack = assembly.stack_roots(sys, roots, X, zero)
+        for err, own in zip(stack.systems, alone):
+            assert bit_pattern(err.a) == bit_pattern(own.a)
+            assert bit_pattern(err.g) == bit_pattern(own.g)
+            assert err.entering.position.tolist() == own.entering.position.tolist()
+
+    def test_roots_of_two_sizes_or_joined_by_an_edge_are_refused(self):
+        h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1,)),))
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
+        X = np.zeros((2, 3, 3))
+        with pytest.raises(ValueError, match="one size"):
+            assembly.stack_roots(sys, [(0,), (1, 2)], X)
+        # node 1's edge has its tail in root (0,): that tail is outside (1,)
+        stack = assembly.stack_roots(sys, [(0,), (1,)], X)
+        assert stack.upstream.tolist() == [0]
+        bad = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
+        sys = NetworkSystem(bad, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
+        with pytest.raises(SubsetNotHeadClosed, match=r"\(1,\)"):
+            assembly.stack_roots(sys, [(1,), (2,)], X)
+        # a head in another root is refused even when called error-free
+        with pytest.raises(SubsetNotHeadClosed, match=r"\(1,\)"):
+            assembly.stack_roots(sys, [(1,), (2,)], X, frozenset({0, 1, 2}))
+
+
 def parabola_system():
     """Scalar node with f(x) = x^2 / 2, whose Jacobian at x is x."""
     field = vector_field_from_callable(
@@ -624,12 +793,14 @@ class TestCheckThm1:
         # the trajectory merge carries the skipped H2 through as None
         states = np.concatenate([np.full((4, 1, 1), -2.0), np.zeros((4, 1, 1))])
         merged = check_thm1(ErrorSystem(sys, sub, states), dt=0.1, h_req=1.0, length=4, count=2)
-        assert merged.sample_count == 8
+        # H1 stops at the second trajectory's first sample, which fails it
+        assert merged.sample_count == 5
         assert not merged.passed and merged.h2_margin is None
 
     def test_stack_rows_match_per_trajectory_checks(self):
         # four ramps along J(x) = x: two pass both hypotheses, the third fails
-        # H1, so the fourth is never checked
+        # H1 at its second sample, -0.75, so the fourth is never checked, and
+        # the third's report states its first two samples only
         sys = parabola_system()
         sub = (0,)
         trajs = [np.linspace(a, a + 1.0, 5).reshape(5, 1, 1) for a in (-3.0, -2.5, -1.0, -4.0)]
@@ -641,12 +812,13 @@ class TestCheckThm1:
         for count, checked in ((2, 2), (4, 3)):
             reps = [check_thm1(e, dt=0.1, h_req=1.0, length=5, count=1) for e in alone[:checked]]
             assert [r.passed for r in reps] == [True] * 2 + [False] * (checked - 2)
+            assert [r.sample_count for r in reps] == [5, 5, 2][:checked]
             merged = check_thm1(err, dt=0.1, h_req=1.0, length=5, count=count)
             h2 = [r.h2_margin for r in reps]
             assert merged == CertificationReport(
                 "thm1" if all(r.passed for r in reps) else "none",
                 min(r.hurwitz_margin for r in reps),
-                5 * checked,
+                sum(r.sample_count for r in reps),
                 None if None in h2 else min(h2),
                 max(r.g_bound for r in reps),
             )

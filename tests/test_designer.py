@@ -15,6 +15,7 @@ from hyperobs import (
     DesignOptions,
     DirectedHypergraph,
     EmptyTrajectorySet,
+    HierarchicalGenSpec,
     Hyperedge,
     NetworkSystem,
     TrajectoryEnsemble,
@@ -22,6 +23,7 @@ from hyperobs import (
     bistable_field,
     certify_or_fail,
     design_observer,
+    generate_hierarchical,
     identity_output,
     linear_coupling,
     linear_output,
@@ -31,7 +33,7 @@ from hyperobs import (
     select_node,
     tanh_coupling,
 )
-from hyperobs import designer, gain_design
+from hyperobs import assembly, designer, gain_design
 from hyperobs.assembly import ErrorSystem, check_thm2, symmetric_top_eig
 from hyperobs.designer import design_report, field_param_jacobian_bound, read_design_report
 from conftest import (
@@ -285,9 +287,10 @@ class TestDesignObserver:
                 covered.update(p.nodes)
             assert covered == set(range(h.num_nodes))
 
-    def test_one_entering_slice_per_root_on_the_zero_gain_path(self, monkeypatch):
+    def test_one_entering_slice_per_stack_on_the_zero_gain_path(self, monkeypatch):
         # head-closedness, the arguments, A_S and the upstream-tail check of
-        # a root all read the one slice its ErrorSystem takes
+        # every root read the one slice its stack takes, over the union of
+        # the pass's roots of its size: each node is sliced once
         calls = _entering_calls(monkeypatch)
         rng = np.random.default_rng(51)
         for _ in range(5):
@@ -298,25 +301,45 @@ class TestDesignObserver:
             calls.clear()
             outcome = design_observer(sys, ens, DesignOptions(margin=0.5))
             assert outcome.complete and not outcome.measured
-            assert calls == [p.nodes for p in outcome.processed]
+            assert sorted(v for c in calls for v in c) == list(range(h.num_nodes))
+            for c in calls:
+                held = [p for p in outcome.processed if set(p.nodes) <= set(c)]
+                assert [v for p in held for v in p.nodes] == list(c)
+                assert len({(len(p.nodes), p.iteration) for p in held}) == 1
 
     @pytest.mark.parametrize("shortcut", [True, False])
-    def test_one_entering_slice_per_root_when_measuring(self, monkeypatch, shortcut):
-        # the degree heuristic reads the slice of the root's ErrorSystem on
-        # every retry.  Each root adds one processed subset: itself when it
-        # is certified, the node it measures when that is reconstructed exactly
-        calls = _entering_calls(monkeypatch)
+    def test_at_most_one_entering_slice_per_root_when_measuring(self, monkeypatch, shortcut):
+        # a root that fails its zero-gain checks cuts its slice from its
+        # stack's and reads it on every retry, so no root takes a slice of
+        # its own from the hypergraph: one slice per stack, at most one per root
+        passes, calls = [], []
+        real_condense, real_entering = designer.condense, DirectedHypergraph.entering
+        monkeypatch.setattr(designer, "condense",
+                            lambda *args: passes.append(out := real_condense(*args)) or out)
+        monkeypatch.setattr(DirectedHypergraph, "entering", lambda self, nodes: real_entering(
+            self, calls.append((len(passes) - 1, tuple(nodes))) or calls[-1][1]))
         isolated = NetworkSystem(DirectedHypergraph(3), lorenz_field(),
                                  tanh_coupling(0.2, 0.05, 2), identity_output(3))
         for sys in (cohead_pair_system(), isolated):
             ens = small_ensemble(sys, count=5, horizon=0.3, seed=4)
+            passes.clear()
             calls.clear()
             options = DesignOptions(margin=2.0, use_inverse_shortcut=shortcut)
             outcome = design_observer(sys, ens, options)
             assert outcome.complete and outcome.measured
             assert (outcome.exact_nodes == outcome.measured) == shortcut
-            assert len(calls) == len(outcome.processed)
-            assert all(set(p.nodes) <= set(S) for S, p in zip(calls, outcome.processed))
+            assert len(calls) <= sum(map(len, passes))
+            # every call is the union of roots of one size of its pass, and
+            # each root is in one call
+            stacked = Counter()
+            for k, c in calls:
+                held = [S for S in passes[k] if set(S) <= set(c)]
+                assert [v for S in held for v in S] == list(c)
+                assert len({len(S) for S in held}) == 1
+                stacked.update((k, S) for S in held)
+            assert stacked == Counter((k, S) for k, roots in enumerate(passes) for S in roots)
+        # the isolated nodes make one pass of three one-node roots, one stack
+        assert len(calls) == 1 and passes == [[(0,), (1,), (2,)]]
 
 
 @dataclass(frozen=True)
@@ -463,11 +486,70 @@ class TestDesignMatchesReference:
             assert outcome.status == "failed"
 
 
+@st.composite
+def hierarchical_cases(draw):
+    """Layered networks of 6-18 scalar bistable or Lorenz nodes, whose
+    passes hold several roots of one size and roots that fail their
+    zero-gain checks, and a byte budget that stacks one, two or every root
+    of a size."""
+    layers = draw(st.lists(st.integers(3, 6), min_size=2, max_size=3))
+    counts = st.integers(0, 3)
+    spec = HierarchicalGenSpec(
+        layers, 3, draw(st.lists(counts, min_size=len(layers), max_size=len(layers))),
+        draw(st.lists(counts, min_size=len(layers), max_size=len(layers))),
+        draw(st.lists(counts, min_size=len(layers) - 1, max_size=len(layers) - 1)),
+        draw(st.lists(counts, min_size=len(layers) - 1, max_size=len(layers) - 1)),
+        seed=draw(st.integers(0, 2**16)), sigma=draw(st.sampled_from([0.1, 1.0, 10.0])))
+    h = generate_hierarchical(spec)
+    field = draw(st.sampled_from(["bistable", "bistable", "lorenz"]))
+    # an x3-only output exhausts a chaotic root: the design fails there
+    output = draw(st.sampled_from([(), ((0, 0, 1),)])) if field == "lorenz" else ()
+    case = DesignCase(
+        h.num_nodes, h.edges, field=field,
+        bistable=draw(st.sampled_from([(1.0, 2.0), (3.0, 0.5)])),
+        coupling=draw(st.sampled_from(["tanh", "linear"])), output=output,
+        margin=draw(st.sampled_from([0.25, 1.0])),
+        shortcut=draw(st.sampled_from([None, False])),
+        seed=draw(st.integers(0, 3)), count=2, max_iters=100,
+    )
+    return case, draw(st.sampled_from([None, 1, 2]))
+
+
+class TestBatchedPass:
+    @settings(max_examples=25)
+    @given(hierarchical_cases())
+    def test_equals_per_root_reference(self, drawn):
+        # the reference certifies each root on its own ErrorSystem, in order
+        case, roots_per_stack = drawn
+        sys, ens, options = case.build()
+        K, n = ens.stacked().shape[0], sys.state_dim
+        with case.budget(), pytest.MonkeyPatch.context() as mp:
+            if roots_per_stack is not None:
+                mp.setattr(designer, "CHUNK_BYTES", 8 * K * n * n * roots_per_stack)
+            got = design_observer(sys, ens, options)
+            expect = reference_design_observer(sys, ens, options)
+        assert got.to_json_dict() == expect.to_json_dict()
+
+    def test_one_info_line_per_pass(self, caplog):
+        sys = NetworkSystem(DirectedHypergraph(3), lorenz_field(),
+                            tanh_coupling(0.2, 0.05, 2), identity_output(3))
+        ens = small_ensemble(sys, count=3, horizon=0.2, seed=4)
+        with caplog.at_level("DEBUG", logger="hyperobs.designer"):
+            outcome = design_observer(sys, ens, DesignOptions(margin=2.0))
+        info = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+        debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        # three chaotic one-node roots in one pass, each reconstructed exactly
+        assert info == ["iteration 1: 3 roots, 0 certified, 3 nodes measured"]
+        assert [m for m in debug if "measuring" in m] == [
+            f"iteration 1: measuring node {j} of ({j},) (exact)" for j in range(3)]
+        assert outcome.exact_nodes == {0, 1, 2}
+
+
 def _count_per_subset(monkeypatch) -> Counter:
-    """Counts, per (route, subset nodes), of the A_S evaluations, zero-gain
-    Theorem-2 checks and their refutations by a diagonal block, gain
-    Theorem-2 checks, Theorem-1 checks and gain syntheses the design loop
-    makes from now on."""
+    """Counts, per (route, subset nodes), of the stacks that assemble a
+    root's A_S, the zero-gain certifications (``certify_roots``), the
+    Theorem-2 checks with and without gains, the Theorem-1 checks and the
+    gain syntheses the design loop makes from now on."""
     calls = Counter()
 
     def count(owner, name, route):
@@ -479,14 +561,18 @@ def _count_per_subset(monkeypatch) -> Counter:
 
         monkeypatch.setattr(owner, name, counted)
 
-    real_refuted = designer.thm2_refuted
+    real_stack, real_certify = designer.stack_roots, designer.certify_roots
 
-    def refuted(err, h_req):
-        calls["thm2_refuted", err.nodes] += (result := real_refuted(err, h_req))
-        return result
+    def stack(sys, roots, *args):
+        calls.update(("stack", tuple(S)) for S in roots)
+        return real_stack(sys, roots, *args)
 
-    monkeypatch.setattr(designer, "thm2_refuted", refuted)
-    count(ErrorSystem, "a_matrix_batch", lambda args, kw: "a_matrix_batch")
+    def certify(stack, *args):
+        calls.update(("zero_gain", err.nodes) for err in stack.systems)
+        return real_certify(stack, *args)
+
+    monkeypatch.setattr(designer, "stack_roots", stack)
+    monkeypatch.setattr(designer, "certify_roots", certify)
     count(designer, "check_thm2",
           lambda args, kw: "thm2_gains" if args[1:] or kw else "thm2_zero_gain")
     count(designer, "check_thm1", lambda args, kw: "thm1")
@@ -535,10 +621,10 @@ class TestCertifyOrFail:
         assert (0, 0) in outcome.gains
 
     def test_one_evaluation_serves_every_route(self, monkeypatch):
-        # per subset: one A_S evaluation, one zero-gain Theorem-2 check or its
-        # refutation, and at most one Theorem-1 check; per measured node
-        # without the shortcut, one synthesis and, when it returns gains, one
-        # Theorem-2 check with them
+        # per subset: one stack holding its A_S, one zero-gain certification
+        # (Theorem 2 inside it, never through check_thm2), and at most one
+        # Theorem-1 check; per measured node without the shortcut, one
+        # synthesis and, when it returns gains, one Theorem-2 check with them
         calls = _count_per_subset(monkeypatch)
         for name, case in NAMED_CASES.items():
             calls.clear()
@@ -549,8 +635,8 @@ class TestCertifyOrFail:
             certified = [p for p in outcome.processed if p.report.theorem_used != "exact"]
             assert {p.nodes for p in certified} <= tried
             for nodes in tried:
-                assert calls["a_matrix_batch", nodes] == 1, name
-                assert calls["thm2_zero_gain", nodes] + calls["thm2_refuted", nodes] == 1, name
+                assert calls["stack", nodes] == calls["zero_gain", nodes] == 1, name
+                assert calls["thm2_zero_gain", nodes] == 0, name
                 assert calls["thm1", nodes] <= 1, name
                 assert calls["thm2_gains", nodes] <= calls["design_gain_thm2", nodes], name
             for p in certified:
@@ -558,6 +644,11 @@ class TestCertifyOrFail:
             if case.shortcut is None:
                 # every measured node is reconstructed exactly: no synthesis
                 assert not any(route == "design_gain_thm2" for route, _ in calls)
+
+
+def refuted(err, h_req) -> bool:
+    """``thm2_refuted`` on the stack of one root, ``err``'s."""
+    return bool(designer.thm2_refuted(err.a[None], [err], h_req)[0])
 
 
 @st.composite
@@ -595,9 +686,27 @@ class TestThm2Refutation:
     @given(lorenz_or_bistable_subsets())
     def test_refuted_subset_fails_the_check(self, case):
         err, _, margin = case
-        if designer.thm2_refuted(err, margin):
+        if refuted(err, margin):
             assert len(err.nodes) > 1
             assert not check_thm2(err, margin).passed
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.5, 2.0]))
+    def test_stacked_refutation_is_each_roots_own(self, seed, margin):
+        # roots of two nodes on uncoupled pairs, some chaotic, some not: the
+        # batch refutes a root exactly when its own blocks refute it
+        rng = np.random.default_rng(seed)
+        R = int(rng.integers(2, 6))
+        edges = tuple(Hyperedge.uniform((2 * r,), (2 * r + 1,), float(rng.uniform(0.1, 5)))
+                      for r in range(R))
+        h = DirectedHypergraph(2 * R, edges)
+        sys = random_system(rng, h, str(rng.choice(["lorenz", "bistable", "planar"])))
+        X = rng.uniform(-3, 3, (int(rng.integers(1, 12)), 2 * R, sys.state_dim))
+        X[:, rng.random(2 * R) < 0.3] *= 1e-3
+        stack = assembly.stack_roots(sys, [(2 * r, 2 * r + 1) for r in range(R)], X)
+        got = designer.thm2_refuted(stack.a, stack.systems, margin)
+        expect = [any(err.refuting_block(part, margin) is not None
+                      for part in (err.nodes[:1], err.nodes[1:])) for err in stack.systems]
+        assert got.tolist() == expect
 
     @given(lorenz_or_bistable_subsets())
     def test_certify_or_fail_equals_the_unconditional_check(self, case):
@@ -614,14 +723,16 @@ class TestThm2Refutation:
             err.a[0, 0, 0] = entry
             return err
 
-        assert designer.thm2_refuted(err_with(1e300), options.margin)
+        assert refuted(err_with(1e300), options.margin)
         for bad in (math.inf, math.nan):
-            # a non-finite stack goes to check_thm2 with no eigvalsh on its
-            # blocks, and synthesis reads the same guard
+            # a non-finite stack goes to the Theorem-2 check with no eigvalsh
+            # on its blocks, and synthesis reads the same guard
             err = err_with(bad)
-            monkeypatch.setattr(err, "block_floor", None)
-            assert not designer.thm2_refuted(err, options.margin)
-            assert err.refuting_block((1,), options.margin) is None
+            with monkeypatch.context() as mp:
+                mp.setattr(err, "block_floor", None)
+                mp.setattr(designer, "symmetric_top_eig", None)
+                assert not refuted(err, options.margin)
+                assert err.refuting_block((1,), options.margin) is None
 
     @given(lorenz_or_bistable_subsets(), st.data())
     def test_refuted_margin_is_out_of_every_gains_reach(self, case, data):
@@ -647,7 +758,7 @@ class TestThm2Refutation:
         ens = small_ensemble(sys, count=2, horizon=0.1)
         err = ErrorSystem(sys, (0, 1), ens.stacked())
         with caplog.at_level("DEBUG", logger="hyperobs.designer"):
-            assert designer.thm2_refuted(err, 1.0)
+            assert refuted(err, 1.0)
         floor, node = err.block_floor((0,))
         assert caplog.messages == [f"thm2 refuted on (0, 1): the block of node {node} "
                                    f"reaches {floor:.6g}"]
@@ -711,3 +822,26 @@ class TestFieldParamJacobianBound:
             assert abs(got - svd[k].max()) <= 4 * np.spacing(svd[k].max())
         got = field_param_jacobian_bound(sys, X)
         assert abs(got - svd.max()) <= 4 * np.spacing(svd.max())
+
+    @pytest.mark.parametrize("field", ["bistable", "lorenz"])
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_chunks_change_no_bit(self, monkeypatch, field, per_chunk):
+        rng = np.random.default_rng(13)
+        sys = random_system(rng, random_hypergraph(rng, max_nodes=5, max_edges=3), field)
+        X = rng.uniform(-5.0, 5.0, (17, sys.num_nodes, sys.state_dim))
+        X[4, 0, 0] = np.nan
+        per_sample = 8 * sys.num_nodes * sys.state_dim * sys.field.param_dim
+
+        def bound(samples):
+            # the SVD of a NaN sample does not converge, whole or chunked
+            try:
+                return field_param_jacobian_bound(sys, samples)
+            except np.linalg.LinAlgError:
+                return "LinAlgError"
+
+        for samples in (X[5:], X):
+            whole = bound(samples)
+            with monkeypatch.context() as mp:
+                mp.setattr(designer, "CHUNK_BYTES", per_sample * per_chunk)
+                got = bound(samples)
+            assert got == whole or (math.isnan(got) and math.isnan(whole))

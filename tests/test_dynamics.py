@@ -290,7 +290,7 @@ class TestCouplingKernels:
             # W's chunk width is the byte budget over 8 bytes times the
             # larger of its entry and row counts
             most = max(1, len(h.members), len(h.edges))
-            monkeypatch.setattr(dynamics, "PRODUCT_CHUNK_BYTES", 8 * chunk * most)
+            monkeypatch.setattr(dynamics, "CHUNK_BYTES", 8 * chunk * most)
             chunked = NetworkSystem(h, sys_.field, sys_.coupling, sys_.output)
             assert chunked._members._chunk == chunk
             got = chunked.edge_arguments(X)

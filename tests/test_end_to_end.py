@@ -14,6 +14,7 @@ must match exactly, floats to a relative 1e-12.
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -182,16 +183,17 @@ def test_overflowing_robustness_bound_is_written_inf(noise, tmp_path):
     out = tmp_path / "out"
     assert main(["generate", "--spec", str(tmp_path / "spec.json"),
                  "--out", str(tmp_path / "network.json")]) == 0
-    # the co-simulation's error norms overflow at this noise too, and numpy
-    # warns of that and of the inf - inf in their percentiles
-    with pytest.warns(RuntimeWarning):
+    # the error norms' sums of squares overflow at this noise too, but the
+    # errors are finite floats: their norms are scaled, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["simulate", "--config", str(tmp_path / "config.json"),
                      "--design", str(recorded / "design.json"), "--out-dir", str(out)])
     assert code == 3
     # strict JSON: read_json refuses the Infinity literal
     (batch,) = read_json(out / "summary.json")["batches"]
     assert batch["robustness_bound"] == "inf"
-    assert batch["max_error"] == "inf"
+    assert noise / 10 < batch["max_error"] < math.inf
 
 
 def test_theorem1_case_certifies_by_theorem1():
@@ -204,24 +206,32 @@ def test_theorem1_case_certifies_by_theorem1():
 
 def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
     # every multi-node root of e2e-exact that fails zero-gain Theorem 2 is
-    # refuted by a diagonal block and never reaches check_thm2, and the
-    # outputs are still the recorded ones
-    refuted, checked = [], []
-    real_refuted, real_check = designer.thm2_refuted, designer.check_thm2
+    # refuted by a diagonal block and never reaches the check over its whole
+    # A_S, the other multi-node roots pass it, and the outputs are still the
+    # recorded ones
+    refuted, checked, kernel_rows = [], [], []
+    real_refuted, real_certify = designer.thm2_refuted, designer.certify_roots
+    real_kernel = designer.top_eig_max
 
-    def count_refuted(err, h_req):
-        if result := real_refuted(err, h_req):
-            refuted.append(err.nodes)
-        return result
+    def count_refuted(a, errs, h_req):
+        out = real_refuted(a, errs, h_req)
+        refuted.extend(err.nodes for err, hit in zip(errs, out) if hit)
+        return out
 
-    def count_check(err, h_req, gains=None):
-        report = real_check(err, h_req, gains)
-        checked.append((err.nodes, report.passed))
-        return report
+    def certify(stack, *args):
+        before = set(refuted)
+        reports = real_certify(stack, *args)
+        checked.extend((err.nodes, report is not None and report.theorem_used == "thm2")
+                       for err, report in zip(stack.systems, reports)
+                       if err.nodes not in set(refuted) - before)
+        return reports
 
     monkeypatch.setattr(designer, "thm2_refuted", count_refuted)
-    monkeypatch.setattr(designer, "check_thm2", count_check)
+    monkeypatch.setattr(designer, "certify_roots", certify)
+    monkeypatch.setattr(designer, "top_eig_max",
+                        lambda A: kernel_rows.append(A.shape[0]) or real_kernel(A))
     run_and_compare("e2e-exact", tmp_path)
     assert len(refuted) == 5 and all(len(nodes) > 1 for nodes in refuted)
+    assert sum(kernel_rows) == len(checked)
     assert not set(refuted) & {nodes for nodes, _ in checked}
     assert all(passed for nodes, passed in checked if len(nodes) > 1)

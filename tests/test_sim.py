@@ -440,7 +440,7 @@ class TestMonteCarlo:
         whole = monte_carlo(sys, design, cfg, n_runs=3)
         # 3 runs x 2 measured nodes x 3 channels: 7 grid points per chunk,
         # so the 101 grid points span 15 chunks, the last one partial
-        monkeypatch.setattr(sim, "NOISE_CHUNK_BYTES", 7 * 3 * 2 * 3 * 8)
+        monkeypatch.setattr(sim, "CHUNK_BYTES", 7 * 3 * 2 * 3 * 8)
         assert (cfg.num_steps + 1) % 7 != 0
         chunked = monte_carlo(sys, design, cfg, n_runs=3)
         np.testing.assert_array_equal(chunked.error_norms, whole.error_norms)
@@ -500,6 +500,25 @@ class TestEnsembles:
         full = simulate_network(sys, x0, 1e-3, spec.num_steps)
         np.testing.assert_array_equal(ens.states, full[:, ::5])
 
+    @pytest.mark.parametrize("steps, stride, burn_in", [(50, 5, 0.0), (53, 5, 0.0),
+                                                         (50, 1, 0.0), (40, 5, 0.02)])
+    def test_only_the_sampled_states_are_kept(self, steps, stride, burn_in):
+        # against integrating every step and slicing, as a full run does
+        sys = lorenz_pair_system()
+        x0 = np.random.default_rng(25).uniform(-3, 3, (3, 2, 3))
+        full = simulate_network(sys, x0, 1e-3, steps)
+        got = simulate_network(sys, x0, 1e-3, steps, stride)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, full[:, ::stride])
+        spec = TrajectoryEnsembleSpec(count=3, horizon=steps * 1e-3, dt=1e-3,
+                                      subsample=stride, seed=25, burn_in=burn_in)
+        burned = x0
+        if burn_in:
+            burned = simulate_network(sys, x0, 1e-3, int(round(burn_in / 1e-3)))[:, -1]
+        ens = make_ensemble(sys, spec)
+        np.testing.assert_array_equal(
+            ens.states, simulate_network(sys, burned, 1e-3, spec.num_steps)[:, ::stride])
+
     def test_every_trajectory_holds_two_samples(self):
         with pytest.raises(ValueError):
             TrajectoryEnsembleSpec(horizon=0.0004, dt=1e-3)
@@ -537,3 +556,22 @@ def test_percentile_equals_nanpercentile_without_nan(norms):
         np.percentile(norms, [50, 25, 75], axis=0),
         np.nanpercentile(norms, [50, 25, 75], axis=0),
     )
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from([1.0, 1e150, 1e200, 1e307]))
+def test_error_norms_scale_only_what_overflows(seed, n, scale):
+    # np.linalg.norm's bits wherever its sum of squares is finite; a finite
+    # row whose sum overflows reads as its scaled norm, not as inf
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (7, n)) * np.where(rng.random((7, 1)) < 0.5, scale, 1.0)
+    x[0] = [np.nan] + [0.0] * (n - 1)
+    x[1] = np.inf
+    got = sim._norms(x)
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(x, axis=-1)
+    kept = np.isfinite(plain) | ~np.isfinite(x).all(axis=-1)
+    np.testing.assert_array_equal(got[kept], plain[kept])
+    big = ~kept
+    assert np.isfinite(got[big]).all()
+    np.testing.assert_allclose(got[big] / scale, np.linalg.norm(x[big] / scale, axis=-1),
+                               rtol=1e-15)
