@@ -54,6 +54,7 @@ from .designer import (
     select_node,
 )
 from .sim import (
+    EnsembleDiverged,
     EnsembleStats,
     SimConfig,
     TrajectoryEnsemble,

@@ -9,11 +9,20 @@ slice, ``DirectedHypergraph.entering(S)``, and its ``position`` array is the
 one index of S, which places each node's block in A_S.
 
 A design certifies the roots of a pass, disjoint subsets that no edge joins,
-several at a time: ``stack_roots`` assembles the A_S of R roots of M nodes
-each as one (R, K, Mn, Mn) stack over one slice of their union, whose
-``position`` indexes all of them, and gives each root an ``ErrorSystem``
-that is a view of its row of the stack.  A design chunks the roots of one
-size so that a stack holds at most ``CHUNK_BYTES``, or one root.
+several at a time: ``stack_roots`` gives the R roots of M nodes each one
+``RootStack`` over one slice of their union, whose ``position`` indexes all
+of them, and each root an ``ErrorSystem`` that is a view of its row.  A_S is
+per-sample arithmetic, so a stack is a stream: it keeps the union slice, its
+edge and position indices and the samples, and ``RootStack.rows`` assembles
+the (R, k, Mn, Mn) rows of any k samples, bit for bit those of the whole
+stack.  A stack of at most ``dynamics.CHUNK_BYTES`` is assembled once and
+held; a larger one is read in chunks of at most that size, and each check
+is a running reduction over them: the diagonal-block floors and max|A_S|
+(kept from one pass at construction), the coupling bound ``g``,
+``top_eig_max`` and the Theorem-1 check.  Only gain synthesis reads a whole
+root, ``ErrorSystem.a``: its descent visits every sample at every iteration.
+A design chunks the roots of one size so that a stack holds at most
+``CHUNK_BYTES``, or one root.
 
 This module also implements the checkable hypotheses of the two convergence
 theorems and the robustness bound.  ``ErrorSystem.refuting_block`` is the one
@@ -24,16 +33,19 @@ eigenvalue is at most that of sym(A_S) (Horn and Johnson, "Matrix
 Analysis", 2nd ed., Thm 4.3.28).
 
 ``top_eig_max``, the max over samples that every Theorem-2 check reads, runs
-``eigvalsh`` on ``SEED_COUNT`` evenly spaced samples of a root, whose largest
-top eigenvalue is ``best``, and factors mu I - sym(A_k) = LL^T by one batched
-LAPACK Cholesky at mu = best - tol on the other samples with finite entries.
-A factorization that runs to completion proves lambda_max(sym A_k) < mu +
-4 d^3 u max|mu I - sym A_k| (Higham, "Accuracy and Stability of Numerical
-Algorithms", 2nd ed., ch. 10), and tol, ``rounding_tol`` at max|A| + |best|,
-covers that and the rounding of ``eigvalsh`` for d < 10^5: such a sample
-cannot beat ``best``.  Only the samples whose factorization fails, or that
-hold a non-finite entry, reach ``eigvalsh``, so the max is bit for bit that
-of ``symmetric_top_eig`` over every sample.
+``eigvalsh`` on ``SEED_COUNT`` evenly spaced samples of a root's first chunk,
+whose largest top eigenvalue starts ``best``, and factors mu I - sym(A_k) =
+LL^T by one batched LAPACK Cholesky at mu = best - tol on the samples of
+each chunk with finite entries.  A factorization that runs to completion
+proves lambda_max(sym A_k) < mu + 4 d^3 u max|mu I - sym A_k| (Higham,
+"Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 10), and tol,
+``rounding_tol`` at the chunk's max|A| + |best|, covers that and the
+rounding of ``eigvalsh`` for d < 10^5: such a sample cannot beat ``best``,
+the largest value found so far.  Only the samples whose factorization
+fails, or that hold a non-finite entry, reach ``symmetric_top_eig``, so the
+max is bit for bit that over every sample.  A sample whose symmetric part
+has a non-finite entry reads +inf, with no ``eigvalsh`` call: it fails
+every Theorem-2 check.
 """
 
 from __future__ import annotations
@@ -41,12 +53,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo
 
-from .dynamics import CHUNK_BYTES, DimensionMismatch, NetworkSystem
+from . import dynamics
+from .dynamics import DimensionMismatch, NetworkSystem
 from .hypergraph import DirectedHypergraph, EdgeSlice
 
 
@@ -81,14 +94,17 @@ SEED_COUNT = 8
 
 class ErrorSystem:
     """The zero-gain A_S and the coupling-Jacobian bound of the subset S,
-    the node tuple ``nodes``, evaluated once over a sample set of estimator
-    states, the (K, N, n) array ``samples``.
+    the node tuple ``nodes``, over a sample set of estimator states, the
+    (K, N, n) array ``samples``: root ``row`` of its ``RootStack``,
+    ``stack``.
 
-    ``a`` is the (K, nM, nM) stack of A_S, one per sample, and ``g`` is (K,),
-    the largest |g'| over the subset's incoming edges at each sample (0 when
-    no edge enters S).  Every check of one certification attempt reads these
-    two arrays; gains enter as ``a - B`` with B from ``gain_matrix``, on a
-    new array, so ``a`` stays the zero-gain stack.
+    ``rows(idx)`` is A_S at the samples ``idx``, (k, nM, nM), and ``g`` is
+    (K,), the largest |g'| over the subset's incoming edges at each sample
+    (0 when no edge enters S).  ``a`` is the whole (K, nM, nM) stack: the
+    stack's row when the stack is held whole, else assembled on first read,
+    which only gain synthesis makes.  Every check reads these; gains enter as
+    ``rows(idx) - B`` with B from ``gain_matrix``, on a new array, so A_S
+    stays the zero-gain stack.
 
     ``zero_error_nodes`` are nodes whose estimation error is identically zero
     (exactly reconstructed measured nodes); hyperedge heads falling outside S
@@ -110,79 +126,75 @@ class ErrorSystem:
         samples,
         zero_error_nodes: frozenset[int] = frozenset(),
     ):
-        vars(self).update(vars(stack_roots(sys, [nodes], samples, zero_error_nodes).systems[0]))
+        vars(self).update(vars(stack_roots(sys, [nodes], samples, zero_error_nodes).system(0)))
 
     @cached_property
     def entering(self) -> EdgeSlice:
-        return self._stack_slice.subset(self.nodes)
+        return self.stack.entering.subset(self.nodes)
 
     @property
     def dim(self) -> int:
         return len(self.nodes) * self.sys.state_dim
 
+    @cached_property
+    def a(self) -> np.ndarray:
+        """The whole (K, nM, nM) stack, assembled a chunk at a time."""
+        stack = self.stack
+        out = np.empty((stack.num_samples, self.dim, self.dim))
+        for chunk in stack.chunks():
+            out[chunk] = stack.rows(chunk)[self.row]
+        return out
+
+    def rows(self, idx: slice) -> np.ndarray:
+        """A_S at the samples of the slice ``idx``: read from ``a`` once it
+        is held, else assembled."""
+        return self.a[idx] if "a" in vars(self) else self.stack.rows(idx)[self.row]
+
     @staticmethod
     def a_matrix_batch(
         sys: NetworkSystem,
         roots: np.ndarray,
-        entering: EdgeSlice,
-        edge_root: np.ndarray,
-        local: np.ndarray,
+        pairs: tuple,
         X: np.ndarray,
         dg: np.ndarray,
     ) -> np.ndarray:
         """Zero-gain A_S of the R roots of M nodes, the rows of ``roots``,
-        stacked over the (K, N, n) states ``X``: (R, K, Mn, Mn).  ``entering``
-        is the slice of their union, ``edge_root`` the root of each of its
-        edges, ``local`` each entry's place in its edge's root (-1 outside
-        it), and ``dg`` the (edges, K, n) coupling derivative g'."""
-        sl = entering
+        stacked over the (K, N, n) states ``X``: (R, K, Mn, Mn).  ``pairs``
+        places the coupling terms (``coupling_pairs``), and ``dg`` is the
+        (edges, K, n) coupling derivative g' of the union's entering edges."""
         (R, M), n, K = roots.shape, sys.state_dim, X.shape[0]
         A = np.zeros((R, K, M, n, M, n))
         Jf = sys.field.jac_x(X[:, roots.ravel()], sys.field.nominal_params)
         block = np.arange(M)
         A[:, :, block, :, block, :] += Jf.reshape(K, R, M, n, n).transpose(2, 1, 0, 3, 4)
-        # the (head, member) pairs of every edge inside its root: row i of a
-        # head collects w_j * diag(d) from every member j, +alpha_j for a
-        # tail and -beta_j for a head (itself included)
-        inside = np.flatnonzero(local >= 0)
-        row = sl.rows[inside]
-        at = np.searchsorted(inside, sl.ptr)
-        heads = np.flatnonzero(sl.is_head[inside])
-        count = np.diff(at)[row[heads]]
-        head = np.repeat(heads, count)
-        member = np.arange(count.sum()) + np.repeat(at[row[heads]] - np.cumsum(count) + count,
-                                                    count)
-        # an edge's pairs are distinct entries of A, and so are those of the
-        # k-th edges of distinct roots: wave k adds them with one add, and
-        # every entry gets its terms in edge order
-        order = np.argsort(edge_root, kind="stable")
-        rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order)) - np.searchsorted(edge_root[order], edge_root[order])
-        by_wave = np.argsort(rank[row[head]], kind="stable")
-        edge, head, member = row[head][by_wave], inside[head][by_wave], inside[member][by_wave]
-        waves = np.searchsorted(rank[edge], np.arange(rank.max(initial=-1) + 2)).tolist()
-        root, weight = edge_root[edge, None], sl.weights[member, None, None]
-        head, member = local[head, None], local[member, None]
-        terms = sys.hypergraph.edge_sigma[sl.edges][:, None, None] * dg
+        edge, root, head, member, weight, waves, sigma = pairs
+        terms = sigma * dg
         diag = np.arange(n)
         for lo, hi in zip(waves, waves[1:]):
             wave = weight[lo:hi] * terms[edge[lo:hi]]
             A[root[lo:hi], :, head[lo:hi], diag, member[lo:hi], diag] += wave.transpose(0, 2, 1)
         return A.reshape(R, K, M * n, M * n)
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """The (K, M, n, n) diagonal blocks of A_S: a view of ``a`` once it
+        is held, else the stack's."""
+        if "a" in vars(self):
+            return diagonal_blocks(self.a, self.sys.state_dim)
+        return self.stack.blocks[self.row]
+
     def block_floor(self, nodes: Sequence[int]) -> tuple[float, int | None]:
         """The largest lambda_max of the symmetric part over the samples and
-        the n x n diagonal blocks of ``a`` at ``nodes`` of S, and the first
+        the n x n diagonal blocks of A_S at ``nodes`` of S, and the first
         node whose block reaches it; (-inf, None) for no nodes.
 
-        The blocks are the entries ``a`` holds, so by interlacing the value is
+        The blocks are the entries A_S holds, so by interlacing the value is
         at most the worst value of ``check_thm2`` with zero gains, and with any
         gains when none touches these blocks, up to the rounding of the two
         ``eigvalsh`` calls (``floor_tol``)."""
         if not nodes:
             return -np.inf, None
-        blocks = diagonal_blocks(self.a, self.sys.state_dim)
-        tops = symmetric_top_eig(blocks[:, self.entering.position[list(nodes)]]).max(axis=0)
+        tops = symmetric_top_eig(self.blocks[:, self.entering.position[list(nodes)]]).max(axis=0)
         k = int(np.argmax(tops))
         return float(tops[k]), int(nodes[k])
 
@@ -190,15 +202,18 @@ class ErrorSystem:
     def floor_tol(self) -> float:
         """The rounding slack of ``block_floor`` against ``check_thm2``:
         ``rounding_tol`` at the error dimension and max|A_S|, which is taken
-        with no temporary the size of ``a``; not finite when ``a`` is not."""
-        return rounding_tol(self.dim, float(np.maximum(self.a.max(), -self.a.min())))
+        from ``a`` with no temporary its size once it is held, else kept from
+        the stack's first pass; not finite when A_S is not."""
+        if "a" in vars(self):
+            return rounding_tol(self.dim, float(np.maximum(self.a.max(), -self.a.min())))
+        return rounding_tol(self.dim, float(self.stack.a_max[self.row]))
 
     def refuting_block(self, nodes: Sequence[int], h_req: float) -> tuple[float, int] | None:
         """(floor, node) when the diagonal blocks at ``nodes`` prove that the
         Theorem-2 check fails at margin ``h_req`` with any gains that leave
         these blocks alone: their ``block_floor`` exceeds -h_req by more than
-        ``floor_tol``.  None otherwise, and always when ``a`` has a
-        non-finite entry, which has no finite slack (no ``eigvalsh`` runs)."""
+        ``floor_tol``.  None otherwise, and always when A_S has a non-finite
+        entry, which has no finite slack (no ``eigvalsh`` runs)."""
         if not math.isfinite(self.floor_tol):
             return None
         floor, node = self.block_floor(nodes)
@@ -218,16 +233,136 @@ class ErrorSystem:
         return g
 
 
-class RootStack(NamedTuple):
-    """The zero-gain A_S of R disjoint subsets of M nodes each, assembled at
-    once: ``a`` is (R, K, Mn, Mn), ``g`` is (R, K), and ``systems[r]`` is
-    root r's ``ErrorSystem``, whose ``a`` and ``g`` are row r of these.
-    ``upstream`` holds the tails of the entering edges outside their root."""
+def coupling_pairs(
+    sys: NetworkSystem, sl: EdgeSlice, edge_root: np.ndarray, local: np.ndarray, M: int
+) -> tuple:
+    """The (head, member) pairs of every edge of the union slice ``sl`` of
+    roots of M nodes inside its root, ``edge_root``; ``local`` is each
+    entry's place in its edge's root, -1 outside it.  Row i of a head
+    collects w_j * diag(d) from every member j, +alpha_j for a tail and
+    -beta_j for a head (itself included): pair p adds ``weight[p] *
+    sigma[edge[p]] * g'`` at block (head[p], member[p]) of root ``root[p]``.
+    Wave k, the pairs ``waves[k]:waves[k + 1]``, holds the k-th pair, in
+    edge order, of each block that has one: its pairs are distinct entries
+    of A, so one add serves a wave, and every entry gets its terms in edge
+    order.  Returns (edge, root, head, member, weight, waves, sigma)."""
+    inside = np.flatnonzero(local >= 0)
+    row = sl.rows[inside]
+    at = np.searchsorted(inside, sl.ptr)
+    heads = np.flatnonzero(sl.is_head[inside])
+    count = np.diff(at)[row[heads]]
+    head = np.repeat(heads, count)
+    member = np.arange(count.sum()) + np.repeat(at[row[heads]] - np.cumsum(count) + count, count)
+    # the pairs in edge order; a stable sort keeps that order in each block
+    edge, head, member = row[head], inside[head], inside[member]
+    block = (edge_root[edge] * M + local[head]) * M + local[member]
+    order = np.argsort(block, kind="stable")
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order)) - np.searchsorted(block[order], block[order])
+    by_wave = np.argsort(rank, kind="stable")
+    edge, head, member = edge[by_wave], head[by_wave], member[by_wave]
+    waves = np.searchsorted(rank[by_wave], np.arange(rank.max(initial=-1) + 2)).tolist()
+    return (edge, edge_root[edge, None], local[head, None], local[member, None],
+            sl.weights[member, None, None], waves,
+            sys.hypergraph.edge_sigma[sl.edges][:, None, None])
 
-    a: np.ndarray
-    g: np.ndarray
-    systems: list[ErrorSystem]
-    upstream: np.ndarray
+
+class RootStack:
+    """The zero-gain A_S of R disjoint subsets of M nodes each, the rows of
+    ``roots``, over the (K, N, n) samples ``X``, as a stream: ``rows(idx)``
+    assembles the (R, k, Mn, Mn) rows of the samples ``idx``.  ``g`` is
+    (R, K), and ``systems[r]`` is root r's ``ErrorSystem``.  ``upstream``
+    holds the tails of the entering edges outside their root.
+
+    A stack of at most ``dynamics.CHUNK_BYTES`` is assembled once and held,
+    ``a``; ``blocks`` is then a view of its diagonal blocks.  A larger one
+    has ``a`` None, and one pass over its ``chunks`` at construction keeps
+    ``g``, max|A_S| per root, ``a_max``, and, for M > 1, the (R, K, M, n, n)
+    diagonal blocks, M times smaller than A_S, which the floors read."""
+
+    def __init__(self, sys: NetworkSystem, roots: np.ndarray, sl: EdgeSlice,
+                 edge_root: np.ndarray, local: np.ndarray, X: np.ndarray):
+        self.sys, self.roots, self.entering, self.X = sys, roots, sl, X
+        (R, M), n, K = roots.shape, sys.state_dim, X.shape[0]
+        self.num_samples, self.dim = K, M * n
+        # each step adds the k-th term of every edge that has one, so each
+        # argument adds its terms onto zero in entry order, the sums of
+        # ``sys.edge_arguments`` bit for bit
+        sizes = np.diff(sl.ptr)
+        self._terms = []
+        for k in range(int(sizes.max(initial=0))):
+            rows = np.flatnonzero(sizes > k)
+            q = sl.ptr[rows] + k
+            self._terms.append((rows, sl.weights[q, None, None], sl.members[q]))
+        self._edge_root, self._pairs = edge_root, coupling_pairs(sys, sl, edge_root, local, M)
+        if 8 * R * K * self.dim**2 <= dynamics.CHUNK_BYTES:
+            self.a, dg = self._assemble(slice(None))
+            self.g = ErrorSystem.coupling_jac_bound(dg, edge_root, R)
+        else:
+            self.a, self.g, self.a_max = None, np.empty((R, K)), np.full(R, -np.inf)
+            self._blocks = np.empty((R, K, M, n, n)) if M > 1 else None
+            for chunk in self.chunks():
+                self._scan(chunk)
+        self.upstream = sl.members[~sl.is_head & (local < 0)]
+
+    def system(self, r: int) -> ErrorSystem:
+        """Root r's ``ErrorSystem``, a new view at each call: views refer to
+        the stack and it to none of them, so no reference cycle keeps a
+        stack past its last view."""
+        err = object.__new__(ErrorSystem)
+        err.sys, err.nodes, err.g = self.sys, tuple(self.roots[r].tolist()), self.g[r]
+        err.stack, err.row = self, r
+        if self.a is not None:
+            err.a = self.a[r]
+        if len(self.roots) == 1:
+            err.entering = self.entering
+        return err
+
+    @property
+    def systems(self) -> list[ErrorSystem]:
+        return [self.system(r) for r in range(len(self.roots))]
+
+    @cached_property
+    def a_max(self) -> np.ndarray:
+        """max|A_S| per root, (R,), taken with no temporary the size of
+        ``a``; a stack that is not held keeps it from its first pass."""
+        return np.maximum(self.a.max(axis=(1, 2, 3)), -self.a.min(axis=(1, 2, 3)))
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The (R, K, M, n, n) diagonal blocks of A_S."""
+        return self._blocks if self.a is None else diagonal_blocks(self.a, self.sys.state_dim)
+
+    def chunks(self) -> list[slice]:
+        """Sample ranges whose rows hold at most ``CHUNK_BYTES``, at least
+        one sample each."""
+        step = max(1, dynamics.CHUNK_BYTES // (8 * len(self.roots) * self.dim**2))
+        return [slice(lo, lo + step) for lo in range(0, self.num_samples, step)]
+
+    def rows(self, idx: slice) -> np.ndarray:
+        """The (R, k, Mn, Mn) rows of the samples of the slice ``idx``: a
+        view of ``a`` when it is held, else assembled."""
+        return self.a[:, idx] if self.a is not None else self._assemble(idx)[0]
+
+    def _scan(self, chunk: slice) -> None:
+        """The first pass's work on one chunk: ``g``, ``a_max`` and the
+        diagonal blocks, from rows freed before the next chunk's."""
+        A, dg = self._assemble(chunk)
+        self.g[:, chunk] = ErrorSystem.coupling_jac_bound(dg, self._edge_root, len(self.roots))
+        top = np.maximum(A.max(axis=(1, 2, 3)), -A.min(axis=(1, 2, 3)))
+        self.a_max = np.maximum(self.a_max, top)
+        if self._blocks is not None:
+            self._blocks[:, chunk] = diagonal_blocks(A, self.sys.state_dim)
+
+    def _assemble(self, idx: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the samples ``idx`` and the (edges, k, n) coupling
+        derivative g' at the entering edges' arguments, which both read."""
+        X = self.X[idx]
+        args = np.zeros((len(self.entering.edges), X.shape[0], X.shape[2]))
+        for rows, weights, members in self._terms:
+            args[rows] += weights * X[:, members].transpose(1, 0, 2)
+        dg = self.sys.coupling.deriv(args)
+        return ErrorSystem.a_matrix_batch(self.sys, self.roots, self._pairs, X, dg), dg
 
 
 def stack_roots(
@@ -267,28 +402,7 @@ def stack_roots(
         )
     if X.shape[0] == 0:
         raise EmptySampleSet("need at least one sample")
-    # g' at the entering edges' arguments, node-first (edges, K, n): read
-    # by both.  Step k adds the k-th term of every edge that has one, so
-    # each argument adds its terms onto zero in entry order, the sums of
-    # ``sys.edge_arguments`` bit for bit
-    args = np.zeros((len(sl.edges), X.shape[0], X.shape[2]))
-    sizes = np.diff(sl.ptr)
-    for k in range(int(sizes.max(initial=0))):
-        rows = np.flatnonzero(sizes > k)
-        q = sl.ptr[rows] + k
-        args[rows] += sl.weights[q, None, None] * X[:, sl.members[q]].transpose(1, 0, 2)
-    dg = sys.coupling.deriv(args)
-    a = ErrorSystem.a_matrix_batch(sys, np.array(roots, dtype=np.intp).reshape(R, M), sl,
-                                   edge_root, local, X, dg)
-    g = ErrorSystem.coupling_jac_bound(dg, edge_root, R)
-    systems = []
-    for r, nodes in enumerate(roots):
-        err = object.__new__(ErrorSystem)
-        err.sys, err.nodes, err.a, err.g, err._stack_slice = sys, nodes, a[r], g[r], sl
-        if R == 1:
-            err.entering = sl
-        systems.append(err)
-    return RootStack(a, g, systems, sl.members[~sl.is_head & (local < 0)])
+    return RootStack(sys, np.array(roots, dtype=np.intp).reshape(R, M), sl, edge_root, local, X)
 
 
 def diagonal_blocks(a: np.ndarray, n: int) -> np.ndarray:
@@ -360,58 +474,80 @@ class CertificationReport:
 
 def symmetric_top_eig(mats: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of the symmetric part, batched over the leading
-    axes.  LAPACK's ``syevd`` returns a 1 x 1 matrix's entry as it is, so
-    that case needs no ``eigvalsh`` call."""
-    sym = mats + np.swapaxes(mats, -1, -2)
-    sym *= 0.5
+    axes; +inf where the symmetric part has a non-finite entry, on which
+    ``eigvalsh`` would return values that mean nothing, so no such matrix
+    reaches it.  LAPACK's ``syevd`` returns a 1 x 1 matrix's entry as it is,
+    so that case needs no ``eigvalsh`` call."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = mats + np.swapaxes(mats, -1, -2)
+        sym *= 0.5
     if sym.shape[-1] == 1:
-        return sym[..., 0, 0]
-    return np.linalg.eigvalsh(sym)[..., -1]
+        top = sym[..., 0, 0]
+        return np.where(np.isfinite(top), top, np.inf)
+    finite = np.isfinite(sym).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(sym)[..., -1]
+    top = np.full(finite.shape, np.inf)
+    top[finite] = np.linalg.eigvalsh(sym[finite])[..., -1]
+    return top
 
 
-def top_eig_max(A: np.ndarray) -> np.ndarray:
+def top_eig_max(rows: Callable[[slice], np.ndarray], R: int, K: int, d: int) -> np.ndarray:
     """max_k lambda_max(sym A_rk) for each root r of the (R, K, d, d) stack
-    ``A``, (R,), bit for bit ``symmetric_top_eig(A).max(axis=1)``.
-    ``eigvalsh`` runs on ``SEED_COUNT`` evenly spaced samples of each root
-    and on the samples that the Cholesky screen of the module docstring does
-    not rule out, a chunk of samples at a time.  A failed
-    factorization comes back as NaN rows, and one with an infinite pivot has
-    an infinite diagonal entry: either sends its sample to ``eigvalsh``."""
-    R, K, d = A.shape[0], A.shape[1], A.shape[-1]
-    if d <= 2:
-        # eigvalsh of a 1 x 1 or 2 x 2 matrix costs less than the screen
-        return symmetric_top_eig(A).max(axis=1)
-    flat = A.reshape(R * K, d, d)
-    top = np.full((R, K), -np.inf)
-    seeds = np.arange(min(SEED_COUNT, K)) * K // min(SEED_COUNT, K)
-    top[:, seeds] = symmetric_top_eig(A[:, seeds])
-    best = top[:, seeds].max(axis=1)
-    todo = np.ones((R, K), dtype=bool)
-    todo[:, seeds] = False
-    # a chunk's three work arrays (the matrices, the transpose numpy copies
-    # to add in place, the factors) hold CHUNK_BYTES together
-    step, diag = max(1, CHUNK_BYTES // (3 * 8 * d * d)), np.arange(d)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # the rounding scale; a sample with a non-finite entry goes to
-        # eigvalsh, and so does every sample of a root whose mu is not finite
-        mag = np.maximum(flat.max(axis=(1, 2)), -flat.min(axis=(1, 2))).reshape(R, K)
-        finite = np.isfinite(mag)
-        mu = best - rounding_tol(d, np.where(finite, mag, 0.0).max(axis=1) + np.abs(best))
-        rest = np.flatnonzero(todo & finite & np.isfinite(mu)[:, None])
-        todo, top = todo.reshape(-1), top.reshape(-1)
-        for lo in range(0, len(rest), step):
-            idx = rest[lo : lo + step]
-            M = np.take(flat, idx, axis=0)
-            M += M.transpose(0, 2, 1)
-            M *= -0.5
-            M[:, diag, diag] += mu[idx // K, None]
-            pivots = np.diagonal(cholesky_lo(M), axis1=1, axis2=2)
-            todo[idx] = ~np.isfinite(pivots).all(axis=1)
-    rest = np.flatnonzero(todo)
-    for lo in range(0, len(rest), step):
-        idx = rest[lo : lo + step]
-        top[idx] = symmetric_top_eig(flat[idx])
-    return top.reshape(R, K).max(axis=1)
+    whose rows at the samples of the slice ``idx`` are ``rows(idx)``: (R,),
+    bit for bit ``symmetric_top_eig(A).max(axis=1)``, so +inf for a root
+    holding a sample whose A_S or symmetric part has a non-finite entry.
+    The rows are read a ``CHUNK_BYTES`` chunk at a time.  ``eigvalsh`` runs
+    on ``SEED_COUNT`` evenly spaced samples of each root's first chunk, then
+    on the samples of each chunk that the Cholesky screen of the module
+    docstring does not rule out against the largest value so far; a root
+    that has reached +inf reads no more samples.  A failed factorization
+    comes back as NaN rows, and one with an infinite pivot has an infinite
+    diagonal entry: either sends its sample to ``eigvalsh``."""
+    # a chunk holds CHUNK_BYTES of rows, and the screen's three work arrays
+    # (the matrices, the transpose numpy copies to add in place, the
+    # factors) hold CHUNK_BYTES together
+    step, part = (max(1, dynamics.CHUNK_BYTES // (f * 8 * d * d)) for f in (R, 3))
+    best, diag = np.full(R, -np.inf), np.arange(d)
+    for lo in range(0, K, step):
+        if not (best < np.inf).any():
+            break
+        A = rows(slice(lo, lo + step))
+        if d <= 2:
+            # eigvalsh of a 1 x 1 or 2 x 2 matrix costs less than the screen
+            best = np.maximum(best, symmetric_top_eig(A).max(axis=1))
+            continue
+        todo = np.ones(A.shape[:2], dtype=bool)
+        if lo == 0:
+            count = min(SEED_COUNT, todo.shape[1])
+            seeds = np.arange(count) * todo.shape[1] // count
+            best = symmetric_top_eig(A[:, seeds]).max(axis=1)
+            todo[:, seeds] = False
+        todo &= (best < np.inf)[:, None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            # the rounding scale; a sample with a non-finite entry goes to
+            # symmetric_top_eig, and so does every sample of a root whose mu
+            # is not finite
+            mag = np.maximum(A.max(axis=(2, 3)), -A.min(axis=(2, 3)))
+            finite = np.isfinite(mag)
+            scale = np.where(finite, mag, 0.0).max(axis=1) + np.abs(best)
+            mu = best - rounding_tol(d, scale)
+            screened = np.nonzero(todo & finite & np.isfinite(mu)[:, None])
+            for at in range(0, len(screened[0]), part):
+                r, k = (ix[at : at + part] for ix in screened)
+                M = A[r, k]
+                M += M.transpose(0, 2, 1)
+                M *= -0.5
+                M[:, diag, diag] += mu[r, None]
+                pivots = np.diagonal(cholesky_lo(M), axis1=1, axis2=2)
+                todo[r, k] = ~np.isfinite(pivots).all(axis=1)
+        left = np.nonzero(todo)
+        for at in range(0, len(left[0]), part):
+            r, k = (ix[at : at + part] for ix in left)
+            np.maximum.at(best, r, symmetric_top_eig(A[r, k]))
+        # freed before the next chunk is assembled
+        del A
+    return best
 
 
 def thm2_report(worst: float, g_bound: float, sample_count: int, h_req: float) -> CertificationReport:
@@ -438,15 +574,21 @@ def check_thm2(
     """Uniform Hurwitz margin of the symmetric part of A_S with the given
     gain blocks over the sample set of ``err`` (``top_eig_max``), plus the
     finite boundedness check on the coupling Jacobian.  Gains act through
-    ``err.a - B``, on a new array: ``err.a`` stays the zero-gain stack."""
+    ``err.rows(idx) - B``, on a new array: A_S stays the zero-gain stack."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
-    A = err.a
+    B = None
     if gains:
         keys = list(gains)
         blocks = np.array([gains[k] for k in keys], dtype=float)
-        A = A - gain_matrix(err.entering.position, keys, blocks, err.sys.output.matrix)
-    return thm2_report(float(top_eig_max(A[None])[0]), float(err.g.max()), A.shape[0], h_req)
+        B = gain_matrix(err.entering.position, keys, blocks, err.sys.output.matrix)
+
+    def rows(idx):
+        return (err.rows(idx) if B is None else err.rows(idx) - B)[None]
+
+    K = len(err.g)
+    worst = float(top_eig_max(rows, 1, K, err.dim)[0])
+    return thm2_report(worst, float(err.g.max()), K, h_req)
 
 
 def spectral_abscissa(mats: np.ndarray) -> np.ndarray:
@@ -465,14 +607,16 @@ def check_thm1(
     sample, and the finite-difference estimate of dA/dt below the
     Kronecker-sum slow-variation bound with slack fraction ``EPS_REQ``.
 
-    The rows of ``err.a`` are time-ordered trajectories of ``length`` samples
-    each.  The first ``count`` of them are checked in turn, up to the first
-    that fails; the report merges the checked ones worst-case.  Within a
-    trajectory, H1 runs on chunks of 1, 2, 4, ... samples and stops at the
-    first sample that fails it, so a failing report states only the samples
-    up to that one: its ``sample_count`` counts them, and its margin and
-    ``g_bound`` are taken over them.  A passing report has evaluated every
-    sample of the ``count`` trajectories.
+    The samples of ``err`` are time-ordered trajectories of ``length``
+    samples each.  The first ``count`` of them are checked in turn, up to the
+    first that fails; the report merges the checked ones worst-case.  Within
+    a trajectory, H1 runs on chunks of 1, 2, 4, ... samples, none over
+    ``CHUNK_BYTES``, and stops at the first sample that fails it, so a
+    failing report states only the samples up to that one: its
+    ``sample_count`` counts them, and its margin and ``g_bound`` are taken
+    over them.  A passing report has evaluated every sample of the ``count``
+    trajectories; H2 reads each trajectory again in chunks that overlap by
+    one sample.
 
     With Q = I in Theorem 1 the bound at sample k reads
     sigma_min(A_k (+) A_k)^2 / (2 sqrt(nM)) * (1 - EPS_REQ)."""
@@ -487,13 +631,15 @@ def check_thm1(
         )
     # Q = I: sigma_min(Q) = 1 and ||Q||_F = sqrt(nM)
     q_fro = float(np.sqrt(dim))
+    step = max(2, dynamics.CHUNK_BYTES // (8 * dim * dim))
 
     worst, g_bound, h2_slack, checked = [], [], [], 0
     for t in range(count):
-        A = err.a[t * length : (t + 1) * length]
+        start = t * length
         parts, seen, h1 = [], 0, True
         while h1 and seen < length:
-            part = spectral_abscissa(A[seen : 2 * seen + 1])
+            stop = start + min(2 * seen + 1, seen + step, length)
+            part = spectral_abscissa(err.rows(slice(start + seen, stop)))
             failing = np.flatnonzero(~(part <= -h_req))
             if failing.size:
                 part, h1 = part[: failing[0] + 1], False
@@ -501,19 +647,21 @@ def check_thm1(
             seen += len(part)
         checked += seen
         worst.append(float(np.concatenate(parts).max()))
-        g_bound.append(float(err.g[t * length : t * length + seen].max()))
+        g_bound.append(float(err.g[start : start + seen].max()))
         # H2 decides nothing once H1 has failed: skip its SVD loop and report
         # no H2 margin
         if not h1:
             h2_slack = None
             break
         slack = np.inf
-        for k in range(length - 1):
-            a_dot = (A[k + 1] - A[k]) / dt
-            lhs = float(np.linalg.norm(a_dot, 2))
-            sig = float(np.linalg.svd(kron_sum(A[k]), compute_uv=False)[-1])
-            rhs = sig**2 / (2.0 * q_fro) * (1.0 - EPS_REQ)
-            slack = min(slack, rhs - lhs)
+        for lo in range(0, length - 1, step - 1):
+            A = err.rows(slice(start + lo, start + min(lo + step, length)))
+            for k in range(len(A) - 1):
+                a_dot = (A[k + 1] - A[k]) / dt
+                lhs = float(np.linalg.norm(a_dot, 2))
+                sig = float(np.linalg.svd(kron_sum(A[k]), compute_uv=False)[-1])
+                rhs = sig**2 / (2.0 * q_fro) * (1.0 - EPS_REQ)
+                slack = min(slack, rhs - lhs)
         h2_slack.append(slack)
         if not (slack > 0 and np.isfinite(g_bound[-1])):
             break

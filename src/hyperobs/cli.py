@@ -1,11 +1,12 @@
 """Command-line entry points: generate, design, simulate, batch.
 
 Exit codes: 0 success, 2 design failed, 3 divergence flags present,
-4 configuration error.  Every command is deterministic given its inputs:
-``generate`` its spec, ``design`` the config and the network it names, and
-``simulate`` and ``batch`` those, the design report and the Monte-Carlo
-seed, ``sim.seed`` unless ``--seed`` replaces it.  Summaries embed the
-design-relevant config hash for provenance.
+4 configuration error, a design ensemble that diverges among them.  Every
+command is deterministic given its inputs: ``generate`` its spec,
+``design`` the config and the network it names, and ``simulate`` and
+``batch`` those, the design report and the Monte-Carlo seed, ``sim.seed``
+unless ``--seed`` replaces it.  Summaries embed the design-relevant config
+hash for provenance.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .designer import (
     strict_float,
 )
 from .hypergraph import HierarchicalGenSpec, generate_hierarchical
-from .sim import make_ensemble, monte_carlo
+from .sim import EnsembleDiverged, make_ensemble, monte_carlo
 
 log = logging.getLogger("hyperobs.cli")
 
@@ -87,10 +88,10 @@ def cmd_design(args) -> int:
             raise ConfigError(
                 "invalid config: design.use_inverse_shortcut needs an invertible output map"
             )
-    except ConfigError as exc:
+        ensemble = make_ensemble(sys_, spec)
+    except (ConfigError, EnsembleDiverged) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    ensemble = make_ensemble(sys_, spec)
     outcome = design_observer(sys_, ensemble, options)
     report = design_report(outcome, cfgmod.design_relevant_hash(doc, hypergraph), options.seed,
                            field_param_jacobian_bound(sys_, ensemble.stacked()))

@@ -5,21 +5,27 @@ each design pass takes from ``condense`` the roots, the components no other
 unobserved one enters.  The roots of a pass are independent: no edge joins
 two (the heads of an edge share a component), and zero-gain A_S reads only
 edges whose outside tails are observed.  So a pass stacks the A_S of its
-roots of one size (``assembly.stack_roots``) and certifies each stack at once
+roots of one size (``assembly.stack_roots``), as many as
+``dynamics.CHUNK_BYTES`` holds, and certifies each stack at once
 (``certify_roots``): batched diagonal-block floors refute the Theorem-2 check
 where they can (``thm2_refuted``, the test of ``ErrorSystem.refuting_block``,
 which synthesis reads too), one ``assembly.top_eig_max`` runs it on the other
-roots, and the Theorem-1 check follows on those left.  Certified roots are
-recorded as they are; the others retry in the pass's order on their
-``ErrorSystem``, a view of the stack.  Each retry measures one more node of
-S, chosen by the degree heuristic, and synthesizes Theorem-2 gains on the
-nodes of S measured so far, until a synthesis passes or S is exhausted.  With
-an invertible output map, a measured node j is instead reconstructed exactly
-and skips certification, and S \\ {j} returns in the next pass, labelled
-again on its own: no unobserved node outside the root S reaches it.  A stack
-slices the edges entering its roots once, ``DirectedHypergraph.entering``; a
-failing root cuts its own slice from it.  The design logs one INFO line per
-pass and each root's fate at DEBUG.
+roots, and the Theorem-1 check follows on those left.  A root whose stack
+alone is over the budget is a stream: the floors read the diagonal blocks
+and max|A_S| its stack kept from one chunked pass, and the Theorem-2 and
+Theorem-1 checks assemble its samples a chunk at a time, so no zero-gain
+check holds a whole root over the budget.  Certified roots are recorded as
+they are; the others retry in the pass's order on their ``ErrorSystem``, a
+view of the stack, which gain synthesis reads whole (``ErrorSystem.a``):
+its descent visits every sample at every iteration.  Each retry measures one
+more node of S, chosen by the degree heuristic, and synthesizes Theorem-2
+gains on the nodes of S measured so far, until a synthesis passes or S is
+exhausted.  With an invertible output map, a measured node j is instead
+reconstructed exactly and skips certification, and S \\ {j} returns in the
+next pass, labelled again on its own: no unobserved node outside the root S
+reaches it.  A stack slices the edges entering its roots once,
+``DirectedHypergraph.entering``; a failing root cuts its own slice from it.
+The design logs one INFO line per pass and each root's fate at DEBUG.
 
 The design report, ``design.json``, is one JSON object, built by
 ``design_report`` and read back, checked, by ``read_design_report``; no other
@@ -76,7 +82,7 @@ from .assembly import (
     RootStack,
     check_thm1,
     check_thm2,
-    diagonal_blocks,
+    rounding_tol,
     stack_roots,
     symmetric_top_eig,
     thm2_report,
@@ -85,7 +91,8 @@ from .assembly import (
     KRON_CAP,
     RobustnessBound,
 )
-from .dynamics import CHUNK_BYTES, NetworkSystem
+from . import dynamics
+from .dynamics import NetworkSystem
 from .gain_design import Infeasible, ObserverDesign, design_gain_thm2
 from .hypergraph import EdgeSlice, condense, dependency_arcs, label_components
 from .sim import TrajectoryEnsemble
@@ -320,19 +327,22 @@ def select_node(entering: EdgeSlice, already_measured: Iterable[int]) -> int:
     return max(candidates, key=lambda v: (d_out[v], d_in[v], -v))
 
 
-def thm2_refuted(a: np.ndarray, errs: list[ErrorSystem], h_req: float) -> np.ndarray:
-    """Which roots of the stack ``a`` (R, K, Mn, Mn), whose ErrorSystems are
-    ``errs``, a diagonal block proves to fail the zero-gain Theorem-2 check
-    (``ErrorSystem.refuting_block``).  The first node's blocks of every root
-    are tried in one call, as on a failing root they usually refute, then
-    the other nodes' of the roots still standing.  No ``eigvalsh`` runs on a
-    root with a non-finite entry, and a one-node root is never refuted."""
-    n = errs[0].sys.state_dim
-    refuted = np.zeros(len(errs), dtype=bool)
-    if a.shape[-1] == n:
+def thm2_refuted(stack: RootStack, h_req: float) -> np.ndarray:
+    """Which roots of ``stack`` a diagonal block proves to fail the
+    zero-gain Theorem-2 check (``ErrorSystem.refuting_block``), read from
+    the stack's diagonal blocks and max|A_S|, which a stack over
+    ``CHUNK_BYTES`` keeps from its first pass.  The first node's blocks of
+    every root are tried in one call, as on a failing root they usually
+    refute, then the other nodes' of the roots still standing.  No
+    ``eigvalsh`` runs on a root with a non-finite entry, and a one-node root
+    is never refuted."""
+    n = stack.sys.state_dim
+    refuted = np.zeros(len(stack.roots), dtype=bool)
+    if stack.dim == n:
         return refuted
-    tol = np.array([err.floor_tol for err in errs])
-    blocks = diagonal_blocks(a, n)
+    with np.errstate(over="ignore"):
+        tol = rounding_tol(stack.dim, stack.a_max)
+    blocks = stack.blocks
     for part in (slice(0, 1), slice(1, None)):
         rows = np.flatnonzero(np.isfinite(tol) & ~refuted)
         if not rows.size:
@@ -341,8 +351,9 @@ def thm2_refuted(a: np.ndarray, errs: list[ErrorSystem], h_req: float) -> np.nda
         hit = tops.max(axis=1) > tol[rows] - h_req
         for r, top in zip(rows[hit].tolist(), tops[hit]):
             k = int(np.argmax(top))
+            nodes = tuple(stack.roots[r].tolist())
             log.debug("thm2 refuted on %s: the block of node %d reaches %.6g",
-                      errs[r].nodes, errs[r].nodes[part.start + k], top[k])
+                      nodes, nodes[part.start + k], top[k])
         refuted[rows[hit]] = True
     return refuted
 
@@ -352,20 +363,23 @@ def certify_roots(
 ) -> list[CertificationReport | None]:
     """The passing zero-gain report of each root of ``stack``, or None: the
     Theorem-2 check on every root ``thm2_refuted`` leaves, in one
-    ``top_eig_max`` call, then the Theorem-1 check over the first
-    ``THM1_TRAJECTORIES`` trajectories on each root still uncertified whose
-    nM is at most ``KRON_CAP``.  A refuted check would fail, so skipping it
-    changes no outcome."""
-    a, errs, h = stack.a, stack.systems, options.margin
-    reports: list[CertificationReport | None] = [None] * len(errs)
-    checked = np.flatnonzero(~thm2_refuted(a, errs, h))
-    worst = top_eig_max(a if len(checked) == len(errs) else a[checked])
-    g_bound = stack.g.max(axis=1)
-    for r, w in zip(checked.tolist(), worst.tolist()):
-        reports[r] = thm2_report(w, float(g_bound[r]), a.shape[1], h)
-    for r, err in enumerate(errs):
-        if (reports[r] is None or not reports[r].passed) and err.dim <= KRON_CAP:
-            reports[r] = check_thm1(err, ensemble.dt_sample, h, length=ensemble.states.shape[1],
+    ``top_eig_max`` call over the stack's chunks, then the Theorem-1 check
+    over the first ``THM1_TRAJECTORIES`` trajectories on each root still
+    uncertified whose nM is at most ``KRON_CAP``.  A refuted check would
+    fail, so skipping it changes no outcome."""
+    h, K, R = options.margin, stack.num_samples, len(stack.roots)
+    reports: list[CertificationReport | None] = [None] * R
+    checked = np.flatnonzero(~thm2_refuted(stack, h))
+    if checked.size:
+        rows = stack.rows if len(checked) == R else lambda idx: stack.rows(idx)[checked]
+        worst = top_eig_max(rows, len(checked), K, stack.dim)
+        g_bound = stack.g.max(axis=1)
+        for r, w in zip(checked.tolist(), worst.tolist()):
+            reports[r] = thm2_report(w, float(g_bound[r]), K, h)
+    for r in range(R):
+        if (reports[r] is None or not reports[r].passed) and stack.dim <= KRON_CAP:
+            reports[r] = check_thm1(stack.system(r), ensemble.dt_sample, h,
+                                    length=ensemble.states.shape[1],
                                     count=min(THM1_TRAJECTORIES, ensemble.count))
     return [report if report is not None and report.passed else None for report in reports]
 
@@ -373,10 +387,9 @@ def certify_roots(
 def certify_or_fail(
     err: ErrorSystem, ensemble: TrajectoryEnsemble, options: DesignOptions
 ) -> CertificationReport | None:
-    """``certify_roots`` on the one root of ``err``."""
-    sl = err.entering
-    stack = RootStack(err.a[None], err.g[None], [err], sl.members[sl.outside_tails])
-    return certify_roots(stack, ensemble, options)[0]
+    """``certify_roots`` on the root of ``err``, read from the stack it is a
+    view of: ``ErrorSystem(sys, nodes, samples)`` is a stack of one root."""
+    return certify_roots(err.stack, ensemble, options)[err.row]
 
 
 def certify_pass(
@@ -398,7 +411,7 @@ def certify_pass(
         sizes.setdefault(len(S), []).append(k)
     verdicts: list = [None] * len(roots)
     for M, group in sizes.items():
-        step = max(1, CHUNK_BYTES // (8 * K * (M * n) ** 2))
+        step = max(1, dynamics.CHUNK_BYTES // (8 * K * (M * n) ** 2))
         for lo in range(0, len(group), step):
             chunk = group[lo : lo + step]
             stack = stack_roots(sys, [roots[k] for k in chunk], samples, frozenset(exact))
@@ -407,8 +420,8 @@ def certify_pass(
                 raise AssertionError(f"upstream tails {set(stack.upstream.tolist())} of "
                                      f"{[roots[k] for k in chunk]} unprocessed")
             reports = certify_roots(stack, ensemble, options)
-            for k, err, report in zip(chunk, stack.systems, reports):
-                verdicts[k] = (report, None) if report is not None else (None, err)
+            for r, (k, report) in enumerate(zip(chunk, reports)):
+                verdicts[k] = (report, None) if report is not None else (None, stack.system(r))
     return verdicts
 
 
@@ -512,7 +525,7 @@ def field_param_jacobian_bound(sys: NetworkSystem, samples) -> float:
     row's norm."""
     X = np.asarray(samples, dtype=float).reshape(-1, sys.num_nodes, sys.state_dim)
     per_sample = 8 * sys.num_nodes * sys.state_dim * sys.field.param_dim
-    step = max(1, CHUNK_BYTES // per_sample)
+    step = max(1, dynamics.CHUNK_BYTES // per_sample)
     tops = []
     for lo in range(0, len(X), step):
         J = sys.field.jac_mu(X[lo : lo + step], sys.field.nominal_params)

@@ -2,13 +2,17 @@
 
 Gains drive the largest eigenvalue of the symmetric part of A_S below a
 required margin, by one Polyak-stepped subgradient descent from L = 0 over
-every sample of the zero-gain A_S stack of an ``ErrorSystem``.  The
-objective, max_k lambda_max(sym(A_k - sum L_ij Gamma)), is a pointwise max of
-top eigenvalues of matrices affine in the gains, so it is convex (Lewis and
-Overton, "Eigenvalue optimization", Acta Numerica 1996): it has no local
-minimum a restart from another point could escape.  No gain reaches the
-diagonal block of an unmeasured node, so first ``ErrorSystem.refuting_block``
-tries to prove the margin out of reach on those blocks.  Each iteration runs
+every sample of the zero-gain A_S stack of an ``ErrorSystem``, which
+``GainProblem`` reads whole, ``err.a``, even where the zero-gain checks read
+it as a stream of ``CHUNK_BYTES`` chunks: every iteration visits every
+sample.  A closed form whose constants are maxima over samples would let
+synthesis stream too.  The objective, max_k lambda_max(sym(A_k - sum L_ij
+Gamma)), is a pointwise max of top eigenvalues of matrices affine in the
+gains, so it is convex (Lewis and Overton, "Eigenvalue optimization", Acta
+Numerica 1996): it has no local minimum a restart from another point could
+escape.  No gain reaches the diagonal block of an unmeasured node, so first
+``ErrorSystem.refuting_block`` tries to prove the margin out of reach on
+those blocks.  Each iteration runs
 ``eigvalsh`` only on the samples a batched Cholesky screen cannot rule out,
 so its max and first argmax are bit for bit those over every sample.
 

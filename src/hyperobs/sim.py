@@ -30,11 +30,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import CHUNK_BYTES, DimensionMismatch, JaggedMatrix, NetworkSystem
+from . import dynamics
+from .dynamics import DimensionMismatch, JaggedMatrix, NetworkSystem
 from .gain_design import ObserverDesign
 
-# a run whose state leaves this box (or turns non-finite) is flagged as diverged
+# a run whose state leaves this box (or turns non-finite) is flagged as
+# diverged; a design trajectory that does raises EnsembleDiverged
 DIVERGENCE_THRESHOLD = 1e8
+
+
+class EnsembleDiverged(ArithmeticError):
+    pass
 
 
 def _check_interval(name: str, lo: float, hi: float) -> None:
@@ -169,7 +175,7 @@ def _noise(rngs: Sequence[np.random.Generator], amplitude: float, m: int, p: int
     block per chunk of C grid points, the numbers that C draws of shape
     (m, p) give; a chunk holds at most ``CHUNK_BYTES`` for all runs."""
     R = len(rngs)
-    chunk = max(1, CHUNK_BYTES // (8 * m * R * p))
+    chunk = max(1, dynamics.CHUNK_BYTES // (8 * m * R * p))
     for start in range(0, count, chunk):
         c = min(chunk, count - start)
         block = np.empty((c, R, m, p))
@@ -356,7 +362,13 @@ def simulate_network(
 ) -> np.ndarray:
     """Plant-only RK4 on the node-first state (N, R, n); ``x0`` is (R, N, n).
     Returns every ``stride``-th state from the initial one on,
-    (R, steps // stride + 1, N, n), a C-contiguous array."""
+    (R, steps // stride + 1, N, n), a C-contiguous array.
+
+    ``EnsembleDiverged`` names the first trajectory, and the time after
+    ``x0``, at which a state leaves the ``DIVERGENCE_THRESHOLD`` box or turns
+    non-finite: each step is checked, so the states stay far from overflow,
+    a stage that overflows anyway leaves a non-finite state, and no
+    trajectory's numbers depend on the check."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 3:
         raise DimensionMismatch("x0 must be (runs, N, n)")
@@ -369,7 +381,14 @@ def simulate_network(
     out[:, 0] = x0
     x = np.ascontiguousarray(x0.transpose(1, 0, 2))
     for k in range(1, steps + 1):
-        x = _rk4_step(f, x, dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _rk4_step(f, x, dt)
+        # a NaN compares False
+        if not np.abs(x).max(initial=0.0) < DIVERGENCE_THRESHOLD:
+            run = int(np.flatnonzero(~(np.abs(x).max(axis=(0, 2)) < DIVERGENCE_THRESHOLD))[0])
+            raise EnsembleDiverged(
+                f"trajectory {run} leaves the box |x| < {DIVERGENCE_THRESHOLD:g} at "
+                f"t = {k * dt:.6g} after its initial state")
         if k % stride == 0:
             out[:, k // stride] = x.transpose(1, 0, 2)
     return out

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -24,6 +25,7 @@ from hyperobs import (
     settling_time,
     tanh_coupling,
 )
+from hyperobs import dynamics
 from hyperobs.assembly import (
     KRON_CAP,
     CertificationReport,
@@ -636,3 +638,19 @@ def brute_force_sccs(num_nodes, arcs, subset):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def chunk_budget():
+    """``with chunk_budget(nbytes):`` runs its block with the byte budget
+    ``dynamics.CHUNK_BYTES`` at ``nbytes``: every module reads that one name
+    at call time.  A context, not a patch for the whole test, so hypothesis
+    tests can set a budget per example."""
+
+    @contextlib.contextmanager
+    def budget(nbytes: int):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "CHUNK_BYTES", nbytes)
+            yield
+
+    return budget

@@ -27,7 +27,7 @@ from hyperobs import (
     tanh_coupling,
     thm3_bound,
 )
-from hyperobs import assembly
+from hyperobs import assembly, dynamics
 from hyperobs.assembly import KRON_CAP, CertificationReport, ErrorSystem, gain_matrix, kron_sum
 from hyperobs.gain_design import GainProblem
 from hyperobs.hypergraph import HypergraphError, condense, dependency_arcs, label_components
@@ -590,23 +590,36 @@ def sample_stacks(draw):
 
 class TestTopEigMax:
     @given(sample_stacks(), st.sampled_from([None, 1, 3]))
-    def test_equals_eigvalsh_over_every_sample(self, A, chunk):
-        # eigvalsh may not converge on a matrix with a NaN: then both raise,
-        # as every sample with a non-finite entry reaches eigvalsh
-        def outcome(f):
-            try:
-                return f()
-            except np.linalg.LinAlgError:
-                return "LinAlgError"
+    def test_equals_eigvalsh_over_every_sample(self, chunk_budget, A, chunk):
+        # a root holding a sample whose symmetric part has a non-finite entry
+        # reads +inf; the others read the max over eigvalsh of every sample
+        R, K, d = A.shape[:3]
+        budget = dynamics.CHUNK_BYTES if chunk is None else 4 * 8 * d * d * chunk
+        with chunk_budget(budget), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # chunks of a few samples: every loop runs more than once
+            got = assembly.top_eig_max(lambda idx: A[:, idx], R, K, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(A + A.transpose(0, 1, 3, 2)).all(axis=(1, 2, 3))
+        assert (got[~finite] == np.inf).all()
+        assert same_floats(got[finite], assembly.symmetric_top_eig(A[finite]).max(axis=1))
 
-        d = A.shape[-1]
-        with pytest.MonkeyPatch.context() as mp:
-            if chunk is not None:
-                # chunks of a few samples: every loop runs more than once
-                mp.setattr(assembly, "CHUNK_BYTES", 8 * d * d * chunk)
-            got = outcome(lambda: assembly.top_eig_max(A))
-        expect = outcome(lambda: assembly.symmetric_top_eig(A).max(axis=1))
-        assert got == expect if isinstance(expect, str) else same_floats(got, expect)
+    def test_non_finite_sample_fails_the_check(self):
+        # a NaN on the diagonal made eigvalsh return finite values that mean
+        # nothing, a NaN off it made it raise: both samples now read +inf,
+        # and neither reaches eigvalsh
+        for at in ((0, 0), (0, 1)):
+            A = np.tile(-5.0 * np.eye(3), (1, 4, 1, 1))
+            A[0, 2][at] = np.nan
+            with pytest.MonkeyPatch.context() as mp:
+                real = np.linalg.eigvalsh
+                mp.setattr(np.linalg, "eigvalsh",
+                           lambda m: real(m) if np.isfinite(m).all() else None)
+                assert assembly.top_eig_max(lambda idx: A[:, idx], 1, 4, 3).tolist() == [np.inf]
+            err = error_system_for(np.zeros((3, 3)), np.zeros((4, 1, 3)))
+            err.a = A[0]
+            report = check_thm2(err, 1.0)
+            assert report.theorem_used == "none" and report.hurwitz_margin == -np.inf
 
     def test_screen_spares_most_samples(self, monkeypatch):
         # one sample stands out: the seeds find a max near it, and the
@@ -619,7 +632,7 @@ class TestTopEigMax:
         monkeypatch.setattr(assembly, "symmetric_top_eig",
                             lambda m: evaluated.append(m.shape[0] * m.shape[1] if m.ndim == 4
                                                        else m.shape[0]) or real(m))
-        got = assembly.top_eig_max(A)
+        got = assembly.top_eig_max(lambda idx: A[:, idx], *A.shape[:3])
         assert got[0] == real(A[0]).max()
         assert sum(evaluated) < 40
 

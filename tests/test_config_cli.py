@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -652,6 +653,23 @@ class TestDesignCommand:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+        assert not (tmp_path / "design.json").exists()
+
+
+    def test_diverging_design_ensemble_exits_4_with_one_line(self, tmp_path, caplog):
+        # a linear coupling of 1e5 throws the Lorenz design trajectories out
+        # of the box within a step: one error line naming the trajectory and
+        # the time, no warning and no design report
+        doc = cohead_config()
+        doc["dynamics"]["coupling"] = {"name": "linear", "params": [1e5]}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 4
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and re.fullmatch(r"trajectory \d+ leaves .* at t = .*", errors[0])
         assert not (tmp_path / "design.json").exists()
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ from hyperobs import (
     select_node,
     tanh_coupling,
 )
-from hyperobs import assembly, designer, gain_design
+from hyperobs import assembly, designer, dynamics, gain_design
 from hyperobs.assembly import ErrorSystem, check_thm2, symmetric_top_eig
 from hyperobs.designer import design_report, field_param_jacobian_bound, read_design_report
 from conftest import (
@@ -518,14 +519,13 @@ def hierarchical_cases(draw):
 class TestBatchedPass:
     @settings(max_examples=25)
     @given(hierarchical_cases())
-    def test_equals_per_root_reference(self, drawn):
+    def test_equals_per_root_reference(self, chunk_budget, drawn):
         # the reference certifies each root on its own ErrorSystem, in order
         case, roots_per_stack = drawn
         sys, ens, options = case.build()
         K, n = ens.stacked().shape[0], sys.state_dim
-        with case.budget(), pytest.MonkeyPatch.context() as mp:
-            if roots_per_stack is not None:
-                mp.setattr(designer, "CHUNK_BYTES", 8 * K * n * n * roots_per_stack)
+        budget = 8 * K * n * n * roots_per_stack if roots_per_stack else dynamics.CHUNK_BYTES
+        with case.budget(), chunk_budget(budget):
             got = design_observer(sys, ens, options)
             expect = reference_design_observer(sys, ens, options)
         assert got.to_json_dict() == expect.to_json_dict()
@@ -544,6 +544,71 @@ class TestBatchedPass:
             f"iteration 1: measuring node {j} of ({j},) (exact)" for j in range(3)]
         assert outcome.exact_nodes == {0, 1, 2}
 
+
+
+def _cycle_root(field, M: int, count: int, length: int, seed: int):
+    """The one-root network of M nodes on a directed cycle, a root of M
+    nodes, and an ensemble of ``count`` random trajectories of ``length``
+    samples around the origin."""
+    edges = tuple(Hyperedge.uniform((v,), ((v + 1) % M,), 0.5) for v in range(M))
+    sys = NetworkSystem(DirectedHypergraph(M, edges), field, tanh_coupling(0.2, 0.05, 2.0),
+                        identity_output(field.state_dim))
+    states = np.random.default_rng(seed).uniform(-3, 3, (count, length, M, field.state_dim))
+    return sys, TrajectoryEnsemble(states, 1e-2)
+
+
+class TestStreamedCertification:
+    @settings(max_examples=30)
+    @given(case=st.one_of(design_cases(), hierarchical_cases().map(lambda drawn: drawn[0])),
+           per_chunk=st.sampled_from([1, 2, 5]))
+    @example(case=NAMED_CASES["zero_gain"], per_chunk=1)
+    @example(case=NAMED_CASES["thm1"], per_chunk=1)
+    @example(case=NAMED_CASES["synthesis_two_nodes"], per_chunk=2)
+    @example(case=NAMED_CASES["synthesis_two_nodes_partial_output"], per_chunk=1)
+    @example(case=NAMED_CASES["exhausted"], per_chunk=1)
+    @example(case=NAMED_CASES["inverse_shortcut"], per_chunk=1)
+    def test_equals_reference_at_a_budget_of_a_few_samples(self, chunk_budget, case, per_chunk):
+        # the budget holds per_chunk samples of a two-node Lorenz root's A_S:
+        # the stacks of larger roots, and of most roots of many samples, are
+        # streams, read a chunk at a time by every check; the reference,
+        # designed at the default budget, holds every stack whole
+        sys, ens, options = case.build()
+        with case.budget():
+            expect = reference_design_observer(sys, ens, options).to_json_dict()
+            with chunk_budget(8 * 6 * 6 * per_chunk):
+                got = design_observer(sys, ens, options).to_json_dict()
+        # JSON text tells -0.0 from 0.0
+        assert json.dumps(got) == json.dumps(expect)
+
+    @pytest.mark.parametrize("field, M, margin, passed", [
+        # a chaotic root: a diagonal block refutes Theorem 2, and Theorem 1
+        # fails at the first sample
+        (lorenz_field(), 8, 2.0, False),
+        # a contracting root: Theorem 2 passes over every sample
+        (bistable_field(3.0, 0.5), 32, 0.25, True),
+    ])
+    def test_traced_peak_is_a_few_budgets_and_the_blocks(self, chunk_budget, field, M, margin,
+                                                          passed):
+        budget = 1 << 18
+        sys, ens = _cycle_root(field, M, count=12, length=50, seed=3)
+        K, d = ens.stacked().shape[0], M * field.state_dim
+        assert 8 * K * d * d >= 10 * budget
+        with chunk_budget(budget):
+            tracemalloc.start()
+            try:
+                stack = assembly.stack_roots(sys, [tuple(range(M))], ens.stacked())
+                blocks = stack.blocks.nbytes
+                (report,) = designer.certify_roots(stack, ens, DesignOptions(margin=margin))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert (report is not None) == passed
+        assert stack.a is None
+        assert peak <= 3 * budget + blocks
+        # the whole stack, as the check over every sample reads it
+        whole = ErrorSystem(sys, tuple(range(M)), ens.stacked())
+        expect = reference_certify_or_fail(whole, ens, DesignOptions(margin=margin))
+        assert report == expect
 
 def _count_per_subset(monkeypatch) -> Counter:
     """Counts, per (route, subset nodes), of the stacks that assemble a
@@ -648,7 +713,7 @@ class TestCertifyOrFail:
 
 def refuted(err, h_req) -> bool:
     """``thm2_refuted`` on the stack of one root, ``err``'s."""
-    return bool(designer.thm2_refuted(err.a[None], [err], h_req)[0])
+    return bool(designer.thm2_refuted(err.stack, h_req)[err.row])
 
 
 @st.composite
@@ -703,7 +768,7 @@ class TestThm2Refutation:
         X = rng.uniform(-3, 3, (int(rng.integers(1, 12)), 2 * R, sys.state_dim))
         X[:, rng.random(2 * R) < 0.3] *= 1e-3
         stack = assembly.stack_roots(sys, [(2 * r, 2 * r + 1) for r in range(R)], X)
-        got = designer.thm2_refuted(stack.a, stack.systems, margin)
+        got = designer.thm2_refuted(stack, margin)
         expect = [any(err.refuting_block(part, margin) is not None
                       for part in (err.nodes[:1], err.nodes[1:])) for err in stack.systems]
         assert got.tolist() == expect
@@ -825,7 +890,7 @@ class TestFieldParamJacobianBound:
 
     @pytest.mark.parametrize("field", ["bistable", "lorenz"])
     @pytest.mark.parametrize("per_chunk", [1, 3])
-    def test_chunks_change_no_bit(self, monkeypatch, field, per_chunk):
+    def test_chunks_change_no_bit(self, chunk_budget, field, per_chunk):
         rng = np.random.default_rng(13)
         sys = random_system(rng, random_hypergraph(rng, max_nodes=5, max_edges=3), field)
         X = rng.uniform(-5.0, 5.0, (17, sys.num_nodes, sys.state_dim))
@@ -841,7 +906,6 @@ class TestFieldParamJacobianBound:
 
         for samples in (X[5:], X):
             whole = bound(samples)
-            with monkeypatch.context() as mp:
-                mp.setattr(designer, "CHUNK_BYTES", per_sample * per_chunk)
+            with chunk_budget(per_sample * per_chunk):
                 got = bound(samples)
             assert got == whole or (math.isnan(got) and math.isnan(whole))

@@ -17,7 +17,6 @@ from hyperobs import (
     lorenz_field,
     tanh_coupling,
 )
-from hyperobs import dynamics
 from conftest import (
     MissingMeasurement,
     fd_jacobian,
@@ -270,7 +269,7 @@ class TestCouplingKernels:
         assert_bits_equal(sys_.edge_arguments(X), args)
         assert_bits_equal(sys_.coupling_term(X), expect)
 
-    def test_column_chunks_and_reuse(self, monkeypatch):
+    def test_column_chunks_and_reuse(self, chunk_budget):
         # a product in chunks of one column or of two (which do not divide
         # the 15 columns), products of other widths on the same matrices in
         # between, and a right-hand side with no columns give the one-chunk
@@ -290,8 +289,8 @@ class TestCouplingKernels:
             # W's chunk width is the byte budget over 8 bytes times the
             # larger of its entry and row counts
             most = max(1, len(h.members), len(h.edges))
-            monkeypatch.setattr(dynamics, "CHUNK_BYTES", 8 * chunk * most)
-            chunked = NetworkSystem(h, sys_.field, sys_.coupling, sys_.output)
+            with chunk_budget(8 * chunk * most):
+                chunked = NetworkSystem(h, sys_.field, sys_.coupling, sys_.output)
             assert chunked._members._chunk == chunk
             got = chunked.edge_arguments(X)
             assert_bits_equal(got, args)

@@ -213,9 +213,9 @@ def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
     real_refuted, real_certify = designer.thm2_refuted, designer.certify_roots
     real_kernel = designer.top_eig_max
 
-    def count_refuted(a, errs, h_req):
-        out = real_refuted(a, errs, h_req)
-        refuted.extend(err.nodes for err, hit in zip(errs, out) if hit)
+    def count_refuted(stack, h_req):
+        out = real_refuted(stack, h_req)
+        refuted.extend(err.nodes for err, hit in zip(stack.systems, out) if hit)
         return out
 
     def certify(stack, *args):
@@ -229,7 +229,7 @@ def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
     monkeypatch.setattr(designer, "thm2_refuted", count_refuted)
     monkeypatch.setattr(designer, "certify_roots", certify)
     monkeypatch.setattr(designer, "top_eig_max",
-                        lambda A: kernel_rows.append(A.shape[0]) or real_kernel(A))
+                        lambda rows, R, K, d: kernel_rows.append(R) or real_kernel(rows, R, K, d))
     run_and_compare("e2e-exact", tmp_path)
     assert len(refuted) == 5 and all(len(nodes) > 1 for nodes in refuted)
     assert sum(kernel_rows) == len(checked)

@@ -431,7 +431,7 @@ class TestMonteCarlo:
         # a dense N x N correction matrix alone would be 32 MB
         assert peak < 4e6
 
-    def test_noise_chunks_do_not_change_the_draws(self, monkeypatch):
+    def test_noise_chunks_do_not_change_the_draws(self, chunk_budget):
         sys = lorenz_pair_system()
         design = ObserverDesign(frozenset({0, 1}), {
             (0, 0): 3.0 * np.eye(3), (1, 1): 2.0 * np.eye(3),
@@ -440,9 +440,9 @@ class TestMonteCarlo:
         whole = monte_carlo(sys, design, cfg, n_runs=3)
         # 3 runs x 2 measured nodes x 3 channels: 7 grid points per chunk,
         # so the 101 grid points span 15 chunks, the last one partial
-        monkeypatch.setattr(sim, "CHUNK_BYTES", 7 * 3 * 2 * 3 * 8)
         assert (cfg.num_steps + 1) % 7 != 0
-        chunked = monte_carlo(sys, design, cfg, n_runs=3)
+        with chunk_budget(7 * 3 * 2 * 3 * 8):
+            chunked = monte_carlo(sys, design, cfg, n_runs=3)
         np.testing.assert_array_equal(chunked.error_norms, whole.error_norms)
 
     def test_diverged_run_leaves_the_others_untouched(self):
@@ -518,6 +518,22 @@ class TestEnsembles:
         ens = make_ensemble(sys, spec)
         np.testing.assert_array_equal(
             ens.states, simulate_network(sys, burned, 1e-3, spec.num_steps)[:, ::stride])
+
+    def test_diverging_trajectory_is_refused_by_name_and_time(self):
+        # x' = x^2 from x0 reaches the box edge 1e8 at about 1/x0: trajectory
+        # 1 (x0 = 4) leaves it near t = 0.25, trajectory 0 (x0 = 1) later
+        field = vector_field_from_callable(
+            lambda x, mu: x**2, 1, np.zeros(1), jac_x=lambda x, mu: (2 * x)[..., None]
+        )
+        sys = NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0),
+                            identity_output(1))
+        x0 = np.array([1.0, 4.0]).reshape(2, 1, 1)
+        with pytest.raises(sim.EnsembleDiverged, match="trajectory 1 ") as caught:
+            simulate_network(sys, x0, 1e-3, 2000, 5)
+        t = float(str(caught.value).split("t = ")[1].split()[0])
+        assert 0.24 < t < 0.26
+        # a run that ends before either leaves the box is not refused
+        assert np.isfinite(simulate_network(sys, x0, 1e-3, 200, 5)).all()
 
     def test_every_trajectory_holds_two_samples(self):
         with pytest.raises(ValueError):
