@@ -35,6 +35,7 @@ from .assembly import (
     SubsetTooLarge,
     check_thm1,
     check_thm2,
+    stack_roots,
     thm3_bound,
 )
 from .gain_design import (
@@ -48,7 +49,6 @@ from .designer import (
     DesignOptions,
     DesignOutcome,
     EmptyTrajectorySet,
-    certify_or_fail,
     design_observer,
     propagate_robustness_bounds,
     select_node,

@@ -3,49 +3,20 @@
 For a subset S the linearized error obeys  d/dt e_S = A_S(t) e_S + b_S(t),
 where A_S collects field Jacobians, output-correction terms, and the
 hyperdiffusive coupling Jacobians, and b_S collects the contributions of
-tails outside S.  Every fact about the edges entering S, head-closedness,
-the members inside S and the tails outside it, is read from one incidence
-slice, ``DirectedHypergraph.entering(S)``, and its ``position`` array is the
-one index of S, which places each node's block in A_S.
+tails outside S.  Every fact about the edges entering S is read from one
+incidence slice, ``DirectedHypergraph.entering(S)``, whose ``position``
+array places each node's block in A_S.
 
 A design certifies the roots of a pass, disjoint subsets that no edge joins,
-several at a time: ``stack_roots`` gives the R roots of M nodes each one
-``RootStack`` over one slice of their union, whose ``position`` indexes all
-of them, and each root an ``ErrorSystem`` that is a view of its row.  A_S is
-per-sample arithmetic, so a stack is a stream: it keeps the union slice, its
-edge and position indices and the samples, and ``RootStack.rows`` assembles
-the (R, k, Mn, Mn) rows of any k samples, bit for bit those of the whole
-stack.  A stack of at most ``dynamics.CHUNK_BYTES`` is assembled once and
-held; a larger one is read in chunks of at most that size, and each check
-is a running reduction over them: the diagonal-block floors and max|A_S|
-(kept from one pass at construction), the coupling bound ``g``,
-``top_eig_max`` and the Theorem-1 check.  Only gain synthesis reads a whole
-root, ``ErrorSystem.a``: its descent visits every sample at every iteration.
-A design chunks the roots of one size so that a stack holds at most
-``CHUNK_BYTES``, or one root.
+several at a time: ``stack_roots`` gives roots of one size one
+``RootStack``, which makes one pass over its samples at construction, and
+``RootStack.system`` gives each root its ``ErrorSystem``, a view of its row.
+``RootStack.refuted`` is the one interlacing refutation of the Theorem-2
+check, which the designer's zero-gain check and gain synthesis both read.
 
 This module also implements the checkable hypotheses of the two convergence
-theorems and the robustness bound.  ``ErrorSystem.refuting_block`` is the one
-interlacing refutation, which the designer's zero-gain check and gain
-synthesis both read: the symmetric part of an n x n diagonal block of A_S is
-a principal submatrix of sym(A_S), so by Cauchy interlacing its largest
-eigenvalue is at most that of sym(A_S) (Horn and Johnson, "Matrix
-Analysis", 2nd ed., Thm 4.3.28).
-
-``top_eig_max``, the max over samples that every Theorem-2 check reads, runs
-``eigvalsh`` on ``SEED_COUNT`` evenly spaced samples of a root's first chunk,
-whose largest top eigenvalue starts ``best``, and factors mu I - sym(A_k) =
-LL^T by one batched LAPACK Cholesky at mu = best - tol on the samples of
-each chunk with finite entries.  A factorization that runs to completion
-proves lambda_max(sym A_k) < mu + 4 d^3 u max|mu I - sym A_k| (Higham,
-"Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 10), and tol,
-``rounding_tol`` at the chunk's max|A| + |best|, covers that and the
-rounding of ``eigvalsh`` for d < 10^5: such a sample cannot beat ``best``,
-the largest value found so far.  Only the samples whose factorization
-fails, or that hold a non-finite entry, reach ``symmetric_top_eig``, so the
-max is bit for bit that over every sample.  A sample whose symmetric part
-has a non-finite entry reads +inf, with no ``eigvalsh`` call: it fails
-every Theorem-2 check.
+theorems, ``check_thm2`` over the max ``top_eig_max`` and ``check_thm1``,
+and the robustness bound, ``thm3_bound``.
 """
 
 from __future__ import annotations
@@ -94,9 +65,8 @@ SEED_COUNT = 8
 
 class ErrorSystem:
     """The zero-gain A_S and the coupling-Jacobian bound of the subset S,
-    the node tuple ``nodes``, over a sample set of estimator states, the
-    (K, N, n) array ``samples``: root ``row`` of its ``RootStack``,
-    ``stack``.
+    the node tuple ``nodes``, over a sample set of estimator states: root
+    ``row`` of its ``RootStack``, ``stack``, whose ``system`` makes it.
 
     ``rows(idx)`` is A_S at the samples ``idx``, (k, nM, nM), and ``g`` is
     (K,), the largest |g'| over the subset's incoming edges at each sample
@@ -106,31 +76,18 @@ class ErrorSystem:
     ``rows(idx) - B`` with B from ``gain_matrix``, on a new array, so A_S
     stays the zero-gain stack.
 
-    ``zero_error_nodes`` are nodes whose estimation error is identically zero
-    (exactly reconstructed measured nodes); hyperedge heads falling outside S
-    are tolerated only when they belong to this set.
-
-    ``entering`` is S's incidence slice, ``DirectedHypergraph.entering``,
-    which refuses a node given twice: every fact about the edges entering S
-    that a design step reads comes from it, and its ``position`` places node
-    ``nodes[k]`` at block k of A_S.  S alone is a stack of one root, whose
-    union slice is S's own; a root of a larger stack cuts its slice from the
-    union's on first use (``EdgeSlice.subset``), which only a root that fails
-    its zero-gain checks makes.
+    ``entering`` is S's incidence slice, ``DirectedHypergraph.entering``:
+    every fact about the edges entering S that a design step reads comes
+    from it, and its ``position`` places node ``nodes[k]`` at block k of
+    A_S.  It is the stack's own slice when the stack has one root, else
+    ``sys.hypergraph.entering(nodes)`` on first use, which only a root that
+    fails its zero-gain checks makes.
     """
-
-    def __init__(
-        self,
-        sys: NetworkSystem,
-        nodes: Sequence[int],
-        samples,
-        zero_error_nodes: frozenset[int] = frozenset(),
-    ):
-        vars(self).update(vars(stack_roots(sys, [nodes], samples, zero_error_nodes).system(0)))
 
     @cached_property
     def entering(self) -> EdgeSlice:
-        return self.stack.entering.subset(self.nodes)
+        stack = self.stack
+        return stack.entering if len(stack.roots) == 1 else self.sys.hypergraph.entering(self.nodes)
 
     @property
     def dim(self) -> int:
@@ -174,50 +131,6 @@ class ErrorSystem:
             wave = weight[lo:hi] * terms[edge[lo:hi]]
             A[root[lo:hi], :, head[lo:hi], diag, member[lo:hi], diag] += wave.transpose(0, 2, 1)
         return A.reshape(R, K, M * n, M * n)
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """The (K, M, n, n) diagonal blocks of A_S: a view of ``a`` once it
-        is held, else the stack's."""
-        if "a" in vars(self):
-            return diagonal_blocks(self.a, self.sys.state_dim)
-        return self.stack.blocks[self.row]
-
-    def block_floor(self, nodes: Sequence[int]) -> tuple[float, int | None]:
-        """The largest lambda_max of the symmetric part over the samples and
-        the n x n diagonal blocks of A_S at ``nodes`` of S, and the first
-        node whose block reaches it; (-inf, None) for no nodes.
-
-        The blocks are the entries A_S holds, so by interlacing the value is
-        at most the worst value of ``check_thm2`` with zero gains, and with any
-        gains when none touches these blocks, up to the rounding of the two
-        ``eigvalsh`` calls (``floor_tol``)."""
-        if not nodes:
-            return -np.inf, None
-        tops = symmetric_top_eig(self.blocks[:, self.entering.position[list(nodes)]]).max(axis=0)
-        k = int(np.argmax(tops))
-        return float(tops[k]), int(nodes[k])
-
-    @cached_property
-    def floor_tol(self) -> float:
-        """The rounding slack of ``block_floor`` against ``check_thm2``:
-        ``rounding_tol`` at the error dimension and max|A_S|, which is taken
-        from ``a`` with no temporary its size once it is held, else kept from
-        the stack's first pass; not finite when A_S is not."""
-        if "a" in vars(self):
-            return rounding_tol(self.dim, float(np.maximum(self.a.max(), -self.a.min())))
-        return rounding_tol(self.dim, float(self.stack.a_max[self.row]))
-
-    def refuting_block(self, nodes: Sequence[int], h_req: float) -> tuple[float, int] | None:
-        """(floor, node) when the diagonal blocks at ``nodes`` prove that the
-        Theorem-2 check fails at margin ``h_req`` with any gains that leave
-        these blocks alone: their ``block_floor`` exceeds -h_req by more than
-        ``floor_tol``.  None otherwise, and always when A_S has a non-finite
-        entry, which has no finite slack (no ``eigvalsh`` runs)."""
-        if not math.isfinite(self.floor_tol):
-            return None
-        floor, node = self.block_floor(nodes)
-        return (floor, node) if floor > self.floor_tol - h_req else None
 
     @staticmethod
     def coupling_jac_bound(dg: np.ndarray, edge_root: np.ndarray, R: int) -> np.ndarray:
@@ -270,15 +183,16 @@ def coupling_pairs(
 class RootStack:
     """The zero-gain A_S of R disjoint subsets of M nodes each, the rows of
     ``roots``, over the (K, N, n) samples ``X``, as a stream: ``rows(idx)``
-    assembles the (R, k, Mn, Mn) rows of the samples ``idx``.  ``g`` is
-    (R, K), and ``systems[r]`` is root r's ``ErrorSystem``.  ``upstream``
-    holds the tails of the entering edges outside their root.
+    assembles the (R, k, Mn, Mn) rows of the samples ``idx``, and
+    ``system(r)`` is root r's ``ErrorSystem``.  ``upstream`` holds the tails
+    of the entering edges outside their root.
 
-    A stack of at most ``dynamics.CHUNK_BYTES`` is assembled once and held,
-    ``a``; ``blocks`` is then a view of its diagonal blocks.  A larger one
-    has ``a`` None, and one pass over its ``chunks`` at construction keeps
-    ``g``, max|A_S| per root, ``a_max``, and, for M > 1, the (R, K, M, n, n)
-    diagonal blocks, M times smaller than A_S, which the floors read."""
+    One pass over the ``chunks`` at construction keeps ``g``, (R, K),
+    max|A_S| per root, ``a_max``, and the (R, K, M, n, n) diagonal
+    ``blocks``, M times smaller than A_S, which ``refuted`` reads.  A stack
+    of one chunk keeps its rows, ``a``, and ``blocks`` is a view of them; a
+    larger one has ``a`` None, and ``blocks`` None for M = 1, where a block
+    is the whole A_S."""
 
     def __init__(self, sys: NetworkSystem, roots: np.ndarray, sl: EdgeSlice,
                  edge_root: np.ndarray, local: np.ndarray, X: np.ndarray):
@@ -294,44 +208,33 @@ class RootStack:
             rows = np.flatnonzero(sizes > k)
             q = sl.ptr[rows] + k
             self._terms.append((rows, sl.weights[q, None, None], sl.members[q]))
-        self._edge_root, self._pairs = edge_root, coupling_pairs(sys, sl, edge_root, local, M)
-        if 8 * R * K * self.dim**2 <= dynamics.CHUNK_BYTES:
-            self.a, dg = self._assemble(slice(None))
-            self.g = ErrorSystem.coupling_jac_bound(dg, edge_root, R)
-        else:
-            self.a, self.g, self.a_max = None, np.empty((R, K)), np.full(R, -np.inf)
-            self._blocks = np.empty((R, K, M, n, n)) if M > 1 else None
-            for chunk in self.chunks():
-                self._scan(chunk)
+        self._pairs = coupling_pairs(sys, sl, edge_root, local, M)
+        chunks = self.chunks()
+        self.a, self.g, self.a_max = None, np.empty((R, K)), np.full(R, -np.inf)
+        self.blocks = np.empty((R, K, M, n, n)) if len(chunks) > 1 and M > 1 else None
+        for chunk in chunks:
+            A, dg = self._assemble(chunk)
+            self.g[:, chunk] = ErrorSystem.coupling_jac_bound(dg, edge_root, R)
+            self.a_max = np.maximum(self.a_max, np.maximum(A.max(axis=(1, 2, 3)),
+                                                           -A.min(axis=(1, 2, 3))))
+            if len(chunks) == 1:
+                self.a, self.blocks = A, diagonal_blocks(A, n)
+            elif M > 1:
+                self.blocks[:, chunk] = diagonal_blocks(A, n)
+            # freed before the next chunk is assembled
+            del A, dg
         self.upstream = sl.members[~sl.is_head & (local < 0)]
 
     def system(self, r: int) -> ErrorSystem:
-        """Root r's ``ErrorSystem``, a new view at each call: views refer to
-        the stack and it to none of them, so no reference cycle keeps a
-        stack past its last view."""
+        """Root r's ``ErrorSystem``, the one way to make one, and a new view
+        at each call: views refer to the stack and it to none of them, so no
+        reference cycle keeps a stack past its last view."""
         err = object.__new__(ErrorSystem)
         err.sys, err.nodes, err.g = self.sys, tuple(self.roots[r].tolist()), self.g[r]
         err.stack, err.row = self, r
         if self.a is not None:
             err.a = self.a[r]
-        if len(self.roots) == 1:
-            err.entering = self.entering
         return err
-
-    @property
-    def systems(self) -> list[ErrorSystem]:
-        return [self.system(r) for r in range(len(self.roots))]
-
-    @cached_property
-    def a_max(self) -> np.ndarray:
-        """max|A_S| per root, (R,), taken with no temporary the size of
-        ``a``; a stack that is not held keeps it from its first pass."""
-        return np.maximum(self.a.max(axis=(1, 2, 3)), -self.a.min(axis=(1, 2, 3)))
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """The (R, K, M, n, n) diagonal blocks of A_S."""
-        return self._blocks if self.a is None else diagonal_blocks(self.a, self.sys.state_dim)
 
     def chunks(self) -> list[slice]:
         """Sample ranges whose rows hold at most ``CHUNK_BYTES``, at least
@@ -340,19 +243,37 @@ class RootStack:
         return [slice(lo, lo + step) for lo in range(0, self.num_samples, step)]
 
     def rows(self, idx: slice) -> np.ndarray:
-        """The (R, k, Mn, Mn) rows of the samples of the slice ``idx``: a
-        view of ``a`` when it is held, else assembled."""
+        """The (R, k, Mn, Mn) rows of the samples of the slice ``idx``, bit
+        for bit those of the whole stack: a view of ``a`` when it is held,
+        else assembled."""
         return self.a[:, idx] if self.a is not None else self._assemble(idx)[0]
 
-    def _scan(self, chunk: slice) -> None:
-        """The first pass's work on one chunk: ``g``, ``a_max`` and the
-        diagonal blocks, from rows freed before the next chunk's."""
-        A, dg = self._assemble(chunk)
-        self.g[:, chunk] = ErrorSystem.coupling_jac_bound(dg, self._edge_root, len(self.roots))
-        top = np.maximum(A.max(axis=(1, 2, 3)), -A.min(axis=(1, 2, 3)))
-        self.a_max = np.maximum(self.a_max, top)
-        if self._blocks is not None:
-            self._blocks[:, chunk] = diagonal_blocks(A, self.sys.state_dim)
+    def refuted(self, rows: np.ndarray, positions: np.ndarray,
+                h_req: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Which of the roots ``rows`` the diagonal blocks at ``positions``
+        prove to fail the Theorem-2 check at margin ``h_req``, with zero
+        gains or any gains that leave these blocks alone: (mask, floor,
+        position), one entry per row.
+
+        The floor is the largest lambda_max of the symmetric part over the
+        samples and these blocks, and the position the first block that
+        reaches it.  A block's symmetric part is a principal submatrix of
+        sym(A_S), so by Cauchy interlacing (Horn and Johnson, "Matrix
+        Analysis", 2nd ed., Thm 4.3.28) the floor is at most the check's
+        worst value, up to the rounding of the two ``eigvalsh`` calls,
+        ``rounding_tol`` at max|A_S|: a root is refuted when its floor
+        exceeds -h_req by more than that slack.  A root whose max|A_S| is
+        not finite has no finite slack and is never refuted; no
+        ``eigvalsh`` runs on its blocks, and its floor is -inf and its
+        position -1, as for no positions."""
+        with np.errstate(over="ignore"):
+            tol = rounding_tol(self.dim, self.a_max[rows])
+        floor, at = np.full(len(rows), -np.inf), np.full(len(rows), -1, dtype=np.intp)
+        live = np.flatnonzero(np.isfinite(tol))
+        if live.size and len(positions):
+            tops = symmetric_top_eig(self.blocks[rows[live, None], :, positions]).max(axis=2)
+            floor[live], at[live] = tops.max(axis=1), positions[tops.argmax(axis=1)]
+        return floor > tol - h_req, floor, at
 
     def _assemble(self, idx: slice) -> tuple[np.ndarray, np.ndarray]:
         """The rows of the samples ``idx`` and the (edges, k, n) coupling
@@ -375,7 +296,9 @@ def stack_roots(
     the (K, N, n) ``samples``, from one slice of their union: the roots of a
     pass share no edge, so every edge entering their union enters one root,
     the root of its heads.  Every root must be head-closed modulo
-    ``zero_error_nodes`` (``ErrorSystem``)."""
+    ``zero_error_nodes``, the nodes whose estimation error is identically
+    zero (exactly reconstructed measured nodes): a head of an entering edge
+    outside its root must be one of them."""
     roots = [tuple(int(v) for v in S) for S in roots]
     R, M = len(roots), len(roots[0])
     if any(len(S) != M for S in roots):
@@ -497,13 +420,22 @@ def top_eig_max(rows: Callable[[slice], np.ndarray], R: int, K: int, d: int) -> 
     whose rows at the samples of the slice ``idx`` are ``rows(idx)``: (R,),
     bit for bit ``symmetric_top_eig(A).max(axis=1)``, so +inf for a root
     holding a sample whose A_S or symmetric part has a non-finite entry.
-    The rows are read a ``CHUNK_BYTES`` chunk at a time.  ``eigvalsh`` runs
-    on ``SEED_COUNT`` evenly spaced samples of each root's first chunk, then
-    on the samples of each chunk that the Cholesky screen of the module
-    docstring does not rule out against the largest value so far; a root
-    that has reached +inf reads no more samples.  A failed factorization
-    comes back as NaN rows, and one with an infinite pivot has an infinite
-    diagonal entry: either sends its sample to ``eigvalsh``."""
+    The rows are read a ``CHUNK_BYTES`` chunk at a time, and a root that has
+    reached +inf reads no more samples.
+
+    ``eigvalsh`` runs on ``SEED_COUNT`` evenly spaced samples of each root's
+    first chunk, whose largest top eigenvalue starts ``best``, the largest
+    value found so far.  The other samples with finite entries factor
+    mu I - sym(A_k) = LL^T by one batched LAPACK Cholesky at mu = best - tol.
+    A factorization that runs to completion proves lambda_max(sym A_k) <
+    mu + 4 d^3 u max|mu I - sym A_k| (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., ch. 10), and tol, ``rounding_tol`` at
+    the chunk's max|A| + |best|, covers that and the rounding of
+    ``eigvalsh`` for d < 10^5: such a sample cannot beat ``best``.  Only the
+    samples whose factorization fails, or that hold a non-finite entry,
+    reach ``symmetric_top_eig``.  A failed factorization comes back as NaN
+    rows, and one with an infinite pivot has an infinite diagonal entry:
+    either sends its sample to ``eigvalsh``."""
     # a chunk holds CHUNK_BYTES of rows, and the screen's three work arrays
     # (the matrices, the transpose numpy copies to add in place, the
     # factors) hold CHUNK_BYTES together
@@ -592,7 +524,13 @@ def check_thm2(
 
 
 def spectral_abscissa(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvals(mats).real.max(axis=-1)
+    """Largest real part of the eigenvalues, batched over the leading axes;
+    +inf where a matrix has a non-finite entry, as ``symmetric_top_eig``
+    reads it, so such a sample fails H1 with no ``eigvals`` call."""
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    top = np.full(finite.shape, np.inf)
+    top[finite] = np.linalg.eigvals(mats[finite]).real.max(axis=-1)
+    return top
 
 
 def kron_sum(a: np.ndarray) -> np.ndarray:

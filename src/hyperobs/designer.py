@@ -7,25 +7,25 @@ two (the heads of an edge share a component), and zero-gain A_S reads only
 edges whose outside tails are observed.  So a pass stacks the A_S of its
 roots of one size (``assembly.stack_roots``), as many as
 ``dynamics.CHUNK_BYTES`` holds, and certifies each stack at once
-(``certify_roots``): batched diagonal-block floors refute the Theorem-2 check
-where they can (``thm2_refuted``, the test of ``ErrorSystem.refuting_block``,
-which synthesis reads too), one ``assembly.top_eig_max`` runs it on the other
-roots, and the Theorem-1 check follows on those left.  A root whose stack
-alone is over the budget is a stream: the floors read the diagonal blocks
-and max|A_S| its stack kept from one chunked pass, and the Theorem-2 and
-Theorem-1 checks assemble its samples a chunk at a time, so no zero-gain
-check holds a whole root over the budget.  Certified roots are recorded as
-they are; the others retry in the pass's order on their ``ErrorSystem``, a
-view of the stack, which gain synthesis reads whole (``ErrorSystem.a``):
-its descent visits every sample at every iteration.  Each retry measures one
-more node of S, chosen by the degree heuristic, and synthesizes Theorem-2
-gains on the nodes of S measured so far, until a synthesis passes or S is
-exhausted.  With an invertible output map, a measured node j is instead
-reconstructed exactly and skips certification, and S \\ {j} returns in the
-next pass, labelled again on its own: no unobserved node outside the root S
-reaches it.  A stack slices the edges entering its roots once,
-``DirectedHypergraph.entering``; a failing root cuts its own slice from it.
-The design logs one INFO line per pass and each root's fate at DEBUG.
+(``certify_roots``): the diagonal blocks refute the Theorem-2 check where
+they can (``thm2_refuted``, over ``RootStack.refuted``, which synthesis
+reads too), one ``assembly.top_eig_max`` runs it on the other roots, and the
+Theorem-1 check follows on those left.  A root whose stack alone is over
+the budget is a stream: the Theorem-2 and Theorem-1 checks assemble its
+samples a chunk at a time, so no zero-gain check holds a whole root over
+the budget.  Certified roots are recorded as they are; the others retry in
+the pass's order on their ``ErrorSystem``, a view of the stack, which gain
+synthesis reads whole (``ErrorSystem.a``): its descent visits every sample
+at every iteration.  Each retry measures one more node of S, chosen by the
+degree heuristic, and synthesizes Theorem-2 gains on the nodes of S
+measured so far, until a synthesis passes or S is exhausted.  With an
+invertible output map, a measured node j is instead reconstructed exactly
+and skips certification, and S \\ {j} returns in the next pass, labelled
+again on its own: no unobserved node outside the root S reaches it.  A
+stack slices the edges entering its roots once,
+``DirectedHypergraph.entering``; a failing root of a larger stack slices
+its own.  The design logs one INFO line per pass and each root's fate at
+DEBUG.
 
 The design report, ``design.json``, is one JSON object, built by
 ``design_report`` and read back, checked, by ``read_design_report``; no other
@@ -82,9 +82,7 @@ from .assembly import (
     RootStack,
     check_thm1,
     check_thm2,
-    rounding_tol,
     stack_roots,
-    symmetric_top_eig,
     thm2_report,
     top_eig_max,
     thm3_bound,
@@ -329,31 +327,20 @@ def select_node(entering: EdgeSlice, already_measured: Iterable[int]) -> int:
 
 def thm2_refuted(stack: RootStack, h_req: float) -> np.ndarray:
     """Which roots of ``stack`` a diagonal block proves to fail the
-    zero-gain Theorem-2 check (``ErrorSystem.refuting_block``), read from
-    the stack's diagonal blocks and max|A_S|, which a stack over
-    ``CHUNK_BYTES`` keeps from its first pass.  The first node's blocks of
-    every root are tried in one call, as on a failing root they usually
-    refute, then the other nodes' of the roots still standing.  No
-    ``eigvalsh`` runs on a root with a non-finite entry, and a one-node root
-    is never refuted."""
-    n = stack.sys.state_dim
+    zero-gain Theorem-2 check (``RootStack.refuted``).  The first node's
+    blocks of every root are tried in one call, as on a failing root they
+    usually refute, then the other nodes' of the roots still standing.  A
+    one-node root is never refuted: its one block is the whole check."""
     refuted = np.zeros(len(stack.roots), dtype=bool)
-    if stack.dim == n:
+    M = stack.roots.shape[1]
+    if M == 1:
         return refuted
-    with np.errstate(over="ignore"):
-        tol = rounding_tol(stack.dim, stack.a_max)
-    blocks = stack.blocks
-    for part in (slice(0, 1), slice(1, None)):
-        rows = np.flatnonzero(np.isfinite(tol) & ~refuted)
-        if not rows.size:
-            break
-        tops = symmetric_top_eig(blocks[rows, :, part]).max(axis=1)
-        hit = tops.max(axis=1) > tol[rows] - h_req
-        for r, top in zip(rows[hit].tolist(), tops[hit]):
-            k = int(np.argmax(top))
-            nodes = tuple(stack.roots[r].tolist())
+    for part in (np.arange(1), np.arange(1, M)):
+        rows = np.flatnonzero(~refuted)
+        hit, floor, at = stack.refuted(rows, part, h_req)
+        for r, top, k in zip(rows[hit].tolist(), floor[hit], at[hit].tolist()):
             log.debug("thm2 refuted on %s: the block of node %d reaches %.6g",
-                      nodes, nodes[part.start + k], top[k])
+                      tuple(stack.roots[r].tolist()), int(stack.roots[r, k]), top)
         refuted[rows[hit]] = True
     return refuted
 
@@ -382,14 +369,6 @@ def certify_roots(
                                     length=ensemble.states.shape[1],
                                     count=min(THM1_TRAJECTORIES, ensemble.count))
     return [report if report is not None and report.passed else None for report in reports]
-
-
-def certify_or_fail(
-    err: ErrorSystem, ensemble: TrajectoryEnsemble, options: DesignOptions
-) -> CertificationReport | None:
-    """``certify_roots`` on the root of ``err``, read from the stack it is a
-    view of: ``ErrorSystem(sys, nodes, samples)`` is a stack of one root."""
-    return certify_roots(err.stack, ensemble, options)[err.row]
 
 
 def certify_pass(

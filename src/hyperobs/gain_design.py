@@ -11,8 +11,8 @@ Gamma)), is a pointwise max of top eigenvalues of matrices affine in the
 gains, so it is convex (Lewis and Overton, "Eigenvalue optimization", Acta
 Numerica 1996): it has no local minimum a restart from another point could
 escape.  No gain reaches the diagonal block of an unmeasured node, so first
-``ErrorSystem.refuting_block`` tries to prove the margin out of reach on
-those blocks.  Each iteration runs
+``RootStack.refuted`` tries to prove the margin out of reach on those
+blocks, before ``GainProblem`` reads A_S whole.  Each iteration runs
 ``eigvalsh`` only on the samples a batched Cholesky screen cannot rule out,
 so its max and first argmax are bit for bit those over every sample.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,20 +81,21 @@ class GainProblem:
 
     The gains are one (len(keys), n, p) array L, block k the n-by-p gain of
     keys[k] = (i, j): i runs over the subset's nodes in subset order and, for
-    each i, j over the measured nodes in increasing order.  Exposes the
+    each i, j over ``measured``, the subset's measured nodes in increasing
+    order (``design_gain_thm2`` selects them).  Exposes the
     max-over-samples top symmetric eigenvalue (the design objective) and its
     subgradient, an array in the layout of L; ``subgradient`` builds
     B = ``gain_matrix(L)`` once and reads every A_S(L) as ``a[idx] - B``.
     Both place node v's block by the subset's index, ``err.entering.position``.
     """
 
-    def __init__(self, err: ErrorSystem, measured_in_subset: Iterable[int]):
+    def __init__(self, err: ErrorSystem, measured: Sequence[int]):
         self.err = err
         self.nodes, self.position = err.nodes, err.entering.position
         self.n = err.sys.state_dim
         self.p = err.sys.output.output_dim
         self.gamma = err.sys.output.matrix
-        self.measured = sorted(set(int(v) for v in measured_in_subset) & set(self.nodes))
+        self.measured = list(measured)
         self.keys = [(i, j) for i in self.nodes for j in self.measured]
         # sym(A_k^0) with the samples on the last axis, for the Cholesky screen
         a = err.a
@@ -191,21 +192,23 @@ def design_gain_thm2(
     gains already certify, the first iteration returns them and the result is
     empty.  Every iteration takes the exact max over all samples, so the
     returned gains reach -h_req on every sample.  ``Infeasible`` is proven
-    before any iteration when an unmeasured node's diagonal block refutes
-    the margin (``ErrorSystem.refuting_block``); when the budget runs out, it
+    before A_S is read whole when an unmeasured node's diagonal block
+    refutes the margin (``RootStack.refuted``); when the budget runs out, it
     names the iterations made and the best max reached.
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
-    prob = GainProblem(err, measured_in_subset)
-    if not prob.measured:
-        raise NoMeasuredNodes(f"subset {prob.nodes} has no measured nodes")
-    refuted = err.refuting_block([v for v in prob.nodes if v not in prob.measured], h_req)
-    if refuted is not None:
+    measured = sorted(set(int(v) for v in measured_in_subset) & set(err.nodes))
+    if not measured:
+        raise NoMeasuredNodes(f"subset {err.nodes} has no measured nodes")
+    unmeasured = np.array([k for k, v in enumerate(err.nodes) if v not in measured], dtype=np.intp)
+    hit, floor, _ = err.stack.refuted(np.array([err.row]), unmeasured, h_req)
+    if hit[0]:
         raise Infeasible(
-            f"subset {prob.nodes}: unmeasured diagonal blocks reach "
-            f"{refuted[0]:.4g}, margin {h_req} is unattainable for any gains"
+            f"subset {err.nodes}: unmeasured diagonal blocks reach "
+            f"{floor[0]:.4g}, margin {h_req} is unattainable for any gains"
         )
+    prob = GainProblem(err, measured)
     L = np.zeros((len(prob.keys), prob.n, prob.p))
     overshoot = POLYAK_OVERSHOOT
     stall_window = max(100, MAX_ITERS // 10)

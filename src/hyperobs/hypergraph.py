@@ -138,19 +138,6 @@ class EdgeSlice:
         """The entries that are tails outside the subset."""
         return ~self.is_head & (self.position[self.members] < 0)
 
-    def subset(self, nodes: Sequence[int]) -> "EdgeSlice":
-        """``DirectedHypergraph.entering(nodes)`` for distinct ``nodes`` of
-        this slice's subset, cut from this slice: the edges entering them
-        are among its rows."""
-        position = np.full(len(self.position), -1, dtype=np.intp)
-        position[list(nodes)] = np.arange(len(nodes))
-        hit = np.zeros(len(self.edges), dtype=bool)
-        hit[self.rows[self.is_head & (position[self.members] >= 0)]] = True
-        rows = np.flatnonzero(hit)
-        ptr, entries = _rows(self.ptr, rows)
-        entry_arrays = (self.members, self.weights, self.is_head)
-        return EdgeSlice(self.edges[rows], ptr, *(a[entries] for a in entry_arrays), position)
-
 
 @dataclass(frozen=True)
 class DirectedHypergraph:

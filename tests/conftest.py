@@ -29,9 +29,9 @@ from hyperobs import dynamics
 from hyperobs.assembly import (
     KRON_CAP,
     CertificationReport,
-    ErrorSystem,
     check_thm1,
     check_thm2,
+    stack_roots,
 )
 from hyperobs.designer import THM1_TRAJECTORIES, DesignOutcome, ProcessedSubset, select_node
 from hyperobs.gain_design import POLYAK_OVERSHOOT, Infeasible, design_gain_thm2
@@ -63,6 +63,12 @@ class SubsetIndex(tuple):
 
     def position(self, node: int) -> int:
         return self.index(node)
+
+
+def error_system(sys, nodes, samples, zero_error_nodes=frozenset()):
+    """The ``ErrorSystem`` of the subset ``nodes`` alone: root 0 of its own
+    one-root ``RootStack``."""
+    return stack_roots(sys, [nodes], samples, frozenset(zero_error_nodes)).system(0)
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -270,9 +276,10 @@ def gain_array(prob, gains: Mapping) -> np.ndarray:
     return np.array([gains.get(key, zero) for key in prob.keys], dtype=float)
 
 
-def reference_certify_or_fail(err, ensemble, options):
-    """``certify_or_fail`` with no block floor: the zero-gain Theorem-2 check
-    always runs, then the Theorem-1 check when it fails and nM <= ``KRON_CAP``."""
+def reference_certify_zero_gain(err, ensemble, options):
+    """``designer.certify_roots`` on the one root of ``err`` with no
+    refutation: the zero-gain Theorem-2 check always runs, then the
+    Theorem-1 check when it fails and nM <= ``KRON_CAP``."""
     report = check_thm2(err, options.margin)
     if not report.passed and err.dim <= KRON_CAP:
         report = check_thm1(
@@ -290,7 +297,7 @@ def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error
     Returns (report, gains) of the first route that passes, or None."""
     nodes = sorted(set(int(v) for v in subset_nodes))
     measured_in = sorted(frozenset(int(v) for v in measured) & set(nodes))
-    err = ErrorSystem(sys, nodes, ensemble.stacked(), frozenset(zero_error_nodes))
+    err = error_system(sys, nodes, ensemble.stacked(), frozenset(zero_error_nodes))
     rep0 = check_thm2(err, options.margin)
     if rep0.passed:
         return rep0, {}

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -27,14 +28,16 @@ from hyperobs import (
     tanh_coupling,
     thm3_bound,
 )
+import hyperobs
 from hyperobs import assembly, dynamics
-from hyperobs.assembly import KRON_CAP, CertificationReport, ErrorSystem, gain_matrix, kron_sum
+from hyperobs.assembly import KRON_CAP, CertificationReport, gain_matrix, kron_sum
 from hyperobs.gain_design import GainProblem
 from hyperobs.hypergraph import HypergraphError, condense, dependency_arcs, label_components
 from conftest import (
     SubsetIndex,
     apply_gains_by_block,
     brute_force_sccs,
+    error_system,
     fd_jacobian,
     gain_array,
     head_closed,
@@ -114,7 +117,7 @@ def a_with_design(sys, design, nodes, states, zero_error_nodes=frozenset()):
     """A_S with the design's gain blocks, stacked over the samples; one state
     of N * n entries is one sample."""
     states = np.reshape(states, (-1, sys.num_nodes, sys.state_dim))
-    err = ErrorSystem(sys, nodes, states, zero_error_nodes)
+    err = error_system(sys, nodes, states, zero_error_nodes)
     keys = list(design.gains)
     blocks = np.array([design.gains[k] for k in keys]).reshape(
         len(keys), sys.state_dim, sys.output.output_dim
@@ -127,7 +130,7 @@ class TestAssembleA:
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         xh = np.array([1.0, 2.0, 3.0])
-        A = ErrorSystem(sys, (0,), xh.reshape(1, 1, 3)).a[0]
+        A = error_system(sys, (0,), xh.reshape(1, 1, 3)).a[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh), atol=1e-14)
 
     def test_single_measured_node_identity_output(self):
@@ -158,9 +161,9 @@ class TestAssembleA:
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(SubsetNotHeadClosed):
-            ErrorSystem(sys, (1,), np.zeros((1, 3, 1)))
+            error_system(sys, (1,), np.zeros((1, 3, 1)))
         # tolerated when the missing head carries zero error
-        err = ErrorSystem(sys, (1,), np.zeros((1, 3, 1)), frozenset({2}))
+        err = error_system(sys, (1,), np.zeros((1, 3, 1)), frozenset({2}))
         A = err.a[0]
         assert A.shape == (1, 1)
 
@@ -170,7 +173,7 @@ class TestAssembleA:
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         for nodes in ([1, 2, 1], [0, 0]):
             with pytest.raises(HypergraphError, match="given twice"):
-                ErrorSystem(sys, nodes, np.zeros((1, 3, 1)))
+                error_system(sys, nodes, np.zeros((1, 3, 1)))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 3, 1), (2, 3, 2), (3, 1)])
     def test_samples_other_than_k_by_n_by_n_rejected(self, shape):
@@ -178,12 +181,12 @@ class TestAssembleA:
         h = DirectedHypergraph(3)
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(DimensionMismatch):
-            ErrorSystem(sys, (0,), np.zeros(shape))
+            error_system(sys, (0,), np.zeros(shape))
 
     def test_external_gain_column_rejected(self):
         h = DirectedHypergraph(2)
         sys = random_system(np.random.default_rng(2), h, field_kind="bistable")
-        err = ErrorSystem(sys, (0,), np.zeros((1, 2, 1)))
+        err = error_system(sys, (0,), np.zeros((1, 2, 1)))
         # a gain from measured node 1 into the subset {0} would couple it to
         # an error outside the subset
         with pytest.raises(ValueError):
@@ -304,7 +307,7 @@ class TestDenseOutput:
             samples = rng.uniform(-2, 2, (3, h.num_nodes, n))
             A = a_with_design(sys, design, S, samples)
             # the same gains through the synthesis' gain array
-            prob = GainProblem(ErrorSystem(sys, S, samples), design.measured)
+            prob = GainProblem(error_system(sys, S, samples), sorted(design.measured))
             assert set(design.gains) <= set(prob.keys)
             L = gain_array(prob, design.gains)
             A_gains = prob.rows(gain_matrix(prob.position, prob.keys, L, prob.gamma), np.arange(3))
@@ -325,7 +328,7 @@ class TestCouplingJacBound:
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         samples = np.random.default_rng(7).uniform(-5, 5, (4, 2, 3))
-        err = ErrorSystem(sys, (0, 1), samples)
+        err = error_system(sys, (0, 1), samples)
         # the stack's coupling entries and the bound read one evaluation of g'
         assert len(calls) == 1
         assert err.g.shape == (4,) and np.all(err.g > 0)
@@ -343,7 +346,7 @@ class TestCouplingJacBound:
         sys = NetworkSystem(h, base.field, tanh_coupling(a, b, c), base.output)
         S = random_scc_union_subset(rng, h)
         samples = rng.uniform(-5, 5, (int(rng.integers(1, 5)), h.num_nodes, sys.state_dim))
-        bound = ErrorSystem(sys, S, samples).g
+        bound = error_system(sys, S, samples).g
         incoming = incoming_closure(h, S)
         if not incoming:
             np.testing.assert_array_equal(bound, np.zeros(len(samples)))
@@ -358,7 +361,7 @@ class TestCouplingJacBound:
 def one_sample_error_system(h, S, zero_error_nodes=frozenset()):
     sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
     samples = np.zeros((1, h.num_nodes, 3))
-    return ErrorSystem(sys, S, samples, frozenset(zero_error_nodes))
+    return error_system(sys, S, samples, frozenset(zero_error_nodes))
 
 
 class TestHeadClosed:
@@ -423,7 +426,7 @@ class TestEnteringSliceConsumers:
         if zeros:
             X[rng.random(X.shape) < 0.5] = -0.0
         sub = SubsetIndex(tuple(S))
-        err = ErrorSystem(sys, sub, X, frozenset(range(h.num_nodes)) - set(S))
+        err = error_system(sys, sub, X, frozenset(range(h.num_nodes)) - set(S))
         args = sys.edge_arguments(X.transpose(1, 0, 2))[incoming_closure(h, S)]
         assert bit_pattern(seen[0]) == bit_pattern(args)
         expect = reference_a_matrix_batch(sys, sub, X, base.coupling.deriv(args))
@@ -479,7 +482,7 @@ def constant_matrix_system(A):
 
 def error_system_for(A, samples):
     sys = constant_matrix_system(A)
-    return ErrorSystem(sys, (0,), samples)
+    return error_system(sys, (0,), samples)
 
 
 class TestCheckThm2:
@@ -509,7 +512,7 @@ class TestCheckThm2:
         kappas = np.arange(0.0, 40.0, 0.25)
         oracle = next(k for k in kappas if lam - k <= -h_req)
         checker = None
-        err = ErrorSystem(sys, (0,), samples)
+        err = error_system(sys, (0,), samples)
         for k in kappas:
             if check_thm2(err, h_req, {(0, 0): k * np.eye(3)}).passed:
                 checker = k
@@ -527,8 +530,8 @@ class TestCheckThm2:
             perm = list(S)
             rng.shuffle(perm)
             gains = design.gains
-            r1 = check_thm2(ErrorSystem(sys, S, samples), 0.5, gains)
-            r2 = check_thm2(ErrorSystem(sys, perm, samples), 0.5, gains)
+            r1 = check_thm2(error_system(sys, S, samples), 0.5, gains)
+            r2 = check_thm2(error_system(sys, perm, samples), 0.5, gains)
             assert r1.passed == r2.passed
             assert r1.hurwitz_margin == pytest.approx(r2.hurwitz_margin, abs=1e-10)
 
@@ -540,7 +543,7 @@ class TestCheckThm2:
         rng = np.random.default_rng(33)
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
-        err = ErrorSystem(sys, (0, 1), rng.uniform(-5, 5, (6, 2, 3)))
+        err = error_system(sys, (0, 1), rng.uniform(-5, 5, (6, 2, 3)))
         before = err.a.copy()
         gains = {(0, 0): 5.0 * np.eye(3), (1, 0): rng.normal(0, 1, (3, 3))}
         check_thm2(err, 1.0, gains)
@@ -673,6 +676,12 @@ class TestTopEigMax:
 
 
 class TestStackRoots:
+    def test_package_exports_the_constructor_beside_the_class(self):
+        sys = random_system(np.random.default_rng(0), DirectedHypergraph(2))
+        err = hyperobs.stack_roots(sys, [(0, 1)], np.zeros((3, 2, sys.state_dim))).system(0)
+        assert isinstance(err, hyperobs.ErrorSystem) and tuple(err.nodes) == (0, 1)
+        assert isinstance(check_thm2(err, 1e-3), CertificationReport)
+
     @given(hypergraphs(), st.integers(0, 2**32 - 1))
     def test_each_root_equals_its_own_error_system(self, h, seed):
         # the roots of the first design pass, grouped by size, stacked
@@ -689,8 +698,9 @@ class TestStackRoots:
             assert stack.a.shape == (len(group), len(X), size * sys.state_dim,
                                      size * sys.state_dim)
             upstream = set()
-            for S, err in zip(group, stack.systems):
-                alone = ErrorSystem(sys, S, X)
+            for r, S in enumerate(group):
+                err = stack.system(r)
+                alone = error_system(sys, S, X)
                 assert err.nodes == S and np.shares_memory(err.a, stack.a)
                 assert bit_pattern(err.a) == bit_pattern(alone.a)
                 assert bit_pattern(err.g) == bit_pattern(alone.g)
@@ -713,13 +723,14 @@ class TestStackRoots:
         sys = random_system(rng, h)
         X = rng.uniform(-3, 3, (int(rng.integers(1, 4)), h.num_nodes, sys.state_dim))
         try:
-            alone = [ErrorSystem(sys, S, X, zero) for S in roots]
+            alone = [error_system(sys, S, X, zero) for S in roots]
         except SubsetNotHeadClosed:
             with pytest.raises(SubsetNotHeadClosed):
                 assembly.stack_roots(sys, roots, X, zero)
             return
         stack = assembly.stack_roots(sys, roots, X, zero)
-        for err, own in zip(stack.systems, alone):
+        for r, own in enumerate(alone):
+            err = stack.system(r)
             assert bit_pattern(err.a) == bit_pattern(own.a)
             assert bit_pattern(err.g) == bit_pattern(own.g)
             assert err.entering.position.tolist() == own.entering.position.tolist()
@@ -781,7 +792,7 @@ class TestCheckThm1:
         results = {}
         for omega in [0.05, 0.2, 0.8, 2.0, 5.0, 20.0]:
             sys = ramp_jacobian_system(omega)
-            err = ErrorSystem(sys, (0,), t.reshape(-1, 1, 1))
+            err = error_system(sys, (0,), t.reshape(-1, 1, 1))
             report = check_thm1(err, dt=dt, h_req=0.2, length=len(t), count=1)
             results[omega] = report.passed
             assert report.passed == analytic_pass(omega)
@@ -797,18 +808,28 @@ class TestCheckThm1:
         monkeypatch.setattr(assembly, "kron_sum", counted_kron_sum)
         sys = parabola_system()
         sub = (0,)
-        failed = check_thm1(ErrorSystem(sys, sub, np.zeros((4, 1, 1))), 0.1, 1.0, 4, 1)
+        failed = check_thm1(error_system(sys, sub, np.zeros((4, 1, 1))), 0.1, 1.0, 4, 1)
         assert not failed.passed and failed.h2_margin is None
         assert calls == []
-        passed = check_thm1(ErrorSystem(sys, sub, np.full((4, 1, 1), -2.0)), 0.1, 1.0, 4, 1)
+        passed = check_thm1(error_system(sys, sub, np.full((4, 1, 1), -2.0)), 0.1, 1.0, 4, 1)
         assert passed.passed and passed.h2_margin == pytest.approx(2 * 2.0**2 * 0.5)
         assert len(calls) == 3
         # the trajectory merge carries the skipped H2 through as None
         states = np.concatenate([np.full((4, 1, 1), -2.0), np.zeros((4, 1, 1))])
-        merged = check_thm1(ErrorSystem(sys, sub, states), dt=0.1, h_req=1.0, length=4, count=2)
+        merged = check_thm1(error_system(sys, sub, states), dt=0.1, h_req=1.0, length=4, count=2)
         # H1 stops at the second trajectory's first sample, which fails it
         assert merged.sample_count == 5
         assert not merged.passed and merged.h2_margin is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_fails_h1(self, bad):
+        # the spectral abscissa of a sample with a non-finite entry reads
+        # +inf, as symmetric_top_eig does: H1 stops at it, with no eigvals call
+        states = np.full((4, 1, 1), -2.0)
+        states[2, 0, 0] = bad
+        report = check_thm1(error_system(parabola_system(), (0,), states), 0.1, 1.0, 4, 1)
+        assert not report.passed and report.sample_count == 3
+        assert report.hurwitz_margin == -math.inf and report.h2_margin is None
 
     def test_stack_rows_match_per_trajectory_checks(self):
         # four ramps along J(x) = x: two pass both hypotheses, the third fails
@@ -817,8 +838,8 @@ class TestCheckThm1:
         sys = parabola_system()
         sub = (0,)
         trajs = [np.linspace(a, a + 1.0, 5).reshape(5, 1, 1) for a in (-3.0, -2.5, -1.0, -4.0)]
-        err = ErrorSystem(sys, sub, np.concatenate(trajs))
-        alone = [ErrorSystem(sys, sub, x) for x in trajs]
+        err = error_system(sys, sub, np.concatenate(trajs))
+        alone = [error_system(sys, sub, x) for x in trajs]
         for t, e in enumerate(alone):
             np.testing.assert_array_equal(err.a[5 * t : 5 * t + 5], e.a)
             np.testing.assert_array_equal(err.g[5 * t : 5 * t + 5], e.g)

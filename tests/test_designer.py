@@ -22,7 +22,6 @@ from hyperobs import (
     TrajectoryEnsemble,
     TrajectoryEnsembleSpec,
     bistable_field,
-    certify_or_fail,
     design_observer,
     generate_hierarchical,
     identity_output,
@@ -35,14 +34,15 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import assembly, designer, dynamics, gain_design
-from hyperobs.assembly import ErrorSystem, check_thm2, symmetric_top_eig
+from hyperobs.assembly import check_thm2, rounding_tol, symmetric_top_eig
 from hyperobs.designer import design_report, field_param_jacobian_bound, read_design_report
 from conftest import (
     degrees,
+    error_system,
     hypergraphs,
     random_hypergraph,
     random_system,
-    reference_certify_or_fail,
+    reference_certify_zero_gain,
     reference_design_observer,
     reference_select_node,
     restrict,
@@ -310,9 +310,10 @@ class TestDesignObserver:
 
     @pytest.mark.parametrize("shortcut", [True, False])
     def test_at_most_one_entering_slice_per_root_when_measuring(self, monkeypatch, shortcut):
-        # a root that fails its zero-gain checks cuts its slice from its
-        # stack's and reads it on every retry, so no root takes a slice of
-        # its own from the hypergraph: one slice per stack, at most one per root
+        # a stack takes one slice of its roots' union; a root of a larger
+        # stack that fails its zero-gain checks takes its own once and reads
+        # it on every retry: each root is in one stack's slice and has at
+        # most one of its own
         passes, calls = [], []
         real_condense, real_entering = designer.condense, DirectedHypergraph.entering
         monkeypatch.setattr(designer, "condense",
@@ -329,18 +330,20 @@ class TestDesignObserver:
             outcome = design_observer(sys, ens, options)
             assert outcome.complete and outcome.measured
             assert (outcome.exact_nodes == outcome.measured) == shortcut
-            assert len(calls) <= sum(map(len, passes))
-            # every call is the union of roots of one size of its pass, and
-            # each root is in one call
+            # every call is the union of roots of one size of its pass, a
+            # root's own slice among them
             stacked = Counter()
             for k, c in calls:
                 held = [S for S in passes[k] if set(S) <= set(c)]
                 assert [v for S in held for v in S] == list(c)
                 assert len({len(S) for S in held}) == 1
                 stacked.update((k, S) for S in held)
-            assert stacked == Counter((k, S) for k, roots in enumerate(passes) for S in roots)
-        # the isolated nodes make one pass of three one-node roots, one stack
-        assert len(calls) == 1 and passes == [[(0,), (1,), (2,)]]
+            assert set(stacked) == {(k, S) for k, roots in enumerate(passes) for S in roots}
+            assert max(stacked.values()) <= 2
+        # the isolated nodes make one pass of three one-node roots, one
+        # stack, and each fails its zero-gain checks and slices its own
+        assert passes == [[(0,), (1,), (2,)]]
+        assert calls == [(0, (0, 1, 2)), (0, (0,)), (0, (1,)), (0, (2,))]
 
 
 @dataclass(frozen=True)
@@ -606,8 +609,8 @@ class TestStreamedCertification:
         assert stack.a is None
         assert peak <= 3 * budget + blocks
         # the whole stack, as the check over every sample reads it
-        whole = ErrorSystem(sys, tuple(range(M)), ens.stacked())
-        expect = reference_certify_or_fail(whole, ens, DesignOptions(margin=margin))
+        whole = error_system(sys, tuple(range(M)), ens.stacked())
+        expect = reference_certify_zero_gain(whole, ens, DesignOptions(margin=margin))
         assert report == expect
 
 def _count_per_subset(monkeypatch) -> Counter:
@@ -633,7 +636,7 @@ def _count_per_subset(monkeypatch) -> Counter:
         return real_stack(sys, roots, *args)
 
     def certify(stack, *args):
-        calls.update(("zero_gain", err.nodes) for err in stack.systems)
+        calls.update(("zero_gain", tuple(S)) for S in stack.roots.tolist())
         return real_certify(stack, *args)
 
     monkeypatch.setattr(designer, "stack_roots", stack)
@@ -645,10 +648,15 @@ def _count_per_subset(monkeypatch) -> Counter:
     return calls
 
 
-class TestCertifyOrFail:
+def certify(err, ens, options):
+    """``certify_roots`` on the one-root stack of ``err``."""
+    (report,) = designer.certify_roots(err.stack, ens, options)
+    return report
+
+
+class TestCertifyRoots:
     def certify(self, sys, nodes, ens, margin=1.0):
-        err = ErrorSystem(sys, nodes, ens.stacked())
-        return certify_or_fail(err, ens, DesignOptions(margin=margin))
+        return certify(error_system(sys, nodes, ens.stacked()), ens, DesignOptions(margin=margin))
 
     def test_zero_gain_certification(self):
         h = DirectedHypergraph(1)
@@ -667,15 +675,26 @@ class TestCertifyOrFail:
 
     def test_theorem1_certifies_after_theorem2_fails(self, monkeypatch):
         sys, ens, options = NAMED_CASES["thm1"].build()
-        err = ErrorSystem(sys, (0, 1), ens.stacked())
+        err = error_system(sys, (0, 1), ens.stacked())
         assert not designer.check_thm2(err, options.margin).passed
-        report = certify_or_fail(err, ens, options)
+        report = certify(err, ens, options)
         assert report is not None and report.theorem_used == "thm1"
         assert report.sample_count == 10 * ens.states.shape[1]
         # above KRON_CAP the Theorem-1 route is not tried
         monkeypatch.setattr(designer, "KRON_CAP", err.dim - 1)
         monkeypatch.setattr(designer, "check_thm1", None)
-        assert certify_or_fail(err, ens, options) is None
+        assert certify(err, ens, options) is None
+
+    def test_non_finite_sample_fails_theorem1_without_raising(self):
+        # one NaN state makes A_S non-finite at that sample: Theorem 2 reads
+        # +inf there and Theorem 1 fails H1 at it, so the root retries and
+        # is exhausted, with no eigvals call on the sample
+        case = NAMED_CASES["thm1"]
+        sys, ens, options = case.build()
+        ens.states[0, 3, 0, 0] = np.nan
+        with case.budget():
+            outcome = design_observer(sys, ens, options)
+        assert outcome.status == "failed" and outcome.failed_subset == (0, 1)
 
     def test_measured_node_gets_gains(self):
         sys, ens, options = NAMED_CASES["synthesis_one_node"].build()
@@ -728,25 +747,61 @@ def lorenz_or_bistable_subsets(draw):
     S = sorted(draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1)))
     shape = (int(rng.integers(1, 4)), int(rng.integers(2, 7)), h.num_nodes, sys.state_dim)
     ens = TrajectoryEnsemble(rng.uniform(-3, 3, shape), 1e-2)
-    err = ErrorSystem(sys, S, ens.stacked(),
-                      frozenset(range(h.num_nodes)) - set(S))
+    err = error_system(sys, S, ens.stacked(),
+                       frozenset(range(h.num_nodes)) - set(S))
     return err, ens, draw(st.sampled_from([0.05, 0.5, 2.0]))
 
 
+def stacked_chains(rng, R: int, M: int, field_kind: str):
+    """R roots of M nodes each, a chain of edges inside each and none
+    between them, on a random field, and samples of 1-11 states of which
+    some nodes are scaled down, so that some roots are refuted and some
+    not."""
+    edges = tuple(Hyperedge.uniform((M * r + k,), (M * r + k + 1,), float(rng.uniform(0.1, 5)))
+                  for r in range(R) for k in range(M - 1))
+    h = DirectedHypergraph(M * R, edges)
+    sys = random_system(rng, h, field_kind)
+    X = rng.uniform(-3, 3, (int(rng.integers(1, 12)), M * R, sys.state_dim))
+    X[:, rng.random(M * R) < 0.3] *= 1e-3
+    return sys, [tuple(range(M * r, M * r + M)) for r in range(R)], X
+
+
 class TestThm2Refutation:
-    @given(lorenz_or_bistable_subsets(), st.data())
-    def test_block_floor_is_the_per_node_max_and_bounds_the_check(self, case, data):
-        err, _, margin = case
-        nodes = data.draw(st.lists(st.sampled_from(err.nodes), unique=True))
-        floor, node = err.block_floor(nodes)
-        n = err.sys.state_dim
-        tops = [
-            float(symmetric_top_eig(err.a[:, p : p + n, p : p + n]).max())
-            for p in (err.nodes.index(v) * n for v in nodes)
-        ]
-        assert floor == max(tops, default=-math.inf)
-        assert node == (nodes[tops.index(floor)] if nodes else None)
-        assert floor <= err.floor_tol - check_thm2(err, margin).hurwitz_margin
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.5, 2.0]),
+           st.sampled_from([None, 1, 3]), st.data())
+    def test_refutation_equals_the_dense_per_root_reference(self, chunk_budget, seed, margin,
+                                                           per_chunk, data):
+        # the blocks and max|A_S| the stack kept from its one pass, held or
+        # streamed a few samples at a time, against the whole A_S of each
+        # root: symmetric_top_eig on its diagonal blocks, and the slack at
+        # its max|A_S|
+        rng = np.random.default_rng(seed)
+        R, M = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+        sys, roots, X = stacked_chains(rng, R, M, str(rng.choice(["lorenz", "bistable", "planar"])))
+        n, d = sys.state_dim, M * sys.state_dim
+        rows = np.array(data.draw(st.lists(st.integers(0, R - 1), unique=True)), dtype=np.intp)
+        positions = np.array(data.draw(st.lists(st.integers(0, M - 1), unique=True)),
+                             dtype=np.intp)
+        budget = dynamics.CHUNK_BYTES if per_chunk is None else 8 * R * d * d * per_chunk
+        with chunk_budget(budget):
+            stack = assembly.stack_roots(sys, roots, X)
+            assert (stack.a is None) == (per_chunk is not None and per_chunk < len(X))
+            hit, floor, at = stack.refuted(rows, positions, margin)
+            whole = stack.rows(slice(None))
+            for i, r in enumerate(rows.tolist()):
+                A = whole[r]
+                tops = [float(symmetric_top_eig(A[:, p * n:(p + 1) * n, p * n:(p + 1) * n]).max())
+                        for p in positions.tolist()]
+                with np.errstate(over="ignore"):
+                    tol = rounding_tol(d, float(np.maximum(A.max(), -A.min())))
+                expect = (max(tops), positions[tops.index(max(tops))]) if (
+                    tops and math.isfinite(tol)) else (-math.inf, -1)
+                assert (floor[i], at[i]) == expect
+                assert hit[i] == (expect[0] > tol - margin)
+                # interlacing: no block's floor beats the check's worst value
+                # by more than the slack
+                worst = -check_thm2(stack.system(r), margin).hurwitz_margin
+                assert floor[i] <= tol + worst
 
     @given(lorenz_or_bistable_subsets())
     def test_refuted_subset_fails_the_check(self, case):
@@ -755,49 +810,35 @@ class TestThm2Refutation:
             assert len(err.nodes) > 1
             assert not check_thm2(err, margin).passed
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.5, 2.0]))
-    def test_stacked_refutation_is_each_roots_own(self, seed, margin):
-        # roots of two nodes on uncoupled pairs, some chaotic, some not: the
-        # batch refutes a root exactly when its own blocks refute it
-        rng = np.random.default_rng(seed)
-        R = int(rng.integers(2, 6))
-        edges = tuple(Hyperedge.uniform((2 * r,), (2 * r + 1,), float(rng.uniform(0.1, 5)))
-                      for r in range(R))
-        h = DirectedHypergraph(2 * R, edges)
-        sys = random_system(rng, h, str(rng.choice(["lorenz", "bistable", "planar"])))
-        X = rng.uniform(-3, 3, (int(rng.integers(1, 12)), 2 * R, sys.state_dim))
-        X[:, rng.random(2 * R) < 0.3] *= 1e-3
-        stack = assembly.stack_roots(sys, [(2 * r, 2 * r + 1) for r in range(R)], X)
-        got = designer.thm2_refuted(stack, margin)
-        expect = [any(err.refuting_block(part, margin) is not None
-                      for part in (err.nodes[:1], err.nodes[1:])) for err in stack.systems]
-        assert got.tolist() == expect
-
     @given(lorenz_or_bistable_subsets())
-    def test_certify_or_fail_equals_the_unconditional_check(self, case):
+    def test_certify_roots_equals_the_unconditional_check(self, case):
         err, ens, margin = case
         options = DesignOptions(margin=margin)
-        assert certify_or_fail(err, ens, options) == reference_certify_or_fail(err, ens, options)
+        assert certify(err, ens, options) == reference_certify_zero_gain(err, ens, options)
 
     def test_non_finite_stack_is_never_refuted(self, monkeypatch):
-        sys, ens, options = NAMED_CASES["thm1"].build()
+        # a Lorenz pair under linear coupling: a state entry puts its value
+        # into node 0's diagonal block, whose top eigenvalue is about half of
+        # it, and nothing else
+        h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,)), Hyperedge.uniform((1,), (0,))))
+        sys = NetworkSystem(h, lorenz_field(), linear_coupling(1.0), identity_output(3))
+        X = np.random.default_rng(5).uniform(-3, 3, (4, 2, 3))
 
-        def err_with(entry):
-            # before the first refutation, which fixes the slack
-            err = ErrorSystem(sys, (0, 1), ens.stacked())
-            err.a[0, 0, 0] = entry
-            return err
+        def stack_with(entry):
+            bad = X.copy()
+            bad[2, 0, 1] = entry
+            return assembly.stack_roots(sys, [(0, 1)], bad)
 
-        assert refuted(err_with(1e300), options.margin)
+        assert designer.thm2_refuted(stack_with(1e300), 1.0)[0]
         for bad in (math.inf, math.nan):
-            # a non-finite stack goes to the Theorem-2 check with no eigvalsh
-            # on its blocks, and synthesis reads the same guard
-            err = err_with(bad)
+            # no eigvalsh runs on the blocks of a non-finite stack, in the
+            # first node's pass or the others', nor in synthesis's
+            stack = stack_with(bad)
             with monkeypatch.context() as mp:
-                mp.setattr(err, "block_floor", None)
-                mp.setattr(designer, "symmetric_top_eig", None)
-                assert not refuted(err, options.margin)
-                assert err.refuting_block((1,), options.margin) is None
+                mp.setattr(assembly, "symmetric_top_eig", None)
+                assert not designer.thm2_refuted(stack, 1.0)[0]
+                hit, floor, at = stack.refuted(np.array([0]), np.array([1]), 1.0)
+                assert (hit.tolist(), floor.tolist(), at.tolist()) == ([False], [-math.inf], [-1])
 
     @given(lorenz_or_bistable_subsets(), st.data())
     def test_refuted_margin_is_out_of_every_gains_reach(self, case, data):
@@ -806,27 +847,29 @@ class TestThm2Refutation:
         err, _, margin = case
         nodes = err.nodes
         measured = data.draw(st.lists(st.sampled_from(nodes), unique=True))
-        refuted = err.refuting_block([v for v in nodes if v not in measured], margin)
-        if refuted is None:
+        unmeasured = np.array([k for k, v in enumerate(nodes) if v not in measured], dtype=np.intp)
+        hit, floor, _ = err.stack.refuted(np.array([err.row]), unmeasured, margin)
+        if not hit[0]:
             return
+        tol = rounding_tol(err.dim, float(err.stack.a_max[err.row]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shape = (err.sys.state_dim, err.sys.output.output_dim)
         for scale in (0.1, 10.0, 1e3):
             gains = {(i, j): rng.normal(0.0, scale, shape) for i in nodes for j in measured}
             worst = -check_thm2(err, margin, gains).hurwitz_margin
-            assert worst >= refuted[0] - err.floor_tol
+            assert worst >= floor[0] - tol
 
     def test_refutation_is_logged_with_subset_node_and_floor(self, caplog):
         sys = NetworkSystem(DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,)),
                                                    Hyperedge.uniform((1,), (0,)))),
                             lorenz_field(), tanh_coupling(0.2, 0.05, 2.0), identity_output(3))
         ens = small_ensemble(sys, count=2, horizon=0.1)
-        err = ErrorSystem(sys, (0, 1), ens.stacked())
+        err = error_system(sys, (0, 1), ens.stacked())
         with caplog.at_level("DEBUG", logger="hyperobs.designer"):
             assert refuted(err, 1.0)
-        floor, node = err.block_floor((0,))
-        assert caplog.messages == [f"thm2 refuted on (0, 1): the block of node {node} "
-                                   f"reaches {floor:.6g}"]
+        _, floor, at = err.stack.refuted(np.array([0]), np.array([0]), 1.0)
+        assert caplog.messages == [f"thm2 refuted on (0, 1): the block of node {err.nodes[at[0]]} "
+                                   f"reaches {floor[0]:.6g}"]
 
 
 class TestRobustnessPropagation:

@@ -215,15 +215,15 @@ def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
 
     def count_refuted(stack, h_req):
         out = real_refuted(stack, h_req)
-        refuted.extend(err.nodes for err, hit in zip(stack.systems, out) if hit)
+        refuted.extend(tuple(S) for S, hit in zip(stack.roots.tolist(), out) if hit)
         return out
 
     def certify(stack, *args):
         before = set(refuted)
         reports = real_certify(stack, *args)
-        checked.extend((err.nodes, report is not None and report.theorem_used == "thm2")
-                       for err, report in zip(stack.systems, reports)
-                       if err.nodes not in set(refuted) - before)
+        checked.extend((S, report is not None and report.theorem_used == "thm2")
+                       for S, report in zip(map(tuple, stack.roots.tolist()), reports)
+                       if S not in set(refuted) - before)
         return reports
 
     monkeypatch.setattr(designer, "thm2_refuted", count_refuted)

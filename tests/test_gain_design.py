@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hyperobs import (
     DirectedHypergraph,
-    ErrorSystem,
     Hyperedge,
     Infeasible,
     NetworkSystem,
@@ -20,13 +19,14 @@ from hyperobs import (
     lorenz_field,
     tanh_coupling,
 )
-from hyperobs.assembly import gain_matrix, symmetric_top_eig
+from hyperobs.assembly import ErrorSystem, gain_matrix, symmetric_top_eig
 from hyperobs import gain_design
 from hyperobs.gain_design import MAX_ITERS, GainProblem
 from conftest import (
     SubsetIndex,
     apply_gains_by_block,
     dense_gain_descent,
+    error_system,
     gain_array,
     planar_spiral_field,
     random_hypergraph,
@@ -62,21 +62,21 @@ class TestDesignThm2:
     def test_scalar_unstable_node(self):
         sys = scalar_node_system(a=2.0)
         samples = np.zeros((3, 1, 1))
-        gains = design_gain_thm2(ErrorSystem(sys, (0,), samples), [0], h_req=1.0)
+        gains = design_gain_thm2(error_system(sys, (0,), samples), [0], h_req=1.0)
         L = gains[(0, 0)][0, 0]
         assert L >= 3.0
         assert 2.0 - L <= -1.0
 
     def test_already_certified_returns_zero_gains(self):
         sys = scalar_node_system(a=-5.0)
-        err = ErrorSystem(sys, (0,), np.zeros((2, 1, 1)))
+        err = error_system(sys, (0,), np.zeros((2, 1, 1)))
         gains = design_gain_thm2(err, [0], h_req=1.0)
         assert len(gains) == 0
 
     def test_no_measured_nodes_raises(self):
         sys = scalar_node_system(a=2.0)
         with pytest.raises(NoMeasuredNodes):
-            design_gain_thm2(ErrorSystem(sys, (0,), np.zeros((2, 1, 1))), [],
+            design_gain_thm2(error_system(sys, (0,), np.zeros((2, 1, 1))), [],
                              h_req=1.0)
 
     def test_budget_exhaustion_is_infeasible(self, monkeypatch):
@@ -85,7 +85,7 @@ class TestDesignThm2:
         sys = scalar_node_system(a=50.0)
         monkeypatch.setattr(gain_design, "MAX_ITERS", 1)
         with pytest.raises(Infeasible, match=r"best max eigenvalue 50 after 1 iterations$"):
-            design_gain_thm2(ErrorSystem(sys, (0,), np.zeros((2, 1, 1))), [0],
+            design_gain_thm2(error_system(sys, (0,), np.zeros((2, 1, 1))), [0],
                              h_req=100.0)
         # a budget too small for the Lorenz pair: the lowest max of the
         # iterates, which the dense reference shares
@@ -106,9 +106,12 @@ class TestDesignThm2:
         err = lorenz_pair_problem(np.random.default_rng(41), 20)
         n = err.sys.state_dim
         floor = float(symmetric_top_eig(err.a[:, n:, n:]).max())
-        assert err.refuting_block((1,), 1.0) == (floor, 1)
+        row = np.array([err.row])
+        hit, got, at = err.stack.refuted(row, np.array([1]), 1.0)
+        assert (hit[0], got[0], at[0]) == (True, floor, 1)
         # with every node measured, every block is within the gains' reach
-        assert err.refuting_block((), 1.0) is None
+        hit, got, at = err.stack.refuted(row, np.array([], dtype=np.intp), 1.0)
+        assert (hit[0], got[0], at[0]) == (False, -np.inf, -1)
         with pytest.raises(Infeasible) as info:
             design_gain_thm2(err, [0], h_req=1.0)
         assert str(info.value) == (
@@ -116,13 +119,24 @@ class TestDesignThm2:
             "margin 1.0 is unattainable for any gains"
         )
 
+    def test_refuted_synthesis_never_reads_the_whole_root(self, chunk_budget, monkeypatch):
+        # a streamed root: the refutation reads the blocks its stack kept,
+        # and the Infeasible comes before GainProblem would assemble A_S whole
+        monkeypatch.setattr(ErrorSystem, "a", property(lambda err: pytest.fail("read err.a")))
+        with chunk_budget(8 * 6 * 6 * 3):
+            err = lorenz_pair_problem(np.random.default_rng(41), 20)
+            assert err.stack.a is None
+            with pytest.raises(Infeasible, match="unmeasured diagonal blocks"):
+                design_gain_thm2(err, [0], h_req=1.0)
+        assert "a" not in vars(err)
+
     def test_returned_gains_recertify_on_same_samples(self):
         rng = np.random.default_rng(40)
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0, 1, 0], [0, 0, 1]]))
         samples = rng.uniform(-8, 8, (30, 2, 3))
-        err = ErrorSystem(sys, (0, 1), samples)
+        err = error_system(sys, (0, 1), samples)
         before = err.a.copy()
         gains = design_gain_thm2(err, [0, 1], h_req=1.5)
         # synthesis works on copies: the zero-gain stack is left as it was
@@ -137,7 +151,7 @@ class TestDesignThm2:
         h = random_hypergraph(rng, max_nodes=5, max_edges=3)
         sys = random_system(rng, h, field_kind="planar")
         S = tuple(range(h.num_nodes))
-        err = ErrorSystem(sys, S, rng.uniform(-1, 1, (5, h.num_nodes, 2)))
+        err = error_system(sys, S, rng.uniform(-1, 1, (5, h.num_nodes, 2)))
         gains = design_gain_thm2(err, [S[0]], h_req=0.5)
         for (i, j) in gains:
             assert i in S and j == S[0]
@@ -147,7 +161,7 @@ class TestDesignThm2:
         # same objective value, so the enlarged instance stays feasible
         sys = scalar_chain_system(a=1.0, sigma=4.0)
         samples = np.zeros((4, 2, 1))
-        err = ErrorSystem(sys, (0, 1), samples)
+        err = error_system(sys, (0, 1), samples)
         gains1 = design_gain_thm2(err, [0], h_req=1.0)
         prob1, prob2 = GainProblem(err, [0]), GainProblem(err, [0, 1])
         phi1, _ = prob1.subgradient(gain_array(prob1, gains1))
@@ -163,7 +177,7 @@ def lorenz_pair_problem(rng, count):
     h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
     sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                         linear_output([[0, 1, 0], [0, 0, 1]]))
-    return ErrorSystem(sys, (0, 1), rng.uniform(-8, 8, (count, 2, 3)))
+    return error_system(sys, (0, 1), rng.uniform(-8, 8, (count, 2, 3)))
 
 
 def lorenz_triple_problem(rng, count):
@@ -173,7 +187,7 @@ def lorenz_triple_problem(rng, count):
                                Hyperedge.uniform((1, 2), (0,), 1.0)))
     sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                         linear_output([[0, 1, 0], [0, 0, 1]]))
-    return ErrorSystem(sys, (0, 1, 2), rng.uniform(-8, 8, (count, 3, 3)))
+    return error_system(sys, (0, 1, 2), rng.uniform(-8, 8, (count, 3, 3)))
 
 
 def planar_partial_problem(rng, count):
@@ -183,7 +197,7 @@ def planar_partial_problem(rng, count):
     samples of [-1, 1]."""
     h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1,), 2.0),))
     sys = NetworkSystem(h, planar_spiral_field(), linear_coupling(1.0), identity_output(2))
-    return ErrorSystem(sys, (0, 1, 2), rng.uniform(-1, 1, (count, 3, 2)))
+    return error_system(sys, (0, 1, 2), rng.uniform(-1, 1, (count, 3, 2)))
 
 
 class TestDenseReference:
@@ -239,7 +253,7 @@ def stack_problem(rng, stack, n):
     gamma = rng.normal(size=(int(rng.integers(1, n + 1)), n))
     sys = NetworkSystem(DirectedHypergraph(M), scalar_free_field(n), linear_coupling(1.0),
                         linear_output(gamma))
-    err = ErrorSystem(sys, range(M), np.zeros((K, M, n)))
+    err = error_system(sys, range(M), np.zeros((K, M, n)))
     err.a = stack
     measured = [v for v in range(M) if rng.random() < 0.6] or [0]
     return GainProblem(err, measured)
@@ -377,7 +391,7 @@ class TestSubgradient:
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0, 1, 0], [0, 0, 1]]))
         samples = rng.uniform(-5, 5, (6, 2, 3))
-        prob = GainProblem(ErrorSystem(sys, (0, 1), samples), [0, 1])
+        prob = GainProblem(error_system(sys, (0, 1), samples), [0, 1])
         L = rng.normal(0, 2, (len(prob.keys), 3, 2))
         _, grads = prob.subgradient(L)
         assert grads.shape == L.shape

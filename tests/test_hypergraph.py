@@ -153,15 +153,6 @@ class TestEdgeQueries:
         expect = [nodes.index(v) if v in nodes else -1 for v in range(h.num_nodes)]
         assert h.entering(iter(nodes)).position.tolist() == expect
 
-    @given(hypergraphs(), st.data())
-    def test_subset_cut_from_a_slice_is_the_subsets_slice(self, h, data):
-        nodes = st.integers(0, h.num_nodes - 1)
-        union = data.draw(st.lists(nodes, unique=True))
-        part = data.draw(st.lists(st.sampled_from(union), unique=True) if union else st.just([]))
-        got, expect = h.entering(union).subset(part), h.entering(part)
-        for name in ("edges", "ptr", "members", "weights", "is_head", "position"):
-            assert getattr(got, name).tolist() == getattr(expect, name).tolist(), name
-
 
 class TestQueriesMatchScan:
     """The incidence slice against per-edge scans of ``h.edges``."""
