@@ -501,7 +501,11 @@ def field_param_jacobian_bound(sys: NetworkSystem, samples) -> float:
     """Max spectral norm of the field's parameter Jacobian over the samples,
     taken ``CHUNK_BYTES`` of Jacobians at a time; a max is exact, so the
     chunks change no bit.  The spectral norm of a one-row Jacobian is its
-    row's norm."""
+    row's norm, and that of a diagonal one (Lorenz) its largest |entry|: a
+    chunk of finite Jacobians with zeros off their diagonals takes no SVD.
+    That max is the SVD's bit for bit where LAPACK does not scale the
+    matrix, a largest |entry| between about 1e-138 and 1e138; outside, the
+    SVD may round the last bit, and the max is exact."""
     X = np.asarray(samples, dtype=float).reshape(-1, sys.num_nodes, sys.state_dim)
     per_sample = 8 * sys.num_nodes * sys.state_dim * sys.field.param_dim
     step = max(1, dynamics.CHUNK_BYTES // per_sample)
@@ -515,7 +519,11 @@ def field_param_jacobian_bound(sys: NetworkSystem, samples) -> float:
             row = J[..., 0, :]
             tops.append(np.einsum("...i,...i->...", row, row).max())
         else:
-            tops.append(np.linalg.svd(J, compute_uv=False)[..., 0].max())
+            diagonal = np.abs(np.diagonal(J, 0, -2, -1))
+            if np.isfinite(diagonal).all() and np.count_nonzero(J) == np.count_nonzero(diagonal):
+                tops.append(diagonal.max())
+            else:
+                tops.append(np.linalg.svd(J, compute_uv=False)[..., 0].max())
     top = np.max(tops)
     return float(np.sqrt(top) if J.shape[-2] == 1 else top)
 

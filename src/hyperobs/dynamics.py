@@ -10,7 +10,10 @@ hyperdiffusive coupling is two sparse products, H_sigma g(W x), on a
 node-first state x of shape (N, ...), with W the E x N member incidence and
 H_sigma the N x E head incidence scaled by sigma, both built once from the
 hypergraph's as ``JaggedMatrix``es: a few numpy calls per product, with the
-sums of scipy's CSR kernel bit for bit.
+sums of scipy's CSR kernel bit for bit.  The coupling applies g to W x where
+W's product leaves it, in W's work array with the rows sorted, and H_sigma
+numbers its columns in that order, so W's rows are never copied back into
+edge order; ``edge_arguments`` returns them in edge order.
 """
 
 from __future__ import annotations
@@ -230,7 +233,8 @@ class NetworkSystem:
         h = self.hypergraph
         W = JaggedMatrix(h.member_weight, h.members, h.member_ptr)
         object.__setattr__(self, "_members", W)
-        H = JaggedMatrix(h.edge_sigma[h.head_edges], h.head_edges, h.head_ptr)
+        # edge e is row W._rank[e] of W's work array, where H_sigma reads it
+        H = JaggedMatrix(h.edge_sigma[h.head_edges], W._rank[h.head_edges], h.head_ptr)
         object.__setattr__(self, "_heads", H)
 
     @property
@@ -249,8 +253,17 @@ class NetworkSystem:
     def coupling_term(self, states: np.ndarray) -> np.ndarray:
         """Per-node sum of sigma * g(argument) over incoming edges, H g(W x),
         on node-first ``states`` (N, ...).  Members ascend within an edge and
-        edges within a node, so every sum runs in ascending index order."""
-        return self._heads @ self.coupling.eval(self.edge_arguments(states))
+        edges within a node, so every sum runs in ascending index order.  A
+        column chunk at a time, g is applied to W's product in its work
+        array, rows sorted, and H_sigma reads it there."""
+        x = np.asarray(states, dtype=float)
+        flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+        W, step = self._members, self._members._chunk
+        # a right-hand side with no columns is one empty chunk
+        parts = [self._heads @ self.coupling.eval(W._sorted_product(flat[:, c : c + step]))
+                 for c in range(0, max(1, flat.shape[1]), step)]
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return out.reshape(x.shape)
 
 
 # the one byte budget of the package's chunked work: a ``JaggedMatrix``
@@ -268,7 +281,12 @@ class JaggedMatrix:
     k-major: the first entry of every row, then the second of every row that
     has one, and so on, so the rows with a k-th entry are a prefix of the
     sorted rows.  A product reuses the work arrays of the previous one when
-    the column count is the same, so a matrix serves one thread."""
+    the column count is the same, so a matrix serves one thread.
+
+    ``@`` copies the rows of the product out of the work array in the
+    caller's order.  ``_sorted_product`` leaves them there, sorted:
+    ``NetworkSystem.coupling_term`` reads W's product that way, through
+    H_sigma, whose column indices are W's row ranks."""
 
     def __init__(self, data, indices, indptr):
         indptr = np.asarray(indptr, dtype=np.intp)

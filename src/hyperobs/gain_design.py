@@ -193,14 +193,19 @@ def design_gain_thm2(
     empty.  Every iteration takes the exact max over all samples, so the
     returned gains reach -h_req on every sample.  ``Infeasible`` is proven
     before A_S is read whole when an unmeasured node's diagonal block
-    refutes the margin (``RootStack.refuted``); when the budget runs out, it
-    names the iterations made and the best max reached.
+    refutes the margin (``RootStack.refuted``), and when A_S is not finite at
+    some sample: a gain moves A_S by finite amounts, so that sample's max
+    eigenvalue stays +inf or NaN for every gain.  When the budget runs out,
+    it names the iterations made and the best max reached.
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
     measured = sorted(set(int(v) for v in measured_in_subset) & set(err.nodes))
     if not measured:
         raise NoMeasuredNodes(f"subset {err.nodes} has no measured nodes")
+    if not np.isfinite(err.stack.a_max[err.row]):
+        raise Infeasible(f"subset {err.nodes}: A_S is not finite at some sample, "
+                         "no gains make it so")
     unmeasured = np.array([k for k, v in enumerate(err.nodes) if v not in measured], dtype=np.intp)
     hit, floor, _ = err.stack.refuted(np.array([err.row]), unmeasured, h_req)
     if hit[0]:

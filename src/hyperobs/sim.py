@@ -17,8 +17,12 @@ Either way ``monte_carlo`` draws xhat(0) and the noise of every output
 channel of every measured node at every grid point, so each run's generator
 yields the same numbers whatever S is.
 
-The co-simulation yields the per-node error norms grid point by grid point;
-``monte_carlo`` keeps only the stacked error norm of each run, (R, G+1).
+A step forms its stage inputs and its sum in place.  The observation work,
+the reconstructions and the error norms, runs once per block of grid points
+rather than at each: the co-simulation yields the per-node error norms block
+by block, and ``monte_carlo`` keeps only the stacked error norm of each run,
+(R, G+1).  Every result is bit for bit that of the same arithmetic taken out
+of place, one grid point at a time.
 """
 
 from __future__ import annotations
@@ -161,12 +165,28 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of y' = f(y); returns the new state."""
+    """One classical RK4 step of y' = f(y); returns the new state.  ``f``
+    returns a new array, which the step then reuses: the stage inputs and
+    the combination y + dt/6 (((k1 + 2 k2) + 2 k3) + k4) are formed in
+    place, the operations and bits of the out-of-place formulas."""
     k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    t = k1 * (0.5 * dt)
+    t += y
+    k2 = f(t)
+    np.multiply(k2, 0.5 * dt, out=t)
+    t += y
+    k3 = f(t)
+    np.multiply(k3, dt, out=t)
+    t += y
+    k4 = f(t)
+    k2 *= 2
+    k1 += k2
+    k3 *= 2
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += y
+    return k1
 
 
 def _noise(rngs: Sequence[np.random.Generator], amplitude: float, m: int, p: int, count: int):
@@ -195,12 +215,22 @@ def _cosimulate(
 ):
     """Co-simulate R runs of plant and observer.
 
-    Yields, at each of the G+1 grid points, the per-node error norms (R, N),
-    NaN for diverged runs, and the diverged flags (R,).  The state is
-    node-first (N, S, A, n) over the A runs still alive, slot 0 the plant and
-    slot 1 the observer.  When every node is in ``design.exact_nodes``, S = 1:
-    the reconstruction replaces the observer at every grid point, so only the
+    Yields, for each block of consecutive grid points, the per-node error
+    norms (B, R, N), NaN for diverged runs, and the diverged flags (R,),
+    which hold through the block: a run that diverges at grid point k is
+    flagged from the block that starts at k.  The state is node-first
+    (N, S, A, n) over the A runs still alive, slot 0 the plant and slot 1
+    the observer.  When every node is in ``design.exact_nodes``, S = 1: the
+    reconstruction replaces the observer at every grid point, so only the
     plant is stepped, and ``xhat0`` and any gains go unread.
+
+    The observation work runs once per block: a block buffers, for each of
+    its grid points, the plant minus the observer (S = 2) or the plant and
+    its noise (S = 1), and takes the reconstructions and the per-node norms
+    of them all at once.  A block ends early where a run diverges, before
+    the run is dropped from the state.  With S = 2 the exact nodes'
+    reconstruction is the observer's state, so it is taken at every grid
+    point.
     """
     R, N, n = x0.shape
     measured, op = _correction_operator(sys, design)
@@ -217,42 +247,88 @@ def _cosimulate(
     alive, diverged = np.arange(R), np.zeros(R, dtype=bool)
     a, G = cfg.noise_amplitude, cfg.num_steps
     noise = _noise(rngs, a, m, p, G + 1) if a > 0 and m else itertools.repeat(np.zeros((R, m, p)))
+    # the fixed inputs of the right-hand side and the reconstruction
+    measured = np.array(measured, dtype=np.intp)
+    gamma_t = sys.output.matrix.T
+    inverse_t = sys.output.inverse.T if exact.size else None
 
     # outputs are taken on run-first copies: the BLAS calls of a stacked
     # matmul, and so a run's bits, do not depend on the number of runs
     def rhs(ys):
+        # a new array, which the step reuses, whatever the field returns
         d = sys.field.eval(ys, params) + sys.coupling_term(ys)
         if op is not None:
-            h = sys.output.eval(np.ascontiguousarray(ys[measured].transpose(2, 1, 0, 3)))
-            innov = h[:, 0] + nu - h[:, 1]
+            h = np.ascontiguousarray(ys.take(measured, 0).transpose(2, 1, 0, 3)) @ gamma_t
+            innov = h[:, 0] + nu
+            innov -= h[:, 1]
             # the innovations of each run as one column of length m p
             corr = op @ innov.reshape(len(innov), m * p).T
-            d[:, 1] += corr.reshape(N, n, -1).transpose(0, 2, 1)
+            # added in the (N, n, A) order of corr, twice as fast as in d's
+            observer = d[:, 1].transpose(0, 2, 1)
+            observer += corr.reshape(N, n, -1)
         return d
 
+    def reconstruct(x, nus):
+        """Gamma^-1 (Gamma x + nu) at the exact nodes, for their node-first
+        plant states x (..., e, A, n) and the noise (..., A, m, p)."""
+        xe = np.ascontiguousarray(x.swapaxes(-3, -2)) @ gamma_t
+        xe += nus.take(exact_cols, axis=-2)
+        return (xe @ inverse_t).swapaxes(-3, -2)
+
+    def flush(b):
+        """The error norms and flags of the b buffered grid points."""
+        diff = buffered[:b]
+        if S == 1:
+            diff = diff - reconstruct(diff, noises[:b])
+        err = np.full((b, R, N), np.nan)
+        err[:, alive] = _norms(diff).transpose(0, 2, 1)
+        return err, diverged.copy()
+
+    # grid points per block: the buffers hold at most a sixteenth of
+    # CHUNK_BYTES and are made anew only when runs are dropped.  Blocks of
+    # a few grid points already take most of the per-call cost off the
+    # observation; larger blocks, or buffers made per block, raised the
+    # peak RSS of a simulate process by up to 5 MB
+    block = max(1, dynamics.CHUNK_BYTES // (16 * 8 * R * (N * n + (m * p if S == 1 else 0))))
+
+    def buffers():
+        """The plant minus the observer, or with S = 1 the plant and its
+        noise, at the grid points of a block, for the runs alive."""
+        size = min(block, G + 1)
+        return (np.empty((size, N, alive.size, n)),
+                np.empty((size, alive.size, m, p)) if S == 1 else None)
+
+    buffered, noises = buffers()
+    first = 0  # the block's first grid point
     for k in range(G + 1):
         if k and alive.size:
             y = _rk4_step(rhs, y, cfg.dt)
-            # the max of a run, over axes (0, 1, 3) of the state, with a NaN
-            # is NaN, which compares False; numpy takes it several times
-            # faster as two reductions than as one
-            ok = np.abs(y).max(axis=(0, 1)).max(axis=-1) < DIVERGENCE_THRESHOLD
-            if not ok.all():
+            # a max with a NaN is NaN, which compares False; the max of a
+            # run, over axes (0, 1, 3) of the state, only when the max of
+            # all runs fails, and several times faster as two reductions
+            # than as one
+            if not np.abs(y).max() < DIVERGENCE_THRESHOLD:
+                ok = np.abs(y).max(axis=(0, 1)).max(axis=-1) < DIVERGENCE_THRESHOLD
+                if k > first:
+                    yield flush(k - first)
+                    first = k
                 diverged[alive[~ok]] = True
                 y, params, alive = y[..., ok, :], params[..., ok, :], alive[ok]
+                buffered, noises = buffers()
+        i = k - first
         # the noise of grid point k, held through the next step
         nu = next(noise)[alive]
-        # x-hat is the observer's slot, or scratch when only the plant is
-        # stepped; its rows at the exact nodes are Gamma^-1 (Gamma x + nu),
-        # taken on run-first plant states
-        xhat = y[:, 1] if S == 2 else np.empty_like(y[:, 0])
-        if exact.size:
-            xe = np.ascontiguousarray(y[exact, 0].swapaxes(0, 1))
-            xe = (sys.output.eval(xe) + nu.take(exact_cols, axis=1)) @ sys.output.inverse.T
-            xhat[exact] = xe.swapaxes(0, 1)
-        err = np.full((R, N), np.nan)
-        err[alive] = _norms(y[:, 0] - xhat).T
-        yield err, diverged.copy()
+        if S == 2:
+            if exact.size:
+                # the observer's exact nodes are Gamma^-1 (Gamma x + nu)
+                y[exact, 1] = reconstruct(y[exact, 0], nu)
+            np.subtract(y[:, 0], y[:, 1], out=buffered[i])
+        else:
+            buffered[i] = y[:, 0]
+            noises[i] = nu
+        if i == len(buffered) - 1 or k == G:
+            yield flush(i + 1)
+            first = k + 1
 
 
 def monte_carlo(
@@ -291,9 +367,11 @@ def monte_carlo(
     norms = np.empty((n_runs, G + 1))
     # no run is flagged at grid point 0, so 0 means "never diverged"
     diverged_at = np.zeros(n_runs, dtype=int)
-    for k, (err, flags) in enumerate(_cosimulate(sys, design, cfg, x0, xh0, params, rngs)):
-        norms[:, k] = _norms(err)
+    k = 0
+    for err, flags in _cosimulate(sys, design, cfg, x0, xh0, params, rngs):
+        norms[:, k : k + len(err)] = _norms(err).T
         diverged_at[flags & (diverged_at == 0)] = k
+        k += len(err)
     flagged = [(int(r), int(diverged_at[r])) for r in np.flatnonzero(diverged_at)]
 
     times = np.arange(G + 1) * cfg.dt

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -25,7 +26,7 @@ from hyperobs import (
     settling_time,
     tanh_coupling,
 )
-from hyperobs import dynamics
+from hyperobs import dynamics, sim
 from hyperobs.assembly import (
     KRON_CAP,
     CertificationReport,
@@ -36,7 +37,6 @@ from hyperobs.assembly import (
 from hyperobs.designer import THM1_TRAJECTORIES, DesignOutcome, ProcessedSubset, select_node
 from hyperobs.gain_design import POLYAK_OVERSHOOT, Infeasible, design_gain_thm2
 from hyperobs.hypergraph import NodeOutOfRange
-from hyperobs.sim import _cosimulate
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("default")
@@ -184,11 +184,82 @@ def integrate(
     xhat0 = np.asarray(xhat0, dtype=float).reshape(1, N, n)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    errs, flags = zip(*_cosimulate(sys, design, cfg, x0, xhat0, sys.per_node_params[None], [rng]))
-    per_node = np.stack(errs)[:, 0]
+    steps = sim._cosimulate(sys, design, cfg, x0, xhat0, sys.per_node_params[None], [rng])
+    errs, flags = zip(*steps)
+    per_node = np.concatenate(errs)[:, 0]
     norm = np.linalg.norm(per_node, axis=-1)
     times = np.arange(cfg.num_steps + 1) * cfg.dt
     return RunResult(times, per_node, norm, settling_time(times, norm), bool(flags[-1][0]))
+
+
+def reference_monte_carlo(sys: NetworkSystem, design: ObserverDesign, cfg: SimConfig,
+                          n_runs: int):
+    """``monte_carlo``'s (R, G+1) error norms and flagged runs, co-simulated
+    one grid point at a time: every RK4 stage input and sum is formed out
+    of place, the coupling and the innovations are taken per call, and the
+    reconstruction, the per-node norms and the stacked norm at every grid
+    point.  The draws are ``monte_carlo``'s."""
+    N, n, R, G = sys.num_nodes, sys.state_dim, n_runs, cfg.num_steps
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(R)]
+    x0, xhat0 = np.empty((R, N, n)), np.empty((R, N, n))
+    per_params = np.tile(sys.per_node_params, (R, 1, 1))
+    (lo, hi), w, spread = cfg.x0_box, cfg.observer_init_width, cfg.param_rel_spread
+    for r, rng in enumerate(rngs):
+        x0[r] = rng.uniform(lo, hi, (N, n))
+        xhat0[r] = x0[r] * (1.0 + rng.uniform(-w, w, (N, n)))
+        if spread > 0:
+            per_params[r] = sys.per_node_params * (
+                1.0 + rng.uniform(-spread, spread, per_params.shape[1:]))
+
+    measured, op = sim._correction_operator(sys, design)
+    exact = np.array(sorted(design.exact_nodes), dtype=np.intp)
+    exact_cols = np.searchsorted(measured, exact)
+    m, p = len(measured), sys.output.output_dim
+    S = 1 if exact.size == N else 2
+    op = op if S == 2 else None
+    nominal = np.broadcast_to(sys.field.nominal_params, per_params.shape)
+    y = np.ascontiguousarray(np.stack([x0, xhat0][:S]).transpose(2, 0, 1, 3))
+    params = np.ascontiguousarray(np.stack([per_params, nominal][:S]).transpose(2, 0, 1, 3))
+    alive, diverged = np.arange(R), np.zeros(R, dtype=bool)
+    a = cfg.noise_amplitude
+    noise = (sim._noise(rngs, a, m, p, G + 1) if a > 0 and m
+             else itertools.repeat(np.zeros((R, m, p))))
+
+    def rhs(ys):
+        d = sys.field.eval(ys, params) + sys.coupling_term(ys)
+        if op is not None:
+            h = sys.output.eval(np.ascontiguousarray(ys[measured].transpose(2, 1, 0, 3)))
+            innov = h[:, 0] + nu - h[:, 1]
+            corr = op @ innov.reshape(len(innov), m * p).T
+            d[:, 1] += corr.reshape(N, n, -1).transpose(0, 2, 1)
+        return d
+
+    def rk4(ys, dt):
+        k1 = rhs(ys)
+        k2 = rhs(ys + 0.5 * dt * k1)
+        k3 = rhs(ys + 0.5 * dt * k2)
+        k4 = rhs(ys + dt * k3)
+        return ys + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    norms, diverged_at = np.empty((R, G + 1)), np.zeros(R, dtype=int)
+    for k in range(G + 1):
+        if k and alive.size:
+            y = rk4(y, cfg.dt)
+            ok = np.abs(y).max(axis=(0, 1, 3)) < sim.DIVERGENCE_THRESHOLD
+            if not ok.all():
+                diverged[alive[~ok]] = True
+                y, params, alive = y[..., ok, :], params[..., ok, :], alive[ok]
+        nu = next(noise)[alive]
+        xhat = y[:, 1] if S == 2 else np.empty_like(y[:, 0])
+        if exact.size:
+            xe = np.ascontiguousarray(y[exact, 0].swapaxes(0, 1))
+            xe = (sys.output.eval(xe) + nu.take(exact_cols, axis=1)) @ sys.output.inverse.T
+            xhat[exact] = xe.swapaxes(0, 1)
+        err = np.full((R, N), np.nan)
+        err[alive] = sim._norms(y[:, 0] - xhat).T
+        norms[:, k] = sim._norms(err)
+        diverged_at[diverged & (diverged_at == 0)] = k
+    return norms, [(int(r), int(diverged_at[r])) for r in np.flatnonzero(diverged_at)]
 
 
 def reference_correction_operator(sys: NetworkSystem, design: ObserverDesign):

@@ -685,16 +685,23 @@ class TestCertifyRoots:
         monkeypatch.setattr(designer, "check_thm1", None)
         assert certify(err, ens, options) is None
 
-    def test_non_finite_sample_fails_theorem1_without_raising(self):
+    def test_non_finite_sample_fails_theorem1_without_raising(self, monkeypatch):
         # one NaN state makes A_S non-finite at that sample: Theorem 2 reads
         # +inf there and Theorem 1 fails H1 at it, so the root retries and
-        # is exhausted, with no eigvals call on the sample
+        # is exhausted, with no eigvals call on the sample; no gain makes
+        # the sample finite, so synthesis proves Infeasible before any
+        # subgradient step
         case = NAMED_CASES["thm1"]
         sys, ens, options = case.build()
         ens.states[0, 3, 0, 0] = np.nan
+        steps = []
+        real = gain_design.GainProblem.subgradient
+        monkeypatch.setattr(gain_design.GainProblem, "subgradient",
+                            lambda self, L: steps.append(1) or real(self, L))
         with case.budget():
             outcome = design_observer(sys, ens, options)
         assert outcome.status == "failed" and outcome.failed_subset == (0, 1)
+        assert steps == []
 
     def test_measured_node_gets_gains(self):
         sys, ens, options = NAMED_CASES["synthesis_one_node"].build()
@@ -930,6 +937,44 @@ class TestFieldParamJacobianBound:
             assert abs(got - svd[k].max()) <= 4 * np.spacing(svd[k].max())
         got = field_param_jacobian_bound(sys, X)
         assert abs(got - svd.max()) <= 4 * np.spacing(svd.max())
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["diagonal", "lorenz"]),
+           st.integers(1, 5), st.booleans(), st.sampled_from([None, 1, 4]))
+    @example(0, "diagonal", 3, False, 1)
+    @example(1, "diagonal", 2, True, None)
+    @example(2, "lorenz", 2, False, None)
+    def test_diagonal_jacobian_equals_the_svd(self, chunk_budget, seed, field, N, dense,
+                                              per_chunk):
+        # diagonal parameter Jacobians with zero, negative and subnormal
+        # entries among ones in LAPACK's unscaled range: the max |diagonal
+        # entry| is the SVD's bit for bit; a chunk holding one nonzero off
+        # the diagonal takes the SVD
+        rng = np.random.default_rng(seed)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310])
+        X = rng.uniform(-30.0, 30.0, (9, N, 3)) * 10.0 ** rng.integers(-100, 100, (9, N, 3))
+        X = np.where(rng.random(X.shape) < 0.3, rng.choice(special, X.shape), X)
+        X[rng.integers(9), rng.integers(N)] = rng.uniform(-30.0, 30.0, 3)
+        if dense:
+            X[4, 0, 0] = 7.25
+
+        def diagonal(x, mu):
+            J = np.zeros(x.shape + (3,))
+            J[..., [0, 1, 2], [0, 1, 2]] = x
+            if dense:
+                # one nonzero off the diagonal, in sample 4's chunk
+                J[..., 0, 1] = np.where(x[..., 0] == 7.25, 1e120, 0.0)
+            return J
+
+        fields = {"diagonal": vector_field_from_callable(
+            lambda x, mu: x, 3, np.ones(3), jac_mu=diagonal), "lorenz": lorenz_field()}
+        sys = NetworkSystem(DirectedHypergraph(N), fields[field], linear_coupling(1.0),
+                            identity_output(3))
+        J = sys.field.jac_mu(X, sys.field.nominal_params)
+        svd = np.linalg.svd(J, compute_uv=False)[..., 0].max()
+        per_sample = 8 * N * 3 * 3
+        with chunk_budget(per_sample * (per_chunk or len(X))):
+            got = field_param_jacobian_bound(sys, X)
+        assert got == svd
 
     @pytest.mark.parametrize("field", ["bistable", "lorenz"])
     @pytest.mark.parametrize("per_chunk", [1, 3])

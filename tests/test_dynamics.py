@@ -232,6 +232,24 @@ def assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def per_edge_coupling(sys_, X):
+    """W x and H g(W x) on node-first ``X`` by a loop over the edges: each
+    argument and each node's sum starts at zero and adds its terms in
+    ascending index order."""
+    h = sys_.hypergraph
+    args = np.zeros((len(h.edges),) + X.shape[1:])
+    for k, e in enumerate(h.edges):
+        weights = dict(zip(e.tails, e.alpha)) | {q: -b for q, b in zip(e.heads, e.beta)}
+        for v in sorted(weights):
+            args[k] += weights[v] * X[v]
+    g = sys_.coupling.eval(args)
+    expect = np.zeros_like(X)
+    for k, e in enumerate(h.edges):
+        for q in e.heads:
+            expect[q] += e.sigma * g[k]
+    return args, expect
+
+
 class TestCouplingKernels:
     @given(
         hypergraphs(),
@@ -256,16 +274,7 @@ class TestCouplingKernels:
         X = rng.uniform(-3, 3, (h.num_nodes,) + batch + (sys_.state_dim,))
         if zeros:
             X[rng.random(X.shape) < 0.5] = -0.0
-        args = np.zeros((len(h.edges),) + X.shape[1:])
-        for k, e in enumerate(h.edges):
-            weights = dict(zip(e.tails, e.alpha)) | {q: -b for q, b in zip(e.heads, e.beta)}
-            for v in sorted(weights):
-                args[k] += weights[v] * X[v]
-        g = sys_.coupling.eval(args)
-        expect = np.zeros_like(X)
-        for k, e in enumerate(h.edges):
-            for q in e.heads:
-                expect[q] += e.sigma * g[k]
+        args, expect = per_edge_coupling(sys_, X)
         assert_bits_equal(sys_.edge_arguments(X), args)
         assert_bits_equal(sys_.coupling_term(X), expect)
 
@@ -273,30 +282,35 @@ class TestCouplingKernels:
         # a product in chunks of one column or of two (which do not divide
         # the 15 columns), products of other widths on the same matrices in
         # between, and a right-hand side with no columns give the one-chunk
-        # bits; no result shares memory with the kernel's work arrays
+        # bits, which are the per-edge loop's, with edges and without; no
+        # result shares memory with the kernel's work arrays
         rng = np.random.default_rng(7)
         h = random_hypergraph(rng, max_nodes=9, max_edges=8, min_nodes=6)
         X = rng.uniform(-3, 3, (h.num_nodes, 5, 3))
-        sys_ = random_system(rng, h, field_kind="lorenz")
-        args, coupled = sys_.edge_arguments(X), sys_.coupling_term(X)
-        sys_.coupling_term(X[:, :2])
-        assert_bits_equal(sys_.edge_arguments(X), args)
-        assert_bits_equal(sys_.coupling_term(X), coupled)
-        empty = sys_.edge_arguments(X[:, :0])
-        assert empty.shape == (len(h.edges), 0, 3)
-        assert sys_.coupling_term(X[:, :0]).shape == (h.num_nodes, 0, 3)
-        for chunk in (1, 2):
-            # W's chunk width is the byte budget over 8 bytes times the
-            # larger of its entry and row counts
-            most = max(1, len(h.members), len(h.edges))
-            with chunk_budget(8 * chunk * most):
-                chunked = NetworkSystem(h, sys_.field, sys_.coupling, sys_.output)
-            assert chunked._members._chunk == chunk
-            got = chunked.edge_arguments(X)
-            assert_bits_equal(got, args)
-            assert_bits_equal(chunked.coupling_term(X), coupled)
-            assert_bits_equal(got, args)
-            assert_bits_equal(chunked.edge_arguments(X[:, :0]), empty)
+        for h in (h, DirectedHypergraph(h.num_nodes)):
+            sys_ = random_system(rng, h, field_kind="lorenz")
+            args, coupled = sys_.edge_arguments(X), sys_.coupling_term(X)
+            reference = per_edge_coupling(sys_, X)
+            assert_bits_equal(args, reference[0])
+            assert_bits_equal(coupled, reference[1])
+            sys_.coupling_term(X[:, :2])
+            assert_bits_equal(sys_.edge_arguments(X), args)
+            assert_bits_equal(sys_.coupling_term(X), coupled)
+            empty = sys_.edge_arguments(X[:, :0])
+            assert empty.shape == (len(h.edges), 0, 3)
+            assert sys_.coupling_term(X[:, :0]).shape == (h.num_nodes, 0, 3)
+            for chunk in (1, 2):
+                # W's chunk width is the byte budget over 8 bytes times the
+                # larger of its entry and row counts
+                most = max(1, len(h.members), len(h.edges))
+                with chunk_budget(8 * chunk * most):
+                    chunked = NetworkSystem(h, sys_.field, sys_.coupling, sys_.output)
+                assert chunked._members._chunk == chunk
+                got = chunked.edge_arguments(X)
+                assert_bits_equal(got, args)
+                assert_bits_equal(chunked.coupling_term(X), coupled)
+                assert_bits_equal(got, args)
+                assert_bits_equal(chunked.edge_arguments(X[:, :0]), empty)
 
     def test_integer_states(self):
         sys_ = random_system(np.random.default_rng(8), random_hypergraph(

@@ -25,7 +25,14 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import sim
-from conftest import integrate, reference_correction_operator, vector_field_from_callable
+from conftest import (
+    integrate,
+    random_hypergraph,
+    random_system,
+    reference_correction_operator,
+    reference_monte_carlo,
+    vector_field_from_callable,
+)
 
 
 def own_runs(cfg, n_runs, shape):
@@ -42,6 +49,15 @@ def own_runs(cfg, n_runs, shape):
 def lorenz_pair_system(sigma=5.0):
     h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), sigma),))
     return NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
+
+
+def square_system():
+    """x' = x^2 on two nodes, 0 -> 1: runs from large starts blow up."""
+    field = vector_field_from_callable(
+        lambda x, mu: x**2, 1, np.zeros(1), jac_x=lambda x, mu: (2 * x)[..., None]
+    )
+    h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 0.5),))
+    return NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
 
 
 class TestSettlingTime:
@@ -171,6 +187,24 @@ class TestRk4Order:
             errs[dt] = abs(en - e_ref)
         ratio = errs[base] / errs[base / 2]
         assert 12.0 <= ratio <= 20.0
+
+    def test_a_field_that_returns_its_argument(self):
+        # x' = x on an edgeless network, the field returning the very array
+        # it is given: the step forms its stages in arrays of its own, so
+        # the states are the out-of-place formula's
+        field = vector_field_from_callable(lambda x, mu: x, 1, np.zeros(1))
+        sys = NetworkSystem(DirectedHypergraph(2), field, linear_coupling(1.0),
+                            identity_output(1))
+        x0, dt = np.array([[[1.0], [-2.0]]]), 0.1
+        y, expect = x0[0], [x0[0]]
+        for _ in range(3):
+            k1 = y
+            k2 = y + 0.5 * dt * k1
+            k3 = y + 0.5 * dt * k2
+            k4 = y + dt * k3
+            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            expect.append(y)
+        np.testing.assert_array_equal(simulate_network(sys, x0, dt, 3)[0], expect)
 
 
 def with_signed_zeros(rng, a, prob):
@@ -347,7 +381,7 @@ class TestMonteCarlo:
         def norms(xhat0):
             rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
             steps = sim._cosimulate(sys, design, cfg, x0, xhat0, params, rngs)
-            return np.stack([err for err, _ in steps])
+            return np.concatenate([err for err, _ in steps])
 
         same = np.array_equal(norms(xh0), norms(np.full_like(xh0, np.nan)), equal_nan=True)
         assert same != reads_xhat0
@@ -356,11 +390,7 @@ class TestMonteCarlo:
         # x' = x^2 with both nodes reconstructed: only the plant is stepped
         # and checked, and runs 1 and 4 are flagged at the grid steps found
         # with the observer stepped and checked alongside
-        field = vector_field_from_callable(
-            lambda x, mu: x**2, 1, np.zeros(1), jac_x=lambda x, mu: (2 * x)[..., None]
-        )
-        h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 0.5),))
-        sys = NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
+        sys = square_system()
         design = ObserverDesign(frozenset({0, 1}), {}, exact_nodes=frozenset({0, 1}))
         cfg = SimConfig(dt=1e-3, horizon=1.0, seed=49, noise_amplitude=0.01,
                         x0_box=(-1.0, 1.5))
@@ -447,11 +477,7 @@ class TestMonteCarlo:
 
     def test_diverged_run_leaves_the_others_untouched(self):
         # x' = x^2 blows up from large starts; at seed 49 only run 1 does
-        field = vector_field_from_callable(
-            lambda x, mu: x**2, 1, np.zeros(1), jac_x=lambda x, mu: (2 * x)[..., None]
-        )
-        h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 0.5),))
-        sys = NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
+        sys = square_system()
         design = ObserverDesign(frozenset({0}), {(0, 0): [[2.0]]})
         cfg = SimConfig(dt=1e-3, horizon=1.0, seed=49, noise_amplitude=0.01,
                         x0_box=(-1.0, 1.5))
@@ -475,6 +501,86 @@ class TestMonteCarlo:
         # must leave zero
         assert np.all(stats.error_norms[:, 0] == 0.0)
         assert np.all(stats.error_norms[:, -1] > 0.0)
+
+
+def blocked_monte_carlo(chunk_budget, sys, design, cfg, n_runs, points):
+    """``monte_carlo`` with a byte budget at which the co-simulation
+    buffers ``points`` grid points per block, a sixteenth of the budget for
+    the (N, R, n) state difference or, when every node is exact, the plant
+    state and the (R, m, p) noise; also returns the block lengths."""
+    N, n, p = sys.num_nodes, sys.state_dim, sys.output.output_dim
+    all_exact = len(design.exact_nodes) == N
+    per_point = 8 * n_runs * (N * n + (len(design.measured) * p if all_exact else 0))
+    sizes, real = [], sim._cosimulate
+
+    def recorded(*args):
+        for err, flags in real(*args):
+            sizes.append(len(err))
+            yield err, flags
+
+    with pytest.MonkeyPatch.context() as mp, chunk_budget(16 * per_point * points):
+        mp.setattr(sim, "_cosimulate", recorded)
+        return monte_carlo(sys, design, cfg, n_runs), sizes
+
+
+def assert_same_as_reference(stats, reference):
+    norms, flagged = reference
+    np.testing.assert_array_equal(stats.error_norms.view(np.uint64), norms.view(np.uint64))
+    assert stats.flagged_runs == flagged
+
+
+class TestBlockedObservation:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["observer", "some_exact", "all_exact"]),
+           st.sampled_from([0.0, 0.05]), st.integers(1, 12), st.sampled_from([2, 9]))
+    @example(0, "some_exact", 0.05, 1, 9)
+    @example(1, "all_exact", 0.05, 1, 2)
+    def test_error_norms_equal_the_per_grid_point_reference(self, chunk_budget, seed, route,
+                                                            noise, points, min_nodes):
+        # random gains, measured and exact nodes, noise and block sizes from
+        # one grid point up: the blocked co-simulation's error norms and
+        # flags are the per-grid-point loop's bit for bit; from 9 nodes on
+        # numpy sums a run's per-node norms pairwise, so its row of them
+        # must stay contiguous
+        rng = np.random.default_rng(seed)
+        h = random_hypergraph(rng, max_nodes=min_nodes + 3, max_edges=3, min_nodes=min_nodes)
+        output = "identity" if route != "observer" or rng.random() < 0.5 else "partial"
+        sys = random_system(rng, h, output_kind=output)
+        N, n, p = sys.num_nodes, sys.state_dim, sys.output.output_dim
+        measured = [int(v) for v in np.flatnonzero(rng.random(N) < 0.6)] or [0]
+        exact = frozenset()
+        if route == "all_exact":
+            measured = exact = frozenset(range(N))
+        elif route == "some_exact":
+            exact = frozenset(measured[: max(1, len(measured) - 1)])
+        gains = {(int(i), j): rng.uniform(-2.0, 2.0, (n, p))
+                 for i in range(N) for j in measured if rng.random() < 0.5}
+        design = ObserverDesign(frozenset(measured), gains, exact)
+        cfg = SimConfig(dt=2e-3, horizon=0.04, seed=seed % 1000, noise_amplitude=noise)
+        reference = reference_monte_carlo(sys, design, cfg, 3)
+        stats, sizes = blocked_monte_carlo(chunk_budget, sys, design, cfg, 3, points)
+        assert_same_as_reference(stats, reference)
+        assert sum(sizes) == cfg.num_steps + 1 and max(sizes) == min(points, sum(sizes))
+
+    @pytest.mark.parametrize("exact", [frozenset(), frozenset({0}), frozenset({0, 1})],
+                             ids=["observer", "some-exact", "all-exact"])
+    @pytest.mark.parametrize("place", ["first", "inside", "last", "one_point_blocks"])
+    def test_divergence_at_each_place_in_a_block(self, chunk_budget, exact, place):
+        # a block ends before the grid point where a run diverges, so the
+        # run's last finite norms are taken with it alive; the first run to
+        # diverge does so at a block's first grid point, inside a block or
+        # at a block's last grid point, or every block holds one grid point
+        sys = square_system()
+        design = ObserverDesign(frozenset({0, 1}), {(1, 0): [[1.5]], (1, 1): [[2.0]]}, exact)
+        cfg = SimConfig(dt=1e-3, horizon=0.5, seed=49, noise_amplitude=0.01,
+                        x0_box=(-1.0, 3.0))
+        reference = reference_monte_carlo(sys, design, cfg, 6)
+        assert len(reference[1]) >= 2
+        k = min(step for _, step in reference[1])
+        points = {"first": k, "inside": k + 2, "last": k + 1, "one_point_blocks": 1}[place]
+        stats, sizes = blocked_monte_carlo(chunk_budget, sys, design, cfg, 6, points)
+        assert_same_as_reference(stats, reference)
+        # the first block ends by grid point k - 1, the run still alive
+        assert sizes[0] == min(k, points) and sum(sizes) == cfg.num_steps + 1
 
 
 class TestEnsembles:
