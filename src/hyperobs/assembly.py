@@ -31,7 +31,7 @@ from numpy.linalg._umath_linalg import cholesky_lo
 
 from . import dynamics
 from .dynamics import DimensionMismatch, NetworkSystem
-from .hypergraph import DirectedHypergraph, EdgeSlice
+from .hypergraph import DirectedHypergraph, EdgeSlice, _csr
 
 
 class SubsetNotHeadClosed(ValueError):
@@ -70,11 +70,12 @@ class ErrorSystem:
 
     ``rows(idx)`` is A_S at the samples ``idx``, (k, nM, nM), and ``g`` is
     (K,), the largest |g'| over the subset's incoming edges at each sample
-    (0 when no edge enters S).  ``a`` is the whole (K, nM, nM) stack: the
-    stack's row when the stack is held whole, else assembled on first read,
-    which only gain synthesis makes.  Every check reads these; gains enter as
-    ``rows(idx) - B`` with B from ``gain_matrix``, on a new array, so A_S
-    stays the zero-gain stack.
+    (0 when no edge enters S).  ``a`` is ``rows`` of every sample.  ``rows``
+    reads the stack, a view when it holds its rows, else a fresh assembly:
+    no view caches A_S, and the Polyak descent makes the only whole read of
+    a root, at ``GainProblem`` construction.  Every check reads these; gains
+    enter as ``rows(idx) - B`` with B from ``gain_matrix``, on a new array,
+    so A_S stays the zero-gain stack.
 
     ``entering`` is S's incidence slice, ``DirectedHypergraph.entering``:
     every fact about the edges entering S that a design step reads comes
@@ -93,19 +94,15 @@ class ErrorSystem:
     def dim(self) -> int:
         return len(self.nodes) * self.sys.state_dim
 
-    @cached_property
+    @property
     def a(self) -> np.ndarray:
-        """The whole (K, nM, nM) stack, assembled a chunk at a time."""
-        stack = self.stack
-        out = np.empty((stack.num_samples, self.dim, self.dim))
-        for chunk in stack.chunks():
-            out[chunk] = stack.rows(chunk)[self.row]
-        return out
+        """The whole (K, nM, nM) stack, ``rows`` of every sample."""
+        return self.rows(slice(None))
 
     def rows(self, idx: slice) -> np.ndarray:
-        """A_S at the samples of the slice ``idx``: read from ``a`` once it
-        is held, else assembled."""
-        return self.a[idx] if "a" in vars(self) else self.stack.rows(idx)[self.row]
+        """A_S at the samples of the slice ``idx``, the stack's rows: a view
+        when the stack holds them, else assembled."""
+        return self.stack.rows(idx)[self.row]
 
     @staticmethod
     def a_matrix_batch(
@@ -138,8 +135,7 @@ class ErrorSystem:
         ``dg``, whose edges enter the roots ``edge_root``, the max spectral
         norm of the coupling Jacobian diag(g') over the incoming edges: the
         largest |g'|, 0 when no edge enters the root.  (R, K)."""
-        order = np.argsort(edge_root, kind="stable")
-        starts = np.searchsorted(edge_root[order], np.arange(R + 1))
+        starts, order = _csr(edge_root, np.arange(len(edge_root)), R)
         entered = np.flatnonzero(np.diff(starts))
         g = np.zeros((R, dg.shape[1]))
         g[entered] = np.maximum.reduceat(np.abs(dg[order]).max(axis=2), starts[entered])
@@ -232,8 +228,6 @@ class RootStack:
         err = object.__new__(ErrorSystem)
         err.sys, err.nodes, err.g = self.sys, tuple(self.roots[r].tolist()), self.g[r]
         err.stack, err.row = self, r
-        if self.a is not None:
-            err.a = self.a[r]
         return err
 
     def chunks(self) -> list[slice]:

@@ -14,9 +14,10 @@ Theorem-1 check follows on those left.  A root whose stack alone is over
 the budget is a stream: the Theorem-2 and Theorem-1 checks assemble its
 samples a chunk at a time, so no zero-gain check holds a whole root over
 the budget.  Certified roots are recorded as they are; the others retry in
-the pass's order on their ``ErrorSystem``, a view of the stack, which gain
-synthesis reads whole (``ErrorSystem.a``): its descent visits every sample
-at every iteration.  Each retry measures one more node of S, chosen by the
+the pass's order on their ``ErrorSystem``, a view of the stack that caches
+no A_S: gain synthesis's Polyak descent, which visits every sample at every
+iteration, makes the only whole read of a root, at ``GainProblem``
+construction.  Each retry measures one more node of S, chosen by the
 degree heuristic, and synthesizes Theorem-2 gains on the nodes of S
 measured so far, until a synthesis passes or S is exhausted.  With an
 invertible output map, a measured node j is instead reconstructed exactly

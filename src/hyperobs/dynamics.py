@@ -66,7 +66,7 @@ def lorenz_field(mu1: float = 10.0, mu2: float = 28.0, mu3: float = 8.0 / 3.0) -
     def f(x, mu):
         m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        out = np.empty(np.broadcast_shapes(x1.shape, np.shape(m1)) + (3,))
+        out = np.empty(np.broadcast(x1, m1).shape + (3,))
         out[..., 0] = m1 * (x2 - x1)
         out[..., 1] = x1 * (m2 - x3) - x2
         out[..., 2] = x1 * x2 - m3 * x3
@@ -75,7 +75,7 @@ def lorenz_field(mu1: float = 10.0, mu2: float = 28.0, mu3: float = 8.0 / 3.0) -
     def jx(x, mu):
         m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        shape = np.broadcast_shapes(x1.shape, np.shape(m1))
+        shape = np.broadcast(x1, m1).shape
         J = np.zeros(shape + (3, 3))
         J[..., 0, 0] = -m1
         J[..., 0, 1] = m1
@@ -89,7 +89,7 @@ def lorenz_field(mu1: float = 10.0, mu2: float = 28.0, mu3: float = 8.0 / 3.0) -
 
     def jmu(x, mu):
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        shape = np.broadcast_shapes(x1.shape, mu[..., 0].shape)
+        shape = np.broadcast(x1, mu[..., 0]).shape
         J = np.zeros(shape + (3, 3))
         J[..., 0, 0] = x2 - x1
         J[..., 1, 1] = x1

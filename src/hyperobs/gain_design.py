@@ -2,11 +2,11 @@
 
 Gains drive the largest eigenvalue of the symmetric part of A_S below a
 required margin, by one Polyak-stepped subgradient descent from L = 0 over
-every sample of the zero-gain A_S stack of an ``ErrorSystem``, which
-``GainProblem`` reads whole, ``err.a``, even where the zero-gain checks read
-it as a stream of ``CHUNK_BYTES`` chunks: every iteration visits every
-sample.  A closed form whose constants are maxima over samples would let
-synthesis stream too.  The objective, max_k lambda_max(sym(A_k - sum L_ij
+every sample of the zero-gain A_S stack of an ``ErrorSystem``, so it makes
+the only whole read of a root, ``err.a``, once, at ``GainProblem``
+construction, even where the checks stream it in ``CHUNK_BYTES`` chunks; no
+view caches it.  A closed form whose constants are maxima over samples would
+let synthesis stream too.  The objective, max_k lambda_max(sym(A_k - sum L_ij
 Gamma)), is a pointwise max of top eigenvalues of matrices affine in the
 gains, so it is convex (Lewis and Overton, "Eigenvalue optimization", Acta
 Numerica 1996): it has no local minimum a restart from another point could
@@ -90,7 +90,6 @@ class GainProblem:
     """
 
     def __init__(self, err: ErrorSystem, measured: Sequence[int]):
-        self.err = err
         self.nodes, self.position = err.nodes, err.entering.position
         self.n = err.sys.state_dim
         self.p = err.sys.output.output_dim
@@ -98,7 +97,7 @@ class GainProblem:
         self.measured = list(measured)
         self.keys = [(i, j) for i in self.nodes for j in self.measured]
         # sym(A_k^0) with the samples on the last axis, for the Cholesky screen
-        a = err.a
+        self.a = a = err.a
         self.s0 = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0),
                          out=np.empty(a.shape[1:] + a.shape[:1]))
         self.s0 *= 0.5
@@ -116,9 +115,9 @@ class GainProblem:
         self.evaluated = 0  # samples through eigvalsh, over all calls
 
     def rows(self, B: np.ndarray, idx, out=None) -> np.ndarray:
-        """The rows ``idx`` of the A_S(L) stack, err.a - B, in ``out`` when
+        """The rows ``idx`` of the A_S(L) stack, a - B, in ``out`` when
         given."""
-        A = np.take(self.err.a, idx, axis=0, out=out, mode="clip")
+        A = np.take(self.a, idx, axis=0, out=out, mode="clip")
         A -= B
         return A
 
@@ -149,8 +148,8 @@ class GainProblem:
 
     def worst_sample(self, B: np.ndarray) -> tuple[int, float]:
         """First argmax k and max over every sample of lambda_max(sym A_k(L)),
-        bit for bit those of ``symmetric_top_eig(err.a - B)``."""
-        lam = np.full(self.err.a.shape[0], -np.inf)
+        bit for bit those of ``symmetric_top_eig(a - B)``."""
+        lam = np.full(self.a.shape[0], -np.inf)
         lam[self.top] = symmetric_top_eig(self.rows(B, self.top))
         keep = self.screen(B, float(lam[self.top].max()))
         keep[self.top] = False
@@ -170,7 +169,7 @@ class GainProblem:
         of sym(A_k(L)), u_i its slice at node i."""
         B = gain_matrix(self.position, self.keys, L, self.gamma)
         k, phi = self.worst_sample(B)
-        A = self.err.a[k] - B
+        A = self.a[k] - B
         _, V = np.linalg.eigh(0.5 * (A + A.T))
         u = V[:, -1].reshape(len(self.nodes), self.n)
         # one matvec per measured node, as Gamma @ u_j
@@ -225,7 +224,7 @@ def design_gain_thm2(
         if phi <= -h_req:
             log.debug(
                 "thm2 design for %s done: %d iterations, %.1f of %d samples per iteration",
-                prob.nodes, it + 1, prob.evaluated / (it + 1), err.a.shape[0],
+                prob.nodes, it + 1, prob.evaluated / (it + 1), len(err.g),
             )
             return {k: g for k, g in zip(prob.keys, L) if np.any(g)}
         if it - last_best_iter > stall_window and overshoot > 1.01:

@@ -11,6 +11,9 @@ incidence.  A design labels their strongly connected components once
 unobserved one enters, from ``condense``.  When an exact node j splits a
 root S, only S \\ {j} is labelled again: no unobserved node outside the root
 S reaches it.
+
+``_csr`` is the package's one CSR builder, of the member incidence, the head
+index, ``assembly``'s edges per root and ``sim``'s gain-correction map.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import DimensionMismatch, JaggedMatrix, NetworkSystem
 from .gain_design import ObserverDesign
+from .hypergraph import _csr
 
 # a run whose state leaves this box (or turns non-finite) is flagged as
 # diverged; a design trajectory that does raises EnsembleDiverged
@@ -124,8 +125,8 @@ def settling_time(times, norms, fraction: float = 0.05) -> float | None:
 def _correction_operator(sys: NetworkSystem, design: ObserverDesign):
     """Sparse (N n) x (m p) map from the stacked innovations of the m measured
     nodes to state space, one n-by-p block per gain; None without gains.
-    Row i n + r holds the gain blocks of node i in key order, each as its p
-    columns: the entry order of the block-sparse layout's CSR form."""
+    Entry (r, c) of gain (i, j) is at row i n + r, column pos[j] p + c, and
+    ``_csr`` orders a row by column: key order, the block-sparse CSR order."""
     measured = sorted(design.measured)
     if not design.gains:
         return measured, None
@@ -134,17 +135,11 @@ def _correction_operator(sys: NetworkSystem, design: ObserverDesign):
     keys = sorted(design.gains)
     node = np.array([i for i, _ in keys], dtype=np.intp)
     block_col = np.array([pos[j] for _, j in keys], dtype=np.intp)
-    blocks = np.bincount(node, minlength=N)
-    first = np.concatenate([[0], np.cumsum(blocks)])
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(blocks * p, n))])
-    # entry (b, r, c) of the stacked gains: row node[b] n + r, slot
-    # (b - first block of its node) p + c within it
     b, r, c = np.indices((len(keys), n, p)).reshape(3, -1)
-    at = indptr[node[b] * n + r] + (b - first[node[b]]) * p + c
-    data, indices = np.empty(len(at)), np.empty(len(at), dtype=np.intp)
-    data[at] = np.stack([design.gains[k] for k in keys]).ravel()
-    indices[at] = block_col[b] * p + c
-    return measured, JaggedMatrix(data, indices, indptr)
+    cols = block_col[b] * p + c
+    indptr, order = _csr(node[b] * n + r, cols, N * n)
+    data = np.stack([design.gains[k] for k in keys]).ravel()
+    return measured, JaggedMatrix(data[order], cols[order], indptr)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

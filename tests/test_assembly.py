@@ -620,7 +620,7 @@ class TestTopEigMax:
                            lambda m: real(m) if np.isfinite(m).all() else None)
                 assert assembly.top_eig_max(lambda idx: A[:, idx], 1, 4, 3).tolist() == [np.inf]
             err = error_system_for(np.zeros((3, 3)), np.zeros((4, 1, 3)))
-            err.a = A[0]
+            err.stack.a = A
             report = check_thm2(err, 1.0)
             assert report.theorem_used == "none" and report.hurwitz_margin == -np.inf
 
@@ -643,7 +643,7 @@ class TestTopEigMax:
         rng = np.random.default_rng(5)
         A = rng.normal(0, 1, (300, 2, 2)) - 2.0 * np.eye(2)
         err = error_system_for(np.zeros((2, 2)), np.zeros((300, 1, 2)))
-        err.a = A
+        err.stack.a = A[None]
         report = check_thm2(err, 0.1)
         assert -report.hurwitz_margin == float(assembly.symmetric_top_eig(A).max())
 

@@ -130,6 +130,25 @@ class TestDesignThm2:
                 design_gain_thm2(err, [0], h_req=1.0)
         assert "a" not in vars(err)
 
+    def test_no_view_caches_the_root(self, chunk_budget):
+        # a held stack's view reads its rows in place; a streamed root's view
+        # keeps no array of A_S's size after synthesis and its check, and
+        # both give the same gains and report bit for bit
+        held = lorenz_pair_problem(np.random.default_rng(40), 30)
+        assert np.shares_memory(held.rows(slice(3, 9)), held.stack.a)
+        expect = design_gain_thm2(held, [0, 1], h_req=1.5)
+        with chunk_budget(8 * 6 * 6 * 3):
+            err = lorenz_pair_problem(np.random.default_rng(40), 30)
+            assert err.stack.a is None
+            gains = design_gain_thm2(err, [0, 1], h_req=1.5)
+            report = check_thm2(err, 1.5, gains)
+        assert report == check_thm2(held, 1.5, expect) and report.passed
+        assert {k: g.tobytes() for k, g in gains.items()} == {
+            k: g.tobytes() for k, g in expect.items()}
+        root_size = held.stack.a[0].size
+        assert not [name for name, v in vars(err).items()
+                    if isinstance(v, np.ndarray) and v.size >= root_size]
+
     def test_returned_gains_recertify_on_same_samples(self):
         rng = np.random.default_rng(40)
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
@@ -254,7 +273,7 @@ def stack_problem(rng, stack, n):
     sys = NetworkSystem(DirectedHypergraph(M), scalar_free_field(n), linear_coupling(1.0),
                         linear_output(gamma))
     err = error_system(sys, range(M), np.zeros((K, M, n)))
-    err.a = stack
+    err.stack.a = stack[None]
     measured = [v for v in range(M) if rng.random() < 0.6] or [0]
     return GainProblem(err, measured)
 
@@ -262,7 +281,7 @@ def stack_problem(rng, stack, n):
 def dense_top_eig(prob, L) -> np.ndarray:
     """lambda_max(sym A_k(L)) at every sample, A_S built block by block."""
     gains = dict(zip(prob.keys, L))
-    A = apply_gains_by_block(prob.err.a.copy(), SubsetIndex(prob.nodes), gains, prob.gamma)
+    A = apply_gains_by_block(prob.a.copy(), SubsetIndex(prob.nodes), gains, prob.gamma)
     return symmetric_top_eig(A)
 
 
