@@ -31,7 +31,7 @@ from numpy.linalg._umath_linalg import cholesky_lo
 
 from . import dynamics
 from .dynamics import DimensionMismatch, NetworkSystem
-from .hypergraph import DirectedHypergraph, EdgeSlice, _csr
+from .hypergraph import DirectedHypergraph, EdgeSlice, _csr, _rows
 
 
 class SubsetNotHeadClosed(ValueError):
@@ -152,27 +152,26 @@ def coupling_pairs(
     -beta_j for a head (itself included): pair p adds ``weight[p] *
     sigma[edge[p]] * g'`` at block (head[p], member[p]) of root ``root[p]``.
     Wave k, the pairs ``waves[k]:waves[k + 1]``, holds the k-th pair, in
-    edge order, of each block that has one: its pairs are distinct entries
-    of A, so one add serves a wave, and every entry gets its terms in edge
-    order.  Returns (edge, root, head, member, weight, waves, sigma)."""
+    edge order, of each block that has one, blocks ascending: the waves are
+    row k of the ``_csr`` of (place in block, block).  A wave's pairs are
+    distinct entries of A, so one add serves a wave, and every entry gets
+    its terms in edge order.  Returns (edge, root, head, member, weight,
+    waves, sigma)."""
     inside = np.flatnonzero(local >= 0)
     row = sl.rows[inside]
-    at = np.searchsorted(inside, sl.ptr)
     heads = np.flatnonzero(sl.is_head[inside])
-    count = np.diff(at)[row[heads]]
-    head = np.repeat(heads, count)
-    member = np.arange(count.sum()) + np.repeat(at[row[heads]] - np.cumsum(count) + count, count)
-    # the pairs in edge order; a stable sort keeps that order in each block
+    # each inside head with every inside member of its edge: the pairs in edge order
+    ptr, member = _rows(np.searchsorted(inside, sl.ptr), row[heads])
+    head = np.repeat(heads, np.diff(ptr))
     edge, head, member = row[head], inside[head], inside[member]
     block = (edge_root[edge] * M + local[head]) * M + local[member]
-    order = np.argsort(block, kind="stable")
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order)) - np.searchsorted(block[order], block[order])
-    by_wave = np.argsort(rank, kind="stable")
-    edge, head, member = edge[by_wave], head[by_wave], member[by_wave]
-    waves = np.searchsorted(rank[by_wave], np.arange(rank.max(initial=-1) + 2)).tolist()
+    starts, order = _csr(block, np.arange(len(block)), int(block.max(initial=-1)) + 1)
+    block = block[order]
+    waves, by_wave = _csr(np.arange(len(block)) - starts[block], block,
+                          int(np.diff(starts).max(initial=0)))
+    edge, head, member = (a[order[by_wave]] for a in (edge, head, member))
     return (edge, edge_root[edge, None], local[head, None], local[member, None],
-            sl.weights[member, None, None], waves,
+            sl.weights[member, None, None], waves.tolist(),
             sys.hypergraph.edge_sigma[sl.edges][:, None, None])
 
 
@@ -198,12 +197,12 @@ class RootStack:
         # each step adds the k-th term of every edge that has one, so each
         # argument adds its terms onto zero in entry order, the sums of
         # ``sys.edge_arguments`` bit for bit
-        sizes = np.diff(sl.ptr)
-        self._terms = []
-        for k in range(int(sizes.max(initial=0))):
-            rows = np.flatnonzero(sizes > k)
-            q = sl.ptr[rows] + k
-            self._terms.append((rows, sl.weights[q, None, None], sl.members[q]))
+        row = sl.rows
+        starts, q = _csr(np.arange(len(row)) - sl.ptr[row], row,
+                         int(np.diff(sl.ptr).max(initial=0)))
+        rows, weights, members = row[q], sl.weights[q, None, None], sl.members[q]
+        self._terms = [(rows[lo:hi], weights[lo:hi], members[lo:hi])
+                       for lo, hi in zip(starts, starts[1:])]
         self._pairs = coupling_pairs(sys, sl, edge_root, local, M)
         chunks = self.chunks()
         self.a, self.g, self.a_max = None, np.empty((R, K)), np.full(R, -np.inf)

@@ -581,10 +581,7 @@ def propagate_robustness_bounds(
                 nu_bar=nu_bar,
             )
         per_subset.append(bound)
-        try:
-            total_sq += bound.value**2
-        except OverflowError:  # a float's ** raises where * gives inf
-            total_sq = math.inf
+        total_sq += bound.value * bound.value  # overflows to inf, where ** raises
         for v in entry.nodes:
             node_bound[v] = bound.value
     return float(np.sqrt(total_sq)), per_subset

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hypergraph import DirectedHypergraph
+from .hypergraph import DirectedHypergraph, _csr
 
 
 class DimensionMismatch(ValueError):
@@ -280,8 +280,9 @@ class JaggedMatrix:
     rows are sorted by decreasing length, stably, and the entries stored
     k-major: the first entry of every row, then the second of every row that
     has one, and so on, so the rows with a k-th entry are a prefix of the
-    sorted rows.  A product reuses the work arrays of the previous one when
-    the column count is the same, so a matrix serves one thread.
+    sorted rows.  Diagonal k is row k of the ``_csr`` of (place in row, row
+    rank).  A product reuses the work arrays of the previous one when the
+    column count is the same, so a matrix serves one thread.
 
     ``@`` copies the rows of the product out of the work array in the
     caller's order.  ``_sorted_product`` leaves them there, sorted:
@@ -295,17 +296,12 @@ class JaggedMatrix:
         order = np.argsort(-lengths, kind="stable")
         self._rank = np.empty(rows, dtype=np.intp)
         self._rank[order] = np.arange(rows)
-        # counts[k] rows have a k-th entry; diagonal k starts at starts[k]
-        width = int(lengths.max(initial=0))
-        counts = rows - np.searchsorted(np.sort(lengths), np.arange(width), side="right")
-        starts = np.concatenate([[0], np.cumsum(counts)])
         row = np.repeat(np.arange(rows), lengths)
-        slot = starts[np.arange(len(row)) - indptr[row]] + self._rank[row]
-        self._data = np.empty((len(row), 1))
-        self._data[slot, 0] = data
-        self._indices = np.empty(len(row), dtype=np.intp)
-        self._indices[slot] = indices
-        self._diagonals = list(zip(counts.tolist(), starts.tolist(), starts[1:].tolist()))
+        starts, slot = _csr(np.arange(len(row)) - indptr[row], self._rank[row],
+                            int(lengths.max(initial=0)))
+        self._data = np.asarray(data, dtype=float)[slot, None]
+        self._indices = np.asarray(indices, dtype=np.intp)[slot]
+        self._diagonals = list(zip(np.diff(starts).tolist(), starts.tolist(), starts[1:].tolist()))
         self._chunk = max(1, CHUNK_BYTES // (8 * max(1, len(row), rows)))
         self._cols = None  # the column count of the work arrays
         self.num_rows = rows

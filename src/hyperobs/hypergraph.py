@@ -13,7 +13,10 @@ root S, only S \\ {j} is labelled again: no unobserved node outside the root
 S reaches it.
 
 ``_csr`` is the package's one CSR builder, of the member incidence, the head
-index, ``assembly``'s edges per root and ``sim``'s gain-correction map.
+index, ``assembly``'s edges per root and ``sim``'s gain-correction map, and
+of every jagged-diagonal layout, which is the CSR of (place in row, row):
+``JaggedMatrix``'s diagonals and ``assembly``'s argument terms and coupling
+waves.  ``_rows`` selects rows of a CSR layout.
 """
 
 from __future__ import annotations

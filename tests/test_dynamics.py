@@ -17,6 +17,8 @@ from hyperobs import (
     lorenz_field,
     tanh_coupling,
 )
+from hyperobs import dynamics
+from hyperobs.dynamics import JaggedMatrix
 from conftest import (
     MissingMeasurement,
     fd_jacobian,
@@ -232,6 +234,21 @@ def assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@st.composite
+def csr_triples(draw):
+    """(data, indices, indptr, column count) of an arbitrary CSR matrix: up
+    to 8 rows of 0-5 entries each, columns drawn with repeats and in any
+    order inside a row, values with signed zeros."""
+    cols = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(0, 5), max_size=8))
+    nnz = sum(lengths)
+    indices = draw(st.lists(st.integers(0, cols - 1), min_size=nnz, max_size=nnz))
+    data = draw(st.lists(st.floats(-3, 3) | st.sampled_from([0.0, -0.0]),
+                         min_size=nnz, max_size=nnz))
+    indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)])
+    return np.array(data, dtype=float), np.array(indices, dtype=np.intp), indptr, cols
+
+
 def per_edge_coupling(sys_, X):
     """W x and H g(W x) on node-first ``X`` by a loop over the edges: each
     argument and each node's sum starts at zero and adds its terms in
@@ -311,6 +328,34 @@ class TestCouplingKernels:
                 assert_bits_equal(chunked.coupling_term(X), coupled)
                 assert_bits_equal(got, args)
                 assert_bits_equal(chunked.edge_arguments(X[:, :0]), empty)
+
+    @given(csr_triples(), st.integers(0, 2**32 - 1), st.sampled_from([(), (4,), (2, 3)]),
+           st.sampled_from([None, 1, 2]))
+    @example((np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(4, dtype=np.intp), 2), 0, (3,), 1)
+    @example((np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp), 1), 0, (), None)
+    @example((np.array([1.5, -0.0, 2.0, -1.0]), np.array([2, 0, 2, 1]),
+              np.array([0, 0, 3, 3, 4]), 3), 1, (2, 3), 2)
+    def test_jagged_product_matches_per_row_loop(self, chunk_budget, csr, seed, batch, chunk):
+        # any CSR triple, not only an incidence: empty rows, repeated and
+        # unsorted columns; each row's sum starts at zero and adds its
+        # products in entry order, so the bits agree, signed zeros included
+        data, indices, indptr, cols = csr
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-3, 3, (cols,) + batch)
+        x[rng.random(x.shape) < 0.3] = -0.0
+        expect = np.zeros((len(indptr) - 1,) + batch)
+        for r in range(len(indptr) - 1):
+            for e in range(indptr[r], indptr[r + 1]):
+                expect[r] += data[e] * x[indices[e]]
+        # a chunk width of one or two columns, or the default budget's
+        most = max(1, len(data), len(indptr) - 1)
+        with chunk_budget(dynamics.CHUNK_BYTES if chunk is None else 8 * chunk * most):
+            m = JaggedMatrix(data, indices, indptr)
+        assert chunk is None or m._chunk == chunk
+        got = m @ x
+        assert_bits_equal(got, expect)
+        flat = x.reshape(cols, x.size // cols)
+        assert_bits_equal(m._sorted_product(flat)[m._rank], got.reshape(len(got), flat.shape[1]))
 
     def test_integer_states(self):
         sys_ = random_system(np.random.default_rng(8), random_hypergraph(
