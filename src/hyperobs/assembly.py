@@ -9,10 +9,10 @@ array places each node's block in A_S.
 
 A design certifies the roots of a pass, disjoint subsets that no edge joins,
 several at a time: ``stack_roots`` gives roots of one size one
-``RootStack``, which makes one pass over its samples at construction, and
+``RootStack``, which assembles nothing until a check reads it, and
 ``RootStack.system`` gives each root its ``ErrorSystem``, a view of its row.
-``RootStack.refuted`` is the one interlacing refutation of the Theorem-2
-check, which the designer's zero-gain check and gain synthesis both read.
+The Theorem-2 refutation reads ``node_floors``, made once per design
+(``designer`` says why their bound changes no decision).
 
 This module also implements the checkable hypotheses of the two convergence
 theorems, ``check_thm2`` over the max ``top_eig_max`` and ``check_thm1``,
@@ -70,12 +70,10 @@ class ErrorSystem:
 
     ``rows(idx)`` is A_S at the samples ``idx``, (k, nM, nM), and ``g`` is
     (K,), the largest |g'| over the subset's incoming edges at each sample
-    (0 when no edge enters S).  ``a`` is ``rows`` of every sample.  ``rows``
-    reads the stack, a view when it holds its rows, else a fresh assembly:
-    no view caches A_S, and the Polyak descent makes the only whole read of
-    a root, at ``GainProblem`` construction.  Every check reads these; gains
-    enter as ``rows(idx) - B`` with B from ``gain_matrix``, on a new array,
-    so A_S stays the zero-gain stack.
+    (0 when no edge enters S).  ``a`` is ``rows`` of every sample.  Both
+    read the stack: no view caches A_S, and only gain synthesis reads a
+    root over the budget whole.  Gains enter as ``rows(idx) - B`` with B
+    from ``gain_matrix``, on a new array, so A_S stays the zero-gain stack.
 
     ``entering`` is S's incidence slice, ``DirectedHypergraph.entering``:
     every fact about the edges entering S that a design step reads comes
@@ -93,6 +91,10 @@ class ErrorSystem:
     @property
     def dim(self) -> int:
         return len(self.nodes) * self.sys.state_dim
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.stack.g[self.row]
 
     @property
     def a(self) -> np.ndarray:
@@ -178,20 +180,17 @@ def coupling_pairs(
 class RootStack:
     """The zero-gain A_S of R disjoint subsets of M nodes each, the rows of
     ``roots``, over the (K, N, n) samples ``X``, as a stream: ``rows(idx)``
-    assembles the (R, k, Mn, Mn) rows of the samples ``idx``, and
-    ``system(r)`` is root r's ``ErrorSystem``.  ``upstream`` holds the tails
-    of the entering edges outside their root.
-
-    One pass over the ``chunks`` at construction keeps ``g``, (R, K),
-    max|A_S| per root, ``a_max``, and the (R, K, M, n, n) diagonal
-    ``blocks``, M times smaller than A_S, which ``refuted`` reads.  A stack
-    of one chunk keeps its rows, ``a``, and ``blocks`` is a view of them; a
-    larger one has ``a`` None, and ``blocks`` None for M = 1, where a block
-    is the whole A_S."""
+    assembles the (R, k, Mn, Mn) rows of the samples ``idx`` when a check
+    reads them, and ``system(r)`` is root r's ``ErrorSystem``.  ``upstream``
+    holds the tails of the entering edges outside their root, and ``floors``
+    is ``node_floors`` of the samples.  Each assembly records the g, (R, K),
+    and max|A_S|, ``a_max``, of its samples; reading either assembles the
+    samples not read yet.  A stack of one chunk keeps its first whole read,
+    ``a``, None before it and for a larger stack."""
 
     def __init__(self, sys: NetworkSystem, roots: np.ndarray, sl: EdgeSlice,
-                 edge_root: np.ndarray, local: np.ndarray, X: np.ndarray):
-        self.sys, self.roots, self.entering, self.X = sys, roots, sl, X
+                 edge_root: np.ndarray, local: np.ndarray, X: np.ndarray, floors: tuple):
+        self.sys, self.roots, self.entering, self.X, self.floors = sys, roots, sl, X, floors
         (R, M), n, K = roots.shape, sys.state_dim, X.shape[0]
         self.num_samples, self.dim = K, M * n
         # each step adds the k-th term of every edge that has one, so each
@@ -204,28 +203,26 @@ class RootStack:
         self._terms = [(rows[lo:hi], weights[lo:hi], members[lo:hi])
                        for lo, hi in zip(starts, starts[1:])]
         self._pairs = coupling_pairs(sys, sl, edge_root, local, M)
-        chunks = self.chunks()
-        self.a, self.g, self.a_max = None, np.empty((R, K)), np.full(R, -np.inf)
-        self.blocks = np.empty((R, K, M, n, n)) if len(chunks) > 1 and M > 1 else None
-        for chunk in chunks:
-            A, dg = self._assemble(chunk)
-            self.g[:, chunk] = ErrorSystem.coupling_jac_bound(dg, edge_root, R)
-            self.a_max = np.maximum(self.a_max, np.maximum(A.max(axis=(1, 2, 3)),
-                                                           -A.min(axis=(1, 2, 3))))
-            if len(chunks) == 1:
-                self.a, self.blocks = A, diagonal_blocks(A, n)
-            elif M > 1:
-                self.blocks[:, chunk] = diagonal_blocks(A, n)
-            # freed before the next chunk is assembled
-            del A, dg
+        self._edge_root = edge_root
+        self.a, self._g, self._a_max = None, np.zeros((R, K)), np.full(R, -np.inf)
+        self._read = np.zeros(K, dtype=bool)
         self.upstream = sl.members[~sl.is_head & (local < 0)]
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.g_at(slice(None))
+
+    @property
+    def a_max(self) -> np.ndarray:
+        self.g_at(slice(None))
+        return self._a_max
 
     def system(self, r: int) -> ErrorSystem:
         """Root r's ``ErrorSystem``, the one way to make one, and a new view
         at each call: views refer to the stack and it to none of them, so no
         reference cycle keeps a stack past its last view."""
         err = object.__new__(ErrorSystem)
-        err.sys, err.nodes, err.g = self.sys, tuple(self.roots[r].tolist()), self.g[r]
+        err.sys, err.nodes = self.sys, tuple(self.roots[r].tolist())
         err.stack, err.row = self, r
         return err
 
@@ -239,44 +236,34 @@ class RootStack:
         """The (R, k, Mn, Mn) rows of the samples of the slice ``idx``, bit
         for bit those of the whole stack: a view of ``a`` when it is held,
         else assembled."""
-        return self.a[:, idx] if self.a is not None else self._assemble(idx)[0]
+        return self.a[:, idx] if self.a is not None else self._assemble(idx)
 
-    def refuted(self, rows: np.ndarray, positions: np.ndarray,
-                h_req: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Which of the roots ``rows`` the diagonal blocks at ``positions``
-        prove to fail the Theorem-2 check at margin ``h_req``, with zero
-        gains or any gains that leave these blocks alone: (mask, floor,
-        position), one entry per row.
+    def g_at(self, idx: slice) -> np.ndarray:
+        """The (R, k) g of the samples of the slice ``idx``, reading those
+        that no read has assembled yet."""
+        lo, hi, _ = idx.indices(self.num_samples)
+        for chunk in self.chunks():
+            part = slice(max(lo, chunk.start), min(hi, chunk.stop))
+            if not self._read[part].all():
+                self._assemble(part)
+        return self._g[:, idx]
 
-        The floor is the largest lambda_max of the symmetric part over the
-        samples and these blocks, and the position the first block that
-        reaches it.  A block's symmetric part is a principal submatrix of
-        sym(A_S), so by Cauchy interlacing (Horn and Johnson, "Matrix
-        Analysis", 2nd ed., Thm 4.3.28) the floor is at most the check's
-        worst value, up to the rounding of the two ``eigvalsh`` calls,
-        ``rounding_tol`` at max|A_S|: a root is refuted when its floor
-        exceeds -h_req by more than that slack.  A root whose max|A_S| is
-        not finite has no finite slack and is never refuted; no
-        ``eigvalsh`` runs on its blocks, and its floor is -inf and its
-        position -1, as for no positions."""
-        with np.errstate(over="ignore"):
-            tol = rounding_tol(self.dim, self.a_max[rows])
-        floor, at = np.full(len(rows), -np.inf), np.full(len(rows), -1, dtype=np.intp)
-        live = np.flatnonzero(np.isfinite(tol))
-        if live.size and len(positions):
-            tops = symmetric_top_eig(self.blocks[rows[live, None], :, positions]).max(axis=2)
-            floor[live], at[live] = tops.max(axis=1), positions[tops.argmax(axis=1)]
-        return floor > tol - h_req, floor, at
-
-    def _assemble(self, idx: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of the samples ``idx`` and the (edges, k, n) coupling
-        derivative g' at the entering edges' arguments, which both read."""
+    def _assemble(self, idx: slice) -> np.ndarray:
+        """The rows of the samples ``idx``, recording their g and max|A_S|;
+        a whole read of a one-chunk stack is kept as ``a``."""
         X = self.X[idx]
         args = np.zeros((len(self.entering.edges), X.shape[0], X.shape[2]))
         for rows, weights, members in self._terms:
             args[rows] += weights * X[:, members].transpose(1, 0, 2)
         dg = self.sys.coupling.deriv(args)
-        return ErrorSystem.a_matrix_batch(self.sys, self.roots, self._pairs, X, dg), dg
+        A = ErrorSystem.a_matrix_batch(self.sys, self.roots, self._pairs, X, dg)
+        self._g[:, idx] = ErrorSystem.coupling_jac_bound(dg, self._edge_root, len(self.roots))
+        self._a_max = np.maximum(self._a_max, np.maximum(A.max(axis=(1, 2, 3)),
+                                                         -A.min(axis=(1, 2, 3))))
+        self._read[idx] = True
+        if self.a is None and len(X) == self.num_samples and len(self.chunks()) == 1:
+            self.a = A
+        return A
 
 
 def stack_roots(
@@ -284,9 +271,11 @@ def stack_roots(
     roots: Sequence[Sequence[int]],
     samples,
     zero_error_nodes: frozenset[int] = frozenset(),
+    floors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RootStack:
     """The ``RootStack`` of ``roots``, disjoint node subsets of one size, over
-    the (K, N, n) ``samples``, from one slice of their union: the roots of a
+    the (K, N, n) ``samples`` with their ``node_floors``, the design's
+    ``floors`` or made here, from one slice of their union: the roots of a
     pass share no edge, so every edge entering their union enters one root,
     the root of its heads.  Every root must be head-closed modulo
     ``zero_error_nodes``, the nodes whose estimation error is identically
@@ -318,15 +307,54 @@ def stack_roots(
         )
     if X.shape[0] == 0:
         raise EmptySampleSet("need at least one sample")
-    return RootStack(sys, np.array(roots, dtype=np.intp).reshape(R, M), sl, edge_root, local, X)
+    return RootStack(sys, np.array(roots, dtype=np.intp).reshape(R, M), sl, edge_root, local, X,
+                     node_floors(sys, X) if floors is None else floors)
 
 
-def diagonal_blocks(a: np.ndarray, n: int) -> np.ndarray:
-    """The n x n diagonal blocks of the (..., Mn, Mn) stack ``a``, a
-    read-only view (..., M, n, n)."""
-    M = a.shape[-1] // n
-    blocks = np.diagonal(a.reshape(a.shape[:-2] + (M, n, M, n)), axis1=-4, axis2=-2)
-    return np.moveaxis(blocks, -1, -3)
+def node_floors(sys: NetworkSystem, samples) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's floor and bound over the (K, N, n) ``samples``: (N,), (N,).
+
+    Node v's diagonal block D_v in any A_S is J_f(x_v) plus w sigma_e g'_e
+    on the diagonal over the edges e that v heads, w its weight -beta, each
+    entering S.  D_v is built with the adds of ``a_matrix_batch``, in its
+    order, so bit for bit, and the floor is max_k lambda_max(sym D_v) by
+    ``top_eig_max``.  Block row v of A_S holds D_v and those edges' terms
+    at their other members, |w| <= 1, so the bound, max(max|D_v|, sum over
+    the edges of sigma_e max|g'_e|) inflated by a relative 1e-12 for the
+    rounding of the sums, is at least max|A_S| over the row; it is not
+    finite where a sample of the row is not."""
+    X = np.asarray(samples, dtype=float)
+    h, (K, N, n) = sys.hypergraph, X.shape
+    entry = np.flatnonzero(h.member_is_head)
+    edge, node = np.repeat(np.arange(len(h.edges)), np.diff(h.member_ptr))[entry], h.members[entry]
+    # a slice of one row per (edge, head), its head the one member: the pairs
+    # of root (v,) are (v, v), one per edge v heads, in edge order
+    sl = EdgeSlice(edge, np.arange(len(entry) + 1), node, h.member_weight[entry],
+                   np.ones(len(entry), dtype=bool), np.arange(N))
+    row, head, _, _, weight, waves, _ = coupling_pairs(
+        sys, sl, node, np.zeros(len(entry), dtype=np.intp), 1)
+    adds = [(head[lo:hi, 0], edge[row[lo:hi]], weight[lo:hi]) for lo, hi in zip(waves, waves[1:])]
+    sigma = h.edge_sigma[:, None, None]
+    # W x of every edge, as ``sys.edge_arguments``, with work arrays that go with it
+    W = dynamics.JaggedMatrix(h.member_weight, h.members, h.member_ptr)
+    floor, mag, top = np.full(N, -np.inf), np.full(N, -np.inf), np.zeros(len(h.edges))
+    # a chunk's blocks and member products, each twice, hold CHUNK_BYTES
+    step = max(1, dynamics.CHUNK_BYTES // (16 * n * (N * n + len(h.members))))
+    for lo in range(0, K, step):
+        x = X[lo : lo + step].transpose(1, 0, 2)
+        k, dg = x.shape[1], sys.coupling.deriv(W @ x)
+        D = sys.field.jac_x(x, sys.field.nominal_params) + 0.0
+        terms, diagonal = sigma * dg, D.reshape(N, k, n * n)[:, :, :: n + 1]
+        for nodes, edges, weights in adds:
+            diagonal[nodes] += weights * terms[edges]
+        # short rows reduce far faster as columns
+        for peak, a in ((mag, D.reshape(N, k * n * n)), (top, dg.reshape(len(dg), k * n))):
+            a = np.ascontiguousarray(a.T)
+            np.maximum(peak, np.maximum(a.max(axis=0), -a.min(axis=0)), out=peak)
+        del dg, terms, a
+        floor = np.maximum(floor, top_eig_max(lambda idx: D[:, idx], N, k, n))
+    coupling = np.bincount(node, h.edge_sigma[edge] * top[edge], N)
+    return floor, np.maximum(mag, coupling) * (1.0 + 1e-12)
 
 
 def rounding_tol(d: int, magnitude: float) -> float:
@@ -334,6 +362,17 @@ def rounding_tol(d: int, magnitude: float) -> float:
     ``eigvalsh`` and of a Cholesky factorization on d x d matrices whose
     entries are at most ``magnitude`` in size, for d < 10^5."""
     return 1e-10 * (1.0 + d * d * magnitude)
+
+
+def refutes(floor, d: int, magnitude, h_req: float):
+    """Whether a diagonal-block floor proves the Theorem-2 check at margin
+    ``h_req`` to fail, with any gains that leave the block alone, on a d x d
+    A_S of entries at most ``magnitude``.  By Cauchy interlacing (Horn and
+    Johnson, "Matrix Analysis", 2nd ed., Thm 4.3.28) the floor is at most
+    the check's worst value, up to ``rounding_tol``; so never where the
+    magnitude is not finite."""
+    with np.errstate(over="ignore"):
+        return floor > rounding_tol(d, magnitude) - h_req
 
 
 def gain_matrix(
@@ -511,7 +550,7 @@ def check_thm2(
     def rows(idx):
         return (err.rows(idx) if B is None else err.rows(idx) - B)[None]
 
-    K = len(err.g)
+    K = err.stack.num_samples
     worst = float(top_eig_max(rows, 1, K, err.dim)[0])
     return thm2_report(worst, float(err.g.max()), K, h_req)
 
@@ -578,7 +617,7 @@ def check_thm1(
             seen += len(part)
         checked += seen
         worst.append(float(np.concatenate(parts).max()))
-        g_bound.append(float(err.g[start : start + seen].max()))
+        g_bound.append(float(err.stack.g_at(slice(start, start + seen))[err.row].max()))
         # H2 decides nothing once H1 has failed: skip its SVD loop and report
         # no H2 margin
         if not h1:

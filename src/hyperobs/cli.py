@@ -7,6 +7,33 @@ command is deterministic given its inputs: ``generate`` its spec,
 ``batch`` those, the design report and the Monte-Carlo seed, ``sim.seed``
 unless ``--seed`` replaces it.  Summaries embed the design-relevant config
 hash for provenance.
+
+The simulation summary, ``summary.json``, is one JSON object that
+``simulate`` and ``batch`` write, with a non-finite number written as the
+string "inf", "-inf" or "nan":
+
+    config_hash          string: the hash the design report was checked against
+    seed                 integer: the Monte-Carlo seed; batch k runs at seed + k
+    n_runs               integer: the runs of each batch
+    batches              list, one per batch run, of
+      index              integer >= 1: the batch's place in ``batch.values``, 1
+                         for the base settings
+      variable, value    the ``sim`` setting the batch sets and its value; null
+                         for the base settings
+      csv                the batch's error-norm percentiles, ``batch_<index>.csv``
+      n_runs             integer
+      n_flagged          integer: the runs flagged as diverged
+      flagged_runs       [run, grid step] of each, the step where it diverged
+      max_error          number: the largest stacked error norm of any run over
+                         the horizon, transient included
+      settling_times     per run, a time or null: ``sim.settling_time``, the
+                         earliest grid time after which the run's error norm
+                         stays below 5 % of its initial value.  Measurement
+                         noise sets a floor under the error; where the floor
+                         is above 5 % of the initial error the rule reads null
+                         though the run has converged
+      robustness_bound   number: the stacked Theorem-3 bound of the design
+                         (``designer.propagate_robustness_bounds``)
 """
 
 from __future__ import annotations

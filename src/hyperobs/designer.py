@@ -7,26 +7,23 @@ two (the heads of an edge share a component), and zero-gain A_S reads only
 edges whose outside tails are observed.  So a pass stacks the A_S of its
 roots of one size (``assembly.stack_roots``), as many as
 ``dynamics.CHUNK_BYTES`` holds, and certifies each stack at once
-(``certify_roots``): the diagonal blocks refute the Theorem-2 check where
-they can (``thm2_refuted``, over ``RootStack.refuted``, which synthesis
-reads too), one ``assembly.top_eig_max`` runs it on the other roots, and the
-Theorem-1 check follows on those left.  A root whose stack alone is over
-the budget is a stream: the Theorem-2 and Theorem-1 checks assemble its
-samples a chunk at a time, so no zero-gain check holds a whole root over
-the budget.  Certified roots are recorded as they are; the others retry in
-the pass's order on their ``ErrorSystem``, a view of the stack that caches
-no A_S: gain synthesis's Polyak descent, which visits every sample at every
-iteration, makes the only whole read of a root, at ``GainProblem``
-construction.  Each retry measures one more node of S, chosen by the
-degree heuristic, and synthesizes Theorem-2 gains on the nodes of S
-measured so far, until a synthesis passes or S is exhausted.  With an
+(``certify_roots``): a node's diagonal block refutes the Theorem-2 check
+where it can (``thm2_refuted``, on ``assembly.node_floors``, made once per
+design), one ``assembly.top_eig_max`` runs it on the other roots, and the
+Theorem-1 check follows on those left.  The refutation's slack is taken at
+the floors' bound on max|A_S|, at least the exact one: a root it leaves
+standing gets the full check, which fails wherever the exact slack
+refutes, so the bound changes no decision.  A stack assembles nothing
+until a check reads it, a chunk at a time, so no zero-gain check holds a
+whole root over the budget.  Certified roots are recorded as they are;
+the others retry in the pass's order on their ``ErrorSystem``.  Each
+retry measures one more node of S, chosen by the degree heuristic, and
+synthesizes Theorem-2 gains on the nodes of S measured so far, until a
+synthesis passes or S is exhausted.  With an
 invertible output map, a measured node j is instead reconstructed exactly
 and skips certification, and S \\ {j} returns in the next pass, labelled
-again on its own: no unobserved node outside the root S reaches it.  A
-stack slices the edges entering its roots once,
-``DirectedHypergraph.entering``; a failing root of a larger stack slices
-its own.  The design logs one INFO line per pass and each root's fate at
-DEBUG.
+again on its own: no unobserved node outside the root S reaches it.  The
+design logs one INFO line per pass and each root's fate at DEBUG.
 
 The design report, ``design.json``, is one JSON object, built by
 ``design_report`` and read back, checked, by ``read_design_report``; no other
@@ -83,6 +80,8 @@ from .assembly import (
     RootStack,
     check_thm1,
     check_thm2,
+    node_floors,
+    refutes,
     stack_roots,
     thm2_report,
     top_eig_max,
@@ -327,22 +326,16 @@ def select_node(entering: EdgeSlice, already_measured: Iterable[int]) -> int:
 
 
 def thm2_refuted(stack: RootStack, h_req: float) -> np.ndarray:
-    """Which roots of ``stack`` a diagonal block proves to fail the
-    zero-gain Theorem-2 check (``RootStack.refuted``).  The first node's
-    blocks of every root are tried in one call, as on a failing root they
-    usually refute, then the other nodes' of the roots still standing.  A
-    one-node root is never refuted: its one block is the whole check."""
-    refuted = np.zeros(len(stack.roots), dtype=bool)
-    M = stack.roots.shape[1]
-    if M == 1:
-        return refuted
-    for part in (np.arange(1), np.arange(1, M)):
-        rows = np.flatnonzero(~refuted)
-        hit, floor, at = stack.refuted(rows, part, h_req)
-        for r, top, k in zip(rows[hit].tolist(), floor[hit], at[hit].tolist()):
-            log.debug("thm2 refuted on %s: the block of node %d reaches %.6g",
-                      tuple(stack.roots[r].tolist()), int(stack.roots[r, k]), top)
-        refuted[rows[hit]] = True
+    """Which roots of ``stack`` a node's diagonal-block floor proves to fail
+    the zero-gain Theorem-2 check (``assembly.refutes``, at the bound of the
+    root's ``floors``)."""
+    floor, bound = stack.floors
+    tops = floor[stack.roots]
+    refuted = refutes(tops.max(axis=1), stack.dim, bound[stack.roots].max(axis=1), h_req)
+    for r in np.flatnonzero(refuted).tolist():
+        k = int(tops[r].argmax())
+        log.debug("thm2 refuted on %s: the block of node %d reaches %.6g",
+                  tuple(stack.roots[r].tolist()), int(stack.roots[r, k]), tops[r, k])
     return refuted
 
 
@@ -379,11 +372,12 @@ def certify_pass(
     options: DesignOptions,
     exact: set[int],
     observed: np.ndarray,
+    floors: tuple[np.ndarray, np.ndarray],
 ) -> list[tuple[CertificationReport | None, ErrorSystem | None]]:
     """For each root of a pass, in order, (report, None) when
     ``certify_roots`` certifies it, else (None, err) with the root's
     ErrorSystem for its retries.  Roots of one size are stacked, as many as
-    ``CHUNK_BYTES`` holds and at least one."""
+    ``CHUNK_BYTES`` holds and at least one, with the design's ``floors``."""
     samples = ensemble.stacked()
     K, n = samples.shape[0], sys.state_dim
     sizes: dict[int, list[int]] = {}
@@ -394,7 +388,7 @@ def certify_pass(
         step = max(1, dynamics.CHUNK_BYTES // (8 * K * (M * n) ** 2))
         for lo in range(0, len(group), step):
             chunk = group[lo : lo + step]
-            stack = stack_roots(sys, [roots[k] for k in chunk], samples, frozenset(exact))
+            stack = stack_roots(sys, [roots[k] for k in chunk], samples, frozenset(exact), floors)
             # structural guarantee behind hypothesis H3 and the b_S form
             if not observed[stack.upstream].all():
                 raise AssertionError(f"upstream tails {set(stack.upstream.tolist())} of "
@@ -425,6 +419,7 @@ def design_observer(
     )
     if shortcut and not sys.output.invertible:
         raise ValueError("inverse shortcut requested but the output map is not invertible")
+    floors = node_floors(sys, samples)
 
     # the residual pattern is the one on the nodes not yet observed
     observed = np.zeros(N, dtype=bool)
@@ -442,7 +437,7 @@ def design_observer(
         iteration += 1
         progress, first = np.count_nonzero(observed), len(processed)
         roots = condense(src, dst, label, ~observed)
-        verdicts = certify_pass(sys, roots, ensemble, options, exact, observed)
+        verdicts = certify_pass(sys, roots, ensemble, options, exact, observed, floors)
         for k, S in enumerate(roots):
             # a root's view goes once its retries are done
             (report, err), verdicts[k] = verdicts[k], None

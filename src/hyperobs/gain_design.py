@@ -2,19 +2,19 @@
 
 Gains drive the largest eigenvalue of the symmetric part of A_S below a
 required margin, by one Polyak-stepped subgradient descent from L = 0 over
-every sample of the zero-gain A_S stack of an ``ErrorSystem``, so it makes
-the only whole read of a root, ``err.a``, once, at ``GainProblem``
-construction, even where the checks stream it in ``CHUNK_BYTES`` chunks; no
-view caches it.  A closed form whose constants are maxima over samples would
-let synthesis stream too.  The objective, max_k lambda_max(sym(A_k - sum L_ij
-Gamma)), is a pointwise max of top eigenvalues of matrices affine in the
-gains, so it is convex (Lewis and Overton, "Eigenvalue optimization", Acta
-Numerica 1996): it has no local minimum a restart from another point could
-escape.  No gain reaches the diagonal block of an unmeasured node, so first
-``RootStack.refuted`` tries to prove the margin out of reach on those
-blocks, before ``GainProblem`` reads A_S whole.  Each iteration runs
-``eigvalsh`` only on the samples a batched Cholesky screen cannot rule out,
-so its max and first argmax are bit for bit those over every sample.
+every sample of the zero-gain A_S stack of an ``ErrorSystem``, read whole
+once, at ``GainProblem`` construction (a closed form whose constants are
+maxima over samples would let synthesis stream).  The objective, max_k
+lambda_max(sym(A_k - sum L_ij Gamma)), is a pointwise max of top
+eigenvalues of matrices affine in the gains, so it is convex (Lewis and
+Overton, "Eigenvalue optimization", Acta Numerica 1996): it has no local
+minimum a restart from another point could escape.  No gain reaches the
+diagonal block of an unmeasured node, so first the design's node floors
+(``assembly.node_floors``) try to prove the margin out of reach on those
+blocks, at the exact max|A_S|, before ``GainProblem`` reads A_S whole
+(``designer`` on refutation).  Each iteration runs ``eigvalsh`` only on the
+samples a batched Cholesky screen cannot rule out, so its max and first
+argmax are bit for bit those over every sample.
 
 The gains of one synthesis are one array L (layout in ``GainProblem``).  Each
 iteration scatters the blocks L @ Gamma into one matrix B
@@ -34,7 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assembly import SEED_COUNT, ErrorSystem, gain_matrix, rounding_tol, symmetric_top_eig
+from .assembly import (SEED_COUNT, ErrorSystem, gain_matrix, refutes, rounding_tol,
+                       symmetric_top_eig)
 
 log = logging.getLogger("hyperobs.gain_design")
 
@@ -192,7 +193,7 @@ def design_gain_thm2(
     empty.  Every iteration takes the exact max over all samples, so the
     returned gains reach -h_req on every sample.  ``Infeasible`` is proven
     before A_S is read whole when an unmeasured node's diagonal block
-    refutes the margin (``RootStack.refuted``), and when A_S is not finite at
+    refutes the margin (``assembly.node_floors``), and when A_S is not finite at
     some sample: a gain moves A_S by finite amounts, so that sample's max
     eigenvalue stays +inf or NaN for every gain.  When the budget runs out,
     it names the iterations made and the best max reached.
@@ -202,15 +203,15 @@ def design_gain_thm2(
     measured = sorted(set(int(v) for v in measured_in_subset) & set(err.nodes))
     if not measured:
         raise NoMeasuredNodes(f"subset {err.nodes} has no measured nodes")
-    if not np.isfinite(err.stack.a_max[err.row]):
+    a_max = err.stack.a_max[err.row]
+    if not np.isfinite(a_max):
         raise Infeasible(f"subset {err.nodes}: A_S is not finite at some sample, "
                          "no gains make it so")
-    unmeasured = np.array([k for k, v in enumerate(err.nodes) if v not in measured], dtype=np.intp)
-    hit, floor, _ = err.stack.refuted(np.array([err.row]), unmeasured, h_req)
-    if hit[0]:
+    floor = err.stack.floors[0][[v for v in err.nodes if v not in measured]].max(initial=-np.inf)
+    if refutes(floor, err.dim, a_max, h_req):
         raise Infeasible(
             f"subset {err.nodes}: unmeasured diagonal blocks reach "
-            f"{floor[0]:.4g}, margin {h_req} is unattainable for any gains"
+            f"{floor:.4g}, margin {h_req} is unattainable for any gains"
         )
     prob = GainProblem(err, measured)
     L = np.zeros((len(prob.keys), prob.n, prob.p))
@@ -224,7 +225,7 @@ def design_gain_thm2(
         if phi <= -h_req:
             log.debug(
                 "thm2 design for %s done: %d iterations, %.1f of %d samples per iteration",
-                prob.nodes, it + 1, prob.evaluated / (it + 1), len(err.g),
+                prob.nodes, it + 1, prob.evaluated / (it + 1), err.stack.num_samples,
             )
             return {k: g for k, g in zip(prob.keys, L) if np.any(g)}
         if it - last_best_iter > stall_window and overshoot > 1.01:

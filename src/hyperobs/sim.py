@@ -103,7 +103,11 @@ def settling_time(times, norms, fraction: float = 0.05) -> float | None:
 
     Returns 0.0 when the initial error is zero, None when the bound is never
     maintained through the end of the horizon.  Non-finite samples (diverged
-    runs) count as exceedances.
+    runs) count as exceedances.  With measurement noise the error decays to
+    a floor the noise sets (at an exactly reconstructed node, the inverted
+    noise itself): where it is above fraction * norm[0], a converged run
+    reads None, which then says that the error did not stay below 5 % of
+    where it started, not that the observer failed to converge.
     """
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)

@@ -65,6 +65,11 @@ class SubsetIndex(tuple):
         return self.index(node)
 
 
+def bit_pattern(x: np.ndarray) -> bytes:
+    """Raw bytes: tells -0.0 from 0.0 and one NaN from another."""
+    return np.ascontiguousarray(x).tobytes()
+
+
 def error_system(sys, nodes, samples, zero_error_nodes=frozenset()):
     """The ``ErrorSystem`` of the subset ``nodes`` alone: root 0 of its own
     one-root ``RootStack``."""

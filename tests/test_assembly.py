@@ -36,6 +36,7 @@ from hyperobs.hypergraph import HypergraphError, condense, dependency_arcs, labe
 from conftest import (
     SubsetIndex,
     apply_gains_by_block,
+    bit_pattern,
     brute_force_sccs,
     error_system,
     fd_jacobian,
@@ -195,11 +196,6 @@ class TestAssembleA:
             gain_matrix(err.entering.position, [(1, 0)], np.ones((1, 1, 1)), np.eye(1))
 
 
-def bit_pattern(x: np.ndarray) -> bytes:
-    """Raw bytes: tells -0.0 from 0.0 and one NaN from another."""
-    return np.ascontiguousarray(x).tobytes()
-
-
 class TestGainMatrix:
     """``a - gain_matrix(...)`` against the per-block in-place subtraction."""
 
@@ -329,9 +325,12 @@ class TestCouplingJacBound:
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         samples = np.random.default_rng(7).uniform(-5, 5, (4, 2, 3))
         err = error_system(sys, (0, 1), samples)
-        # the stack's coupling entries and the bound read one evaluation of g'
+        # the node floors read g' once, and the stack, which assembles
+        # nothing until it is read, once for its coupling entries and bound
         assert len(calls) == 1
+        assert err.a.shape == (4, 6, 6)
         assert err.g.shape == (4,) and np.all(err.g > 0)
+        assert len(calls) == 2
 
     @given(
         hypergraphs(),
@@ -427,10 +426,14 @@ class TestEnteringSliceConsumers:
             X[rng.random(X.shape) < 0.5] = -0.0
         sub = SubsetIndex(tuple(S))
         err = error_system(sys, sub, X, frozenset(range(h.num_nodes)) - set(S))
+        got = err.a
         args = sys.edge_arguments(X.transpose(1, 0, 2))[incoming_closure(h, S)]
-        assert bit_pattern(seen[0]) == bit_pattern(args)
+        # the first evaluation is the node floors', at every edge's argument,
+        # and the last the stack's
+        assert bit_pattern(seen[0]) == bit_pattern(sys.edge_arguments(X.transpose(1, 0, 2)))
+        assert bit_pattern(seen[-1]) == bit_pattern(args)
         expect = reference_a_matrix_batch(sys, sub, X, base.coupling.deriv(args))
-        assert bit_pattern(err.a) == bit_pattern(expect)
+        assert bit_pattern(got) == bit_pattern(expect)
 
     @given(hypergraphs(), st.data(), st.integers(0, 2**32 - 1))
     def test_thm3_bound_bit_for_bit(self, h, data, seed):
@@ -695,6 +698,7 @@ class TestStackRoots:
         for size in {len(S) for S in roots}:
             group = [S for S in roots if len(S) == size]
             stack = assembly.stack_roots(sys, group, X)
+            assert stack.a is None and stack.rows(slice(None)) is stack.a
             assert stack.a.shape == (len(group), len(X), size * sys.state_dim,
                                      size * sys.state_dim)
             upstream = set()

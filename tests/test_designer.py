@@ -34,9 +34,11 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import assembly, designer, dynamics, gain_design
+from hyperobs.hypergraph import condense, dependency_arcs, label_components
 from hyperobs.assembly import check_thm2, rounding_tol, symmetric_top_eig
 from hyperobs.designer import design_report, field_param_jacobian_bound, read_design_report
 from conftest import (
+    bit_pattern,
     degrees,
     error_system,
     hypergraphs,
@@ -590,8 +592,7 @@ class TestStreamedCertification:
         # a contracting root: Theorem 2 passes over every sample
         (bistable_field(3.0, 0.5), 32, 0.25, True),
     ])
-    def test_traced_peak_is_a_few_budgets_and_the_blocks(self, chunk_budget, field, M, margin,
-                                                          passed):
+    def test_traced_peak_is_a_few_budgets(self, chunk_budget, field, M, margin, passed):
         budget = 1 << 18
         sys, ens = _cycle_root(field, M, count=12, length=50, seed=3)
         K, d = ens.stacked().shape[0], M * field.state_dim
@@ -600,14 +601,13 @@ class TestStreamedCertification:
             tracemalloc.start()
             try:
                 stack = assembly.stack_roots(sys, [tuple(range(M))], ens.stacked())
-                blocks = stack.blocks.nbytes
                 (report,) = designer.certify_roots(stack, ens, DesignOptions(margin=margin))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert (report is not None) == passed
         assert stack.a is None
-        assert peak <= 3 * budget + blocks
+        assert peak <= 3 * budget
         # the whole stack, as the check over every sample reads it
         whole = error_system(sys, tuple(range(M)), ens.stacked())
         expect = reference_certify_zero_gain(whole, ens, DesignOptions(margin=margin))
@@ -775,46 +775,43 @@ def stacked_chains(rng, R: int, M: int, field_kind: str):
 
 class TestThm2Refutation:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.5, 2.0]),
-           st.sampled_from([None, 1, 3]), st.data())
+           st.sampled_from([None, 1, 3]))
     def test_refutation_equals_the_dense_per_root_reference(self, chunk_budget, seed, margin,
-                                                           per_chunk, data):
-        # the blocks and max|A_S| the stack kept from its one pass, held or
+                                                           per_chunk):
+        # the floors and bounds of one pass over the samples, held or
         # streamed a few samples at a time, against the whole A_S of each
-        # root: symmetric_top_eig on its diagonal blocks, and the slack at
-        # its max|A_S|
+        # root: symmetric_top_eig on its diagonal blocks, and max|A_S|
         rng = np.random.default_rng(seed)
         R, M = int(rng.integers(1, 5)), int(rng.integers(2, 4))
         sys, roots, X = stacked_chains(rng, R, M, str(rng.choice(["lorenz", "bistable", "planar"])))
         n, d = sys.state_dim, M * sys.state_dim
-        rows = np.array(data.draw(st.lists(st.integers(0, R - 1), unique=True)), dtype=np.intp)
-        positions = np.array(data.draw(st.lists(st.integers(0, M - 1), unique=True)),
-                             dtype=np.intp)
         budget = dynamics.CHUNK_BYTES if per_chunk is None else 8 * R * d * d * per_chunk
         with chunk_budget(budget):
             stack = assembly.stack_roots(sys, roots, X)
-            assert (stack.a is None) == (per_chunk is not None and per_chunk < len(X))
-            hit, floor, at = stack.refuted(rows, positions, margin)
+            hit = designer.thm2_refuted(stack, margin)
             whole = stack.rows(slice(None))
-            for i, r in enumerate(rows.tolist()):
-                A = whole[r]
-                tops = [float(symmetric_top_eig(A[:, p * n:(p + 1) * n, p * n:(p + 1) * n]).max())
-                        for p in positions.tolist()]
-                with np.errstate(over="ignore"):
-                    tol = rounding_tol(d, float(np.maximum(A.max(), -A.min())))
-                expect = (max(tops), positions[tops.index(max(tops))]) if (
-                    tops and math.isfinite(tol)) else (-math.inf, -1)
-                assert (floor[i], at[i]) == expect
-                assert hit[i] == (expect[0] > tol - margin)
-                # interlacing: no block's floor beats the check's worst value
-                # by more than the slack
-                worst = -check_thm2(stack.system(r), margin).hurwitz_margin
-                assert floor[i] <= tol + worst
+        floor, bound = stack.floors
+        for r, S in enumerate(roots):
+            A = whole[r]
+            tops = [symmetric_top_eig(A[:, p * n:(p + 1) * n, p * n:(p + 1) * n]).max()
+                    for p in range(M)]
+            assert bit_pattern(floor[list(S)]) == bit_pattern(np.array(tops))
+            with np.errstate(over="ignore"):
+                mag = float(np.maximum(A.max(), -A.min()))
+                exact, tol = rounding_tol(d, mag), rounding_tol(d, float(bound[list(S)].max()))
+            assert bound[list(S)].max() >= mag
+            assert hit[r] == (max(tops) > tol - margin)
+            # a refutation at the bound holds at the exact slack, and by
+            # interlacing no block's floor beats the check's worst value by
+            # more than that slack
+            assert not hit[r] or max(tops) > exact - margin
+            worst = -check_thm2(stack.system(r), margin).hurwitz_margin
+            assert max(tops) <= exact + worst
 
     @given(lorenz_or_bistable_subsets())
     def test_refuted_subset_fails_the_check(self, case):
         err, _, margin = case
         if refuted(err, margin):
-            assert len(err.nodes) > 1
             assert not check_thm2(err, margin).passed
 
     @given(lorenz_or_bistable_subsets())
@@ -838,14 +835,17 @@ class TestThm2Refutation:
 
         assert designer.thm2_refuted(stack_with(1e300), 1.0)[0]
         for bad in (math.inf, math.nan):
-            # no eigvalsh runs on the blocks of a non-finite stack, in the
-            # first node's pass or the others', nor in synthesis's
+            # the floors hold the non-finite block's +inf, but its bound is
+            # not finite: no slack, no refutation, and no eigvalsh runs to
+            # decide it, nor in synthesis's refutation
             stack = stack_with(bad)
+            floor, bound = stack.floors
+            assert floor[0] == math.inf and not np.isfinite(bound[0])
             with monkeypatch.context() as mp:
                 mp.setattr(assembly, "symmetric_top_eig", None)
                 assert not designer.thm2_refuted(stack, 1.0)[0]
-                hit, floor, at = stack.refuted(np.array([0]), np.array([1]), 1.0)
-                assert (hit.tolist(), floor.tolist(), at.tolist()) == ([False], [-math.inf], [-1])
+                with pytest.raises(gain_design.Infeasible, match="not finite"):
+                    gain_design.design_gain_thm2(stack.system(0), [0], 1.0)
 
     @given(lorenz_or_bistable_subsets(), st.data())
     def test_refuted_margin_is_out_of_every_gains_reach(self, case, data):
@@ -854,17 +854,17 @@ class TestThm2Refutation:
         err, _, margin = case
         nodes = err.nodes
         measured = data.draw(st.lists(st.sampled_from(nodes), unique=True))
-        unmeasured = np.array([k for k, v in enumerate(nodes) if v not in measured], dtype=np.intp)
-        hit, floor, _ = err.stack.refuted(np.array([err.row]), unmeasured, margin)
-        if not hit[0]:
+        floor = err.stack.floors[0][[v for v in nodes if v not in measured]].max(initial=-np.inf)
+        with np.errstate(over="ignore"):
+            tol = rounding_tol(err.dim, float(err.stack.a_max[err.row]))
+        if not floor > tol - margin:
             return
-        tol = rounding_tol(err.dim, float(err.stack.a_max[err.row]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shape = (err.sys.state_dim, err.sys.output.output_dim)
         for scale in (0.1, 10.0, 1e3):
             gains = {(i, j): rng.normal(0.0, scale, shape) for i in nodes for j in measured}
             worst = -check_thm2(err, margin, gains).hurwitz_margin
-            assert worst >= floor[0] - tol
+            assert worst >= floor - tol
 
     def test_refutation_is_logged_with_subset_node_and_floor(self, caplog):
         sys = NetworkSystem(DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,)),
@@ -874,9 +874,131 @@ class TestThm2Refutation:
         err = error_system(sys, (0, 1), ens.stacked())
         with caplog.at_level("DEBUG", logger="hyperobs.designer"):
             assert refuted(err, 1.0)
-        _, floor, at = err.stack.refuted(np.array([0]), np.array([0]), 1.0)
-        assert caplog.messages == [f"thm2 refuted on (0, 1): the block of node {err.nodes[at[0]]} "
-                                   f"reaches {floor[0]:.6g}"]
+        floor = err.stack.floors[0]
+        v = int(np.argmax(floor))
+        assert caplog.messages == [f"thm2 refuted on (0, 1): the block of node {v} "
+                                   f"reaches {floor[v]:.6g}"]
+
+
+def _first_pass_roots(h: DirectedHypergraph) -> list[tuple[int, ...]]:
+    src, dst = dependency_arcs(h)
+    label = np.full(h.num_nodes, -1, dtype=np.intp)
+    label_components(src, dst, range(h.num_nodes), label)
+    return condense(src, dst, label, np.ones(h.num_nodes, dtype=bool))
+
+
+def _floors_budget(sys, per_chunk: int) -> int:
+    """A budget whose ``node_floors`` chunks hold ``per_chunk`` samples."""
+    n, N, E = sys.state_dim, sys.num_nodes, len(sys.hypergraph.edges)
+    return 16 * n * (N * n + E) * per_chunk
+
+
+class TestNodeFloors:
+    @settings(max_examples=30)
+    @given(hierarchical_cases(), st.sampled_from([1, 2, 3]), st.data())
+    def test_floors_and_bounds_against_each_roots_dense_stack(self, chunk_budget, drawn,
+                                                              per_chunk, data):
+        # every root of the first pass on its own: each node's floor is
+        # symmetric_top_eig of its block of the root's dense A_S, bit for
+        # bit, and the bound covers max|A_S|, with signed zeros among the
+        # states and roots whose entries are all negative
+        case, _ = drawn
+        sys, ens, _ = case.build()
+        X = ens.stacked().copy()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X[rng.random(X.shape) < 0.2] = -0.0
+        n = sys.state_dim
+        expect = assembly.node_floors(sys, X)
+        with chunk_budget(_floors_budget(sys, per_chunk)):
+            floor, bound = assembly.node_floors(sys, X)
+        assert bit_pattern(floor) == bit_pattern(expect[0])
+        assert bit_pattern(bound) == bit_pattern(expect[1])
+        for S in _first_pass_roots(sys.hypergraph):
+            A = error_system(sys, S, X).a
+            tops = [symmetric_top_eig(A[:, p * n:(p + 1) * n, p * n:(p + 1) * n]).max()
+                    for p in range(len(S))]
+            assert bit_pattern(floor[list(S)]) == bit_pattern(np.array(tops))
+            assert bound[list(S)].max() >= max(A.max(), -A.min())
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_a_node_heading_several_edges_adds_them_in_edge_order(self, seed, M):
+        # node 0 heads one edge from each other node, and the floor of one
+        # sample of a scalar node is its block's one entry: the sum of the
+        # edges' terms, whose bits depend on the order of the adds
+        rng = np.random.default_rng(seed)
+        h = DirectedHypergraph(M, tuple(Hyperedge.uniform((v,), (0,), float(rng.uniform(0.1, 30)))
+                                        for v in range(1, M)))
+        sys = NetworkSystem(h, bistable_field(3.0, 0.5), tanh_coupling(0.2, 0.05, 2.0),
+                            identity_output(1))
+        X = rng.normal(0.0, 3.0, (1, M, 1))
+        A = error_system(sys, (0,), X, frozenset(range(1, M))).a
+        assert bit_pattern(assembly.node_floors(sys, X)[0][0]) == bit_pattern(A[0, 0, 0])
+
+    @settings(max_examples=30)
+    @given(hierarchical_cases(), st.sampled_from([math.inf, -math.inf, math.nan]), st.data())
+    def test_a_non_finite_sample_never_refutes(self, drawn, bad, data):
+        case, _ = drawn
+        sys, ens, options = case.build()
+        X = ens.stacked().copy()
+        at = tuple(data.draw(st.integers(0, size - 1)) for size in X.shape)
+        X[at] = bad
+        # the coupling and the field meet inf * 0 on such a sample
+        with np.errstate(invalid="ignore", over="ignore"):
+            floors = assembly.node_floors(sys, X)
+            for S in _first_pass_roots(sys.hypergraph):
+                stack = assembly.stack_roots(sys, [S], X, floors=floors)
+                if not np.isfinite(stack.rows(slice(None))).all():
+                    assert not designer.thm2_refuted(stack, options.margin)[0]
+
+    @settings(max_examples=20)
+    @given(hierarchical_cases(), st.sampled_from([1, 2, 3]))
+    def test_design_equals_reference_at_a_floors_budget_of_a_few_samples(
+            self, chunk_budget, drawn, per_chunk):
+        case, _ = drawn
+        sys, ens, options = case.build()
+        with case.budget():
+            expect = reference_design_observer(sys, ens, options).to_json_dict()
+            with chunk_budget(_floors_budget(sys, per_chunk)):
+                got = design_observer(sys, ens, options).to_json_dict()
+        # JSON text tells -0.0 from 0.0
+        assert json.dumps(got) == json.dumps(expect)
+
+
+class TestLazyStack:
+    def test_refuted_root_assembles_only_the_samples_h1_reads(self, monkeypatch):
+        # a chaotic Lorenz cycle: its blocks refute Theorem 2, and Theorem 1
+        # fails at the first sample of the first trajectory, so no other
+        # sample is ever assembled
+        sys, ens = _cycle_root(lorenz_field(), 3, count=4, length=20, seed=3)
+        # the design's floors, made once before any stack
+        floors = assembly.node_floors(sys, ens.stacked())
+        assembled = []
+        real = assembly.ErrorSystem.a_matrix_batch
+        monkeypatch.setattr(assembly.ErrorSystem, "a_matrix_batch", staticmethod(
+            lambda sys, roots, pairs, X, dg: assembled.append(len(X)) or real(
+                sys, roots, pairs, X, dg)))
+        stack = assembly.stack_roots(sys, [(0, 1, 2)], ens.stacked(), floors=floors)
+        assert assembled == []
+        (report,) = designer.certify_roots(stack, ens, DesignOptions(margin=2.0))
+        assert report is None and designer.thm2_refuted(stack, 2.0)[0]
+        assert assembled == [1] and stack.a is None
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.data())
+    def test_rows_equal_the_whole_stack_under_a_budget(self, chunk_budget, seed, per_chunk,
+                                                      data):
+        rng = np.random.default_rng(seed)
+        R, M = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        sys, roots, X = stacked_chains(rng, R, M, str(rng.choice(["lorenz", "bistable"])))
+        d, K = M * sys.state_dim, len(X)
+        whole = assembly.stack_roots(sys, roots, X).rows(slice(None))
+        lo = data.draw(st.integers(0, K - 1))
+        idx = slice(lo, data.draw(st.integers(lo + 1, K)))
+        with chunk_budget(8 * R * d * d * per_chunk):
+            stack = assembly.stack_roots(sys, roots, X)
+            part = stack.rows(idx)
+            assert bit_pattern(part) == bit_pattern(whole[:, idx])
+            assert bit_pattern(stack.rows(slice(None))) == bit_pattern(whole)
+            assert (stack.a is None) == (per_chunk < K)
 
 
 class TestRobustnessPropagation:

@@ -208,7 +208,8 @@ def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
     # every multi-node root of e2e-exact that fails zero-gain Theorem 2 is
     # refuted by a diagonal block and never reaches the check over its whole
     # A_S, the other multi-node roots pass it, and the outputs are still the
-    # recorded ones
+    # recorded ones; so is the one-node root (0,), whose one block is its
+    # whole A_S
     refuted, checked, kernel_rows = [], [], []
     real_refuted, real_certify = designer.thm2_refuted, designer.certify_roots
     real_kernel = designer.top_eig_max
@@ -231,7 +232,7 @@ def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
     monkeypatch.setattr(designer, "top_eig_max",
                         lambda rows, R, K, d: kernel_rows.append(R) or real_kernel(rows, R, K, d))
     run_and_compare("e2e-exact", tmp_path)
-    assert len(refuted) == 5 and all(len(nodes) > 1 for nodes in refuted)
+    assert len(refuted) == 6 and [nodes for nodes in refuted if len(nodes) == 1] == [(0,)]
     assert sum(kernel_rows) == len(checked)
     assert not set(refuted) & {nodes for nodes, _ in checked}
     assert all(passed for nodes, passed in checked if len(nodes) > 1)

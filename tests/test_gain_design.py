@@ -106,12 +106,7 @@ class TestDesignThm2:
         err = lorenz_pair_problem(np.random.default_rng(41), 20)
         n = err.sys.state_dim
         floor = float(symmetric_top_eig(err.a[:, n:, n:]).max())
-        row = np.array([err.row])
-        hit, got, at = err.stack.refuted(row, np.array([1]), 1.0)
-        assert (hit[0], got[0], at[0]) == (True, floor, 1)
-        # with every node measured, every block is within the gains' reach
-        hit, got, at = err.stack.refuted(row, np.array([], dtype=np.intp), 1.0)
-        assert (hit[0], got[0], at[0]) == (False, -np.inf, -1)
+        assert err.stack.floors[0][1] == floor
         with pytest.raises(Infeasible) as info:
             design_gain_thm2(err, [0], h_req=1.0)
         assert str(info.value) == (
@@ -135,6 +130,8 @@ class TestDesignThm2:
         # keeps no array of A_S's size after synthesis and its check, and
         # both give the same gains and report bit for bit
         held = lorenz_pair_problem(np.random.default_rng(40), 30)
+        # a whole read keeps the rows of a stack of one chunk
+        assert held.stack.a is None and np.shares_memory(held.a, held.stack.a)
         assert np.shares_memory(held.rows(slice(3, 9)), held.stack.a)
         expect = design_gain_thm2(held, [0, 1], h_req=1.5)
         with chunk_budget(8 * 6 * 6 * 3):
@@ -392,6 +389,10 @@ class TestScreen:
         # update array ((d - 1)^2 / d^2 of a stack).  Measured 3.21x the
         # stack on numpy 2.4
         err = lorenz_triple_problem(np.random.default_rng(45), 1000)
+        # the stack's first whole read assembles its rows and keeps them, and
+        # the node floors are the design's: both come before the synthesis
+        # traced here
+        assert err.a.shape == (1000, 9, 9) and len(err.stack.floors[0]) == 3
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -26,6 +26,7 @@ from hyperobs import (
 )
 from hyperobs import sim
 from conftest import (
+    bit_pattern,
     integrate,
     random_hypergraph,
     random_system,
@@ -301,6 +302,30 @@ class TestMonteCarlo:
         for r, (x0, xh0, rng) in enumerate(own_runs(cfg, 7, (2, 3))):
             res = integrate(sys, design, cfg, x0, xh0, rng)
             np.testing.assert_array_equal(stats.error_norms[r], res.error_norm)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.booleans())
+    def test_each_runs_rows_do_not_depend_on_the_run_count(self, seed, runs, all_exact):
+        # a random mixing output: with gains and one exact node the state
+        # holds plant and observer (S = 2), with every node exact the plant
+        # alone (S = 1).  The output map's products must give each run the
+        # same bits whether 1 or 25 runs share the ensemble; a single 2-D
+        # product over every run's rows does not (a row's BLAS bits depend
+        # on the row count)
+        rng = np.random.default_rng(seed)
+        base = lorenz_pair_system()
+        gamma = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+        sys = NetworkSystem(base.hypergraph, base.field, base.coupling, linear_output(gamma))
+        if all_exact:
+            design = ObserverDesign(frozenset({0, 1}), {}, exact_nodes=frozenset({0, 1}))
+        else:
+            design = ObserverDesign(frozenset({0, 1}), {(1, 0): rng.normal(0, 0.1, (3, 3)),
+                                                        (1, 1): np.eye(3)},
+                                    exact_nodes=frozenset({0}))
+        cfg = SimConfig(dt=1e-3, horizon=0.02, seed=int(rng.integers(2**31)),
+                        noise_amplitude=0.05)
+        most = monte_carlo(sys, design, cfg, n_runs=25).error_norms
+        got = monte_carlo(sys, design, cfg, n_runs=runs).error_norms
+        assert bit_pattern(got) == bit_pattern(most[:runs])
 
     def test_noisy_error_norms_pinned(self):
         # computed with each run's noise drawn as one (G+1, m, p) block; drawing
