@@ -11,8 +11,10 @@ A design certifies the roots of a pass, disjoint subsets that no edge joins,
 several at a time: ``stack_roots`` gives roots of one size one
 ``RootStack``, which assembles nothing until a check reads it, and
 ``RootStack.system`` gives each root its ``ErrorSystem``, a view of its row.
-The Theorem-2 refutation reads ``node_floors``, made once per design
-(``designer`` says why their bound changes no decision).
+Each Theorem-2 decision takes the slack ``rounding_tol``: a node's floor
+(``node_floors``, made once per design) refutes above -h + tol
+(``refutes``), and a check passes at a worst value of at most -h - tol
+(``accepts``, tol at max|A_S| plus the gains' max|B|).
 
 This module also implements the checkable hypotheses of the two convergence
 theorems, ``check_thm2`` over the max ``top_eig_max`` and ``check_thm1``,
@@ -75,12 +77,9 @@ class ErrorSystem:
     root over the budget whole.  Gains enter as ``rows(idx) - B`` with B
     from ``gain_matrix``, on a new array, so A_S stays the zero-gain stack.
 
-    ``entering`` is S's incidence slice, ``DirectedHypergraph.entering``:
-    every fact about the edges entering S that a design step reads comes
-    from it, and its ``position`` places node ``nodes[k]`` at block k of
-    A_S.  It is the stack's own slice when the stack has one root, else
-    ``sys.hypergraph.entering(nodes)`` on first use, which only a root that
-    fails its zero-gain checks makes.
+    ``entering`` is S's incidence slice (see the module docstring): the
+    stack's own for a one-root stack, else made on first use, which only a
+    root that fails its zero-gain checks does.
     """
 
     @cached_property
@@ -358,21 +357,27 @@ def node_floors(sys: NetworkSystem, samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rounding_tol(d: int, magnitude: float) -> float:
-    """1e-10 (1 + d^2 magnitude): the slack that covers the rounding of
-    ``eigvalsh`` and of a Cholesky factorization on d x d matrices whose
-    entries are at most ``magnitude`` in size, for d < 10^5."""
+    """1e-10 (1 + d^2 magnitude): the slack for the rounding of ``eigvalsh``
+    and of a Cholesky factorization on d x d matrices of entries at most
+    ``magnitude``, d < 10^5; inf at an inf magnitude, where no test clears."""
     return 1e-10 * (1.0 + d * d * magnitude)
 
 
 def refutes(floor, d: int, magnitude, h_req: float):
     """Whether a diagonal-block floor proves the Theorem-2 check at margin
     ``h_req`` to fail, with any gains that leave the block alone, on a d x d
-    A_S of entries at most ``magnitude``.  By Cauchy interlacing (Horn and
+    A_S of entries at most ``magnitude``: by Cauchy interlacing (Horn and
     Johnson, "Matrix Analysis", 2nd ed., Thm 4.3.28) the floor is at most
-    the check's worst value, up to ``rounding_tol``; so never where the
-    magnitude is not finite."""
+    the check's worst value, up to ``rounding_tol``."""
     with np.errstate(over="ignore"):
         return floor > rounding_tol(d, magnitude) - h_req
+
+
+def accepts(worst, d: int, magnitude, h_req: float):
+    """Whether a check's worst value on d x d matrices of entries at most
+    ``magnitude`` proves the margin ``h_req`` through ``rounding_tol``."""
+    with np.errstate(over="ignore"):
+        return worst <= -h_req - rounding_tol(d, magnitude)
 
 
 def gain_matrix(
@@ -387,11 +392,9 @@ def gain_matrix(
     ``position`` is the index of S, ``EdgeSlice.position``; ``gains`` is the
     (len(keys), n, p) stack of gain blocks; keys are distinct.
 
-    Elementwise, ``a - B`` is the IEEE subtraction the per-block form
-    A[block] -= L @ Gamma makes, and a - 0.0 is a, bit for bit: so where
-    that form has no block or skips an all-zero one, ``a - B`` leaves the
-    entry as it was too (for a finite Gamma, whose products with zero gains
-    sum to 0.0).
+    Elementwise, ``a - B`` is the subtraction of the per-block form
+    A[block] -= L @ Gamma, and a - 0.0 is a bit for bit where that form has
+    no block or skips a zero one (a finite Gamma times zero gains is 0.0).
 
     A gain whose row or column lies outside the subset is rejected: its term
     would couple S to an error outside it."""
@@ -514,14 +517,16 @@ def top_eig_max(rows: Callable[[slice], np.ndarray], R: int, K: int, d: int) -> 
     return best
 
 
-def thm2_report(worst: float, g_bound: float, sample_count: int, h_req: float) -> CertificationReport:
+def thm2_report(worst: float, g_bound: float, sample_count: int, h_req: float, d: int,
+                mag: float) -> CertificationReport:
     """The Theorem-2 report on ``sample_count`` samples whose max of
     lambda_max(sym A_k), with the gains checked, is ``worst`` and whose
-    largest coupling-Jacobian norm is ``g_bound``: it passes at
-    ``worst <= -h_req`` with a finite ``g_bound``."""
+    largest coupling-Jacobian norm is ``g_bound``: it passes where
+    ``accepts`` on d x d matrices of entries at most ``mag``, with a finite
+    ``g_bound``."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
-    passed = worst <= -h_req and math.isfinite(g_bound)
+    passed = accepts(worst, d, mag, h_req) and math.isfinite(g_bound)
     return CertificationReport(
         theorem_used="thm2" if passed else "none",
         hurwitz_margin=-worst,
@@ -537,8 +542,7 @@ def check_thm2(
 ) -> CertificationReport:
     """Uniform Hurwitz margin of the symmetric part of A_S with the given
     gain blocks over the sample set of ``err`` (``top_eig_max``), plus the
-    finite boundedness check on the coupling Jacobian.  Gains act through
-    ``err.rows(idx) - B``, on a new array: A_S stays the zero-gain stack."""
+    finite boundedness check on the coupling Jacobian."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
     B = None
@@ -552,7 +556,8 @@ def check_thm2(
 
     K = err.stack.num_samples
     worst = float(top_eig_max(rows, 1, K, err.dim)[0])
-    return thm2_report(worst, float(err.g.max()), K, h_req)
+    mag = err.stack.a_max[err.row] + (0.0 if B is None else float(np.abs(B).max()))
+    return thm2_report(worst, float(err.g.max()), K, h_req, err.dim, mag)
 
 
 def spectral_abscissa(mats: np.ndarray) -> np.ndarray:

@@ -356,7 +356,7 @@ def certify_roots(
         worst = top_eig_max(rows, len(checked), K, stack.dim)
         g_bound = stack.g.max(axis=1)
         for r, w in zip(checked.tolist(), worst.tolist()):
-            reports[r] = thm2_report(w, float(g_bound[r]), K, h)
+            reports[r] = thm2_report(w, float(g_bound[r]), K, h, stack.dim, stack.a_max[r])
     for r in range(R):
         if (reports[r] is None or not reports[r].passed) and stack.dim <= KRON_CAP:
             reports[r] = check_thm1(stack.system(r), ensemble.dt_sample, h,

@@ -254,8 +254,8 @@ def label_components(src, dst, nodes: Iterable[int], label: np.ndarray) -> None:
     """Give each strongly connected component of the pattern induced by
     ``nodes`` a fresh id in ``label``, one entry per node, above every id it
     holds.  Iterative Tarjan (SIAM J. Comput. 1, 1972) on the reverse pattern,
-    which has the same components: as the arcs come grouped by head, node v's
-    in-arcs come from ``pred[ptr[v]:ptr[v + 1]]``, in local ids."""
+    which has the same components: node v's in-arcs come from
+    ``pred[ptr[v]:ptr[v + 1]]``, in local ids and arc order."""
     nodes = np.fromiter(nodes, dtype=np.intp)
     outside = nodes[(nodes < 0) | (nodes >= len(label))]
     if outside.size:
@@ -263,8 +263,9 @@ def label_components(src, dst, nodes: Iterable[int], label: np.ndarray) -> None:
     inside = np.zeros(len(label), dtype=bool)
     inside[nodes] = True
     nodes, local, keep = np.flatnonzero(inside), np.cumsum(inside) - 1, inside[src] & inside[dst]
-    n, pred = len(nodes), local[src[keep]].tolist()
-    ptr = np.searchsorted(local[dst[keep]], np.arange(n + 1)).tolist()
+    n, heads = len(nodes), local[dst[keep]]
+    ptr, by_head = _csr(heads, np.arange(len(heads)), n)
+    pred, ptr = local[src[keep]][by_head].tolist(), ptr.tolist()
     order, low, comp, stack, nxt = [-1] * n, [0] * n, [-1] * n, [], ptr[:-1]
     visits = count = 0
     for root in range(n):

@@ -30,6 +30,7 @@ from hyperobs import dynamics, sim
 from hyperobs.assembly import (
     KRON_CAP,
     CertificationReport,
+    accepts,
     check_thm1,
     check_thm2,
     stack_roots,
@@ -308,10 +309,11 @@ def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int, ph
     """The Polyak-stepped subgradient descent of ``design_gain_thm2`` from
     L = 0, on a dict of gain blocks: every iteration rebuilds A_S from
     ``err.a`` with ``apply_gains_by_block`` and runs ``eigvalsh`` on every
-    sample.  Returns the nonzero gain blocks once the max reaches -h_req, or
-    None; each iteration's max is appended to the list ``phis`` when given."""
+    sample.  Returns the nonzero gain blocks once ``accepts`` the max at
+    max|A_S| + the largest |L @ Gamma|, or None; each iteration's max is
+    appended to the list ``phis`` when given."""
     sub, n = SubsetIndex(err.nodes), err.sys.state_dim
-    gamma = err.sys.output.matrix
+    gamma, a_max = err.sys.output.matrix, err.stack.a_max[err.row]
     measured = sorted(set(int(v) for v in measured_in_subset) & set(sub.nodes))
     keys = [(i, j) for i in sub.nodes for j in measured]
     gains = {key: np.zeros((n, gamma.shape[0])) for key in keys}
@@ -331,7 +333,8 @@ def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int, ph
         grads = {(i, j): -np.outer(block[i], gamma @ block[j]) for (i, j) in keys}
         if phi < best_phi - 1e-12:
             best_phi, last_best_iter = phi, it
-        if phi <= -h_req:
+        b_max = max(float(np.abs(L @ gamma).max()) for L in gains.values())
+        if accepts(phi, err.dim, a_max + b_max, h_req):
             return {key: L for key, L in gains.items() if np.any(L)}
         if it - last_best_iter > stall_window and overshoot > 1.01:
             overshoot = 1.0 + 0.5 * (overshoot - 1.0)

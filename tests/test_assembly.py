@@ -30,7 +30,7 @@ from hyperobs import (
 )
 import hyperobs
 from hyperobs import assembly, dynamics
-from hyperobs.assembly import KRON_CAP, CertificationReport, gain_matrix, kron_sum
+from hyperobs.assembly import KRON_CAP, CertificationReport, gain_matrix, kron_sum, rounding_tol
 from hyperobs.gain_design import GainProblem
 from hyperobs.hypergraph import HypergraphError, condense, dependency_arcs, label_components
 from conftest import (
@@ -490,10 +490,32 @@ def error_system_for(A, samples):
 
 class TestCheckThm2:
     def test_constant_minus_identity_passes_at_margin_one(self):
+        # -I has margin exactly one: the check passes at one less the
+        # rounding slack, and at one itself, inside the slack, it fails
         err = error_system_for(-np.eye(2), np.zeros((3, 1, 2)))
-        report = check_thm2(err, h_req=1.0)
+        report = check_thm2(err, h_req=1.0 - 2 * rounding_tol(2, 1.0))
         assert report.passed and report.theorem_used == "thm2"
         assert report.hurwitz_margin == pytest.approx(1.0)
+        assert not check_thm2(err, h_req=1.0).passed
+
+    @given(st.integers(2, 6), st.floats(0.1, 10.0), st.floats(0.0, 0.9), st.integers(0, 5))
+    def test_a_pass_holds_through_rounding(self, d, h_req, frac, at):
+        # sym A_S = diag(top, -m, ...), and an antisymmetric pair makes
+        # max|A_S| = m: a top within rounding_tol of -h fails the check, one
+        # at -h - 2 tol passes it
+        m = 2.0 * h_req + 1.0
+        tol = rounding_tol(d, m)
+        for top, passes in ((-h_req - frac * tol, False), (-h_req - 2.0 * tol, True)):
+            A = np.diag(np.full(d, -m))
+            A[at % d, at % d] = top
+            A[0, 1], A[1, 0] = m, -m
+            err = error_system_for(A, np.zeros((2, 1, d)))
+            report = check_thm2(err, h_req)
+            assert err.stack.a_max[0] == m
+            assert report.passed is passes
+        # nothing passes at a magnitude that is not finite
+        for magnitude in (np.inf, np.nan):
+            assert not assembly.accepts(-1e300, d, magnitude, h_req)
 
     def test_positive_symmetric_part_fails(self):
         A = np.array([[0.5, 0.0], [0.0, -2.0]])

@@ -19,7 +19,7 @@ from hyperobs import (
     lorenz_field,
     tanh_coupling,
 )
-from hyperobs.assembly import ErrorSystem, gain_matrix, symmetric_top_eig
+from hyperobs.assembly import SEED_COUNT, ErrorSystem, gain_matrix, rounding_tol, symmetric_top_eig
 from hyperobs import gain_design
 from hyperobs.gain_design import MAX_ITERS, GainProblem
 from conftest import (
@@ -72,6 +72,14 @@ class TestDesignThm2:
         err = error_system(sys, (0,), np.zeros((2, 1, 1)))
         gains = design_gain_thm2(err, [0], h_req=1.0)
         assert len(gains) == 0
+
+    def test_zero_gains_inside_the_rounding_slack_take_a_step(self):
+        # zero gains reach -h exactly, inside the rounding slack: the check
+        # fails them, so synthesis steps on to gains that pass it
+        err = error_system(scalar_node_system(a=-1.0), (0,), np.zeros((2, 1, 1)))
+        assert not check_thm2(err, 1.0).passed
+        gains = design_gain_thm2(err, [0], h_req=1.0)
+        assert gains and check_thm2(err, 1.0, gains).passed
 
     def test_no_measured_nodes_raises(self):
         sys = scalar_node_system(a=2.0)
@@ -287,6 +295,56 @@ def bits(x) -> bytes:
 
 
 class TestScreen:
+    def test_nine_dim_synthesis_is_the_dense_descent_at_every_iterate(self, monkeypatch):
+        # three Lorenz nodes measured through their first two coordinates, d
+        # = 9 as on lorenz12-partial: over several hundred iterations every
+        # phi, and the gains returned, are the dense descent's bit for bit
+        h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2), 1.5),
+                                   Hyperedge.uniform((1, 2), (0,), 1.0)))
+        sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
+                            linear_output([[1, 0, 0], [0, 1, 0]]))
+        err = error_system(sys, (0, 1, 2), np.random.default_rng(42).uniform(-8, 8, (200, 3, 3)))
+        got, expect = [], []
+        real = GainProblem.subgradient
+
+        def subgradient(self, L):
+            phi, grads = real(self, L)
+            got.append(phi)
+            return phi, grads
+
+        monkeypatch.setattr(GainProblem, "subgradient", subgradient)
+        gains = design_gain_thm2(err, [0, 1, 2], h_req=2.4)
+        ref = dense_gain_descent(err, [0, 1, 2], h_req=2.4, max_iters=MAX_ITERS, phis=expect)
+        assert len(expect) >= 300
+        assert [bits(phi) for phi in got] == [bits(phi) for phi in expect]
+        assert ref and gains.keys() == ref.keys()
+        assert all(gains[key].tobytes() == L.tobytes() for key, L in ref.items())
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 60),
+           st.sampled_from([-1.0, 0.0, 1.0]), st.booleans())
+    def test_mask_holds_every_sample_that_reaches_best(self, seed, d, K, offset, bad):
+        # the mask holds every sample whose eigvalsh top is at least best:
+        # with best at a sample's top and tol above or below it, exact ties,
+        # zero matrices of either sign against best = +-0.0, and samples
+        # with a NaN or infinite entry
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([m for m in range(1, 5) if d % m == 0]))
+        distinct = 10.0 ** rng.uniform(-2, 2) * rng.normal(size=(int(rng.integers(1, 5)), d, d))
+        stack = distinct[rng.integers(0, len(distinct), K)]
+        stack[rng.random(K) < 0.2] = rng.choice([0.0, -0.0])
+        if bad:
+            k, i, j = rng.integers(0, K), *rng.integers(0, d, 2)
+            stack[k, i, j] = stack[k, j, i] = rng.choice([np.nan, np.inf, -np.inf])
+        prob = stack_problem(rng, stack, n)
+        L = rng.choice([0.0, 1.0]) * rng.normal(size=(len(prob.keys), n, prob.p))
+        B = gain_matrix(prob.position, prob.keys, L, prob.gamma)
+        lam = dense_top_eig(prob, L)
+        tol = rounding_tol(d, prob.s0_max + float(np.abs(0.5 * (B + B.T)).max()))
+        finite = lam[np.isfinite(lam)]
+        top = float(rng.choice(finite)) if finite.size else 1.0
+        for best in (top + offset * tol, 0.0, -0.0):
+            assert prob.screen(B, best)[lam >= best].all()
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 64),
@@ -315,6 +373,9 @@ class TestScreen:
             lam = dense_top_eig(prob, L)
             assert k == int(np.argmax(lam))
             assert bits(phi) == bits(lam.max())
+            # the next seeds are distinct samples, the max among them
+            assert bits(lam[prob.top].max()) == bits(phi)
+            assert len(set(prob.top.tolist())) == len(prob.top) == min(K, SEED_COUNT)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_non_finite_samples_reach_exact_path(self, seed, bad):
@@ -359,11 +420,13 @@ class TestScreen:
 
     @pytest.mark.parametrize("nodes", [2, 4, 8])
     def test_subgradient_peak_linear_in_dim(self, nodes):
-        # the screen's rank-1 updates go to a preallocated array, so one
+        # the left-looking screen works in its preallocated array, and each
+        # column's inner products are one (d - j, K) temporary, so one
         # call's peak is a few (d, K) arrays, not a (d - 1)^2 K temporary.
         # Well-separated samples: the screen clears all but the seeds.
-        # Measured 2.3-3.2 d K floats on numpy 2.4, against 5.9-23 d K
-        # (growing with d) with the temporary
+        # Measured 1.4-2.2 d K floats on numpy 2.4 (2.3-3.2 with the
+        # right-looking screen's rank-1 updates, 5.9-23 d K, growing with d,
+        # with those updates in a temporary)
         rng = np.random.default_rng(5)
         n, K = 3, 2000
         d = nodes * n
@@ -384,10 +447,10 @@ class TestScreen:
 
     def test_synthesis_peak_memory_bounded(self):
         # one whole synthesis, GainProblem construction included: the
-        # symmetric stack, the screen's work array (one stack each, the
-        # second also holding the rows that reach eigvalsh) and its rank-1
-        # update array ((d - 1)^2 / d^2 of a stack).  Measured 3.21x the
-        # stack on numpy 2.4
+        # symmetric stack and the screen's work array (one stack each, the
+        # second also holding the rows that reach eigvalsh).  Measured 2.34x
+        # the stack on numpy 2.4 (3.20x with the right-looking screen's
+        # rank-1 update array, (d - 1)^2 / d^2 of a stack)
         err = lorenz_triple_problem(np.random.default_rng(45), 1000)
         # the stack's first whole read assembles its rows and keeps them, and
         # the node floors are the design's: both come before the synthesis
