@@ -32,8 +32,6 @@ from .assembly import (
     NonpositiveMargin,
     RobustnessBound,
     SubsetNotHeadClosed,
-    SubsetTooLarge,
-    check_thm1,
     check_thm2,
     stack_roots,
     thm3_bound,

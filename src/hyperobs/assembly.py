@@ -16,9 +16,9 @@ Each Theorem-2 decision takes the slack ``rounding_tol``: a node's floor
 (``refutes``), and a check passes at a worst value of at most -h - tol
 (``accepts``, tol at max|A_S| plus the gains' max|B|).
 
-This module also implements the checkable hypotheses of the two convergence
-theorems, ``check_thm2`` over the max ``top_eig_max`` and ``check_thm1``,
-and the robustness bound, ``thm3_bound``.
+This module also implements the checkable hypothesis of the Theorem-2
+convergence result, ``check_thm2`` over the max ``top_eig_max``, the one
+check behind every certificate, and the robustness bound, ``thm3_bound``.
 """
 
 from __future__ import annotations
@@ -48,19 +48,10 @@ class EmptySampleSet(ValueError):
     pass
 
 
-class SubsetTooLarge(ValueError):
-    pass
-
-
 class NonpositiveMargin(ValueError):
     pass
 
 
-# largest error dimension nM the Theorem-1 check accepts: its H2 test takes
-# the SVD of the (nM)^2 x (nM)^2 Kronecker sum at every sample
-KRON_CAP = 40
-# slack fraction of the Theorem-1 slow-variation bound, in (0, 1)
-EPS_REQ = 0.5
 # samples a max over samples evaluates by eigvalsh before its Cholesky screen
 SEED_COUNT = 8
 
@@ -209,12 +200,11 @@ class RootStack:
 
     @property
     def g(self) -> np.ndarray:
-        return self.g_at(slice(None))
+        return self._recorded()[0]
 
     @property
     def a_max(self) -> np.ndarray:
-        self.g_at(slice(None))
-        return self._a_max
+        return self._recorded()[1]
 
     def system(self, r: int) -> ErrorSystem:
         """Root r's ``ErrorSystem``, the one way to make one, and a new view
@@ -237,15 +227,13 @@ class RootStack:
         else assembled."""
         return self.a[:, idx] if self.a is not None else self._assemble(idx)
 
-    def g_at(self, idx: slice) -> np.ndarray:
-        """The (R, k) g of the samples of the slice ``idx``, reading those
-        that no read has assembled yet."""
-        lo, hi, _ = idx.indices(self.num_samples)
+    def _recorded(self) -> tuple[np.ndarray, np.ndarray]:
+        """g and ``a_max`` of every sample, assembling the chunks that no
+        read has assembled yet."""
         for chunk in self.chunks():
-            part = slice(max(lo, chunk.start), min(hi, chunk.stop))
-            if not self._read[part].all():
-                self._assemble(part)
-        return self._g[:, idx]
+            if not self._read[chunk].all():
+                self._assemble(chunk)
+        return self._g, self._a_max
 
     def _assemble(self, idx: slice) -> np.ndarray:
         """The rows of the samples ``idx``, recording their g and max|A_S|;
@@ -416,13 +404,12 @@ def gain_matrix(
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of a hypothesis check on one subset; the worst symmetric or
-    spectral value over the samples is -``hurwitz_margin``."""
+    """Outcome of a hypothesis check on one subset; the worst
+    lambda_max(sym A_k) over the samples is -``hurwitz_margin``."""
 
-    theorem_used: str  # "thm1" | "thm2" | "exact", or "none" when it failed
+    theorem_used: str  # "thm2" | "exact", or "none" when it failed
     hurwitz_margin: float
     sample_count: int  # samples checked
-    h2_margin: float | None = None  # least Theorem-1 H2 slack; None: not evaluated
     g_bound: float | None = None  # largest coupling-Jacobian norm
 
     @property
@@ -558,97 +545,6 @@ def check_thm2(
     worst = float(top_eig_max(rows, 1, K, err.dim)[0])
     mag = err.stack.a_max[err.row] + (0.0 if B is None else float(np.abs(B).max()))
     return thm2_report(worst, float(err.g.max()), K, h_req, err.dim, mag)
-
-
-def spectral_abscissa(mats: np.ndarray) -> np.ndarray:
-    """Largest real part of the eigenvalues, batched over the leading axes;
-    +inf where a matrix has a non-finite entry, as ``symmetric_top_eig``
-    reads it, so such a sample fails H1 with no ``eigvals`` call."""
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    top = np.full(finite.shape, np.inf)
-    top[finite] = np.linalg.eigvals(mats[finite]).real.max(axis=-1)
-    return top
-
-
-def kron_sum(a: np.ndarray) -> np.ndarray:
-    eye = np.eye(a.shape[-1])
-    return np.kron(a, eye) + np.kron(eye, a)
-
-
-def check_thm1(
-    err: ErrorSystem, dt: float, h_req: float, length: int, count: int
-) -> CertificationReport:
-    """Slowly-varying-systems check: spectral abscissa below -h_req at every
-    sample, and the finite-difference estimate of dA/dt below the
-    Kronecker-sum slow-variation bound with slack fraction ``EPS_REQ``.
-
-    The samples of ``err`` are time-ordered trajectories of ``length``
-    samples each.  The first ``count`` of them are checked in turn, up to the
-    first that fails; the report merges the checked ones worst-case.  Within
-    a trajectory, H1 runs on chunks of 1, 2, 4, ... samples, none over
-    ``CHUNK_BYTES``, and stops at the first sample that fails it, so a
-    failing report states only the samples up to that one: its
-    ``sample_count`` counts them, and its margin and ``g_bound`` are taken
-    over them.  A passing report has evaluated every sample of the ``count``
-    trajectories; H2 reads each trajectory again in chunks that overlap by
-    one sample.
-
-    With Q = I in Theorem 1 the bound at sample k reads
-    sigma_min(A_k (+) A_k)^2 / (2 sqrt(nM)) * (1 - EPS_REQ)."""
-    if h_req <= 0:
-        raise NonpositiveMargin("required margin must be positive")
-    if length < 2:
-        raise EmptySampleSet("need at least two time-ordered samples")
-    dim = err.dim
-    if dim > KRON_CAP:
-        raise SubsetTooLarge(
-            f"Kronecker-sum check needs nM <= {KRON_CAP}, got {dim}"
-        )
-    # Q = I: sigma_min(Q) = 1 and ||Q||_F = sqrt(nM)
-    q_fro = float(np.sqrt(dim))
-    step = max(2, dynamics.CHUNK_BYTES // (8 * dim * dim))
-
-    worst, g_bound, h2_slack, checked = [], [], [], 0
-    for t in range(count):
-        start = t * length
-        parts, seen, h1 = [], 0, True
-        while h1 and seen < length:
-            stop = start + min(2 * seen + 1, seen + step, length)
-            part = spectral_abscissa(err.rows(slice(start + seen, stop)))
-            failing = np.flatnonzero(~(part <= -h_req))
-            if failing.size:
-                part, h1 = part[: failing[0] + 1], False
-            parts.append(part)
-            seen += len(part)
-        checked += seen
-        worst.append(float(np.concatenate(parts).max()))
-        g_bound.append(float(err.stack.g_at(slice(start, start + seen))[err.row].max()))
-        # H2 decides nothing once H1 has failed: skip its SVD loop and report
-        # no H2 margin
-        if not h1:
-            h2_slack = None
-            break
-        slack = np.inf
-        for lo in range(0, length - 1, step - 1):
-            A = err.rows(slice(start + lo, start + min(lo + step, length)))
-            for k in range(len(A) - 1):
-                a_dot = (A[k + 1] - A[k]) / dt
-                lhs = float(np.linalg.norm(a_dot, 2))
-                sig = float(np.linalg.svd(kron_sum(A[k]), compute_uv=False)[-1])
-                rhs = sig**2 / (2.0 * q_fro) * (1.0 - EPS_REQ)
-                slack = min(slack, rhs - lhs)
-        h2_slack.append(slack)
-        if not (slack > 0 and np.isfinite(g_bound[-1])):
-            break
-
-    passed = h2_slack is not None and h2_slack[-1] > 0 and np.isfinite(g_bound[-1])
-    return CertificationReport(
-        theorem_used="thm1" if passed else "none",
-        hurwitz_margin=-max(worst),
-        sample_count=checked,
-        h2_margin=None if h2_slack is None else min(h2_slack),
-        g_bound=max(g_bound),
-    )
 
 
 # -- robustness bound --------------------------------------------------------------

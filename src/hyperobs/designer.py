@@ -9,21 +9,23 @@ roots of one size (``assembly.stack_roots``), as many as
 ``dynamics.CHUNK_BYTES`` holds, and certifies each stack at once
 (``certify_roots``): a node's diagonal block refutes the Theorem-2 check
 where it can (``thm2_refuted``, on ``assembly.node_floors``, made once per
-design), one ``assembly.top_eig_max`` runs it on the other roots, and the
-Theorem-1 check follows on those left.  The refutation's slack is taken at
-the floors' bound on max|A_S|, at least the exact one: a root it leaves
-standing gets the full check, which fails wherever the exact slack
-refutes, so the bound changes no decision.  A stack assembles nothing
-until a check reads it, a chunk at a time, so no zero-gain check holds a
-whole root over the budget.  Certified roots are recorded as they are;
-the others retry in the pass's order on their ``ErrorSystem``.  Each
-retry measures one more node of S, chosen by the degree heuristic, and
-synthesizes Theorem-2 gains on the nodes of S measured so far, until a
-synthesis passes or S is exhausted.  With an
+design), and one ``assembly.top_eig_max`` runs it on the other roots.  The
+refutation's slack is taken at the floors' bound on max|A_S|, at least the
+exact one: a root it leaves standing gets the full check, which fails
+wherever the exact slack refutes, so the bound changes no decision.  A
+stack assembles nothing until a check reads it, a chunk at a time, so no
+zero-gain check holds a whole root over the budget.  Certified roots are
+recorded as they are; the others retry in the pass's order on their
+``ErrorSystem``.  Each retry measures one more node of S, chosen by the
+degree heuristic, and synthesizes Theorem-2 gains on the nodes of S
+measured so far, until a synthesis passes or S is exhausted.  With an
 invertible output map, a measured node j is instead reconstructed exactly
 and skips certification, and S \\ {j} returns in the next pass, labelled
-again on its own: no unobserved node outside the root S reaches it.  The
-design logs one INFO line per pass and each root's fate at DEBUG.
+again on its own: no unobserved node outside the root S reaches it.  So
+every subset is certified by the Theorem-2 check, with or without gains,
+or is one exactly measured node, and every passing Theorem-2 report clears
+``assembly.accepts``.  The design logs one INFO line per pass and each
+root's fate at DEBUG.
 
 The design report, ``design.json``, is one JSON object, built by
 ``design_report`` and read back, checked, by ``read_design_report``; no other
@@ -44,10 +46,9 @@ that is not finite is the string "inf", "-inf" or "nan" (``strict_float``):
       processed_subsets  list, in processing order, of
         nodes            node ids of the subset
         report           a ``CertificationReport``:
-          theorem_used   "thm2", "thm1", "exact", or "none" when it failed
+          theorem_used   "thm2", "exact", or "none" when it failed
           hurwitz_margin number
           sample_count   integer >= 0
-          h2_margin      number or null
           g_bound        number or null
         added_measured   node ids of the subset measured while processing it
         iteration        integer >= 1: the design pass
@@ -78,7 +79,6 @@ from .assembly import (
     CertificationReport,
     ErrorSystem,
     RootStack,
-    check_thm1,
     check_thm2,
     node_floors,
     refutes,
@@ -86,7 +86,6 @@ from .assembly import (
     thm2_report,
     top_eig_max,
     thm3_bound,
-    KRON_CAP,
     RobustnessBound,
 )
 from . import dynamics
@@ -96,10 +95,6 @@ from .hypergraph import EdgeSlice, condense, dependency_arcs, label_components
 from .sim import TrajectoryEnsemble
 
 log = logging.getLogger("hyperobs.designer")
-
-
-# trajectories of the ensemble the Theorem-1 check runs over
-THM1_TRAJECTORIES = 10
 
 
 class EmptyTrajectorySet(ValueError):
@@ -169,7 +164,6 @@ class DesignOutcome:
                         "theorem_used": p.report.theorem_used,
                         "hurwitz_margin": strict_float(p.report.hurwitz_margin),
                         "sample_count": p.report.sample_count,
-                        "h2_margin": strict_float(p.report.h2_margin),
                         "g_bound": strict_float(p.report.g_bound),
                     },
                     "added_measured": list(p.added_measured),
@@ -271,14 +265,13 @@ def read_design_report(doc, sys: NetworkSystem, config_hash: str) -> tuple[Desig
             raise ValueError(f"{at}: added_measured {added} are not nodes of it")
         if type(iteration) is not int or iteration < 1:
             raise ValueError(f"{at}: iteration {iteration!r} is not a JSON integer >= 1")
-        theorem, margin, count, h2, g = _fields(
-            report, "theorem_used hurwitz_margin sample_count h2_margin g_bound", f"{at}.report")
-        if theorem not in ("thm2", "thm1", "exact", "none"):
+        theorem, margin, count, g = _fields(
+            report, "theorem_used hurwitz_margin sample_count g_bound", f"{at}.report")
+        if theorem not in ("thm2", "exact", "none"):
             raise ValueError(f"{at}: theorem_used {theorem!r} is not a known label")
         if type(count) is not int or count < 0:
             raise ValueError(f"{at}: sample_count {count!r} is not a JSON integer >= 0")
         report = CertificationReport(theorem, _float(margin, "hurwitz_margin"), count,
-                                     None if h2 is None else _float(h2, "h2_margin"),
                                      None if g is None else _float(g, "g_bound"))
         subsets.append(ProcessedSubset(tuple(nodes), report, tuple(added), iteration))
     if failed is not None:
@@ -339,15 +332,12 @@ def thm2_refuted(stack: RootStack, h_req: float) -> np.ndarray:
     return refuted
 
 
-def certify_roots(
-    stack: RootStack, ensemble: TrajectoryEnsemble, options: DesignOptions
-) -> list[CertificationReport | None]:
-    """The passing zero-gain report of each root of ``stack``, or None: the
-    Theorem-2 check on every root ``thm2_refuted`` leaves, in one
-    ``top_eig_max`` call over the stack's chunks, then the Theorem-1 check
-    over the first ``THM1_TRAJECTORIES`` trajectories on each root still
-    uncertified whose nM is at most ``KRON_CAP``.  A refuted check would
-    fail, so skipping it changes no outcome."""
+def certify_roots(stack: RootStack, options: DesignOptions) -> list[CertificationReport | None]:
+    """The passing zero-gain Theorem-2 report of each root of ``stack``, or
+    None: the check runs on every root ``thm2_refuted`` leaves, in one
+    ``top_eig_max`` call over the stack's chunks.  A refuted check would
+    fail, so skipping it changes no outcome, and a refuted root assembles
+    no sample."""
     h, K, R = options.margin, stack.num_samples, len(stack.roots)
     reports: list[CertificationReport | None] = [None] * R
     checked = np.flatnonzero(~thm2_refuted(stack, h))
@@ -356,19 +346,15 @@ def certify_roots(
         worst = top_eig_max(rows, len(checked), K, stack.dim)
         g_bound = stack.g.max(axis=1)
         for r, w in zip(checked.tolist(), worst.tolist()):
-            reports[r] = thm2_report(w, float(g_bound[r]), K, h, stack.dim, stack.a_max[r])
-    for r in range(R):
-        if (reports[r] is None or not reports[r].passed) and stack.dim <= KRON_CAP:
-            reports[r] = check_thm1(stack.system(r), ensemble.dt_sample, h,
-                                    length=ensemble.states.shape[1],
-                                    count=min(THM1_TRAJECTORIES, ensemble.count))
-    return [report if report is not None and report.passed else None for report in reports]
+            report = thm2_report(w, float(g_bound[r]), K, h, stack.dim, stack.a_max[r])
+            reports[r] = report if report.passed else None
+    return reports
 
 
 def certify_pass(
     sys: NetworkSystem,
     roots: list[tuple[int, ...]],
-    ensemble: TrajectoryEnsemble,
+    samples: np.ndarray,
     options: DesignOptions,
     exact: set[int],
     observed: np.ndarray,
@@ -376,9 +362,9 @@ def certify_pass(
 ) -> list[tuple[CertificationReport | None, ErrorSystem | None]]:
     """For each root of a pass, in order, (report, None) when
     ``certify_roots`` certifies it, else (None, err) with the root's
-    ErrorSystem for its retries.  Roots of one size are stacked, as many as
-    ``CHUNK_BYTES`` holds and at least one, with the design's ``floors``."""
-    samples = ensemble.stacked()
+    ErrorSystem for its retries.  Roots of one size are stacked over the
+    (K, N, n) ``samples``, as many as ``CHUNK_BYTES`` holds and at least one,
+    with the design's ``floors``."""
     K, n = samples.shape[0], sys.state_dim
     sizes: dict[int, list[int]] = {}
     for k, S in enumerate(roots):
@@ -393,7 +379,7 @@ def certify_pass(
             if not observed[stack.upstream].all():
                 raise AssertionError(f"upstream tails {set(stack.upstream.tolist())} of "
                                      f"{[roots[k] for k in chunk]} unprocessed")
-            reports = certify_roots(stack, ensemble, options)
+            reports = certify_roots(stack, options)
             for r, (k, report) in enumerate(zip(chunk, reports)):
                 verdicts[k] = (report, None) if report is not None else (None, stack.system(r))
     return verdicts
@@ -437,7 +423,7 @@ def design_observer(
         iteration += 1
         progress, first = np.count_nonzero(observed), len(processed)
         roots = condense(src, dst, label, ~observed)
-        verdicts = certify_pass(sys, roots, ensemble, options, exact, observed, floors)
+        verdicts = certify_pass(sys, roots, samples, options, exact, observed, floors)
         for k, S in enumerate(roots):
             # a root's view goes once its retries are done
             (report, err), verdicts[k] = verdicts[k], None

@@ -402,8 +402,9 @@ class TrajectoryEnsembleSpec:
         if self.count < 1 or self.dt <= 0 or self.subsample < 1:
             raise ValueError("invalid ensemble spec")
         _check_interval("box", *self.box)
-        # the Theorem-1 check differentiates A_S along each trajectory, so
-        # every trajectory needs at least two samples
+        # a one-sample trajectory holds only its initial state, a random draw
+        # from the box that the network's flow has not moved: every
+        # trajectory needs two samples
         if self.num_steps < self.subsample:
             raise ValueError(
                 f"trajectory horizon {self.horizon} at dt {self.dt} has "
@@ -421,17 +422,12 @@ class TrajectoryEnsemble:
     """Representative estimator trajectories sampled on a uniform grid."""
 
     states: np.ndarray  # (count, T, N, n), C-contiguous
-    dt_sample: float
 
     def stacked(self) -> np.ndarray:
         """The (count * T, N, n) samples, trajectory by trajectory; a view
         when ``states`` is contiguous."""
         c, T, N, n = self.states.shape
         return self.states.reshape(c * T, N, n)
-
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
 
 
 def simulate_network(
@@ -482,4 +478,4 @@ def make_ensemble(sys: NetworkSystem, spec: TrajectoryEnsembleSpec) -> Trajector
         burn_steps = int(round(spec.burn_in / spec.dt))
         x0 = simulate_network(sys, x0, spec.dt, burn_steps, max(burn_steps, 1))[:, -1]
     states = simulate_network(sys, x0, spec.dt, spec.num_steps, spec.subsample)
-    return TrajectoryEnsemble(states, spec.dt * spec.subsample)
+    return TrajectoryEnsemble(states)

@@ -27,15 +27,8 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import dynamics, sim
-from hyperobs.assembly import (
-    KRON_CAP,
-    CertificationReport,
-    accepts,
-    check_thm1,
-    check_thm2,
-    stack_roots,
-)
-from hyperobs.designer import THM1_TRAJECTORIES, DesignOutcome, ProcessedSubset, select_node
+from hyperobs.assembly import CertificationReport, accepts, check_thm2, stack_roots
+from hyperobs.designer import DesignOutcome, ProcessedSubset, select_node
 from hyperobs.gain_design import POLYAK_OVERSHOOT, Infeasible, design_gain_thm2
 from hyperobs.hypergraph import NodeOutOfRange
 
@@ -75,6 +68,18 @@ def error_system(sys, nodes, samples, zero_error_nodes=frozenset()):
     """The ``ErrorSystem`` of the subset ``nodes`` alone: root 0 of its own
     one-root ``RootStack``."""
     return stack_roots(sys, [nodes], samples, frozenset(zero_error_nodes)).system(0)
+
+
+def hold_rows(stack, A):
+    """Make ``stack`` hold the (R, K, d, d) rows ``A`` as its whole read,
+    with their max|A_S| as ``a_max``, a zero coupling bound ``g``, as for
+    roots no edge enters, and every sample marked read: a check then reads
+    these rows at their own rounding tolerance, not at the tolerance of the
+    states the stack was made from."""
+    stack.a = A
+    stack._a_max = np.abs(A).max(axis=(1, 2, 3))
+    stack._g = np.zeros(A.shape[:2])
+    stack._read[:] = True
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -355,25 +360,18 @@ def gain_array(prob, gains: Mapping) -> np.ndarray:
     return np.array([gains.get(key, zero) for key in prob.keys], dtype=float)
 
 
-def reference_certify_zero_gain(err, ensemble, options):
+def reference_certify_zero_gain(err, options):
     """``designer.certify_roots`` on the one root of ``err`` with no
-    refutation: the zero-gain Theorem-2 check always runs, then the
-    Theorem-1 check when it fails and nM <= ``KRON_CAP``."""
+    refutation: the zero-gain Theorem-2 check always runs."""
     report = check_thm2(err, options.margin)
-    if not report.passed and err.dim <= KRON_CAP:
-        report = check_thm1(
-            err, ensemble.dt_sample, options.margin,
-            length=ensemble.states.shape[1],
-            count=min(THM1_TRAJECTORIES, ensemble.count),
-        )
     return report if report.passed else None
 
 
 def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error_nodes=()):
     """One certification attempt of the design loop, every route on a fresh
     ``ErrorSystem``: zero-gain Theorem 2, then gain synthesis on the measured
-    nodes of the subset, then zero-gain Theorem 1 when nM <= ``KRON_CAP``.
-    Returns (report, gains) of the first route that passes, or None."""
+    nodes of the subset.  Returns (report, gains) of the first route that
+    passes, or None."""
     nodes = sorted(set(int(v) for v in subset_nodes))
     measured_in = sorted(frozenset(int(v) for v in measured) & set(nodes))
     err = error_system(sys, nodes, ensemble.stacked(), frozenset(zero_error_nodes))
@@ -388,14 +386,6 @@ def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error
                 return rep, gains
         except Infeasible:
             pass
-    if err.dim <= KRON_CAP:
-        rep1 = check_thm1(
-            err, ensemble.dt_sample, options.margin,
-            length=ensemble.states.shape[1],
-            count=min(THM1_TRAJECTORIES, ensemble.count),
-        )
-        if rep1.passed:
-            return rep1, {}
     return None
 
 

@@ -1,9 +1,8 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperobs import (
@@ -18,8 +17,6 @@ from hyperobs import (
     NonpositiveMargin,
     ObserverDesign,
     SubsetNotHeadClosed,
-    SubsetTooLarge,
-    check_thm1,
     check_thm2,
     identity_output,
     linear_coupling,
@@ -30,7 +27,7 @@ from hyperobs import (
 )
 import hyperobs
 from hyperobs import assembly, dynamics
-from hyperobs.assembly import KRON_CAP, CertificationReport, gain_matrix, kron_sum, rounding_tol
+from hyperobs.assembly import CertificationReport, gain_matrix, rounding_tol
 from hyperobs.gain_design import GainProblem
 from hyperobs.hypergraph import HypergraphError, condense, dependency_arcs, label_components
 from conftest import (
@@ -42,6 +39,7 @@ from conftest import (
     fd_jacobian,
     gain_array,
     head_closed,
+    hold_rows,
     hypergraphs,
     incoming_closure,
     network_rhs,
@@ -575,21 +573,6 @@ class TestCheckThm2:
         np.testing.assert_array_equal(err.a, before)
 
 
-def ramp_jacobian_system(omega):
-    """Scalar node whose Jacobian along the ramp trajectory x(t)=t equals
-    -1 + 0.5*sin(omega * t)."""
-
-    def f(x, mu):
-        return -x + (0.5 / omega) * -np.cos(omega * x)
-
-    def jx(x, mu):
-        return (-1.0 + 0.5 * np.sin(omega * x[..., 0]))[..., None, None]
-
-    field = vector_field_from_callable(f, 1, np.zeros(1), jac_x=jx)
-    h = DirectedHypergraph(1)
-    return NetworkSystem(h, field, linear_coupling(1.0), identity_output(1))
-
-
 def same_floats(got: np.ndarray, expect: np.ndarray) -> bool:
     """Equal bit for bit, any NaN equal to any NaN."""
     nan = np.isnan(expect)
@@ -645,7 +628,7 @@ class TestTopEigMax:
                            lambda m: real(m) if np.isfinite(m).all() else None)
                 assert assembly.top_eig_max(lambda idx: A[:, idx], 1, 4, 3).tolist() == [np.inf]
             err = error_system_for(np.zeros((3, 3)), np.zeros((4, 1, 3)))
-            err.stack.a = A
+            hold_rows(err.stack, A)
             report = check_thm2(err, 1.0)
             assert report.theorem_used == "none" and report.hurwitz_margin == -np.inf
 
@@ -668,9 +651,10 @@ class TestTopEigMax:
         rng = np.random.default_rng(5)
         A = rng.normal(0, 1, (300, 2, 2)) - 2.0 * np.eye(2)
         err = error_system_for(np.zeros((2, 2)), np.zeros((300, 1, 2)))
-        err.stack.a = A[None]
+        hold_rows(err.stack, A[None])
         report = check_thm2(err, 0.1)
         assert -report.hurwitz_margin == float(assembly.symmetric_top_eig(A).max())
+        assert err.stack.a_max[0] == np.abs(A).max()
 
     def test_cholesky_failures_come_back_as_nan_rows(self):
         # the screen's verdict per sample comes from one batched LAPACK
@@ -777,133 +761,6 @@ class TestStackRoots:
         # a head in another root is refused even when called error-free
         with pytest.raises(SubsetNotHeadClosed, match=r"\(1,\)"):
             assembly.stack_roots(sys, [(1,), (2,)], X, frozenset({0, 1, 2}))
-
-
-def parabola_system():
-    """Scalar node with f(x) = x^2 / 2, whose Jacobian at x is x."""
-    field = vector_field_from_callable(
-        lambda x, mu: 0.5 * x**2, 1, np.zeros(1), jac_x=lambda x, mu: x[..., None]
-    )
-    return NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0), identity_output(1))
-
-
-class TestCheckThm1:
-    def test_constant_hurwitz_passes_any_eps(self, monkeypatch):
-        A = np.array([[-1.0, 2.0], [0.0, -3.0]])
-        err = error_system_for(A, np.zeros((10, 1, 2)))
-        for eps in (0.1, 0.5, 0.9):
-            monkeypatch.setattr(assembly, "EPS_REQ", eps)
-            report = check_thm1(err, dt=0.01, h_req=0.5, length=10, count=1)
-            assert report.passed
-            assert report.h2_margin > 0
-
-    def test_scalar_hand_derived_bound(self, monkeypatch):
-        a = 1.7
-        err = error_system_for(np.array([[-a]]), np.zeros((5, 1, 1)))
-        monkeypatch.setattr(assembly, "EPS_REQ", 0.3)
-        report = check_thm1(err, dt=0.1, h_req=1.0, length=5, count=1)
-        # dA/dt = 0, so the slack equals the bound 2*a^2*(1-eps)
-        assert report.h2_margin == pytest.approx(2 * a**2 * (1 - 0.3), rel=1e-12)
-
-    def test_fast_variation_fails_above_threshold_found_by_sweep(self):
-        dt = 0.01
-        t = np.arange(60) * dt
-
-        def analytic_pass(omega):
-            A = -1.0 + 0.5 * np.sin(omega * t)
-            lhs = np.abs(np.diff(A)) / dt
-            rhs = (2.0 * np.abs(A[:-1])) ** 2 / 2.0 * (1 - 0.5)
-            return bool(np.all(rhs - lhs > 0)) and np.all(A <= -0.2)
-
-        results = {}
-        for omega in [0.05, 0.2, 0.8, 2.0, 5.0, 20.0]:
-            sys = ramp_jacobian_system(omega)
-            err = error_system(sys, (0,), t.reshape(-1, 1, 1))
-            report = check_thm1(err, dt=dt, h_req=0.2, length=len(t), count=1)
-            results[omega] = report.passed
-            assert report.passed == analytic_pass(omega)
-        assert results[0.05] and not results[20.0]
-
-    def test_h2_skipped_once_h1_fails(self, monkeypatch):
-        calls = []
-
-        def counted_kron_sum(a):
-            calls.append(a)
-            return kron_sum(a)
-
-        monkeypatch.setattr(assembly, "kron_sum", counted_kron_sum)
-        sys = parabola_system()
-        sub = (0,)
-        failed = check_thm1(error_system(sys, sub, np.zeros((4, 1, 1))), 0.1, 1.0, 4, 1)
-        assert not failed.passed and failed.h2_margin is None
-        assert calls == []
-        passed = check_thm1(error_system(sys, sub, np.full((4, 1, 1), -2.0)), 0.1, 1.0, 4, 1)
-        assert passed.passed and passed.h2_margin == pytest.approx(2 * 2.0**2 * 0.5)
-        assert len(calls) == 3
-        # the trajectory merge carries the skipped H2 through as None
-        states = np.concatenate([np.full((4, 1, 1), -2.0), np.zeros((4, 1, 1))])
-        merged = check_thm1(error_system(sys, sub, states), dt=0.1, h_req=1.0, length=4, count=2)
-        # H1 stops at the second trajectory's first sample, which fails it
-        assert merged.sample_count == 5
-        assert not merged.passed and merged.h2_margin is None
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_sample_fails_h1(self, bad):
-        # the spectral abscissa of a sample with a non-finite entry reads
-        # +inf, as symmetric_top_eig does: H1 stops at it, with no eigvals call
-        states = np.full((4, 1, 1), -2.0)
-        states[2, 0, 0] = bad
-        report = check_thm1(error_system(parabola_system(), (0,), states), 0.1, 1.0, 4, 1)
-        assert not report.passed and report.sample_count == 3
-        assert report.hurwitz_margin == -math.inf and report.h2_margin is None
-
-    def test_stack_rows_match_per_trajectory_checks(self):
-        # four ramps along J(x) = x: two pass both hypotheses, the third fails
-        # H1 at its second sample, -0.75, so the fourth is never checked, and
-        # the third's report states its first two samples only
-        sys = parabola_system()
-        sub = (0,)
-        trajs = [np.linspace(a, a + 1.0, 5).reshape(5, 1, 1) for a in (-3.0, -2.5, -1.0, -4.0)]
-        err = error_system(sys, sub, np.concatenate(trajs))
-        alone = [error_system(sys, sub, x) for x in trajs]
-        for t, e in enumerate(alone):
-            np.testing.assert_array_equal(err.a[5 * t : 5 * t + 5], e.a)
-            np.testing.assert_array_equal(err.g[5 * t : 5 * t + 5], e.g)
-        for count, checked in ((2, 2), (4, 3)):
-            reps = [check_thm1(e, dt=0.1, h_req=1.0, length=5, count=1) for e in alone[:checked]]
-            assert [r.passed for r in reps] == [True] * 2 + [False] * (checked - 2)
-            assert [r.sample_count for r in reps] == [5, 5, 2][:checked]
-            merged = check_thm1(err, dt=0.1, h_req=1.0, length=5, count=count)
-            h2 = [r.h2_margin for r in reps]
-            assert merged == CertificationReport(
-                "thm1" if all(r.passed for r in reps) else "none",
-                min(r.hurwitz_margin for r in reps),
-                sum(r.sample_count for r in reps),
-                None if None in h2 else min(h2),
-                max(r.g_bound for r in reps),
-            )
-
-    def test_subset_too_large(self):
-        err = error_system_for(-np.eye(KRON_CAP + 1), np.zeros((3, 1, KRON_CAP + 1)))
-        with pytest.raises(SubsetTooLarge):
-            check_thm1(err, 0.01, 1.0, 3, 1)
-
-
-class TestKroneckerSum:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
-    @settings(max_examples=30)
-    def test_spectrum_is_pairwise_sums(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        A = rng.normal(0, 1, (dim, dim))
-        lam = np.linalg.eigvals(A)
-        pairwise = list((lam[:, None] + lam[None, :]).reshape(-1))
-        got = np.linalg.eigvals(kron_sum(A))
-        # multiset comparison by greedy nearest matching (conjugate pairs make
-        # a plain complex sort order-unstable)
-        for v in got:
-            k = int(np.argmin(np.abs(np.array(pairwise) - v)))
-            assert abs(pairwise[k] - v) < 1e-9
-            pairwise.pop(k)
 
 
 class TestThm3Bound:

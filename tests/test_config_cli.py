@@ -205,6 +205,10 @@ DELETED_SPAN_TARGETS = {
     ("hypergraph", "to_dependency_graph"),
     # no caller in the package: ``certify_roots`` on a stack of one root
     ("designer", "certify_or_fail"),
+    # the Theorem-1 route certified nothing on the bench workloads: every
+    # certificate is a Theorem-2 one or an exact measurement
+    ("assembly", "check_thm1"),
+    ("assembly", "kron_sum"),
 }
 
 
@@ -440,7 +444,7 @@ MALFORMED_DESIGN_REPORTS = {
     "missing_failed_subset": lambda report: report["outcome"].pop("failed_subset"),
     "outcome_extra_key": lambda report: report["outcome"].update(note="hand-edited"),
     # a complete design labels a subset "exact" when it is one node of
-    # exact_nodes, and any other subset "thm1" or "thm2"
+    # exact_nodes, and any other subset "thm2"
     "thm2_subset_labelled_exact": _with_report(-1, theorem_used="exact"),
     "exact_subsets_merged": lambda report: report["outcome"]["processed_subsets"][0].update(
         nodes=[0, 1], added_measured=[0, 1]) or report["outcome"]["processed_subsets"].pop(1),
@@ -453,6 +457,16 @@ MALFORMED_DESIGN_REPORTS = {
     "sample_count_negative": _with_report(-1, sample_count=-1),
     "hurwitz_margin_boolean": _with_report(-1, hurwitz_margin=True),
     "g_bound_numeric_string": _with_report(-1, g_bound="0.3"),
+    # reports of the removed Theorem-1 route: its H2 slack key, and its label
+    "report_holds_h2_margin": _with_report(-1, h2_margin=None),
+    "thm1_subset": _with_report(-1, theorem_used="thm1"),
+}
+
+# the refusal each names, where a test pins it
+REFUSAL_MESSAGES = {
+    "report_holds_h2_margin": "processed_subsets[2].report is not an object with exactly the "
+                              "keys theorem_used hurwitz_margin sample_count g_bound",
+    "thm1_subset": "processed_subsets[2]: theorem_used 'thm1' is not a known label",
 }
 
 
@@ -775,6 +789,7 @@ class TestSimulateAndBatch:
         assert main([command, "--config", str(cfg), "--design", str(bad),
                      "--out-dir", str(out)]) == 4
         assert "malformed design report" in caplog.text
+        assert REFUSAL_MESSAGES.get(case, "") in caplog.text
         assert not (out / "summary.json").exists()
 
     def test_sub_step_horizon_exits_4(self, designed, tmp_path):

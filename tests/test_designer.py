@@ -211,7 +211,7 @@ class TestDesignObserver:
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0.0, 0.0, 1.0]]))
         states = np.zeros((4, 20, 1, 3))
-        ens = TrajectoryEnsemble(states, 1e-2)
+        ens = TrajectoryEnsemble(states)
         monkeypatch.setattr(gain_design, "MAX_ITERS", 400)
         outcome = design_observer(sys, ens, DesignOptions(margin=1.0))
         assert outcome.status == "failed"
@@ -255,7 +255,7 @@ class TestDesignObserver:
     def test_empty_ensemble_rejected(self):
         sys = cohead_pair_system()
         with pytest.raises(EmptyTrajectorySet):
-            design_observer(sys, TrajectoryEnsemble(np.zeros((0, 0, 3, 3)), 1e-3))
+            design_observer(sys, TrajectoryEnsemble(np.zeros((0, 0, 3, 3))))
 
     def test_zero_weight_tail_is_still_upstream(self):
         # tail 1 of the first edge has alpha 0, so its signed-graph arc 1 -> 0
@@ -396,10 +396,6 @@ def _cohead(sigma, **kw):
 NAMED_CASES = {
     # {1, 2} passes zero-gain Theorem 2 once node 0 is certified by gains
     "zero_gain": _cohead(80.0),
-    # the two-node bistable cycle: Theorem 2 fails, Theorem 1 certifies
-    "thm1": DesignCase(2, (Hyperedge.uniform((0,), (1,), 3.0),
-                           Hyperedge.uniform((1,), (0,), 0.01)),
-                       field="bistable", coupling="linear", count=10),
     # a chaotic singleton certified by gains on its one measured node
     "synthesis_one_node": DesignCase(1, ()),
     # {1, 2}: synthesis on node 2 alone is infeasible, on nodes 2 and 1 it passes
@@ -444,7 +440,6 @@ def _routes(outcome) -> set[str]:
 class TestDesignMatchesReference:
     @pytest.mark.parametrize("name, routes", [
         ("zero_gain", {"thm2"}),
-        ("thm1", {"thm1"}),
         ("synthesis_one_node", {"synthesis_1"}),
         ("synthesis_two_nodes", {"synthesis_2"}),
         ("synthesis_two_nodes_partial_output", {"synthesis_2"}),
@@ -459,7 +454,6 @@ class TestDesignMatchesReference:
     @settings(max_examples=30)
     @given(case=design_cases())
     @example(case=NAMED_CASES["zero_gain"])
-    @example(case=NAMED_CASES["thm1"])
     @example(case=NAMED_CASES["synthesis_one_node"])
     @example(case=NAMED_CASES["synthesis_two_nodes"])
     @example(case=NAMED_CASES["synthesis_two_nodes_partial_output"])
@@ -559,7 +553,7 @@ def _cycle_root(field, M: int, count: int, length: int, seed: int):
     sys = NetworkSystem(DirectedHypergraph(M, edges), field, tanh_coupling(0.2, 0.05, 2.0),
                         identity_output(field.state_dim))
     states = np.random.default_rng(seed).uniform(-3, 3, (count, length, M, field.state_dim))
-    return sys, TrajectoryEnsemble(states, 1e-2)
+    return sys, TrajectoryEnsemble(states)
 
 
 class TestStreamedCertification:
@@ -567,7 +561,6 @@ class TestStreamedCertification:
     @given(case=st.one_of(design_cases(), hierarchical_cases().map(lambda drawn: drawn[0])),
            per_chunk=st.sampled_from([1, 2, 5]))
     @example(case=NAMED_CASES["zero_gain"], per_chunk=1)
-    @example(case=NAMED_CASES["thm1"], per_chunk=1)
     @example(case=NAMED_CASES["synthesis_two_nodes"], per_chunk=2)
     @example(case=NAMED_CASES["synthesis_two_nodes_partial_output"], per_chunk=1)
     @example(case=NAMED_CASES["exhausted"], per_chunk=1)
@@ -586,8 +579,8 @@ class TestStreamedCertification:
         assert json.dumps(got) == json.dumps(expect)
 
     @pytest.mark.parametrize("field, M, margin, passed", [
-        # a chaotic root: a diagonal block refutes Theorem 2, and Theorem 1
-        # fails at the first sample
+        # a chaotic root: a diagonal block refutes Theorem 2, with no sample
+        # assembled
         (lorenz_field(), 8, 2.0, False),
         # a contracting root: Theorem 2 passes over every sample
         (bistable_field(3.0, 0.5), 32, 0.25, True),
@@ -601,7 +594,7 @@ class TestStreamedCertification:
             tracemalloc.start()
             try:
                 stack = assembly.stack_roots(sys, [tuple(range(M))], ens.stacked())
-                (report,) = designer.certify_roots(stack, ens, DesignOptions(margin=margin))
+                (report,) = designer.certify_roots(stack, DesignOptions(margin=margin))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -610,14 +603,14 @@ class TestStreamedCertification:
         assert peak <= 3 * budget
         # the whole stack, as the check over every sample reads it
         whole = error_system(sys, tuple(range(M)), ens.stacked())
-        expect = reference_certify_zero_gain(whole, ens, DesignOptions(margin=margin))
+        expect = reference_certify_zero_gain(whole, DesignOptions(margin=margin))
         assert report == expect
 
 def _count_per_subset(monkeypatch) -> Counter:
     """Counts, per (route, subset nodes), of the stacks that assemble a
     root's A_S, the zero-gain certifications (``certify_roots``), the
-    Theorem-2 checks with and without gains, the Theorem-1 checks and the
-    gain syntheses the design loop makes from now on."""
+    Theorem-2 checks with and without gains and the gain syntheses the
+    design loop makes from now on."""
     calls = Counter()
 
     def count(owner, name, route):
@@ -643,20 +636,19 @@ def _count_per_subset(monkeypatch) -> Counter:
     monkeypatch.setattr(designer, "certify_roots", certify)
     count(designer, "check_thm2",
           lambda args, kw: "thm2_gains" if args[1:] or kw else "thm2_zero_gain")
-    count(designer, "check_thm1", lambda args, kw: "thm1")
     count(designer, "design_gain_thm2", lambda args, kw: "design_gain_thm2")
     return calls
 
 
-def certify(err, ens, options):
+def certify(err, options):
     """``certify_roots`` on the one-root stack of ``err``."""
-    (report,) = designer.certify_roots(err.stack, ens, options)
+    (report,) = designer.certify_roots(err.stack, options)
     return report
 
 
 class TestCertifyRoots:
     def certify(self, sys, nodes, ens, margin=1.0):
-        return certify(error_system(sys, nodes, ens.stacked()), ens, DesignOptions(margin=margin))
+        return certify(error_system(sys, nodes, ens.stacked()), DesignOptions(margin=margin))
 
     def test_zero_gain_certification(self):
         h = DirectedHypergraph(1)
@@ -673,25 +665,15 @@ class TestCertifyRoots:
         ens = small_ensemble(sys, count=3, horizon=0.2)
         assert self.certify(sys, [0], ens) is None
 
-    def test_theorem1_certifies_after_theorem2_fails(self, monkeypatch):
-        sys, ens, options = NAMED_CASES["thm1"].build()
-        err = error_system(sys, (0, 1), ens.stacked())
-        assert not designer.check_thm2(err, options.margin).passed
-        report = certify(err, ens, options)
-        assert report is not None and report.theorem_used == "thm1"
-        assert report.sample_count == 10 * ens.states.shape[1]
-        # above KRON_CAP the Theorem-1 route is not tried
-        monkeypatch.setattr(designer, "KRON_CAP", err.dim - 1)
-        monkeypatch.setattr(designer, "check_thm1", None)
-        assert certify(err, ens, options) is None
-
-    def test_non_finite_sample_fails_theorem1_without_raising(self, monkeypatch):
-        # one NaN state makes A_S non-finite at that sample: Theorem 2 reads
-        # +inf there and Theorem 1 fails H1 at it, so the root retries and
-        # is exhausted, with no eigvals call on the sample; no gain makes
-        # the sample finite, so synthesis proves Infeasible before any
-        # subgradient step
-        case = NAMED_CASES["thm1"]
+    def test_non_finite_sample_exhausts_the_root_without_raising(self, monkeypatch):
+        # a two-node bistable cycle with one NaN state, which makes A_S
+        # non-finite at that sample: Theorem 2 reads +inf there, so the root
+        # retries and is exhausted, with no eigvalsh call on the sample; no
+        # gain makes the sample finite, so synthesis proves Infeasible before
+        # any subgradient step
+        case = DesignCase(2, (Hyperedge.uniform((0,), (1,), 3.0),
+                              Hyperedge.uniform((1,), (0,), 0.01)),
+                          field="bistable", coupling="linear", count=10)
         sys, ens, options = case.build()
         ens.states[0, 3, 0, 0] = np.nan
         steps = []
@@ -713,9 +695,9 @@ class TestCertifyRoots:
 
     def test_one_evaluation_serves_every_route(self, monkeypatch):
         # per subset: one stack holding its A_S, one zero-gain certification
-        # (Theorem 2 inside it, never through check_thm2), and at most one
-        # Theorem-1 check; per measured node without the shortcut, one
-        # synthesis and, when it returns gains, one Theorem-2 check with them
+        # (Theorem 2 inside it, never through check_thm2); per measured node
+        # without the shortcut, one synthesis and, when it returns gains, one
+        # Theorem-2 check with them
         calls = _count_per_subset(monkeypatch)
         for name, case in NAMED_CASES.items():
             calls.clear()
@@ -728,7 +710,6 @@ class TestCertifyRoots:
             for nodes in tried:
                 assert calls["stack", nodes] == calls["zero_gain", nodes] == 1, name
                 assert calls["thm2_zero_gain", nodes] == 0, name
-                assert calls["thm1", nodes] <= 1, name
                 assert calls["thm2_gains", nodes] <= calls["design_gain_thm2", nodes], name
             for p in certified:
                 assert calls["design_gain_thm2", p.nodes] == len(p.added_measured), name
@@ -745,18 +726,16 @@ def refuted(err, h_req) -> bool:
 @st.composite
 def lorenz_or_bistable_subsets(draw):
     """An ``ErrorSystem`` on a random subset of a random 2-4 node Lorenz or
-    bistable network, every node outside the subset exact, over an ensemble
-    of 1-3 random trajectories of 2-6 samples, and a margin."""
+    bistable network, every node outside the subset exact, over 1-18 random
+    samples, and a margin."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h = random_hypergraph(rng, max_nodes=4, max_edges=4,
                           sigma_range=(0.01, 30.0))
     sys = random_system(rng, h, draw(st.sampled_from(["lorenz", "bistable"])))
     S = sorted(draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1)))
-    shape = (int(rng.integers(1, 4)), int(rng.integers(2, 7)), h.num_nodes, sys.state_dim)
-    ens = TrajectoryEnsemble(rng.uniform(-3, 3, shape), 1e-2)
-    err = error_system(sys, S, ens.stacked(),
-                       frozenset(range(h.num_nodes)) - set(S))
-    return err, ens, draw(st.sampled_from([0.05, 0.5, 2.0]))
+    X = rng.uniform(-3, 3, (int(rng.integers(1, 19)), h.num_nodes, sys.state_dim))
+    err = error_system(sys, S, X, frozenset(range(h.num_nodes)) - set(S))
+    return err, draw(st.sampled_from([0.05, 0.5, 2.0]))
 
 
 def stacked_chains(rng, R: int, M: int, field_kind: str):
@@ -810,15 +789,15 @@ class TestThm2Refutation:
 
     @given(lorenz_or_bistable_subsets())
     def test_refuted_subset_fails_the_check(self, case):
-        err, _, margin = case
+        err, margin = case
         if refuted(err, margin):
             assert not check_thm2(err, margin).passed
 
     @given(lorenz_or_bistable_subsets())
     def test_certify_roots_equals_the_unconditional_check(self, case):
-        err, ens, margin = case
+        err, margin = case
         options = DesignOptions(margin=margin)
-        assert certify(err, ens, options) == reference_certify_zero_gain(err, ens, options)
+        assert certify(err, options) == reference_certify_zero_gain(err, options)
 
     def test_non_finite_stack_is_never_refuted(self, monkeypatch):
         # a Lorenz pair under linear coupling: a state entry puts its value
@@ -851,7 +830,7 @@ class TestThm2Refutation:
     def test_refuted_margin_is_out_of_every_gains_reach(self, case, data):
         # no gain on the measured nodes touches an unmeasured diagonal block,
         # so none brings the check below that block's floor, up to the slack
-        err, _, margin = case
+        err, margin = case
         nodes = err.nodes
         measured = data.draw(st.lists(st.sampled_from(nodes), unique=True))
         floor = err.stack.floors[0][[v for v in nodes if v not in measured]].max(initial=-np.inf)
@@ -965,10 +944,9 @@ class TestNodeFloors:
 
 
 class TestLazyStack:
-    def test_refuted_root_assembles_only_the_samples_h1_reads(self, monkeypatch):
-        # a chaotic Lorenz cycle: its blocks refute Theorem 2, and Theorem 1
-        # fails at the first sample of the first trajectory, so no other
-        # sample is ever assembled
+    def test_refuted_root_assembles_no_sample(self, monkeypatch):
+        # a chaotic Lorenz cycle: its blocks refute Theorem 2, the only check
+        # a zero-gain certification runs, so no sample is ever assembled
         sys, ens = _cycle_root(lorenz_field(), 3, count=4, length=20, seed=3)
         # the design's floors, made once before any stack
         floors = assembly.node_floors(sys, ens.stacked())
@@ -979,9 +957,9 @@ class TestLazyStack:
                 sys, roots, pairs, X, dg)))
         stack = assembly.stack_roots(sys, [(0, 1, 2)], ens.stacked(), floors=floors)
         assert assembled == []
-        (report,) = designer.certify_roots(stack, ens, DesignOptions(margin=2.0))
+        (report,) = designer.certify_roots(stack, DesignOptions(margin=2.0))
         assert report is None and designer.thm2_refuted(stack, 2.0)[0]
-        assert assembled == [1] and stack.a is None
+        assert assembled == [] and stack.a is None
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.data())
     def test_rows_equal_the_whole_stack_under_a_budget(self, chunk_budget, seed, per_chunk,

@@ -5,10 +5,10 @@ generator spec of its network unless the network is inline, and the
 ``design.json``, ``summary.json`` and ``batch_1.csv`` that the pipeline wrote
 for them.  ``e2e-exact`` runs the inverse shortcut on bistable nodes, mixing
 exactly reconstructed nodes with zero-gain Theorem-2 subsets; ``e2e-partial``
-measures two of three Lorenz coordinates, so every subset synthesizes gains;
-``e2e-thm1`` is a two-node bistable cycle that fails Theorem 2 and that
-Theorem 1 certifies.  Decisions (measured nodes, theorems, statuses, counts)
-must match exactly, floats to a relative 1e-12.
+measures two of three Lorenz coordinates, so every subset synthesizes gains.
+Every case has a generator spec, so the CI's installed-package step runs
+each.  Decisions (measured nodes, theorems, statuses, counts) must match
+exactly, floats to a relative 1e-12.
 """
 
 import json
@@ -127,7 +127,7 @@ def _exact_node_0(report):
     outcome["processed_subsets"].insert(0, {
         "nodes": [0], "added_measured": [0], "iteration": 1,
         "report": {"theorem_used": "exact", "hurwitz_margin": "inf", "sample_count": 0,
-                   "h2_margin": None, "g_bound": None},
+                   "g_bound": None},
     })
 
 
@@ -146,6 +146,13 @@ def _measure_node_2(exact, added=False):
     return edit
 
 
+def _with_h2_margin(report):
+    """The report in the layout that the removed Theorem-1 route wrote:
+    every subset's report holds a null ``h2_margin``."""
+    for p in report["outcome"]["processed_subsets"]:
+        p["report"] = {**p["report"], "h2_margin": None}
+
+
 # (recorded case, edit) pairs that simulate must refuse, exit 4
 MALFORMED_RECORDED_REPORTS = {
     "gain_across_subsets_0,3": ("e2e-partial", _gain_across_subsets("0,3")),
@@ -155,6 +162,7 @@ MALFORMED_RECORDED_REPORTS = {
     "measured_node_no_subset_added": ("e2e-exact", _measure_node_2(exact=False)),
     "exact_node_of_a_thm2_subset": ("e2e-exact", _measure_node_2(exact=True)),
     "exact_node_added_by_a_thm2_subset": ("e2e-exact", _measure_node_2(exact=True, added=True)),
+    "old_layout_with_h2_margin": ("e2e-exact", _with_h2_margin),
 }
 
 
@@ -194,14 +202,6 @@ def test_overflowing_robustness_bound_is_written_inf(noise, tmp_path):
     (batch,) = read_json(out / "summary.json")["batches"]
     assert batch["robustness_bound"] == "inf"
     assert noise / 10 < batch["max_error"] < math.inf
-
-
-def test_theorem1_case_certifies_by_theorem1():
-    doc = json.loads((DATA / "e2e-thm1" / "design.json").read_text())["outcome"]
-    assert [(p["nodes"], p["report"]["theorem_used"]) for p in doc["processed_subsets"]] == [
-        ([0, 1], "thm1")]
-    summary = json.loads((DATA / "e2e-thm1" / "summary.json").read_text())
-    assert summary["batches"][0]["robustness_bound"] > 0
 
 
 def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):

@@ -28,6 +28,7 @@ from conftest import (
     dense_gain_descent,
     error_system,
     gain_array,
+    hold_rows,
     planar_spiral_field,
     random_hypergraph,
     random_system,
@@ -278,7 +279,7 @@ def stack_problem(rng, stack, n):
     sys = NetworkSystem(DirectedHypergraph(M), scalar_free_field(n), linear_coupling(1.0),
                         linear_output(gamma))
     err = error_system(sys, range(M), np.zeros((K, M, n)))
-    err.stack.a = stack[None]
+    hold_rows(err.stack, stack[None])
     measured = [v for v in range(M) if rng.random() < 0.6] or [0]
     return GainProblem(err, measured)
 

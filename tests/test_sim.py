@@ -617,7 +617,6 @@ class TestEnsembles:
         ens2 = make_ensemble(sys, spec)
         assert ens1.states.shape == (4, 21, 2, 3)
         np.testing.assert_array_equal(ens1.states, ens2.states)
-        assert ens1.dt_sample == pytest.approx(5e-3)
         assert ens1.stacked().shape == (84, 2, 3)
 
     def test_subsampled_states_are_contiguous(self):
