@@ -486,6 +486,28 @@ def error_system_for(A, samples):
     return error_system(sys, (0,), samples)
 
 
+def parabola_system():
+    """Scalar node with f(x) = x^2 / 2, whose Jacobian at x is x."""
+    field = vector_field_from_callable(
+        lambda x, mu: 0.5 * x**2, 1, np.zeros(1), jac_x=lambda x, mu: x[..., None]
+    )
+    return NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0), identity_output(1))
+
+
+def ramp_jacobian_system(omega):
+    """Scalar node whose Jacobian along the ramp trajectory x(t)=t equals
+    -1 + 0.5*sin(omega * t)."""
+
+    def f(x, mu):
+        return -x + (0.5 / omega) * -np.cos(omega * x)
+
+    def jx(x, mu):
+        return (-1.0 + 0.5 * np.sin(omega * x[..., 0]))[..., None, None]
+
+    field = vector_field_from_callable(f, 1, np.zeros(1), jac_x=jx)
+    return NetworkSystem(DirectedHypergraph(1), field, linear_coupling(1.0), identity_output(1))
+
+
 class TestCheckThm2:
     def test_constant_minus_identity_passes_at_margin_one(self):
         # -I has margin exactly one: the check passes at one less the
@@ -571,6 +593,85 @@ class TestCheckThm2:
         gains = {(0, 0): 5.0 * np.eye(3), (1, 0): rng.normal(0, 1, (3, 3))}
         check_thm2(err, 1.0, gains)
         np.testing.assert_array_equal(err.a, before)
+
+    def test_scalar_hand_derived_margin(self):
+        # J(x) = x along a ramp from -3 to -1.5: the worst sample is the
+        # last, so the margin is 1.5 exactly, and a margin of 1.5 itself
+        # lies inside the rounding slack
+        err = error_system(parabola_system(), (0,), np.linspace(-3.0, -1.5, 7).reshape(7, 1, 1))
+        report = check_thm2(err, 1.0)
+        assert report == CertificationReport("thm2", 1.5, 7, 0.0)
+        assert err.stack.a_max[0] == 3.0
+        assert not check_thm2(err, 1.5).passed
+
+    def test_margin_reads_the_worst_sample_at_any_variation_speed(self):
+        # the check bounds sym A_S at each sample alone, so how fast A_S
+        # varies along the trajectory does not enter it: A_S <= -0.5 at
+        # every sample, and a margin of 0.2 passes at every speed
+        t = np.arange(60) * 0.01
+        for omega in (0.05, 0.2, 0.8, 2.0, 5.0, 20.0):
+            err = error_system(ramp_jacobian_system(omega), (0,), t.reshape(-1, 1, 1))
+            worst = float((-1.0 + 0.5 * np.sin(omega * t)).max())
+            report = check_thm2(err, 0.2)
+            assert report.hurwitz_margin == -worst and report.passed
+        assert report.hurwitz_margin == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_fails_without_raising(self, bad):
+        # the symmetric part of a sample with a non-finite entry reads +inf,
+        # and max|A_S| is not finite, so no margin passes, with no warning
+        states = np.full((4, 1, 1), -2.0)
+        states[2, 0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_thm2(error_system(parabola_system(), (0,), states), 1.0)
+        assert report == CertificationReport("none", -np.inf, 4, 0.0)
+
+    def test_pooled_trajectories_read_the_worst_of_each(self):
+        # four ramps along J(x) = x, stacked as one sample set: its rows are
+        # each ramp's own, and its report pools theirs; the third ramp
+        # reaches 0 and fails the margin
+        sys = parabola_system()
+        trajs = [np.linspace(a, a + 1.0, 5).reshape(5, 1, 1) for a in (-3.0, -2.5, -1.0, -4.0)]
+        alone = [error_system(sys, (0,), x) for x in trajs]
+        for count in (2, 4):
+            err = error_system(sys, (0,), np.concatenate(trajs[:count]))
+            for t, e in enumerate(alone[:count]):
+                np.testing.assert_array_equal(err.a[5 * t : 5 * t + 5], e.a)
+                np.testing.assert_array_equal(err.g[5 * t : 5 * t + 5], e.g)
+            reps = [check_thm2(e, 1.0) for e in alone[:count]]
+            assert [r.passed for r in reps] == [True, True, False, True][:count]
+            assert check_thm2(err, 1.0) == CertificationReport(
+                "thm2" if all(r.passed for r in reps) else "none",
+                min(r.hurwitz_margin for r in reps),
+                sum(r.sample_count for r in reps),
+                max(r.g_bound for r in reps),
+            )
+
+    def test_infinite_coupling_bound_fails_any_margin(self):
+        # an unbounded coupling Jacobian voids the certificate whatever the
+        # symmetric part reads
+        for g_bound, passed in ((0.5, True), (np.inf, False), (np.nan, False)):
+            report = assembly.thm2_report(-10.0, g_bound, 3, 1.0, 2, 10.0)
+            assert report.passed is passed and report.hurwitz_margin == 10.0
+
+    @pytest.mark.parametrize("h_req", [0.0, -1.0])
+    def test_nonpositive_margin_rejected(self, h_req):
+        err = error_system_for(-np.eye(2), np.zeros((2, 1, 2)))
+        with pytest.raises(NonpositiveMargin):
+            check_thm2(err, h_req)
+        with pytest.raises(NonpositiveMargin):
+            assembly.thm2_report(-1.0, 0.0, 2, h_req, 2, 1.0)
+
+    @given(st.integers(1, 200), st.floats(0.0, 1e6), st.floats(1e-6, 1e3),
+           st.floats(-1e6, 1e6), st.floats(0.0, 1e3))
+    def test_refutation_and_acceptance_exclude_each_other(self, d, magnitude, h_req, floor,
+                                                          above):
+        # a floor is at most the worst value it bounds: no worst value at
+        # or above a refuting floor is accepted at the same margin
+        worst = floor + above
+        assert not (assembly.refutes(floor, d, magnitude, h_req)
+                    and assembly.accepts(worst, d, magnitude, h_req))
 
 
 def same_floats(got: np.ndarray, expect: np.ndarray) -> bool:

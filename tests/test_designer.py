@@ -978,6 +978,29 @@ class TestLazyStack:
             assert bit_pattern(stack.rows(slice(None))) == bit_pattern(whole)
             assert (stack.a is None) == (per_chunk < K)
 
+    def test_bounds_assemble_only_the_unread_chunks(self, chunk_budget, monkeypatch):
+        # g and a_max assemble each chunk that no read has covered, once:
+        # after a read of samples 2-4 of 9, chunks of 2, they assemble the
+        # chunks 0-1, 4-5 (sample 5 unread), 6-7 and 8
+        rng = np.random.default_rng(17)
+        sys, roots, X = stacked_chains(rng, 2, 2, "lorenz")
+        X = rng.uniform(-3, 3, (9,) + X.shape[1:])
+        whole = assembly.stack_roots(sys, roots, X)
+        expect_g, expect_max = whole.g.copy(), whole.a_max.copy()
+        assembled = []
+        real = assembly.ErrorSystem.a_matrix_batch
+        monkeypatch.setattr(assembly.ErrorSystem, "a_matrix_batch", staticmethod(
+            lambda sys, roots, pairs, X, dg: assembled.append(len(X)) or real(
+                sys, roots, pairs, X, dg)))
+        with chunk_budget(8 * 2 * (2 * sys.state_dim) ** 2 * 2):
+            stack = assembly.stack_roots(sys, roots, X)
+            stack.rows(slice(2, 5))
+            assert assembled == [3]
+            assert bit_pattern(stack.a_max) == bit_pattern(expect_max)
+            assert assembled == [3, 2, 2, 2, 1]
+            assert bit_pattern(stack.g) == bit_pattern(expect_g)
+            assert assembled == [3, 2, 2, 2, 1] and stack.a is None
+
 
 class TestRobustnessPropagation:
     def make_outcome(self):
