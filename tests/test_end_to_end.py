@@ -6,6 +6,11 @@ generator spec of its network unless the network is inline, and the
 for them.  ``e2e-exact`` runs the inverse shortcut on bistable nodes, mixing
 exactly reconstructed nodes with zero-gain Theorem-2 subsets; ``e2e-partial``
 measures two of three Lorenz coordinates, so every subset synthesizes gains.
+``e2e-select`` runs bistable nodes with no shortcut: it measures 5 of 16
+nodes, three subsets certify with gains on fewer nodes than they hold, and
+the root (1, 2, 3, 4, 6, 7) retries synthesis after a first call that ends
+``Infeasible`` when the descent's iteration budget runs out.  That
+``Infeasible`` is unproven; it is recorded as the current behaviour.
 Every case has a generator spec, so the CI's installed-package step runs
 each.  Decisions (measured nodes, theorems, statuses, counts) must match
 exactly, floats to a relative 1e-12.
