@@ -27,7 +27,6 @@ from .dynamics import (
 from .assembly import (
     CertificationReport,
     EmptySampleSet,
-    ErrorSystem,
     MissingOutsideError,
     NonpositiveMargin,
     RobustnessBound,

@@ -9,8 +9,9 @@ array places each node's block in A_S.
 
 A design certifies the roots of a pass, disjoint subsets that no edge joins,
 several at a time: ``stack_roots`` gives roots of one size one
-``RootStack``, which assembles nothing until a check reads it, and
-``RootStack.system`` gives each root its ``ErrorSystem``, a view of its row.
+``RootStack``, which assembles nothing until a check reads it.  A check
+with gains, and gain synthesis, run on a stack that holds one subset as its
+only root; a root's rows are the same bits alone as in a larger stack.
 Each Theorem-2 decision takes the slack ``rounding_tol``: a node's floor
 (``node_floors``, made once per design) refutes above -h + tol
 (``refutes``), and a check passes at a worst value of at most -h - tol
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -56,82 +56,41 @@ class NonpositiveMargin(ValueError):
 SEED_COUNT = 8
 
 
-class ErrorSystem:
-    """The zero-gain A_S and the coupling-Jacobian bound of the subset S,
-    the node tuple ``nodes``, over a sample set of estimator states: root
-    ``row`` of its ``RootStack``, ``stack``, whose ``system`` makes it.
+def a_matrix_batch(
+    sys: NetworkSystem,
+    roots: np.ndarray,
+    pairs: tuple,
+    X: np.ndarray,
+    dg: np.ndarray,
+) -> np.ndarray:
+    """Zero-gain A_S of the R roots of M nodes, the rows of ``roots``, stacked
+    over the (K, N, n) states ``X``: (R, K, Mn, Mn).  ``pairs`` places the
+    coupling terms (``coupling_pairs``), and ``dg`` is the (edges, K, n)
+    coupling derivative g' of the union's entering edges."""
+    (R, M), n, K = roots.shape, sys.state_dim, X.shape[0]
+    A = np.zeros((R, K, M, n, M, n))
+    Jf = sys.field.jac_x(X[:, roots.ravel()], sys.field.nominal_params)
+    block = np.arange(M)
+    A[:, :, block, :, block, :] += Jf.reshape(K, R, M, n, n).transpose(2, 1, 0, 3, 4)
+    edge, root, head, member, weight, waves, sigma = pairs
+    terms = sigma * dg
+    diag = np.arange(n)
+    for lo, hi in zip(waves, waves[1:]):
+        wave = weight[lo:hi] * terms[edge[lo:hi]]
+        A[root[lo:hi], :, head[lo:hi], diag, member[lo:hi], diag] += wave.transpose(0, 2, 1)
+    return A.reshape(R, K, M * n, M * n)
 
-    ``rows(idx)`` is A_S at the samples ``idx``, (k, nM, nM), and ``g`` is
-    (K,), the largest |g'| over the subset's incoming edges at each sample
-    (0 when no edge enters S).  ``a`` is ``rows`` of every sample.  Both
-    read the stack: no view caches A_S, and only gain synthesis reads a
-    root over the budget whole.  Gains enter as ``rows(idx) - B`` with B
-    from ``gain_matrix``, on a new array, so A_S stays the zero-gain stack.
 
-    ``entering`` is S's incidence slice (see the module docstring): the
-    stack's own for a one-root stack, else made on first use, which only a
-    root that fails its zero-gain checks does.
-    """
-
-    @cached_property
-    def entering(self) -> EdgeSlice:
-        stack = self.stack
-        return stack.entering if len(stack.roots) == 1 else self.sys.hypergraph.entering(self.nodes)
-
-    @property
-    def dim(self) -> int:
-        return len(self.nodes) * self.sys.state_dim
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.stack.g[self.row]
-
-    @property
-    def a(self) -> np.ndarray:
-        """The whole (K, nM, nM) stack, ``rows`` of every sample."""
-        return self.rows(slice(None))
-
-    def rows(self, idx: slice) -> np.ndarray:
-        """A_S at the samples of the slice ``idx``, the stack's rows: a view
-        when the stack holds them, else assembled."""
-        return self.stack.rows(idx)[self.row]
-
-    @staticmethod
-    def a_matrix_batch(
-        sys: NetworkSystem,
-        roots: np.ndarray,
-        pairs: tuple,
-        X: np.ndarray,
-        dg: np.ndarray,
-    ) -> np.ndarray:
-        """Zero-gain A_S of the R roots of M nodes, the rows of ``roots``,
-        stacked over the (K, N, n) states ``X``: (R, K, Mn, Mn).  ``pairs``
-        places the coupling terms (``coupling_pairs``), and ``dg`` is the
-        (edges, K, n) coupling derivative g' of the union's entering edges."""
-        (R, M), n, K = roots.shape, sys.state_dim, X.shape[0]
-        A = np.zeros((R, K, M, n, M, n))
-        Jf = sys.field.jac_x(X[:, roots.ravel()], sys.field.nominal_params)
-        block = np.arange(M)
-        A[:, :, block, :, block, :] += Jf.reshape(K, R, M, n, n).transpose(2, 1, 0, 3, 4)
-        edge, root, head, member, weight, waves, sigma = pairs
-        terms = sigma * dg
-        diag = np.arange(n)
-        for lo, hi in zip(waves, waves[1:]):
-            wave = weight[lo:hi] * terms[edge[lo:hi]]
-            A[root[lo:hi], :, head[lo:hi], diag, member[lo:hi], diag] += wave.transpose(0, 2, 1)
-        return A.reshape(R, K, M * n, M * n)
-
-    @staticmethod
-    def coupling_jac_bound(dg: np.ndarray, edge_root: np.ndarray, R: int) -> np.ndarray:
-        """Per root and sample of the (edges, K, n) coupling derivative
-        ``dg``, whose edges enter the roots ``edge_root``, the max spectral
-        norm of the coupling Jacobian diag(g') over the incoming edges: the
-        largest |g'|, 0 when no edge enters the root.  (R, K)."""
-        starts, order = _csr(edge_root, np.arange(len(edge_root)), R)
-        entered = np.flatnonzero(np.diff(starts))
-        g = np.zeros((R, dg.shape[1]))
-        g[entered] = np.maximum.reduceat(np.abs(dg[order]).max(axis=2), starts[entered])
-        return g
+def coupling_jac_bound(dg: np.ndarray, edge_root: np.ndarray, R: int) -> np.ndarray:
+    """Per root and sample of the (edges, K, n) coupling derivative ``dg``,
+    whose edges enter the roots ``edge_root``, the max spectral norm of the
+    coupling Jacobian diag(g') over the incoming edges: the largest |g'|, 0
+    when no edge enters the root.  (R, K)."""
+    starts, order = _csr(edge_root, np.arange(len(edge_root)), R)
+    entered = np.flatnonzero(np.diff(starts))
+    g = np.zeros((R, dg.shape[1]))
+    g[entered] = np.maximum.reduceat(np.abs(dg[order]).max(axis=2), starts[entered])
+    return g
 
 
 def coupling_pairs(
@@ -171,12 +130,13 @@ class RootStack:
     """The zero-gain A_S of R disjoint subsets of M nodes each, the rows of
     ``roots``, over the (K, N, n) samples ``X``, as a stream: ``rows(idx)``
     assembles the (R, k, Mn, Mn) rows of the samples ``idx`` when a check
-    reads them, and ``system(r)`` is root r's ``ErrorSystem``.  ``upstream``
-    holds the tails of the entering edges outside their root, and ``floors``
-    is ``node_floors`` of the samples.  Each assembly records the g, (R, K),
-    and max|A_S|, ``a_max``, of its samples; reading either assembles the
-    samples not read yet.  A stack of one chunk keeps its first whole read,
-    ``a``, None before it and for a larger stack."""
+    reads them.  ``entering`` is the incidence slice of the roots' union
+    (see the module docstring), S's own for a one-root stack.  ``upstream``
+    holds the tails of the entering edges outside their root, and
+    ``floors`` is ``node_floors`` of the samples.  Each assembly records the
+    g, (R, K), and max|A_S|, ``a_max``, of its samples; reading either
+    assembles the samples not read yet.  A stack of one chunk keeps its
+    first whole read, ``a``, None before it and for a larger stack."""
 
     def __init__(self, sys: NetworkSystem, roots: np.ndarray, sl: EdgeSlice,
                  edge_root: np.ndarray, local: np.ndarray, X: np.ndarray, floors: tuple):
@@ -206,15 +166,6 @@ class RootStack:
     def a_max(self) -> np.ndarray:
         return self._recorded()[1]
 
-    def system(self, r: int) -> ErrorSystem:
-        """Root r's ``ErrorSystem``, the one way to make one, and a new view
-        at each call: views refer to the stack and it to none of them, so no
-        reference cycle keeps a stack past its last view."""
-        err = object.__new__(ErrorSystem)
-        err.sys, err.nodes = self.sys, tuple(self.roots[r].tolist())
-        err.stack, err.row = self, r
-        return err
-
     def chunks(self) -> list[slice]:
         """Sample ranges whose rows hold at most ``CHUNK_BYTES``, at least
         one sample each."""
@@ -243,8 +194,8 @@ class RootStack:
         for rows, weights, members in self._terms:
             args[rows] += weights * X[:, members].transpose(1, 0, 2)
         dg = self.sys.coupling.deriv(args)
-        A = ErrorSystem.a_matrix_batch(self.sys, self.roots, self._pairs, X, dg)
-        self._g[:, idx] = ErrorSystem.coupling_jac_bound(dg, self._edge_root, len(self.roots))
+        A = a_matrix_batch(self.sys, self.roots, self._pairs, X, dg)
+        self._g[:, idx] = coupling_jac_bound(dg, self._edge_root, len(self.roots))
         self._a_max = np.maximum(self._a_max, np.maximum(A.max(axis=(1, 2, 3)),
                                                          -A.min(axis=(1, 2, 3))))
         self._read[idx] = True
@@ -376,7 +327,8 @@ def gain_matrix(
 ) -> np.ndarray:
     """The (Mn, Mn) correction matrix B of the M-node subset S with block
     (i, j) equal to gains[k] @ gamma for keys[k] = (i, j), and zero
-    elsewhere: A_S with these gains is ``err.a - B`` at every sample.
+    elsewhere: A_S with these gains is ``rows(idx) - B`` of a one-root
+    ``RootStack`` at every sample.
     ``position`` is the index of S, ``EdgeSlice.position``; ``gains`` is the
     (len(keys), n, p) stack of gain blocks; keys are distinct.
 
@@ -522,29 +474,39 @@ def thm2_report(worst: float, g_bound: float, sample_count: int, h_req: float, d
     )
 
 
+def one_root(stack: RootStack) -> tuple[int, ...]:
+    """The node tuple of the one root of ``stack``; ValueError for a stack
+    of several roots."""
+    if len(stack.roots) != 1:
+        raise ValueError(f"a stack of {len(stack.roots)} roots, expected one")
+    return tuple(stack.roots[0].tolist())
+
+
 def check_thm2(
-    err: ErrorSystem,
+    stack: RootStack,
     h_req: float,
     gains: Mapping[tuple[int, int], np.ndarray] | None = None,
 ) -> CertificationReport:
     """Uniform Hurwitz margin of the symmetric part of A_S with the given
-    gain blocks over the sample set of ``err`` (``top_eig_max``), plus the
-    finite boundedness check on the coupling Jacobian."""
+    gain blocks over the sample set of the one root of ``stack``
+    (``top_eig_max``), plus the finite boundedness check on the coupling
+    Jacobian."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
+    one_root(stack)
     B = None
     if gains:
         keys = list(gains)
         blocks = np.array([gains[k] for k in keys], dtype=float)
-        B = gain_matrix(err.entering.position, keys, blocks, err.sys.output.matrix)
+        B = gain_matrix(stack.entering.position, keys, blocks, stack.sys.output.matrix)
 
     def rows(idx):
-        return (err.rows(idx) if B is None else err.rows(idx) - B)[None]
+        return stack.rows(idx) if B is None else stack.rows(idx) - B
 
-    K = err.stack.num_samples
-    worst = float(top_eig_max(rows, 1, K, err.dim)[0])
-    mag = err.stack.a_max[err.row] + (0.0 if B is None else float(np.abs(B).max()))
-    return thm2_report(worst, float(err.g.max()), K, h_req, err.dim, mag)
+    K, d = stack.num_samples, stack.dim
+    worst = float(top_eig_max(rows, 1, K, d)[0])
+    mag = stack.a_max[0] + (0.0 if B is None else float(np.abs(B).max()))
+    return thm2_report(worst, float(stack.g[0].max()), K, h_req, d, mag)
 
 
 # -- robustness bound --------------------------------------------------------------

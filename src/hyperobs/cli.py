@@ -120,7 +120,7 @@ def cmd_design(args) -> int:
         log.error("%s", exc)
         return EXIT_CONFIG
     outcome = design_observer(sys_, ensemble, options)
-    report = design_report(outcome, cfgmod.design_relevant_hash(doc, hypergraph), options.seed,
+    report = design_report(outcome, cfgmod.design_relevant_hash(doc, hypergraph),
                            field_param_jacobian_bound(sys_, ensemble.stacked()))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -355,8 +355,10 @@ _SIM_FIELDS = {
 
 
 def build_design_options(doc: dict) -> DesignOptions:
-    # the schema's design keys are DesignOptions fields, trajectories aside
-    return DesignOptions(**{k: v for k, v in doc["design"].items() if k != "trajectories"})
+    # the schema's design keys are DesignOptions fields, trajectories aside, and
+    # seed, which no design step reads; the schema keeps it for configs that set it
+    return DesignOptions(**{k: v for k, v in doc["design"].items()
+                            if k not in ("trajectories", "seed")})
 
 
 def build_ensemble_spec(doc: dict) -> TrajectoryEnsembleSpec:

@@ -15,10 +15,11 @@ exact one: a root it leaves standing gets the full check, which fails
 wherever the exact slack refutes, so the bound changes no decision.  A
 stack assembles nothing until a check reads it, a chunk at a time, so no
 zero-gain check holds a whole root over the budget.  Certified roots are
-recorded as they are; the others retry in the pass's order on their
-``ErrorSystem``.  Each retry measures one more node of S, chosen by the
-degree heuristic, and synthesizes Theorem-2 gains on the nodes of S
-measured so far, until a synthesis passes or S is exhausted.  With an
+recorded as they are, and a pass's stacks go once it is certified; the
+others retry in the pass's order.  Each retry measures one more node of S,
+chosen by the degree heuristic, and synthesizes Theorem-2 gains on the
+nodes of S measured so far, on a stack holding S alone, made at its first
+retry, until a synthesis passes or S is exhausted.  With an
 invertible output map, a measured node j is instead reconstructed exactly
 and skips certification, and S \\ {j} returns in the next pass, labelled
 again on its own: no unobserved node outside the root S reaches it.  So
@@ -33,7 +34,6 @@ code writes or checks it.  Node ids are JSON integers in [0, N), and a number
 that is not finite is the string "inf", "-inf" or "nan" (``strict_float``):
 
     config_hash          string: ``config.design_relevant_hash`` of the run
-    seed                 integer: ``design.seed``, which no design step reads
     f_bound              finite number >= 0: ``field_param_jacobian_bound``
     outcome
       status             "complete", or "failed" with
@@ -77,7 +77,6 @@ import numpy as np
 
 from .assembly import (
     CertificationReport,
-    ErrorSystem,
     RootStack,
     check_thm2,
     node_floors,
@@ -107,13 +106,12 @@ class AllMeasured(ValueError):
 
 @dataclass(frozen=True)
 class DesignOptions:
-    """Observer-design settings.  ``seed`` is recorded in ``design.json`` but
-    read by no design step: gain synthesis is one deterministic descent,
-    whose iteration budget is ``gain_design.MAX_ITERS``."""
+    """Observer-design settings.  No design step draws a random number: gain
+    synthesis is one deterministic descent, whose iteration budget is
+    ``gain_design.MAX_ITERS``."""
 
     margin: float = 1.0
     use_inverse_shortcut: bool | None = None  # None: shortcut iff h invertible
-    seed: int = 0
 
 
 @dataclass
@@ -180,11 +178,10 @@ def strict_float(x: float | None) -> float | str | None:
     return x if x is None or math.isfinite(x) else str(float(x))
 
 
-def design_report(outcome: DesignOutcome, config_hash: str, seed: int, f_bound: float) -> dict:
+def design_report(outcome: DesignOutcome, config_hash: str, f_bound: float) -> dict:
     """The design report of ``outcome`` (layout in the module docstring)."""
     return {
         "config_hash": config_hash,
-        "seed": seed,
         "f_bound": strict_float(f_bound),
         "outcome": outcome.to_json_dict(),
     }
@@ -234,9 +231,7 @@ def read_design_report(doc, sys: NetworkSystem, config_hash: str) -> tuple[Desig
     the module docstring lists; ValueError names the first fault."""
     if type(doc) is not dict or doc.get("config_hash") != config_hash:
         raise ValueError("the report does not match this config (hash check failed)")
-    _, seed, f_bound, out = _fields(doc, "config_hash seed f_bound outcome", "the report")
-    if type(seed) is not int:
-        raise ValueError(f"seed {seed!r} is not a JSON integer")
+    _, f_bound, out = _fields(doc, "config_hash f_bound outcome", "the report")
     if type(f_bound) not in (int, float) or not 0.0 <= f_bound < math.inf:
         raise ValueError(f"f_bound {f_bound!r} is not a finite nonnegative JSON number")
     status, failed, design, processed = _fields(
@@ -359,17 +354,16 @@ def certify_pass(
     exact: set[int],
     observed: np.ndarray,
     floors: tuple[np.ndarray, np.ndarray],
-) -> list[tuple[CertificationReport | None, ErrorSystem | None]]:
-    """For each root of a pass, in order, (report, None) when
-    ``certify_roots`` certifies it, else (None, err) with the root's
-    ErrorSystem for its retries.  Roots of one size are stacked over the
+) -> list[CertificationReport | None]:
+    """For each root of a pass, in order, its report when ``certify_roots``
+    certifies it, else None.  Roots of one size are stacked over the
     (K, N, n) ``samples``, as many as ``CHUNK_BYTES`` holds and at least one,
     with the design's ``floors``."""
     K, n = samples.shape[0], sys.state_dim
     sizes: dict[int, list[int]] = {}
     for k, S in enumerate(roots):
         sizes.setdefault(len(S), []).append(k)
-    verdicts: list = [None] * len(roots)
+    reports: list[CertificationReport | None] = [None] * len(roots)
     for M, group in sizes.items():
         step = max(1, dynamics.CHUNK_BYTES // (8 * K * (M * n) ** 2))
         for lo in range(0, len(group), step):
@@ -379,10 +373,9 @@ def certify_pass(
             if not observed[stack.upstream].all():
                 raise AssertionError(f"upstream tails {set(stack.upstream.tolist())} of "
                                      f"{[roots[k] for k in chunk]} unprocessed")
-            reports = certify_roots(stack, options)
-            for r, (k, report) in enumerate(zip(chunk, reports)):
-                verdicts[k] = (report, None) if report is not None else (None, stack.system(r))
-    return verdicts
+            for k, report in zip(chunk, certify_roots(stack, options)):
+                reports[k] = report
+    return reports
 
 
 def design_observer(
@@ -423,25 +416,26 @@ def design_observer(
         iteration += 1
         progress, first = np.count_nonzero(observed), len(processed)
         roots = condense(src, dst, label, ~observed)
-        verdicts = certify_pass(sys, roots, samples, options, exact, observed, floors)
-        for k, S in enumerate(roots):
-            # a root's view goes once its retries are done
-            (report, err), verdicts[k] = verdicts[k], None
+        reports = certify_pass(sys, roots, samples, options, exact, observed, floors)
+        for S, report in zip(roots, reports):
             # an uncertified root measures select_node(S): with the shortcut
             # the node is reconstructed exactly and the pass moves on, else
             # gains are synthesized on the nodes of S measured so far,
-            # ``added``.  No root holds a measured node, so the zero-gain
-            # checks, which read neither gains nor the measured set, would
-            # decide every retry as they decided the first: retries reuse err
-            new_gains: dict[tuple[int, int], np.ndarray] = {}
-            added: list[int] = []
+            # ``added``, on S's own stack, made at its first retry, whose
+            # slice also serves select_node.  No root holds a measured node,
+            # so the zero-gain checks, which read neither gains nor the
+            # measured set, would decide every retry as they decided the
+            # first: they are not run again, and retries reuse the stack
+            new_gains, added, stack = {}, [], None
             while report is None:
                 if set(S) <= measured:
                     log.warning("subset %s exhausted without certification", S)
                     none = CertificationReport("none", -math.inf, 0)
                     processed.append(ProcessedSubset(S, none, tuple(added), iteration))
                     return outcome("failed", S)
-                j = select_node(err.entering, measured)
+                if not shortcut:
+                    stack = stack or stack_roots(sys, [S], samples, frozenset(exact), floors)
+                j = select_node(H.entering(S) if stack is None else stack.entering, measured)
                 measured.add(j)
                 if shortcut:
                     # S \ {j} re-enters the residual pattern next pass, labelled on its own
@@ -455,11 +449,11 @@ def design_observer(
                 added.append(j)
                 log.debug("iteration %d: measuring node %d of %s", iteration, j, S)
                 try:
-                    new_gains = design_gain_thm2(err, added, options.margin)
+                    new_gains = design_gain_thm2(stack, added, options.margin)
                 except Infeasible as exc:
                     log.debug("thm2 synthesis infeasible on %s: %s", S, exc)
                     continue
-                report = check_thm2(err, options.margin, new_gains)
+                report = check_thm2(stack, options.margin, new_gains)
                 if not report.passed:
                     report = None
             if report is not None:
@@ -468,8 +462,6 @@ def design_observer(
                 processed.append(ProcessedSubset(S, report, tuple(added), iteration))
                 log.debug("iteration %d: certified %s via %s (measured %s)",
                           iteration, S, report.theorem_used, added)
-        # no view of this pass outlives it into the next pass's stacks
-        err = None
         if np.count_nonzero(observed) == progress:
             raise AssertionError("design loop made no progress")
         entries = processed[first:]

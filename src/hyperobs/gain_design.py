@@ -2,10 +2,10 @@
 
 Gains drive the largest eigenvalue of the symmetric part of A_S below a
 required margin, by one Polyak-stepped subgradient descent from L = 0 over
-every sample of the zero-gain A_S stack of an ``ErrorSystem``, read whole by
-``GainProblem``.  The objective, max_k lambda_max(sym(A_k - B(L))), is a
-pointwise max of top eigenvalues of matrices affine in the gains, so it is
-convex (Lewis and Overton, "Eigenvalue optimization", Acta Numerica 1996):
+every sample of the zero-gain A_S of the one root of a ``RootStack``, read
+whole by ``GainProblem``.  The objective, max_k lambda_max(sym(A_k - B(L))),
+is a pointwise max of top eigenvalues of matrices affine in the gains, so it
+is convex (Lewis and Overton, "Eigenvalue optimization", Acta Numerica 1996):
 no restart could escape a local minimum.
 
 Each iteration runs ``eigvalsh`` only on the samples a batched Cholesky
@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assembly import (SEED_COUNT, ErrorSystem, accepts, gain_matrix, refutes, rounding_tol,
-                       symmetric_top_eig)
+from .assembly import (SEED_COUNT, RootStack, accepts, gain_matrix, one_root, refutes,
+                       rounding_tol, symmetric_top_eig)
 
 log = logging.getLogger("hyperobs.gain_design")
 
@@ -76,20 +76,20 @@ class ObserverDesign:
 
 
 class GainProblem:
-    """Affine-in-gains evaluation of A_S over the sample set of an
-    ``ErrorSystem``.  The gains are one (len(keys), n, p) array L, block k
-    the n-by-p gain of keys[k] = (i, j): i runs over the subset's nodes in
-    subset order and, for each i, j over ``measured``, the subset's measured
-    nodes in increasing order.  ``subgradient`` gives the objective, the max
+    """Affine-in-gains evaluation of A_S over the sample set of the one root
+    of ``stack``.  The gains are one (len(keys), n, p) array L, block k the
+    n-by-p gain of keys[k] = (i, j): i runs over the subset's nodes in subset
+    order and, for each i, j over ``measured``, the subset's measured nodes
+    in increasing order.  ``subgradient`` gives the objective, the max
     over samples of the top symmetric eigenvalue, and its subgradient in the
     layout of L; it places L @ Gamma in B as ``assembly.gain_matrix`` does,
     on the layout that function made and checked at construction."""
 
-    def __init__(self, err: ErrorSystem, measured: Sequence[int]):
-        self.nodes, self.position = err.nodes, err.entering.position
-        self.n = n = err.sys.state_dim
-        self.p = err.sys.output.output_dim
-        self.gamma = err.sys.output.matrix
+    def __init__(self, stack: RootStack, measured: Sequence[int]):
+        self.nodes, self.position = one_root(stack), stack.entering.position
+        self.n = n = stack.sys.state_dim
+        self.p = stack.sys.output.output_dim
+        self.gamma = stack.sys.output.matrix
         self.measured = list(measured)
         self.keys = [(i, j) for i in self.nodes for j in self.measured]
         self._measured_at = self.position[self.measured].tolist()
@@ -100,7 +100,7 @@ class GainProblem:
                           np.eye(n))
         self._at = np.argsort(num, axis=None)[num.size - q :]
         # sym(A_k^0) with the samples on the last axis, for the Cholesky screen
-        self.a = a = err.a
+        self.a = a = stack.rows(slice(None))[0]
         self.s0 = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0),
                          out=np.empty(a.shape[1:] + a.shape[:1]))
         self.s0 *= 0.5
@@ -179,12 +179,13 @@ class GainProblem:
 
 
 def design_gain_thm2(
-    err: ErrorSystem,
+    stack: RootStack,
     measured_in_subset: Iterable[int],
     h_req: float,
 ) -> dict[tuple[int, int], np.ndarray]:
     """Find static gains that pass the Theorem-2 check at margin ``h_req``
-    over the sample set of ``err``, within ``MAX_ITERS`` iterations.
+    over the sample set of the one root of ``stack``, within ``MAX_ITERS``
+    iterations; ValueError for a stack of several roots.
 
     One subgradient descent with Polyak steps from L = 0, which stops at the
     first max over all samples that ``assembly.accepts`` at max|A_S| +
@@ -196,20 +197,21 @@ def design_gain_thm2(
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
-    measured = sorted(set(int(v) for v in measured_in_subset) & set(err.nodes))
+    nodes = one_root(stack)
+    measured = sorted(set(int(v) for v in measured_in_subset) & set(nodes))
     if not measured:
-        raise NoMeasuredNodes(f"subset {err.nodes} has no measured nodes")
-    a_max = err.stack.a_max[err.row]
+        raise NoMeasuredNodes(f"subset {nodes} has no measured nodes")
+    a_max = stack.a_max[0]
     if not np.isfinite(a_max):
-        raise Infeasible(f"subset {err.nodes}: A_S is not finite at some sample, "
+        raise Infeasible(f"subset {nodes}: A_S is not finite at some sample, "
                          "no gains make it so")
-    floor = err.stack.floors[0][[v for v in err.nodes if v not in measured]].max(initial=-np.inf)
-    if refutes(floor, err.dim, a_max, h_req):
+    floor = stack.floors[0][[v for v in nodes if v not in measured]].max(initial=-np.inf)
+    if refutes(floor, stack.dim, a_max, h_req):
         raise Infeasible(
-            f"subset {err.nodes}: unmeasured diagonal blocks reach "
+            f"subset {nodes}: unmeasured diagonal blocks reach "
             f"{floor:.4g}, margin {h_req} is unattainable for any gains"
         )
-    prob = GainProblem(err, measured)
+    prob = GainProblem(stack, measured)
     L = np.zeros((len(prob.keys), prob.n, prob.p))
     overshoot = POLYAK_OVERSHOOT
     stall_window = max(100, MAX_ITERS // 10)
@@ -218,10 +220,10 @@ def design_gain_thm2(
         phi, grads = prob.subgradient(L)
         if phi < best_phi - 1e-12:
             best_phi, last_best_iter = phi, it
-        if accepts(phi, err.dim, a_max + prob.b_max, h_req):
+        if accepts(phi, stack.dim, a_max + prob.b_max, h_req):
             log.debug(
                 "thm2 design for %s done: %d iterations, %.1f of %d samples per iteration",
-                prob.nodes, it + 1, prob.evaluated / (it + 1), err.stack.num_samples,
+                prob.nodes, it + 1, prob.evaluated / (it + 1), stack.num_samples,
             )
             return {k: g for k, g in zip(prob.keys, L) if np.any(g)}
         if it - last_best_iter > stall_window and overshoot > 1.01:

@@ -27,7 +27,7 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import dynamics, sim
-from hyperobs.assembly import CertificationReport, accepts, check_thm2, stack_roots
+from hyperobs.assembly import CertificationReport, accepts, check_thm2, one_root, stack_roots
 from hyperobs.designer import DesignOutcome, ProcessedSubset, select_node
 from hyperobs.gain_design import POLYAK_OVERSHOOT, Infeasible, design_gain_thm2
 from hyperobs.hypergraph import NodeOutOfRange
@@ -64,10 +64,14 @@ def bit_pattern(x: np.ndarray) -> bytes:
     return np.ascontiguousarray(x).tobytes()
 
 
-def error_system(sys, nodes, samples, zero_error_nodes=frozenset()):
-    """The ``ErrorSystem`` of the subset ``nodes`` alone: root 0 of its own
-    one-root ``RootStack``."""
-    return stack_roots(sys, [nodes], samples, frozenset(zero_error_nodes)).system(0)
+def root_stack(sys, nodes, samples, zero_error_nodes=frozenset()):
+    """The ``RootStack`` that holds the subset ``nodes`` as its one root."""
+    return stack_roots(sys, [nodes], samples, frozenset(zero_error_nodes))
+
+
+def root_rows(stack):
+    """The (K, Mn, Mn) A_S of the one root of ``stack`` at every sample."""
+    return stack.rows(slice(None))[0]
 
 
 def hold_rows(stack, A):
@@ -310,15 +314,16 @@ def apply_gains_by_block(A, subset, gains: Mapping, gamma: np.ndarray) -> np.nda
     return A
 
 
-def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int, phis=None):
+def dense_gain_descent(stack, measured_in_subset, h_req: float, max_iters: int,
+                       phis=None):
     """The Polyak-stepped subgradient descent of ``design_gain_thm2`` from
-    L = 0, on a dict of gain blocks: every iteration rebuilds A_S from
-    ``err.a`` with ``apply_gains_by_block`` and runs ``eigvalsh`` on every
-    sample.  Returns the nonzero gain blocks once ``accepts`` the max at
-    max|A_S| + the largest |L @ Gamma|, or None; each iteration's max is
-    appended to the list ``phis`` when given."""
-    sub, n = SubsetIndex(err.nodes), err.sys.state_dim
-    gamma, a_max = err.sys.output.matrix, err.stack.a_max[err.row]
+    L = 0 on the one-root ``stack``, on a dict of gain blocks: every
+    iteration rebuilds A_S from ``root_rows`` with ``apply_gains_by_block``
+    and runs ``eigvalsh`` on every sample.  Returns the nonzero gain blocks
+    once ``accepts`` the max at max|A_S| + the largest |L @ Gamma|, or None;
+    each iteration's max is appended to the list ``phis`` when given."""
+    sub, n = SubsetIndex(one_root(stack)), stack.sys.state_dim
+    gamma, a_max = stack.sys.output.matrix, stack.a_max[0]
     measured = sorted(set(int(v) for v in measured_in_subset) & set(sub.nodes))
     keys = [(i, j) for i in sub.nodes for j in measured]
     gains = {key: np.zeros((n, gamma.shape[0])) for key in keys}
@@ -326,7 +331,7 @@ def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int, ph
     stall_window = max(100, max_iters // 10)
     best_phi, last_best_iter = np.inf, 0
     for it in range(max_iters):
-        A = apply_gains_by_block(err.a.copy(), sub, gains, gamma)
+        A = apply_gains_by_block(root_rows(stack).copy(), sub, gains, gamma)
         sym = 0.5 * (A + np.swapaxes(A, 1, 2))
         lam = np.linalg.eigvalsh(sym)[:, -1]
         k = int(np.argmax(lam))
@@ -339,7 +344,7 @@ def dense_gain_descent(err, measured_in_subset, h_req: float, max_iters: int, ph
         if phi < best_phi - 1e-12:
             best_phi, last_best_iter = phi, it
         b_max = max(float(np.abs(L @ gamma).max()) for L in gains.values())
-        if accepts(phi, err.dim, a_max + b_max, h_req):
+        if accepts(phi, stack.dim, a_max + b_max, h_req):
             return {key: L for key, L in gains.items() if np.any(L)}
         if it - last_best_iter > stall_window and overshoot > 1.01:
             overshoot = 1.0 + 0.5 * (overshoot - 1.0)
@@ -360,28 +365,28 @@ def gain_array(prob, gains: Mapping) -> np.ndarray:
     return np.array([gains.get(key, zero) for key in prob.keys], dtype=float)
 
 
-def reference_certify_zero_gain(err, options):
-    """``designer.certify_roots`` on the one root of ``err`` with no
+def reference_certify_zero_gain(stack, options):
+    """``designer.certify_roots`` on the one root of ``stack`` with no
     refutation: the zero-gain Theorem-2 check always runs."""
-    report = check_thm2(err, options.margin)
+    report = check_thm2(stack, options.margin)
     return report if report.passed else None
 
 
 def reference_certify(sys, subset_nodes, measured, ensemble, options, zero_error_nodes=()):
     """One certification attempt of the design loop, every route on a fresh
-    ``ErrorSystem``: zero-gain Theorem 2, then gain synthesis on the measured
+    one-root stack: zero-gain Theorem 2, then gain synthesis on the measured
     nodes of the subset.  Returns (report, gains) of the first route that
     passes, or None."""
     nodes = sorted(set(int(v) for v in subset_nodes))
     measured_in = sorted(frozenset(int(v) for v in measured) & set(nodes))
-    err = error_system(sys, nodes, ensemble.stacked(), frozenset(zero_error_nodes))
-    rep0 = check_thm2(err, options.margin)
+    stack = root_stack(sys, nodes, ensemble.stacked(), frozenset(zero_error_nodes))
+    rep0 = check_thm2(stack, options.margin)
     if rep0.passed:
         return rep0, {}
     if measured_in:
         try:
-            gains = design_gain_thm2(err, measured_in, options.margin)
-            rep = check_thm2(err, options.margin, gains)
+            gains = design_gain_thm2(stack, measured_in, options.margin)
+            rep = check_thm2(stack, options.margin, gains)
             if rep.passed:
                 return rep, gains
         except Infeasible:

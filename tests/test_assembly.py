@@ -35,7 +35,6 @@ from conftest import (
     apply_gains_by_block,
     bit_pattern,
     brute_force_sccs,
-    error_system,
     fd_jacobian,
     gain_array,
     head_closed,
@@ -48,6 +47,8 @@ from conftest import (
     random_system,
     reference_a_matrix_batch,
     reference_outside_term,
+    root_rows,
+    root_stack,
     to_dependency_graph,
     upstream_tails,
     vector_field_from_callable,
@@ -116,12 +117,12 @@ def a_with_design(sys, design, nodes, states, zero_error_nodes=frozenset()):
     """A_S with the design's gain blocks, stacked over the samples; one state
     of N * n entries is one sample."""
     states = np.reshape(states, (-1, sys.num_nodes, sys.state_dim))
-    err = error_system(sys, nodes, states, zero_error_nodes)
+    stack = root_stack(sys, nodes, states, zero_error_nodes)
     keys = list(design.gains)
     blocks = np.array([design.gains[k] for k in keys]).reshape(
         len(keys), sys.state_dim, sys.output.output_dim
     )
-    return err.a - gain_matrix(err.entering.position, keys, blocks, sys.output.matrix)
+    return root_rows(stack) - gain_matrix(stack.entering.position, keys, blocks, sys.output.matrix)
 
 
 class TestAssembleA:
@@ -129,7 +130,7 @@ class TestAssembleA:
         h = DirectedHypergraph(1)
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         xh = np.array([1.0, 2.0, 3.0])
-        A = error_system(sys, (0,), xh.reshape(1, 1, 3)).a[0]
+        A = root_rows(root_stack(sys, (0,), xh.reshape(1, 1, 3)))[0]
         np.testing.assert_allclose(A, sys.field.jac_x(xh), atol=1e-14)
 
     def test_single_measured_node_identity_output(self):
@@ -160,10 +161,10 @@ class TestAssembleA:
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(SubsetNotHeadClosed):
-            error_system(sys, (1,), np.zeros((1, 3, 1)))
+            root_stack(sys, (1,), np.zeros((1, 3, 1)))
         # tolerated when the missing head carries zero error
-        err = error_system(sys, (1,), np.zeros((1, 3, 1)), frozenset({2}))
-        A = err.a[0]
+        stack = root_stack(sys, (1,), np.zeros((1, 3, 1)), frozenset({2}))
+        A = root_rows(stack)[0]
         assert A.shape == (1, 1)
 
     def test_repeated_node_rejected(self):
@@ -172,7 +173,7 @@ class TestAssembleA:
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         for nodes in ([1, 2, 1], [0, 0]):
             with pytest.raises(HypergraphError, match="given twice"):
-                error_system(sys, nodes, np.zeros((1, 3, 1)))
+                root_stack(sys, nodes, np.zeros((1, 3, 1)))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 3, 1), (2, 3, 2), (3, 1)])
     def test_samples_other_than_k_by_n_by_n_rejected(self, shape):
@@ -180,18 +181,18 @@ class TestAssembleA:
         h = DirectedHypergraph(3)
         sys = random_system(np.random.default_rng(1), h, field_kind="bistable")
         with pytest.raises(DimensionMismatch):
-            error_system(sys, (0,), np.zeros(shape))
+            root_stack(sys, (0,), np.zeros(shape))
 
     def test_external_gain_column_rejected(self):
         h = DirectedHypergraph(2)
         sys = random_system(np.random.default_rng(2), h, field_kind="bistable")
-        err = error_system(sys, (0,), np.zeros((1, 2, 1)))
+        stack = root_stack(sys, (0,), np.zeros((1, 2, 1)))
         # a gain from measured node 1 into the subset {0} would couple it to
         # an error outside the subset
         with pytest.raises(ValueError):
-            check_thm2(err, 1.0, {(0, 1): np.eye(1)})
+            check_thm2(stack, 1.0, {(0, 1): np.eye(1)})
         with pytest.raises(ValueError):
-            gain_matrix(err.entering.position, [(1, 0)], np.ones((1, 1, 1)), np.eye(1))
+            gain_matrix(stack.entering.position, [(1, 0)], np.ones((1, 1, 1)), np.eye(1))
 
 
 class TestGainMatrix:
@@ -301,7 +302,7 @@ class TestDenseOutput:
             samples = rng.uniform(-2, 2, (3, h.num_nodes, n))
             A = a_with_design(sys, design, S, samples)
             # the same gains through the synthesis' gain array
-            prob = GainProblem(error_system(sys, S, samples), sorted(design.measured))
+            prob = GainProblem(root_stack(sys, S, samples), sorted(design.measured))
             assert set(design.gains) <= set(prob.keys)
             L = gain_array(prob, design.gains)
             A_gains = prob.rows(gain_matrix(prob.position, prob.keys, L, prob.gamma), np.arange(3))
@@ -322,12 +323,12 @@ class TestCouplingJacBound:
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
         samples = np.random.default_rng(7).uniform(-5, 5, (4, 2, 3))
-        err = error_system(sys, (0, 1), samples)
+        stack = root_stack(sys, (0, 1), samples)
         # the node floors read g' once, and the stack, which assembles
         # nothing until it is read, once for its coupling entries and bound
         assert len(calls) == 1
-        assert err.a.shape == (4, 6, 6)
-        assert err.g.shape == (4,) and np.all(err.g > 0)
+        assert root_rows(stack).shape == (4, 6, 6)
+        assert stack.g.shape == (1, 4) and np.all(stack.g > 0)
         assert len(calls) == 2
 
     @given(
@@ -343,7 +344,7 @@ class TestCouplingJacBound:
         sys = NetworkSystem(h, base.field, tanh_coupling(a, b, c), base.output)
         S = random_scc_union_subset(rng, h)
         samples = rng.uniform(-5, 5, (int(rng.integers(1, 5)), h.num_nodes, sys.state_dim))
-        bound = error_system(sys, S, samples).g
+        (bound,) = root_stack(sys, S, samples).g
         incoming = incoming_closure(h, S)
         if not incoming:
             np.testing.assert_array_equal(bound, np.zeros(len(samples)))
@@ -355,27 +356,27 @@ class TestCouplingJacBound:
         np.testing.assert_allclose(bound, expect, rtol=1e-15, atol=0)
 
 
-def one_sample_error_system(h, S, zero_error_nodes=frozenset()):
+def one_sample_stack(h, S, zero_error_nodes=frozenset()):
     sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
     samples = np.zeros((1, h.num_nodes, 3))
-    return error_system(sys, S, samples, frozenset(zero_error_nodes))
+    return root_stack(sys, S, samples, frozenset(zero_error_nodes))
 
 
 class TestHeadClosed:
     def test_full_set_closed(self):
         h = random_hypergraph(np.random.default_rng(4))
         assert head_closed(h, range(h.num_nodes))
-        one_sample_error_system(h, range(h.num_nodes))
+        one_sample_stack(h, range(h.num_nodes))
 
     def test_partial_heads_not_closed(self):
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1, 2)),))
         assert not head_closed(h, [1])
         with pytest.raises(SubsetNotHeadClosed):
-            one_sample_error_system(h, [1])
+            one_sample_stack(h, [1])
         assert head_closed(h, [1], ignoring=[2])
-        one_sample_error_system(h, [1], zero_error_nodes={2})
+        one_sample_stack(h, [1], zero_error_nodes={2})
         assert head_closed(h, [1, 2])
-        one_sample_error_system(h, [1, 2])
+        one_sample_stack(h, [1, 2])
 
     def test_scc_unions_are_head_closed(self):
         rng = np.random.default_rng(5)
@@ -383,7 +384,7 @@ class TestHeadClosed:
             h = random_hypergraph(rng)
             S = random_scc_union_subset(rng, h)
             assert head_closed(h, S)
-            one_sample_error_system(h, S)
+            one_sample_stack(h, S)
 
 
 class TestEnteringSliceConsumers:
@@ -396,15 +397,15 @@ class TestEnteringSliceConsumers:
         S = sorted(data.draw(st.sets(nodes, min_size=1)))
         for zero in (set(), data.draw(st.sets(nodes))):
             if head_closed(h, S, zero):
-                one_sample_error_system(h, S, zero)
+                one_sample_stack(h, S, zero)
             else:
                 with pytest.raises(SubsetNotHeadClosed):
-                    one_sample_error_system(h, S, zero)
+                    one_sample_stack(h, S, zero)
 
     @given(hypergraphs(), st.data())
     def test_upstream_tails(self, h, data):
         S = sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1)))
-        sl = one_sample_error_system(h, S, set(range(h.num_nodes)) - set(S)).entering
+        sl = one_sample_stack(h, S, set(range(h.num_nodes)) - set(S)).entering
         assert set(sl.members[sl.outside_tails].tolist()) == upstream_tails(h, S)
 
     @given(hypergraphs(), st.data(), st.integers(0, 2**32 - 1), st.booleans())
@@ -423,8 +424,8 @@ class TestEnteringSliceConsumers:
         if zeros:
             X[rng.random(X.shape) < 0.5] = -0.0
         sub = SubsetIndex(tuple(S))
-        err = error_system(sys, sub, X, frozenset(range(h.num_nodes)) - set(S))
-        got = err.a
+        stack = root_stack(sys, sub, X, frozenset(range(h.num_nodes)) - set(S))
+        got = root_rows(stack)
         args = sys.edge_arguments(X.transpose(1, 0, 2))[incoming_closure(h, S)]
         # the first evaluation is the node floors', at every edge's argument,
         # and the last the stack's
@@ -462,7 +463,7 @@ class TestEnteringSliceConsumers:
         with pytest.raises(NodeOutOfRange):
             thm3_bound(h, [1, bad], {0: 0.0}, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises(NodeOutOfRange):
-            one_sample_error_system(h, [1, 2, bad])
+            one_sample_stack(h, [1, 2, bad])
 
 
 def constant_matrix_system(A):
@@ -481,9 +482,9 @@ def constant_matrix_system(A):
     return NetworkSystem(h, field, linear_coupling(1.0), identity_output(n))
 
 
-def error_system_for(A, samples):
+def root_stack_for(A, samples):
     sys = constant_matrix_system(A)
-    return error_system(sys, (0,), samples)
+    return root_stack(sys, (0,), samples)
 
 
 def parabola_system():
@@ -512,11 +513,11 @@ class TestCheckThm2:
     def test_constant_minus_identity_passes_at_margin_one(self):
         # -I has margin exactly one: the check passes at one less the
         # rounding slack, and at one itself, inside the slack, it fails
-        err = error_system_for(-np.eye(2), np.zeros((3, 1, 2)))
-        report = check_thm2(err, h_req=1.0 - 2 * rounding_tol(2, 1.0))
+        stack = root_stack_for(-np.eye(2), np.zeros((3, 1, 2)))
+        report = check_thm2(stack, h_req=1.0 - 2 * rounding_tol(2, 1.0))
         assert report.passed and report.theorem_used == "thm2"
         assert report.hurwitz_margin == pytest.approx(1.0)
-        assert not check_thm2(err, h_req=1.0).passed
+        assert not check_thm2(stack, h_req=1.0).passed
 
     @given(st.integers(2, 6), st.floats(0.1, 10.0), st.floats(0.0, 0.9), st.integers(0, 5))
     def test_a_pass_holds_through_rounding(self, d, h_req, frac, at):
@@ -529,9 +530,9 @@ class TestCheckThm2:
             A = np.diag(np.full(d, -m))
             A[at % d, at % d] = top
             A[0, 1], A[1, 0] = m, -m
-            err = error_system_for(A, np.zeros((2, 1, d)))
-            report = check_thm2(err, h_req)
-            assert err.stack.a_max[0] == m
+            stack = root_stack_for(A, np.zeros((2, 1, d)))
+            report = check_thm2(stack, h_req)
+            assert stack.a_max[0] == m
             assert report.passed is passes
         # nothing passes at a magnitude that is not finite
         for magnitude in (np.inf, np.nan):
@@ -539,7 +540,7 @@ class TestCheckThm2:
 
     def test_positive_symmetric_part_fails(self):
         A = np.array([[0.5, 0.0], [0.0, -2.0]])
-        report = check_thm2(error_system_for(A, np.zeros((1, 1, 2))), h_req=0.1)
+        report = check_thm2(root_stack_for(A, np.zeros((1, 1, 2))), h_req=0.1)
         assert not report.passed
         assert report.hurwitz_margin == pytest.approx(-0.5)
 
@@ -557,9 +558,9 @@ class TestCheckThm2:
         kappas = np.arange(0.0, 40.0, 0.25)
         oracle = next(k for k in kappas if lam - k <= -h_req)
         checker = None
-        err = error_system(sys, (0,), samples)
+        stack = root_stack(sys, (0,), samples)
         for k in kappas:
-            if check_thm2(err, h_req, {(0, 0): k * np.eye(3)}).passed:
+            if check_thm2(stack, h_req, {(0, 0): k * np.eye(3)}).passed:
                 checker = k
                 break
         assert checker == pytest.approx(oracle)
@@ -575,34 +576,34 @@ class TestCheckThm2:
             perm = list(S)
             rng.shuffle(perm)
             gains = design.gains
-            r1 = check_thm2(error_system(sys, S, samples), 0.5, gains)
-            r2 = check_thm2(error_system(sys, perm, samples), 0.5, gains)
+            r1 = check_thm2(root_stack(sys, S, samples), 0.5, gains)
+            r2 = check_thm2(root_stack(sys, perm, samples), 0.5, gains)
             assert r1.passed == r2.passed
             assert r1.hurwitz_margin == pytest.approx(r2.hurwitz_margin, abs=1e-10)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(EmptySampleSet):
-            error_system_for(-np.eye(2), np.zeros((0, 1, 2)))
+            root_stack_for(-np.eye(2), np.zeros((0, 1, 2)))
 
     def test_gains_leave_the_zero_gain_stack_alone(self):
         rng = np.random.default_rng(33)
         h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2), identity_output(3))
-        err = error_system(sys, (0, 1), rng.uniform(-5, 5, (6, 2, 3)))
-        before = err.a.copy()
+        stack = root_stack(sys, (0, 1), rng.uniform(-5, 5, (6, 2, 3)))
+        before = root_rows(stack).copy()
         gains = {(0, 0): 5.0 * np.eye(3), (1, 0): rng.normal(0, 1, (3, 3))}
-        check_thm2(err, 1.0, gains)
-        np.testing.assert_array_equal(err.a, before)
+        check_thm2(stack, 1.0, gains)
+        np.testing.assert_array_equal(root_rows(stack), before)
 
     def test_scalar_hand_derived_margin(self):
         # J(x) = x along a ramp from -3 to -1.5: the worst sample is the
         # last, so the margin is 1.5 exactly, and a margin of 1.5 itself
         # lies inside the rounding slack
-        err = error_system(parabola_system(), (0,), np.linspace(-3.0, -1.5, 7).reshape(7, 1, 1))
-        report = check_thm2(err, 1.0)
+        stack = root_stack(parabola_system(), (0,), np.linspace(-3.0, -1.5, 7).reshape(7, 1, 1))
+        report = check_thm2(stack, 1.0)
         assert report == CertificationReport("thm2", 1.5, 7, 0.0)
-        assert err.stack.a_max[0] == 3.0
-        assert not check_thm2(err, 1.5).passed
+        assert stack.a_max[0] == 3.0
+        assert not check_thm2(stack, 1.5).passed
 
     def test_margin_reads_the_worst_sample_at_any_variation_speed(self):
         # the check bounds sym A_S at each sample alone, so how fast A_S
@@ -610,9 +611,9 @@ class TestCheckThm2:
         # every sample, and a margin of 0.2 passes at every speed
         t = np.arange(60) * 0.01
         for omega in (0.05, 0.2, 0.8, 2.0, 5.0, 20.0):
-            err = error_system(ramp_jacobian_system(omega), (0,), t.reshape(-1, 1, 1))
+            stack = root_stack(ramp_jacobian_system(omega), (0,), t.reshape(-1, 1, 1))
             worst = float((-1.0 + 0.5 * np.sin(omega * t)).max())
-            report = check_thm2(err, 0.2)
+            report = check_thm2(stack, 0.2)
             assert report.hurwitz_margin == -worst and report.passed
         assert report.hurwitz_margin == pytest.approx(0.5, abs=1e-3)
 
@@ -624,7 +625,7 @@ class TestCheckThm2:
         states[2, 0, 0] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = check_thm2(error_system(parabola_system(), (0,), states), 1.0)
+            report = check_thm2(root_stack(parabola_system(), (0,), states), 1.0)
         assert report == CertificationReport("none", -np.inf, 4, 0.0)
 
     def test_pooled_trajectories_read_the_worst_of_each(self):
@@ -633,15 +634,15 @@ class TestCheckThm2:
         # reaches 0 and fails the margin
         sys = parabola_system()
         trajs = [np.linspace(a, a + 1.0, 5).reshape(5, 1, 1) for a in (-3.0, -2.5, -1.0, -4.0)]
-        alone = [error_system(sys, (0,), x) for x in trajs]
+        alone = [root_stack(sys, (0,), x) for x in trajs]
         for count in (2, 4):
-            err = error_system(sys, (0,), np.concatenate(trajs[:count]))
+            stack = root_stack(sys, (0,), np.concatenate(trajs[:count]))
             for t, e in enumerate(alone[:count]):
-                np.testing.assert_array_equal(err.a[5 * t : 5 * t + 5], e.a)
-                np.testing.assert_array_equal(err.g[5 * t : 5 * t + 5], e.g)
+                np.testing.assert_array_equal(root_rows(stack)[5 * t : 5 * t + 5], root_rows(e))
+                np.testing.assert_array_equal(stack.g[:, 5 * t : 5 * t + 5], e.g)
             reps = [check_thm2(e, 1.0) for e in alone[:count]]
             assert [r.passed for r in reps] == [True, True, False, True][:count]
-            assert check_thm2(err, 1.0) == CertificationReport(
+            assert check_thm2(stack, 1.0) == CertificationReport(
                 "thm2" if all(r.passed for r in reps) else "none",
                 min(r.hurwitz_margin for r in reps),
                 sum(r.sample_count for r in reps),
@@ -657,9 +658,9 @@ class TestCheckThm2:
 
     @pytest.mark.parametrize("h_req", [0.0, -1.0])
     def test_nonpositive_margin_rejected(self, h_req):
-        err = error_system_for(-np.eye(2), np.zeros((2, 1, 2)))
+        stack = root_stack_for(-np.eye(2), np.zeros((2, 1, 2)))
         with pytest.raises(NonpositiveMargin):
-            check_thm2(err, h_req)
+            check_thm2(stack, h_req)
         with pytest.raises(NonpositiveMargin):
             assembly.thm2_report(-1.0, 0.0, 2, h_req, 2, 1.0)
 
@@ -728,9 +729,9 @@ class TestTopEigMax:
                 mp.setattr(np.linalg, "eigvalsh",
                            lambda m: real(m) if np.isfinite(m).all() else None)
                 assert assembly.top_eig_max(lambda idx: A[:, idx], 1, 4, 3).tolist() == [np.inf]
-            err = error_system_for(np.zeros((3, 3)), np.zeros((4, 1, 3)))
-            hold_rows(err.stack, A)
-            report = check_thm2(err, 1.0)
+            stack = root_stack_for(np.zeros((3, 3)), np.zeros((4, 1, 3)))
+            hold_rows(stack, A)
+            report = check_thm2(stack, 1.0)
             assert report.theorem_used == "none" and report.hurwitz_margin == -np.inf
 
     def test_screen_spares_most_samples(self, monkeypatch):
@@ -751,11 +752,11 @@ class TestTopEigMax:
     def test_check_thm2_reads_the_max_of_every_sample(self):
         rng = np.random.default_rng(5)
         A = rng.normal(0, 1, (300, 2, 2)) - 2.0 * np.eye(2)
-        err = error_system_for(np.zeros((2, 2)), np.zeros((300, 1, 2)))
-        hold_rows(err.stack, A[None])
-        report = check_thm2(err, 0.1)
+        stack = root_stack_for(np.zeros((2, 2)), np.zeros((300, 1, 2)))
+        hold_rows(stack, A[None])
+        report = check_thm2(stack, 0.1)
         assert -report.hurwitz_margin == float(assembly.symmetric_top_eig(A).max())
-        assert err.stack.a_max[0] == np.abs(A).max()
+        assert stack.a_max[0] == np.abs(A).max()
 
     def test_cholesky_failures_come_back_as_nan_rows(self):
         # the screen's verdict per sample comes from one batched LAPACK
@@ -788,9 +789,23 @@ class TestTopEigMax:
 class TestStackRoots:
     def test_package_exports_the_constructor_beside_the_class(self):
         sys = random_system(np.random.default_rng(0), DirectedHypergraph(2))
-        err = hyperobs.stack_roots(sys, [(0, 1)], np.zeros((3, 2, sys.state_dim))).system(0)
-        assert isinstance(err, hyperobs.ErrorSystem) and tuple(err.nodes) == (0, 1)
-        assert isinstance(check_thm2(err, 1e-3), CertificationReport)
+        stack = hyperobs.stack_roots(sys, [(0, 1)], np.zeros((3, 2, sys.state_dim)))
+        assert isinstance(stack, assembly.RootStack) and assembly.one_root(stack) == (0, 1)
+        assert isinstance(check_thm2(stack, 1e-3), CertificationReport)
+        assert not hasattr(hyperobs, "ErrorSystem") and not hasattr(assembly, "ErrorSystem")
+
+    def test_checks_and_synthesis_refuse_a_stack_of_two_roots(self):
+        sys = NetworkSystem(DirectedHypergraph(2), lorenz_field(), tanh_coupling(0.2, 0.05, 2),
+                            linear_output([[1, 0, 0], [0, 1, 0]]))
+        stack = assembly.stack_roots(sys, [(0,), (1,)], np.ones((3, 2, 3)))
+        with pytest.raises(ValueError, match="a stack of 2 roots, expected one"):
+            check_thm2(stack, 1.0)
+        with pytest.raises(ValueError, match="a stack of 2 roots, expected one"):
+            hyperobs.design_gain_thm2(stack, [0], 1.0)
+        with pytest.raises(ValueError, match="a stack of 2 roots, expected one"):
+            GainProblem(stack, [0])
+        # none of them assembled a sample
+        assert stack.a is None and not stack._read.any()
 
     @given(hypergraphs(), st.integers(0, 2**32 - 1))
     def test_each_root_equals_its_own_error_system(self, h, seed):
@@ -810,13 +825,14 @@ class TestStackRoots:
                                      size * sys.state_dim)
             upstream = set()
             for r, S in enumerate(group):
-                err = stack.system(r)
-                alone = error_system(sys, S, X)
-                assert err.nodes == S and np.shares_memory(err.a, stack.a)
-                assert bit_pattern(err.a) == bit_pattern(alone.a)
-                assert bit_pattern(err.g) == bit_pattern(alone.g)
+                alone = root_stack(sys, S, X)
+                assert tuple(stack.roots[r].tolist()) == S
+                assert bit_pattern(stack.a[r]) == bit_pattern(root_rows(alone))
+                assert bit_pattern(stack.g[r]) == bit_pattern(alone.g[0])
+                assert bit_pattern(stack.a_max[r]) == bit_pattern(alone.a_max[0])
+                # the root's own slice, which select_node reads without a stack
                 for name in ("edges", "ptr", "members", "position"):
-                    got, expect = getattr(err.entering, name), getattr(alone.entering, name)
+                    got, expect = getattr(h.entering(S), name), getattr(alone.entering, name)
                     assert got.tolist() == expect.tolist()
                 upstream |= upstream_tails(h, S)
             assert set(stack.upstream.tolist()) == upstream
@@ -834,17 +850,17 @@ class TestStackRoots:
         sys = random_system(rng, h)
         X = rng.uniform(-3, 3, (int(rng.integers(1, 4)), h.num_nodes, sys.state_dim))
         try:
-            alone = [error_system(sys, S, X, zero) for S in roots]
+            alone = [root_stack(sys, S, X, zero) for S in roots]
         except SubsetNotHeadClosed:
             with pytest.raises(SubsetNotHeadClosed):
                 assembly.stack_roots(sys, roots, X, zero)
             return
         stack = assembly.stack_roots(sys, roots, X, zero)
-        for r, own in enumerate(alone):
-            err = stack.system(r)
-            assert bit_pattern(err.a) == bit_pattern(own.a)
-            assert bit_pattern(err.g) == bit_pattern(own.g)
-            assert err.entering.position.tolist() == own.entering.position.tolist()
+        for r, (S, own) in enumerate(zip(roots, alone)):
+            assert bit_pattern(stack.rows(slice(None))[r]) == bit_pattern(root_rows(own))
+            assert bit_pattern(stack.g[r]) == bit_pattern(own.g[0])
+            assert bit_pattern(stack.a_max[r]) == bit_pattern(own.a_max[0])
+            assert h.entering(S).position.tolist() == own.entering.position.tolist()
 
     def test_roots_of_two_sizes_or_joined_by_an_edge_are_refused(self):
         h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1,)),))

@@ -146,8 +146,9 @@ def _field_names(cls) -> set[str]:
 
 class TestSchemaMatchesDataclasses:
     def test_design_keys_are_design_options_fields(self):
+        # design.seed is accepted and dropped: no design step reads it
         keys = set(CONFIG_SCHEMA["properties"]["design"]["properties"])
-        assert keys - {"trajectories"} == _field_names(DesignOptions)
+        assert keys - {"trajectories", "seed"} == _field_names(DesignOptions)
 
     def test_trajectory_keys_are_ensemble_spec_fields(self):
         design = CONFIG_SCHEMA["properties"]["design"]["properties"]
@@ -209,6 +210,10 @@ DELETED_SPAN_TARGETS = {
     # certificate is a Theorem-2 one or an exact measurement
     ("assembly", "check_thm1"),
     ("assembly", "kron_sum"),
+    # plain assembly functions now: ``ErrorSystem`` is gone, and every check
+    # and synthesis runs on a ``RootStack``
+    ("assembly", "ErrorSystem.a_matrix_batch"),
+    ("assembly", "ErrorSystem.coupling_jac_bound"),
 }
 
 
@@ -223,9 +228,10 @@ def test_bench_span_target_exists(name, module_name, attr):
     deleted = (module_name, attr) in DELETED_SPAN_TARGETS
     owner = importlib.import_module(f"hyperobs.{module_name}")
     if "." in attr:
+        # a deleted class holds no attribute
         cls_name, attr = attr.split(".")
-        owner = vars(owner)[cls_name]
-        assert (attr in vars(owner)) != deleted, name
+        cls = vars(owner).get(cls_name)
+        assert (cls is not None and attr in vars(cls)) != deleted, name
     else:
         assert callable(getattr(owner, attr, None)) != deleted, name
 
@@ -460,6 +466,8 @@ MALFORMED_DESIGN_REPORTS = {
     # reports of the removed Theorem-1 route: its H2 slack key, and its label
     "report_holds_h2_margin": _with_report(-1, h2_margin=None),
     "thm1_subset": _with_report(-1, theorem_used="thm1"),
+    # the design.seed that no design step read
+    "report_holds_seed": lambda report: report.update(seed=0),
 }
 
 # the refusal each names, where a test pins it
@@ -467,6 +475,8 @@ REFUSAL_MESSAGES = {
     "report_holds_h2_margin": "processed_subsets[2].report is not an object with exactly the "
                               "keys theorem_used hurwitz_margin sample_count g_bound",
     "thm1_subset": "processed_subsets[2]: theorem_used 'thm1' is not a known label",
+    "report_holds_seed": "the report is not an object with exactly the keys "
+                         "config_hash f_bound outcome",
 }
 
 
@@ -576,7 +586,7 @@ class TestDesignCommand:
         outcome, f_bound = read_design_report(report, cohead_system(), report["config_hash"])
         assert all(p.report.hurwitz_margin == math.inf for p in outcome.processed
                    if p.report.theorem_used == "exact")
-        assert design_report(outcome, report["config_hash"], report["seed"], f_bound) == report
+        assert design_report(outcome, report["config_hash"], f_bound) == report
 
     @pytest.mark.parametrize("case", sorted(SCHEMA_VALID_BAD_CONFIGS))
     def test_schema_valid_bad_config_exits_4(self, case, tmp_path):

@@ -3,7 +3,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -34,13 +34,13 @@ from hyperobs import (
     tanh_coupling,
 )
 from hyperobs import assembly, designer, dynamics, gain_design
+from hyperobs.config import build_design_options
 from hyperobs.hypergraph import condense, dependency_arcs, label_components
-from hyperobs.assembly import check_thm2, rounding_tol, symmetric_top_eig
+from hyperobs.assembly import check_thm2, one_root, rounding_tol, symmetric_top_eig
 from hyperobs.designer import design_report, field_param_jacobian_bound, read_design_report
 from conftest import (
     bit_pattern,
     degrees,
-    error_system,
     hypergraphs,
     random_hypergraph,
     random_system,
@@ -48,6 +48,8 @@ from conftest import (
     reference_design_observer,
     reference_select_node,
     restrict,
+    root_rows,
+    root_stack,
     upstream_tails,
     vector_field_from_callable,
 )
@@ -226,16 +228,14 @@ class TestDesignObserver:
         assert o1.to_json_dict() == o2.to_json_dict()
 
     def test_seed_does_not_change_the_design(self):
-        # gains come from one deterministic descent, so the seed is inert
-        sys = cohead_pair_system()
-        ens = small_ensemble(sys, count=6, horizon=0.4, seed=5)
-        outcomes = [
-            design_observer(sys, ens, DesignOptions(margin=2.0, use_inverse_shortcut=False,
-                                                    seed=seed))
-            for seed in (0, 12345)
-        ]
-        assert outcomes[0].gains
-        assert outcomes[0].to_json_dict() == outcomes[1].to_json_dict()
+        # gains come from one deterministic descent, so a config's design.seed
+        # is inert: the options drop it, and the design has no seed to read
+        trajectories = {"count": 6, "horizon": 0.4, "dt": 1e-2}
+        options = [build_design_options({"design": {
+            "margin": 2.0, "use_inverse_shortcut": False, "trajectories": trajectories, **seed}})
+            for seed in ({}, {"seed": 0}, {"seed": 12345})]
+        assert options == [DesignOptions(margin=2.0, use_inverse_shortcut=False)] * 3
+        assert "seed" not in {f.name for f in fields(DesignOptions)}
 
     def test_json_round_trip(self):
         sys = cohead_pair_system()
@@ -244,7 +244,7 @@ class TestDesignObserver:
             o = design_observer(
                 sys, ens, DesignOptions(margin=2.0, use_inverse_shortcut=shortcut)
             )
-            doc = json.loads(json.dumps(design_report(o, "hash", 0, 1.5)))
+            doc = json.loads(json.dumps(design_report(o, "hash", 1.5)))
             back, f_bound = read_design_report(doc, sys, "hash")
             assert f_bound == 1.5
             assert back.processed == o.processed
@@ -460,7 +460,7 @@ class TestDesignMatchesReference:
     @example(case=NAMED_CASES["exhausted"])
     @example(case=NAMED_CASES["inverse_shortcut"])
     def test_equals_per_attempt_reference(self, case):
-        # the reference reruns every route on a fresh ErrorSystem after each
+        # the reference reruns every route on a fresh one-root stack after each
         # measured node; certifying each subset once must decide the same
         sys, ens, options = case.build()
         with case.budget():
@@ -472,8 +472,8 @@ class TestDesignMatchesReference:
         # margin, so each synthesis is rejected after it returns
         real = designer.design_gain_thm2
 
-        def half_margin(err, measured, h_req):
-            return real(err, measured, h_req / 2)
+        def half_margin(stack, measured, h_req):
+            return real(stack, measured, h_req / 2)
 
         monkeypatch.setattr(designer, "design_gain_thm2", half_margin)
         monkeypatch.setattr(conftest, "design_gain_thm2", half_margin)
@@ -519,7 +519,7 @@ class TestBatchedPass:
     @settings(max_examples=25)
     @given(hierarchical_cases())
     def test_equals_per_root_reference(self, chunk_budget, drawn):
-        # the reference certifies each root on its own ErrorSystem, in order
+        # the reference certifies each root on its own one-root stack, in order
         case, roots_per_stack = drawn
         sys, ens, options = case.build()
         K, n = ens.stacked().shape[0], sys.state_dim
@@ -602,7 +602,7 @@ class TestStreamedCertification:
         assert stack.a is None
         assert peak <= 3 * budget
         # the whole stack, as the check over every sample reads it
-        whole = error_system(sys, tuple(range(M)), ens.stacked())
+        whole = root_stack(sys, tuple(range(M)), ens.stacked())
         expect = reference_certify_zero_gain(whole, DesignOptions(margin=margin))
         assert report == expect
 
@@ -616,9 +616,9 @@ def _count_per_subset(monkeypatch) -> Counter:
     def count(owner, name, route):
         original = getattr(owner, name)
 
-        def counted(err, *args, **kwargs):
-            calls[route(args, kwargs), err.nodes] += 1
-            return original(err, *args, **kwargs)
+        def counted(root, *args, **kwargs):
+            calls[route(args, kwargs), one_root(root)] += 1
+            return original(root, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
@@ -640,15 +640,15 @@ def _count_per_subset(monkeypatch) -> Counter:
     return calls
 
 
-def certify(err, options):
-    """``certify_roots`` on the one-root stack of ``err``."""
-    (report,) = designer.certify_roots(err.stack, options)
+def certify(stack, options):
+    """``certify_roots`` on the one-root ``stack``."""
+    (report,) = designer.certify_roots(stack, options)
     return report
 
 
 class TestCertifyRoots:
     def certify(self, sys, nodes, ens, margin=1.0):
-        return certify(error_system(sys, nodes, ens.stacked()), DesignOptions(margin=margin))
+        return certify(root_stack(sys, nodes, ens.stacked()), DesignOptions(margin=margin))
 
     def test_zero_gain_certification(self):
         h = DirectedHypergraph(1)
@@ -694,8 +694,9 @@ class TestCertifyRoots:
         assert (0, 0) in outcome.gains
 
     def test_one_evaluation_serves_every_route(self, monkeypatch):
-        # per subset: one stack holding its A_S, one zero-gain certification
-        # (Theorem 2 inside it, never through check_thm2); per measured node
+        # per subset: one pass stack holding its A_S, one zero-gain
+        # certification (Theorem 2 inside it, never through check_thm2), and
+        # one stack of its own when it synthesizes gains; per measured node
         # without the shortcut, one synthesis and, when it returns gains, one
         # Theorem-2 check with them
         calls = _count_per_subset(monkeypatch)
@@ -708,7 +709,8 @@ class TestCertifyRoots:
             certified = [p for p in outcome.processed if p.report.theorem_used != "exact"]
             assert {p.nodes for p in certified} <= tried
             for nodes in tried:
-                assert calls["stack", nodes] == calls["zero_gain", nodes] == 1, name
+                own = calls["design_gain_thm2", nodes] > 0
+                assert calls["stack", nodes] == 1 + own and calls["zero_gain", nodes] == 1, name
                 assert calls["thm2_zero_gain", nodes] == 0, name
                 assert calls["thm2_gains", nodes] <= calls["design_gain_thm2", nodes], name
             for p in certified:
@@ -718,14 +720,14 @@ class TestCertifyRoots:
                 assert not any(route == "design_gain_thm2" for route, _ in calls)
 
 
-def refuted(err, h_req) -> bool:
-    """``thm2_refuted`` on the stack of one root, ``err``'s."""
-    return bool(designer.thm2_refuted(err.stack, h_req)[err.row])
+def refuted(stack, h_req) -> bool:
+    """``thm2_refuted`` on the one-root ``stack``."""
+    return bool(designer.thm2_refuted(stack, h_req)[0])
 
 
 @st.composite
 def lorenz_or_bistable_subsets(draw):
-    """An ``ErrorSystem`` on a random subset of a random 2-4 node Lorenz or
+    """The one-root stack of a random subset of a random 2-4 node Lorenz or
     bistable network, every node outside the subset exact, over 1-18 random
     samples, and a margin."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -734,8 +736,8 @@ def lorenz_or_bistable_subsets(draw):
     sys = random_system(rng, h, draw(st.sampled_from(["lorenz", "bistable"])))
     S = sorted(draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1)))
     X = rng.uniform(-3, 3, (int(rng.integers(1, 19)), h.num_nodes, sys.state_dim))
-    err = error_system(sys, S, X, frozenset(range(h.num_nodes)) - set(S))
-    return err, draw(st.sampled_from([0.05, 0.5, 2.0]))
+    stack = root_stack(sys, S, X, frozenset(range(h.num_nodes)) - set(S))
+    return stack, draw(st.sampled_from([0.05, 0.5, 2.0]))
 
 
 def stacked_chains(rng, R: int, M: int, field_kind: str):
@@ -784,20 +786,20 @@ class TestThm2Refutation:
             # interlacing no block's floor beats the check's worst value by
             # more than that slack
             assert not hit[r] or max(tops) > exact - margin
-            worst = -check_thm2(stack.system(r), margin).hurwitz_margin
+            worst = -check_thm2(root_stack(sys, S, X), margin).hurwitz_margin
             assert max(tops) <= exact + worst
 
     @given(lorenz_or_bistable_subsets())
     def test_refuted_subset_fails_the_check(self, case):
-        err, margin = case
-        if refuted(err, margin):
-            assert not check_thm2(err, margin).passed
+        stack, margin = case
+        if refuted(stack, margin):
+            assert not check_thm2(stack, margin).passed
 
     @given(lorenz_or_bistable_subsets())
     def test_certify_roots_equals_the_unconditional_check(self, case):
-        err, margin = case
+        stack, margin = case
         options = DesignOptions(margin=margin)
-        assert certify(err, options) == reference_certify_zero_gain(err, options)
+        assert certify(stack, options) == reference_certify_zero_gain(stack, options)
 
     def test_non_finite_stack_is_never_refuted(self, monkeypatch):
         # a Lorenz pair under linear coupling: a state entry puts its value
@@ -824,25 +826,25 @@ class TestThm2Refutation:
                 mp.setattr(assembly, "symmetric_top_eig", None)
                 assert not designer.thm2_refuted(stack, 1.0)[0]
                 with pytest.raises(gain_design.Infeasible, match="not finite"):
-                    gain_design.design_gain_thm2(stack.system(0), [0], 1.0)
+                    gain_design.design_gain_thm2(stack, [0], 1.0)
 
     @given(lorenz_or_bistable_subsets(), st.data())
     def test_refuted_margin_is_out_of_every_gains_reach(self, case, data):
         # no gain on the measured nodes touches an unmeasured diagonal block,
         # so none brings the check below that block's floor, up to the slack
-        err, margin = case
-        nodes = err.nodes
+        stack, margin = case
+        nodes = one_root(stack)
         measured = data.draw(st.lists(st.sampled_from(nodes), unique=True))
-        floor = err.stack.floors[0][[v for v in nodes if v not in measured]].max(initial=-np.inf)
+        floor = stack.floors[0][[v for v in nodes if v not in measured]].max(initial=-np.inf)
         with np.errstate(over="ignore"):
-            tol = rounding_tol(err.dim, float(err.stack.a_max[err.row]))
+            tol = rounding_tol(stack.dim, float(stack.a_max[0]))
         if not floor > tol - margin:
             return
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        shape = (err.sys.state_dim, err.sys.output.output_dim)
+        shape = (stack.sys.state_dim, stack.sys.output.output_dim)
         for scale in (0.1, 10.0, 1e3):
             gains = {(i, j): rng.normal(0.0, scale, shape) for i in nodes for j in measured}
-            worst = -check_thm2(err, margin, gains).hurwitz_margin
+            worst = -check_thm2(stack, margin, gains).hurwitz_margin
             assert worst >= floor - tol
 
     def test_refutation_is_logged_with_subset_node_and_floor(self, caplog):
@@ -850,10 +852,10 @@ class TestThm2Refutation:
                                                    Hyperedge.uniform((1,), (0,)))),
                             lorenz_field(), tanh_coupling(0.2, 0.05, 2.0), identity_output(3))
         ens = small_ensemble(sys, count=2, horizon=0.1)
-        err = error_system(sys, (0, 1), ens.stacked())
+        stack = root_stack(sys, (0, 1), ens.stacked())
         with caplog.at_level("DEBUG", logger="hyperobs.designer"):
-            assert refuted(err, 1.0)
-        floor = err.stack.floors[0]
+            assert refuted(stack, 1.0)
+        floor = stack.floors[0]
         v = int(np.argmax(floor))
         assert caplog.messages == [f"thm2 refuted on (0, 1): the block of node {v} "
                                    f"reaches {floor[v]:.6g}"]
@@ -893,7 +895,7 @@ class TestNodeFloors:
         assert bit_pattern(floor) == bit_pattern(expect[0])
         assert bit_pattern(bound) == bit_pattern(expect[1])
         for S in _first_pass_roots(sys.hypergraph):
-            A = error_system(sys, S, X).a
+            A = root_rows(root_stack(sys, S, X))
             tops = [symmetric_top_eig(A[:, p * n:(p + 1) * n, p * n:(p + 1) * n]).max()
                     for p in range(len(S))]
             assert bit_pattern(floor[list(S)]) == bit_pattern(np.array(tops))
@@ -910,7 +912,7 @@ class TestNodeFloors:
         sys = NetworkSystem(h, bistable_field(3.0, 0.5), tanh_coupling(0.2, 0.05, 2.0),
                             identity_output(1))
         X = rng.normal(0.0, 3.0, (1, M, 1))
-        A = error_system(sys, (0,), X, frozenset(range(1, M))).a
+        A = root_rows(root_stack(sys, (0,), X, frozenset(range(1, M))))
         assert bit_pattern(assembly.node_floors(sys, X)[0][0]) == bit_pattern(A[0, 0, 0])
 
     @settings(max_examples=30)
@@ -944,6 +946,31 @@ class TestNodeFloors:
 
 
 class TestLazyStack:
+    def test_retried_root_assembles_once_after_its_pass(self, monkeypatch):
+        # {1, 2} fails synthesis on node 2 alone and passes on nodes 2 and 1:
+        # its own stack, made after its pass, assembles its one chunk once,
+        # and the second synthesis and the check with gains read those rows
+        case = NAMED_CASES["synthesis_two_nodes"]
+        sys, ens, options = case.build()
+        events = []
+        real_batch, real_pass = assembly.a_matrix_batch, designer.certify_pass
+        real_synthesis = designer.design_gain_thm2
+        monkeypatch.setattr(assembly, "a_matrix_batch", lambda sys, roots, *args: events.append(
+            ("assemble", tuple(map(tuple, roots.tolist())))) or real_batch(sys, roots, *args))
+        monkeypatch.setattr(designer, "certify_pass", lambda sys, roots, *args: events.append(
+            ("pass", tuple(roots))) or real_pass(sys, roots, *args))
+        monkeypatch.setattr(designer, "design_gain_thm2", lambda stack, *args: events.append(
+            ("synthesis", one_root(stack))) or real_synthesis(stack, *args))
+        with case.budget():
+            outcome = design_observer(sys, ens, options)
+        (entry,) = [p for p in outcome.processed if p.nodes == (1, 2)]
+        assert entry.report.theorem_used == "thm2" and entry.added_measured == (2, 1)
+        (at,) = [k for k, (kind, roots) in enumerate(events)
+                 if kind == "pass" and (1, 2) in roots]
+        after = events[at + 1:]
+        assert after.count(("synthesis", (1, 2))) == 2
+        assert after.count(("assemble", ((1, 2),))) == 1
+
     def test_refuted_root_assembles_no_sample(self, monkeypatch):
         # a chaotic Lorenz cycle: its blocks refute Theorem 2, the only check
         # a zero-gain certification runs, so no sample is ever assembled
@@ -951,10 +978,10 @@ class TestLazyStack:
         # the design's floors, made once before any stack
         floors = assembly.node_floors(sys, ens.stacked())
         assembled = []
-        real = assembly.ErrorSystem.a_matrix_batch
-        monkeypatch.setattr(assembly.ErrorSystem, "a_matrix_batch", staticmethod(
-            lambda sys, roots, pairs, X, dg: assembled.append(len(X)) or real(
-                sys, roots, pairs, X, dg)))
+        real = assembly.a_matrix_batch
+        monkeypatch.setattr(assembly, "a_matrix_batch",
+                            lambda sys, roots, pairs, X, dg: assembled.append(len(X)) or real(
+                                sys, roots, pairs, X, dg))
         stack = assembly.stack_roots(sys, [(0, 1, 2)], ens.stacked(), floors=floors)
         assert assembled == []
         (report,) = designer.certify_roots(stack, DesignOptions(margin=2.0))
@@ -988,10 +1015,10 @@ class TestLazyStack:
         whole = assembly.stack_roots(sys, roots, X)
         expect_g, expect_max = whole.g.copy(), whole.a_max.copy()
         assembled = []
-        real = assembly.ErrorSystem.a_matrix_batch
-        monkeypatch.setattr(assembly.ErrorSystem, "a_matrix_batch", staticmethod(
-            lambda sys, roots, pairs, X, dg: assembled.append(len(X)) or real(
-                sys, roots, pairs, X, dg)))
+        real = assembly.a_matrix_batch
+        monkeypatch.setattr(assembly, "a_matrix_batch",
+                            lambda sys, roots, pairs, X, dg: assembled.append(len(X)) or real(
+                                sys, roots, pairs, X, dg))
         with chunk_budget(8 * 2 * (2 * sys.state_dim) ** 2 * 2):
             stack = assembly.stack_roots(sys, roots, X)
             stack.rows(slice(2, 5))

@@ -106,7 +106,7 @@ def test_recorded_design_round_trips(case, tmp_path):
     report = json.loads((DATA / case / "design.json").read_text())
     _, system, config_hash = recorded_run(case, tmp_path)
     outcome, f_bound = read_design_report(report, system, config_hash)
-    assert design_report(outcome, config_hash, report["seed"], f_bound) == report
+    assert design_report(outcome, config_hash, f_bound) == report
 
 
 def _gain_across_subsets(key):

@@ -19,19 +19,20 @@ from hyperobs import (
     lorenz_field,
     tanh_coupling,
 )
-from hyperobs.assembly import SEED_COUNT, ErrorSystem, gain_matrix, rounding_tol, symmetric_top_eig
+from hyperobs.assembly import SEED_COUNT, RootStack, gain_matrix, rounding_tol, symmetric_top_eig
 from hyperobs import gain_design
 from hyperobs.gain_design import MAX_ITERS, GainProblem
 from conftest import (
     SubsetIndex,
     apply_gains_by_block,
     dense_gain_descent,
-    error_system,
     gain_array,
     hold_rows,
     planar_spiral_field,
     random_hypergraph,
     random_system,
+    root_rows,
+    root_stack,
     vector_field_from_callable,
 )
 
@@ -63,29 +64,29 @@ class TestDesignThm2:
     def test_scalar_unstable_node(self):
         sys = scalar_node_system(a=2.0)
         samples = np.zeros((3, 1, 1))
-        gains = design_gain_thm2(error_system(sys, (0,), samples), [0], h_req=1.0)
+        gains = design_gain_thm2(root_stack(sys, (0,), samples), [0], h_req=1.0)
         L = gains[(0, 0)][0, 0]
         assert L >= 3.0
         assert 2.0 - L <= -1.0
 
     def test_already_certified_returns_zero_gains(self):
         sys = scalar_node_system(a=-5.0)
-        err = error_system(sys, (0,), np.zeros((2, 1, 1)))
-        gains = design_gain_thm2(err, [0], h_req=1.0)
+        stack = root_stack(sys, (0,), np.zeros((2, 1, 1)))
+        gains = design_gain_thm2(stack, [0], h_req=1.0)
         assert len(gains) == 0
 
     def test_zero_gains_inside_the_rounding_slack_take_a_step(self):
         # zero gains reach -h exactly, inside the rounding slack: the check
         # fails them, so synthesis steps on to gains that pass it
-        err = error_system(scalar_node_system(a=-1.0), (0,), np.zeros((2, 1, 1)))
-        assert not check_thm2(err, 1.0).passed
-        gains = design_gain_thm2(err, [0], h_req=1.0)
-        assert gains and check_thm2(err, 1.0, gains).passed
+        stack = root_stack(scalar_node_system(a=-1.0), (0,), np.zeros((2, 1, 1)))
+        assert not check_thm2(stack, 1.0).passed
+        gains = design_gain_thm2(stack, [0], h_req=1.0)
+        assert gains and check_thm2(stack, 1.0, gains).passed
 
     def test_no_measured_nodes_raises(self):
         sys = scalar_node_system(a=2.0)
         with pytest.raises(NoMeasuredNodes):
-            design_gain_thm2(error_system(sys, (0,), np.zeros((2, 1, 1))), [],
+            design_gain_thm2(root_stack(sys, (0,), np.zeros((2, 1, 1))), [],
                              h_req=1.0)
 
     def test_budget_exhaustion_is_infeasible(self, monkeypatch):
@@ -94,17 +95,17 @@ class TestDesignThm2:
         sys = scalar_node_system(a=50.0)
         monkeypatch.setattr(gain_design, "MAX_ITERS", 1)
         with pytest.raises(Infeasible, match=r"best max eigenvalue 50 after 1 iterations$"):
-            design_gain_thm2(error_system(sys, (0,), np.zeros((2, 1, 1))), [0],
+            design_gain_thm2(root_stack(sys, (0,), np.zeros((2, 1, 1))), [0],
                              h_req=100.0)
         # a budget too small for the Lorenz pair: the lowest max of the
         # iterates, which the dense reference shares
-        err = lorenz_pair_problem(np.random.default_rng(40), 30)
+        stack = lorenz_pair_problem(np.random.default_rng(40), 30)
         phis = []
-        assert dense_gain_descent(err, [0, 1], h_req=1.5, max_iters=3, phis=phis) is None
+        assert dense_gain_descent(stack, [0, 1], h_req=1.5, max_iters=3, phis=phis) is None
         assert len(phis) == 3
         monkeypatch.setattr(gain_design, "MAX_ITERS", 3)
         with pytest.raises(Infeasible) as info:
-            design_gain_thm2(err, [0, 1], h_req=1.5)
+            design_gain_thm2(stack, [0, 1], h_req=1.5)
         assert str(info.value).endswith(
             f"best max eigenvalue {min(phis):.6g} after 3 iterations"
         )
@@ -112,47 +113,48 @@ class TestDesignThm2:
     def test_unmeasured_block_proves_infeasibility(self):
         # node 1 is unmeasured, so no gain reaches its diagonal block; the
         # floor is that block's, over the same samples, with node 0 left out
-        err = lorenz_pair_problem(np.random.default_rng(41), 20)
-        n = err.sys.state_dim
-        floor = float(symmetric_top_eig(err.a[:, n:, n:]).max())
-        assert err.stack.floors[0][1] == floor
+        stack = lorenz_pair_problem(np.random.default_rng(41), 20)
+        n = stack.sys.state_dim
+        floor = float(symmetric_top_eig(root_rows(stack)[:, n:, n:]).max())
+        assert stack.floors[0][1] == floor
         with pytest.raises(Infeasible) as info:
-            design_gain_thm2(err, [0], h_req=1.0)
+            design_gain_thm2(stack, [0], h_req=1.0)
         assert str(info.value) == (
             f"subset (0, 1): unmeasured diagonal blocks reach {floor:.4g}, "
             "margin 1.0 is unattainable for any gains"
         )
 
     def test_refuted_synthesis_never_reads_the_whole_root(self, chunk_budget, monkeypatch):
-        # a streamed root: the refutation reads the blocks its stack kept,
-        # and the Infeasible comes before GainProblem would assemble A_S whole
-        monkeypatch.setattr(ErrorSystem, "a", property(lambda err: pytest.fail("read err.a")))
+        # a streamed root: the refutation reads the stack's bound and the
+        # floors, and the Infeasible comes before GainProblem would read the
+        # root's rows whole
+        monkeypatch.setattr(RootStack, "rows", lambda stack, idx: pytest.fail("read the rows"))
         with chunk_budget(8 * 6 * 6 * 3):
-            err = lorenz_pair_problem(np.random.default_rng(41), 20)
-            assert err.stack.a is None
+            stack = lorenz_pair_problem(np.random.default_rng(41), 20)
+            assert stack.a is None
             with pytest.raises(Infeasible, match="unmeasured diagonal blocks"):
-                design_gain_thm2(err, [0], h_req=1.0)
-        assert "a" not in vars(err)
+                design_gain_thm2(stack, [0], h_req=1.0)
+        assert stack.a is None
 
     def test_no_view_caches_the_root(self, chunk_budget):
-        # a held stack's view reads its rows in place; a streamed root's view
-        # keeps no array of A_S's size after synthesis and its check, and
-        # both give the same gains and report bit for bit
+        # a held one-root stack reads its rows in place; a streamed one keeps
+        # no array of A_S's size after synthesis and its check, and both give
+        # the same gains and report bit for bit
         held = lorenz_pair_problem(np.random.default_rng(40), 30)
         # a whole read keeps the rows of a stack of one chunk
-        assert held.stack.a is None and np.shares_memory(held.a, held.stack.a)
-        assert np.shares_memory(held.rows(slice(3, 9)), held.stack.a)
+        assert held.a is None and np.shares_memory(root_rows(held), held.a)
+        assert np.shares_memory(held.rows(slice(3, 9)), held.a)
         expect = design_gain_thm2(held, [0, 1], h_req=1.5)
         with chunk_budget(8 * 6 * 6 * 3):
-            err = lorenz_pair_problem(np.random.default_rng(40), 30)
-            assert err.stack.a is None
-            gains = design_gain_thm2(err, [0, 1], h_req=1.5)
-            report = check_thm2(err, 1.5, gains)
+            stack = lorenz_pair_problem(np.random.default_rng(40), 30)
+            assert stack.a is None
+            gains = design_gain_thm2(stack, [0, 1], h_req=1.5)
+            report = check_thm2(stack, 1.5, gains)
         assert report == check_thm2(held, 1.5, expect) and report.passed
         assert {k: g.tobytes() for k, g in gains.items()} == {
             k: g.tobytes() for k, g in expect.items()}
-        root_size = held.stack.a[0].size
-        assert not [name for name, v in vars(err).items()
+        root_size = held.a[0].size
+        assert not [name for name, v in vars(stack).items()
                     if isinstance(v, np.ndarray) and v.size >= root_size]
 
     def test_returned_gains_recertify_on_same_samples(self):
@@ -161,23 +163,23 @@ class TestDesignThm2:
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0, 1, 0], [0, 0, 1]]))
         samples = rng.uniform(-8, 8, (30, 2, 3))
-        err = error_system(sys, (0, 1), samples)
-        before = err.a.copy()
-        gains = design_gain_thm2(err, [0, 1], h_req=1.5)
+        stack = root_stack(sys, (0, 1), samples)
+        before = root_rows(stack).copy()
+        gains = design_gain_thm2(stack, [0, 1], h_req=1.5)
         # synthesis works on copies: the zero-gain stack is left as it was
-        np.testing.assert_array_equal(err.a, before)
+        np.testing.assert_array_equal(root_rows(stack), before)
         assert gains
-        report = check_thm2(err, 1.5, gains)
+        report = check_thm2(stack, 1.5, gains)
         assert report.passed
-        np.testing.assert_array_equal(err.a, before)
+        np.testing.assert_array_equal(root_rows(stack), before)
 
     def test_gain_pattern_stays_inside_subset(self):
         rng = np.random.default_rng(41)
         h = random_hypergraph(rng, max_nodes=5, max_edges=3)
         sys = random_system(rng, h, field_kind="planar")
         S = tuple(range(h.num_nodes))
-        err = error_system(sys, S, rng.uniform(-1, 1, (5, h.num_nodes, 2)))
-        gains = design_gain_thm2(err, [S[0]], h_req=0.5)
+        stack = root_stack(sys, S, rng.uniform(-1, 1, (5, h.num_nodes, 2)))
+        gains = design_gain_thm2(stack, [S[0]], h_req=0.5)
         for (i, j) in gains:
             assert i in S and j == S[0]
 
@@ -186,14 +188,14 @@ class TestDesignThm2:
         # same objective value, so the enlarged instance stays feasible
         sys = scalar_chain_system(a=1.0, sigma=4.0)
         samples = np.zeros((4, 2, 1))
-        err = error_system(sys, (0, 1), samples)
-        gains1 = design_gain_thm2(err, [0], h_req=1.0)
-        prob1, prob2 = GainProblem(err, [0]), GainProblem(err, [0, 1])
+        stack = root_stack(sys, (0, 1), samples)
+        gains1 = design_gain_thm2(stack, [0], h_req=1.0)
+        prob1, prob2 = GainProblem(stack, [0]), GainProblem(stack, [0, 1])
         phi1, _ = prob1.subgradient(gain_array(prob1, gains1))
         phi2, _ = prob2.subgradient(gain_array(prob2, gains1))
         assert phi2 == pytest.approx(phi1, abs=1e-12)
-        gains2 = design_gain_thm2(err, [0, 1], h_req=1.0)
-        assert check_thm2(err, 1.0, gains2).passed
+        gains2 = design_gain_thm2(stack, [0, 1], h_req=1.0)
+        assert check_thm2(stack, 1.0, gains2).passed
 
 
 def lorenz_pair_problem(rng, count):
@@ -202,7 +204,7 @@ def lorenz_pair_problem(rng, count):
     h = DirectedHypergraph(2, (Hyperedge.uniform((0,), (1,), 2.0),))
     sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                         linear_output([[0, 1, 0], [0, 0, 1]]))
-    return error_system(sys, (0, 1), rng.uniform(-8, 8, (count, 2, 3)))
+    return root_stack(sys, (0, 1), rng.uniform(-8, 8, (count, 2, 3)))
 
 
 def lorenz_triple_problem(rng, count):
@@ -212,7 +214,7 @@ def lorenz_triple_problem(rng, count):
                                Hyperedge.uniform((1, 2), (0,), 1.0)))
     sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                         linear_output([[0, 1, 0], [0, 0, 1]]))
-    return error_system(sys, (0, 1, 2), rng.uniform(-8, 8, (count, 3, 3)))
+    return root_stack(sys, (0, 1, 2), rng.uniform(-8, 8, (count, 3, 3)))
 
 
 def planar_partial_problem(rng, count):
@@ -222,27 +224,27 @@ def planar_partial_problem(rng, count):
     samples of [-1, 1]."""
     h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1,), 2.0),))
     sys = NetworkSystem(h, planar_spiral_field(), linear_coupling(1.0), identity_output(2))
-    return error_system(sys, (0, 1, 2), rng.uniform(-1, 1, (count, 3, 2)))
+    return root_stack(sys, (0, 1, 2), rng.uniform(-1, 1, (count, 3, 2)))
 
 
 class TestDenseReference:
     def test_two_node_lorenz_gains_bit_identical(self):
-        err = lorenz_pair_problem(np.random.default_rng(40), 30)
-        gains = design_gain_thm2(err, [0, 1], h_req=1.5)
-        ref = dense_gain_descent(err, [0, 1], h_req=1.5, max_iters=MAX_ITERS)
+        stack = lorenz_pair_problem(np.random.default_rng(40), 30)
+        gains = design_gain_thm2(stack, [0, 1], h_req=1.5)
+        ref = dense_gain_descent(stack, [0, 1], h_req=1.5, max_iters=MAX_ITERS)
         assert ref and gains.keys() == ref.keys()
         for key, L in ref.items():
             assert np.array_equal(gains[key], L)
 
     def test_random_three_node_subset_gains_bit_identical(self):
-        err = lorenz_triple_problem(np.random.default_rng(44), 200)
-        gains = design_gain_thm2(err, [0, 1, 2], h_req=1.0)
-        ref = dense_gain_descent(err, [0, 1, 2], h_req=1.0, max_iters=MAX_ITERS)
+        stack = lorenz_triple_problem(np.random.default_rng(44), 200)
+        gains = design_gain_thm2(stack, [0, 1, 2], h_req=1.0)
+        ref = dense_gain_descent(stack, [0, 1, 2], h_req=1.0, max_iters=MAX_ITERS)
         assert ref and gains.keys() == ref.keys()
         for key, L in ref.items():
             assert np.array_equal(gains[key], L)
         # the screen does prune: at the final gains most samples skip eigvalsh
-        prob = GainProblem(err, [0, 1, 2])
+        prob = GainProblem(stack, [0, 1, 2])
         for _ in range(2):
             prob.subgradient(gain_array(prob, ref))
         assert prob.evaluated < 0.5 * 2 * 200
@@ -251,16 +253,16 @@ class TestDenseReference:
         # measured {0, 2}: the blocks between node 2 and nodes {0, 1} never
         # get a subgradient (A_S stays block diagonal), stay zero, and are
         # dropped from the result
-        err = planar_partial_problem(np.random.default_rng(46), 60)
-        assert not check_thm2(err, 1.0).passed
-        gains = design_gain_thm2(err, [0, 2], h_req=1.0)
-        ref = dense_gain_descent(err, [0, 2], h_req=1.0, max_iters=MAX_ITERS)
+        stack = planar_partial_problem(np.random.default_rng(46), 60)
+        assert not check_thm2(stack, 1.0).passed
+        gains = design_gain_thm2(stack, [0, 2], h_req=1.0)
+        ref = dense_gain_descent(stack, [0, 2], h_req=1.0, max_iters=MAX_ITERS)
         assert ref and gains.keys() == ref.keys()
         for key, L in ref.items():
             assert np.array_equal(gains[key], L)
         assert {(0, 2), (1, 2), (2, 0)}.isdisjoint(gains)
         assert {(0, 0), (2, 2)} <= gains.keys()
-        assert check_thm2(err, 1.0, gains).passed
+        assert check_thm2(stack, 1.0, gains).passed
 
 
 def scalar_free_field(n):
@@ -278,10 +280,10 @@ def stack_problem(rng, stack, n):
     gamma = rng.normal(size=(int(rng.integers(1, n + 1)), n))
     sys = NetworkSystem(DirectedHypergraph(M), scalar_free_field(n), linear_coupling(1.0),
                         linear_output(gamma))
-    err = error_system(sys, range(M), np.zeros((K, M, n)))
-    hold_rows(err.stack, stack[None])
+    root = root_stack(sys, range(M), np.zeros((K, M, n)))
+    hold_rows(root, stack[None])
     measured = [v for v in range(M) if rng.random() < 0.6] or [0]
-    return GainProblem(err, measured)
+    return GainProblem(root, measured)
 
 
 def dense_top_eig(prob, L) -> np.ndarray:
@@ -304,7 +306,7 @@ class TestScreen:
                                    Hyperedge.uniform((1, 2), (0,), 1.0)))
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[1, 0, 0], [0, 1, 0]]))
-        err = error_system(sys, (0, 1, 2), np.random.default_rng(42).uniform(-8, 8, (200, 3, 3)))
+        stack = root_stack(sys, (0, 1, 2), np.random.default_rng(42).uniform(-8, 8, (200, 3, 3)))
         got, expect = [], []
         real = GainProblem.subgradient
 
@@ -314,8 +316,8 @@ class TestScreen:
             return phi, grads
 
         monkeypatch.setattr(GainProblem, "subgradient", subgradient)
-        gains = design_gain_thm2(err, [0, 1, 2], h_req=2.4)
-        ref = dense_gain_descent(err, [0, 1, 2], h_req=2.4, max_iters=MAX_ITERS, phis=expect)
+        gains = design_gain_thm2(stack, [0, 1, 2], h_req=2.4)
+        ref = dense_gain_descent(stack, [0, 1, 2], h_req=2.4, max_iters=MAX_ITERS, phis=expect)
         assert len(expect) >= 300
         assert [bits(phi) for phi in got] == [bits(phi) for phi in expect]
         assert ref and gains.keys() == ref.keys()
@@ -406,8 +408,8 @@ class TestScreen:
         # the screen allocates no more per iteration than one copy of the
         # stack and its symmetric part would
         rng = np.random.default_rng(45)
-        err = lorenz_triple_problem(rng, 1000)
-        prob = GainProblem(err, [0, 1, 2])
+        stack = lorenz_triple_problem(rng, 1000)
+        prob = GainProblem(stack, [0, 1, 2])
         L = rng.normal(0, 1, (len(prob.keys), 3, 2))
         prob.subgradient(L)
         tracemalloc.start()
@@ -417,7 +419,7 @@ class TestScreen:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * err.a.nbytes
+        assert peak <= 2.5 * root_rows(stack).nbytes
 
     @pytest.mark.parametrize("nodes", [2, 4, 8])
     def test_subgradient_peak_linear_in_dim(self, nodes):
@@ -452,20 +454,20 @@ class TestScreen:
         # second also holding the rows that reach eigvalsh).  Measured 2.34x
         # the stack on numpy 2.4 (3.20x with the right-looking screen's
         # rank-1 update array, (d - 1)^2 / d^2 of a stack)
-        err = lorenz_triple_problem(np.random.default_rng(45), 1000)
+        stack = lorenz_triple_problem(np.random.default_rng(45), 1000)
         # the stack's first whole read assembles its rows and keeps them, and
         # the node floors are the design's: both come before the synthesis
         # traced here
-        assert err.a.shape == (1000, 9, 9) and len(err.stack.floors[0]) == 3
+        assert root_rows(stack).shape == (1000, 9, 9) and len(stack.floors[0]) == 3
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            gains = design_gain_thm2(err, [0, 1, 2], h_req=1.0)
+            gains = design_gain_thm2(stack, [0, 1, 2], h_req=1.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert gains
-        assert peak <= 3.7 * err.a.nbytes
+        assert peak <= 3.7 * root_rows(stack).nbytes
 
 
 class TestSubgradient:
@@ -475,7 +477,7 @@ class TestSubgradient:
         sys = NetworkSystem(h, lorenz_field(), tanh_coupling(0.2, 0.05, 2),
                             linear_output([[0, 1, 0], [0, 0, 1]]))
         samples = rng.uniform(-5, 5, (6, 2, 3))
-        prob = GainProblem(error_system(sys, (0, 1), samples), [0, 1])
+        prob = GainProblem(root_stack(sys, (0, 1), samples), [0, 1])
         L = rng.normal(0, 2, (len(prob.keys), 3, 2))
         _, grads = prob.subgradient(L)
         assert grads.shape == L.shape
