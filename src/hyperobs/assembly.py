@@ -132,7 +132,8 @@ class RootStack:
     assembles the (R, k, Mn, Mn) rows of the samples ``idx`` when a check
     reads them.  ``entering`` is the incidence slice of the roots' union
     (see the module docstring), S's own for a one-root stack.  ``upstream``
-    holds the tails of the entering edges outside their root, and
+    holds the tails of the entering edges outside their root, the union of
+    the roots' own, and ``upstream_root`` the root each tail's edge enters;
     ``floors`` is ``node_floors`` of the samples.  Each assembly records the
     g, (R, K), and max|A_S|, ``a_max``, of its samples; reading either
     assembles the samples not read yet.  A stack of one chunk keeps its
@@ -156,7 +157,8 @@ class RootStack:
         self._edge_root = edge_root
         self.a, self._g, self._a_max = None, np.zeros((R, K)), np.full(R, -np.inf)
         self._read = np.zeros(K, dtype=bool)
-        self.upstream = sl.members[~sl.is_head & (local < 0)]
+        outside = ~sl.is_head & (local < 0)
+        self.upstream, self.upstream_root = sl.members[outside], edge_root[sl.rows[outside]]
 
     @property
     def g(self) -> np.ndarray:

@@ -28,6 +28,22 @@ or is one exactly measured node, and every passing Theorem-2 report clears
 ``assembly.accepts``.  The design logs one INFO line per pass and each
 root's fate at DEBUG.
 
+Without the shortcut no node is labelled again, so the roots of every pass
+are the components of the first labelling, and a root's retries are a
+function of the root alone: its A_S reads the samples and its own slice,
+its gains act inside it, and it holds no node measured for another root.
+So one zero-gain sweep certifies every component before pass 1, with the
+stacks of a pass, and each component it leaves uncertified retries in
+``_synthesize``, all of them at once: in a pool of ``fork`` workers, one
+per CPU of the process's affinity up to one per root, the largest roots
+first.  With one usable CPU, one root to retry or no ``fork``, a root
+retries in process when its pass reaches it, and only a design that forks
+imports ``multiprocessing``.  Each pass reads its roots' results in its
+order: it checks their upstream tails and logs their retries there, so
+the outputs and this module's log are the same on every path, and a
+design that fails at a root stops the pool and records no later root's
+result.  ``gain_design`` logs in the process that synthesizes.
+
 The design report, ``design.json``, is one JSON object, built by
 ``design_report`` and read back, checked, by ``read_design_report``; no other
 code writes or checks it.  Node ids are JSON integers in [0, N), and a number
@@ -68,8 +84,10 @@ nonpositive margin.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -352,30 +370,90 @@ def certify_pass(
     samples: np.ndarray,
     options: DesignOptions,
     exact: set[int],
-    observed: np.ndarray,
     floors: tuple[np.ndarray, np.ndarray],
-) -> list[CertificationReport | None]:
-    """For each root of a pass, in order, its report when ``certify_roots``
-    certifies it, else None.  Roots of one size are stacked over the
-    (K, N, n) ``samples``, as many as ``CHUNK_BYTES`` holds and at least one,
-    with the design's ``floors``."""
+) -> list[tuple[CertificationReport | None, np.ndarray]]:
+    """For each of ``roots``, in order, its report when ``certify_roots``
+    certifies it, else None, and its upstream tails, the tails outside it of
+    the edges entering it.  Roots of one size are stacked over the (K, N, n)
+    ``samples``, as many as ``CHUNK_BYTES`` holds and at least one, with the
+    design's ``floors``."""
     K, n = samples.shape[0], sys.state_dim
     sizes: dict[int, list[int]] = {}
     for k, S in enumerate(roots):
         sizes.setdefault(len(S), []).append(k)
-    reports: list[CertificationReport | None] = [None] * len(roots)
+    checked: list = [None] * len(roots)
     for M, group in sizes.items():
         step = max(1, dynamics.CHUNK_BYTES // (8 * K * (M * n) ** 2))
         for lo in range(0, len(group), step):
             chunk = group[lo : lo + step]
             stack = stack_roots(sys, [roots[k] for k in chunk], samples, frozenset(exact), floors)
-            # structural guarantee behind hypothesis H3 and the b_S form
-            if not observed[stack.upstream].all():
-                raise AssertionError(f"upstream tails {set(stack.upstream.tolist())} of "
-                                     f"{[roots[k] for k in chunk]} unprocessed")
-            for k, report in zip(chunk, certify_roots(stack, options)):
-                reports[k] = report
-    return reports
+            for r, (k, report) in enumerate(zip(chunk, certify_roots(stack, options))):
+                checked[k] = report, stack.upstream[stack.upstream_root == r]
+    return checked
+
+
+# the design a forked synthesis worker serves: its pool's initializer fills it
+_job: list = []
+
+
+def _synthesize(S: tuple[int, ...], job: tuple = ()) -> tuple:
+    """The retries of the root S that its zero-gain check left uncertified,
+    for the design ``job``, (sys, samples, floors, margin), or the one a
+    pool worker serves.  Each measures one more node of S, chosen by
+    ``select_node``, and synthesizes Theorem-2 gains on the nodes measured so
+    far, on S's own one-root stack, made here, until a check with them passes
+    or S is exhausted.  The zero-gain check reads neither gains nor the
+    measured set, so it would decide every retry as it decided the sweep's:
+    it is not run again.  Returns the passing report or None, its gains, the
+    measured nodes in order and the ``Infeasible`` message of each node whose
+    synthesis raised it."""
+    sys, samples, floors, h = job or _job
+    stack = stack_roots(sys, [S], samples, frozenset(), floors)
+    added, infeasible = [], {}
+    while len(added) < len(S):
+        added.append(select_node(stack.entering, added))
+        try:
+            gains = design_gain_thm2(stack, added, h)
+        except Infeasible as exc:
+            infeasible[added[-1]] = str(exc)
+            continue
+        report = check_thm2(stack, h, gains)
+        if report.passed:
+            return report, gains, added, infeasible
+    return None, {}, added, infeasible
+
+
+@contextlib.contextmanager
+def _syntheses(job: tuple, roots: list[tuple[int, ...]]):
+    """A function from each of ``roots`` to its ``_synthesize`` result for
+    the design ``job``.  The usable CPUs are the process's affinity, one
+    where the platform has no affinity call.  With one usable CPU, one root
+    or no ``fork``, it synthesizes a root in process when it is asked.  Else
+    a pool of workers, one per usable CPU up to one per root, starts every
+    root at once, the largest first, and the function waits for the one
+    asked.  On exit the roots not yet handed to a worker are cancelled, and
+    the pool waits for those handed out, at most one more than its workers,
+    and stops: a worker killed while it sends a result would leave a queue
+    lock held, on which ``multiprocessing.Pool.terminate`` can hang.  The
+    workers are forked: they inherit the design's system and arrays, which
+    are not pickled (a vector field may be a closure), and they start in
+    milliseconds, where a spawned worker imports numpy and the package
+    again."""
+    workers = min(len(roots), len(getattr(os, "sched_getaffinity", lambda pid: {pid})(0)))
+    if workers < 2 or not hasattr(os, "fork"):
+        yield lambda S: _synthesize(S, job)
+        return
+    # here: a design that forks no worker does not pay their import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, fork, _job.extend, (job,))
+    try:
+        pending = {S: pool.submit(_synthesize, S) for S in sorted(roots, key=len, reverse=True)}
+        yield lambda S: pending[S].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def design_observer(
@@ -412,62 +490,65 @@ def design_observer(
         design = ObserverDesign(frozenset(measured), gains, frozenset(exact))
         return DesignOutcome(design, processed, status, failed)
 
-    while not observed.all():
-        iteration += 1
-        progress, first = np.count_nonzero(observed), len(processed)
-        roots = condense(src, dst, label, ~observed)
-        reports = certify_pass(sys, roots, samples, options, exact, observed, floors)
-        for S, report in zip(roots, reports):
-            # an uncertified root measures select_node(S): with the shortcut
-            # the node is reconstructed exactly and the pass moves on, else
-            # gains are synthesized on the nodes of S measured so far,
-            # ``added``, on S's own stack, made at its first retry, whose
-            # slice also serves select_node.  No root holds a measured node,
-            # so the zero-gain checks, which read neither gains nor the
-            # measured set, would decide every retry as they decided the
-            # first: they are not run again, and retries reuse the stack
-            new_gains, added, stack = {}, [], None
-            while report is None:
-                if set(S) <= measured:
-                    log.warning("subset %s exhausted without certification", S)
-                    none = CertificationReport("none", -math.inf, 0)
-                    processed.append(ProcessedSubset(S, none, tuple(added), iteration))
-                    return outcome("failed", S)
-                if not shortcut:
-                    stack = stack or stack_roots(sys, [S], samples, frozenset(exact), floors)
-                j = select_node(H.entering(S) if stack is None else stack.entering, measured)
-                measured.add(j)
-                if shortcut:
-                    # S \ {j} re-enters the residual pattern next pass, labelled on its own
+    # without the shortcut the labels never change: every root of every pass
+    # is a component of the first labelling, and one sweep certifies them all
+    swept: dict[tuple[int, ...], tuple] = {}
+    if not shortcut:
+        components: dict[int, list[int]] = {}
+        for v, c in enumerate(label.tolist()):
+            components.setdefault(c, []).append(v)
+        sweep = [tuple(S) for S in components.values()]
+        swept = dict(zip(sweep, certify_pass(sys, sweep, samples, options, exact, floors)))
+    uncertified = [S for S, (report, _) in swept.items() if report is None]
+    with _syntheses((sys, samples, floors, options.margin), uncertified) as synthesized:
+        while not observed.all():
+            iteration += 1
+            progress, first = np.count_nonzero(observed), len(processed)
+            roots = condense(src, dst, label, ~observed)
+            checked = ([swept[S] for S in roots] if not shortcut else
+                       certify_pass(sys, roots, samples, options, exact, floors))
+            for S, (report, upstream) in zip(roots, checked):
+                # structural guarantee behind hypothesis H3 and the b_S form
+                if not observed[upstream].all():
+                    raise AssertionError(f"upstream tails {set(upstream.tolist())} of {S} "
+                                         "unprocessed")
+                if report is None and shortcut:
+                    # an uncertified root measures select_node(S), reconstructed
+                    # exactly; S \ {j} re-enters the residual pattern next
+                    # pass, labelled on its own
+                    j = select_node(H.entering(S), measured)
+                    measured.add(j)
                     exact.add(j)
                     observed[j] = True
                     label_components(src, dst, (v for v in S if v != j), label)
                     exact_report = CertificationReport("exact", math.inf, 0)
                     processed.append(ProcessedSubset((j,), exact_report, (j,), iteration))
                     log.debug("iteration %d: measuring node %d of %s (exact)", iteration, j, S)
-                    break
-                added.append(j)
-                log.debug("iteration %d: measuring node %d of %s", iteration, j, S)
-                try:
-                    new_gains = design_gain_thm2(stack, added, options.margin)
-                except Infeasible as exc:
-                    log.debug("thm2 synthesis infeasible on %s: %s", S, exc)
                     continue
-                report = check_thm2(stack, options.margin, new_gains)
-                if not report.passed:
-                    report = None
-            if report is not None:
+                # the retries' log, in pass order whichever process ran them
+                report, new_gains, added, infeasible = (
+                    (report, {}, [], {}) if report is not None else synthesized(S))
+                measured.update(added)
+                for j in added:
+                    log.debug("iteration %d: measuring node %d of %s", iteration, j, S)
+                    if j in infeasible:
+                        log.debug("thm2 synthesis infeasible on %s: %s", S, infeasible[j])
+                if report is None:
+                    log.warning("subset %s exhausted without certification", S)
+                    none = CertificationReport("none", -math.inf, 0)
+                    processed.append(ProcessedSubset(S, none, tuple(added), iteration))
+                    return outcome("failed", S)
                 gains = {**gains, **new_gains}
                 observed[list(S)] = True
                 processed.append(ProcessedSubset(S, report, tuple(added), iteration))
                 log.debug("iteration %d: certified %s via %s (measured %s)",
                           iteration, S, report.theorem_used, added)
-        if np.count_nonzero(observed) == progress:
-            raise AssertionError("design loop made no progress")
-        entries = processed[first:]
-        log.info("iteration %d: %d roots, %d certified, %d nodes measured", iteration,
-                 len(roots), sum(p.report.theorem_used != "exact" for p in entries),
-                 sum(len(p.added_measured) for p in entries))
+            if np.count_nonzero(observed) == progress:
+                raise AssertionError("design loop made no progress")
+            entries = processed[first:]
+            log.info("iteration %d: %d roots, %d certified, %d nodes measured", iteration,
+                     len(roots), sum(p.report.theorem_used != "exact" for p in entries),
+                     sum(len(p.added_measured) for p in entries))
     return outcome("complete")
 
 

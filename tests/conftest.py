@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -735,3 +736,16 @@ def chunk_budget():
             yield
 
     return budget
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """``usable_cpus(count)`` makes a design see ``count`` usable CPUs for the
+    rest of the test: with one it synthesizes every root in process, with
+    two it forks a pool wherever two roots synthesize."""
+
+    def pin(count: int):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    return pin

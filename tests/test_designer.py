@@ -1,9 +1,17 @@
 import contextlib
+import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, fields
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -311,11 +319,15 @@ class TestDesignObserver:
                 assert len({(len(p.nodes), p.iteration) for p in held}) == 1
 
     @pytest.mark.parametrize("shortcut", [True, False])
-    def test_at_most_one_entering_slice_per_root_when_measuring(self, monkeypatch, shortcut):
+    def test_at_most_one_entering_slice_per_root_when_measuring(self, monkeypatch, usable_cpus,
+                                                                shortcut):
         # a stack takes one slice of its roots' union; a root of a larger
         # stack that fails its zero-gain checks takes its own once and reads
         # it on every retry: each root is in one stack's slice and has at
-        # most one of its own
+        # most one of its own.  Without the shortcut the stacks are the
+        # sweep's, made before pass 0 over the roots of every pass, and in
+        # process each root that retries takes its own slice in its pass
+        usable_cpus(1)
         passes, calls = [], []
         real_condense, real_entering = designer.condense, DirectedHypergraph.entering
         monkeypatch.setattr(designer, "condense",
@@ -332,20 +344,23 @@ class TestDesignObserver:
             outcome = design_observer(sys, ens, options)
             assert outcome.complete and outcome.measured
             assert (outcome.exact_nodes == outcome.measured) == shortcut
-            # every call is the union of roots of one size of its pass, a
-            # root's own slice among them
+            # every call is the union of roots of one size of its pass, or
+            # of any pass for the sweep's calls, k = -1, a root's own slice
+            # among them
+            pass_of = {S: k for k, roots in enumerate(passes) for S in roots}
             stacked = Counter()
             for k, c in calls:
-                held = [S for S in passes[k] if set(S) <= set(c)]
+                held = sorted(S for S, at in pass_of.items() if set(S) <= set(c) and k in (-1, at))
                 assert [v for S in held for v in S] == list(c)
                 assert len({len(S) for S in held}) == 1
-                stacked.update((k, S) for S in held)
-            assert set(stacked) == {(k, S) for k, roots in enumerate(passes) for S in roots}
+                stacked.update((pass_of[S], S) for S in held)
+            assert set(stacked) == {(k, S) for S, k in pass_of.items()}
             assert max(stacked.values()) <= 2
+            assert any(k < 0 for k, _ in calls) != shortcut
         # the isolated nodes make one pass of three one-node roots, one
         # stack, and each fails its zero-gain checks and slices its own
         assert passes == [[(0,), (1,), (2,)]]
-        assert calls == [(0, (0, 1, 2)), (0, (0,)), (0, (1,)), (0, (2,))]
+        assert calls == [(0 if shortcut else -1, (0, 1, 2)), (0, (0,)), (0, (1,)), (0, (2,))]
 
 
 @dataclass(frozen=True)
@@ -543,6 +558,36 @@ class TestBatchedPass:
             f"iteration 1: measuring node {j} of ({j},) (exact)" for j in range(3)]
         assert outcome.exact_nodes == {0, 1, 2}
 
+    def test_retries_log_in_pass_order_in_every_process(self, caplog, usable_cpus):
+        # without the shortcut the sweep refutes both roots before pass 1,
+        # and each root's retries, synthesized in process or by a forked
+        # worker, are logged in its pass as they were when it ran there
+        case = NAMED_CASES["synthesis_two_nodes"]
+        sys, ens, options = case.build()
+        logs = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            caplog.clear()
+            with case.budget(), caplog.at_level("DEBUG", logger="hyperobs.designer"):
+                design_observer(sys, ens, options)
+            logs.append([r.getMessage() for r in caplog.records if r.name == "hyperobs.designer"])
+        assert logs[0] == logs[1]
+        prefixes = [
+            "thm2 refuted on (0,): the block of node 0 reaches ",
+            "thm2 refuted on (1, 2): the block of node 2 reaches ",
+            "iteration 1: measuring node 0 of (0,)",
+            "iteration 1: certified (0,) via thm2 (measured [0])",
+            "iteration 1: 1 roots, 1 certified, 1 nodes measured",
+            "iteration 2: measuring node 2 of (1, 2)",
+            "thm2 synthesis infeasible on (1, 2): subset (1, 2): unmeasured diagonal blocks reach ",
+            "iteration 2: measuring node 1 of (1, 2)",
+            "iteration 2: certified (1, 2) via thm2 (measured [2, 1])",
+            "iteration 2: 1 roots, 1 certified, 2 nodes measured",
+        ]
+        assert len(logs[0]) == len(prefixes)
+        for message, prefix in zip(logs[0], prefixes):
+            assert message.startswith(prefix) and (prefix.endswith(" ") or message == prefix)
+
 
 
 def _cycle_root(field, M: int, count: int, length: int, seed: int):
@@ -693,12 +738,15 @@ class TestCertifyRoots:
         assert entry.report.theorem_used == "thm2" and entry.added_measured == (0,)
         assert (0, 0) in outcome.gains
 
-    def test_one_evaluation_serves_every_route(self, monkeypatch):
-        # per subset: one pass stack holding its A_S, one zero-gain
-        # certification (Theorem 2 inside it, never through check_thm2), and
-        # one stack of its own when it synthesizes gains; per measured node
-        # without the shortcut, one synthesis and, when it returns gains, one
-        # Theorem-2 check with them
+    def test_one_evaluation_serves_every_route(self, monkeypatch, usable_cpus):
+        # per subset: one stack holding its A_S, the sweep's without the
+        # shortcut and its pass's with it, one zero-gain certification
+        # (Theorem 2 inside it, never through check_thm2), and one stack of
+        # its own when it synthesizes gains; per measured node without the
+        # shortcut, one synthesis and, when it returns gains, one Theorem-2
+        # check with them.  The counts are read in process: a forked
+        # worker's calls would not reach them
+        usable_cpus(1)
         calls = _count_per_subset(monkeypatch)
         for name, case in NAMED_CASES.items():
             calls.clear()
@@ -946,10 +994,13 @@ class TestNodeFloors:
 
 
 class TestLazyStack:
-    def test_retried_root_assembles_once_after_its_pass(self, monkeypatch):
+    def test_retried_root_assembles_once_after_its_pass(self, monkeypatch, usable_cpus):
         # {1, 2} fails synthesis on node 2 alone and passes on nodes 2 and 1:
-        # its own stack, made after its pass, assembles its one chunk once,
-        # and the second synthesis and the check with gains read those rows
+        # its own stack, made after the sweep that certifies every root
+        # before pass 1, assembles its one chunk once, and the second
+        # synthesis and the check with gains read those rows.  In process,
+        # each root synthesizes in its pass: (0,) in pass 1, then {1, 2}
+        usable_cpus(1)
         case = NAMED_CASES["synthesis_two_nodes"]
         sys, ens, options = case.build()
         events = []
@@ -967,9 +1018,12 @@ class TestLazyStack:
         assert entry.report.theorem_used == "thm2" and entry.added_measured == (2, 1)
         (at,) = [k for k, (kind, roots) in enumerate(events)
                  if kind == "pass" and (1, 2) in roots]
+        assert events[at] == ("pass", ((0,), (1, 2)))
         after = events[at + 1:]
         assert after.count(("synthesis", (1, 2))) == 2
         assert after.count(("assemble", ((1, 2),))) == 1
+        syntheses = [roots for kind, roots in after if kind == "synthesis"]
+        assert syntheses == [(0,), (1, 2), (1, 2)]
 
     def test_refuted_root_assembles_no_sample(self, monkeypatch):
         # a chaotic Lorenz cycle: its blocks refute Theorem 2, the only check
@@ -1027,6 +1081,122 @@ class TestLazyStack:
             assert assembled == [3, 2, 2, 2, 1]
             assert bit_pattern(stack.g) == bit_pattern(expect_g)
             assert assembled == [3, 2, 2, 2, 1] and stack.a is None
+
+
+def _record_syntheses(monkeypatch, path, fail=()) -> Callable[[], list]:
+    """From now on each gain synthesis, a forked worker's too, appends its
+    process id and root to the file ``path``, and raises ``Infeasible`` on
+    the roots ``fail``.  Returns a reader of the (pid, root) pairs, which
+    empties the file."""
+    real = designer.design_gain_thm2
+
+    def recorded(stack, measured, h_req):
+        with open(path, "a") as f:
+            f.write(json.dumps([os.getpid(), one_root(stack)]) + "\n")
+        if one_root(stack) in fail:
+            raise gain_design.Infeasible(f"no gains on {one_root(stack)}")
+        return real(stack, measured, h_req)
+
+    def read():
+        pairs = [(pid, tuple(S)) for pid, S in map(json.loads, path.read_text().splitlines())]
+        path.unlink()
+        return pairs
+
+    monkeypatch.setattr(designer, "design_gain_thm2", recorded)
+    return read
+
+
+class TestSynthesisPool:
+    @pytest.mark.parametrize("name", sorted(NAMED_CASES))
+    def test_pool_and_in_process_give_the_same_bits(self, monkeypatch, usable_cpus, tmp_path,
+                                                    name):
+        # every named case without the shortcut: one usable CPU synthesizes
+        # in this process, two fork a pool where two roots synthesize, and
+        # with no fork two synthesize in process too
+        case = dataclasses.replace(NAMED_CASES[name], shortcut=False)
+        sys, ens, options = case.build()
+        syntheses = _record_syntheses(monkeypatch, tmp_path / "syntheses")
+        texts, forked = [], []
+        for cpus, fork in ((1, True), (2, True), (2, False)):
+            usable_cpus(cpus)
+            if not fork:
+                monkeypatch.delattr(os, "fork")
+            with case.budget():
+                # JSON text tells -0.0 from 0.0
+                texts.append(json.dumps(design_observer(sys, ens, options).to_json_dict()))
+            forked.append(any(pid != os.getpid() for pid, _ in syntheses()))
+        assert texts[0] == texts[1] == texts[2]
+        two_roots = {"synthesis_two_nodes", "synthesis_two_nodes_partial_output",
+                     "inverse_shortcut"}
+        assert forked == [False, name in two_roots, False]
+
+    def test_a_failed_design_records_no_later_root(self, monkeypatch, usable_cpus, tmp_path):
+        # (0,) of pass 1 is exhausted while a worker synthesizes {1, 2} of
+        # pass 2: the design records what it records in process, and nothing
+        # of {1, 2}
+        case = NAMED_CASES["synthesis_two_nodes"]
+        sys, ens, options = case.build()
+        syntheses = _record_syntheses(monkeypatch, tmp_path / "syntheses", fail={(0,)})
+        outcomes = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            with case.budget():
+                outcomes.append(design_observer(sys, ens, options))
+            assert multiprocessing.active_children() == []
+            roots = {S for _, S in syntheses()}
+            assert roots == ({(0,)} if cpus == 1 else {(0,), (1, 2)})
+        for outcome in outcomes:
+            assert outcome.status == "failed" and outcome.failed_subset == (0,)
+            assert outcome.measured == {0} and outcome.gains == {}
+            assert [(p.nodes, p.report.theorem_used, p.added_measured, p.iteration)
+                    for p in outcome.processed] == [((0,), "none", (0,), 1)]
+        assert json.dumps(outcomes[0].to_json_dict()) == json.dumps(outcomes[1].to_json_dict())
+
+    def test_no_worker_outlives_a_design(self, monkeypatch, usable_cpus):
+        # two roots synthesize on two usable CPUs: a complete design, and one
+        # whose workers raise, which reaches the caller from the first root
+        # in pass order
+        usable_cpus(2)
+        case = NAMED_CASES["synthesis_two_nodes"]
+        sys, ens, options = case.build()
+        with case.budget():
+            assert design_observer(sys, ens, options).complete
+        assert multiprocessing.active_children() == []
+
+        def raises(stack, measured, h_req):
+            raise RuntimeError(f"synthesis on {one_root(stack)} raised")
+
+        monkeypatch.setattr(designer, "design_gain_thm2", raises)
+        with pytest.raises(RuntimeError, match=r"synthesis on \(0,\) raised"):
+            design_observer(sys, ens, options)
+        assert multiprocessing.active_children() == []
+
+    def test_designs_whose_workers_raise_never_hang(self):
+        # a worker stopped while it sends a result would leave a queue lock
+        # held, on which a pool's shutdown can wait forever: 100 designs
+        # whose two workers raise at once, in a process that must end in time
+        script = textwrap.dedent("""
+            import os
+            import sys
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            from test_designer import NAMED_CASES, designer
+
+            def raises(stack, measured, h_req):
+                raise RuntimeError("raised")
+
+            designer.design_gain_thm2 = raises
+            system, ens, options = NAMED_CASES["synthesis_two_nodes"].build()
+            for _ in range(100):
+                try:
+                    designer.design_observer(system, ens, options)
+                except RuntimeError:
+                    pass
+        """)
+        tests = Path(__file__).parent
+        path = os.pathsep.join([str(Path(designer.__file__).parents[1]), str(tests)])
+        subprocess.run([sys.executable, "-c", script], cwd=tests, check=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": path})
 
 
 class TestRobustnessPropagation:

@@ -109,6 +109,18 @@ def test_recorded_design_round_trips(case, tmp_path):
     assert design_report(outcome, config_hash, f_bound) == report
 
 
+@pytest.mark.parametrize("case", ["e2e-partial", "e2e-select"])
+def test_pool_and_in_process_designs_are_byte_identical(case, tmp_path, usable_cpus):
+    # one usable CPU synthesizes every root in process, two fork a pool
+    config, written = str(recorded_run(case, tmp_path)[0]), []
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        out = tmp_path / f"out-{cpus}"
+        assert main(["design", "--config", config, "--out-dir", str(out)]) == 0
+        written.append((out / "design.json").read_bytes())
+    assert written[0] == written[1]
+
+
 def _gain_across_subsets(key):
     """An e2e-partial edit adding gain ``key``: nodes 0 and 3 are measured
     while certifying two different Theorem-2 subsets, so neither certificate
