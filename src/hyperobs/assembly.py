@@ -14,8 +14,10 @@ with gains, and gain synthesis, run on a stack that holds one subset as its
 only root; a root's rows are the same bits alone as in a larger stack.
 Each Theorem-2 decision takes the slack ``rounding_tol``: a node's floor
 (``node_floors``, made once per design) refutes above -h + tol
-(``refutes``), and a check passes at a worst value of at most -h - tol
-(``accepts``, tol at max|A_S| plus the gains' max|B|).
+(``refutes``), and so does the gain-free bound of a synthesis
+(``gain_free_bound``), the top eigenvalue over every direction that no gain
+reaches; a check passes at a worst value of at most -h - tol (``accepts``,
+tol at max|A_S| plus the gains' max|B|).
 
 This module also implements the checkable hypothesis of the Theorem-2
 convergence result, ``check_thm2`` over the max ``top_eig_max``, the one
@@ -297,6 +299,34 @@ def node_floors(sys: NetworkSystem, samples) -> tuple[np.ndarray, np.ndarray]:
     return floor, np.maximum(mag, coupling) * (1.0 + 1e-12)
 
 
+def gain_free_bound(stack: RootStack, measured: Sequence[int]) -> float:
+    """c = max_k lambda_max(U^T sym(A_k) U) on the one root of ``stack``
+    with the nodes ``measured``, U an orthonormal basis of the directions no
+    gain reaches: every direction of an unmeasured node, and null(Gamma) at
+    a measured one, both in the basis of Gamma's right singular vectors;
+    -inf where U is empty, and then no row is read.
+
+    Every column block of B(L) is some L_ij Gamma at a measured node j, so
+    B U = 0 and U^T sym(A_k - B) U = U^T sym(A_k) U: by Cauchy interlacing c
+    is at most the Theorem-2 check's worst value with any gains, and at
+    least each unmeasured node's floor, up to ``rounding_tol``
+    (``refutes``).  By the elimination lemma (Boyd et al., "Linear Matrix
+    Inequalities in System and Control Theory", 1994, sec. 2.6.2) it is
+    also their infimum, which the gains L_jj = g Gamma^T approach as g
+    grows.  The rows are read one ``chunks`` range at a time, each through
+    ``top_eig_max``, whose max is exact, so the chunks change no bit."""
+    nodes, gamma = one_root(stack), stack.sys.output.matrix
+    vt, rank = np.linalg.svd(gamma)[2], np.linalg.matrix_rank(gamma)
+    keep = np.logical_or.outer([v not in measured for v in nodes], np.arange(len(vt)) >= rank)
+    U = np.kron(np.eye(len(nodes)), vt.T)[:, keep.ravel()]
+    c = -math.inf
+    # an empty U reads no chunk
+    for chunk in stack.chunks() if U.size else ():
+        P = U.T @ stack.rows(chunk) @ U
+        c = max(c, float(top_eig_max(lambda idx: P[:, idx], 1, P.shape[1], U.shape[1])[0]))
+    return c
+
+
 def rounding_tol(d: int, magnitude: float) -> float:
     """1e-10 (1 + d^2 magnitude): the slack for the rounding of ``eigvalsh``
     and of a Cholesky factorization on d x d matrices of entries at most
@@ -305,11 +335,13 @@ def rounding_tol(d: int, magnitude: float) -> float:
 
 
 def refutes(floor, d: int, magnitude, h_req: float):
-    """Whether a diagonal-block floor proves the Theorem-2 check at margin
-    ``h_req`` to fail, with any gains that leave the block alone, on a d x d
-    A_S of entries at most ``magnitude``: by Cauchy interlacing (Horn and
-    Johnson, "Matrix Analysis", 2nd ed., Thm 4.3.28) the floor is at most
-    the check's worst value, up to ``rounding_tol``."""
+    """Whether a floor, the max over samples of lambda_max(U^T sym(A_k) U)
+    for some orthonormal U that the gains leave alone (one node's diagonal
+    block, or every direction no gain reaches, ``gain_free_bound``), proves
+    the Theorem-2 check at margin ``h_req`` to fail on a d x d A_S of
+    entries at most ``magnitude``: by Cauchy interlacing (Horn and Johnson,
+    "Matrix Analysis", 2nd ed., Thm 4.3.28) the floor is at most the
+    check's worst value, up to ``rounding_tol``."""
     with np.errstate(over="ignore"):
         return floor > rounding_tol(d, magnitude) - h_req
 

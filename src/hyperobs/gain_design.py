@@ -6,7 +6,12 @@ every sample of the zero-gain A_S of the one root of a ``RootStack``, read
 whole by ``GainProblem``.  The objective, max_k lambda_max(sym(A_k - B(L))),
 is a pointwise max of top eigenvalues of matrices affine in the gains, so it
 is convex (Lewis and Overton, "Eigenvalue optimization", Acta Numerica 1996):
-no restart could escape a local minimum.
+no restart could escape a local minimum.  Its infimum over all gains is
+the gain-free bound c (``assembly.gain_free_bound``), the top eigenvalue
+over every direction no gain reaches, so a margin h is attainable exactly
+when c < -h.  The descent runs only where c leaves h open, as a plain
+Polyak loop at ``POLYAK_OVERSHOOT``: every ``Infeasible`` but the
+iteration budget's is proven before its first step.
 
 Each iteration runs ``eigvalsh`` only on the samples a batched Cholesky
 screen cannot rule out, so its max and first argmax are bit for bit those
@@ -33,8 +38,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assembly import (SEED_COUNT, RootStack, accepts, gain_matrix, one_root, refutes,
-                       rounding_tol, symmetric_top_eig)
+from .assembly import (SEED_COUNT, RootStack, accepts, gain_free_bound, gain_matrix, one_root,
+                       refutes, rounding_tol, symmetric_top_eig)
 
 log = logging.getLogger("hyperobs.gain_design")
 
@@ -90,9 +95,8 @@ class GainProblem:
         self.n = n = stack.sys.state_dim
         self.p = stack.sys.output.output_dim
         self.gamma = stack.sys.output.matrix
-        self.measured = list(measured)
-        self.keys = [(i, j) for i in self.nodes for j in self.measured]
-        self._measured_at = self.position[self.measured].tolist()
+        self.keys = [(i, j) for i in self.nodes for j in measured]
+        self._measured_at = self.position[list(measured)].tolist()
         # B of the numbers 1, 2, ... as L @ Gamma, Gamma = I: entry q of the
         # products goes where the q-th number went
         q = len(self.keys) * n * n
@@ -187,13 +191,16 @@ def design_gain_thm2(
     over the sample set of the one root of ``stack``, within ``MAX_ITERS``
     iterations; ValueError for a stack of several roots.
 
-    One subgradient descent with Polyak steps from L = 0, which stops at the
-    first max over all samples that ``assembly.accepts`` at max|A_S| +
-    max|B|, as ``check_thm2`` does; when zero gains pass, the result is
-    empty.  ``Infeasible`` is proven before A_S is read whole when an
-    unmeasured node's block refutes the margin, and when A_S is not finite
-    at some sample, as no gain makes it so.  When the budget runs out, it
-    names the iterations made and the best max reached.
+    ``Infeasible`` is proven before any Polyak step when A_S is not finite at
+    some sample, as no gain makes it so, and when the directions no gain
+    reaches refute the margin (``assembly.refutes``): first on the
+    unmeasured nodes' floors, then on their max over every such direction,
+    ``assembly.gain_free_bound``.  The floors come first as they cost no
+    read of the rows.  Else one subgradient descent with Polyak steps from
+    L = 0 stops at the first max over all samples that ``assembly.accepts``
+    at max|A_S| + max|B|, as ``check_thm2`` does; when zero gains pass, the
+    result is empty.  When the budget runs out, it names the iterations made
+    and the gain-free bound, which left the margin open.
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
@@ -205,40 +212,29 @@ def design_gain_thm2(
     if not np.isfinite(a_max):
         raise Infeasible(f"subset {nodes}: A_S is not finite at some sample, "
                          "no gains make it so")
-    floor = stack.floors[0][[v for v in nodes if v not in measured]].max(initial=-np.inf)
-    if refutes(floor, stack.dim, a_max, h_req):
-        raise Infeasible(
-            f"subset {nodes}: unmeasured diagonal blocks reach "
-            f"{floor:.4g}, margin {h_req} is unattainable for any gains"
-        )
+    bound = stack.floors[0][[v for v in nodes if v not in measured]].max(initial=-np.inf)
+    if not refutes(bound, stack.dim, a_max, h_req):
+        bound = gain_free_bound(stack, measured)
+    if refutes(bound, stack.dim, a_max, h_req):
+        raise Infeasible(f"subset {nodes}: a direction no gain reaches holds {bound:.4g}, "
+                         f"margin {h_req} is unattainable for any gains")
     prob = GainProblem(stack, measured)
     L = np.zeros((len(prob.keys), prob.n, prob.p))
-    overshoot = POLYAK_OVERSHOOT
-    stall_window = max(100, MAX_ITERS // 10)
-    best_phi, last_best_iter = np.inf, 0
     for it in range(MAX_ITERS):
         phi, grads = prob.subgradient(L)
-        if phi < best_phi - 1e-12:
-            best_phi, last_best_iter = phi, it
         if accepts(phi, stack.dim, a_max + prob.b_max, h_req):
             log.debug(
                 "thm2 design for %s done: %d iterations, %.1f of %d samples per iteration",
                 prob.nodes, it + 1, prob.evaluated / (it + 1), stack.num_samples,
             )
             return {k: g for k, g in zip(prob.keys, L) if np.any(g)}
-        if it - last_best_iter > stall_window and overshoot > 1.01:
-            # marginal instances: an out-of-reach Polyak target cycles, so
-            # pull the target toward the requested margin
-            overshoot = 1.0 + 0.5 * (overshoot - 1.0)
-            last_best_iter = it
         # the per-block sums added one by one in key order: one np.sum over
         # all blocks would sum pairwise and round differently
         gnorm2 = sum(np.sum(grads * grads, axis=(1, 2)).tolist())
         if gnorm2 <= 1e-300:
             break
-        step = (phi + h_req * overshoot) / gnorm2
-        L = L - step * grads
+        L = L - (phi + h_req * POLYAK_OVERSHOOT) / gnorm2 * grads
     raise Infeasible(
-        f"no feasible gain found for subset {prob.nodes} at margin {h_req}: "
-        f"best max eigenvalue {best_phi:.6g} after {it + 1} iterations"
+        f"no feasible gain found for subset {nodes} at margin {h_req} after {it + 1} "
+        f"iterations, though the gain-free bound {bound:.6g} leaves it open"
     )

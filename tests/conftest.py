@@ -328,10 +328,7 @@ def dense_gain_descent(stack, measured_in_subset, h_req: float, max_iters: int,
     measured = sorted(set(int(v) for v in measured_in_subset) & set(sub.nodes))
     keys = [(i, j) for i in sub.nodes for j in measured]
     gains = {key: np.zeros((n, gamma.shape[0])) for key in keys}
-    overshoot = POLYAK_OVERSHOOT
-    stall_window = max(100, max_iters // 10)
-    best_phi, last_best_iter = np.inf, 0
-    for it in range(max_iters):
+    for _ in range(max_iters):
         A = apply_gains_by_block(root_rows(stack).copy(), sub, gains, gamma)
         sym = 0.5 * (A + np.swapaxes(A, 1, 2))
         lam = np.linalg.eigvalsh(sym)[:, -1]
@@ -342,18 +339,13 @@ def dense_gain_descent(stack, measured_in_subset, h_req: float, max_iters: int,
         u = np.linalg.eigh(sym[k])[1][:, -1]
         block = {v: u[sub.position(v) * n : sub.position(v) * n + n] for v in sub.nodes}
         grads = {(i, j): -np.outer(block[i], gamma @ block[j]) for (i, j) in keys}
-        if phi < best_phi - 1e-12:
-            best_phi, last_best_iter = phi, it
         b_max = max(float(np.abs(L @ gamma).max()) for L in gains.values())
         if accepts(phi, stack.dim, a_max + b_max, h_req):
             return {key: L for key, L in gains.items() if np.any(L)}
-        if it - last_best_iter > stall_window and overshoot > 1.01:
-            overshoot = 1.0 + 0.5 * (overshoot - 1.0)
-            last_best_iter = it
         gnorm2 = sum(float(np.sum(g * g)) for g in grads.values())
         if gnorm2 <= 1e-300:
             return None
-        step = (phi + h_req * overshoot) / gnorm2
+        step = (phi + h_req * POLYAK_OVERSHOOT) / gnorm2
         for key in keys:
             gains[key] = gains[key] - step * grads[key]
     return None

@@ -579,7 +579,7 @@ class TestBatchedPass:
             "iteration 1: certified (0,) via thm2 (measured [0])",
             "iteration 1: 1 roots, 1 certified, 1 nodes measured",
             "iteration 2: measuring node 2 of (1, 2)",
-            "thm2 synthesis infeasible on (1, 2): subset (1, 2): unmeasured diagonal blocks reach ",
+            "thm2 synthesis infeasible on (1, 2): subset (1, 2): a direction no gain reaches holds ",
             "iteration 2: measuring node 1 of (1, 2)",
             "iteration 2: certified (1, 2) via thm2 (measured [2, 1])",
             "iteration 2: 1 roots, 1 certified, 2 nodes measured",

@@ -8,9 +8,8 @@ exactly reconstructed nodes with zero-gain Theorem-2 subsets; ``e2e-partial``
 measures two of three Lorenz coordinates, so every subset synthesizes gains.
 ``e2e-select`` runs bistable nodes with no shortcut: it measures 5 of 16
 nodes, three subsets certify with gains on fewer nodes than they hold, and
-the root (1, 2, 3, 4, 6, 7) retries synthesis after a first call that ends
-``Infeasible`` when the descent's iteration budget runs out.  That
-``Infeasible`` is unproven; it is recorded as the current behaviour.
+the root (1, 2, 3, 4, 6, 7) retries synthesis after a first call that the
+gain-free bound proves ``Infeasible`` before any descent step.
 Every case has a generator spec, so the CI's installed-package step runs
 each.  Decisions (measured nodes, theorems, statuses, counts) must match
 exactly, floats to a relative 1e-12.
@@ -24,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from hyperobs import designer
+from hyperobs import Infeasible, designer
+from hyperobs.assembly import gain_free_bound, one_root, refutes
 from hyperobs.cli import main
 from hyperobs.config import (
     build_system,
@@ -107,6 +107,38 @@ def test_recorded_design_round_trips(case, tmp_path):
     _, system, config_hash = recorded_run(case, tmp_path)
     outcome, f_bound = read_design_report(report, system, config_hash)
     assert design_report(outcome, config_hash, f_bound) == report
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_infeasible_synthesis_is_proven(case, tmp_path, usable_cpus, monkeypatch):
+    # every design_gain_thm2 call, run in process, returns gains or proves
+    # Infeasible: none ends on the iteration budget.  On e2e-select the root
+    # (1, 2, 3, 4, 6, 7) with node 2 measured is refuted by the gain-free
+    # bound, which the floors of its unmeasured nodes leave open
+    usable_cpus(1)
+    failed, real = {}, designer.design_gain_thm2
+
+    def synthesize(stack, measured, h_req):
+        try:
+            return real(stack, measured, h_req)
+        except Infeasible as exc:
+            nodes = one_root(stack)
+            floor = stack.floors[0][[v for v in nodes if v not in measured]].max(initial=-math.inf)
+            failed[nodes, tuple(measured)] = (str(exc), gain_free_bound(stack, measured),
+                                              refutes(floor, stack.dim, stack.a_max[0], h_req))
+            raise
+
+    monkeypatch.setattr(designer, "design_gain_thm2", synthesize)
+    config = str(recorded_run(case, tmp_path)[0])
+    assert main(["design", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+    assert all(message.startswith(f"subset {nodes}: ")
+               for (nodes, _), (message, _, _) in failed.items())
+    if case == "e2e-select":
+        ((nodes, measured), (message, c, by_floors)), = failed.items()
+        assert (nodes, measured, by_floors) == ((1, 2, 3, 4, 6, 7), (2,), False)
+        assert c == pytest.approx(-0.1551, abs=1e-4) and c >= -0.25
+        assert message == (f"subset {nodes}: a direction no gain reaches holds {c:.4g}, "
+                           "margin 0.25 is unattainable for any gains")
 
 
 @pytest.mark.parametrize("case", ["e2e-partial", "e2e-select"])

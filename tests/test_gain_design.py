@@ -19,7 +19,8 @@ from hyperobs import (
     lorenz_field,
     tanh_coupling,
 )
-from hyperobs.assembly import SEED_COUNT, RootStack, gain_matrix, rounding_tol, symmetric_top_eig
+from hyperobs.assembly import (SEED_COUNT, RootStack, gain_free_bound, gain_matrix, one_root,
+                               refutes, rounding_tol, symmetric_top_eig)
 from hyperobs import gain_design
 from hyperobs.gain_design import MAX_ITERS, GainProblem
 from conftest import (
@@ -90,51 +91,77 @@ class TestDesignThm2:
                              h_req=1.0)
 
     def test_budget_exhaustion_is_infeasible(self, monkeypatch):
-        # the message names the iterations made and the best max reached:
-        # the scalar node's objective is 50 - L, read once at L = 0
+        # the message names the iterations made and the gain-free bound, which
+        # leaves the margin open: -inf for the scalar node measured through
+        # the identity, whose objective is 50 - L
         sys = scalar_node_system(a=50.0)
         monkeypatch.setattr(gain_design, "MAX_ITERS", 1)
-        with pytest.raises(Infeasible, match=r"best max eigenvalue 50 after 1 iterations$"):
+        with pytest.raises(Infeasible, match=r"after 1 iterations, though the gain-free bound "
+                                             r"-inf leaves it open$"):
             design_gain_thm2(root_stack(sys, (0,), np.zeros((2, 1, 1))), [0],
                              h_req=100.0)
-        # a budget too small for the Lorenz pair: the lowest max of the
-        # iterates, which the dense reference shares
+        # a budget too small for the Lorenz pair, on which the dense reference
+        # takes no passing step either; the margin is attainable (the full
+        # budget certifies it), and the bound says so
         stack = lorenz_pair_problem(np.random.default_rng(40), 30)
-        phis = []
-        assert dense_gain_descent(stack, [0, 1], h_req=1.5, max_iters=3, phis=phis) is None
-        assert len(phis) == 3
+        assert dense_gain_descent(stack, [0, 1], h_req=1.5, max_iters=3) is None
+        c = gain_free_bound(stack, [0, 1])
+        assert c < -1.5
         monkeypatch.setattr(gain_design, "MAX_ITERS", 3)
         with pytest.raises(Infeasible) as info:
             design_gain_thm2(stack, [0, 1], h_req=1.5)
-        assert str(info.value).endswith(
-            f"best max eigenvalue {min(phis):.6g} after 3 iterations"
+        assert str(info.value) == (
+            "no feasible gain found for subset (0, 1) at margin 1.5 after 3 iterations, "
+            f"though the gain-free bound {c:.6g} leaves it open"
         )
 
     def test_unmeasured_block_proves_infeasibility(self):
         # node 1 is unmeasured, so no gain reaches its diagonal block; the
-        # floor is that block's, over the same samples, with node 0 left out
+        # floor is that block's, over the same samples, with node 0 left out,
+        # and the gain-free bound, over every direction no gain reaches, is
+        # at least that floor
         stack = lorenz_pair_problem(np.random.default_rng(41), 20)
         n = stack.sys.state_dim
         floor = float(symmetric_top_eig(root_rows(stack)[:, n:, n:]).max())
         assert stack.floors[0][1] == floor
+        assert gain_free_bound(stack, [0]) >= floor - rounding_tol(stack.dim, stack.a_max[0])
         with pytest.raises(Infeasible) as info:
             design_gain_thm2(stack, [0], h_req=1.0)
         assert str(info.value) == (
-            f"subset (0, 1): unmeasured diagonal blocks reach {floor:.4g}, "
+            f"subset (0, 1): a direction no gain reaches holds {floor:.4g}, "
             "margin 1.0 is unattainable for any gains"
         )
 
+    def test_bound_proves_infeasibility_where_the_floors_cannot(self):
+        # both nodes measured through (x2, x3): no floor is left to refute,
+        # but no gain reaches the x1 coordinates: node 0's is -sigma = -10,
+        # and the coupling that node 1's x1 reads from it lifts the top
+        stack = lorenz_pair_problem(np.random.default_rng(41), 20)
+        c = gain_free_bound(stack, [0, 1])
+        assert -10.0 - 1e-9 <= c < -9.0
+        with pytest.raises(Infeasible) as info:
+            design_gain_thm2(stack, [0, 1], h_req=12.0)
+        assert str(info.value) == (
+            f"subset (0, 1): a direction no gain reaches holds {c:.4g}, "
+            "margin 12.0 is unattainable for any gains"
+        )
+
     def test_refuted_synthesis_never_reads_the_whole_root(self, chunk_budget, monkeypatch):
-        # a streamed root: the refutation reads the stack's bound and the
-        # floors, and the Infeasible comes before GainProblem would read the
-        # root's rows whole
-        monkeypatch.setattr(RootStack, "rows", lambda stack, idx: pytest.fail("read the rows"))
+        # a streamed root: the floors refute with no read of the rows, the
+        # gain-free bound reads them one chunk at a time, and either
+        # Infeasible comes before GainProblem would read the root's rows whole
+        real, reads = RootStack.rows, []
+        monkeypatch.setattr(RootStack, "rows", lambda stack, idx: reads.append(idx) or
+                            real(stack, idx))
         with chunk_budget(8 * 6 * 6 * 3):
-            stack = lorenz_pair_problem(np.random.default_rng(41), 20)
-            assert stack.a is None
-            with pytest.raises(Infeasible, match="unmeasured diagonal blocks"):
-                design_gain_thm2(stack, [0], h_req=1.0)
-        assert stack.a is None
+            for measured, h_req, chunked in (([0], 1.0, False), ([0, 1], 12.0, True)):
+                reads.clear()
+                stack = lorenz_pair_problem(np.random.default_rng(41), 20)
+                assert stack.a is None and len(stack.chunks()) == 7
+                with pytest.raises(Infeasible, match="a direction no gain reaches holds"):
+                    design_gain_thm2(stack, measured, h_req)
+                assert reads == (stack.chunks() if chunked else [])
+                assert stack.a is None
 
     def test_no_view_caches_the_root(self, chunk_budget):
         # a held one-root stack reads its rows in place; a streamed one keeps
@@ -225,6 +252,78 @@ def planar_partial_problem(rng, count):
     h = DirectedHypergraph(3, (Hyperedge.uniform((0,), (1,), 2.0),))
     sys = NetworkSystem(h, planar_spiral_field(), linear_coupling(1.0), identity_output(2))
     return root_stack(sys, (0, 1, 2), rng.uniform(-1, 1, (count, 3, 2)))
+
+
+def random_root(rng, count, invertible=False):
+    """A random network of up to 4 nodes held as one root, over ``count``
+    uniform samples of [-3, 3], measured through a random p x n output of
+    any rank, zero included, or an invertible n x n one, at a random
+    nonempty set of its nodes."""
+    base = random_system(rng, random_hypergraph(rng, max_nodes=4, max_edges=3))
+    h, n = base.hypergraph, base.field.state_dim
+    if invertible:
+        gamma = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+    else:
+        gamma = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+        if rng.random() < 0.3:
+            gamma[-1] = gamma[0] if len(gamma) > 1 else 0.0
+    sys = NetworkSystem(h, base.field, base.coupling, linear_output(gamma))
+    N = h.num_nodes
+    measured = [v for v in range(N) if rng.random() < 0.6] or [int(rng.integers(N))]
+    return root_stack(sys, range(N), rng.uniform(-3, 3, (count, N, n))), measured
+
+
+class TestGainFreeBound:
+    @given(st.integers(0, 2**32 - 1))
+    def test_bound_is_at_most_the_check_with_any_gains(self, seed):
+        # interlacing: the gains leave every direction they do not reach alone
+        rng = np.random.default_rng(seed)
+        stack, measured = random_root(rng, int(rng.integers(1, 30)))
+        c = gain_free_bound(stack, measured)
+        gamma = stack.sys.output.matrix
+        keys = [(i, j) for i in one_root(stack) for j in measured]
+        for scale in (0.0, 1.0, 100.0):
+            blocks = scale * rng.normal(size=(len(keys), *gamma.T.shape))
+            report = check_thm2(stack, 1.0, dict(zip(keys, blocks)))
+            B = gain_matrix(stack.entering.position, keys, blocks, gamma)
+            assert c <= -report.hurwitz_margin + rounding_tol(
+                stack.dim, stack.a_max[0] + np.abs(B).max())
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_bound_is_at_least_every_unmeasured_floor(self, seed):
+        rng = np.random.default_rng(seed)
+        stack, measured = random_root(rng, int(rng.integers(1, 30)))
+        floor = stack.floors[0][[v for v in one_root(stack) if v not in measured]]
+        assert floor.max(initial=-np.inf) <= gain_free_bound(stack, measured) + rounding_tol(
+            stack.dim, stack.a_max[0])
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_bound_is_minus_inf_when_every_node_is_measured_invertibly(self, seed):
+        # no direction is left that no gain reaches, and no row is read
+        stack, _ = random_root(np.random.default_rng(seed), 5, invertible=True)
+        assert gain_free_bound(stack, one_root(stack)) == -np.inf
+        assert stack.a is None and not stack._read.any()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5]))
+    def test_streamed_bound_is_the_whole_stack_bound(self, chunk_budget, seed, per_chunk):
+        whole, measured = random_root(np.random.default_rng(seed), 30)
+        expect = gain_free_bound(whole, measured)
+        with chunk_budget(8 * per_chunk * whole.dim**2):
+            stack, _ = random_root(np.random.default_rng(seed), 30)
+            got = gain_free_bound(stack, measured)
+            assert len(stack.chunks()) == -(-30 // per_chunk) and stack.a is None
+        assert bits(got) == bits(expect)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0))
+    def test_bound_never_refutes_a_margin_the_descent_reaches(self, seed, offset):
+        # margins on either side of -c: the descent reaches none that the
+        # bound refutes
+        rng = np.random.default_rng(seed)
+        stack, measured = random_root(rng, 10)
+        c = gain_free_bound(stack, measured)
+        h_req = max(0.05, (-c if np.isfinite(c) else 2.0) + offset)
+        gains = dense_gain_descent(stack, measured, h_req, max_iters=300)
+        assert gains is None or not refutes(c, stack.dim, stack.a_max[0], h_req)
 
 
 class TestDenseReference:
