@@ -7,11 +7,12 @@ tails outside S.  Every fact about the edges entering S is read from one
 incidence slice, ``DirectedHypergraph.entering(S)``, whose ``position``
 array places each node's block in A_S.
 
-A design certifies the roots of a pass, disjoint subsets that no edge joins,
-several at a time: ``stack_roots`` gives roots of one size one
-``RootStack``, which assembles nothing until a check reads it.  A check
-with gains, and gain synthesis, run on a stack that holds one subset as its
-only root; a root's rows are the same bits alone as in a larger stack.
+A design certifies the components of a labelling, disjoint subsets that no
+edge enters together, several at a time: ``stack_roots`` gives roots of one
+size one ``RootStack``, which assembles nothing until a check reads it.  A
+check with gains, and gain synthesis, run on a stack that holds one subset
+as its only root; a root's rows are the same bits alone as in a larger
+stack.
 Each Theorem-2 decision takes the slack ``rounding_tol``: a node's floor
 (``node_floors``, made once per design) refutes above -h + tol
 (``refutes``), and so does the gain-free bound of a synthesis
@@ -217,9 +218,9 @@ def stack_roots(
 ) -> RootStack:
     """The ``RootStack`` of ``roots``, disjoint node subsets of one size, over
     the (K, N, n) ``samples`` with their ``node_floors``, the design's
-    ``floors`` or made here, from one slice of their union: the roots of a
-    pass share no edge, so every edge entering their union enters one root,
-    the root of its heads.  Every root must be head-closed modulo
+    ``floors`` or made here, from one slice of their union: every edge
+    entering it enters one root, the root of its heads, where the roots are
+    the components of one labelling.  Every root must be head-closed modulo
     ``zero_error_nodes``, the nodes whose estimation error is identically
     zero (exactly reconstructed measured nodes): a head of an entering edge
     outside its root must be one of them."""

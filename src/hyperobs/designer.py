@@ -1,48 +1,50 @@
 """Recursive observer design over the root components of the dependency pattern.
 
-The pattern's strongly connected components are labelled once per design, and
-each design pass takes from ``condense`` the roots, the components no other
-unobserved one enters.  The roots of a pass are independent: no edge joins
-two (the heads of an edge share a component), and zero-gain A_S reads only
-edges whose outside tails are observed.  So a pass stacks the A_S of its
-roots of one size (``assembly.stack_roots``), as many as
-``dynamics.CHUNK_BYTES`` holds, and certifies each stack at once
-(``certify_roots``): a node's diagonal block refutes the Theorem-2 check
+Each design pass takes from ``condense`` the roots of the residual pattern,
+the components no other unobserved one enters, and every component is
+certified once, when a labelling makes it.  A component's zero-gain
+verdict reads only its nodes, the edges entering it and the samples, so no
+pass changes it.  So one ``certify_pass`` takes the components of each
+labelling (``label_components``): the whole pattern's before pass 1, and,
+at the end of a pass whose exact nodes split roots, every S \\ {j} left,
+labelled at once: no unobserved node outside the root S reaches it, and
+the roots of a pass share no arc.  Each pass reads its roots' reports and
+upstream tails from what those calls returned.  No two components of a
+labelling share an edge's heads, which share a component or are exact, so
+each edge enters one of them, and a ``certify_pass`` stacks the A_S of its
+components of one size (``assembly.stack_roots``), as many as
+``dynamics.CHUNK_BYTES`` holds with the arrays of the edges entering them,
+and certifies each stack at once (``certify_roots``): a node's diagonal block refutes the Theorem-2 check
 where it can (``thm2_refuted``, on ``assembly.node_floors``, made once per
 design), and one ``assembly.top_eig_max`` runs it on the other roots.  The
 refutation's slack is taken at the floors' bound on max|A_S|, at least the
 exact one: a root it leaves standing gets the full check, which fails
 wherever the exact slack refutes, so the bound changes no decision.  A
 stack assembles nothing until a check reads it, a chunk at a time, so no
-zero-gain check holds a whole root over the budget.  Certified roots are
-recorded as they are, and a pass's stacks go once it is certified; the
-others retry in the pass's order.  Each retry measures one more node of S,
-chosen by the degree heuristic, and synthesizes Theorem-2 gains on the
-nodes of S measured so far, on a stack holding S alone, made at its first
-retry, until a synthesis passes or S is exhausted.  With an
-invertible output map, a measured node j is instead reconstructed exactly
-and skips certification, and S \\ {j} returns in the next pass, labelled
-again on its own: no unobserved node outside the root S reaches it.  So
-every subset is certified by the Theorem-2 check, with or without gains,
-or is one exactly measured node, and every passing Theorem-2 report clears
-``assembly.accepts``.  The design logs one INFO line per pass and each
-root's fate at DEBUG.
+zero-gain check holds a whole root over the budget, and a stack goes once
+its roots are certified.
 
-Without the shortcut no node is labelled again, so the roots of every pass
-are the components of the first labelling, and a root's retries are a
-function of the root alone: its A_S reads the samples and its own slice,
-its gains act inside it, and it holds no node measured for another root.
-So one zero-gain sweep certifies every component before pass 1, with the
-stacks of a pass, and each component it leaves uncertified retries in
-``_synthesize``, all of them at once: in a pool of ``fork`` workers, one
-per CPU of the process's affinity up to one per root, the largest roots
+A pass records its certified roots as they are and treats the others in
+its order.  With an invertible output map (the shortcut), the node j of S
+chosen by the degree heuristic is reconstructed exactly and skips
+certification, and S \\ {j} returns as above.  Without it, no node is
+labelled again, and a root's retries are a function of the root alone:
+each measures one more node of S, chosen by the degree heuristic, and
+synthesizes Theorem-2 gains on the nodes of S measured so far, on a stack
+holding S alone, until a synthesis passes or S is exhausted.  Every such
+root retries at once in ``_synthesize``: in a pool of ``fork`` workers,
+one per CPU of the process's affinity up to one per root, the largest roots
 first.  With one usable CPU, one root to retry or no ``fork``, a root
 retries in process when its pass reaches it, and only a design that forks
 imports ``multiprocessing``.  Each pass reads its roots' results in its
-order: it checks their upstream tails and logs their retries there, so
-the outputs and this module's log are the same on every path, and a
-design that fails at a root stops the pool and records no later root's
-result.  ``gain_design`` logs in the process that synthesizes.
+order: it checks their upstream tails and logs their retries there, so the
+outputs and this module's log are the same on every path, and a design that
+fails at a root stops the pool and records no later root's result.
+``gain_design`` logs in the process that synthesizes.  So every subset is
+certified by the Theorem-2 check, with or without gains, or is one exactly
+measured node, and every passing Theorem-2 report clears
+``assembly.accepts``.  The design logs one INFO line per pass and each
+root's fate at DEBUG.
 
 The design report, ``design.json``, is one JSON object, built by
 ``design_report`` and read back, checked, by ``read_design_report``; no other
@@ -372,18 +374,22 @@ def certify_pass(
     exact: set[int],
     floors: tuple[np.ndarray, np.ndarray],
 ) -> list[tuple[CertificationReport | None, np.ndarray]]:
-    """For each of ``roots``, in order, its report when ``certify_roots``
-    certifies it, else None, and its upstream tails, the tails outside it of
-    the edges entering it.  Roots of one size are stacked over the (K, N, n)
-    ``samples``, as many as ``CHUNK_BYTES`` holds and at least one, with the
-    design's ``floors``."""
-    K, n = samples.shape[0], sys.state_dim
-    sizes: dict[int, list[int]] = {}
+    """For each of ``roots``, disjoint components of one labelling, in order,
+    its report when ``certify_roots`` certifies it, else None, and its
+    upstream tails, the tails outside it of the edges entering it.  Roots of
+    one size are stacked over the (K, N, n) ``samples``, with the design's
+    ``floors``, as many as ``CHUNK_BYTES`` holds and at least one: a root's
+    samples hold its rows and, for each edge entering it, the edge's
+    argument, g' and coupling terms, three n-vectors.  Its nodes' head
+    degrees bound its entering edges, and roots of one size and one bound
+    share their stacks."""
+    K, n, degree = samples.shape[0], sys.state_dim, np.diff(sys.hypergraph.head_ptr)
+    sizes: dict[tuple[int, int], list[int]] = {}
     for k, S in enumerate(roots):
-        sizes.setdefault(len(S), []).append(k)
+        sizes.setdefault((len(S), int(degree[list(S)].sum())), []).append(k)
     checked: list = [None] * len(roots)
-    for M, group in sizes.items():
-        step = max(1, dynamics.CHUNK_BYTES // (8 * K * (M * n) ** 2))
+    for (M, E), group in sizes.items():
+        step = max(1, dynamics.CHUNK_BYTES // (8 * K * ((M * n) ** 2 + 3 * n * E)))
         for lo in range(0, len(group), step):
             chunk = group[lo : lo + step]
             stack = stack_roots(sys, [roots[k] for k in chunk], samples, frozenset(exact), floors)
@@ -403,10 +409,10 @@ def _synthesize(S: tuple[int, ...], job: tuple = ()) -> tuple:
     ``select_node``, and synthesizes Theorem-2 gains on the nodes measured so
     far, on S's own one-root stack, made here, until a check with them passes
     or S is exhausted.  The zero-gain check reads neither gains nor the
-    measured set, so it would decide every retry as it decided the sweep's:
-    it is not run again.  Returns the passing report or None, its gains, the
-    measured nodes in order and the ``Infeasible`` message of each node whose
-    synthesis raised it."""
+    measured set, so it would decide every retry as it decided S's one
+    certification: it is not run again.  Returns the passing report or
+    None, its gains, the measured nodes in order and the ``Infeasible``
+    message of each node whose synthesis raised it."""
     sys, samples, floors, h = job or _job
     stack = stack_roots(sys, [S], samples, frozenset(), floors)
     added, infeasible = [], {}
@@ -468,7 +474,6 @@ def design_observer(
     N = H.num_nodes
     src, dst = dependency_arcs(H)
     label = np.full(N, -1, dtype=np.intp)
-    label_components(src, dst, range(N), label)
     shortcut = (
         sys.output.invertible
         if options.use_inverse_shortcut is None
@@ -490,37 +495,34 @@ def design_observer(
         design = ObserverDesign(frozenset(measured), gains, frozenset(exact))
         return DesignOutcome(design, processed, status, failed)
 
-    # without the shortcut the labels never change: every root of every pass
-    # is a component of the first labelling, and one sweep certifies them all
-    swept: dict[tuple[int, ...], tuple] = {}
-    if not shortcut:
-        components: dict[int, list[int]] = {}
-        for v, c in enumerate(label.tolist()):
-            components.setdefault(c, []).append(v)
-        sweep = [tuple(S) for S in components.values()]
-        swept = dict(zip(sweep, certify_pass(sys, sweep, samples, options, exact, floors)))
-    uncertified = [S for S, (report, _) in swept.items() if report is None]
+    def certify(nodes: Iterable[int]) -> dict[tuple[int, ...], tuple]:
+        """The ``certify_pass`` result of each component that labelling
+        ``nodes`` makes."""
+        components = label_components(src, dst, nodes, label)
+        return dict(zip(components, certify_pass(sys, components, samples, options, exact, floors)))
+
+    # every component is certified once, when a labelling makes it
+    checked = certify(range(N))
+    uncertified = [] if shortcut else [S for S, (report, _) in checked.items() if report is None]
     with _syntheses((sys, samples, floors, options.margin), uncertified) as synthesized:
         while not observed.all():
             iteration += 1
-            progress, first = np.count_nonzero(observed), len(processed)
+            progress, first, split = np.count_nonzero(observed), len(processed), []
             roots = condense(src, dst, label, ~observed)
-            checked = ([swept[S] for S in roots] if not shortcut else
-                       certify_pass(sys, roots, samples, options, exact, floors))
-            for S, (report, upstream) in zip(roots, checked):
+            for S in roots:
+                report, upstream = checked.pop(S)
                 # structural guarantee behind hypothesis H3 and the b_S form
                 if not observed[upstream].all():
                     raise AssertionError(f"upstream tails {set(upstream.tolist())} of {S} "
                                          "unprocessed")
                 if report is None and shortcut:
                     # an uncertified root measures select_node(S), reconstructed
-                    # exactly; S \ {j} re-enters the residual pattern next
-                    # pass, labelled on its own
+                    # exactly; S \ {j} re-enters the residual pattern
                     j = select_node(H.entering(S), measured)
                     measured.add(j)
                     exact.add(j)
                     observed[j] = True
-                    label_components(src, dst, (v for v in S if v != j), label)
+                    split += [v for v in S if v != j]
                     exact_report = CertificationReport("exact", math.inf, 0)
                     processed.append(ProcessedSubset((j,), exact_report, (j,), iteration))
                     log.debug("iteration %d: measuring node %d of %s (exact)", iteration, j, S)
@@ -545,6 +547,9 @@ def design_observer(
                           iteration, S, report.theorem_used, added)
             if np.count_nonzero(observed) == progress:
                 raise AssertionError("design loop made no progress")
+            if split:
+                # exact holds every j: the parts are head-closed modulo it
+                checked.update(certify(split))
             entries = processed[first:]
             log.info("iteration %d: %d roots, %d certified, %d nodes measured", iteration,
                      len(roots), sum(p.report.theorem_used != "exact" for p in entries),

@@ -6,11 +6,11 @@ to one, and a finite positive coupling strength ``sigma``.  A hypergraph keeps
 its edges in one sparse incidence, built once; ``entering`` slices out the
 rows of the edges that enter a node subset, with the subset's one index.
 ``dependency_arcs`` reads the pattern's arcs, member -> head, off the
-incidence.  A design labels their strongly connected components once
+incidence.  A design labels their strongly connected components
 (``label_components``) and takes each pass's roots, the components no other
-unobserved one enters, from ``condense``.  When an exact node j splits a
-root S, only S \\ {j} is labelled again: no unobserved node outside the root
-S reaches it.
+unobserved one enters, from ``condense``.  When exact nodes split roots of a
+pass, only the rest of those roots is labelled again, at once: no unobserved
+node outside a root reaches it, and the roots of a pass share no arc.
 
 ``_csr`` is the package's one CSR builder, of the member incidence, the head
 index, ``assembly``'s edges per root and ``sim``'s gain-correction map, and
@@ -250,12 +250,22 @@ def dependency_arcs(h: DirectedHypergraph) -> tuple[np.ndarray, np.ndarray]:
     return src[src != dst], dst[src != dst]
 
 
-def label_components(src, dst, nodes: Iterable[int], label: np.ndarray) -> None:
+def _groups(nodes: np.ndarray, ids: list[int]) -> list[tuple[int, ...]]:
+    """The ascending ``nodes`` grouped by their ``ids``, as ascending tuples
+    in order of their smallest member."""
+    groups: dict[int, list[int]] = {}
+    for v, c in zip(nodes.tolist(), ids):
+        groups.setdefault(c, []).append(v)
+    return [tuple(members) for members in groups.values()]
+
+
+def label_components(src, dst, nodes: Iterable[int], label: np.ndarray) -> list[tuple[int, ...]]:
     """Give each strongly connected component of the pattern induced by
     ``nodes`` a fresh id in ``label``, one entry per node, above every id it
-    holds.  Iterative Tarjan (SIAM J. Comput. 1, 1972) on the reverse pattern,
-    which has the same components: node v's in-arcs come from
-    ``pred[ptr[v]:ptr[v + 1]]``, in local ids and arc order."""
+    holds, and return the components as ascending node tuples in order of
+    their smallest member.  Iterative Tarjan (SIAM J. Comput. 1, 1972) on the
+    reverse pattern, which has the same components: node v's in-arcs come
+    from ``pred[ptr[v]:ptr[v + 1]]``, in local ids and arc order."""
     nodes = np.fromiter(nodes, dtype=np.intp)
     outside = nodes[(nodes < 0) | (nodes >= len(label))]
     if outside.size:
@@ -293,23 +303,20 @@ def label_components(src, dst, nodes: Iterable[int], label: np.ndarray) -> None:
                     comp[stack.pop()] = count
                 count += 1
     label[nodes] = label.max(initial=-1) + 1 + np.array(comp, dtype=np.intp)
+    return _groups(nodes, comp)
 
 
 def condense(src, dst, label: np.ndarray, on: np.ndarray) -> list[tuple[int, ...]]:
     """Root strongly connected components of the pattern induced by the node
     mask ``on``: those no arc of the induced pattern enters from another one,
     as ascending node tuples in order of their smallest member.  ``label``
-    holds the induced pattern's components on ``on``.  A design labels them
-    once; when an exact node j leaves a root S it labels S \\ {j} again, alone:
-    no unobserved node outside a root reaches it, so nothing else changes."""
+    holds the induced pattern's components on ``on``, as ``label_components``
+    gives them.  The roots of one call share no arc."""
     entered = np.zeros(label.max(initial=-1) + 1, dtype=bool)
     entered[label[dst][on[src] & on[dst] & (label[src] != label[dst])]] = True
     nodes = np.flatnonzero(on)
     root_nodes = nodes[~entered[label[nodes]]]
-    roots: dict[int, list[int]] = {}
-    for v, c in zip(root_nodes.tolist(), label[root_nodes].tolist()):
-        roots.setdefault(c, []).append(v)
-    return [tuple(members) for members in roots.values()]
+    return _groups(root_nodes, label[root_nodes].tolist())
 
 
 # -- hierarchical generator -------------------------------------------------------

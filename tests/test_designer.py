@@ -301,7 +301,8 @@ class TestDesignObserver:
     def test_one_entering_slice_per_stack_on_the_zero_gain_path(self, monkeypatch):
         # head-closedness, the arguments, A_S and the upstream-tail check of
         # every root read the one slice its stack takes, over the union of
-        # the pass's roots of its size: each node is sliced once
+        # components of its size of one labelling, here the first, as no
+        # node is measured: each node is sliced once
         calls = _entering_calls(monkeypatch)
         rng = np.random.default_rng(51)
         for _ in range(5):
@@ -314,53 +315,69 @@ class TestDesignObserver:
             assert outcome.complete and not outcome.measured
             assert sorted(v for c in calls for v in c) == list(range(h.num_nodes))
             for c in calls:
-                held = [p for p in outcome.processed if set(p.nodes) <= set(c)]
-                assert [v for p in held for v in p.nodes] == list(c)
-                assert len({(len(p.nodes), p.iteration) for p in held}) == 1
+                held = sorted(p.nodes for p in outcome.processed if set(p.nodes) <= set(c))
+                assert [v for S in held for v in S] == list(c)
+                assert len({len(S) for S in held}) == 1
 
     @pytest.mark.parametrize("shortcut", [True, False])
     def test_at_most_one_entering_slice_per_root_when_measuring(self, monkeypatch, usable_cpus,
                                                                 shortcut):
-        # a stack takes one slice of its roots' union; a root of a larger
-        # stack that fails its zero-gain checks takes its own once and reads
-        # it on every retry: each root is in one stack's slice and has at
-        # most one of its own.  Without the shortcut the stacks are the
-        # sweep's, made before pass 0 over the roots of every pass, and in
-        # process each root that retries takes its own slice in its pass
+        # a stack takes one slice of the union of components of one size and
+        # one labelling; a root of a larger stack that fails its zero-gain
+        # checks takes its own once and reads it on every retry: each root
+        # is in one stack's slice and has at most one of its own.  A
+        # labelling's stacks are made with it, the first's before pass 1, and
+        # in process each root that retries takes its own slice in its pass
         usable_cpus(1)
-        passes, calls = [], []
-        real_condense, real_entering = designer.condense, DirectedHypergraph.entering
+        passes, labellings, calls = [], [], []
+        live = {}  # node -> (labelling, component) of its latest labelling
+        real_condense, real_label = designer.condense, designer.label_components
+        real_entering = DirectedHypergraph.entering
+
+        def label(*args):
+            labellings.append(out := real_label(*args))
+            live.update((v, (len(labellings) - 1, S)) for S in out for v in S)
+            return out
+
         monkeypatch.setattr(designer, "condense",
                             lambda *args: passes.append(out := real_condense(*args)) or out)
-        monkeypatch.setattr(DirectedHypergraph, "entering", lambda self, nodes: real_entering(
-            self, calls.append((len(passes) - 1, tuple(nodes))) or calls[-1][1]))
+        monkeypatch.setattr(designer, "label_components", label)
+        def entering(self, nodes):
+            calls.append((len(passes), nodes := tuple(nodes), {live[v] for v in nodes}))
+            return real_entering(self, nodes)
+
+        monkeypatch.setattr(DirectedHypergraph, "entering", entering)
         isolated = NetworkSystem(DirectedHypergraph(3), lorenz_field(),
                                  tanh_coupling(0.2, 0.05, 2), identity_output(3))
         for sys in (cohead_pair_system(), isolated):
             ens = small_ensemble(sys, count=5, horizon=0.3, seed=4)
             passes.clear()
+            labellings.clear()
             calls.clear()
             options = DesignOptions(margin=2.0, use_inverse_shortcut=shortcut)
             outcome = design_observer(sys, ens, options)
             assert outcome.complete and outcome.measured
             assert (outcome.exact_nodes == outcome.measured) == shortcut
-            # every call is the union of roots of one size of its pass, or
-            # of any pass for the sweep's calls, k = -1, a root's own slice
-            # among them
-            pass_of = {S: k for k, roots in enumerate(passes) for S in roots}
+            # every call is the union of live components of one size of one
+            # labelling, a root's own slice among them
             stacked = Counter()
-            for k, c in calls:
-                held = sorted(S for S, at in pass_of.items() if set(S) <= set(c) and k in (-1, at))
-                assert [v for S in held for v in S] == list(c)
-                assert len({len(S) for S in held}) == 1
-                stacked.update((pass_of[S], S) for S in held)
-            assert set(stacked) == {(k, S) for S, k in pass_of.items()}
+            for _, c, held in calls:
+                held = sorted(held, key=lambda pair: pair[1])
+                assert [v for _, S in held for v in S] == list(c)
+                assert len({len(S) for _, S in held}) == 1
+                assert len({k for k, _ in held}) == 1
+                stacked.update(held)
+            made = {(k, S) for k, components in enumerate(labellings) for S in components}
+            assert set(stacked) == made
+            assert {S for _, S in made} == {S for roots in passes for S in roots}
             assert max(stacked.values()) <= 2
-            assert any(k < 0 for k, _ in calls) != shortcut
+            # the first labelling's stacks come before pass 1 on both paths
+            assert sorted(v for at, c, _ in calls if at == 0 for v in c) == list(
+                range(sys.num_nodes))
         # the isolated nodes make one pass of three one-node roots, one
         # stack, and each fails its zero-gain checks and slices its own
         assert passes == [[(0,), (1,), (2,)]]
-        assert calls == [(0 if shortcut else -1, (0, 1, 2)), (0, (0,)), (0, (1,)), (0, (2,))]
+        assert [call[:2] for call in calls] == [(0, (0, 1, 2)), (1, (0,)), (1, (1,)), (1, (2,))]
 
 
 @dataclass(frozen=True)
@@ -590,6 +607,46 @@ class TestBatchedPass:
 
 
 
+class TestOneCertificationPerComponent:
+    @settings(max_examples=30)
+    @given(case=st.one_of(design_cases(), hierarchical_cases().map(lambda drawn: drawn[0])))
+    @example(case=NAMED_CASES["zero_gain"])
+    @example(case=NAMED_CASES["synthesis_one_node"])
+    @example(case=NAMED_CASES["synthesis_two_nodes"])
+    @example(case=NAMED_CASES["synthesis_two_nodes_partial_output"])
+    @example(case=NAMED_CASES["exhausted"])
+    @example(case=NAMED_CASES["inverse_shortcut"])
+    def test_each_component_is_certified_once(self, case):
+        # the i-th certify_pass call takes the components of the i-th
+        # labelling: the first before pass 1, then with the shortcut one per
+        # pass whose exact node splits a root of more than one node.  Each
+        # component of every labelling is certified once, on both paths,
+        # and the design is the per-attempt reference's
+        sys, ens, options = case.build()
+        passes, labellings, certified = [], [], []
+        real_condense, real_label, real_pass = (designer.condense, designer.label_components,
+                                                designer.certify_pass)
+        with case.budget(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(designer, "condense",
+                       lambda *args: passes.append(out := real_condense(*args)) or out)
+            mp.setattr(designer, "label_components",
+                       lambda *args: labellings.append(out := real_label(*args)) or out)
+            mp.setattr(designer, "certify_pass", lambda sys, roots, *args: certified.append(
+                list(roots)) or real_pass(sys, roots, *args))
+            got = design_observer(sys, ens, options)
+        with case.budget():
+            expect = reference_design_observer(sys, ens, options)
+        assert got.to_json_dict() == expect.to_json_dict()
+        assert certified == labellings
+        components = [S for roots in certified for S in roots]
+        assert len(components) == len(set(components))
+        splits = {p.iteration for p in got.processed if p.report.theorem_used == "exact"
+                  and len(next(S for S in passes[p.iteration - 1] if p.nodes[0] in S)) > 1}
+        assert len(certified) == 1 + len(splits)
+        if not got.exact_nodes:
+            assert len(certified) == 1
+
+
 def _cycle_root(field, M: int, count: int, length: int, seed: int):
     """The one-root network of M nodes on a directed cycle, a root of M
     nodes, and an ensemble of ``count`` random trajectories of ``length``
@@ -650,6 +707,34 @@ class TestStreamedCertification:
         whole = root_stack(sys, tuple(range(M)), ens.stacked())
         expect = reference_certify_zero_gain(whole, DesignOptions(margin=margin))
         assert report == expect
+
+    def test_stack_budget_counts_the_entering_edges(self, chunk_budget):
+        # 400 one-node roots, each entered by `edges` edges from nodes
+        # outside them: a sample of a root holds one row entry and three
+        # numbers per entering edge (its argument, g' and coupling terms),
+        # so a stack sized by its rows alone would grow with the edges
+        budget, R = 1 << 16, 400
+        peaks = {}
+        for edges in (1, 4, 16):
+            h = DirectedHypergraph(R + edges, tuple(
+                Hyperedge.uniform((R + e,), (v,), 0.5) for v in range(R) for e in range(edges)))
+            sys = NetworkSystem(h, stable_scalar_field(3.0), linear_coupling(1.0),
+                                identity_output(1))
+            X = np.random.default_rng(3).uniform(-3, 3, (200, R + edges, 1))
+            floors = assembly.node_floors(sys, X)
+            with chunk_budget(budget):
+                tracemalloc.start()
+                try:
+                    checked = designer.certify_pass(sys, [(v,) for v in range(R)], X,
+                                                    DesignOptions(margin=0.5), set(), floors)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            # every root passes, so every sample of every root is assembled
+            assert all(report is not None for report, _ in checked)
+            peaks[edges] = peak / budget
+        assert max(peaks.values()) < 10, peaks
+        assert peaks[16] <= 1.5 * peaks[1], peaks
 
 def _count_per_subset(monkeypatch) -> Counter:
     """Counts, per (route, subset nodes), of the stacks that assemble a

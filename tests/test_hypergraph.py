@@ -344,10 +344,14 @@ class TestCondensation:
         src, dst = dependency_arcs(h)
         on = data.draw(st.sets(st.integers(0, h.num_nodes - 1), min_size=1))
         # node order and repeats in the node list do not matter
-        label = labels_on(h.num_nodes, src, dst, data.draw(st.permutations([*on, *on])))
+        label = np.full(h.num_nodes, -1, dtype=np.intp)
+        components = label_components(src, dst, data.draw(st.permutations([*on, *on])), label)
         assert (label >= 0).sum() == len(on) and (label[sorted(on)] >= 0).all()
         expect = brute_force_sccs(h.num_nodes, arcs_of(src, dst), on)
         assert partition(label, on) == expect == csgraph_partition(h, on)
+        # the components it returns are the labelled ones, in order of their
+        # smallest member
+        assert components == partition(label, on)
 
     def test_fresh_labels_leave_the_others(self):
         src, dst = arc_arrays([(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
