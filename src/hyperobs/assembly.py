@@ -12,7 +12,11 @@ edge enters together, several at a time: ``stack_roots`` gives roots of one
 size one ``RootStack``, which assembles nothing until a check reads it.  A
 check with gains, and gain synthesis, run on a stack that holds one subset
 as its only root; a root's rows are the same bits alone as in a larger
-stack.
+stack.  One rule decides which samples a read of a stack assembles at once,
+``RootStack.chunks()``: as many as ``CHUNK_BYTES`` holds of everything a
+sample assembles, the rows of every root and three n-vectors (argument, g'
+and coupling terms) per entering edge.  Every read of A_S goes through
+those chunks, and ``top_eig_max`` reads the chunks its caller hands it.
 Each Theorem-2 decision takes the slack ``rounding_tol``: a node's floor
 (``node_floors``, made once per design) refutes above -h + tol
 (``refutes``), and so does the gain-free bound of a synthesis
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo
@@ -137,10 +141,12 @@ class RootStack:
     (see the module docstring), S's own for a one-root stack.  ``upstream``
     holds the tails of the entering edges outside their root, the union of
     the roots' own, and ``upstream_root`` the root each tail's edge enters;
-    ``floors`` is ``node_floors`` of the samples.  Each assembly records the
-    g, (R, K), and max|A_S|, ``a_max``, of its samples; reading either
-    assembles the samples not read yet.  A stack of one chunk keeps its
-    first whole read, ``a``, None before it and for a larger stack."""
+    ``floors`` is ``node_floors`` of the samples.  ``chunks()`` is the one
+    rule for which samples a read assembles at once, sized by everything a
+    sample assembles.  Each assembly records the g, (R, K), and max|A_S|,
+    ``a_max``, of its samples; reading either assembles the chunks not read
+    yet.  A stack of one chunk keeps its first whole read, ``a``, None before
+    it and for a larger stack."""
 
     def __init__(self, sys: NetworkSystem, roots: np.ndarray, sl: EdgeSlice,
                  edge_root: np.ndarray, local: np.ndarray, X: np.ndarray, floors: tuple):
@@ -172,9 +178,12 @@ class RootStack:
         return self._recorded()[1]
 
     def chunks(self) -> list[slice]:
-        """Sample ranges whose rows hold at most ``CHUNK_BYTES``, at least
-        one sample each."""
-        step = max(1, dynamics.CHUNK_BYTES // (8 * len(self.roots) * self.dim**2))
+        """Sample ranges whose assembly holds at most ``CHUNK_BYTES``, at
+        least one sample each: per sample, 8 (R d^2 + 3 n E) bytes, the rows
+        of the R roots and each of the E entering edges' argument, g' and
+        coupling terms."""
+        E, n = len(self.entering.edges), self.sys.state_dim
+        step = max(1, dynamics.CHUNK_BYTES // (8 * (len(self.roots) * self.dim**2 + 3 * n * E)))
         return [slice(lo, lo + step) for lo in range(0, self.num_samples, step)]
 
     def rows(self, idx: slice) -> np.ndarray:
@@ -295,7 +304,7 @@ def node_floors(sys: NetworkSystem, samples) -> tuple[np.ndarray, np.ndarray]:
             a = np.ascontiguousarray(a.T)
             np.maximum(peak, np.maximum(a.max(axis=0), -a.min(axis=0)), out=peak)
         del dg, terms, a
-        floor = np.maximum(floor, top_eig_max(lambda idx: D[:, idx], N, k, n))
+        floor = np.maximum(floor, top_eig_max([D]))
     coupling = np.bincount(node, h.edge_sigma[edge] * top[edge], N)
     return floor, np.maximum(mag, coupling) * (1.0 + 1e-12)
 
@@ -314,18 +323,18 @@ def gain_free_bound(stack: RootStack, measured: Sequence[int]) -> float:
     (``refutes``).  By the elimination lemma (Boyd et al., "Linear Matrix
     Inequalities in System and Control Theory", 1994, sec. 2.6.2) it is
     also their infimum, which the gains L_jj = g Gamma^T approach as g
-    grows.  The rows are read one ``chunks`` range at a time, each through
-    ``top_eig_max``, whose max is exact, so the chunks change no bit."""
+    grows.  ``top_eig_max`` reads the projected rows U^T A U of each
+    ``RootStack.chunks()`` range; its max is exact, so the chunks change no
+    bit.  With every node measured through an invertible Gamma, U is empty
+    before any factorization of Gamma."""
     nodes, gamma = one_root(stack), stack.sys.output.matrix
+    if stack.sys.output.invertible and set(nodes) <= set(measured):
+        return -math.inf
     vt, rank = np.linalg.svd(gamma)[2], np.linalg.matrix_rank(gamma)
     keep = np.logical_or.outer([v not in measured for v in nodes], np.arange(len(vt)) >= rank)
     U = np.kron(np.eye(len(nodes)), vt.T)[:, keep.ravel()]
-    c = -math.inf
-    # an empty U reads no chunk
-    for chunk in stack.chunks() if U.size else ():
-        P = U.T @ stack.rows(chunk) @ U
-        c = max(c, float(top_eig_max(lambda idx: P[:, idx], 1, P.shape[1], U.shape[1])[0]))
-    return c
+    return -math.inf if not U.size else float(
+        top_eig_max(U.T @ stack.rows(chunk) @ U for chunk in stack.chunks())[0])
 
 
 def rounding_tol(d: int, magnitude: float) -> float:
@@ -424,13 +433,15 @@ def symmetric_top_eig(mats: np.ndarray) -> np.ndarray:
     return top
 
 
-def top_eig_max(rows: Callable[[slice], np.ndarray], R: int, K: int, d: int) -> np.ndarray:
+def top_eig_max(chunks: Iterable[np.ndarray]) -> np.ndarray:
     """max_k lambda_max(sym A_rk) for each root r of the (R, K, d, d) stack
-    whose rows at the samples of the slice ``idx`` are ``rows(idx)``: (R,),
-    bit for bit ``symmetric_top_eig(A).max(axis=1)``, so +inf for a root
-    holding a sample whose A_S or symmetric part has a non-finite entry.
-    The rows are read a ``CHUNK_BYTES`` chunk at a time, and a root that has
-    reached +inf reads no more samples.
+    A whose samples come as the (R, k, d, d) row ``chunks``: (R,), bit for
+    bit ``symmetric_top_eig(A).max(axis=1)``, so +inf for a root holding a
+    sample whose A_S or symmetric part has a non-finite entry.  The caller
+    decides the chunks (``RootStack.chunks()`` for a stack's rows), and
+    each is pulled once the last is freed; none is pulled once every root
+    has reached +inf.  The screen's work arrays are its own, ``CHUNK_BYTES``
+    together.
 
     ``eigvalsh`` runs on ``SEED_COUNT`` evenly spaced samples of each root's
     first chunk, whose largest top eigenvalue starts ``best``, the largest
@@ -445,49 +456,49 @@ def top_eig_max(rows: Callable[[slice], np.ndarray], R: int, K: int, d: int) -> 
     reach ``symmetric_top_eig``.  A failed factorization comes back as NaN
     rows, and one with an infinite pivot has an infinite diagonal entry:
     either sends its sample to ``eigvalsh``."""
-    # a chunk holds CHUNK_BYTES of rows, and the screen's three work arrays
-    # (the matrices, the transpose numpy copies to add in place, the
-    # factors) hold CHUNK_BYTES together
-    step, part = (max(1, dynamics.CHUNK_BYTES // (f * 8 * d * d)) for f in (R, 3))
-    best, diag = np.full(R, -np.inf), np.arange(d)
-    for lo in range(0, K, step):
-        if not (best < np.inf).any():
-            break
-        A = rows(slice(lo, lo + step))
+    best = None
+    for A in chunks:
+        (R, k, d), diag = A.shape[:3], np.arange(A.shape[2])
         if d <= 2:
             # eigvalsh of a 1 x 1 or 2 x 2 matrix costs less than the screen
-            best = np.maximum(best, symmetric_top_eig(A).max(axis=1))
-            continue
-        todo = np.ones(A.shape[:2], dtype=bool)
-        if lo == 0:
-            count = min(SEED_COUNT, todo.shape[1])
-            seeds = np.arange(count) * todo.shape[1] // count
-            best = symmetric_top_eig(A[:, seeds]).max(axis=1)
-            todo[:, seeds] = False
-        todo &= (best < np.inf)[:, None]
-        with np.errstate(invalid="ignore", over="ignore"):
-            # the rounding scale; a sample with a non-finite entry goes to
-            # symmetric_top_eig, and so does every sample of a root whose mu
-            # is not finite
-            mag = np.maximum(A.max(axis=(2, 3)), -A.min(axis=(2, 3)))
-            finite = np.isfinite(mag)
-            scale = np.where(finite, mag, 0.0).max(axis=1) + np.abs(best)
-            mu = best - rounding_tol(d, scale)
-            screened = np.nonzero(todo & finite & np.isfinite(mu)[:, None])
-            for at in range(0, len(screened[0]), part):
-                r, k = (ix[at : at + part] for ix in screened)
-                M = A[r, k]
-                M += M.transpose(0, 2, 1)
-                M *= -0.5
-                M[:, diag, diag] += mu[r, None]
-                pivots = np.diagonal(cholesky_lo(M), axis1=1, axis2=2)
-                todo[r, k] = ~np.isfinite(pivots).all(axis=1)
-        left = np.nonzero(todo)
-        for at in range(0, len(left[0]), part):
-            r, k = (ix[at : at + part] for ix in left)
-            np.maximum.at(best, r, symmetric_top_eig(A[r, k]))
+            top = symmetric_top_eig(A).max(axis=1)
+            best = top if best is None else np.maximum(best, top)
+        else:
+            # the screen's three work arrays (the matrices, the transpose
+            # numpy copies to add in place, the factors) hold CHUNK_BYTES
+            part = max(1, dynamics.CHUNK_BYTES // (3 * 8 * d * d))
+            todo = np.ones((R, k), dtype=bool)
+            if best is None:
+                count = min(SEED_COUNT, k)
+                seeds = np.arange(count) * k // count
+                best = symmetric_top_eig(A[:, seeds]).max(axis=1)
+                todo[:, seeds] = False
+            todo &= (best < np.inf)[:, None]
+            with np.errstate(invalid="ignore", over="ignore"):
+                # the rounding scale; a sample with a non-finite entry goes
+                # to symmetric_top_eig, and so does every sample of a root
+                # whose mu is not finite
+                mag = np.maximum(A.max(axis=(2, 3)), -A.min(axis=(2, 3)))
+                finite = np.isfinite(mag)
+                scale = np.where(finite, mag, 0.0).max(axis=1) + np.abs(best)
+                mu = best - rounding_tol(d, scale)
+                screened = np.nonzero(todo & finite & np.isfinite(mu)[:, None])
+                for at in range(0, len(screened[0]), part):
+                    r, k = (ix[at : at + part] for ix in screened)
+                    M = A[r, k]
+                    M += M.transpose(0, 2, 1)
+                    M *= -0.5
+                    M[:, diag, diag] += mu[r, None]
+                    pivots = np.diagonal(cholesky_lo(M), axis1=1, axis2=2)
+                    todo[r, k] = ~np.isfinite(pivots).all(axis=1)
+            left = np.nonzero(todo)
+            for at in range(0, len(left[0]), part):
+                r, k = (ix[at : at + part] for ix in left)
+                np.maximum.at(best, r, symmetric_top_eig(A[r, k]))
         # freed before the next chunk is assembled
         del A
+        if not (best < np.inf).any():
+            break
     return best
 
 
@@ -524,7 +535,8 @@ def check_thm2(
 ) -> CertificationReport:
     """Uniform Hurwitz margin of the symmetric part of A_S with the given
     gain blocks over the sample set of the one root of ``stack``
-    (``top_eig_max``), plus the finite boundedness check on the coupling
+    (``top_eig_max`` over the ``RootStack.chunks()`` ranges, each less the
+    gains' B), plus the finite boundedness check on the coupling
     Jacobian."""
     if h_req <= 0:
         raise NonpositiveMargin("required margin must be positive")
@@ -534,14 +546,10 @@ def check_thm2(
         keys = list(gains)
         blocks = np.array([gains[k] for k in keys], dtype=float)
         B = gain_matrix(stack.entering.position, keys, blocks, stack.sys.output.matrix)
-
-    def rows(idx):
-        return stack.rows(idx) if B is None else stack.rows(idx) - B
-
-    K, d = stack.num_samples, stack.dim
-    worst = float(top_eig_max(rows, 1, K, d)[0])
+    worst = float(top_eig_max(stack.rows(chunk) if B is None else stack.rows(chunk) - B
+                              for chunk in stack.chunks())[0])
     mag = stack.a_max[0] + (0.0 if B is None else float(np.abs(B).max()))
-    return thm2_report(worst, float(stack.g[0].max()), K, h_req, d, mag)
+    return thm2_report(worst, float(stack.g[0].max()), stack.num_samples, h_req, stack.dim, mag)
 
 
 # -- robustness bound --------------------------------------------------------------

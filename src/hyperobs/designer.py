@@ -20,9 +20,9 @@ design), and one ``assembly.top_eig_max`` runs it on the other roots.  The
 refutation's slack is taken at the floors' bound on max|A_S|, at least the
 exact one: a root it leaves standing gets the full check, which fails
 wherever the exact slack refutes, so the bound changes no decision.  A
-stack assembles nothing until a check reads it, a chunk at a time, so no
-zero-gain check holds a whole root over the budget, and a stack goes once
-its roots are certified.
+stack assembles nothing until a check reads it, a ``RootStack.chunks()``
+range at a time, so no zero-gain check holds a whole root over the budget,
+and a stack goes once its roots are certified.
 
 A pass records its certified roots as they are and treats the others in
 its order.  With an invertible output map (the shortcut), the node j of S
@@ -350,15 +350,15 @@ def thm2_refuted(stack: RootStack, h_req: float) -> np.ndarray:
 def certify_roots(stack: RootStack, options: DesignOptions) -> list[CertificationReport | None]:
     """The passing zero-gain Theorem-2 report of each root of ``stack``, or
     None: the check runs on every root ``thm2_refuted`` leaves, in one
-    ``top_eig_max`` call over the stack's chunks.  A refuted check would
-    fail, so skipping it changes no outcome, and a refuted root assembles
-    no sample."""
+    ``top_eig_max`` call over the ``RootStack.chunks()`` ranges of the
+    stack.  A refuted check would fail, so skipping it changes no outcome,
+    and a refuted root assembles no sample."""
     h, K, R = options.margin, stack.num_samples, len(stack.roots)
     reports: list[CertificationReport | None] = [None] * R
     checked = np.flatnonzero(~thm2_refuted(stack, h))
     if checked.size:
-        rows = stack.rows if len(checked) == R else lambda idx: stack.rows(idx)[checked]
-        worst = top_eig_max(rows, len(checked), K, stack.dim)
+        pick = slice(None) if len(checked) == R else checked
+        worst = top_eig_max(stack.rows(chunk)[pick] for chunk in stack.chunks())
         g_bound = stack.g.max(axis=1)
         for r, w in zip(checked.tolist(), worst.tolist()):
             report = thm2_report(w, float(g_bound[r]), K, h, stack.dim, stack.a_max[r])
@@ -382,7 +382,9 @@ def certify_pass(
     samples hold its rows and, for each edge entering it, the edge's
     argument, g' and coupling terms, three n-vectors.  Its nodes' head
     degrees bound its entering edges, and roots of one size and one bound
-    share their stacks."""
+    share their stacks.  A stack is then read in the sample ranges that
+    ``RootStack.chunks()`` sizes by the same terms, so no read assembles
+    more than ``CHUNK_BYTES``, however many edges enter a root."""
     K, n, degree = samples.shape[0], sys.state_dim, np.diff(sys.hypergraph.head_ptr)
     sizes: dict[tuple[int, int], list[int]] = {}
     for k, S in enumerate(roots):

@@ -2,12 +2,13 @@
 
 Gains drive the largest eigenvalue of the symmetric part of A_S below a
 required margin, by one Polyak-stepped subgradient descent from L = 0 over
-every sample of the zero-gain A_S of the one root of a ``RootStack``, read
-whole by ``GainProblem``.  The objective, max_k lambda_max(sym(A_k - B(L))),
-is a pointwise max of top eigenvalues of matrices affine in the gains, so it
-is convex (Lewis and Overton, "Eigenvalue optimization", Acta Numerica 1996):
-no restart could escape a local minimum.  Its infimum over all gains is
-the gain-free bound c (``assembly.gain_free_bound``), the top eigenvalue
+every sample of the zero-gain A_S of the one root of a ``RootStack``, held
+whole by ``GainProblem``, which assembles it one ``RootStack.chunks()``
+range at a time: the rows are whole, their assembly's temporaries are not.
+The objective, max_k lambda_max(sym(A_k - B(L))), is a pointwise max of top
+eigenvalues of matrices affine in the gains, so it is convex (Lewis and
+Overton, "Eigenvalue optimization", Acta Numerica 1996): no restart could
+escape a local minimum.  Its infimum over all gains is the gain-free bound c (``assembly.gain_free_bound``), the top eigenvalue
 over every direction no gain reaches, so a margin h is attainable exactly
 when c < -h.  The descent runs only where c leaves h open, as a plain
 Polyak loop at ``POLYAK_OVERSHOOT``: every ``Infeasible`` but the
@@ -103,8 +104,11 @@ class GainProblem:
         num = gain_matrix(self.position, self.keys, np.arange(1.0, q + 1).reshape(-1, n, n),
                           np.eye(n))
         self._at = np.argsort(num, axis=None)[num.size - q :]
+        # the whole root, assembled one RootStack.chunks() range at a time;
         # sym(A_k^0) with the samples on the last axis, for the Cholesky screen
-        self.a = a = stack.rows(slice(None))[0]
+        self.a = a = np.empty((stack.num_samples, stack.dim, stack.dim))
+        for chunk in stack.chunks():
+            a[chunk] = stack.rows(chunk)[0]
         self.s0 = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0),
                          out=np.empty(a.shape[1:] + a.shape[:1]))
         self.s0 *= 0.5
@@ -191,16 +195,22 @@ def design_gain_thm2(
     over the sample set of the one root of ``stack``, within ``MAX_ITERS``
     iterations; ValueError for a stack of several roots.
 
-    ``Infeasible`` is proven before any Polyak step when A_S is not finite at
-    some sample, as no gain makes it so, and when the directions no gain
-    reaches refute the margin (``assembly.refutes``): first on the
-    unmeasured nodes' floors, then on their max over every such direction,
-    ``assembly.gain_free_bound``.  The floors come first as they cost no
-    read of the rows.  Else one subgradient descent with Polyak steps from
-    L = 0 stops at the first max over all samples that ``assembly.accepts``
-    at max|A_S| + max|B|, as ``check_thm2`` does; when zero gains pass, the
-    result is empty.  When the budget runs out, it names the iterations made
-    and the gain-free bound, which left the margin open.
+    ``Infeasible`` is proven before any Polyak step when the directions no
+    gain reaches refute the margin (``assembly.refutes``), and when A_S is
+    not finite at some sample, as no gain makes it so.  The unmeasured
+    nodes' floors come first, at the largest floor bound over the root's
+    nodes, at least max|A_S|, as ``designer.thm2_refuted`` takes them: they
+    cost no read of the rows.  A call they leave standing reads max|A_S|,
+    whose chunks give the finite check, and then the max over every
+    direction no gain reaches, ``assembly.gain_free_bound``, refutes at
+    max|A_S|.  A non-finite sample makes the floor bound infinite, so the
+    floors never refute such a root.  Else one subgradient descent with
+    Polyak steps from L = 0, on the rows that ``GainProblem`` assembles one
+    ``RootStack.chunks()`` range at a time, stops at the first max over all
+    samples that ``assembly.accepts`` at max|A_S| + max|B|, as
+    ``check_thm2`` does; when zero gains pass, the result is empty.  When
+    the budget runs out, it names the iterations made and the gain-free
+    bound, which left the margin open.
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
@@ -208,12 +218,14 @@ def design_gain_thm2(
     measured = sorted(set(int(v) for v in measured_in_subset) & set(nodes))
     if not measured:
         raise NoMeasuredNodes(f"subset {nodes} has no measured nodes")
-    a_max = stack.a_max[0]
-    if not np.isfinite(a_max):
-        raise Infeasible(f"subset {nodes}: A_S is not finite at some sample, "
-                         "no gains make it so")
-    bound = stack.floors[0][[v for v in nodes if v not in measured]].max(initial=-np.inf)
+    # the floors refute at their bound on max|A_S|, before any read of the rows
+    floor, a_max = stack.floors[0], stack.floors[1][list(nodes)].max()
+    bound = floor[[v for v in nodes if v not in measured]].max(initial=-np.inf)
     if not refutes(bound, stack.dim, a_max, h_req):
+        a_max = stack.a_max[0]
+        if not np.isfinite(a_max):
+            raise Infeasible(f"subset {nodes}: A_S is not finite at some sample, "
+                             "no gains make it so")
         bound = gain_free_bound(stack, measured)
     if refutes(bound, stack.dim, a_max, h_req):
         raise Infeasible(f"subset {nodes}: a direction no gain reaches holds {bound:.4g}, "

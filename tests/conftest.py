@@ -75,6 +75,14 @@ def root_rows(stack):
     return stack.rows(slice(None))[0]
 
 
+def sample_bytes(stack) -> int:
+    """The bytes that one sample of ``stack`` assembles, which
+    ``RootStack.chunks()`` sizes its chunks by: the rows of every root and
+    three n-vectors (argument, g' and coupling terms) per entering edge."""
+    edges = len(stack.entering.edges)
+    return 8 * (len(stack.roots) * stack.dim**2 + 3 * stack.sys.state_dim * edges)
+
+
 def hold_rows(stack, A):
     """Make ``stack`` hold the (R, K, d, d) rows ``A`` as its whole read,
     with their max|A_S| as ``a_max``, a zero coupling bound ``g``, as for

@@ -701,17 +701,28 @@ def sample_stacks(draw):
     return A
 
 
+def pulled_chunks(A: np.ndarray, step: int, pulled: list):
+    """The (R, K, d, d) stack A in chunks of ``step`` samples, each chunk's
+    first sample appended to ``pulled`` when the chunk is pulled."""
+    for lo in range(0, A.shape[1], step):
+        pulled.append(lo)
+        yield A[:, lo : lo + step]
+
+
 class TestTopEigMax:
     @given(sample_stacks(), st.sampled_from([None, 1, 3]))
     def test_equals_eigvalsh_over_every_sample(self, chunk_budget, A, chunk):
         # a root holding a sample whose symmetric part has a non-finite entry
-        # reads +inf; the others read the max over eigvalsh of every sample
+        # reads +inf; the others read the max over eigvalsh of every sample,
+        # whether the samples come whole or in chunks
         R, K, d = A.shape[:3]
         budget = dynamics.CHUNK_BYTES if chunk is None else 4 * 8 * d * d * chunk
+        step = K if chunk is None else chunk
         with chunk_budget(budget), warnings.catch_warnings():
             warnings.simplefilter("error")
-            # chunks of a few samples: every loop runs more than once
-            got = assembly.top_eig_max(lambda idx: A[:, idx], R, K, d)
+            # chunks of a few samples, screened a few at a time: every loop
+            # runs more than once
+            got = assembly.top_eig_max(A[:, lo : lo + step] for lo in range(0, K, step))
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(A + A.transpose(0, 1, 3, 2)).all(axis=(1, 2, 3))
         assert (got[~finite] == np.inf).all()
@@ -728,7 +739,7 @@ class TestTopEigMax:
                 real = np.linalg.eigvalsh
                 mp.setattr(np.linalg, "eigvalsh",
                            lambda m: real(m) if np.isfinite(m).all() else None)
-                assert assembly.top_eig_max(lambda idx: A[:, idx], 1, 4, 3).tolist() == [np.inf]
+                assert assembly.top_eig_max([A]).tolist() == [np.inf]
             stack = root_stack_for(np.zeros((3, 3)), np.zeros((4, 1, 3)))
             hold_rows(stack, A)
             report = check_thm2(stack, 1.0)
@@ -745,9 +756,32 @@ class TestTopEigMax:
         monkeypatch.setattr(assembly, "symmetric_top_eig",
                             lambda m: evaluated.append(m.shape[0] * m.shape[1] if m.ndim == 4
                                                        else m.shape[0]) or real(m))
-        got = assembly.top_eig_max(lambda idx: A[:, idx], *A.shape[:3])
+        got = assembly.top_eig_max([A])
         assert got[0] == real(A[0]).max()
         assert sum(evaluated) < 40
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_chunk_is_pulled_once_every_root_reads_inf(self, d):
+        # a NaN in the first chunk of the one root: the max is +inf, and the
+        # four chunks after it are never assembled
+        A = np.tile(-5.0 * np.eye(d), (1, 10, 1, 1))
+        A[0, 1, 0, 0] = np.nan
+        pulled = []
+        assert assembly.top_eig_max(pulled_chunks(A, 2, pulled)).tolist() == [np.inf]
+        assert pulled == [0]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_an_inf_root_leaves_the_other_roots_reading(self, d):
+        # root 0 reads +inf in the first chunk; root 1's max sits in the last
+        # chunk, so every chunk is pulled, and it reads eigvalsh's max
+        rng = np.random.default_rng(21)
+        A = rng.normal(0, 1, (2, 10, d, d)) - 5.0 * np.eye(d)
+        A[0, 0, 0, 0] = np.inf
+        A[1, 9] += 4.0 * np.eye(d)
+        pulled = []
+        got = assembly.top_eig_max(pulled_chunks(A, 2, pulled))
+        assert got[0] == np.inf and got[1] == assembly.symmetric_top_eig(A[1]).max()
+        assert pulled == [0, 2, 4, 6, 8]
 
     def test_check_thm2_reads_the_max_of_every_sample(self):
         rng = np.random.default_rng(5)

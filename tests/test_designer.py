@@ -58,6 +58,7 @@ from conftest import (
     restrict,
     root_rows,
     root_stack,
+    sample_bytes,
     upstream_tails,
     vector_field_from_callable,
 )
@@ -736,6 +737,55 @@ class TestStreamedCertification:
         assert max(peaks.values()) < 10, peaks
         assert peaks[16] <= 1.5 * peaks[1], peaks
 
+    def test_a_root_entered_by_many_edges_is_certified_a_few_budgets_at_a_time(
+            self, chunk_budget):
+        # one node heading 400 edges: a sample of its root holds one row
+        # entry and 1200 numbers of its entering edges, so chunks sized by
+        # the rows alone would assemble all 2000 samples at once, about 390
+        # budgets; it passes, so every sample is assembled
+        budget = 1 << 16
+        sys, X, floors = _hub_root(400, 2000)
+        with chunk_budget(budget):
+            tracemalloc.start()
+            try:
+                ((report, _),) = designer.certify_pass(sys, [(0,)], X, DesignOptions(margin=0.5),
+                                                       set(), floors)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert report is not None and report.sample_count == 2000
+        assert peak < 10 * budget, peak / budget
+
+    def test_synthesis_reads_a_root_entered_by_many_edges_a_few_budgets_at_a_time(
+            self, chunk_budget):
+        # GainProblem holds the root's rows whole, 16 kB here, and assembles
+        # them a chunk at a time: bit for bit the rows of one whole read
+        budget = 1 << 16
+        sys, X, floors = _hub_root(400, 2000)
+        with chunk_budget(budget):
+            stack = assembly.stack_roots(sys, [(0,)], X, floors=floors)
+            tracemalloc.start()
+            try:
+                prob = gain_design.GainProblem(stack, [0])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 10 * budget, peak / budget
+        whole = assembly.stack_roots(sys, [(0,)], X, floors=floors)
+        assert bit_pattern(prob.a) == bit_pattern(root_rows(whole))
+
+
+def _hub_root(edges: int, K: int):
+    """A contracting scalar node 0 that heads ``edges`` edges, each from a
+    node of its own, over K uniform samples of [-3, 3]: the system, the
+    samples and their ``node_floors``."""
+    h = DirectedHypergraph(1 + edges, tuple(
+        Hyperedge.uniform((1 + e,), (0,), 0.5) for e in range(edges)))
+    sys = NetworkSystem(h, stable_scalar_field(3.0), linear_coupling(1.0), identity_output(1))
+    X = np.random.default_rng(5).uniform(-3, 3, (K, 1 + edges, 1))
+    return sys, X, assembly.node_floors(sys, X)
+
+
 def _count_per_subset(monkeypatch) -> Counter:
     """Counts, per (route, subset nodes), of the stacks that assemble a
     root's A_S, the zero-gain certifications (``certify_roots``), the
@@ -1133,11 +1183,12 @@ class TestLazyStack:
         rng = np.random.default_rng(seed)
         R, M = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         sys, roots, X = stacked_chains(rng, R, M, str(rng.choice(["lorenz", "bistable"])))
-        d, K = M * sys.state_dim, len(X)
-        whole = assembly.stack_roots(sys, roots, X).rows(slice(None))
+        K, stack = len(X), assembly.stack_roots(sys, roots, X)
+        whole, per_sample = stack.rows(slice(None)), sample_bytes(stack)
         lo = data.draw(st.integers(0, K - 1))
         idx = slice(lo, data.draw(st.integers(lo + 1, K)))
-        with chunk_budget(8 * R * d * d * per_chunk):
+        # chunks of per_chunk samples of everything a sample assembles
+        with chunk_budget(per_sample * per_chunk):
             stack = assembly.stack_roots(sys, roots, X)
             part = stack.rows(idx)
             assert bit_pattern(part) == bit_pattern(whole[:, idx])
@@ -1158,7 +1209,7 @@ class TestLazyStack:
         monkeypatch.setattr(assembly, "a_matrix_batch",
                             lambda sys, roots, pairs, X, dg: assembled.append(len(X)) or real(
                                 sys, roots, pairs, X, dg))
-        with chunk_budget(8 * 2 * (2 * sys.state_dim) ** 2 * 2):
+        with chunk_budget(sample_bytes(whole) * 2):
             stack = assembly.stack_roots(sys, roots, X)
             stack.rows(slice(2, 5))
             assert assembled == [3]

@@ -278,8 +278,13 @@ def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
 
     monkeypatch.setattr(designer, "thm2_refuted", count_refuted)
     monkeypatch.setattr(designer, "certify_roots", certify)
-    monkeypatch.setattr(designer, "top_eig_max",
-                        lambda rows, R, K, d: kernel_rows.append(R) or real_kernel(rows, R, K, d))
+
+    def kernel(chunks):
+        worst = real_kernel(chunks)
+        kernel_rows.append(len(worst))
+        return worst
+
+    monkeypatch.setattr(designer, "top_eig_max", kernel)
     run_and_compare("e2e-exact", tmp_path)
     assert len(refuted) == 6 and [nodes for nodes in refuted if len(nodes) == 1] == [(0,)]
     assert sum(kernel_rows) == len(checked)

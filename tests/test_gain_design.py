@@ -34,6 +34,7 @@ from conftest import (
     random_system,
     root_rows,
     root_stack,
+    sample_bytes,
     vector_field_from_callable,
 )
 
@@ -146,22 +147,43 @@ class TestDesignThm2:
             "margin 12.0 is unattainable for any gains"
         )
 
+    @pytest.mark.parametrize("measured", [[0], [0, 1]])
+    def test_non_finite_sample_is_infeasible_past_the_floors(self, measured):
+        # node 1's state is infinite at one sample: its floor and the floor
+        # bound are not finite, which refutes nothing, and the finite check
+        # names it (the coupling's tanh of inf warns, which is not the point)
+        samples = np.random.default_rng(41).uniform(-8, 8, (20, 2, 3))
+        samples[4, 1, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            stack = root_stack(lorenz_pair_problem(np.random.default_rng(41), 1).sys, (0, 1),
+                               samples)
+            assert not np.isfinite(stack.floors[1][1])
+            with pytest.raises(Infeasible, match=r"^subset \(0, 1\): A_S is not finite at "
+                                                 r"some sample, no gains make it so$"):
+                design_gain_thm2(stack, measured, h_req=1.0)
+
     def test_refuted_synthesis_never_reads_the_whole_root(self, chunk_budget, monkeypatch):
-        # a streamed root: the floors refute with no read of the rows, the
-        # gain-free bound reads them one chunk at a time, and either
-        # Infeasible comes before GainProblem would read the root's rows whole
-        real, reads = RootStack.rows, []
+        # a streamed root: the floors refute with no sample assembled, not
+        # even for max|A_S|; the gain-free bound reads the rows one chunk at
+        # a time, and either Infeasible comes before GainProblem would read
+        # the root's rows whole
+        real_rows, real_assemble, reads, assembled = RootStack.rows, RootStack._assemble, [], []
         monkeypatch.setattr(RootStack, "rows", lambda stack, idx: reads.append(idx) or
-                            real(stack, idx))
-        with chunk_budget(8 * 6 * 6 * 3):
-            for measured, h_req, chunked in (([0], 1.0, False), ([0, 1], 12.0, True)):
-                reads.clear()
-                stack = lorenz_pair_problem(np.random.default_rng(41), 20)
+                            real_rows(stack, idx))
+        monkeypatch.setattr(RootStack, "_assemble", lambda stack, idx: assembled.append(idx) or
+                            real_assemble(stack, idx))
+        for measured, h_req, chunked in (([0], 1.0, False), ([0, 1], 12.0, True)):
+            reads.clear()
+            assembled.clear()
+            stack = lorenz_pair_problem(np.random.default_rng(41), 20)
+            # chunks of three samples of everything a sample assembles
+            with chunk_budget(sample_bytes(stack) * 3):
                 assert stack.a is None and len(stack.chunks()) == 7
                 with pytest.raises(Infeasible, match="a direction no gain reaches holds"):
                     design_gain_thm2(stack, measured, h_req)
                 assert reads == (stack.chunks() if chunked else [])
-                assert stack.a is None
+                assert all(idx in stack.chunks() for idx in assembled)
+                assert bool(assembled) == chunked and stack.a is None
 
     def test_no_view_caches_the_root(self, chunk_budget):
         # a held one-root stack reads its rows in place; a streamed one keeps
@@ -304,11 +326,23 @@ class TestGainFreeBound:
         assert gain_free_bound(stack, one_root(stack)) == -np.inf
         assert stack.a is None and not stack._read.any()
 
+    def test_every_node_measured_invertibly_takes_no_svd(self, monkeypatch):
+        # U is empty by the output map alone: Gamma is not factored; with a
+        # node left unmeasured it is
+        stack, _ = random_root(np.random.default_rng(7), 5, invertible=True)
+        nodes, calls, real = one_root(stack), [], np.linalg.svd
+        assert stack.sys.output.invertible
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        assert gain_free_bound(stack, nodes) == -np.inf
+        assert calls == []
+        gain_free_bound(stack, nodes[1:])
+        assert len(calls) == 1
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5]))
     def test_streamed_bound_is_the_whole_stack_bound(self, chunk_budget, seed, per_chunk):
         whole, measured = random_root(np.random.default_rng(seed), 30)
         expect = gain_free_bound(whole, measured)
-        with chunk_budget(8 * per_chunk * whole.dim**2):
+        with chunk_budget(per_chunk * sample_bytes(whole)):
             stack, _ = random_root(np.random.default_rng(seed), 30)
             got = gain_free_bound(stack, measured)
             assert len(stack.chunks()) == -(-30 // per_chunk) and stack.a is None
