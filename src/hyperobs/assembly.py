@@ -278,7 +278,7 @@ def node_floors(sys: NetworkSystem, samples) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(samples, dtype=float)
     h, (K, N, n) = sys.hypergraph, X.shape
     entry = np.flatnonzero(h.member_is_head)
-    edge, node = np.repeat(np.arange(len(h.edges)), np.diff(h.member_ptr))[entry], h.members[entry]
+    edge, node = np.repeat(np.arange(h.num_edges), np.diff(h.member_ptr))[entry], h.members[entry]
     # a slice of one row per (edge, head), its head the one member: the pairs
     # of root (v,) are (v, v), one per edge v heads, in edge order
     sl = EdgeSlice(edge, np.arange(len(entry) + 1), node, h.member_weight[entry],
@@ -289,7 +289,7 @@ def node_floors(sys: NetworkSystem, samples) -> tuple[np.ndarray, np.ndarray]:
     sigma = h.edge_sigma[:, None, None]
     # W x of every edge, as ``sys.edge_arguments``, with work arrays that go with it
     W = dynamics.JaggedMatrix(h.member_weight, h.members, h.member_ptr)
-    floor, mag, top = np.full(N, -np.inf), np.full(N, -np.inf), np.zeros(len(h.edges))
+    floor, mag, top = np.full(N, -np.inf), np.full(N, -np.inf), np.zeros(h.num_edges)
     # a chunk's blocks and member products, each twice, hold CHUNK_BYTES
     step = max(1, dynamics.CHUNK_BYTES // (16 * n * (N * n + len(h.members))))
     for lo in range(0, K, step):

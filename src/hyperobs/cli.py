@@ -1,5 +1,8 @@
 """Command-line entry points: generate, design, simulate, batch.
 
+``generate`` writes the network file, ``network.json`` in the configs, as
+one JSON object with one edge per line.
+
 Exit codes: 0 success, 2 design failed, 3 divergence flags present,
 4 configuration error, a design ensemble that diverges among them.  Every
 command is deterministic given its inputs: ``generate`` its spec,
@@ -94,7 +97,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(hypergraph.to_json() + "\n")
-    log.info("wrote %s (%d nodes, %d edges)", out, hypergraph.num_nodes, len(hypergraph.edges))
+    log.info("wrote %s (%d nodes, %d edges)", out, hypergraph.num_nodes, hypergraph.num_edges)
     return EXIT_OK
 
 

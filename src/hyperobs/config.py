@@ -9,6 +9,9 @@ The schemas are Draft 2020-12 documents, read by a small interpreter so that
 the runtime imports numpy alone.  It knows only the keywords they use and
 raises on any other; ``const`` and ``enum`` compare types too, and
 ``integer`` means an integer literal, not 3.0, which would reach ``range``.
+A network file is checked in one pass over each of its lists, with the
+interpreter's verdict (``_network_ok``); the interpreter walks it element
+by element only to word a failure.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import hashlib
 import json
 import math
 import operator
+from itertools import chain, repeat
 from pathlib import Path
 
 from .designer import DesignOptions
@@ -246,6 +250,29 @@ def _violation(schema: dict, x, path: str = "$") -> str | None:
     return None
 
 
+def _network_ok(doc) -> bool:
+    """Whether ``_violation(_HYPERGRAPH_INLINE_SCHEMA, doc)`` is None, from one
+    pass over each list of the network document: its edges' keys, then each
+    edge key's values and, for a list, their items, by type, as ``_TYPES``
+    matches them, and by each bound of ``_BOUNDS``, which NaN fails."""
+    required, rules = set(_HYPEREDGE_SCHEMA["required"]), _HYPEREDGE_SCHEMA["properties"]
+    if not (type(doc) is dict and doc.keys() == _HYPERGRAPH_INLINE_SCHEMA["properties"].keys()
+            and type(doc["num_nodes"]) is int and doc["num_nodes"] >= 0
+            and type(edges := doc["edges"]) is list and set(map(type, edges)) <= {dict}
+            and set().union(*edges) <= rules.keys() and all(map(required.issubset, edges))):
+        return False
+    for key, rule in rules.items():
+        values = [edge[key] for edge in edges if key in edge]
+        if rule["type"] == "array":
+            lists, rule = values, rule["items"]
+            values = list(chain.from_iterable(lists)) if set(map(type, lists)) <= {list} else [None]
+        if not set(map(type, values)) <= set(_TYPES[rule["type"]]) or not all(
+                all(map(_BOUNDS[kw][1], values, repeat(bound)))
+                for kw, bound in rule.items() if kw in _BOUNDS):
+            return False
+    return True
+
+
 def validate_config(doc: dict) -> dict:
     if error := _violation(CONFIG_SCHEMA, doc):
         raise ConfigError(f"invalid config: {error}")
@@ -311,7 +338,8 @@ def resolve_hypergraph(doc: dict, base_dir: Path) -> DirectedHypergraph:
                 path = base_dir / path
             file_doc = read_json(path)
             # a hypergraph file holds what the inline form holds
-            if error := _violation(_HYPERGRAPH_INLINE_SCHEMA, file_doc):
+            if not _network_ok(file_doc) and (
+                    error := _violation(_HYPERGRAPH_INLINE_SCHEMA, file_doc)):
                 raise ValueError(f"file {path}: {error}")
             hypergraph = DirectedHypergraph.from_json_dict(file_doc)
         else:

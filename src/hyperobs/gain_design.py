@@ -3,16 +3,18 @@
 Gains drive the largest eigenvalue of the symmetric part of A_S below a
 required margin, by one Polyak-stepped subgradient descent from L = 0 over
 every sample of the zero-gain A_S of the one root of a ``RootStack``, held
-whole by ``GainProblem``, which assembles it one ``RootStack.chunks()``
-range at a time: the rows are whole, their assembly's temporaries are not.
+whole by ``GainProblem``: as a view of the stack's own rows when it holds
+them, else assembled one ``RootStack.chunks()`` range at a time, so the
+rows are whole, their assembly's temporaries are not.
 The objective, max_k lambda_max(sym(A_k - B(L))), is a pointwise max of top
 eigenvalues of matrices affine in the gains, so it is convex (Lewis and
 Overton, "Eigenvalue optimization", Acta Numerica 1996): no restart could
 escape a local minimum.  Its infimum over all gains is the gain-free bound c (``assembly.gain_free_bound``), the top eigenvalue
 over every direction no gain reaches, so a margin h is attainable exactly
-when c < -h.  The descent runs only where c leaves h open, as a plain
-Polyak loop at ``POLYAK_OVERSHOOT``: every ``Infeasible`` but the
-iteration budget's is proven before its first step.
+when c < -h.  The descent runs only where c itself passes ``accepts``, as
+a plain Polyak loop at ``POLYAK_OVERSHOOT``: every ``Infeasible`` but the
+iteration budget's is proven before its first step, a c inside the
+rounding band around -h included.
 
 Each iteration runs ``eigvalsh`` only on the samples a batched Cholesky
 screen cannot rule out, so its max and first argmax are bit for bit those
@@ -104,11 +106,15 @@ class GainProblem:
         num = gain_matrix(self.position, self.keys, np.arange(1.0, q + 1).reshape(-1, n, n),
                           np.eye(n))
         self._at = np.argsort(num, axis=None)[num.size - q :]
-        # the whole root, assembled one RootStack.chunks() range at a time;
-        # sym(A_k^0) with the samples on the last axis, for the Cholesky screen
-        self.a = a = np.empty((stack.num_samples, stack.dim, stack.dim))
-        for chunk in stack.chunks():
-            a[chunk] = stack.rows(chunk)[0]
+        # the whole root: the held rows of a stack of one chunk, else
+        # assembled one RootStack.chunks() range at a time; sym(A_k^0) with
+        # the samples on the last axis, for the Cholesky screen
+        if stack.a is not None:
+            self.a = a = stack.a[0]
+        else:
+            self.a = a = np.empty((stack.num_samples, stack.dim, stack.dim))
+            for chunk in stack.chunks():
+                a[chunk] = stack.rows(chunk)[0]
         self.s0 = np.add(a.transpose(1, 2, 0), a.transpose(2, 1, 0),
                          out=np.empty(a.shape[1:] + a.shape[:1]))
         self.s0 *= 0.5
@@ -196,21 +202,34 @@ def design_gain_thm2(
     iterations; ValueError for a stack of several roots.
 
     ``Infeasible`` is proven before any Polyak step when the directions no
-    gain reaches refute the margin (``assembly.refutes``), and when A_S is
-    not finite at some sample, as no gain makes it so.  The unmeasured
-    nodes' floors come first, at the largest floor bound over the root's
-    nodes, at least max|A_S|, as ``designer.thm2_refuted`` takes them: they
-    cost no read of the rows.  A call they leave standing reads max|A_S|,
-    whose chunks give the finite check, and then the max over every
-    direction no gain reaches, ``assembly.gain_free_bound``, refutes at
-    max|A_S|.  A non-finite sample makes the floor bound infinite, so the
-    floors never refute such a root.  Else one subgradient descent with
-    Polyak steps from L = 0, on the rows that ``GainProblem`` assembles one
-    ``RootStack.chunks()`` range at a time, stops at the first max over all
-    samples that ``assembly.accepts`` at max|A_S| + max|B|, as
-    ``check_thm2`` does; when zero gains pass, the result is empty.  When
-    the budget runs out, it names the iterations made and the gain-free
-    bound, which left the margin open.
+    gain reaches refute the margin, and when A_S is not finite at some
+    sample, as no gain makes it so.  The unmeasured nodes' floors come
+    first, at the largest floor bound over the root's nodes, at least
+    max|A_S|, as ``designer.thm2_refuted`` takes them: they cost no read of
+    the rows.  A non-finite sample makes that bound infinite, so the floors
+    never refute such a root.  A call they leave standing reads max|A_S|,
+    whose chunks give the finite check, and then the max c over every
+    direction no gain reaches, ``assembly.gain_free_bound``, which refutes
+    wherever c itself fails ``accepts`` at max|A_S|: c > -h -
+    ``rounding_tol(d, max|A_S|)``, the rounding band around -h included,
+    where gains may approach the margin but none passes it.
+
+    Rounding does not flip that verdict.  Gains B leave U^T sym(A_k - B) U
+    = U^T sym(A_k) U, U the directions no gain reaches, so a check's exact
+    worst value is at least the exact c, and the check passes only at or
+    below -h - ``rounding_tol(d, max|A_S| + max|B|)``, 1e-10 d^2 max|B|
+    under c's threshold.  ``eigvalsh`` rounds c and the check's value by
+    about d u magnitude each, u = 2^-53, so a check could pass where c
+    refutes only with max|B| under about 1e-5 max|A_S| / d, a worst value
+    equal to c to its last bits (a top eigenvector in the directions no
+    gain reaches) and c within rounding of its threshold.
+
+    Else one subgradient descent with Polyak steps from L = 0, on the rows
+    that ``GainProblem`` holds, stops at the first max over all samples that
+    ``assembly.accepts`` at max|A_S| + max|B|, as ``check_thm2`` does; when
+    zero gains pass, the result is empty.  When the budget runs out, it
+    names the iterations made and the gain-free bound, which left the
+    margin open.
     """
     if h_req <= 0:
         raise ValueError("h_req must be positive")
@@ -221,13 +240,15 @@ def design_gain_thm2(
     # the floors refute at their bound on max|A_S|, before any read of the rows
     floor, a_max = stack.floors[0], stack.floors[1][list(nodes)].max()
     bound = floor[[v for v in nodes if v not in measured]].max(initial=-np.inf)
-    if not refutes(bound, stack.dim, a_max, h_req):
+    refuted = refutes(bound, stack.dim, a_max, h_req)
+    if not refuted:
         a_max = stack.a_max[0]
         if not np.isfinite(a_max):
             raise Infeasible(f"subset {nodes}: A_S is not finite at some sample, "
                              "no gains make it so")
         bound = gain_free_bound(stack, measured)
-    if refutes(bound, stack.dim, a_max, h_req):
+        refuted = not accepts(bound, stack.dim, a_max, h_req)
+    if refuted:
         raise Infeasible(f"subset {nodes}: a direction no gain reaches holds {bound:.4g}, "
                          f"margin {h_req} is unattainable for any gains")
     prob = GainProblem(stack, measured)

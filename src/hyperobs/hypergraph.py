@@ -2,13 +2,17 @@
 
 A directed hyperedge carries ordered, disjoint tail and head node lists with
 finite per-tail weights ``alpha`` and per-head weights ``beta``, each summing
-to one, and a finite positive coupling strength ``sigma``.  A hypergraph keeps
-its edges in one sparse incidence, built once; ``entering`` slices out the
-rows of the edges that enter a node subset, with the subset's one index.
-``dependency_arcs`` reads the pattern's arcs, member -> head, off the
-incidence.  A design labels their strongly connected components
-(``label_components``) and takes each pass's roots, the components no other
-unobserved one enters, from ``condense``.  When exact nodes split roots of a
+to one, and a finite positive coupling strength ``sigma``.  A hypergraph's
+state is arrays alone: its edges as given, which ``to_json_dict`` writes,
+and one sparse incidence built from them once.  ``from_arrays`` checks every
+edge at once; ``Hyperedge`` is the one validator of an edge, which words
+the first bad edge's refusal, and ``edges``, the ``Hyperedge`` tuple, is
+built only when read.  ``entering`` slices out the rows of the edges that
+enter a node subset, with the subset's one index.  ``dependency_arcs``
+reads the pattern's arcs, member -> head, off the incidence.  A design
+labels their strongly connected components (``label_components``) and
+takes each pass's roots, the components no other unobserved one enters,
+from ``condense``.  When exact nodes split roots of a
 pass, only the rest of those roots is labelled again, at once: no unobserved
 node outside a root reaches it, and the roots of a pass share no arc.
 
@@ -21,9 +25,12 @@ waves.  ``_rows`` selects rows of a CSR layout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -145,49 +152,80 @@ class EdgeSlice:
         return ~self.is_head & (self.position[self.members] < 0)
 
 
-@dataclass(frozen=True)
 class DirectedHypergraph:
-    """Hyperedges over nodes ``0 .. num_nodes-1`` with their CSR incidence.
+    """Hyperedges over nodes ``0 .. num_nodes-1``, held as arrays.
 
-    Edge k's members are ``members[member_ptr[k]:member_ptr[k + 1]]``, node
-    ids ascending; ``member_weight`` holds +alpha for a tail and -beta for a
-    head, ``member_is_head`` marks the heads and ``edge_sigma[k]`` is the
-    strength.  Node i is a head of the edges
+    Edge k as given is ``edge_nodes[edge_ptr[k]:edge_ptr[k + 1]]``, its
+    ``edge_tails[k]`` tails then its heads, with their weights, alpha then
+    beta, at the same places of ``edge_weights``, and strength
+    ``edge_sigma[k]``: the order ``to_json_dict`` writes and the config hash
+    reads.  The CSR incidence is built from them once: edge k's members are
+    ``members[member_ptr[k]:member_ptr[k + 1]]``, node ids ascending;
+    ``member_weight`` holds +alpha for a tail and -beta for a head and
+    ``member_is_head`` marks the heads.  Node i is a head of the edges
     ``head_edges[head_ptr[i]:head_ptr[i + 1]]``, edge ids ascending.
+    ``edges``, the ``Hyperedge`` tuple, is built when first read.  Two
+    hypergraphs are equal when their nodes and edges as given are.
     """
 
-    num_nodes: int
-    edges: tuple[Hyperedge, ...] = ()
+    def __init__(self, num_nodes: int, edges: Iterable[Hyperedge] = ()):
+        self._build(num_nodes, *_edge_arrays([vars(e) for e in edges]))
 
-    def __post_init__(self):
-        object.__setattr__(self, "num_nodes", int(self.num_nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
+    @classmethod
+    def from_arrays(cls, num_nodes: int, ptr, nodes, weights, num_tails, sigma
+                    ) -> "DirectedHypergraph":
+        """The hypergraph of the edges laid out as ``edge_ptr``, ``edge_nodes``,
+        ``edge_weights``, ``edge_tails`` and ``edge_sigma`` are, every edge
+        checked at once; the first bad one raises what ``Hyperedge`` raises
+        for it, then a negative ``num_nodes``, then the first node out of
+        range."""
+        h = cls.__new__(cls)
+        h._build(num_nodes, ptr, nodes, weights, num_tails, sigma)
+        return h
+
+    def _build(self, num_nodes, ptr, nodes, weights, num_tails, sigma) -> None:
+        self.num_nodes, self.edge_ptr = int(num_nodes), np.asarray(ptr, np.intp)
+        self.edge_nodes = nodes = np.asarray(nodes, np.intp)
+        self.edge_weights = w = np.asarray(weights, float)
+        self.edge_sigma = sigma = np.asarray(sigma, float)
+        self.edge_tails, E = np.asarray(num_tails, np.intp), len(sigma)
+        edge = np.repeat(np.arange(E), np.diff(self.edge_ptr))
+        is_head = np.arange(len(edge)) - self.edge_ptr[edge] >= self.edge_tails[edge]
+        self.member_ptr, order = _csr(edge, nodes, E)
+        # every edge that Hyperedge may refuse: an empty side, which sums to
+        # 0, a node twice, a non-finite or negative weight, a sigma <= 0, or
+        # a side whose sum is off 1 by more than the tolerance less 4.5e-16
+        # per weight: bincount adds a side's weights in order, as Python's
+        # sum does up to 3.11, and 3.12's compensated sum is within that of
+        # it.  Built in order, the first bad edge raises
+        side = 2 * edge + is_head
+        off = np.abs(np.bincount(side, w, 2 * E) - 1.0) + 4.5e-16 * np.bincount(side, None, 2 * E)
+        suspect = (off > WEIGHT_SUM_TOL).reshape(E, 2).any(axis=1)
+        suspect |= ~(np.isfinite(sigma) & (sigma > 0.0))
+        self.members, by = nodes[order], edge[order]
+        suspect[by[1:][(self.members[1:] == self.members[:-1]) & (by[1:] == by[:-1])]] = True
+        suspect[edge[~(np.isfinite(w) & (w >= 0.0))]] = True
+        if suspect.any():
+            for doc in compress(self.to_json_dict()["edges"], suspect):
+                Hyperedge(**doc)
         if self.num_nodes < 0:
             raise HypergraphError("num_nodes must be nonnegative")
-        for e in self.edges:
-            for v in (*e.tails, *e.heads):
-                if not 0 <= v < self.num_nodes:
-                    raise NodeOutOfRange(f"node {v} outside [0, {self.num_nodes})")
-        sizes = [e.cardinality for e in self.edges]
-        edge = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
-        node = np.array([v for e in self.edges for v in (*e.tails, *e.heads)], dtype=np.intp)
-        weight = np.array([w for e in self.edges for w in (*e.alpha, *(-b for b in e.beta))])
-        is_head = np.array(
-            [q for e in self.edges for q in (False,) * len(e.tails) + (True,) * len(e.heads)],
-            dtype=bool,
-        )
-        member_ptr, order = _csr(edge, node, len(sizes))
-        head_ptr, head_order = _csr(node[is_head], edge[is_head], self.num_nodes)
-        for name, value in (
-            ("member_ptr", member_ptr),
-            ("members", node[order]),
-            ("member_weight", weight[order]),
-            ("member_is_head", is_head[order]),
-            ("edge_sigma", np.array([e.sigma for e in self.edges])),
-            ("head_ptr", head_ptr),
-            ("head_edges", edge[is_head][head_order]),
-        ):
-            object.__setattr__(self, name, value)
+        if (outside := (nodes < 0) | (nodes >= self.num_nodes)).any():
+            raise NodeOutOfRange(f"node {nodes[outside.argmax()]} outside [0, {self.num_nodes})")
+        self.member_weight, self.member_is_head = np.where(is_head, -w, w)[order], is_head[order]
+        self.head_ptr, head_order = _csr(nodes[is_head], edge[is_head], self.num_nodes)
+        self.head_edges = edge[is_head][head_order]
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edge_sigma)
+
+    @functools.cached_property
+    def edges(self) -> tuple[Hyperedge, ...]:
+        return tuple(Hyperedge(**doc) for doc in self.to_json_dict()["edges"])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DirectedHypergraph) and self.to_json_dict() == other.to_json_dict()
 
     def entering(self, nodes: Iterable[int]) -> "EdgeSlice":
         """The CSR rows of the edges with a head in ``nodes``, edge ids
@@ -203,7 +241,7 @@ class DirectedHypergraph:
         position = np.full(self.num_nodes, -1, dtype=np.intp)
         position[nodes] = np.arange(len(nodes))
         _, heads = _rows(self.head_ptr, nodes)
-        hit = np.zeros(len(self.edges), dtype=bool)
+        hit = np.zeros(self.num_edges, dtype=bool)
         hit[self.head_edges[heads]] = True
         edges = np.flatnonzero(hit)
         ptr, entries = _rows(self.member_ptr, edges)
@@ -213,26 +251,45 @@ class DirectedHypergraph:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "edges": [
-                {
-                    "tails": list(e.tails),
-                    "heads": list(e.heads),
-                    "alpha": list(e.alpha),
-                    "beta": list(e.beta),
-                    "sigma": e.sigma,
-                }
-                for e in self.edges
-            ],
-        }
+        ptr, nt = self.edge_ptr.tolist(), self.edge_tails.tolist()
+        nodes, w = self.edge_nodes.tolist(), self.edge_weights.tolist()
+        return {"num_nodes": self.num_nodes, "edges": [
+            {"tails": nodes[lo:lo + t], "heads": nodes[lo + t:hi], "alpha": w[lo:lo + t],
+             "beta": w[lo + t:hi], "sigma": sigma}
+            for lo, hi, t, sigma in zip(ptr, ptr[1:], nt, self.edge_sigma.tolist())]}
 
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "DirectedHypergraph":
-        return DirectedHypergraph(doc["num_nodes"], tuple(Hyperedge(**d) for d in doc["edges"]))
+    @classmethod
+    def from_json_dict(cls, doc: Mapping) -> "DirectedHypergraph":
+        """The hypergraph of a ``to_json_dict`` document, read from its lists
+        at once; where they do not line up, each edge is read as a
+        ``Hyperedge``, which says what is wrong."""
+        try:
+            arrays = _edge_arrays(doc["edges"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return cls(doc["num_nodes"], tuple(Hyperedge(**d) for d in doc["edges"]))
+        return cls.from_arrays(doc["num_nodes"], *arrays)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """``to_json_dict``'s value, one edge per line: an edge holds numbers
+        alone, so "}, {" parts two edges and nothing else."""
+        edges = json.dumps(self.to_json_dict()["edges"])[1:-1].replace("}, {", "},\n{")
+        return '{"num_nodes": %d, "edges": [%s]}' % (self.num_nodes, edges and f"\n{edges}\n")
+
+
+def _edge_arrays(docs) -> tuple:
+    """``from_arrays``' arguments but the node count, from the edges'
+    ``to_json_dict`` documents; ValueError where these do not line up: a key
+    unknown, or weights and nodes of unequal lengths."""
+    if not set().union(*docs) <= {"tails", "heads", "alpha", "beta", "sigma"}:
+        raise ValueError("an unknown edge key")
+    tails, heads, alpha, beta = ([d[k] for d in docs] for k in ("tails", "heads", "alpha", "beta"))
+    nt, nh = list(map(len, tails)), list(map(len, heads))
+    if list(map(len, alpha)) != nt or list(map(len, beta)) != nh:
+        raise ValueError("weight vector length must match tails/heads")
+    ptr, flat = np.cumsum([0, *map(operator.add, nt, nh)], dtype=np.intp), chain.from_iterable
+    return (ptr, np.fromiter(flat(flat(zip(tails, heads))), np.intp, ptr[-1]),
+            np.fromiter(map(float, flat(flat(zip(alpha, beta)))), float, ptr[-1]), nt,
+            [float(d.get("sigma", Hyperedge.sigma)) for d in docs])
 
 
 # -- dependency pattern and its root components ---------------------------------
@@ -373,45 +430,50 @@ class HierarchicalGenSpec:
         return HierarchicalGenSpec(**doc)
 
 
-def _fisher_yates_take(rng: np.random.Generator, pool: Sequence[int], k: int) -> list[int]:
-    # partial Fisher-Yates shuffle: deterministic given the generator state
-    arr = list(pool)
-    if k > len(arr):
-        raise LayerTooSmall(f"cannot sample {k} distinct nodes from {len(arr)}")
-    for idx in range(k):
-        j = idx + int(rng.integers(0, len(arr) - idx))
-        arr[idx], arr[j] = arr[j], arr[idx]
-    return arr[:k]
-
-
 def generate_hierarchical(spec: HierarchicalGenSpec) -> DirectedHypergraph:
-    """Generate a layered hypergraph; deterministic given ``spec.seed``."""
+    """Generate a layered hypergraph; deterministic given ``spec.seed``.
+
+    Each edge draws its c members by partial Fisher-Yates shuffles of the
+    node lists of its layers: within a layer, one shuffle of c draws gives
+    the tails, then the heads; across two, one of the tail layer, then one
+    of the head layer.  Every edge of a kind runs the same shuffles, in
+    order: within each layer its source edges (1 tail, c-1 heads), then its
+    sink edges (c-1 tails, 1 head), then the same across each pair of
+    consecutive layers.  ``rng.integers`` draws the stream of every shuffle
+    step at once; the steps are replayed for every edge together."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    layers = spec.layers()
-    c = spec.cardinality
-    edges: list[Hyperedge] = []
-
-    def add_edge(tail_pool, head_pool, num_tails):
-        # c members: num_tails tails and the rest heads, from one draw
-        # within a layer, from each pool across two
-        if tail_pool is head_pool:
-            picks = _fisher_yates_take(rng, tail_pool, c)
-            tails, heads = picks[:num_tails], picks[num_tails:]
-        else:
-            tails = _fisher_yates_take(rng, tail_pool, num_tails)
-            heads = _fisher_yates_take(rng, head_pool, c - num_tails)
-        edges.append(Hyperedge.uniform(tails, heads, spec.sigma))
-
-    # (tail pool, head pool, source edges, sink edges): within each layer,
-    # then across each pair of consecutive layers
-    groups = [(layer, layer, spec.src_intra[i], spec.snk_intra[i])
-              for i, layer in enumerate(layers)]
-    groups += [(layers[i], layers[i + 1], spec.src_inter[i], spec.snk_inter[i])
-               for i in range(len(layers) - 1)]
-    for tail_pool, head_pool, sources, sinks in groups:
-        for _ in range(sources):
-            add_edge(tail_pool, head_pool, 1)
-        for _ in range(sinks):
-            add_edge(tail_pool, head_pool, c - 1)
-
-    return DirectedHypergraph(spec.num_nodes, tuple(edges))
+    c, sizes, ell = spec.cardinality, spec.layer_sizes, len(spec.layer_sizes)
+    offsets = np.cumsum((0,) + sizes).tolist()
+    # an intra edge draws c nodes of its layer; an inter edge fewer of each
+    if small := [n for n, *counts in zip(sizes, spec.src_intra, spec.snk_intra)
+                 if n < c and any(counts)]:
+        raise LayerTooSmall(f"cannot sample {c} distinct nodes from {small[0]}")
+    # each kind of edge in draw order: (tail layer, head layer, tails, count)
+    pairs = [(i, i) for i in range(ell)] + [(i, i + 1) for i in range(ell - 1)]
+    src, snk = spec.src_intra + spec.src_inter, spec.snk_intra + spec.snk_inter
+    kinds = [(a, b, t, count) for (a, b), *counts in zip(pairs, src, snk)
+             for t, count in zip((1, c - 1), counts)]
+    # per kind: the offset, size and draws of the list shuffled first, of the
+    # second, and the tails
+    lists = [(offsets[a], sizes[a], c if a == b else t, offsets[b], sizes[b], t)
+             for a, b, t, _ in kinds]
+    off1, n1, k1, off2, n2, nt = np.repeat(
+        np.array(lists, dtype=np.intp), [count for *_, count in kinds], axis=0).T
+    E, col = len(nt), np.arange(c)
+    # shuffle step j swaps place i = j, or j - k1 in the second list, with
+    # i + r; the second list's places follow the first's
+    second = col >= k1[:, None]
+    i = np.where(second, col - k1[:, None], col)
+    front = np.where(second, n1[:, None] + i, col)
+    back = front + rng.integers(0, np.where(second, n2[:, None], n1[:, None]) - i).reshape(E, c)
+    # the places a shuffle touches, each read and written at its first slot
+    place = np.concatenate((front, back), axis=1)
+    slot = (place[:, None, :] == back[:, :, None]).argmax(axis=2)
+    rows = np.arange(E)
+    for j in range(c):
+        place[rows, j], place[rows, slot[:, j]] = place[rows, slot[:, j]], place[rows, j]
+    picks = place[:, :c]
+    nodes = np.where(picks < n1[:, None], off1[:, None] + picks, off2[:, None] + picks - n1[:, None])
+    weights = np.where(col < nt[:, None], 1.0 / nt[:, None], 1.0 / (c - nt)[:, None])
+    return DirectedHypergraph.from_arrays(spec.num_nodes, np.arange(E + 1) * c, nodes.ravel(),
+                                          weights.ravel(), nt, np.full(E, spec.sigma))

@@ -15,6 +15,7 @@ from scipy.sparse.csgraph import connected_components
 from hyperobs import (
     DimensionMismatch,
     DirectedHypergraph,
+    HierarchicalGenSpec,
     Hyperedge,
     NetworkSystem,
     ObserverDesign,
@@ -31,7 +32,7 @@ from hyperobs import dynamics, sim
 from hyperobs.assembly import CertificationReport, accepts, check_thm2, one_root, stack_roots
 from hyperobs.designer import DesignOutcome, ProcessedSubset, select_node
 from hyperobs.gain_design import POLYAK_OVERSHOOT, Infeasible, design_gain_thm2
-from hyperobs.hypergraph import NodeOutOfRange
+from hyperobs.hypergraph import HypergraphError, LayerTooSmall, NodeOutOfRange
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("default")
@@ -675,6 +676,66 @@ def random_hypergraph(
                 Hyperedge(tuple(tails), tuple(heads), tuple(a / a.sum()), tuple(b / b.sum()), sigma)
             )
     return DirectedHypergraph(N, tuple(edges))
+
+
+def reference_edges(num_nodes, edge_docs) -> tuple[Hyperedge, ...]:
+    """The edges of a network document, one ``Hyperedge`` at a time, checked
+    as the per-edge hypergraph did: every edge, then the node count, then
+    every node's range, edge by edge, tails before heads."""
+    edges = tuple(Hyperedge(**doc) for doc in edge_docs)
+    if int(num_nodes) < 0:
+        raise HypergraphError("num_nodes must be nonnegative")
+    for e in edges:
+        for v in (*e.tails, *e.heads):
+            if not 0 <= v < int(num_nodes):
+                raise NodeOutOfRange(f"node {v} outside [0, {int(num_nodes)})")
+    return edges
+
+
+def _fisher_yates_take(rng: np.random.Generator, pool, k: int) -> list[int]:
+    # partial Fisher-Yates shuffle, one draw per step
+    arr = list(pool)
+    if k > len(arr):
+        raise LayerTooSmall(f"cannot sample {k} distinct nodes from {len(arr)}")
+    for idx in range(k):
+        j = idx + int(rng.integers(0, len(arr) - idx))
+        arr[idx], arr[j] = arr[j], arr[idx]
+    return arr[:k]
+
+
+def reference_generate_hierarchical(spec: HierarchicalGenSpec) -> DirectedHypergraph:
+    """``generate_hierarchical`` one draw and one ``Hyperedge`` at a time."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    layers, c, edges = spec.layers(), spec.cardinality, []
+    groups = [(layer, layer, spec.src_intra[i], spec.snk_intra[i])
+              for i, layer in enumerate(layers)]
+    groups += [(layers[i], layers[i + 1], spec.src_inter[i], spec.snk_inter[i])
+               for i in range(len(layers) - 1)]
+    for tail_pool, head_pool, sources, sinks in groups:
+        for num_tails in [1] * sources + [c - 1] * sinks:
+            if tail_pool is head_pool:
+                picks = _fisher_yates_take(rng, tail_pool, c)
+                tails, heads = picks[:num_tails], picks[num_tails:]
+            else:
+                tails = _fisher_yates_take(rng, tail_pool, num_tails)
+                heads = _fisher_yates_take(rng, head_pool, c - num_tails)
+            edges.append(Hyperedge.uniform(tails, heads, spec.sigma))
+    return DirectedHypergraph(spec.num_nodes, tuple(edges))
+
+
+@st.composite
+def gen_specs(draw, max_layer=9):
+    """Generator specs of 1 to 3 layers, cardinality 2 to 4, some layers of
+    c - 1 nodes, which intra edges cannot sample."""
+    c = draw(st.integers(2, 4))
+    ell = draw(st.integers(1, 3))
+    counts = st.lists(st.integers(0, 3), min_size=ell, max_size=ell)
+    inter = st.lists(st.integers(0, 3), min_size=ell - 1, max_size=ell - 1)
+    return HierarchicalGenSpec(
+        tuple(draw(st.lists(st.integers(c - 1, max_layer), min_size=ell, max_size=ell))), c,
+        tuple(draw(counts)), tuple(draw(counts)), tuple(draw(inter)), tuple(draw(inter)),
+        seed=draw(st.integers(0, 2**64 - 1)), sigma=draw(st.floats(0.01, 100.0)),
+    )
 
 
 def _zero_some(rng, w, prob):

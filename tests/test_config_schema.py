@@ -4,6 +4,7 @@ and the runtime's dependency set."""
 import ast
 import copy
 import json
+import math
 import random
 import re
 import sys
@@ -19,6 +20,7 @@ from hyperobs.config import (
     _GENERATOR_SCHEMA,
     _HYPERGRAPH_INLINE_SCHEMA,
     CONFIG_SCHEMA,
+    _network_ok,
     _violation,
 )
 from hyperobs.hypergraph import HierarchicalGenSpec, generate_hierarchical
@@ -115,6 +117,41 @@ def test_interpreter_agrees_with_jsonschema_on_mutants():
             assert (ours is None) == theirs, (doc, ours)
             tally["valid" if theirs else "invalid"] += 1
     assert min(tally.values()) >= 100, tally
+
+
+def test_one_pass_network_check_agrees_with_the_interpreter_on_mutants():
+    # the network document's 2,500 seeded mutants, and each of them with
+    # integral floats read as integers: the one-pass check keeps exactly
+    # the documents that the interpreter keeps
+    rng = random.Random(20261022)
+    (schema, base), = [(s, d) for s, d in _bench_documents() if s is _HYPERGRAPH_INLINE_SCHEMA]
+    assert _network_ok(base)
+    positions, kept = list(_positions(base)), 0
+    for _ in range(2500):
+        mutant = _mutant(base, positions, rng)
+        for doc in (mutant, _with_int_literals(mutant)):
+            assert _network_ok(doc) == (_violation(schema, doc) is None), doc
+            kept += _network_ok(doc)
+    assert 100 <= kept <= 4900, kept
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_one_pass_network_check_agrees_on_non_finite_numbers(value):
+    # a non-finite number read from a file at each number of the network:
+    # NaN fails every bound, wherever min() would pass over it
+    (schema, base), = [(s, d) for s, d in _bench_documents() if s is _HYPERGRAPH_INLINE_SCHEMA]
+    numbers = [p for p in _positions(base) if p and type(_at(base, p)) is float]
+    assert len(numbers) > 10
+    for path in numbers:
+        doc = copy.deepcopy(base)
+        _at(doc, path[:-1])[path[-1]] = value
+        assert _network_ok(doc) == (_violation(schema, doc) is None), path
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 @pytest.mark.parametrize("keyword", [{"pattern": "x"}, {"additionalProperties": {}},

@@ -1,7 +1,8 @@
 """generate -> design -> simulate through the CLI, against recorded outputs.
 
 Each directory under ``data/`` holds an experiment config, with the
-generator spec of its network unless the network is inline, and the
+generator spec of its network and the ``network.json`` that the per-edge
+generator wrote from it unless the network is inline, and the
 ``design.json``, ``summary.json`` and ``batch_1.csv`` that the pipeline wrote
 for them.  ``e2e-exact`` runs the inverse shortcut on bistable nodes, mixing
 exactly reconstructed nodes with zero-gain Theorem-2 subsets; ``e2e-partial``
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperobs import Infeasible, designer
+from hyperobs import Hyperedge, Infeasible, designer
 from hyperobs.assembly import gain_free_bound, one_root, refutes
 from hyperobs.cli import main
 from hyperobs.config import (
@@ -98,6 +99,24 @@ CASES = sorted(path.name for path in DATA.iterdir())
 @pytest.mark.parametrize("case", CASES)
 def test_pipeline_reproduces_recorded_outputs(case, tmp_path):
     run_and_compare(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_generate_writes_the_recorded_network(case, tmp_path):
+    # the network that generate wrote one draw and one Hyperedge at a time,
+    # as a JSON value: the file now holds one edge per line
+    out = tmp_path / "network.json"
+    assert main(["generate", "--spec", str(DATA / case / "spec.json"), "--out", str(out)]) == 0
+    assert read_json(out) == read_json(DATA / case / "network.json")
+    assert len(out.read_text().splitlines()) == len(read_json(out)["edges"]) + 2
+
+
+def test_pipeline_builds_no_hyperedge(tmp_path, monkeypatch):
+    # generate, design and simulate hold a valid network as arrays alone
+    built, real = [], Hyperedge.__post_init__
+    monkeypatch.setattr(Hyperedge, "__post_init__", lambda edge: built.append(edge) or real(edge))
+    run_and_compare("e2e-exact", tmp_path)
+    assert built == []
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -116,6 +116,39 @@ class TestDesignThm2:
             f"though the gain-free bound {c:.6g} leaves it open"
         )
 
+    def test_rounding_band_is_refuted_before_any_step(self, monkeypatch):
+        # no edges, f = x^2 / 2 so J = x, every sample at (5, -1), node 0
+        # measured: the direction no gain reaches is node 1's, c = -1 = -h.
+        # Gains approach the margin but no check passes it by the rounding
+        # slack, so c refutes inside the band, before any subgradient
+        def jx(x, mu):
+            return x[..., None]
+
+        field = vector_field_from_callable(lambda x, mu: 0.5 * x * x, 1, np.zeros(1), jac_x=jx)
+        sys = NetworkSystem(DirectedHypergraph(2), field, linear_coupling(1.0), identity_output(1))
+        stack = root_stack(sys, (0, 1), np.tile([[5.0], [-1.0]], (4, 1, 1)))
+        assert gain_free_bound(stack, [0]) == -1.0
+        assert not refutes(-1.0, stack.dim, stack.a_max[0], 1.0)
+        monkeypatch.setattr(GainProblem, "subgradient", lambda prob, L: pytest.fail("a step"))
+        with pytest.raises(Infeasible) as info:
+            design_gain_thm2(stack, [0], h_req=1.0)
+        assert str(info.value) == ("subset (0, 1): a direction no gain reaches holds -1, "
+                                   "margin 1.0 is unattainable for any gains")
+
+    def test_held_root_is_read_as_a_view(self, chunk_budget):
+        # after the max|A_S| read, a stack of one chunk holds its rows, and
+        # synthesis reads them in place, to the gains of a copy bit for bit
+        held = lorenz_pair_problem(np.random.default_rng(40), 30)
+        held.a_max
+        assert np.shares_memory(GainProblem(held, [0, 1]).a, held.a)
+        with chunk_budget(8 * 6 * 6 * 3):
+            streamed = lorenz_pair_problem(np.random.default_rng(40), 30)
+            expect = design_gain_thm2(streamed, [0, 1], h_req=1.5)
+            assert streamed.a is None
+        gains = design_gain_thm2(held, [0, 1], h_req=1.5)
+        assert {k: g.tobytes() for k, g in gains.items()} == {
+            k: g.tobytes() for k, g in expect.items()}
+
     def test_unmeasured_block_proves_infeasibility(self):
         # node 1 is unmeasured, so no gain reaches its diagonal block; the
         # floor is that block's, over the same samples, with node 0 left out,

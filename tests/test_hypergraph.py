@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from hyperobs import (
     WeightSumViolation,
     generate_hierarchical,
 )
-from hyperobs.hypergraph import HypergraphError, condense, dependency_arcs, label_components
+from hyperobs.hypergraph import (WEIGHT_SUM_TOL, HypergraphError, condense, dependency_arcs,
+                                 label_components)
 from scipy.sparse.csgraph import connected_components
 from conftest import (
     boundary,
     brute_force_sccs,
     degrees,
+    gen_specs,
     head_closed,
     hypergraphs,
     incoming,
@@ -32,6 +35,8 @@ from conftest import (
     outgoing,
     random_hypergraph,
     reference_condense,
+    reference_edges,
+    reference_generate_hierarchical,
     restrict,
     tails_of,
     to_dependency_graph,
@@ -77,6 +82,126 @@ class TestHyperedgeValidation:
     def test_node_out_of_range(self):
         with pytest.raises(NodeOutOfRange):
             DirectedHypergraph(2, (Hyperedge((0,), (5,), (1.0,), (1.0,)),))
+
+
+def weights_summing_to(draw, k: int, target: float) -> list[float]:
+    """k weights whose Python sum, added in order, is about ``target``."""
+    head = [draw(st.floats(0.0, 1.0 / k)) for _ in range(k - 1)]
+    return [*head, target - sum(head)]
+
+
+# offsets of a side's sum from 1 at and around the tolerance, as Python's sum
+# adds the weights: just inside, on it and just outside
+SUM_OFFSETS = [WEIGHT_SUM_TOL * f for f in (1 - 1e-4, 1.0, 1 + 1e-4, -(1 - 1e-4), -1.0,
+                                             -(1 + 1e-4), 1e9)]
+FAULTS = ["empty tails", "empty heads", "overlap", "repeat", "length", "non-finite",
+          "negative", "sum", "sigma", "range"]
+
+
+@st.composite
+def edge_docs(draw, num_nodes: int):
+    """One network-file edge over ``num_nodes`` nodes, valid or broken in
+    one of the ways that Hyperedge and the node range refuse: an empty side,
+    a node in both sides or twice in one, weights and nodes of unequal
+    lengths, a non-finite or negative weight, a sum just inside or outside
+    ``WEIGHT_SUM_TOL``, sigma <= 0 or non-finite, or a node out of range."""
+    pool = max(num_nodes, 2)
+    nodes = draw(st.lists(st.integers(0, pool - 1), min_size=2, max_size=min(pool, 6),
+                          unique=True))
+    cut = draw(st.integers(1, len(nodes) - 1))
+    doc = {"tails": nodes[:cut], "heads": nodes[cut:],
+           "alpha": weights_summing_to(draw, cut, 1.0),
+           "beta": weights_summing_to(draw, len(nodes) - cut, 1.0)}
+    if draw(st.booleans()):
+        doc["sigma"] = draw(st.floats(0.01, 10.0))
+    fault = draw(st.sampled_from([None, None, *FAULTS]))
+    side, weights = draw(st.sampled_from([("tails", "alpha"), ("heads", "beta")]))
+    k = len(doc[side])
+    if fault in ("empty tails", "empty heads"):
+        side, weights = ("tails", "alpha") if fault == "empty tails" else ("heads", "beta")
+        doc[side], doc[weights] = [], []
+    elif fault == "overlap":
+        doc["heads"] = [*doc["heads"], draw(st.sampled_from(doc["tails"]))]
+        doc["beta"] = weights_summing_to(draw, len(doc["heads"]), 1.0)
+    elif fault == "repeat":
+        doc[side] = [*doc[side], doc[side][-1]]
+        doc[weights] = weights_summing_to(draw, k + 1, 1.0)
+    elif fault == "length":
+        doc[weights] = weights_summing_to(draw, k + draw(st.sampled_from([-1, 1])) or 2, 1.0)
+    elif fault in ("non-finite", "negative"):
+        bad = [math.nan, math.inf, -math.inf] if fault == "non-finite" else [-0.25, -1e-300]
+        doc[weights][draw(st.integers(0, k - 1))] = draw(st.sampled_from(bad))
+    elif fault == "sum":
+        doc[weights] = weights_summing_to(draw, k, 1.0 + draw(st.sampled_from(SUM_OFFSETS)))
+    elif fault == "sigma":
+        doc["sigma"] = draw(st.sampled_from([0.0, -0.0, -1.0, math.inf, math.nan]))
+    elif fault == "range":
+        doc[side] = [*doc[side][:-1], draw(st.sampled_from([-1, num_nodes, num_nodes + 5]))]
+    return doc
+
+
+def outcome(edges):
+    """What ``edges()`` returns, or the type and message of what it raises."""
+    try:
+        return edges()
+    except HypergraphError as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayConstructor:
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_agrees_with_the_per_edge_path(self, data):
+        num_nodes = data.draw(st.integers(-1, 6))
+        docs = data.draw(st.lists(edge_docs(num_nodes), max_size=3))
+        doc = {"num_nodes": num_nodes, "edges": docs}
+        expect = outcome(lambda: reference_edges(num_nodes, docs))
+        assert outcome(lambda: DirectedHypergraph.from_json_dict(doc).edges) == expect
+        if all(len(d["alpha"]) == len(d["tails"]) and len(d["beta"]) == len(d["heads"])
+               for d in docs):
+            # the arrays alone, with no Hyperedge built unless a check fails
+            ptr = np.cumsum([0] + [len(d["tails"]) + len(d["heads"]) for d in docs])
+            arrays = (ptr, [v for d in docs for v in d["tails"] + d["heads"]],
+                      [w for d in docs for w in d["alpha"] + d["beta"]],
+                      [len(d["tails"]) for d in docs], [d.get("sigma", 1.0) for d in docs])
+            assert outcome(lambda: DirectedHypergraph.from_arrays(num_nodes, *arrays).edges
+                           ) == expect
+
+    def test_edges_are_built_when_read_in_the_order_given(self, monkeypatch):
+        edges = (Hyperedge((3, 0), (2,), (0.25, 0.75), (1.0,), 2.0), fig1_edge())
+        built = []
+        real = Hyperedge.__post_init__
+        monkeypatch.setattr(Hyperedge, "__post_init__", lambda e: built.append(e) or real(e))
+        h = DirectedHypergraph.from_json_dict(DirectedHypergraph(5, edges).to_json_dict())
+        assert built == []
+        assert h.edges == edges and h.num_edges == 2
+        assert h.members.tolist() == [0, 2, 3, 0, 1, 2, 3]
+
+    def test_equality_is_by_content(self):
+        a, b = fig1_edge(), Hyperedge((4,), (0,), (1.0,), (1.0,))
+        assert DirectedHypergraph(5, (a, b)) == DirectedHypergraph.from_json_dict(
+            json.loads(DirectedHypergraph(5, (a, b)).to_json()))
+        assert DirectedHypergraph(5, (a, b)) != DirectedHypergraph(5, (b, a))
+        assert DirectedHypergraph(5, (a,)) != DirectedHypergraph(6, (a,))
+        assert DirectedHypergraph(5, (a,)) != DirectedHypergraph(5, (a, b))
+
+    def test_json_has_one_edge_per_line(self):
+        h = DirectedHypergraph(5, (fig1_edge(), Hyperedge((4,), (0,), (1.0,), (1.0,), 0.5)))
+        lines = h.to_json().splitlines()
+        assert len(lines) == 4 and json.loads(lines[1].rstrip(",")) == h.to_json_dict()["edges"][0]
+        assert json.loads(h.to_json()) == h.to_json_dict()
+        assert json.loads(DirectedHypergraph(2).to_json()) == {"num_nodes": 2, "edges": []}
+
+    @pytest.mark.parametrize("change", [{"sigma": None}, {"alpha": [None]}, {"beta": ["x"]},
+                                        {"tails": [None]}, {"heads": 0}, {"typo": 1}])
+    def test_unreadable_values_raise_what_hyperedge_raises(self, change):
+        # a value that no number reads, or a key no edge has: the array read
+        # gives way to the per-edge one, whose refusal is today's
+        doc = {"tails": [1], "heads": [0], "alpha": [1.0], "beta": [1.0], **change}
+        with pytest.raises((TypeError, ValueError)) as expect:
+            Hyperedge(**doc)
+        with pytest.raises(type(expect.value), match=f"^{re.escape(str(expect.value))}$"):
+            DirectedHypergraph.from_json_dict({"num_nodes": 2, "edges": [doc]})
 
 
 def slice_rows(sl):
@@ -451,6 +576,20 @@ class TestHierarchicalGenerator:
         spec = HierarchicalGenSpec((2,), 3, (1,), (0,), (), (), seed=0)
         with pytest.raises(LayerTooSmall):
             generate_hierarchical(spec)
+
+
+@given(gen_specs())
+def test_generator_draws_as_one_draw_at_a_time(spec):
+    # every shuffle step drawn at once is the per-draw loop's stream, and the
+    # same layer too small for an intra edge is refused
+    try:
+        expect = reference_generate_hierarchical(spec)
+    except LayerTooSmall as exc:
+        with pytest.raises(LayerTooSmall, match=f"^{exc}$"):
+            generate_hierarchical(spec)
+    else:
+        got = generate_hierarchical(spec)
+        assert got == expect and got.to_json_dict() == expect.to_json_dict()
 
 
 class TestSerialization:
