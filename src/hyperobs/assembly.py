@@ -14,9 +14,10 @@ check with gains, and gain synthesis, run on a stack that holds one subset
 as its only root; a root's rows are the same bits alone as in a larger
 stack.  One rule decides which samples a read of a stack assembles at once,
 ``RootStack.chunks()``: as many as ``CHUNK_BYTES`` holds of everything a
-sample assembles, the rows of every root and three n-vectors (argument, g'
-and coupling terms) per entering edge.  Every read of A_S goes through
-those chunks, and ``top_eig_max`` reads the chunks its caller hands it.
+sample assembles, ``sample_bytes``, the rows of every root and three
+n-vectors (argument, g' and coupling terms) per entering edge.  Every read
+of A_S goes through those chunks, and ``top_eig_max`` reads the chunks its
+caller hands it.
 Each Theorem-2 decision takes the slack ``rounding_tol``: a node's floor
 (``node_floors``, made once per design) refutes above -h + tol
 (``refutes``), and so does the gain-free bound of a synthesis
@@ -25,8 +26,11 @@ reaches; a check passes at a worst value of at most -h - tol (``accepts``,
 tol at max|A_S| plus the gains' max|B|).
 
 This module also implements the checkable hypothesis of the Theorem-2
-convergence result, ``check_thm2`` over the max ``top_eig_max``, the one
-check behind every certificate, and the robustness bound, ``thm3_bound``.
+convergence result and the robustness bound, ``thm3_bound``.  One path turns
+a stack's rows into Theorem-2 reports, ``check_roots``: one ``top_eig_max``
+over the chunks of the roots it checks, the check behind every certificate.
+The design's zero-gain checks call it on the roots a floor leaves standing,
+and ``check_thm2`` calls it with the gains of a one-root stack.
 """
 
 from __future__ import annotations
@@ -133,6 +137,13 @@ def coupling_pairs(
             sys.hypergraph.edge_sigma[sl.edges][:, None, None])
 
 
+def sample_bytes(R: int, d: int, n: int, E: int) -> int:
+    """The bytes one sample of a stack assembles: 8 (R d^2 + 3 n E), the d x
+    d rows of its R roots and each of the E entering edges' argument, g' and
+    coupling terms, three n-vectors."""
+    return 8 * (R * d * d + 3 * n * E)
+
+
 class RootStack:
     """The zero-gain A_S of R disjoint subsets of M nodes each, the rows of
     ``roots``, over the (K, N, n) samples ``X``, as a stream: ``rows(idx)``
@@ -179,11 +190,9 @@ class RootStack:
 
     def chunks(self) -> list[slice]:
         """Sample ranges whose assembly holds at most ``CHUNK_BYTES``, at
-        least one sample each: per sample, 8 (R d^2 + 3 n E) bytes, the rows
-        of the R roots and each of the E entering edges' argument, g' and
-        coupling terms."""
-        E, n = len(self.entering.edges), self.sys.state_dim
-        step = max(1, dynamics.CHUNK_BYTES // (8 * (len(self.roots) * self.dim**2 + 3 * n * E)))
+        least one sample each, by ``sample_bytes``."""
+        step = max(1, dynamics.CHUNK_BYTES // sample_bytes(
+            len(self.roots), self.dim, self.sys.state_dim, len(self.entering.edges)))
         return [slice(lo, lo + step) for lo in range(0, self.num_samples, step)]
 
     def rows(self, idx: slice) -> np.ndarray:
@@ -528,28 +537,37 @@ def one_root(stack: RootStack) -> tuple[int, ...]:
     return tuple(stack.roots[0].tolist())
 
 
+def check_roots(stack: RootStack, h_req: float, roots=slice(None),
+                B: np.ndarray | None = None) -> list[CertificationReport]:
+    """The Theorem-2 report of each root of ``stack`` that ``roots`` picks
+    (all by default; an index array), in its order: one ``top_eig_max`` over
+    the ``RootStack.chunks()`` rows of those roots, each less the gains' B
+    where given, then ``thm2_report`` at max|A_S| + max|B| with the root's
+    g.  Every root of the stack is assembled, picked or not."""
+    worst = top_eig_max(stack.rows(chunk)[roots] if B is None else stack.rows(chunk)[roots] - B
+                        for chunk in stack.chunks())
+    b_max = 0.0 if B is None else float(np.abs(B).max())
+    return [thm2_report(w, g, stack.num_samples, h_req, stack.dim, a + b_max)
+            for w, g, a in zip(worst.tolist(), stack.g[roots].max(axis=1).tolist(),
+                               stack.a_max[roots].tolist())]
+
+
 def check_thm2(
     stack: RootStack,
     h_req: float,
     gains: Mapping[tuple[int, int], np.ndarray] | None = None,
 ) -> CertificationReport:
     """Uniform Hurwitz margin of the symmetric part of A_S with the given
-    gain blocks over the sample set of the one root of ``stack``
-    (``top_eig_max`` over the ``RootStack.chunks()`` ranges, each less the
-    gains' B), plus the finite boundedness check on the coupling
-    Jacobian."""
-    if h_req <= 0:
-        raise NonpositiveMargin("required margin must be positive")
+    gain blocks over the sample set of the one root of ``stack``, plus the
+    finite boundedness check on the coupling Jacobian: ``check_roots`` with
+    the gains' B."""
     one_root(stack)
     B = None
     if gains:
         keys = list(gains)
         blocks = np.array([gains[k] for k in keys], dtype=float)
         B = gain_matrix(stack.entering.position, keys, blocks, stack.sys.output.matrix)
-    worst = float(top_eig_max(stack.rows(chunk) if B is None else stack.rows(chunk) - B
-                              for chunk in stack.chunks())[0])
-    mag = stack.a_max[0] + (0.0 if B is None else float(np.abs(B).max()))
-    return thm2_report(worst, float(stack.g[0].max()), stack.num_samples, h_req, stack.dim, mag)
+    return check_roots(stack, h_req, B=B)[0]
 
 
 # -- robustness bound --------------------------------------------------------------

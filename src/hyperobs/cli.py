@@ -42,6 +42,7 @@ string "inf", "-inf" or "nan":
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -89,7 +90,7 @@ def cmd_generate(args) -> int:
         if args.seed is not None and isinstance(doc, dict):
             doc["seed"] = args.seed
         # validated after the override, so a spec may leave the seed to --seed
-        spec = HierarchicalGenSpec.from_json_dict(cfgmod.validate_generator_spec(doc))
+        spec = HierarchicalGenSpec(**cfgmod.validate_generator_spec(doc))
         hypergraph = generate_hierarchical(spec)
     except (OSError, ValueError) as exc:
         log.error("generate failed: %s", exc)
@@ -134,7 +135,7 @@ def cmd_design(args) -> int:
         return EXIT_DESIGN_FAILED
     log.info(
         "design complete: %d measured of %d nodes (report at %s)",
-        len(outcome.measured), hypergraph.num_nodes, path,
+        len(outcome.design.measured), hypergraph.num_nodes, path,
     )
     return EXIT_OK
 
@@ -166,6 +167,8 @@ def _run_batches(args, simulate_only_first: bool) -> int:
             return EXIT_CONFIG
     # every batch's settings and bound are checked before any batch runs
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"invalid --seed {args.seed}: a seed is a nonnegative integer")
         base_seed = cfgmod.build_sim_config(doc).seed if args.seed is None else args.seed
         configs = [
             cfgmod.build_sim_config(
@@ -233,14 +236,6 @@ def _run_batches(args, simulate_only_first: bool) -> int:
     return EXIT_DIVERGENCE if any_flags else EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    return _run_batches(args, simulate_only_first=True)
-
-
-def cmd_batch(args) -> int:
-    return _run_batches(args, simulate_only_first=False)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperobs",
@@ -259,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     des.add_argument("--out-dir", default=".")
     des.set_defaults(func=cmd_design)
 
-    for name, fn, help_text in (
-        ("simulate", cmd_simulate, "Monte-Carlo validation of a design"),
-        ("batch", cmd_batch, "batch sweep over a config variable"),
+    for name, only_first, help_text in (
+        ("simulate", True, "Monte-Carlo validation of a design"),
+        ("batch", False, "batch sweep over a config variable"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
@@ -271,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte-Carlo base seed in place of sim.seed; "
                             "batch k draws from seed + k")
         p.add_argument("--batch-index", type=int, default=None)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=functools.partial(_run_batches, simulate_only_first=only_first))
     return parser
 
 

@@ -167,7 +167,7 @@ CONFIG_SCHEMA = {
                         "dt": {"type": "number", "exclusiveMinimum": 0},
                         "subsample": {"type": "integer", "minimum": 1},
                         "box": _BOX,
-                        "seed": {"type": "integer"},
+                        "seed": {"type": "integer", "minimum": 0},
                         "burn_in": {"type": "number", "minimum": 0},
                     },
                 },
@@ -181,7 +181,7 @@ CONFIG_SCHEMA = {
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
                 "runs": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "x0_box": _BOX,
                 "observer_init_width": {"type": "number", "minimum": 0},
                 "noise": {"type": "number", "minimum": 0},

@@ -13,10 +13,11 @@ upstream tails from what those calls returned.  No two components of a
 labelling share an edge's heads, which share a component or are exact, so
 each edge enters one of them, and a ``certify_pass`` stacks the A_S of its
 components of one size (``assembly.stack_roots``), as many as
-``dynamics.CHUNK_BYTES`` holds with the arrays of the edges entering them,
-and certifies each stack at once (``certify_roots``): a node's diagonal block refutes the Theorem-2 check
-where it can (``thm2_refuted``, on ``assembly.node_floors``, made once per
-design), and one ``assembly.top_eig_max`` runs it on the other roots.  The
+``dynamics.CHUNK_BYTES`` holds with the arrays of the edges entering them
+(``assembly.sample_bytes``), and certifies each stack at once: a node's
+diagonal block refutes the Theorem-2 check where it can (``thm2_refuted``,
+on ``assembly.node_floors``, made once per design), and one
+``assembly.check_roots`` runs it on the other roots.  The
 refutation's slack is taken at the floors' bound on max|A_S|, at least the
 exact one: a root it leaves standing gets the full check, which fails
 wherever the exact slack refutes, so the bound changes no decision.  A
@@ -98,12 +99,12 @@ import numpy as np
 from .assembly import (
     CertificationReport,
     RootStack,
+    check_roots,
     check_thm2,
     node_floors,
     refutes,
+    sample_bytes,
     stack_roots,
-    thm2_report,
-    top_eig_max,
     thm3_bound,
     RobustnessBound,
 )
@@ -150,18 +151,6 @@ class DesignOutcome:
     failed_subset: tuple[int, ...] | None = None
 
     @property
-    def measured(self) -> frozenset[int]:
-        return self.design.measured
-
-    @property
-    def gains(self) -> dict[tuple[int, int], np.ndarray]:
-        return self.design.gains
-
-    @property
-    def exact_nodes(self) -> frozenset[int]:
-        return self.design.exact_nodes
-
-    @property
     def complete(self) -> bool:
         return self.status == "complete"
 
@@ -171,9 +160,9 @@ class DesignOutcome:
             "status": self.status,
             "failed_subset": None if self.failed_subset is None else list(self.failed_subset),
             "design": {
-                "measured": sorted(self.measured),
-                "exact_nodes": sorted(self.exact_nodes),
-                "gains": {f"{i},{j}": L.tolist() for (i, j), L in sorted(self.gains.items())},
+                "measured": sorted(self.design.measured),
+                "exact_nodes": sorted(self.design.exact_nodes),
+                "gains": {f"{i},{j}": L.tolist() for (i, j), L in sorted(self.design.gains.items())},
             },
             "processed_subsets": [
                 {
@@ -347,25 +336,6 @@ def thm2_refuted(stack: RootStack, h_req: float) -> np.ndarray:
     return refuted
 
 
-def certify_roots(stack: RootStack, options: DesignOptions) -> list[CertificationReport | None]:
-    """The passing zero-gain Theorem-2 report of each root of ``stack``, or
-    None: the check runs on every root ``thm2_refuted`` leaves, in one
-    ``top_eig_max`` call over the ``RootStack.chunks()`` ranges of the
-    stack.  A refuted check would fail, so skipping it changes no outcome,
-    and a refuted root assembles no sample."""
-    h, K, R = options.margin, stack.num_samples, len(stack.roots)
-    reports: list[CertificationReport | None] = [None] * R
-    checked = np.flatnonzero(~thm2_refuted(stack, h))
-    if checked.size:
-        pick = slice(None) if len(checked) == R else checked
-        worst = top_eig_max(stack.rows(chunk)[pick] for chunk in stack.chunks())
-        g_bound = stack.g.max(axis=1)
-        for r, w in zip(checked.tolist(), worst.tolist()):
-            report = thm2_report(w, float(g_bound[r]), K, h, stack.dim, stack.a_max[r])
-            reports[r] = report if report.passed else None
-    return reports
-
-
 def certify_pass(
     sys: NetworkSystem,
     roots: list[tuple[int, ...]],
@@ -375,27 +345,35 @@ def certify_pass(
     floors: tuple[np.ndarray, np.ndarray],
 ) -> list[tuple[CertificationReport | None, np.ndarray]]:
     """For each of ``roots``, disjoint components of one labelling, in order,
-    its report when ``certify_roots`` certifies it, else None, and its
-    upstream tails, the tails outside it of the edges entering it.  Roots of
-    one size are stacked over the (K, N, n) ``samples``, with the design's
-    ``floors``, as many as ``CHUNK_BYTES`` holds and at least one: a root's
-    samples hold its rows and, for each edge entering it, the edge's
-    argument, g' and coupling terms, three n-vectors.  Its nodes' head
-    degrees bound its entering edges, and roots of one size and one bound
-    share their stacks.  A stack is then read in the sample ranges that
-    ``RootStack.chunks()`` sizes by the same terms, so no read assembles
-    more than ``CHUNK_BYTES``, however many edges enter a root."""
+    its passing zero-gain Theorem-2 report, else None, and its upstream
+    tails, the tails outside it of the edges entering it.  Roots of one size
+    are stacked over the (K, N, n) ``samples``, with the design's ``floors``,
+    as many as ``CHUNK_BYTES`` holds of their K samples' ``sample_bytes``,
+    and at least one.  Its nodes' head degrees bound a root's entering
+    edges, and roots of one size and one bound share their stacks.  A stack
+    is then read in the sample ranges that ``RootStack.chunks()`` sizes by
+    the same count, so no read assembles more than ``CHUNK_BYTES``, however
+    many edges enter a root.  ``check_roots`` runs the check on the roots
+    ``thm2_refuted`` leaves: a refuted check would fail, so skipping it
+    changes no outcome, and a stack whose every root is refuted assembles no
+    sample."""
     K, n, degree = samples.shape[0], sys.state_dim, np.diff(sys.hypergraph.head_ptr)
     sizes: dict[tuple[int, int], list[int]] = {}
     for k, S in enumerate(roots):
         sizes.setdefault((len(S), int(degree[list(S)].sum())), []).append(k)
     checked: list = [None] * len(roots)
     for (M, E), group in sizes.items():
-        step = max(1, dynamics.CHUNK_BYTES // (8 * K * ((M * n) ** 2 + 3 * n * E)))
+        step = max(1, dynamics.CHUNK_BYTES // (K * sample_bytes(1, M * n, n, E)))
         for lo in range(0, len(group), step):
             chunk = group[lo : lo + step]
             stack = stack_roots(sys, [roots[k] for k in chunk], samples, frozenset(exact), floors)
-            for r, (k, report) in enumerate(zip(chunk, certify_roots(stack, options))):
+            reports: list[CertificationReport | None] = [None] * len(chunk)
+            left = np.flatnonzero(~thm2_refuted(stack, options.margin))
+            if left.size:
+                pick = slice(None) if len(left) == len(chunk) else left
+                for r, report in zip(left.tolist(), check_roots(stack, options.margin, pick)):
+                    reports[r] = report if report.passed else None
+            for r, (k, report) in enumerate(zip(chunk, reports)):
                 checked[k] = report, stack.upstream[stack.upstream_root == r]
     return checked
 
@@ -629,7 +607,7 @@ def propagate_robustness_bounds(
         if entry.report.theorem_used == "exact":
             bound = RobustnessBound(inv_gain * nu_bar, 0.0)
         else:
-            l_bound = block_norm(outcome.gains, entry.nodes)
+            l_bound = block_norm(outcome.design.gains, entry.nodes)
             bound = thm3_bound(
                 sys.hypergraph,
                 entry.nodes,

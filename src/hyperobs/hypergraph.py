@@ -169,7 +169,14 @@ class DirectedHypergraph:
     """
 
     def __init__(self, num_nodes: int, edges: Iterable[Hyperedge] = ()):
-        self._build(num_nodes, *_edge_arrays([vars(e) for e in edges]))
+        docs = [vars(e) for e in edges]
+        # Hyperedges pass _build's edge checks, so it refuses a negative
+        # num_nodes, given no edges then, and the first node out of range is
+        # found here on the ints, which may be past what intp holds
+        outside = [v for d in docs for v in (*d["tails"], *d["heads"]) if not 0 <= v < num_nodes]
+        if outside and num_nodes >= 0:
+            raise NodeOutOfRange(f"node {outside[0]} outside [0, {num_nodes})")
+        self._build(num_nodes, *_edge_arrays(docs if num_nodes >= 0 else []))
 
     @classmethod
     def from_arrays(cls, num_nodes: int, ptr, nodes, weights, num_tails, sigma
@@ -424,10 +431,6 @@ class HierarchicalGenSpec:
             out.append(list(range(offset, offset + size)))
             offset += size
         return out
-
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "HierarchicalGenSpec":
-        return HierarchicalGenSpec(**doc)
 
 
 def generate_hierarchical(spec: HierarchicalGenSpec) -> DirectedHypergraph:

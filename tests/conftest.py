@@ -368,8 +368,9 @@ def gain_array(prob, gains: Mapping) -> np.ndarray:
 
 
 def reference_certify_zero_gain(stack, options):
-    """``designer.certify_roots`` on the one root of ``stack`` with no
-    refutation: the zero-gain Theorem-2 check always runs."""
+    """The zero-gain certification ``designer.certify_pass`` makes of the one
+    root of ``stack``, with no refutation: the zero-gain Theorem-2 check
+    always runs."""
     report = check_thm2(stack, options.margin)
     return report if report.passed else None
 

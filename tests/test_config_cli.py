@@ -204,7 +204,7 @@ DELETED_SPAN_TARGETS = {
     ("hypergraph", "DirectedHypergraph.degrees"),
     ("assembly", "check_head_closed"),
     ("hypergraph", "to_dependency_graph"),
-    # no caller in the package: ``certify_roots`` on a stack of one root
+    # no caller in the package: ``certify_pass`` on a stack of one root
     ("designer", "certify_or_fail"),
     # the Theorem-1 route certified nothing on the bench workloads: every
     # certificate is a Theorem-2 one or an exact measurement
@@ -671,6 +671,31 @@ class TestDesignCommand:
         assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 4
         assert not (out / "design.json").exists()
 
+    def test_node_id_past_intp_exits_4(self, tmp_path, caplog):
+        # the schema admits any integer id >= 0; the network refuses 2**63
+        # as out of range before an intp array would overflow on it
+        edge = {"tails": [2**63], "heads": [0], "alpha": [1.0], "beta": [1.0]}
+        (tmp_path / "network.json").write_text(json.dumps({"num_nodes": 3, "edges": [edge]}))
+        doc = cohead_config()
+        doc["hypergraph"] = {"file": "network.json"}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out-dir", str(out)]) == 4
+        assert f"node {2**63} outside [0, 3)" in caplog.text
+        assert not (out / "design.json").exists()
+
+    def test_negative_design_seed_exits_4(self, tmp_path, caplog):
+        # numpy draws from no negative seed: a configuration error, not a
+        # traceback
+        doc = cohead_config()
+        doc["design"]["trajectories"]["seed"] = -1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["design", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+        assert "$.design.trajectories.seed: -1 breaks minimum 0" in caplog.text
+        assert not (tmp_path / "design.json").exists()
+
     def test_one_sample_trajectories_exit_4(self, tmp_path):
         doc = cohead_config()
         # round(0.0004 / 1e-3) = 0 steps, fewer than subsample: one sample each
@@ -829,6 +854,32 @@ class TestSimulateAndBatch:
         assert main(["design", "--config", str(cfg2), "--out-dir", str(out)]) == 4
         assert main(["simulate", "--config", str(cfg2), "--design", str(design),
                      "--out-dir", str(out)]) == 4
+        assert not out.exists()
+
+    # a base seed of -1 is refused too, though batch 1 would draw from seed 0
+    @pytest.mark.parametrize("seed", [-1, -2])
+    @pytest.mark.parametrize("command", ["simulate", "batch"])
+    def test_negative_sim_seed_exits_4(self, designed, seed, command, tmp_path, caplog):
+        cfg_path, design = designed
+        doc = json.loads(cfg_path.read_text())
+        doc["sim"]["seed"] = seed
+        cfg2 = tmp_path / "seed.json"
+        cfg2.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg2), "--design", str(design),
+                     "--out-dir", str(out)]) == 4
+        assert f"$.sim.seed: {seed} breaks minimum 0" in caplog.text
+        assert not out.exists()
+
+    # not argparse's exit 2, which here says that the design failed
+    @pytest.mark.parametrize("seed", [-1, -3])
+    @pytest.mark.parametrize("command", ["simulate", "batch"])
+    def test_negative_seed_flag_exits_4(self, designed, seed, command, tmp_path, caplog):
+        cfg, design = designed
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--design", str(design),
+                     "--out-dir", str(out), "--seed", str(seed)]) == 4
+        assert f"invalid --seed {seed}" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("section", ["design", "sim"])

@@ -38,7 +38,7 @@ def _bench_documents():
     config["design"]["trajectories"]["burn_in"] = 0.0
     config["sim"].update(param_spread=0.0, downsample_rows=100)
     config["batch"] = {"variable": "noise", "values": [0.0, 0.1]}
-    network = generate_hierarchical(HierarchicalGenSpec.from_json_dict(spec)).to_json_dict()
+    network = generate_hierarchical(HierarchicalGenSpec(**spec)).to_json_dict()
     # three of its 14 edges: a mutant changes one position, and every edge is
     # checked against one schema
     network["edges"] = network["edges"][:3]
@@ -201,7 +201,7 @@ def test_generated_network_passes_the_file_check(spec):
 def test_bench_network_passes_the_file_check(name):
     spec, _ = BENCH_WORKLOADS[name](1)
     assert _violation(_GENERATOR_SCHEMA, spec) is None
-    network = generate_hierarchical(HierarchicalGenSpec.from_json_dict(spec))
+    network = generate_hierarchical(HierarchicalGenSpec(**spec))
     assert _violation(_HYPERGRAPH_INLINE_SCHEMA, network.to_json_dict()) is None
 
 

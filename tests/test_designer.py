@@ -176,7 +176,7 @@ class TestDesignObserver:
         ens = small_ensemble(sys, count=4, horizon=0.2)
         outcome = design_observer(sys, ens, DesignOptions(margin=1.0))
         assert outcome.complete
-        assert outcome.measured == frozenset()
+        assert outcome.design.measured == frozenset()
         assert all(p.report.theorem_used == "thm2" for p in outcome.processed)
 
     def test_shortcut_pair_resolution(self):
@@ -184,9 +184,9 @@ class TestDesignObserver:
         ens = small_ensemble(sys, count=10, horizon=0.6, seed=3)
         outcome = design_observer(sys, ens, DesignOptions(margin=2.0))
         assert outcome.complete
-        assert outcome.measured == frozenset({0, 1})
-        assert outcome.exact_nodes == frozenset({0, 1})
-        assert len(outcome.gains) == 0
+        assert outcome.design.measured == frozenset({0, 1})
+        assert outcome.design.exact_nodes == frozenset({0, 1})
+        assert len(outcome.design.gains) == 0
         cert = {p.nodes: p.report.theorem_used for p in outcome.processed}
         assert cert[(2,)] == "thm2"
         assert cert[(0,)] == "exact" and cert[(1,)] == "exact"
@@ -197,13 +197,13 @@ class TestDesignObserver:
         options = DesignOptions(margin=2.0, use_inverse_shortcut=False)
         outcome = design_observer(sys, ens, options)
         assert outcome.complete
-        assert outcome.exact_nodes == frozenset()
-        assert len(outcome.measured) >= 1
-        assert len(outcome.gains) > 0
+        assert outcome.design.exact_nodes == frozenset()
+        assert len(outcome.design.measured) >= 1
+        assert len(outcome.design.gains) > 0
         assert all(p.report.passed for p in outcome.processed)
         # every gain respects the measured-column rule
-        for (i, j) in outcome.gains:
-            assert j in outcome.measured
+        for (i, j) in outcome.design.gains:
+            assert j in outcome.design.measured
 
     def test_everything_measured_at_worst_with_identity_output(self):
         # three isolated chaotic nodes: each must be measured, all exact
@@ -213,7 +213,7 @@ class TestDesignObserver:
         ens = small_ensemble(sys, count=5, horizon=0.3, seed=4)
         outcome = design_observer(sys, ens, DesignOptions(margin=1.0))
         assert outcome.complete
-        assert outcome.measured == frozenset({0, 1, 2})
+        assert outcome.design.measured == frozenset({0, 1, 2})
 
     def test_unobservable_output_fails_with_culprit(self, monkeypatch):
         # x3-only measurement cannot stabilize the (x1, x2) subsystem near the
@@ -258,7 +258,8 @@ class TestDesignObserver:
             assert f_bound == 1.5
             assert back.processed == o.processed
             assert (back.status, back.failed_subset) == (o.status, o.failed_subset)
-            assert (back.measured, back.exact_nodes) == (o.measured, o.exact_nodes)
+            assert (back.design.measured, back.design.exact_nodes) == (
+                o.design.measured, o.design.exact_nodes)
             assert back.to_json_dict() == o.to_json_dict()
 
     def test_empty_ensemble_rejected(self):
@@ -313,7 +314,7 @@ class TestDesignObserver:
             ens = small_ensemble(sys, count=3, horizon=0.2, seed=6)
             calls.clear()
             outcome = design_observer(sys, ens, DesignOptions(margin=0.5))
-            assert outcome.complete and not outcome.measured
+            assert outcome.complete and not outcome.design.measured
             assert sorted(v for c in calls for v in c) == list(range(h.num_nodes))
             for c in calls:
                 held = sorted(p.nodes for p in outcome.processed if set(p.nodes) <= set(c))
@@ -357,8 +358,8 @@ class TestDesignObserver:
             calls.clear()
             options = DesignOptions(margin=2.0, use_inverse_shortcut=shortcut)
             outcome = design_observer(sys, ens, options)
-            assert outcome.complete and outcome.measured
-            assert (outcome.exact_nodes == outcome.measured) == shortcut
+            assert outcome.complete and outcome.design.measured
+            assert (outcome.design.exact_nodes == outcome.design.measured) == shortcut
             # every call is the union of live components of one size of one
             # labelling, a root's own slice among them
             stacked = Counter()
@@ -574,7 +575,7 @@ class TestBatchedPass:
         assert info == ["iteration 1: 3 roots, 0 certified, 3 nodes measured"]
         assert [m for m in debug if "measuring" in m] == [
             f"iteration 1: measuring node {j} of ({j},) (exact)" for j in range(3)]
-        assert outcome.exact_nodes == {0, 1, 2}
+        assert outcome.design.exact_nodes == {0, 1, 2}
 
     def test_retries_log_in_pass_order_in_every_process(self, caplog, usable_cpus):
         # without the shortcut the sweep refutes both roots before pass 1,
@@ -644,7 +645,7 @@ class TestOneCertificationPerComponent:
         splits = {p.iteration for p in got.processed if p.report.theorem_used == "exact"
                   and len(next(S for S in passes[p.iteration - 1] if p.nodes[0] in S)) > 1}
         assert len(certified) == 1 + len(splits)
-        if not got.exact_nodes:
+        if not got.design.exact_nodes:
             assert len(certified) == 1
 
 
@@ -688,19 +689,26 @@ class TestStreamedCertification:
         # a contracting root: Theorem 2 passes over every sample
         (bistable_field(3.0, 0.5), 32, 0.25, True),
     ])
-    def test_traced_peak_is_a_few_budgets(self, chunk_budget, field, M, margin, passed):
+    def test_traced_peak_is_a_few_budgets(self, chunk_budget, monkeypatch, field, M, margin,
+                                          passed):
         budget = 1 << 18
         sys, ens = _cycle_root(field, M, count=12, length=50, seed=3)
         K, d = ens.stacked().shape[0], M * field.state_dim
         assert 8 * K * d * d >= 10 * budget
+        # the stack the certification makes
+        stacks = []
+        monkeypatch.setattr(designer, "stack_roots",
+                            lambda *args: stacks.append(assembly.stack_roots(*args)) or stacks[-1])
         with chunk_budget(budget):
             tracemalloc.start()
             try:
-                stack = assembly.stack_roots(sys, [tuple(range(M))], ens.stacked())
-                (report,) = designer.certify_roots(stack, DesignOptions(margin=margin))
+                floors = assembly.node_floors(sys, ens.stacked())
+                ((report, _),) = designer.certify_pass(sys, [tuple(range(M))], ens.stacked(),
+                                                       DesignOptions(margin=margin), set(), floors)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+        (stack,) = stacks
         assert (report is not None) == passed
         assert stack.a is None
         assert peak <= 3 * budget
@@ -788,7 +796,8 @@ def _hub_root(edges: int, K: int):
 
 def _count_per_subset(monkeypatch) -> Counter:
     """Counts, per (route, subset nodes), of the stacks that assemble a
-    root's A_S, the zero-gain certifications (``certify_roots``), the
+    root's A_S, the zero-gain certifications (``thm2_refuted`` then
+    ``check_roots`` in ``certify_pass``), the
     Theorem-2 checks with and without gains and the gain syntheses the
     design loop makes from now on."""
     calls = Counter()
@@ -802,7 +811,7 @@ def _count_per_subset(monkeypatch) -> Counter:
 
         monkeypatch.setattr(owner, name, counted)
 
-    real_stack, real_certify = designer.stack_roots, designer.certify_roots
+    real_stack, real_refuted = designer.stack_roots, designer.thm2_refuted
 
     def stack(sys, roots, *args):
         calls.update(("stack", tuple(S)) for S in roots)
@@ -810,10 +819,12 @@ def _count_per_subset(monkeypatch) -> Counter:
 
     def certify(stack, *args):
         calls.update(("zero_gain", tuple(S)) for S in stack.roots.tolist())
-        return real_certify(stack, *args)
+        return real_refuted(stack, *args)
 
     monkeypatch.setattr(designer, "stack_roots", stack)
-    monkeypatch.setattr(designer, "certify_roots", certify)
+    # a zero-gain certification refutes what it can on every root of its
+    # stack, then checks the others
+    monkeypatch.setattr(designer, "thm2_refuted", certify)
     count(designer, "check_thm2",
           lambda args, kw: "thm2_gains" if args[1:] or kw else "thm2_zero_gain")
     count(designer, "design_gain_thm2", lambda args, kw: "design_gain_thm2")
@@ -821,8 +832,12 @@ def _count_per_subset(monkeypatch) -> Counter:
 
 
 def certify(stack, options):
-    """``certify_roots`` on the one-root ``stack``."""
-    (report,) = designer.certify_roots(stack, options)
+    """The zero-gain certification ``certify_pass`` makes of the one root of
+    ``stack``, on a stack of its own over the same samples and floors, with
+    every node outside the root exact."""
+    S = one_root(stack)
+    exact = set(range(stack.sys.num_nodes)) - set(S)
+    ((report, _),) = designer.certify_pass(stack.sys, [S], stack.X, options, exact, stack.floors)
     return report
 
 
@@ -871,7 +886,7 @@ class TestCertifyRoots:
             outcome = design_observer(sys, ens, options)
         (entry,) = outcome.processed
         assert entry.report.theorem_used == "thm2" and entry.added_measured == (0,)
-        assert (0, 0) in outcome.gains
+        assert (0, 0) in outcome.design.gains
 
     def test_one_evaluation_serves_every_route(self, monkeypatch, usable_cpus):
         # per subset: one stack holding its A_S, the sweep's without the
@@ -1173,7 +1188,8 @@ class TestLazyStack:
                                 sys, roots, pairs, X, dg))
         stack = assembly.stack_roots(sys, [(0, 1, 2)], ens.stacked(), floors=floors)
         assert assembled == []
-        (report,) = designer.certify_roots(stack, DesignOptions(margin=2.0))
+        ((report, _),) = designer.certify_pass(sys, [(0, 1, 2)], ens.stacked(),
+                                               DesignOptions(margin=2.0), set(), floors)
         assert report is None and designer.thm2_refuted(stack, 2.0)[0]
         assert assembled == [] and stack.a is None
 
@@ -1194,6 +1210,30 @@ class TestLazyStack:
             assert bit_pattern(part) == bit_pattern(whole[:, idx])
             assert bit_pattern(stack.rows(slice(None))) == bit_pattern(whole)
             assert (stack.a is None) == (per_chunk < K)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 3]),
+           st.sampled_from([0.05, 0.5, 2.0]), st.data())
+    def test_check_roots_reports_each_root_as_its_own_stack(self, chunk_budget, seed, per_chunk,
+                                                            margin, data):
+        # one check over a multi-root zero-gain stack, or over some of its
+        # roots in any order, whole or a few samples at a time: each root's
+        # report is, bit for bit, check_thm2's on a one-root stack of its own
+        rng = np.random.default_rng(seed)
+        R, M = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        sys, roots, X = stacked_chains(rng, R, M, str(rng.choice(["lorenz", "bistable"])))
+        picks = data.draw(st.none() | st.lists(st.integers(0, R - 1), min_size=1, unique=True))
+        pick = slice(None) if picks is None else np.array(picks)
+        per_sample = sample_bytes(assembly.stack_roots(sys, roots, X))
+        with chunk_budget(dynamics.CHUNK_BYTES if per_chunk is None else per_sample * per_chunk):
+            got = assembly.check_roots(assembly.stack_roots(sys, roots, X), margin, pick)
+        expect = [check_thm2(assembly.stack_roots(sys, [roots[r]], X), margin)
+                  for r in (range(R) if picks is None else picks)]
+        assert len(got) == len(expect)
+        for a, b in zip(got, expect):
+            assert (a.passed, a.theorem_used, a.sample_count) == (b.passed, b.theorem_used,
+                                                                  b.sample_count)
+            assert bit_pattern(np.array([a.hurwitz_margin, a.g_bound])) == bit_pattern(
+                np.array([b.hurwitz_margin, b.g_bound]))
 
     def test_bounds_assemble_only_the_unread_chunks(self, chunk_budget, monkeypatch):
         # g and a_max assemble each chunk that no read has covered, once:
@@ -1283,7 +1323,7 @@ class TestSynthesisPool:
             assert roots == ({(0,)} if cpus == 1 else {(0,), (1, 2)})
         for outcome in outcomes:
             assert outcome.status == "failed" and outcome.failed_subset == (0,)
-            assert outcome.measured == {0} and outcome.gains == {}
+            assert outcome.design.measured == {0} and outcome.design.gains == {}
             assert [(p.nodes, p.report.theorem_used, p.added_measured, p.iteration)
                     for p in outcome.processed] == [((0,), "none", (0,), 1)]
         assert json.dumps(outcomes[0].to_json_dict()) == json.dumps(outcomes[1].to_json_dict())

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperobs import Hyperedge, Infeasible, designer
+from hyperobs import Hyperedge, Infeasible, assembly, designer
 from hyperobs.assembly import gain_free_bound, one_root, refutes
 from hyperobs.cli import main
 from hyperobs.config import (
@@ -279,31 +279,30 @@ def test_refuted_subsets_skip_the_full_stack_check(tmp_path, monkeypatch):
     # recorded ones; so is the one-node root (0,), whose one block is its
     # whole A_S
     refuted, checked, kernel_rows = [], [], []
-    real_refuted, real_certify = designer.thm2_refuted, designer.certify_roots
-    real_kernel = designer.top_eig_max
+    real_refuted, real_check = designer.thm2_refuted, designer.check_roots
+    real_kernel = assembly.top_eig_max
 
     def count_refuted(stack, h_req):
         out = real_refuted(stack, h_req)
         refuted.extend(tuple(S) for S, hit in zip(stack.roots.tolist(), out) if hit)
         return out
 
-    def certify(stack, *args):
-        before = set(refuted)
-        reports = real_certify(stack, *args)
-        checked.extend((S, report is not None and report.theorem_used == "thm2")
-                       for S, report in zip(map(tuple, stack.roots.tolist()), reports)
-                       if S not in set(refuted) - before)
-        return reports
-
-    monkeypatch.setattr(designer, "thm2_refuted", count_refuted)
-    monkeypatch.setattr(designer, "certify_roots", certify)
-
     def kernel(chunks):
         worst = real_kernel(chunks)
         kernel_rows.append(len(worst))
         return worst
 
-    monkeypatch.setattr(designer, "top_eig_max", kernel)
+    def check(stack, h_req, roots=slice(None), B=None):
+        # the kernel calls of the zero-gain checks, not of the node floors
+        with monkeypatch.context() as mp:
+            mp.setattr(assembly, "top_eig_max", kernel)
+            reports = real_check(stack, h_req, roots, B)
+        checked.extend((tuple(S), report.theorem_used == "thm2")
+                       for S, report in zip(stack.roots[roots].tolist(), reports))
+        return reports
+
+    monkeypatch.setattr(designer, "thm2_refuted", count_refuted)
+    monkeypatch.setattr(designer, "check_roots", check)
     run_and_compare("e2e-exact", tmp_path)
     assert len(refuted) == 6 and [nodes for nodes in refuted if len(nodes) == 1] == [(0,)]
     assert sum(kernel_rows) == len(checked)

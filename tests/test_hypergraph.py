@@ -167,6 +167,25 @@ class TestArrayConstructor:
             assert outcome(lambda: DirectedHypergraph.from_arrays(num_nodes, *arrays).edges
                            ) == expect
 
+    @pytest.mark.parametrize("big", [2**63, 2**64, -2**63 - 1])
+    def test_node_past_intp_is_out_of_range(self, big):
+        # an id no intp holds is checked as an int on the per-edge path, in
+        # the order of the edge-by-edge reference: the first bad edge, then a
+        # negative num_nodes, then the first node out of range
+        ok = {"tails": [1], "heads": [0], "alpha": [1.0], "beta": [1.0]}
+        huge, bad_sum = {**ok, "tails": [big]}, {**ok, "alpha": [0.5]}
+        cases = [(3, [huge]), (3, [ok, huge]), (3, [{**ok, "heads": [5]}, huge]),
+                 (-1, [huge]), (3, [huge, bad_sum]), (-1, [huge, bad_sum])]
+        for num_nodes, docs in cases:
+            expect = outcome(lambda: reference_edges(num_nodes, docs))
+            doc = {"num_nodes": num_nodes, "edges": docs}
+            assert outcome(lambda: DirectedHypergraph.from_json_dict(doc).edges) == expect
+            if bad_sum not in docs:
+                edges = [Hyperedge(**d) for d in docs]
+                assert outcome(lambda: DirectedHypergraph(num_nodes, edges).edges) == expect
+        assert outcome(lambda: DirectedHypergraph.from_json_dict(
+            {"num_nodes": 3, "edges": [huge]})) == (NodeOutOfRange, f"node {big} outside [0, 3)")
+
     def test_edges_are_built_when_read_in_the_order_given(self, monkeypatch):
         edges = (Hyperedge((3, 0), (2,), (0.25, 0.75), (1.0,), 2.0), fig1_edge())
         built = []
@@ -605,4 +624,4 @@ class TestSerialization:
     def test_genspec_round_trip(self):
         spec = HierarchicalGenSpec((6, 5), 3, (1, 0), (0, 2), (1,), (1,), seed=3, sigma=1.5)
         doc = json.loads(json.dumps(dataclasses.asdict(spec)))
-        assert HierarchicalGenSpec.from_json_dict(doc) == spec
+        assert HierarchicalGenSpec(**doc) == spec
